@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.obs.tracing import current_scope
-from repro.cache import LRUCache
+from repro.cache import RouteMemo
 from repro.broker.messages import (
     AdvertiseMsg,
     Message,
@@ -160,14 +160,23 @@ class Broker:
         #: classified as ViewServe; drained by the broker core.
         self._view_served_marks: Set[Tuple[object, int]] = set()
 
-        #: Publication-match memo: ``(path, attribute fingerprint)`` →
-        #: ``(generation, frozen match keys)``.  The generation counter
-        #: is bumped by every SUB/UNSUB/ADV/UNADV/merge, so an entry
-        #: written before any routing-state change reads as stale and
-        #: is recomputed — cached destination sets are never wrong.
+        #: The route memo: path → attribute fingerprint → routing
+        #: decision (matched keys + sorted destinations).  Exact by
+        #: maintenance, not by versioning: a SUB inserts its hop into
+        #: the decisions its expression matches, an UNSUB drops those
+        #: (counted in ``match_cache_stale``), and everything that is
+        #: not a single-key table edit — merge sweeps, wiring changes,
+        #: ``client_subs`` edits with no table edit — clears it.
         #: Deliberately *not* persisted: a restored broker starts cold.
-        self.match_cache = LRUCache(maxsize=4096)
+        self.match_cache = RouteMemo(maxsize=4096)
         self.match_cache_stale = 0
+        #: Does any XPE held here (table or exact client subscriptions)
+        #: carry a predicate?  While none does, routing reads the path
+        #: alone and the memo keeps one decision per path, whatever the
+        #: attributes.  None = not scanned yet (restore() fills the
+        #: table directly); set for good by the first predicated SUB.
+        self._predicated: Optional[bool] = None
+        #: Bumped by every SUB/UNSUB/ADV/UNADV/merge: the views stamp.
         self._match_generation = 0
 
     # -- wiring --------------------------------------------------------------
@@ -177,24 +186,16 @@ class Broker:
         if neighbor_id == self.broker_id:
             raise RoutingError("a broker cannot neighbour itself")
         self.neighbors.add(neighbor_id)
+        self.match_cache.clear()
 
     def attach_client(self, client_id: object):
         """Attach a local client (publisher or subscriber)."""
         if client_id in self.neighbors:
             raise RoutingError("%r is already a neighbour" % (client_id,))
         self.local_clients.add(client_id)
+        self.match_cache.clear()
 
     # -- dispatch --------------------------------------------------------------
-
-    #: kind -> (handler name, timer metric); isinstance order matters
-    #: only for subclasses of these five, which the protocol forbids.
-    _DISPATCH = (
-        (AdvertiseMsg, "handle_advertise", "broker.handle.advertise"),
-        (UnadvertiseMsg, "handle_unadvertise", "broker.handle.unadvertise"),
-        (SubscribeMsg, "handle_subscribe", "broker.handle.subscribe"),
-        (UnsubscribeMsg, "handle_unsubscribe", "broker.handle.unsubscribe"),
-        (PublishMsg, "handle_publish", "broker.handle.publish"),
-    )
 
     def handle(self, message: Message, from_hop: object) -> Outbound:
         """Process one message; returns the messages to emit.
@@ -204,21 +205,30 @@ class Broker:
         ``broker.unknown_kind`` metric) instead of being dropped, so a
         malformed peer is surfaced at the first bad message.
         """
-        for cls, handler_name, metric in self._DISPATCH:
-            if isinstance(message, cls):
-                self.stats[message.kind] += 1
-                handler = getattr(self, handler_name)
-                registry = obs.get_registry()
-                if not registry.enabled:
-                    return handler(message, from_hop)
-                with registry.timer(metric):
-                    return handler(message, from_hop)
-        obs.inc("broker.unknown_kind")
-        self.stats["unknown"] += 1
-        raise ProtocolError(
-            "broker %r received unknown message kind %r"
-            % (self.broker_id, getattr(message, "kind", type(message).__name__))
-        )
+        entry = self._DISPATCH.get(type(message))
+        if entry is None:
+            # Not one of the five exact types: a subclass still routes
+            # (first isinstance match), anything else is unknown.
+            for cls, entry in self._DISPATCH.items():
+                if isinstance(message, cls):
+                    break
+            else:
+                obs.inc("broker.unknown_kind")
+                self.stats["unknown"] += 1
+                raise ProtocolError(
+                    "broker %r received unknown message kind %r"
+                    % (
+                        self.broker_id,
+                        getattr(message, "kind", type(message).__name__),
+                    )
+                )
+        handler, metric = entry
+        self.stats[message.kind] += 1
+        registry = obs.get_registry()
+        if not registry.enabled:
+            return handler(self, message, from_hop)
+        with registry.timer(metric):
+            return handler(self, message, from_hop)
 
     # -- advertisements ----------------------------------------------------------
 
@@ -233,7 +243,9 @@ class Broker:
             self.stats["redelivered"] += 1
             obs.inc("broker.redelivered.advertise")
             return []
-        self._invalidate_match_cache()
+        # Publication routing never reads the SRT, so the route memo
+        # stays; the generation still moves for the views stamp.
+        self._match_generation += 1
         flood = True
         if self.advert_covers is not None:
             flood = self.advert_covers.add(msg.adv_id, msg.advert, from_hop)
@@ -282,7 +294,7 @@ class Broker:
             self.stats["redelivered"] += 1
             obs.inc("broker.redelivered.unadvertise")
             return []
-        self._invalidate_match_cache()
+        self._match_generation += 1
         out: Outbound = [(n, msg) for n in self.neighbors if n != from_hop]
         if self.advert_covers is not None:
             for promoted_id in self.advert_covers.remove(msg.adv_id):
@@ -306,6 +318,11 @@ class Broker:
     def handle_subscribe(self, msg: SubscribeMsg, from_hop: object) -> Outbound:
         expr = msg.expr
         merge_registry = self._merge_registry
+        if expr.has_predicates:
+            # From here on the memo is keyed on real fingerprints.  Its
+            # path-only entries stay valid for attribute-less
+            # publications, the only ones that can still reach them.
+            self._predicated = True
         if from_hop in self.local_clients and self.views is not None:
             # Late-subscriber replay: every retained window whose group
             # this expression matches is queued for this client before
@@ -347,9 +364,13 @@ class Broker:
             if from_hop in self.local_clients:
                 self._client_sub_add(from_hop, expr)
             return []
-        if from_hop in self.local_clients:
-            self._client_sub_add(from_hop, expr)
-        self._invalidate_match_cache()
+        local = from_hop in self.local_clients
+        if local:
+            self.client_subs[from_hop].add(expr)
+        self._match_generation += 1
+        self.match_cache.subscribe(
+            expr, from_hop, local or from_hop in self.neighbors
+        )
         self._shared_add(expr, from_hop)
 
         out: Outbound = []
@@ -456,13 +477,16 @@ class Broker:
         self, msg: UnsubscribeMsg, from_hop: object
     ) -> Outbound:
         expr = msg.expr
-        if from_hop in self.local_clients:
-            subs = self.client_subs[from_hop]
-            if expr in subs:
-                subs.discard(expr)
-                self._bump_client_epoch()
+        edited = (
+            from_hop in self.local_clients
+            and expr in self.client_subs[from_hop]
+        )
+        if edited:
+            self.client_subs[from_hop].discard(expr)
         merge_registry = self._merge_registry
         if from_hop not in self._keys_of(expr):
+            if edited:
+                self._client_subs_edited()
             if merge_registry is not None:
                 merger = merge_registry.find_contribution(expr, from_hop)
                 if merger is not None:
@@ -487,6 +511,8 @@ class Broker:
             merge_registry.remove_direct(expr, from_hop)
             if merge_registry.hop_needs(expr, from_hop):
                 obs.inc("broker.merge.direct_unsubscribe_held")
+                if edited:
+                    self._client_subs_edited()
                 return []
         return self._retire_key(expr, from_hop)
 
@@ -497,7 +523,11 @@ class Broker:
         the forwarding marks atomically with the emission — a mark must
         never outlive the upstream entry it describes (it would suppress
         a later re-forward of the same expression)."""
-        self._invalidate_match_cache()
+        self._match_generation += 1
+        dropped = self.match_cache.retire(expr)
+        if dropped:
+            self.match_cache_stale += dropped
+            obs.inc("broker.match_cache.stale", dropped)
         self._shared_remove(expr, from_hop)
         out: Outbound = []
         if self.config.covering:
@@ -551,6 +581,16 @@ class Broker:
                 if destination in self.local_clients:
                     marks.add((destination, msg.msg_id))
         return [(destination, msg) for destination in destinations]
+
+    #: message type -> (handler, timer metric), looked up by exact type
+    #: in :meth:`handle`; built once, after the five handlers exist.
+    _DISPATCH = {
+        AdvertiseMsg: (handle_advertise, "broker.handle.advertise"),
+        UnadvertiseMsg: (handle_unadvertise, "broker.handle.unadvertise"),
+        SubscribeMsg: (handle_subscribe, "broker.handle.subscribe"),
+        UnsubscribeMsg: (handle_unsubscribe, "broker.handle.unsubscribe"),
+        PublishMsg: (handle_publish, "broker.handle.publish"),
+    }
 
     def handle_publish_batch(
         self, messages: List[PublishMsg], from_hop: object
@@ -610,31 +650,17 @@ class Broker:
     def _publish_destinations(
         self, publication, from_hop: object, message=None
     ) -> List[object]:
-        """Destinations for one publication: matched keys minus the
-        arrival hop, with the exact edge-delivery recheck applied to
-        local clients.  With views enabled a live view memo serves the
-        whole decision — byte-identical to the core route, because the
-        memo is stamped with the match generation *and* the client-
-        subscription epoch and dropped on any mismatch."""
+        """Destinations for one publication: the memoised routing
+        decision minus the arrival hop.  With views enabled a live view
+        memo serves the whole decision — byte-identical to the core
+        route, because the memo is stamped with the match generation
+        *and* the client-subscription epoch and dropped on any
+        mismatch."""
         if self.views is None:
-            keys = self._publication_keys(publication)
-            destinations: List[object] = []
-            attribute_maps = None
-            maps_ready = False
-            for key in sorted(keys, key=str):
-                if key == from_hop:
-                    continue
-                if key in self.local_clients:
-                    if not maps_ready:
-                        attribute_maps = publication.attribute_maps()
-                        maps_ready = True
-                    if self._client_wants(
-                        key, publication.path, attribute_maps
-                    ):
-                        destinations.append(key)
-                elif key in self.neighbors:
-                    destinations.append(key)
-            return destinations
+            return [
+                hop for hop in self._route(publication)[1]
+                if hop != from_hop
+            ]
         return self._publish_destinations_viewed(
             publication, from_hop, message
         )
@@ -680,70 +706,55 @@ class Broker:
                         keys=len(keys), delivered=len(destinations),
                     )
             return destinations
-        keys = self._publication_keys(publication)
-        destinations = []
-        wanting: Set[object] = set()
-        attribute_maps = None
-        maps_ready = False
-        for key in sorted(keys, key=str):
-            if key in self.local_clients:
-                # The exact filter runs even for the arrival hop: the
-                # memo must hold every local decision so a later serve
-                # (from any hop) stays byte-identical.
-                if not maps_ready:
-                    attribute_maps = publication.attribute_maps()
-                    maps_ready = True
-                if self._client_wants(key, path, attribute_maps):
-                    wanting.add(key)
-                    if key != from_hop:
-                        destinations.append(key)
-            elif key != from_hop and key in self.neighbors:
-                destinations.append(key)
+        keys, hops = self._route(publication)
         if message is not None:
+            # The view holds every local decision, the arrival hop's
+            # included, so a later serve (from any hop) stays
+            # byte-identical.
             views.observe(
-                path, attrs_key, frozenset(keys), frozenset(wanting),
+                path, attrs_key, keys,
+                frozenset(self.local_clients.intersection(hops)),
                 stamp, message,
             )
         if registry.enabled:
             registry.histogram("views.route").record(
                 perf_counter() - wall0
             )
-        return destinations
+        return [hop for hop in hops if hop != from_hop]
 
     def _publication_keys(self, publication) -> frozenset:
-        """Matched subscriber keys for *publication*, memoised on
-        ``(path, attribute fingerprint)`` under the current routing-state
-        generation (see ``match_cache``)."""
+        """Matched subscriber keys for *publication*."""
+        return self._route(publication)[0]
+
+    def _route(self, publication) -> Tuple[frozenset, tuple]:
+        """The routing decision for *publication* — ``(matched keys,
+        destinations in emission order)`` — from the route memo (see
+        ``match_cache``) or computed and memoised."""
         if self._sharded:
             # The sharded engine carries its own per-shard caches with
-            # per-shard generations — strictly finer-grained than the
-            # broker-global generation stamp, so the global memo is
-            # bypassed entirely (one SUB would otherwise stale every
-            # entry here, which is exactly what sharding removes).
-            return self._publication_keys_sharded(publication)
-        cache_key = (publication.path, publication.attributes)
+            # per-shard generations; only the destinations are resolved
+            # here, per publication.
+            keys = self._publication_keys_sharded(publication)
+            return keys, self._resolve(publication, keys)
+        path = publication.path
+        attrs = publication.attributes
+        if attrs is not None and self._attribute_blind():
+            attrs = None
         registry = obs.get_registry()
         scope = current_scope()
         wall0 = perf_counter() if scope is not None else 0.0
-        entry = self.match_cache.get(cache_key)
-        cache_state = "miss"
-        if entry is not None:
-            if entry[0] == self._match_generation:
-                if registry.enabled:
-                    registry.counter("broker.match_cache.hits").inc()
-                if scope is not None:
-                    scope.sub_span(
-                        "match", wall0, perf_counter(),
-                        cache="hit", keys=len(entry[1]),
-                    )
-                return entry[1]
-            cache_state = "stale"
-            self.match_cache_stale += 1
+        route = self.match_cache.get(path, attrs)
+        if route is not None:
             if registry.enabled:
-                registry.counter("broker.match_cache.stale").inc()
-        elif registry.enabled:
+                registry.counter("broker.match_cache.hits").inc()
+            if scope is not None:
+                scope.sub_span(
+                    "match", wall0, perf_counter(),
+                    cache="hit", keys=len(route[0]),
+                )
+            return route
+        if registry.enabled:
             registry.counter("broker.match_cache.misses").inc()
-        path = publication.path
         attributes = publication.attribute_maps()
         if self.shared is not None:
             keys = frozenset(self._shared_engine().match(path, attributes))
@@ -754,15 +765,46 @@ class Broker:
         else:
             keys = frozenset(self.flat.match(path, attributes))
             engine = "flat"
-        self.match_cache.put(cache_key, (self._match_generation, keys))
         if scope is not None:
             scope.sub_span(
                 "match", wall0, perf_counter(),
-                cache=cache_state,
-                engine=engine,
-                keys=len(keys),
+                cache="miss", engine=engine, keys=len(keys),
             )
-        return keys
+        return self.match_cache.put(
+            path, attrs, keys, self._resolve(publication, keys)
+        )
+
+    def _attribute_blind(self) -> bool:
+        """True while no XPE held here reads attributes (see
+        ``_predicated``)."""
+        if self._predicated is None:
+            self._predicated = any(
+                expr.has_predicates
+                for exprs in (
+                    self._forwardable_exprs(), *self.client_subs.values()
+                )
+                for expr in exprs
+            )
+        return not self._predicated
+
+    def _resolve(self, publication, keys) -> tuple:
+        """Matched keys → destinations in emission order: neighbours,
+        and the local clients that pass the exact edge recheck."""
+        hops = []
+        attribute_maps = None
+        maps_ready = False
+        for key in sorted(keys, key=str):
+            if key in self.local_clients:
+                if not maps_ready:
+                    attribute_maps = publication.attribute_maps()
+                    maps_ready = True
+                if self._client_wants(
+                    key, publication.path, attribute_maps
+                ):
+                    hops.append(key)
+            elif key in self.neighbors:
+                hops.append(key)
+        return tuple(hops)
 
     def _publication_keys_sharded(self, publication) -> frozenset:
         """Sharded-engine match: per-shard generation-checked caches,
@@ -794,16 +836,19 @@ class Broker:
         return keys
 
     def _invalidate_match_cache(self):
-        """Bump the match-cache generation: every entry written before
-        this routing-state change is stale from now on."""
+        """The table changed by more than a single-key edit (merge
+        sweep, engine switch): drop the whole route memo."""
         self._match_generation += 1
+        self.match_cache.clear()
 
     # -- materialized views ----------------------------------------------------
 
-    def _bump_client_epoch(self):
-        """The exact client-subscription table changed without a match-
-        generation bump (redelivered SUB, early-return UNSUB): view
-        memos capture ``_client_wants`` outcomes, so they must see it."""
+    def _client_subs_edited(self):
+        """The exact client-subscription table changed with no table
+        edit (redelivered SUB, early-return UNSUB): view memos and
+        memoised routes capture ``_client_wants`` outcomes, so both
+        must see it."""
+        self.match_cache.clear()
         if self.views is not None:
             self.views.client_epoch += 1
 
@@ -811,7 +856,7 @@ class Broker:
         subs = self.client_subs[client_id]
         if expr not in subs:
             subs.add(expr)
-            self._bump_client_epoch()
+            self._client_subs_edited()
 
     def _take_view_served(self):
         """Drain the (client_id, msg_id) pairs whose Deliver effects the
@@ -938,10 +983,9 @@ class Broker:
                 events=len(report.events),
             )
         # Sweeps rewrite the table through the engine's internals, in
-        # both covering and flat mode: cached destination sets computed
-        # before the sweep are stale from here on — and so is the
-        # shared-automaton mirror, which is rebuilt lazily from the
-        # rewritten table.
+        # both covering and flat mode: routes memoised before the sweep
+        # are dropped — and the shared-automaton mirror is rebuilt
+        # lazily from the rewritten table.
         self._invalidate_match_cache()
         if report.events:
             self._mark_shared_dirty()

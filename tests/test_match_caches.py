@@ -1,18 +1,28 @@
 """Cache correctness for the routing fast path.
 
-Three properties guard the result caches introduced with the compiled
-matching core:
+Four properties guard the result caches of the matching core:
 
 * the ``covers()`` memo always agrees with the uncached dispatch
   (expressions are immutable, so any disagreement is a caching bug);
-* a broker's publication-match cache is generation-invalidated: after
-  SUB/UNSUB/ADV churn and a merge sweep, cached match results equal a
-  cold-cache recomputation;
+* a broker's route memo is exact under maintenance: after any
+  interleaving of SUB/UNSUB/ADV, merge sweeps, redeliveries and
+  snapshot-restores, memoised routing decisions equal a cold
+  recomputation — and a SUB costs at most one structural probe per
+  cached path;
 * restored brokers (restart and crash/recovery) start with empty
-  caches — cached destination sets never survive a process boundary;
+  memos — routing decisions never survive a process boundary;
 * batched publication dispatch delivers exactly the same document sets
   as per-message dispatch.
 """
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.broker import (
     AdvertiseMsg,
@@ -23,6 +33,9 @@ from repro.broker import (
     UnsubscribeMsg,
 )
 from repro.adverts import Advertisement
+from repro.broker.persistence import restore, snapshot
+from repro.broker.strategies import MergingMode
+from repro.cache import RouteMemo
 from repro.covering.algorithms import covers, covers_uncached
 from repro.dtd.samples import psd_dtd
 from repro.merging.engine import PathUniverse
@@ -93,6 +106,17 @@ def cold_keys(broker, publication):
     return frozenset(broker.flat.match(publication.path, attributes))
 
 
+def cold_destinations(broker, publication, from_hop):
+    """The broker's routing decision recomputed against an empty memo
+    (swapped in, so the maintained memo under test is left as it is)."""
+    warm = broker.match_cache
+    broker.match_cache = RouteMemo(warm.maxsize)
+    try:
+        return broker._publish_destinations(publication, from_hop)
+    finally:
+        broker.match_cache = warm
+
+
 PROBE_PATHS = (
     ("ProteinDatabase", "ProteinEntry"),
     ("ProteinDatabase", "ProteinEntry", "protein"),
@@ -122,18 +146,26 @@ def test_cached_matches_equal_cold_recomputation_after_churn():
     broker = make_broker()
     churn(broker)
     probes = [pub(path, path_id=i) for i, path in enumerate(PROBE_PATHS)]
-    # Warm the cache, then churn more — every warm entry is now stale.
+    # Warm the memo, then churn more: the SUB matches no warm path and
+    # leaves every entry alone, the UNSUB drops exactly the three paths
+    # its expression selects a prefix of (counted stale at invalidation
+    # time) and keeps the fourth.
     for msg in probes:
         broker.handle(msg, "n2")
-    generation_before = broker._match_generation
-    broker.handle(sub("//organism"), "n2")
-    broker.handle(unsub("/ProteinDatabase/*"), "n1")
-    assert broker._match_generation > generation_before
+    assert len(broker.match_cache) == 4
     stale_before = broker.match_cache_stale
+    broker.handle(sub("//organism"), "n2")
+    assert len(broker.match_cache) == 4
+    broker.handle(unsub("/ProteinDatabase/*"), "n1")
+    assert len(broker.match_cache) == 1
+    assert broker.match_cache_stale == stale_before + 3
     for msg in probes:
         cached = broker._publication_keys(msg.publication)
         assert cached == cold_keys(broker, msg.publication)
-    assert broker.match_cache_stale > stale_before
+        for hop in ("n1", "n2", "c1"):
+            assert broker._publish_destinations(
+                msg.publication, hop
+            ) == cold_destinations(broker, msg.publication, hop)
 
 
 def test_repeat_publication_hits_cache_with_identical_output():
@@ -159,9 +191,9 @@ def test_merge_sweep_invalidates_cache():
         broker.handle(sub(text, subscriber="s%d" % i), "n1")
     msg = pub(PROBE_PATHS[1])
     broker.handle(msg, "n2")  # warm
-    generation = broker._match_generation
+    assert len(broker.match_cache) == 1
     broker.run_merge_sweep()
-    assert broker._match_generation > generation
+    assert len(broker.match_cache) == 0
     assert broker._publication_keys(msg.publication) == cold_keys(
         broker, msg.publication
     )
@@ -171,8 +203,6 @@ def test_flat_merge_sweep_invalidates_cache():
     """Regression: non-covering merge sweeps rewrite the flat table, so
     match results cached before the sweep must version out too (the
     sweep used to be covering-only and left flat caches untouched)."""
-    from repro.broker.strategies import MergingMode
-
     universe = PathUniverse.from_dtd(psd_dtd(), max_depth=6)
     config = RoutingConfig(
         advertisements=True,
@@ -188,11 +218,10 @@ def test_flat_merge_sweep_invalidates_cache():
     broker.handle(sub("/ProteinDatabase/ProteinEntry/reference"), "n1")
     msg = pub(("ProteinDatabase", "ProteinEntry", "protein"))
     broker.handle(msg, "n2")  # warm
-    generation = broker._match_generation
     broker.run_merge_sweep()
     assert broker.merge_log, "the generous budget should allow the merge"
     assert x("/ProteinDatabase/ProteinEntry/*") in broker.flat.exprs()
-    assert broker._match_generation > generation
+    assert len(broker.match_cache) == 0
     assert broker._publication_keys(msg.publication) == cold_keys(
         broker, msg.publication
     )
@@ -208,6 +237,218 @@ def test_nocov_broker_cache_agrees_with_flat_matcher():
         assert broker._publication_keys(message.publication) == cold_keys(
             broker, message.publication
         )
+
+
+# -- route memo: exact under any interleaving ------------------------------
+
+_ENTRY = ("ProteinDatabase", "ProteinEntry")
+#: Siblings a sweep merges into ``/ProteinDatabase/ProteinEntry/*``,
+#: and that merger itself (subscribable in its own right).
+_MERGEABLE = (
+    "/ProteinDatabase/ProteinEntry/protein",
+    "/ProteinDatabase/ProteinEntry/reference",
+    "/ProteinDatabase/ProteinEntry/organism",
+    "/ProteinDatabase/ProteinEntry/*",
+)
+_MEMO_XPES = _MERGEABLE + (
+    "/ProteinDatabase",
+    "/ProteinDatabase//name",
+    "//reference",
+    "/ProteinDatabase/ProteinEntry[@id='1']",
+    "/ProteinDatabase/ProteinEntry[@id!='1']/protein",
+    "//protein[@kind='x']/name",
+)
+_MEMO_HOPS = ("n1", "n2", "n3", "c1", "c2")
+#: (path, attribute fingerprint) probes: every path bare, plus variants
+#: that satisfy / falsify each predicate above.
+_MEMO_PROBES = tuple(
+    (path, attrs)
+    for path in (
+        _ENTRY,
+        _ENTRY + ("protein",),
+        _ENTRY + ("protein", "name"),
+        _ENTRY + ("reference",),
+        _ENTRY + ("organism",),
+        ("somewhere", "else"),
+    )
+    for attrs in (
+        None,
+        ((), (("id", "1"),), (("kind", "x"),), ())[: len(path)],
+        ((), (("id", "2"),), (("kind", "y"),), ())[: len(path)],
+    )
+)
+_MEMO_CONFIGS = tuple(
+    RoutingConfig(
+        advertisements=True,
+        covering=covering,
+        merging=MergingMode.IMPERFECT,
+        max_imperfect_degree=1.0,
+        merge_interval=1_000_000,  # sweeps fire only explicitly
+        matching_engine=engine,
+    )
+    for covering in (True, False)
+    for engine in ("auto", "shared")
+)
+
+
+class RouteMemoMachine(RuleBasedStateMachine):
+    """SUB / UNSUB (of live and of unknown subscriptions, plus
+    ``redeliver`` repeating the last message) / ADV / merge sweep /
+    snapshot-restore / publish on a 3-neighbour broker with two local
+    clients, under imperfect merging so the exact edge recheck decides
+    deliveries.  After every step each probe's memoised destinations
+    must equal a cold recomputation."""
+
+    @initialize(config=st.sampled_from(_MEMO_CONFIGS))
+    def setup(self, config):
+        self.universe = PathUniverse.from_dtd(psd_dtd(), max_depth=6)
+        self.broker = Broker("b1", config=config, universe=self.universe)
+        for hop in _MEMO_HOPS:
+            if hop.startswith("n"):
+                self.broker.connect(hop)
+            else:
+                self.broker.attach_client(hop)
+        self.live = []
+        self.last = None
+
+    def _send(self, message, hop):
+        self.last = (message, hop)
+        self.broker.handle(message, hop)
+
+    @rule(text=st.sampled_from(_MEMO_XPES), hop=st.sampled_from(_MEMO_HOPS))
+    def subscribe(self, text, hop):
+        self.live.append((text, hop))
+        self._send(sub(text), hop)
+
+    @rule(
+        text=st.sampled_from(_MERGEABLE),
+        hop=st.sampled_from(_MEMO_HOPS[2:]),  # one neighbour, both clients
+    )
+    def subscribe_mergeable(self, text, hop):
+        self.subscribe(text, hop)
+
+    @rule(index=st.integers(min_value=0))
+    def unsubscribe_live(self, index):
+        if self.live:
+            text, hop = self.live.pop(index % len(self.live))
+            self._send(unsub(text), hop)
+
+    @rule(text=st.sampled_from(_MEMO_XPES), hop=st.sampled_from(_MEMO_HOPS))
+    def unsubscribe(self, text, hop):
+        self._send(unsub(text), hop)
+
+    @rule()
+    def redeliver(self):
+        if self.last is not None:
+            self.broker.handle(*self.last)
+
+    @rule(adv=st.integers(0, 2), hop=st.sampled_from(_MEMO_HOPS[:3]))
+    def advertise(self, adv, hop):
+        self._send(
+            AdvertiseMsg(
+                adv_id="adv%d" % adv,
+                advert=Advertisement.from_tests(("ProteinDatabase",)),
+                publisher_id="p",
+            ),
+            hop,
+        )
+
+    @rule()
+    def merge_sweep(self):
+        self.broker.run_merge_sweep()
+
+    @rule()
+    def snapshot_restore(self):
+        self.broker = restore(snapshot(self.broker), universe=self.universe)
+
+    @rule(
+        probe=st.sampled_from(_MEMO_PROBES),
+        hop=st.sampled_from(_MEMO_HOPS),
+    )
+    def publish(self, probe, hop):
+        path, attrs = probe
+        self._send(
+            PublishMsg(
+                publication=Publication("d", 0, path, attrs),
+                publisher_id="pub",
+            ),
+            hop,
+        )
+
+    @invariant()
+    def memoised_routes_equal_cold_recomputation(self):
+        if not hasattr(self, "broker"):
+            return
+        broker = self.broker
+        for path, attrs in _MEMO_PROBES:
+            publication = Publication("probe", 0, path, attrs)
+            for hop in ("n1", "c1", None):
+                got = broker._publish_destinations(publication, hop)
+                want = cold_destinations(broker, publication, hop)
+                assert got == want, (path, attrs, hop, got, want)
+
+
+TestRouteMemoMachine = RouteMemoMachine.TestCase
+TestRouteMemoMachine.settings = settings(
+    max_examples=60, stateful_step_count=50, deadline=None
+)
+
+
+def test_subscribe_probes_each_cached_path_at_most_once():
+    """Maintenance is bounded by the memo, not by the table: a SUB
+    against a full memo costs at most one structural probe per cached
+    path, updates exactly the decisions it matches and leaves the memo
+    within its size bound."""
+    broker = make_broker()
+    broker.handle(sub("/feed//item"), "n1")
+    memo = broker.match_cache
+    paths = [("feed", "e%d" % i, "item") for i in range(memo.maxsize + 40)]
+    paths[100] = ("feed", "e100", "other")
+    for path in paths:
+        for _ in range(2):  # the second lookup is a hit: the memo earns
+            broker.handle(pub(path), "n2")
+    assert len(memo) == memo.maxsize == 4096
+    assert memo.evictions == 40
+    live = paths[40:]
+    probes_before = memo.probes
+    broker.handle(sub("//item"), "c1")
+    assert 0 < memo.probes - probes_before <= memo.maxsize
+    assert len(memo) == memo.maxsize
+    misses_before = memo.misses
+    for path in live:
+        want = ["c1", "n1"] if path[-1] == "item" else []
+        assert broker._publish_destinations(
+            pub(path).publication, "n2"
+        ) == want
+    assert memo.misses == misses_before  # all served from the memo
+    # ... and an UNSUB pays the same bound, dropping what it matches.
+    probes_before = memo.probes
+    broker.handle(unsub("/feed//item"), "n1")
+    assert memo.probes - probes_before <= memo.maxsize
+    assert len(memo) == 1
+    assert broker.match_cache_stale == memo.maxsize - 1
+
+
+def test_subscription_burst_drops_a_memo_that_stopped_serving():
+    """Maintenance must not cost more than the memo is worth: once the
+    probes spent since the last hit exceed the price of recomputing the
+    entries (16 each), the memo is dropped and later SUBs scan nothing."""
+    broker = make_broker()
+    broker.handle(sub("/feed//item"), "n1")
+    memo = broker.match_cache
+    paths = [("feed", "e%d" % i, "item") for i in range(200)]
+    for path in paths:
+        broker.handle(pub(path), "n2")  # fresh paths only: never a hit
+    assert len(memo) == 200 and memo.hits == 0
+    for i in range(40):
+        broker.handle(sub("/feed/e%d" % i), "n2")
+    assert len(memo) == 0
+    assert memo.probes <= 16 * 200  # 16 scans, then dropped for good
+    for i, path in enumerate(paths):
+        want = ["n1", "n2"] if i < 40 else ["n1"]
+        assert broker._publish_destinations(
+            pub(path).publication, "c1"
+        ) == want
 
 
 # -- matcher-level keys caches ---------------------------------------------
@@ -295,25 +536,21 @@ def test_restarted_broker_starts_with_empty_cache():
     assert len(warmed.match_cache) > 0
     restored = overlay.restart_broker("b1", with_state=True)
     assert len(restored.match_cache) == 0
-    assert restored._match_generation == 0
     # ... and routing still works from the cold cache.
     doc = publish_round(overlay, publisher, seed=2)
     assert doc in subscriber.delivered_documents()
 
 
 def test_snapshot_restore_drops_cache():
-    """The persisted broker image carries no cached match results."""
-    from repro.broker.persistence import restore, snapshot
-
+    """The persisted broker image carries no routing decisions."""
     broker = make_broker()
     churn(broker)
-    for i, path in enumerate(PROBE_PATHS):
-        broker.handle(pub(path, path_id=i), "n2")
+    probes = [pub(path, path_id=i) for i, path in enumerate(PROBE_PATHS)]
+    warm = [broker.handle(msg, "n2") for msg in probes]
     assert len(broker.match_cache) > 0
-    assert broker._match_generation > 0
     clone = restore(snapshot(broker))
     assert len(clone.match_cache) == 0
-    assert clone._match_generation == 0
+    assert [clone.handle(msg, "n2") for msg in probes] == warm
 
 
 def test_crash_recovery_starts_with_empty_cache():
@@ -325,11 +562,10 @@ def test_crash_recovery_starts_with_empty_cache():
     overlay.recover_broker("b1")
     overlay.run()
     recovered = overlay.brokers["b1"]
-    # The recovery replay may already have warmed the *new* cache, but
-    # it is a fresh object — nothing cached before the crash survives
-    # (test_snapshot_restore_drops_cache pins the cold-start itself).
+    # The recovery replay runs no publication, so the new broker's
+    # memo is still empty — nothing memoised before the crash survives.
     assert recovered is not warmed
-    assert recovered.match_cache is not warmed.match_cache
+    assert len(recovered.match_cache) == 0
     doc = publish_round(overlay, publisher, seed=4)
     assert doc in subscriber.delivered_documents()
 
