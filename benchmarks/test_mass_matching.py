@@ -48,8 +48,8 @@ SPEEDUP_FLOOR = 10.0
 
 
 def _distinct_probe_paths(count, params, seed):
-    """*count* distinct paths — LinearMatcher memoises repeat paths
-    (keys_cache), which would time a dict hit instead of a scan."""
+    """*count* distinct paths: every timed probe builds its own DFA
+    trail instead of re-walking a warm one."""
     paths = []
     seen = set()
     batch_seed = seed

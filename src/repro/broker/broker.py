@@ -108,16 +108,10 @@ class Broker:
             # the pending dirty-rebuild is about to discard: the engine
             # rebuilds through this hook first (see ShardedMatcher.
             # mark_stale and tests/test_sharded_matcher.py).
-            self.shared.set_rebuild_hook(self._rebuild_shared_for_engine)
+            self.shared.set_rebuild_hook(self._refresh_shared)
         else:
             self.shared = None
-        self._sharded = self.config.matching_engine == "sharded"
         self._shared_dirty = False
-        #: Optional ``concurrent.futures`` executor for fanning a
-        #: publication's shard probes out concurrently; installed by
-        #: the runtime backends (see ``BrokerCore.set_matching_executor``
-        #: and docs/runtime.md), never owned by the broker.
-        self.matching_executor = None
 
         self._merger: Optional[MergingEngine] = None
         self._merge_registry: Optional[MergerRegistry] = None
@@ -265,7 +259,10 @@ class Broker:
         toward its last hop, unless already sent or already covered there."""
         if from_hop in self.local_clients or from_hop is None:
             return []
-        out: Outbound = []
+        replayed = []
+        # Decided coverers-first (tree order: a mark made here covers
+        # the descendants visited after it); sibling order is an
+        # accident of insertion history, so emission is sorted.
         for expr in self._forwardable_exprs():
             if self.forwarded.was_sent(expr, from_hop):
                 continue
@@ -276,9 +273,12 @@ class Broker:
             keys = self._keys_of(expr)
             if keys == {from_hop}:
                 continue  # its only consumer lies behind that hop
-            out.append((from_hop, SubscribeMsg(expr=expr)))
+            replayed.append(expr)
             self.forwarded.mark(expr, from_hop)
-        return out
+        return [
+            (from_hop, SubscribeMsg(expr=expr))
+            for expr in sorted(replayed, key=str)
+        ]
 
     def handle_unadvertise(
         self, msg: UnadvertiseMsg, from_hop: object
@@ -389,8 +389,12 @@ class Broker:
             # Unsubscribe now-covered subscriptions from the hops that
             # just received (or already had) the covering expression.
             covered_now = self.forwarded.neighbors_for(expr)
-            for descendant in self._descendant_exprs(outcome.node):
-                for n in list(self.forwarded.neighbors_for(descendant)):
+            for descendant in sorted(
+                self._descendant_exprs(outcome.node), key=str
+            ):
+                for n in sorted(
+                    self.forwarded.neighbors_for(descendant), key=str
+                ):
                     if n in covered_now:
                         out.append((n, UnsubscribeMsg(expr=descendant)))
                         self.forwarded.unmark(descendant, n)
@@ -730,12 +734,6 @@ class Broker:
         """The routing decision for *publication* — ``(matched keys,
         destinations in emission order)`` — from the route memo (see
         ``match_cache``) or computed and memoised."""
-        if self._sharded:
-            # The sharded engine carries its own per-shard caches with
-            # per-shard generations; only the destinations are resolved
-            # here, per publication.
-            keys = self._publication_keys_sharded(publication)
-            return keys, self._resolve(publication, keys)
         path = publication.path
         attrs = publication.attributes
         if attrs is not None and self._attribute_blind():
@@ -758,7 +756,7 @@ class Broker:
         attributes = publication.attribute_maps()
         if self.shared is not None:
             keys = frozenset(self._shared_engine().match(path, attributes))
-            engine = "shared"
+            engine = self.config.matching_engine
         elif self.config.covering:
             keys = frozenset(self.tree.match_keys(path, attributes))
             engine = "tree"
@@ -805,35 +803,6 @@ class Broker:
             elif key in self.neighbors:
                 hops.append(key)
         return tuple(hops)
-
-    def _publication_keys_sharded(self, publication) -> frozenset:
-        """Sharded-engine match: per-shard generation-checked caches,
-        shard probes optionally fanned out on ``matching_executor``."""
-        engine = self._shared_engine()
-        registry = obs.get_registry()
-        scope = current_scope()
-        wall0 = perf_counter() if scope is not None else 0.0
-        keys, misses = engine.match_cached(
-            publication.path,
-            publication.attributes,
-            publication.attribute_maps,
-            executor=self.matching_executor,
-        )
-        if registry.enabled:
-            registry.counter("matching.shard.probes").inc()
-            if misses:
-                registry.counter("matching.shard.cache.misses").inc(misses)
-            else:
-                registry.counter("matching.shard.cache.hits").inc()
-        if scope is not None:
-            scope.sub_span(
-                "match", wall0, perf_counter(),
-                cache="hit" if misses == 0 else "miss",
-                engine="sharded",
-                keys=len(keys),
-                shard_misses=misses,
-            )
-        return keys
 
     def _invalidate_match_cache(self):
         """The table changed by more than a single-key edit (merge
@@ -891,7 +860,7 @@ class Broker:
         (merge sweep, snapshot restore): rebuild lazily on next match."""
         if self.shared is not None:
             self._shared_dirty = True
-            if self._sharded:
+            if self.config.matching_engine == "sharded":
                 # The sharded engine must know too: an explicit
                 # rebalance on a stale table would migrate expressions
                 # out of shards the pending rebuild is about to drop.
@@ -899,27 +868,18 @@ class Broker:
 
     def _shared_engine(self):
         """The live mirror (``SharedAutomatonMatcher`` or
-        ``ShardedMatcher`` — same maintenance contract), rebuilding it
-        from the authoritative table first if a bulk rewrite
-        invalidated it."""
+        ``ShardedMatcher`` — same maintenance contract), rebuilt from
+        the authoritative table first if a bulk rewrite invalidated
+        it."""
         if self._shared_dirty:
-            registry = obs.get_registry()
-            if registry.enabled:
-                with registry.timer("matching.shared.rebuild"):
-                    self._rebuild_shared()
-                registry.counter("matching.shared.rebuilds").inc()
-            else:
-                self._rebuild_shared()
-            self._shared_dirty = False
-            if self._sharded:
-                self.shared.stale = False
+            self._refresh_shared()
         return self.shared
 
-    def _rebuild_shared_for_engine(self):
-        """Rebuild hook handed to the sharded engine: a rebalance that
-        finds the mirror stale rebuilds it from the authoritative table
-        first, clearing the broker's dirty flag with it (the states
-        must never disagree)."""
+    def _refresh_shared(self):
+        """Rebuild the mirror and clear both dirty flags (the broker's
+        and the sharded engine's must never disagree).  Also the
+        rebuild hook handed to the sharded engine: a rebalance that
+        finds the mirror stale rebuilds through here first."""
         registry = obs.get_registry()
         if registry.enabled:
             with registry.timer("matching.shared.rebuild"):
@@ -928,6 +888,8 @@ class Broker:
         else:
             self._rebuild_shared()
         self._shared_dirty = False
+        if self.config.matching_engine == "sharded":
+            self.shared.stale = False
 
     def _rebuild_shared(self):
         self.shared.clear()

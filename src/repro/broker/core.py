@@ -148,15 +148,6 @@ class BrokerCore:
     def attach_client(self, client_id: object):
         self.broker.attach_client(client_id)
 
-    def set_matching_executor(self, executor):
-        """Install a ``concurrent.futures`` executor for the sharded
-        matching engine's parallel shard probes (no-op for the other
-        engines).  The host owns the executor's lifecycle: the core
-        only borrows it, and ``None`` detaches.  Determinism contract
-        is preserved — probe results are unioned, never ordered by
-        completion."""
-        self.broker.matching_executor = executor
-
     # -- the state machine -------------------------------------------------
 
     def on_message(self, message: Message, from_hop: object) -> List[Effect]:

@@ -28,10 +28,9 @@ class MergingMode(enum.Enum):
 #: SharedAutomatonMatcher` mirror over the routing table so one
 #: document pass matches every resident subscription at once (the
 #: mass-subscription path — see docs/matching.md); ``sharded``
-#: partitions that mirror by root element into ``shard_count``
-#: independently-cached shards (:class:`~repro.matching.sharded.
-#: ShardedMatcher`) so churn in one shard leaves the others' caches
-#: warm and the runtime backends can probe shards in parallel.
+#: partitions that mirror by root element into ``shard_count`` shards
+#: (:class:`~repro.matching.sharded.ShardedMatcher`) so churn in one
+#: shard leaves the others' lazy-DFA fragments warm.
 MATCHING_ENGINES = ("auto", "shared", "sharded")
 
 

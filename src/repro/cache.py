@@ -1,11 +1,10 @@
 """Bounded caches for routing hot paths.
 
 :class:`LRUCache` backs the :func:`repro.covering.algorithms.covers`
-memo and the matcher-level keys memos.  Deliberately minimal: hashable
-keys, ``get``/``put``/``clear``, bounded size with least-recently-used
-eviction.  Hit/miss/eviction counts are plain integer attributes — the
-hot path never touches the metrics registry; counters surface at
-snapshot time instead.
+memo.  Deliberately minimal: hashable keys, ``get``/``put``/``clear``,
+bounded size with least-recently-used eviction.  Hit/miss/eviction
+counts are plain integer attributes — the hot path never touches the
+metrics registry; counters surface at snapshot time instead.
 
 :class:`RouteMemo` is each broker's publication memo: routing decisions
 indexed by path, then attribute fingerprint, and *maintained* under

@@ -61,8 +61,8 @@ def _add_engine_option(parser):
         help="publication-matching backend on every broker: 'auto' "
         "matches through the routing table itself, 'shared' layers the "
         "shared-automaton mass-subscription engine over it, 'sharded' "
-        "partitions that engine by root element with per-shard caches "
-        "and parallel probes (see docs/matching.md)",
+        "partitions that engine by root element "
+        "(see docs/matching.md)",
     )
     parser.add_argument(
         "--shards",
@@ -237,14 +237,7 @@ def cmd_stats(args) -> int:
             "hit_ratio": (serves / probes) if probes else 0.0,
         }
     if args.engine == "sharded":
-        hits = registry.counter("matching.shard.cache.hits").value
-        cache_misses = registry.counter("matching.shard.cache.misses").value
-        lookups = hits + cache_misses
         meta["shards"] = {
-            "probes": registry.counter("matching.shard.probes").value,
-            "cache_hits": hits,
-            "cache_misses": cache_misses,
-            "cache_hit_ratio": (hits / lookups) if lookups else 0.0,
             "rebalances": registry.counter("matching.shard.rebalances").value,
             "migrated_exprs": registry.counter(
                 "matching.shard.migrated_exprs"
@@ -266,11 +259,10 @@ def cmd_stats(args) -> int:
         )
     if args.engine == "sharded":
         print(
-            "shards: probes=%d cache_hit_ratio=%.3f rebalances=%d"
+            "shards: rebalances=%d migrated_exprs=%d"
             % (
-                meta["shards"]["probes"],
-                meta["shards"]["cache_hit_ratio"],
                 meta["shards"]["rebalances"],
+                meta["shards"]["migrated_exprs"],
             )
         )
     if args.sample_every is not None:

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.cache import LRUCache
 from repro.covering.algorithms import covers
 from repro.covering.pathmatch import path_matcher
 from repro.xpath.ast import XPathExpr
@@ -117,17 +116,6 @@ class SubscriptionTree:
         #: instrumented entry points publish deltas of this as the
         #: ``covering.tree.cover_checks`` metric.
         self.cover_checks = 0
-        #: Epoch counter versioning :attr:`keys_cache` entries; every
-        #: mutation (insert, remove, merge sweep) bumps it, so stale
-        #: cached match results are recomputed rather than served.
-        self.match_epoch = 0
-        #: Path -> (epoch, frozenset of keys) memo for attribute-free
-        #: publications (the hashable case; attribute-bearing matches
-        #: are cached one level up, in the broker, keyed on the
-        #: publication's attribute fingerprint).
-        self.keys_cache = LRUCache(
-            maxsize=2048, metric_prefix="covering.tree.keys_cache"
-        )
 
     # -- size metrics -----------------------------------------------------
 
@@ -168,13 +156,7 @@ class SubscriptionTree:
         )
         return outcome
 
-    def invalidate_matches(self):
-        """Version out every cached match result (mutators call this;
-        the merging engine calls it when a sweep rewrites the tree)."""
-        self.match_epoch += 1
-
     def _insert(self, expr: XPathExpr, key: object = None) -> InsertOutcome:
-        self.match_epoch += 1
         existing = self._by_expr.get(expr)
         if existing is not None:
             existing.keys.add(key)
@@ -250,7 +232,6 @@ class SubscriptionTree:
         node = self._by_expr.get(expr)
         if node is None:
             return RemoveOutcome(removed=False, was_top_level=False, promoted=())
-        self.match_epoch += 1
         node.keys.discard(key)
         if node.keys:
             return RemoveOutcome(removed=False, was_top_level=False, promoted=())
@@ -348,24 +329,8 @@ class SubscriptionTree:
         return matched
 
     def match_keys(self, path: Sequence[str], attributes=None) -> Set[object]:
-        """Union of the subscriber keys of all matching nodes.
-
-        Attribute-free probes (the hashable, overwhelmingly common
-        case) are memoised against :attr:`match_epoch` — repeated
-        publication paths skip the descent entirely until the next
-        tree mutation."""
-        if attributes is None:
-            cache_key = path if type(path) is tuple else tuple(path)
-            entry = self.keys_cache.get(cache_key)
-            if entry is not None and entry[0] == self.match_epoch:
-                return entry[1]
-            keys: Set[object] = set()
-            for node in self.match(path, None):
-                keys |= node.keys
-            result = frozenset(keys)
-            self.keys_cache.put(cache_key, (self.match_epoch, result))
-            return result
-        keys = set()
+        """Union of the subscriber keys of all matching nodes."""
+        keys: Set[object] = set()
         for node in self.match(path, attributes):
             keys |= node.keys
         return keys

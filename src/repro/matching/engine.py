@@ -12,36 +12,24 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Set
 
 from repro import obs
-from repro.cache import LRUCache
 from repro.covering.pathmatch import path_matcher
 from repro.covering.subscription_tree import SubscriptionTree
 from repro.xpath.ast import XPathExpr
 
 
 class LinearMatcher:
-    """The non-covering baseline: a flat list scanned per publication.
-
-    Attribute-free match results are memoised against an epoch counter
-    bumped on every ``add``/``remove`` — the same scheme as
-    ``SubscriptionTree.match_keys`` (and the broker's publication-match
-    cache above both)."""
+    """The non-covering baseline: a flat list scanned per publication."""
 
     def __init__(self):
         self._subs: Dict[XPathExpr, Set[object]] = {}
-        self.match_epoch = 0
-        self.keys_cache = LRUCache(
-            maxsize=2048, metric_prefix="matching.linear.keys_cache"
-        )
 
     def add(self, expr: XPathExpr, key: object = None):
-        self.match_epoch += 1
         self._subs.setdefault(expr, set()).add(key)
 
     def remove(self, expr: XPathExpr, key: object = None):
         keys = self._subs.get(expr)
         if keys is None:
             return
-        self.match_epoch += 1
         keys.discard(key)
         if not keys:
             del self._subs[expr]
@@ -56,17 +44,6 @@ class LinearMatcher:
         return matched
 
     def _match(self, path: Sequence[str], attributes=None) -> Set[object]:
-        if attributes is None:
-            cache_key = path if type(path) is tuple else tuple(path)
-            entry = self.keys_cache.get(cache_key)
-            if entry is not None and entry[0] == self.match_epoch:
-                return entry[1]
-            result = frozenset(self._scan(path, None))
-            self.keys_cache.put(cache_key, (self.match_epoch, result))
-            return result
-        return self._scan(path, attributes)
-
-    def _scan(self, path: Sequence[str], attributes) -> Set[object]:
         wants = path_matcher(path, attributes)
         matched: Set[object] = set()
         for expr, keys in self._subs.items():

@@ -2,12 +2,12 @@
 
 One :class:`~repro.matching.shared_automaton.SharedAutomatonMatcher`
 per broker stops scaling once churn enters the picture: every SUB or
-UNSUB anywhere in the table invalidates the *entire* lazy-DFA fragment
-and (at the broker layer) the whole generation-stamped match cache, so
-under realistic subscriber churn each publication pays a full subset
-construction over a 100k-expression automaton.  :class:`ShardedMatcher`
-partitions the mirror by **root element** (the first node test of an
-absolute expression — the paper's path-prefix slicing, following the
+UNSUB anywhere in the table invalidates the *entire* lazy-DFA fragment,
+so under realistic subscriber churn each publication the broker's
+route memo misses pays a full subset construction over a
+100k-expression automaton.  :class:`ShardedMatcher` partitions the
+mirror by **root element** (the first node test of an absolute
+expression — the paper's path-prefix slicing, following the
 partition/rebalance patterns of the cloud-distributed-systems
 literature):
 
@@ -20,11 +20,10 @@ literature):
   so probing ``home(a)`` plus the floating shard is exhaustive.
 
 Each shard is a full ``SharedAutomatonMatcher`` with its *own* DFA
-fragment, its own generation counter, and its own LRU match cache — a
-mutation in one shard no longer invalidates any other shard's cache or
-automaton.  A probe touches at most two shards; the two probes are
-independent (disjoint state), so a host may fan them out on a worker
-pool (see ``match_cached``'s *executor* and the runtime backends).
+fragment — a mutation in one shard discards that shard's automaton and
+leaves every other shard's warm.  A probe touches at most two shards.
+Match *results* are not cached here: the broker's route memo
+(``Broker.match_cache``) fronts every engine and is exact per edit.
 
 **Rebalancing.**  Root elements are Zipf-skewed in every workload this
 repo ships, so one shard can end up hosting most of the table.  The
@@ -45,10 +44,9 @@ exactly like the single shared automaton it replaces.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro import obs
-from repro.cache import LRUCache
 from repro.matching.shared_automaton import (
     DEFAULT_DFA_STATE_LIMIT,
     SharedAutomatonMatcher,
@@ -87,47 +85,18 @@ def root_element(expr: XPathExpr) -> Optional[str]:
 
 
 class _Shard:
-    """One partition: engine + generation counter + match cache."""
+    """One partition: an engine and its probe count."""
 
-    __slots__ = ("index", "engine", "generation", "cache", "probes",
-                 "cache_hits", "cache_stale", "cache_misses")
+    __slots__ = ("index", "engine", "probes")
 
-    def __init__(self, index: int, dfa_state_limit: int, cache_size: int):
+    def __init__(self, index: int, dfa_state_limit: int):
         self.index = index
         self.engine = SharedAutomatonMatcher(dfa_state_limit=dfa_state_limit)
-        #: Bumped on every mutation that can change this shard's match
-        #: results; cache entries are stamped with it (cf. the broker's
-        #: global ``_match_generation``, which this replaces per shard).
-        self.generation = 0
-        self.cache = LRUCache(maxsize=cache_size)
         self.probes = 0
-        self.cache_hits = 0
-        self.cache_stale = 0
-        self.cache_misses = 0
 
-    def probe(self, path, attributes) -> frozenset:
-        """Uncached probe of this shard."""
+    def probe(self, path, attributes) -> Set[object]:
         self.probes += 1
-        return frozenset(self.engine.match(path, attributes))
-
-    def probe_cached(
-        self, path, attrs_key, attributes_fn
-    ) -> Tuple[frozenset, bool]:
-        """Generation-checked cached probe; returns (keys, was_hit)."""
-        cache_key = (path, attrs_key)
-        entry = self.cache.get(cache_key)
-        if entry is not None:
-            if entry[0] == self.generation:
-                self.cache_hits += 1
-                return entry[1], True
-            self.cache_stale += 1
-        else:
-            self.cache_misses += 1
-        keys = self.probe(
-            path, attributes_fn() if attributes_fn is not None else None
-        )
-        self.cache.put(cache_key, (self.generation, keys))
-        return keys, False
+        return self.engine.match(path, attributes)
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -135,11 +104,8 @@ class _Shard:
             "exprs": len(self.engine),
             "nfa_states": self.engine.automaton_size(),
             "dfa_states": self.engine.dfa_size(),
-            "generation": self.generation,
+            "dfa_flushes": self.engine.dfa_flushes,
             "probes": self.probes,
-            "cache_hits": self.cache_hits,
-            "cache_stale": self.cache_stale,
-            "cache_misses": self.cache_misses,
         }
 
 
@@ -150,20 +116,12 @@ class ShardedMatcher:
     ``keys_of``/``exprs``/``__len__``/``clear``/``stats``/``version``)
     is identical to :class:`SharedAutomatonMatcher`, so a broker can
     hold either behind one attribute.
-
-    Thread-safety: shards are fully independent (no shared mutable
-    state), and one match probes each shard at most once — so fanning
-    a single match's (or a ``match_bulk``'s per-shard groups') probes
-    out on an executor is safe as long as mutations stay on the owning
-    thread, which they do under every runtime backend (actors process
-    one message at a time).
     """
 
     def __init__(
         self,
         shard_count: int = DEFAULT_SHARD_COUNT,
         dfa_state_limit: Optional[int] = None,
-        cache_size: int = 2048,
         rebalance_interval: int = DEFAULT_REBALANCE_INTERVAL,
         rebalance_factor: float = DEFAULT_REBALANCE_FACTOR,
         min_split_size: int = DEFAULT_MIN_SPLIT_SIZE,
@@ -180,16 +138,15 @@ class ShardedMatcher:
             )
         self.base_shard_count = shard_count
         self._dfa_state_limit = dfa_state_limit
-        self._cache_size = cache_size
         self.rebalance_interval = rebalance_interval
         self.rebalance_factor = rebalance_factor
         self.min_split_size = min_split_size
         self.auto_rebalance = auto_rebalance
 
         self._shards: List[_Shard] = [
-            _Shard(i, dfa_state_limit, cache_size) for i in range(shard_count)
+            _Shard(i, dfa_state_limit) for i in range(shard_count)
         ]
-        self.floating = _Shard(-1, dfa_state_limit, cache_size)
+        self.floating = _Shard(-1, dfa_state_limit)
         #: Explicit root→shard overrides written by rebalancing; roots
         #: not listed hash into the base shards.  Survives ``clear()``.
         self._assignment: Dict[str, int] = {}
@@ -249,7 +206,6 @@ class ShardedMatcher:
         before = engine.version
         engine.add(expr, key)
         if engine.version != before:
-            shard.generation += 1
             self.version += 1
         if expr not in self._expr_shard:
             self._expr_shard[expr] = shard
@@ -277,7 +233,6 @@ class ShardedMatcher:
         before = engine.version
         engine.remove(expr, key)
         if engine.version != before:
-            shard.generation += 1
             self.version += 1
         if not engine.keys_of(expr):
             del self._expr_shard[expr]
@@ -292,120 +247,20 @@ class ShardedMatcher:
     def clear(self):
         """Drop every expression; the learned root→shard assignment
         (and the split shards) are kept for the rebuild."""
-        for shard in self._shards:
+        for shard in self._all_shards():
             shard.engine.clear()
-            shard.cache.clear()
-            shard.generation += 1
-        self.floating.engine.clear()
-        self.floating.cache.clear()
-        self.floating.generation += 1
         self._expr_shard = {}
         self._root_load = {}
         self.version += 1
 
     # -- matching --------------------------------------------------------
 
-    def match(
-        self, path: Sequence[str], attributes=None, executor=None
-    ) -> Set[object]:
-        """Union of subscriber keys over the home and floating probes.
-
-        With *executor* (any ``concurrent.futures.Executor``) the shard
-        probes run as concurrent tasks — sound because the probed
-        shards are disjoint state.
-        """
-        shards = self._probe_shards(path)
-        if executor is not None and len(shards) > 1:
-            futures = [
-                executor.submit(shard.probe, path, attributes)
-                for shard in shards
-            ]
-            keys: Set[object] = set()
-            for future in futures:
-                keys |= future.result()
-            return keys
-        keys = set()
-        for shard in shards:
+    def match(self, path: Sequence[str], attributes=None) -> Set[object]:
+        """Union of subscriber keys over the home and floating probes."""
+        keys: Set[object] = set()
+        for shard in self._probe_shards(path):
             keys |= shard.probe(path, attributes)
         return keys
-
-    def match_cached(
-        self,
-        path: Sequence[str],
-        attrs_key,
-        attributes_fn: Optional[Callable[[], object]] = None,
-        executor=None,
-    ) -> Tuple[frozenset, int]:
-        """Generation-checked per-shard cached match.
-
-        *attrs_key* is the publication's hashable attribute fingerprint
-        and *attributes_fn* a thunk producing the attribute maps —
-        called only when some probed shard actually misses.  Returns
-        ``(keys, misses)`` so the caller can label its trace span.
-        A mutation in one shard leaves the other shards' entries live:
-        this is the per-shard invalidation the broker's global
-        generation counter cannot express.
-        """
-        shards = self._probe_shards(path)
-        misses = 0
-        if executor is not None and len(shards) > 1:
-            futures = [
-                executor.submit(
-                    shard.probe_cached, path, attrs_key, attributes_fn
-                )
-                for shard in shards
-            ]
-            keys: Set[object] = set()
-            for future in futures:
-                part, hit = future.result()
-                keys |= part
-                misses += 0 if hit else 1
-            return frozenset(keys), misses
-        keys = set()
-        for shard in shards:
-            part, hit = shard.probe_cached(path, attrs_key, attributes_fn)
-            keys |= part
-            misses += 0 if hit else 1
-        return frozenset(keys), misses
-
-    def match_bulk(
-        self, paths: Sequence[Tuple[str, ...]], attributes=None, executor=None
-    ) -> List[Set[object]]:
-        """Match many paths, grouping the probes per shard so an
-        executor runs at most one concurrent task per shard (shards are
-        independent; one shard's DFA must not be walked concurrently).
-        """
-        groups: Dict[int, List[int]] = {}
-        for position, path in enumerate(paths):
-            shard = self._home(path[0]) if path else self.floating
-            if shard is not self.floating:
-                groups.setdefault(shard.index, []).append(position)
-
-        def probe_group(shard: _Shard, positions: List[int]):
-            return [
-                (position, shard.probe(paths[position], attributes))
-                for position in positions
-            ]
-
-        results: List[Set[object]] = [set() for _ in paths]
-        tasks = [
-            (self._shards[index], positions)
-            for index, positions in groups.items()
-        ]
-        tasks.append((self.floating, list(range(len(paths)))))
-        if executor is not None and len(tasks) > 1:
-            futures = [
-                executor.submit(probe_group, shard, positions)
-                for shard, positions in tasks
-            ]
-            parts = [future.result() for future in futures]
-        else:
-            parts = [probe_group(shard, positions)
-                     for shard, positions in tasks]
-        for part in parts:
-            for position, keys in part:
-                results[position] |= keys
-        return results
 
     def match_exprs(self, path: Sequence[str], attributes=None):
         matched = set()
@@ -536,7 +391,7 @@ class ShardedMatcher:
         if len(roots) < 2:
             return False
         target_index = len(self._shards)
-        target = _Shard(target_index, self._dfa_state_limit, self._cache_size)
+        target = _Shard(target_index, self._dfa_state_limit)
         self._shards.append(target)
         hot_population = len(hot.engine)
         moved_load = 0
@@ -564,8 +419,6 @@ class ShardedMatcher:
             migrated += 1
         for root in moved_roots:
             self._assignment[root] = target_index
-        hot.generation += 1
-        target.generation += 1
         self.version += 1
         self.rebalances += 1
         self.migrated_exprs += migrated

@@ -31,12 +31,9 @@ Three layers on top of the plain NFA simulation:
   structural mass, the predicate index the value-constrained minority,
   and a match is the union of the two.
 * **Versioning.**  ``version`` is bumped by every mutation that can
-  change a match result; brokers layer their generation-stamped match
-  caches above it and the audit oracle replays matches through the
-  live engine, so a stale cached destination set is detectable by
-  construction.  Structural mutations additionally invalidate the DFA
-  cache (NFA states may have been pruned — cached subsets would
-  reference freed states).
+  change a match result.  Structural mutations additionally
+  invalidate the DFA cache (NFA states may have been pruned — cached
+  subsets would reference freed states).
 
 Incremental ``add``/``remove`` (including real NFA state pruning on
 unsubscribe) comes from the underlying :class:`SharedPathNFA`;

@@ -299,7 +299,6 @@ class MergingEngine:
         originals entirely; edge brokers retain exact client
         subscriptions outside this tree (see repro.broker).
         """
-        tree.invalidate_matches()
         existing = tree.node_of(merger)
         merged_keys: Set[object] = set()
         merged_children: List[SubNode] = []

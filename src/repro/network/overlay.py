@@ -1036,9 +1036,6 @@ class Overlay:
         self.metrics.gauge("broker.match_cache.evictions").set(
             sum(b.match_cache.evictions for b in self.brokers.values())
         )
-        # The matcher-level keys memos publish themselves: they join the
-        # covering.tree.keys_cache / matching.linear.keys_cache groups
-        # (repro.cache), which a snapshot-time collector sums.
         serves = misses = live = retained = 0
         views_on = False
         for broker in self.brokers.values():

@@ -24,10 +24,10 @@ instrumentation site: ``timer()`` returns a shared no-op context
 manager (no allocation, no clock read) and ``inc``/``observe`` return
 immediately.
 
-Instruments are safe under concurrent access: the asyncio backend's
-shard-probe executor threads record into the same registry the event
-loop reads, and the telemetry sampler takes snapshots/deltas while
-recording continues.  Counters and histograms serialise mutation and
+Instruments are safe under concurrent access: the socket backend's
+reader threads record into one registry, and the telemetry sampler and
+the Prometheus endpoint take snapshots/deltas while recording
+continues.  Counters and histograms serialise mutation and
 snapshotting behind a per-instrument lock (gauge writes are a single
 atomic assignment and stay lock-free); the registry serialises
 instrument creation so two threads asking for the same name get the

@@ -559,17 +559,9 @@ def broker_gauges(broker, min_view_probes: int = 8) -> Dict[str, float]:
         if mean > 0:
             gauges["shard_skew"] = stats["max_shard_exprs"] / mean
         gauges["shard_rebalances"] = float(stats.get("rebalances", 0))
-        hits = stale = misses = 0
-        dfa_states = 0
-        for shard in stats.get("shards", ()):
-            hits += shard.get("cache_hits", 0)
-            stale += shard.get("cache_stale", 0)
-            misses += shard.get("cache_misses", 0)
-            dfa_states += shard.get("dfa_states", 0)
-        probes = hits + stale + misses
-        if probes:
-            gauges["match_cache_hit_ratio"] = hits / probes
-        gauges["dfa_states"] = float(dfa_states)
+        gauges["dfa_states"] = float(
+            sum(shard.get("dfa_states", 0) for shard in stats.get("shards", ()))
+        )
     elif "dfa_states" in stats:
         gauges["dfa_states"] = float(stats["dfa_states"])
     views = getattr(broker, "views", None)

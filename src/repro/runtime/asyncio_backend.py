@@ -81,16 +81,6 @@ class AsyncioRuntime:
         link_capacity: bound of every broker→broker send queue.
         client_capacity: bound of every subscriber delivery queue.
         metrics: metrics registry (defaults to the process registry).
-        matching_workers: thread count of the shared matching pool used
-            to fan a publication's shard probes out concurrently when
-            ``config.matching_engine == "sharded"`` (default: one per
-            shard plus the floating shard, capped at 8).  Ignored — no
-            pool is created — for the other engines.  CPython caveat,
-            stated plainly: shard probes are pure-Python DFA walks, so
-            under the GIL the pool buys overlap, not core-parallelism;
-            the cross-core win belongs to the multiprocess backend,
-            and the sharded engine's single-thread win is cache
-            locality (see docs/runtime.md).
     """
 
     #: Mirrors ``Overlay.batching`` for the publisher client; the
@@ -104,16 +94,11 @@ class AsyncioRuntime:
         link_capacity: int = 64,
         client_capacity: int = 16,
         metrics=None,
-        matching_workers: Optional[int] = None,
     ):
         self.config = config if config is not None else RoutingConfig.full()
         self.universe = universe
         self.link_capacity = link_capacity
         self.client_capacity = client_capacity
-        self.matching_workers = matching_workers
-        #: The bounded shard-probe pool (``start()`` creates it for the
-        #: sharded engine, ``close()`` shuts it down; None otherwise).
-        self.matching_pool = None
         self.metrics = metrics if metrics is not None else obs.get_registry()
         self.stats = NetworkStats(registry=self.metrics)
         self.sim = _Clock()
@@ -193,24 +178,10 @@ class AsyncioRuntime:
         self.links.add((a, b))
 
     def start(self):
-        """Spawn the actor, link-sender and client-consumer tasks (and,
-        for the sharded matching engine, the bounded shard-probe pool
-        shared by every broker on this loop)."""
+        """Spawn the actor, link-sender and client-consumer tasks."""
         if self._started:
             return
         self._started = True
-        if self.config.matching_engine == "sharded":
-            from concurrent.futures import ThreadPoolExecutor
-
-            workers = self.matching_workers
-            if workers is None:
-                workers = min(8, self.config.shard_count + 1)
-            self.matching_pool = ThreadPoolExecutor(
-                max_workers=workers,
-                thread_name_prefix="repro-shard-match",
-            )
-            for core in self.cores.values():
-                core.set_matching_executor(self.matching_pool)
         self._loop.run_until_complete(self._spawn_topology())
         if self.telemetry is not None and not self._sampler_spawned:
             self._loop.run_until_complete(self._spawn_sampler())
@@ -479,11 +450,6 @@ class AsyncioRuntime:
                 asyncio.gather(*self._tasks, return_exceptions=True)
             )
         self._loop.close()
-        if self.matching_pool is not None:
-            for core in self.cores.values():
-                core.set_matching_executor(None)
-            self.matching_pool.shutdown(wait=True)
-            self.matching_pool = None
 
     def __enter__(self):
         return self

@@ -76,18 +76,6 @@ def _broker_worker(
             capacity=flight_capacity, out_dir=flight_dir
         )
     node.start()
-    matching_pool = None
-    if config is not None and config.matching_engine == "sharded":
-        # Per-process shard-probe pool: with one pool per broker
-        # process, shard matching runs on real separate cores across
-        # the deployment, not one shared GIL.
-        from concurrent.futures import ThreadPoolExecutor
-
-        matching_pool = ThreadPoolExecutor(
-            max_workers=min(8, config.shard_count + 1),
-            thread_name_prefix="repro-shard-match",
-        )
-        node.broker.matching_executor = matching_pool
     delivered: List[Tuple[str, dict]] = []
     conn.send(("ready", node.host, node.port))
     while True:
@@ -174,9 +162,6 @@ def _broker_worker(
                 os._exit(1)
             elif command == "stop":
                 node.stop()
-                if matching_pool is not None:
-                    node.broker.matching_executor = None
-                    matching_pool.shutdown(wait=True)
                 conn.send(("ok", None))
                 break
             else:

@@ -189,3 +189,62 @@ def test_effects_are_pure_data():
         assert canonical_effects(one.on_message(message, from_hop)) \
             == canonical_effects(two.on_message(message, from_hop))
     assert one.fingerprint() == two.fingerprint()
+
+
+def _relative(*tests):
+    return XPathExpr(
+        steps=tuple(Step(Axis.CHILD, test) for test in tests), rooted=False
+    )
+
+
+def _advertisement(*tests):
+    return AdvertiseMsg(
+        adv_id="a1", advert=Advertisement.from_tests(tests), publisher_id="p"
+    )
+
+
+def _assert_twin_agrees(core, message, from_hop, emitted, count):
+    """A twin restored from *core*'s snapshot emits the same canonical
+    effects for *message* — including *count* messages of type
+    *emitted*, so there is an order to pin."""
+    twin = BrokerCore.restore(core.snapshot())
+    effects = core.on_message(message, from_hop)
+    assert sum(isinstance(e.message, emitted) for e in effects) == count
+    assert canonical_effects(twin.on_message(message, from_hop)) \
+        == canonical_effects(effects)
+
+
+def test_subscription_replay_order_survives_restore():
+    """An ADV replays stored subscriptions toward its last hop in
+    canonical order, not tree-sibling order — which a restored twin
+    rebuilds differently (found by ``--hypothesis-seed=987`` on the
+    chaos profile)."""
+    core = _fresh_core()
+    for expr in (
+        _relative("a", "a"),
+        XPathExpr(steps=(Step(Axis.DESCENDANT, "b"),), rooted=False),
+    ):
+        core.on_message(SubscribeMsg(expr=expr, subscriber_id="s"), "n2")
+    _assert_twin_agrees(
+        core, _advertisement("a", "a", "b"), "n1", SubscribeMsg, 2
+    )
+
+
+def test_covered_retraction_order_survives_restore():
+    """A SUB that covers forwarded siblings retracts them in canonical
+    order too (same defect, ``--hypothesis-seed=3``)."""
+    core = _fresh_core()
+    core.on_message(
+        SubscribeMsg(expr=_relative("a", "*"), subscriber_id="s"), "n1"
+    )
+    core.on_message(_advertisement("a", "a"), "n2")
+    core.on_message(
+        SubscribeMsg(expr=_relative("*", "a"), subscriber_id="s"), "n1"
+    )
+    _assert_twin_agrees(
+        core,
+        SubscribeMsg(expr=_relative("a"), subscriber_id="s"),
+        "n1",
+        UnsubscribeMsg,
+        2,
+    )

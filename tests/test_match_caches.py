@@ -5,16 +5,18 @@ Four properties guard the result caches of the matching core:
 * the ``covers()`` memo always agrees with the uncached dispatch
   (expressions are immutable, so any disagreement is a caching bug);
 * a broker's route memo is exact under maintenance: after any
-  interleaving of SUB/UNSUB/ADV, merge sweeps, redeliveries and
-  snapshot-restores, memoised routing decisions equal a cold
-  recomputation — and a SUB costs at most one structural probe per
-  cached path;
+  interleaving of SUB/UNSUB/ADV, merge sweeps, shard splits,
+  redeliveries and snapshot-restores, memoised routing decisions equal
+  a cold recomputation on every engine — a SUB costs at most one
+  structural probe per cached path, and a repeat publication costs no
+  engine probe;
 * restored brokers (restart and crash/recovery) start with empty
   memos — routing decisions never survive a process boundary;
 * batched publication dispatch delivers exactly the same document sets
   as per-message dispatch.
 """
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -179,6 +181,30 @@ def test_repeat_publication_hits_cache_with_identical_output():
     assert broker.match_cache.hits > hits_before
 
 
+@pytest.mark.parametrize("engine", ("auto", "shared", "sharded"))
+def test_repeat_publication_never_reaches_the_engine(engine, monkeypatch):
+    """The route memo fronts every engine: a repeat publication is a
+    memo hit and costs no engine probe, whichever engine is configured."""
+    broker = make_broker(RoutingConfig(matching_engine=engine))
+    churn(broker)
+    if engine == "auto":
+        target, name = broker.tree, "match_keys"
+    else:
+        target, name = broker.shared, "match"
+    real = getattr(target, name)
+    probes = []
+    monkeypatch.setattr(
+        target, name, lambda *args: probes.append(args) or real(*args)
+    )
+    msg = pub(PROBE_PATHS[1])
+    first = broker.handle(msg, "n2")
+    assert len(probes) == 1
+    hits_before = broker.match_cache.hits
+    assert broker.handle(msg, "n2") == first
+    assert broker.match_cache.hits == hits_before + 1
+    assert len(probes) == 1
+
+
 def test_merge_sweep_invalidates_cache():
     universe = PathUniverse.from_dtd(psd_dtd(), max_depth=6)
     config = RoutingConfig.by_name("with-Adv-with-CovIPM")
@@ -250,7 +276,9 @@ _MERGEABLE = (
     "/ProteinDatabase/ProteinEntry/organism",
     "/ProteinDatabase/ProteinEntry/*",
 )
-_MEMO_XPES = _MERGEABLE + (
+#: Further root elements, so a sharded engine has something to split.
+_OTHER_ROOTS = ("/somewhere/else", "/somewhere/*", "/elsewhere/else")
+_MEMO_XPES = _MERGEABLE + _OTHER_ROOTS + (
     "/ProteinDatabase",
     "/ProteinDatabase//name",
     "//reference",
@@ -270,6 +298,7 @@ _MEMO_PROBES = tuple(
         _ENTRY + ("reference",),
         _ENTRY + ("organism",),
         ("somewhere", "else"),
+        ("elsewhere", "else"),
     )
     for attrs in (
         None,
@@ -285,19 +314,20 @@ _MEMO_CONFIGS = tuple(
         max_imperfect_degree=1.0,
         merge_interval=1_000_000,  # sweeps fire only explicitly
         matching_engine=engine,
+        shard_count=1,  # every root shares one shard until a split
     )
     for covering in (True, False)
-    for engine in ("auto", "shared")
+    for engine in ("auto", "shared", "sharded")
 )
 
 
 class RouteMemoMachine(RuleBasedStateMachine):
     """SUB / UNSUB (of live and of unknown subscriptions, plus
     ``redeliver`` repeating the last message) / ADV / merge sweep /
-    snapshot-restore / publish on a 3-neighbour broker with two local
-    clients, under imperfect merging so the exact edge recheck decides
-    deliveries.  After every step each probe's memoised destinations
-    must equal a cold recomputation."""
+    shard split / snapshot-restore / publish on a 3-neighbour broker
+    with two local clients, under imperfect merging so the exact edge
+    recheck decides deliveries.  After every step each probe's
+    memoised destinations must equal a cold recomputation."""
 
     @initialize(config=st.sampled_from(_MEMO_CONFIGS))
     def setup(self, config):
@@ -325,6 +355,10 @@ class RouteMemoMachine(RuleBasedStateMachine):
         hop=st.sampled_from(_MEMO_HOPS[2:]),  # one neighbour, both clients
     )
     def subscribe_mergeable(self, text, hop):
+        self.subscribe(text, hop)
+
+    @rule(text=st.sampled_from(_OTHER_ROOTS), hop=st.sampled_from(_MEMO_HOPS))
+    def subscribe_other_root(self, text, hop):
         self.subscribe(text, hop)
 
     @rule(index=st.integers(min_value=0))
@@ -356,6 +390,17 @@ class RouteMemoMachine(RuleBasedStateMachine):
     @rule()
     def merge_sweep(self):
         self.broker.run_merge_sweep()
+
+    @rule()
+    def rebalance(self):
+        """Split the fullest shard: expressions migrate between shards,
+        match results (hence memoised routes) must not move."""
+        if self.broker.config.matching_engine == "sharded":
+            engine = self.broker._shared_engine()
+            engine.split_shard(
+                max(engine._shards, key=lambda shard: len(shard.engine))
+            )
+            engine.check_invariants()
 
     @rule()
     def snapshot_restore(self):
@@ -449,55 +494,6 @@ def test_subscription_burst_drops_a_memo_that_stopped_serving():
         assert broker._publish_destinations(
             pub(path).publication, "c1"
         ) == want
-
-
-# -- matcher-level keys caches ---------------------------------------------
-
-
-def test_tree_keys_cache_invalidates_on_mutation_and_merge():
-    from repro.covering.subscription_tree import SubscriptionTree
-    from repro.merging.engine import MergingEngine, PathUniverse
-
-    tree = SubscriptionTree()
-    for i, text in enumerate(
-        ("/ProteinDatabase/ProteinEntry", "/ProteinDatabase/*", "//protein")
-    ):
-        tree.insert(x(text), "k%d" % i)
-    path = PROBE_PATHS[1]
-    warm = tree.match_keys(path)
-    assert tree.match_keys(path) == warm  # hit
-    assert tree.keys_cache.hits > 0
-    # Mutations version the memo out; results track the live tree.
-    tree.insert(x("//reference"), "k3")
-    assert tree.match_keys(path) == warm  # same result, recomputed
-    tree.remove(x("/ProteinDatabase/*"), "k1")
-    assert tree.match_keys(path) == frozenset(
-        k for node in tree.match(path) for k in node.keys
-    )
-    # A merge sweep rewrites the tree through the engine's internals —
-    # invalidate_matches() keeps the memo honest there too.
-    universe = PathUniverse.from_dtd(psd_dtd(), max_depth=6)
-    epoch = tree.match_epoch
-    MergingEngine(universe=universe, max_degree=0.0).merge_tree(tree)
-    assert tree.match_epoch >= epoch
-    assert tree.match_keys(path) == frozenset(
-        k for node in tree.match(path) for k in node.keys
-    )
-
-
-def test_linear_keys_cache_invalidates_on_add_remove():
-    from repro.matching.engine import LinearMatcher
-
-    matcher = LinearMatcher()
-    matcher.add(x("//protein"), "a")
-    path = PROBE_PATHS[1] + ("protein",)
-    assert matcher.match(path) == {"a"}
-    assert matcher.match(path) == {"a"}
-    assert matcher.keys_cache.hits > 0
-    matcher.add(x("/ProteinDatabase//protein"), "b")
-    assert matcher.match(path) == {"a", "b"}
-    matcher.remove(x("//protein"), "a")
-    assert matcher.match(path) == {"b"}
 
 
 # -- restart / crash-recovery start cold -----------------------------------

@@ -3,17 +3,15 @@
 Four layers of assurance for ``matching_engine="sharded"``:
 
 * engine-contract and placement tests on :class:`ShardedMatcher`
-  directly (root homing, floating shard, per-shard cache generations,
+  directly (root homing, floating shard, per-shard DFA locality,
   skew-triggered splits with live migration);
 * Hypothesis differentials against ``LinearMatcher`` under churn;
 * a stateful churn machine interleaving SUB/UNSUB/ADV/merge-sweep/
   rebalance/snapshot-restore on a sharded broker against a
   shared-engine reference broker fed the identical message stream;
 * the audited workload (six routing invariants) run end-to-end with
-  the sharded engine, plus executor-path and persistence round-trips.
+  the sharded engine, plus persistence round-trips.
 """
-
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -152,7 +150,7 @@ class TestEngineContract:
         assert stats["floating_exprs"] == 1
         assert stats["shard_count"] == 4
         assert len(stats["shards"]) == 5  # root shards + floating
-        assert {"probes", "cache_hits", "generation"} <= set(
+        assert {"probes", "dfa_states", "dfa_flushes"} <= set(
             stats["shards"][0]
         )
 
@@ -166,7 +164,7 @@ class TestEngineContract:
         assert m.version == v1
 
 
-# -- per-shard caching -----------------------------------------------------
+# -- per-shard DFA locality ------------------------------------------------
 
 
 def _two_roots_in_distinct_shards(m):
@@ -179,47 +177,50 @@ def _two_roots_in_distinct_shards(m):
     raise AssertionError("no pair of distinct-shard roots found")
 
 
+def _flushes(m):
+    return [shard["dfa_flushes"] for shard in m.stats()["shards"]]
+
+
+def _changed(before, after):
+    """Indices of the shards whose counter moved."""
+    return [i for i, pair in enumerate(zip(before, after)) if pair[0] != pair[1]]
+
+
 class TestPerShardCaching:
+    """What a shard caches is its lazy-DFA fragment; match *results*
+    are memoised one level up, in the broker's route memo."""
+
     def test_mutation_in_one_shard_keeps_other_shards_cached(self):
         m = ShardedMatcher(shard_count=4)
         a, b = _two_roots_in_distinct_shards(m)
         m.add(x("/%s/x" % a), "ka")
         m.add(x("/%s/y" % b), "kb")
         path_b = (b, "y")
-        keys, misses = m.match_cached(path_b, None, lambda: None)
-        assert keys == frozenset({"kb"}) and misses > 0
-        keys, misses = m.match_cached(path_b, None, lambda: None)
-        assert keys == frozenset({"kb"}) and misses == 0
-        # Churn in a's shard: b's cached probe must stay warm — this is
-        # the invalidation locality the broker-global generation lacked.
+        assert m.match(path_b) == {"kb"}
+        assert m.match((a, "x")) == {"ka"}
+        home_a = m.shard_index_for_root(a)
+        before = _flushes(m)
+        warm = m._home(b).engine.dfa_size()
+        assert warm > 0
+        # Churn in a's shard discards a's DFA fragment only: b's stays
+        # warm — the locality one shared automaton cannot give.
         m.add(x("/%s/z" % a), "ka2")
         m.remove(x("/%s/x" % a), "ka")
-        keys, misses = m.match_cached(path_b, None, lambda: None)
-        assert keys == frozenset({"kb"}) and misses == 0
-        # ... while a's own probe correctly recomputes.
-        keys, misses = m.match_cached((a, "z"), None, lambda: None)
-        assert keys == frozenset({"ka2"}) and misses > 0
+        assert _changed(before, _flushes(m)) == [home_a]
+        assert m._home(b).engine.dfa_size() == warm
+        assert m.match(path_b) == {"kb"}
+        assert m.match((a, "z")) == {"ka2"}
 
     def test_floating_mutation_invalidates_every_probe(self):
         m = build("/a/b")
-        m.match_cached(("a", "b"), None, lambda: None)
+        assert m.match(("a", "b")) == {"/a/b"}
+        before = _flushes(m)
         m.add(x("//b"), "rel")
-        keys, misses = m.match_cached(("a", "b"), None, lambda: None)
-        assert keys == frozenset({"/a/b", "rel"}) and misses > 0
-
-    def test_attributes_fn_called_only_on_miss(self):
-        calls = []
-
-        def attributes_fn():
-            calls.append(1)
-            return None
-
-        m = build("/a/b")
-        m.match_cached(("a", "b"), None, attributes_fn)
-        assert calls
-        calls.clear()
-        m.match_cached(("a", "b"), None, attributes_fn)
-        assert calls == []
+        # Only the floating shard (last) lost its fragment — but it is
+        # probed on every match, so every probe sees the new expression.
+        assert _changed(before, _flushes(m)) == [len(before) - 1]
+        assert m.match(("a", "b")) == {"/a/b", "rel"}
+        assert m.match(("z", "b")) == {"rel"}
 
 
 # -- rebalancing -----------------------------------------------------------
@@ -513,8 +514,6 @@ def test_differential_vs_linear_under_churn(texts, ops, shard_count):
     attrs = ({}, {"k": "1"}, {"j": "2"}, {})
     for path in probes:
         assert m.match(path) == lin.match(path), path
-        keys, _ = m.match_cached(path, None, lambda: None)
-        assert keys == frozenset(lin.match(path)), path
         a = attrs[: len(path)]
         assert m.match(path, a) == lin.match(path, a), (path, "attrs")
 
@@ -734,31 +733,17 @@ def test_sharded_broker_describe_and_per_shard_locality():
     assert summary["matching_engine"] == "sharded"
     assert summary["shared_automaton"]["shard_count"] >= 3
     engine = broker._shared_engine()
-    # Second identical publication is a pure per-shard cache hit...
-    broker._publication_keys(Publication(doc_id="1", path_id=0,
-                                         path=("q", "r")))
-    keys, misses = engine.match_cached(("q", "r"), None, lambda: None)
-    assert misses == 0
-    # ... and churn under a *different* root keeps it warm, unless the
-    # two roots happen to share a shard.
-    if engine.shard_index_for_root("a") != engine.shard_index_for_root("q"):
-        broker.handle(_sub("/a/extra"), "n1")
-        keys, misses = engine.match_cached(("q", "r"), None, lambda: None)
-        assert misses == 0
+    for path in BROKER_PROBES:  # walk every shard's DFA warm
+        broker._publication_keys(Publication(doc_id="1", path_id=0, path=path))
 
+    def flushes():
+        shards = broker.describe()["shared_automaton"]["shards"]
+        return [shard["dfa_flushes"] for shard in shards]
 
-def test_executor_path_equals_serial_path():
-    serial = _wire(RoutingConfig(matching_engine="sharded", shard_count=4))
-    pooled = _wire(RoutingConfig(matching_engine="sharded", shard_count=4))
-    _feed(serial)
-    _feed(pooled)
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        pooled.matching_executor = pool
-        for path in BROKER_PROBES:
-            publication = Publication(doc_id="d", path_id=0, path=path)
-            assert pooled._publication_keys(publication) == \
-                serial._publication_keys(publication), path
-        pooled.matching_executor = None
+    # Churn under root a discards the DFA fragment of a's shard only.
+    before = flushes()
+    broker.handle(_sub("/a/extra"), "n1")
+    assert _changed(before, flushes()) == [engine.shard_index_for_root("a")]
 
 
 def test_merge_sweep_rebuild_preserves_matches():
