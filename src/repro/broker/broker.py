@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from time import perf_counter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.obs.tracing import current_scope
@@ -148,7 +148,7 @@ class Broker:
         else:
             self.views = None
         #: True while the destinations just computed came from a view
-        #: memo (consulted by the publish handlers to mark deliveries).
+        #: memo (:meth:`handle_publications` marks the deliveries).
         self._served_via_view = False
         #: ``(client_id, msg_id)`` pairs whose Deliver effect must be
         #: classified as ViewServe; drained by the broker core.
@@ -201,8 +201,17 @@ class Broker:
         """
         entry = self._DISPATCH.get(type(message))
         if entry is None:
-            # Not one of the five exact types: a subclass still routes
-            # (first isinstance match), anything else is unknown.
+            if isinstance(message, PublishMsg):
+                # A lone publication is a group of one; its
+                # destinations come out in emission order.
+                return [
+                    (destination, message)
+                    for destination in self.handle_publications(
+                        (message,), from_hop
+                    )
+                ]
+            # Not one of the four exact control types: a subclass still
+            # routes (first isinstance match), anything else is unknown.
             for cls, entry in self._DISPATCH.items():
                 if isinstance(message, cls):
                     break
@@ -575,81 +584,64 @@ class Broker:
 
     # -- publications --------------------------------------------------------------
 
-    def handle_publish(self, msg: PublishMsg, from_hop: object) -> Outbound:
-        destinations = self._publish_destinations(
-            msg.publication, from_hop, message=msg
-        )
-        if self.views is not None and self._served_via_view:
-            marks = self._view_served_marks
-            for destination in destinations:
-                if destination in self.local_clients:
-                    marks.add((destination, msg.msg_id))
-        return [(destination, msg) for destination in destinations]
-
-    #: message type -> (handler, timer metric), looked up by exact type
-    #: in :meth:`handle`; built once, after the five handlers exist.
+    #: control message type -> (handler, timer metric), looked up by
+    #: exact type in :meth:`handle`; built once, after the four
+    #: handlers exist.  Publications go through
+    #: :meth:`handle_publications`.
     _DISPATCH = {
         AdvertiseMsg: (handle_advertise, "broker.handle.advertise"),
         UnadvertiseMsg: (handle_unadvertise, "broker.handle.unadvertise"),
         SubscribeMsg: (handle_subscribe, "broker.handle.subscribe"),
         UnsubscribeMsg: (handle_unsubscribe, "broker.handle.unsubscribe"),
-        PublishMsg: (handle_publish, "broker.handle.publish"),
     }
 
-    def handle_publish_batch(
-        self, messages: List[PublishMsg], from_hop: object
-    ) -> Outbound:
-        """Route a batch of publications arriving from one hop.
+    def handle_publications(
+        self, messages: Sequence[PublishMsg], from_hop: object
+    ) -> Dict[object, List[PublishMsg]]:
+        """Route a group of publications arriving from one hop —
+        consecutive paths of one document, or a lone publication as a
+        group of one.
 
-        Identical publications — same path and same attribute
-        fingerprint, the common case when a document's paths fan out or
-        several documents share hot paths — are grouped and matched
-        once; the destination list is reused across the whole group.
+        Returns ``{destination: [messages]}``: each destination's
+        messages in arrival order, destinations in first-emission
+        order.  Every path probes the route memo (and, with views, its
+        group's view) on its own, so routing a group is exactly routing
+        its members one by one; only the per-hop bookkeeping around
+        them is paid once.
         """
+        self.stats[messages[0].kind] += len(messages)
         registry = obs.get_registry()
-        if not registry.enabled:
-            return self._handle_publish_batch(messages, from_hop)
-        with registry.timer("broker.handle.publish_batch"):
-            out = self._handle_publish_batch(messages, from_hop)
-        registry.histogram("broker.batch.size").record(len(messages))
-        return out
-
-    def _handle_publish_batch(
-        self, messages: List[PublishMsg], from_hop: object
-    ) -> Outbound:
-        self.stats["publish"] += len(messages)
-        out: Outbound = []
-        groups: Dict[tuple, Tuple[List[object], bool]] = {}
+        started = perf_counter() if registry.enabled else 0.0
+        # A lone message's hop scope already points at it.
+        scope = current_scope() if len(messages) > 1 else None
+        views = self.views
+        routed: Dict[object, List[PublishMsg]] = {}
         for msg in messages:
-            publication = msg.publication
-            group_key = (publication.path, publication.attributes)
-            cached = groups.get(group_key)
-            if cached is None:
-                destinations = self._publish_destinations(
-                    publication, from_hop, message=msg
-                )
-                served = self.views is not None and self._served_via_view
-                cached = groups[group_key] = (destinations, served)
+            if scope is not None:
+                scope.focus(msg)
+            if views is None:
+                destinations = self._route(msg.publication)[1]
+                served = False
             else:
-                destinations, served = cached
-                if self.views is not None:
-                    # Later members of a served or freshly-materialized
-                    # group still belong in the replay window.
-                    self.views.capture(
-                        publication.path, publication.attributes, msg
-                    )
-            if served:
-                marks = self._view_served_marks
-                for destination in destinations:
-                    if destination in self.local_clients:
-                        marks.add((destination, msg.msg_id))
+                destinations = self._publish_destinations_viewed(
+                    msg.publication, from_hop, msg
+                )
+                served = self._served_via_view
             for destination in destinations:
-                out.append((destination, msg))
-        registry = obs.get_registry()
+                if destination == from_hop:
+                    continue
+                group = routed.get(destination)
+                if group is None:
+                    routed[destination] = [msg]
+                else:
+                    group.append(msg)
+                if served and destination in self.local_clients:
+                    self._view_served_marks.add((destination, msg.msg_id))
         if registry.enabled:
-            registry.counter("broker.batch.publications").inc(len(messages))
-            registry.counter("broker.batch.groups").inc(len(groups))
-        return out
+            registry.histogram("broker.handle.publish").record(
+                perf_counter() - started
+            )
+        return routed
 
     def _publish_destinations(
         self, publication, from_hop: object, message=None

@@ -6,12 +6,14 @@ no I/O: every host — the discrete-event simulator
 (:class:`~repro.network.overlay.Overlay`), the asyncio event-loop
 backend (:mod:`repro.runtime.asyncio_backend`) and the multiprocess
 socket deployment (:mod:`repro.runtime.multiprocess`) — feeds it one
-message at a time and interprets the returned :class:`Effect` list
-however its execution model requires:
+frame at a time (a control message, or a *group*: consecutive
+publications of one document that crossed the link together; a lone
+publication is a group of one) and interprets the returned
+:class:`Effect` list however its execution model requires:
 
-* :class:`Send` — forward a message to a neighbouring broker (over a
+* :class:`Send` — forward a frame to a neighbouring broker (over a
   simulated link, an asyncio queue, or a TCP connection),
-* :class:`Deliver` — hand a message to a locally attached client,
+* :class:`Deliver` — hand a frame to a locally attached client,
 * :class:`ViewServe` — a Deliver satisfied from an edge materialized
   view (a subclass, so Deliver-handling hosts work unchanged),
 * :class:`Replay` — deliver a view's retained publication window to a
@@ -34,7 +36,8 @@ snapshot replay sound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from itertools import groupby
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.broker.broker import Broker
 from repro.broker.messages import Message, PublishMsg
@@ -53,18 +56,21 @@ class Effect:
 
 @dataclass(frozen=True)
 class Send(Effect):
-    """Forward *message* to the neighbouring broker *destination*."""
+    """Forward *messages* to the neighbouring broker *destination* as
+    one frame: a group of publications (consecutive paths of one
+    document, in arrival order) or a single control message."""
 
     destination: object
-    message: Message
+    messages: Tuple[Message, ...]
 
 
 @dataclass(frozen=True)
 class Deliver(Effect):
-    """Hand *message* to the locally attached client *client_id*."""
+    """Hand *messages* (a group, as for :class:`Send`) to the locally
+    attached client *client_id*."""
 
     client_id: object
-    message: Message
+    messages: Tuple[Message, ...]
 
 
 @dataclass(frozen=True)
@@ -152,15 +158,36 @@ class BrokerCore:
 
     def on_message(self, message: Message, from_hop: object) -> List[Effect]:
         """Process one inbound message; returns the resulting effects."""
+        if isinstance(message, PublishMsg):
+            return self.on_publications((message,), from_hop)
         return self._classify(self.broker.handle(message, from_hop))
 
-    def on_publish_batch(
-        self, messages: List[PublishMsg], from_hop: object
+    def on_publications(
+        self, messages: Sequence[PublishMsg], from_hop: object
     ) -> List[Effect]:
-        """Batch counterpart of :meth:`on_message` (publications only)."""
-        return self._classify(
-            self.broker.handle_publish_batch(messages, from_hop)
-        )
+        """Process a group of publications that arrived from one hop as
+        one frame (a lone publication is a group of one): one effect
+        per destination, carrying that destination's messages."""
+        broker = self.broker
+        routed = broker.handle_publications(messages, from_hop)
+        served = broker._take_view_served()
+        effects: List[Effect] = []
+        for destination, group in routed.items():
+            if destination in broker.neighbors:
+                effects.append(Send(destination, tuple(group)))
+            elif destination not in broker.local_clients:
+                raise self._unknown_destination(destination)
+            elif not served:
+                effects.append(Deliver(destination, tuple(group)))
+            else:
+                # A client's group may mix view-served and core-routed
+                # members: one effect per run, so arrival order holds.
+                for is_served, run in groupby(
+                    group, lambda m: (destination, m.msg_id) in served
+                ):
+                    kind = ViewServe if is_served else Deliver
+                    effects.append(kind(destination, tuple(run)))
+        return effects
 
     def enable_telemetry(self, interval: float) -> TimerRequest:
         """Arm the periodic telemetry timer; the host schedules the
@@ -190,25 +217,26 @@ class BrokerCore:
         )
 
     def _classify(self, outbound) -> List[Effect]:
+        """Control traffic: one single-message effect per outbound
+        pair, in emission order."""
         broker = self.broker
-        served = broker._take_view_served()
         effects: List[Effect] = []
         for destination, message in outbound:
-            if destination in broker.local_clients:
-                if served and (destination, message.msg_id) in served:
-                    effects.append(ViewServe(destination, message))
-                else:
-                    effects.append(Deliver(destination, message))
-            elif destination in broker.neighbors:
-                effects.append(Send(destination, message))
+            if destination in broker.neighbors:
+                effects.append(Send(destination, (message,)))
+            elif destination in broker.local_clients:
+                effects.append(Deliver(destination, (message,)))
             else:
-                raise RoutingError(
-                    "broker %r emitted message to unknown destination %r"
-                    % (self.broker_id, destination)
-                )
+                raise self._unknown_destination(destination)
         for client_id, messages, group in broker._take_pending_replays():
             effects.append(Replay(client_id, tuple(messages), tuple(group)))
         return effects
+
+    def _unknown_destination(self, destination: object) -> RoutingError:
+        return RoutingError(
+            "broker %r emitted message to unknown destination %r"
+            % (self.broker_id, destination)
+        )
 
     # -- snapshot / replay -------------------------------------------------
 
@@ -276,15 +304,17 @@ def canonical_effects(effects: List[Effect]) -> List[tuple]:
     rendered: List[tuple] = []
     for effect in effects:
         if isinstance(effect, Send):
-            rendered.append(
-                ("send", str(effect.destination), message_key(effect.message))
+            rendered.extend(
+                ("send", str(effect.destination), message_key(message))
+                for message in effect.messages
             )
         elif isinstance(effect, Deliver):
             # ViewServe renders as a plain delivery on purpose: a
             # view-served delivery must be byte-identical to the core
             # route, and replay tests compare through this form.
-            rendered.append(
-                ("deliver", str(effect.client_id), message_key(effect.message))
+            rendered.extend(
+                ("deliver", str(effect.client_id), message_key(message))
+                for message in effect.messages
             )
         elif isinstance(effect, Replay):
             rendered.append(

@@ -177,7 +177,6 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         check_delivery_equivalence=strategies is None,
         faults=_parse_faults(args),
-        batching=args.batch,
         matching_engine=args.engine,
         shard_count=args.shards,
         views=args.views,
@@ -211,7 +210,6 @@ def cmd_stats(args) -> int:
         seed=args.seed,
         check_delivery_equivalence=False,
         faults=_parse_faults(args),
-        batching=args.batch,
         matching_engine=args.engine,
         shard_count=args.shards,
         views=args.views,
@@ -903,12 +901,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="enable metrics and write the JSON snapshot here",
     )
-    p.add_argument(
-        "--batch",
-        action="store_true",
-        help="publish each document's paths as one batch "
-        "(Overlay.submit_batch)",
-    )
     _add_engine_option(p)
     _add_views_option(p)
     _add_faults_option(p)
@@ -926,12 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=5)
     p.add_argument("--out", metavar="FILE", default=None)
     p.add_argument("--format", choices=("json", "line"), default="json")
-    p.add_argument(
-        "--batch",
-        action="store_true",
-        help="publish each document's paths as one batch "
-        "(Overlay.submit_batch)",
-    )
     p.add_argument(
         "--sample-every",
         type=float,

@@ -44,7 +44,6 @@ def run_traffic_experiment(
     merge_interval: int = 50,
     check_delivery_equivalence: bool = True,
     faults=None,
-    batching: bool = False,
     matching_engine: str = "auto",
     shard_count: int = 4,
     views: bool = False,
@@ -58,9 +57,6 @@ def run_traffic_experiment(
     links with the reliability layer engaged — the PlanetLab-style
     condition.  Delivery equivalence continues to hold: reliable
     links plus idempotent handlers mask the faults.
-
-    ``batching`` publishes each document's paths as one batch (see
-    ``Overlay.submit_batch``); delivered document sets are unaffected.
 
     ``matching_engine`` selects the publication-matching backend on
     every broker (``auto``, ``shared`` or ``sharded`` — the latter
@@ -108,7 +104,6 @@ def run_traffic_experiment(
             universe=universe,
             processing_scale=1.0,
             faults=faults,
-            batching=batching,
         )
         if telemetry_interval is not None:
             overlay.enable_telemetry(interval=telemetry_interval)

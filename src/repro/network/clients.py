@@ -115,13 +115,14 @@ class SubscriberClient:
 class PublisherClient:
     """A data producer: advertises its DTD, publishes documents."""
 
-    _adv_counter = itertools.count()
-
     def __init__(self, client_id: str, overlay, broker_id: str):
         self.client_id = client_id
         self._overlay = overlay
         self.broker_id = broker_id
         self.advertised: List[str] = []
+        #: Numbers this client's default advertisement ids; per client,
+        #: so one scenario built twice in a process gets the same ids.
+        self._adv_counter = itertools.count()
 
     def advertise(self, advert: Advertisement, adv_id: Optional[str] = None) -> str:
         if adv_id is None:
@@ -144,61 +145,43 @@ class PublisherClient:
         self.advertised.remove(adv_id)
         self._overlay.submit(self.client_id, UnadvertiseMsg(adv_id=adv_id))
 
-    def publish_document(
-        self, document: XMLDocument, batch: Optional[bool] = None
-    ):
-        """Decompose *document* into publications and submit them.
-
-        ``batch`` controls whether the paths travel as one batch (the
-        broker then matches identical paths once — see
-        ``Overlay.submit_batch``) or as one event each; ``None`` defers
-        to the overlay's ``batching`` flag.
-        """
+    def publish_document(self, document: XMLDocument):
+        """Decompose *document* into publications and submit them (the
+        overlay carries consecutive publications of one document as one
+        group — see ``Overlay.submit``)."""
         size = document.size_bytes()
         now = self._overlay.now
-        messages = [
-            PublishMsg(
-                publication=publication,
-                publisher_id=self.client_id,
-                doc_size_bytes=size,
-                issued_at=now,
+        for publication in document.publications():
+            self._overlay.submit(
+                self.client_id,
+                PublishMsg(
+                    publication=publication,
+                    publisher_id=self.client_id,
+                    doc_size_bytes=size,
+                    issued_at=now,
+                ),
             )
-            for publication in document.publications()
-        ]
-        self._submit_publications(messages, batch)
 
     def publish_paths(
         self,
         paths: Sequence[Sequence[str]],
         doc_id: str,
         size_bytes: int = 0,
-        batch: Optional[bool] = None,
     ):
         """Publish pre-decomposed paths (workload-driver convenience)."""
         now = self._overlay.now
-        messages = [
-            PublishMsg(
-                publication=Publication(
-                    doc_id=doc_id, path_id=i, path=tuple(path)
+        for i, path in enumerate(paths):
+            self._overlay.submit(
+                self.client_id,
+                PublishMsg(
+                    publication=Publication(
+                        doc_id=doc_id, path_id=i, path=tuple(path)
+                    ),
+                    publisher_id=self.client_id,
+                    doc_size_bytes=size_bytes,
+                    issued_at=now,
                 ),
-                publisher_id=self.client_id,
-                doc_size_bytes=size_bytes,
-                issued_at=now,
             )
-            for i, path in enumerate(paths)
-        ]
-        self._submit_publications(messages, batch)
-
-    def _submit_publications(
-        self, messages: List[PublishMsg], batch: Optional[bool]
-    ):
-        if batch is None:
-            batch = getattr(self._overlay, "batching", False)
-        if batch and len(messages) > 1:
-            self._overlay.submit_batch(self.client_id, messages)
-        else:
-            for message in messages:
-                self._overlay.submit(self.client_id, message)
 
     def __repr__(self):
         return "PublisherClient(%r@%r, %d adverts)" % (

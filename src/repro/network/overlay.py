@@ -12,7 +12,7 @@ modelled wide-area latency with the real cost of routing-table matching
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.broker.broker import Broker
@@ -53,12 +53,6 @@ class Overlay:
             the real Python matching cost).
         queueing: serialise each broker's processing (arrivals wait for
             the broker to become idle) instead of overlapping it.
-        batching: publisher clients submit each document's publications
-            as one batch (see :meth:`submit_batch`) instead of one
-            event per path — the broker matches identical paths once
-            and batches propagate hop by hop.  Delivery sets are
-            identical either way; only event granularity and hence
-            modelled timing differ.
         metrics: the :class:`~repro.obs.MetricsRegistry` this overlay
             reports into; defaults to the process-global registry the
             hot-path instrumentation already uses, so
@@ -79,7 +73,6 @@ class Overlay:
         queueing: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         faults: Optional[FaultPlan] = None,
-        batching: bool = False,
     ):
         self.config = config if config is not None else RoutingConfig.full()
         self.latency_model = (
@@ -110,20 +103,19 @@ class Overlay:
         #: for the previous one to finish, so per-hop delays grow under
         #: load instead of overlapping for free.
         self.queueing = queueing
-        self.batching = batching
         self._busy_until: Dict[str, float] = {}
         #: Reliable transport + fault schedule (see install_faults);
         #: None keeps the original direct-delivery fast path.
         self._transport = None
-        #: ``(client_id, msg_id)`` → "serve"/"replay" for deliveries in
-        #: flight that a materialized view produced (popped by
-        #: :meth:`_client_receive`, which labels the span and the audit
-        #: observation with it).
-        self._view_kinds: Dict[Tuple[object, int], str] = {}
+        #: The client→edge frame still accepting publications (see
+        #: :meth:`submit`); None once anything else was submitted or
+        #: the frame arrived.
+        self._open_group: Optional[_Group] = None
         self._down: Set[str] = set()
         self._crash_state: Dict[str, Optional[Dict]] = {}
         self._held_while_down: Dict[
-            str, List[Tuple[Message, object, int, Optional[Span]]]
+            str,
+            List[Tuple[Sequence[Message], object, int, Optional[Dict[int, Span]]]],
         ] = {}
         #: Live telemetry plane (see :meth:`enable_telemetry`); None
         #: keeps the original zero-overhead paths.
@@ -257,12 +249,12 @@ class Overlay:
         self._rebind_broker(broker_id, replacement)
         self._down.discard(broker_id)
         self._transport.reset_links_of(broker_id, resend_outbox=with_state)
-        for message, from_hop, hops, parent in self._held_while_down.pop(
+        for messages, from_hop, hops, parents in self._held_while_down.pop(
             broker_id, ()
         ):
             self.sim.schedule(
                 0.0,
-                lambda m=message, f=from_hop, h=hops, p=parent:
+                lambda m=messages, f=from_hop, h=hops, p=parents:
                     self._broker_receive(broker_id, m, f, h, p),
             )
         if with_state:
@@ -291,7 +283,7 @@ class Overlay:
         self.cores[broker_id] = core
         self.brokers[broker_id] = core.broker
         if self.telemetry is not None:
-            self._effect_pairs(
+            self._frames(
                 broker_id, [core.enable_telemetry(self.telemetry.interval)]
             )
         return core.broker
@@ -397,6 +389,15 @@ class Overlay:
     def submit(self, client_id: str, message: Message):
         """A client hands a message to its edge broker (hop 0).
 
+        Consecutive publications of one document cross the client-edge
+        link as one frame — a *group*: a :class:`PublishMsg` joins the
+        client's open group when it has the same ``doc_id`` and
+        ``doc_size_bytes``, the clock has not moved and nothing else
+        was submitted since.  Any other submit closes the group, so
+        the link stays FIFO (PUB, SUB, PUB at one instant arrive in
+        that order).  Whether tracing, an auditor or telemetry is
+        attached never changes where a group ends.
+
         With tracing enabled the message is stamped with a fresh
         :class:`~repro.obs.tracing.TraceContext` (unless one already
         rides on it — a resubmission stays in its original trace) and a
@@ -407,7 +408,6 @@ class Overlay:
             raise RoutingError("unknown client %r" % client_id)
         self._poke_telemetry()
         tracing = self.tracing
-        root: Optional[Span] = None
         if tracing is not None and trace_of(message) is None:
             context = tracing.mint(message)
         else:
@@ -416,65 +416,37 @@ class Overlay:
         # name the offending trace ids.
         for auditor in self._auditors:
             auditor.observe_submit(client_id, message)
-        latency = self.latency_model.latency(
-            client_id, broker_id, _size_of(message)
-        )
-        if context is not None:
-            root = tracing.record_root(
-                context, client_id, message, self.sim.now, latency
+        now = self.sim.now
+        group = self._open_group
+        if (
+            group is not None
+            and isinstance(message, PublishMsg)
+            and group.client_id == client_id
+            and group.doc_id == message.publication.doc_id
+            and group.size == message.doc_size_bytes
+            and group.at == now
+        ):
+            group.messages.append(message)
+        else:
+            latency = self.latency_model.latency(
+                client_id, broker_id, _size_of(message)
             )
-        self.sim.schedule(
-            latency,
-            lambda: self._broker_receive(broker_id, message, client_id, 1, root),
-        )
+            group = self._open_group = _Group(client_id, message, now, latency)
+            self.stats.record_frame()
+            self.sim.schedule(
+                latency, lambda: self._edge_receive(broker_id, group)
+            )
+        if context is not None:
+            group.roots[message.msg_id] = tracing.record_root(
+                context, client_id, message, now, group.latency
+            )
 
-    def submit_batch(self, client_id: str, messages: List[Message]):
-        """A client hands a batch of publications to its edge broker as
-        one event; the broker groups identical paths and matches each
-        group once (:meth:`Broker.handle_publish_batch`).  The batch
-        arrives when its largest frame would."""
-        messages = list(messages)
-        if not messages:
-            return
-        for message in messages:
-            if not isinstance(message, PublishMsg):
-                raise RoutingError(
-                    "submit_batch carries publications only, got %r"
-                    % (message.kind,)
-                )
-        broker_id = self._client_home.get(client_id)
-        if broker_id is None:
-            raise RoutingError("unknown client %r" % client_id)
-        self._poke_telemetry()
-        tracing = self.tracing
-        contexts = {}
-        if tracing is not None:
-            for message in messages:
-                if trace_of(message) is None:
-                    contexts[message.msg_id] = tracing.mint(message)
-        for auditor in self._auditors:
-            for message in messages:
-                auditor.observe_submit(client_id, message)
-        latency = max(
-            self.latency_model.latency(client_id, broker_id, _size_of(m))
-            for m in messages
-        )
-        parents: Optional[Dict[int, Span]] = None
-        if contexts:
-            # every root covers the whole batch window: the batch (and
-            # with it each message) arrives when its largest frame would.
-            parents = {}
-            for message in messages:
-                context = contexts.get(message.msg_id)
-                if context is not None:
-                    parents[message.msg_id] = tracing.record_root(
-                        context, client_id, message, self.sim.now, latency
-                    )
-        self.sim.schedule(
-            latency,
-            lambda: self._broker_receive_batch(
-                broker_id, messages, client_id, 1, parents
-            ),
+    def _edge_receive(self, broker_id: str, group: "_Group"):
+        """A client's frame reached its edge broker."""
+        if self._open_group is group:
+            self._open_group = None
+        self._broker_receive(
+            broker_id, group.messages, group.client_id, 1, group.roots
         )
 
     def attach_tracer(self, tracer):
@@ -513,42 +485,32 @@ class Overlay:
         constituent retractions) into the network."""
         if broker_id not in self.brokers:
             raise TopologyError("unknown broker %r" % broker_id)
-        if broker_id in self._down:
-            return []
-        outbound = self._effect_pairs(
-            broker_id, self.cores[broker_id].on_timer(MERGE_SWEEP_TIMER)
-        )
-        for destination, message in outbound:
-            self._forward(broker_id, destination, message, 0.0, 1)
-        return outbound
+        if broker_id not in self._down:
+            self._on_broker_timer(broker_id, MERGE_SWEEP_TIMER)
 
-    def _effect_pairs(self, broker_id: str, effects) -> List[Tuple[object, Message]]:
+    def _frames(
+        self, broker_id: str, effects
+    ) -> List[Tuple[object, Tuple[Message, ...], Optional[str]]]:
         """Interpret a core's effects under the simulator's execution
-        model: sends and deliveries become ``(destination, message)``
-        pairs for :meth:`_forward` (which models the link), timer
-        requests land on the virtual clock, telemetry lands on the
-        metrics registry."""
-        pairs: List[Tuple[object, Message]] = []
+        model: sends and deliveries become ``(destination, messages,
+        view)`` frames for :meth:`_forward` (which models the link) —
+        *view* labels what a materialized view produced, "serve" or
+        "replay", for spans and the audit oracle — timer requests land
+        on the virtual clock, telemetry lands on the metrics registry."""
+        frames: List[Tuple[object, Tuple[Message, ...], Optional[str]]] = []
         for effect in effects:
             if isinstance(effect, Send):
-                pairs.append((effect.destination, effect.message))
+                frames.append((effect.destination, effect.messages, None))
             elif isinstance(effect, Deliver):
-                if isinstance(effect, ViewServe):
-                    self._view_kinds[
-                        (effect.client_id, effect.message.msg_id)
-                    ] = "serve"
-                pairs.append((effect.client_id, effect.message))
+                frames.append((
+                    effect.client_id, effect.messages,
+                    "serve" if isinstance(effect, ViewServe) else None,
+                ))
             elif isinstance(effect, Replay):
-                # A view window replayed to a late subscriber: each
-                # retained publication travels the broker→client link
-                # like any delivery (client-side dedup makes the replay
-                # exactly-once), labelled so spans and the audit oracle
-                # can classify it.
-                for message in effect.messages:
-                    self._view_kinds[
-                        (effect.client_id, message.msg_id)
-                    ] = "replay"
-                    pairs.append((effect.client_id, message))
+                # A view window replayed to a late subscriber travels
+                # the broker→client link like any delivery (client-side
+                # dedup makes the replay exactly-once).
+                frames.append((effect.client_id, effect.messages, "replay"))
             elif isinstance(effect, TimerRequest):
                 if effect.name == TELEMETRY_TIMER:
                     self._telemetry_scheduled += 1
@@ -559,7 +521,7 @@ class Overlay:
             elif isinstance(effect, Telemetry):
                 if self.metrics.enabled:
                     self.metrics.counter(effect.name).inc(effect.value)
-        return pairs
+        return frames
 
     def _on_broker_timer(self, broker_id: str, name: str):
         if name == TELEMETRY_TIMER:
@@ -567,16 +529,16 @@ class Overlay:
             return
         if broker_id in self._down:
             return
-        for destination, message in self._effect_pairs(
+        for destination, messages, view in self._frames(
             broker_id, self.cores[broker_id].on_timer(name)
         ):
-            self._forward(broker_id, destination, message, 0.0, 1)
+            self._forward(broker_id, destination, messages, 0.0, 1, view=view)
 
     def _on_telemetry_timer(self, broker_id: str):
         """One sampling tick.  The sampler re-arms itself only while
         other (non-telemetry) events are pending — otherwise it parks
-        and :meth:`submit`/:meth:`submit_batch` wake it — so
-        ``sim.run()`` still quiesces with telemetry enabled."""
+        and :meth:`submit` wakes it — so ``sim.run()`` still quiesces
+        with telemetry enabled."""
         self._telemetry_scheduled -= 1
         plane = self.telemetry
         if plane is None:
@@ -593,10 +555,10 @@ class Overlay:
         effects = core.on_timer(TELEMETRY_TIMER)
         self._sample_broker(broker_id)
         if self.sim.pending() > self._telemetry_scheduled:
-            self._effect_pairs(broker_id, effects)
+            self._frames(broker_id, effects)
         else:
             # Only telemetry timers remain: drop the re-arm request.
-            self._effect_pairs(
+            self._frames(
                 broker_id,
                 [e for e in effects if not isinstance(e, TimerRequest)],
             )
@@ -643,7 +605,7 @@ class Overlay:
         self.telemetry = plane
         plane.add_transition_hook(self._on_health_transition)
         for broker_id in sorted(self.cores):
-            self._effect_pairs(
+            self._frames(
                 broker_id,
                 [self.cores[broker_id].enable_telemetry(plane.interval)],
             )
@@ -664,7 +626,7 @@ class Overlay:
             if broker_id in self._down:
                 self._telemetry_parked.add(broker_id)
                 continue
-            self._effect_pairs(
+            self._frames(
                 broker_id,
                 [TimerRequest(TELEMETRY_TIMER, self.telemetry.interval)],
             )
@@ -673,8 +635,12 @@ class Overlay:
         self, broker_id: str, message: Message, from_hop: object, hops: int,
         parent_span: Optional[Span] = None,
     ):
-        """In-order, deduplicated delivery from the reliable transport."""
-        self._broker_receive(broker_id, message, from_hop, hops, parent_span)
+        """In-order, deduplicated delivery from the reliable transport
+        (whose frames are groups of one)."""
+        self._broker_receive(
+            broker_id, (message,), from_hop, hops,
+            None if parent_span is None else {message.msg_id: parent_span},
+        )
 
     def link_latency(
         self, src: object, dst: object, message: Optional[Message]
@@ -684,39 +650,57 @@ class Overlay:
         return self.latency_model.latency(src, dst, size)
 
     def _broker_receive(
-        self, broker_id: str, message: Message, from_hop: str, hops: int,
-        parent_span: Optional[Span] = None,
+        self, broker_id: str, messages: Sequence[Message], from_hop: object,
+        hops: int, parents: Optional[Dict[int, Span]] = None,
     ):
+        """One frame reached a broker: a control message, or a group of
+        publications (consecutive paths of one document).  The frame is
+        one simulator event, one core call and one processing charge;
+        traffic statistics, tracer records and spans stay per message.
+
+        ``parents`` maps ``msg_id`` to the span that caused the message
+        (tracing only).  Every message keeps its own ``hop`` span over
+        the group's window; the broker re-points the hop scope per
+        message, so ``match`` sub-spans stay attributable.
+        """
         if self._down and broker_id in self._down:
-            # A directly-scheduled message (client edge) reached a dead
+            # A directly-scheduled frame (client edge) reached a dead
             # broker: hold it and replay on recovery, as a reconnecting
             # client library would.
             self._held_while_down.setdefault(broker_id, []).append(
-                (message, from_hop, hops, parent_span)
+                (messages, from_hop, hops, parents)
             )
-            self._transport._count("held_while_down", "network.faults.held")
+            self._transport._count(
+                "held_while_down", "network.faults.held", len(messages)
+            )
             return
-        self.stats.record_broker_message(broker_id, message.kind)
-        for tracer in self._tracers:
-            tracer.record(self.sim.now, broker_id, message, from_hop)
-        tracing = self.tracing
-        context = trace_of(message) if tracing is not None else None
-        hop_span: Optional[Span] = None
-        scope = None
+        first = messages[0]
+        count = len(messages)
         now = self.sim.now
-        if context is not None:
-            hop_span = tracing.span(
-                context.trace_id,
-                _parent_id(parent_span, context),
-                "hop", broker_id, now, now,
-                kind=message.kind, from_hop=str(from_hop),
+        self.stats.record_broker_message(broker_id, first.kind, count)
+        if self._tracers:
+            for message in messages:
+                for tracer in self._tracers:
+                    tracer.record(now, broker_id, message, from_hop)
+        tracing = self.tracing
+        hop_spans = sole = scope = None
+        if tracing is not None:
+            hop_spans = self._hop_spans(broker_id, messages, from_hop, parents)
+        if hop_spans:
+            first_span = next(iter(hop_spans.values()))
+            scope = tracing.push_hop(
+                first_span, self.processing_scale, hop_spans
             )
-            scope = tracing.push_hop(hop_span, self.processing_scale)
+            if count == 1:
+                sole = first_span
+        core = self.cores[broker_id]
         started = time.perf_counter()
         try:
-            outbound = self._effect_pairs(
-                broker_id, self.cores[broker_id].on_message(message, from_hop)
-            )
+            if isinstance(first, PublishMsg):
+                effects = core.on_publications(messages, from_hop)
+            else:
+                effects = core.on_message(first, from_hop)
+            frames = self._frames(broker_id, effects)
         finally:
             if scope is not None:
                 tracing.pop_hop(scope)
@@ -724,135 +708,72 @@ class Overlay:
         metrics = self.metrics
         if metrics.enabled:
             metrics.histogram("network.dispatch").record(elapsed)
-            metrics.counter("network.dispatch.outbound").inc(len(outbound))
-        processing, waited = self._charge_processing(broker_id, elapsed)
-        if hop_span is not None:
-            hop_span.end = now + processing
-            hop_span.attrs["fanout"] = len(outbound)
-            if waited > 0.0:
-                tracing.span(
-                    context.trace_id, hop_span.span_id, "queue.wait",
-                    broker_id, now, now + waited,
-                )
-            # Broker-originated control traffic (merger subscriptions,
-            # covering retractions, replays) joins the trace that caused
-            # it; messages already carrying a context keep theirs.
-            for _destination, out_msg in outbound:
-                if trace_of(out_msg) is None:
-                    stamp(
-                        out_msg,
-                        TraceContext(context.trace_id, hop_span.span_id),
+            metrics.counter("network.dispatch.outbound").inc(
+                sum(len(frame[1]) for frame in frames)
+            )
+        processing, waited = self._charge_processing(
+            broker_id, elapsed, count
+        )
+        if hop_spans:
+            for hop_span in hop_spans.values():
+                hop_span.end = now + processing
+                if waited > 0.0:
+                    tracing.span(
+                        hop_span.trace_id, hop_span.span_id, "queue.wait",
+                        broker_id, now, now + waited,
                     )
-        for destination, out_msg in outbound:
+            # What a lone message's handler originated — merger
+            # subscriptions, covering retractions, replays — joins the
+            # trace that caused it; messages already carrying a context
+            # keep theirs.  (A group only ever forwards its members.)
+            for _destination, out_messages, _view in frames:
+                for out_msg in out_messages:
+                    hop_span = hop_spans.get(out_msg.msg_id, sole)
+                    if hop_span is None:
+                        continue
+                    hop_span.attrs["fanout"] += 1
+                    if trace_of(out_msg) is None:
+                        stamp(
+                            out_msg,
+                            TraceContext(hop_span.trace_id, hop_span.span_id),
+                        )
+        for destination, out_messages, view in frames:
             self._forward(
-                broker_id, destination, out_msg, processing, hops, hop_span
+                broker_id, destination, out_messages, processing, hops,
+                hop_spans, view,
             )
 
-    def _broker_receive_batch(
-        self, broker_id: str, messages: List[Message], from_hop: str, hops: int,
-        parents: Optional[Dict[int, Span]] = None,
-    ):
-        """Batch counterpart of :meth:`_broker_receive` (publications
-        only).  Outbound messages are regrouped per destination:
-        broker-bound groups travel onward as one batch (when no
-        reliable transport is interposed — the transport's
-        per-message ordering/dedup would otherwise be bypassed), while
-        client deliveries and transport sends degrade to per-message
-        forwarding.
-
-        ``parents`` maps inbound ``msg_id`` to the span that caused the
-        message.  Per-message hop spans cover the whole batch window
-        (the batch is matched as one unit); no hop scope is pushed —
-        broker sub-spans cannot be attributed to one message of a batch.
-        """
-        if self._down and broker_id in self._down:
-            held = self._held_while_down.setdefault(broker_id, [])
-            for message in messages:
-                held.append((
-                    message, from_hop, hops,
-                    parents.get(message.msg_id) if parents else None,
-                ))
-                self._transport._count("held_while_down", "network.faults.held")
-            return
-        for message in messages:
-            self.stats.record_broker_message(broker_id, message.kind)
-            for tracer in self._tracers:
-                tracer.record(self.sim.now, broker_id, message, from_hop)
-        tracing = self.tracing
+    def _hop_spans(
+        self, broker_id: str, messages: Sequence[Message], from_hop: object,
+        parents: Optional[Dict[int, Span]],
+    ) -> Dict[int, Span]:
+        """Open the ``hop`` span of every traced message of an arriving
+        frame (``msg_id`` → span); the caller closes them once the
+        frame's processing charge is known."""
         now = self.sim.now
-        started = time.perf_counter()
-        outbound = self._effect_pairs(
-            broker_id,
-            self.cores[broker_id].on_publish_batch(messages, from_hop),
-        )
-        elapsed = time.perf_counter() - started
-        metrics = self.metrics
-        if metrics.enabled:
-            metrics.histogram("network.dispatch").record(elapsed)
-            metrics.counter("network.dispatch.outbound").inc(len(outbound))
-        processing, _waited = self._charge_processing(broker_id, elapsed)
+        attrs = {"group": len(messages)} if len(messages) > 1 else {}
         hop_spans: Dict[int, Span] = {}
-        if tracing is not None:
-            for message in messages:
-                context = trace_of(message)
-                if context is None:
-                    continue
-                parent = parents.get(message.msg_id) if parents else None
-                hop_spans[message.msg_id] = tracing.span(
-                    context.trace_id, _parent_id(parent, context),
-                    "hop", broker_id, now, now + processing,
-                    kind=message.kind, from_hop=str(from_hop), batched=True,
-                )
-        grouped: Dict[object, List[Message]] = {}
-        for destination, out_msg in outbound:
-            grouped.setdefault(destination, []).append(out_msg)
-        for destination, dest_messages in grouped.items():
-            if (
-                destination in self.brokers
-                and self._transport is None
-                and len(dest_messages) > 1
-            ):
-                latency = processing + max(
-                    self.latency_model.latency(
-                        broker_id, destination, _size_of(m)
-                    )
-                    for m in dest_messages
-                )
-                next_parents: Optional[Dict[int, Span]] = None
-                if tracing is not None:
-                    next_parents = {}
-                    for out_msg in dest_messages:
-                        context = trace_of(out_msg)
-                        if context is None:
-                            continue
-                        hop = hop_spans.get(out_msg.msg_id)
-                        next_parents[out_msg.msg_id] = tracing.span(
-                            context.trace_id, _parent_id(hop, context),
-                            "forward", broker_id,
-                            now + processing, now + latency,
-                            to=str(destination), kind=out_msg.kind,
-                            batched=True,
-                        )
-                self.sim.schedule(
-                    latency,
-                    lambda d=destination, ms=dest_messages, ps=next_parents:
-                        self._broker_receive_batch(
-                            d, ms, broker_id, hops + 1, ps
-                        ),
-                )
-            else:
-                for out_msg in dest_messages:
-                    self._forward(
-                        broker_id, destination, out_msg, processing, hops,
-                        hop_spans.get(out_msg.msg_id),
-                    )
+        for message in messages:
+            context = trace_of(message)
+            if context is None:
+                continue
+            parent = parents.get(message.msg_id) if parents else None
+            hop_spans[message.msg_id] = self.tracing.span(
+                context.trace_id, _parent_id(parent, context),
+                "hop", broker_id, now, now,
+                kind=message.kind, from_hop=str(from_hop), fanout=0, **attrs,
+            )
+        return hop_spans
 
     def _charge_processing(
-        self, broker_id: str, elapsed: float
+        self, broker_id: str, elapsed: float, count: int = 1
     ) -> Tuple[float, float]:
         """Turn measured handler wall time into the virtual-clock delay
-        charged to this broker's outbound messages (queueing makes the
+        charged to this broker's outbound frames (queueing makes the
         charge include time spent waiting for the broker to go idle).
+        A frame is charged once; *count* is how many messages it
+        carried — the per-message ``processing_delay`` and the backlog
+        the telemetry sampler reads both scale with it.
 
         Returns ``(processing, waited)`` — the total charge and the
         queue-wait portion of it (0 without queueing), so tracing can
@@ -860,7 +781,7 @@ class Overlay:
         """
         processing = elapsed * self.processing_scale
         if self.processing_delay:
-            processing += self.processing_delay.get(broker_id, 0.0)
+            processing += self.processing_delay.get(broker_id, 0.0) * count
         waited = 0.0
         if self.queueing:
             queued_from = max(
@@ -873,15 +794,16 @@ class Overlay:
             if self.metrics.enabled:
                 self.metrics.histogram("network.queue_wait").record(waited)
             if self.telemetry is not None:
-                # Track the instantaneous backlog for the sampler: one
-                # message in progress from now until its finish time.
+                # Track the instantaneous backlog for the sampler:
+                # *count* messages in progress from now until the
+                # frame's finish time.
                 self._queue_len[broker_id] = (
-                    self._queue_len.get(broker_id, 0) + 1
+                    self._queue_len.get(broker_id, 0) + count
                 )
                 self.sim.schedule(
                     processing,
                     lambda b=broker_id: self._queue_len.__setitem__(
-                        b, self._queue_len[b] - 1
+                        b, self._queue_len[b] - count
                     ),
                 )
         return processing, waited
@@ -889,125 +811,164 @@ class Overlay:
     def _forward(
         self,
         src_broker: str,
-        destination: str,
-        message: Message,
+        destination: object,
+        messages: Sequence[Message],
         processing: float,
         hops: int,
-        parent_span: Optional[Span] = None,
+        hop_spans: Optional[Dict[int, Span]] = None,
+        view: Optional[str] = None,
     ):
+        """Put one outbound frame on its link: one latency draw (at the
+        frame's largest document size) and one simulator event per
+        frame, one ``forward`` span per message.  With a fault plan
+        installed broker-bound frames are handed to the reliable
+        transport one message each — its sequence numbers,
+        acknowledgements and dedup are per message."""
         tracing = self.tracing
-        context = trace_of(message) if tracing is not None else None
-        now = self.sim.now
-        if destination in self.brokers:
-            if self._transport is not None:
-                fwd = None
-                if context is not None:
-                    # Point span: the link time (and any retransmission
-                    # backoff) belongs to the transport, whose delays
-                    # appear as gaps — never overlaps — in the chain.
-                    fwd = tracing.span(
-                        context.trace_id, _parent_id(parent_span, context),
-                        "forward", src_broker,
-                        now + processing, now + processing,
-                        to=str(destination), kind=message.kind,
-                        transport=True,
-                    )
-                self._transport.send(
-                    src_broker, destination, message, hops + 1,
-                    first_delay=processing, parent_span=fwd,
-                )
-                return
-            latency = self.latency_model.latency(
-                src_broker, destination, _size_of(message)
-            )
-            fwd = None
-            if context is not None:
-                fwd = tracing.span(
-                    context.trace_id, _parent_id(parent_span, context),
-                    "forward", src_broker,
-                    now + processing, now + processing + latency,
-                    to=str(destination), kind=message.kind,
-                )
-            self.sim.schedule(
-                processing + latency,
-                lambda: self._broker_receive(
-                    destination, message, src_broker, hops + 1, fwd
-                ),
-            )
-            return
-        latency = self.latency_model.latency(
-            src_broker, destination, _size_of(message)
-        )
-        if destination in self.subscribers:
-            fwd = None
-            if context is not None:
-                fwd = tracing.span(
-                    context.trace_id, _parent_id(parent_span, context),
-                    "forward", src_broker,
-                    now + processing, now + processing + latency,
-                    to=str(destination), kind=message.kind,
-                )
-            self.sim.schedule(
-                processing + latency,
-                lambda: self._client_receive(destination, message, hops, fwd),
-            )
-        else:
+        to_broker = destination in self.brokers
+        if not to_broker and destination not in self.subscribers:
             raise RoutingError(
                 "broker %r emitted message to unknown destination %r"
                 % (src_broker, destination)
             )
+        start = self.sim.now + processing
+        if to_broker and self._transport is not None:
+            for message in messages:
+                # Point span: the link time (and any retransmission
+                # backoff) belongs to the transport, whose delays
+                # appear as gaps — never overlaps — in the chain.
+                fwd = (
+                    self._forward_span(
+                        src_broker, destination, message, hop_spans,
+                        start, start, transport=True,
+                    )
+                    if tracing is not None
+                    else None
+                )
+                self.stats.record_frame()
+                self._transport.send(
+                    src_broker, destination, message, hops + 1,
+                    first_delay=processing, parent_span=fwd,
+                )
+            return
+        if view == "replay":
+            # a replayed window mixes documents: the frame arrives when
+            # its largest member would.
+            size = max(map(_size_of, messages))
+        else:
+            # a group shares one doc_size_bytes (submit's join rule).
+            size = _size_of(messages[0])
+        latency = self.latency_model.latency(src_broker, destination, size)
+        parents: Optional[Dict[int, Span]] = None
+        if tracing is not None:
+            attrs = {} if view is None else {"view": view}
+            if len(messages) > 1:
+                attrs["group"] = len(messages)
+            parents = {}
+            for message in messages:
+                fwd = self._forward_span(
+                    src_broker, destination, message, hop_spans,
+                    start, start + latency, **attrs,
+                )
+                if fwd is not None:
+                    parents[message.msg_id] = fwd
+        self.stats.record_frame()
+        if to_broker:
+            self.sim.schedule(
+                processing + latency,
+                lambda: self._broker_receive(
+                    destination, messages, src_broker, hops + 1, parents
+                ),
+            )
+        else:
+            self.sim.schedule(
+                processing + latency,
+                lambda: self._client_receive(
+                    destination, messages, hops, parents, view
+                ),
+            )
+
+    def _forward_span(
+        self, src_broker: str, destination: object, message: Message,
+        hop_spans: Optional[Dict[int, Span]], start: float, end: float,
+        **attrs,
+    ) -> Optional[Span]:
+        """The ``forward`` span of one message of an outbound frame
+        (None for an untraced message), under the message's own hop
+        span.  What the broker originated is in nobody's *hop_spans*;
+        its stamp already names the hop that caused it."""
+        context = trace_of(message)
+        if context is None:
+            return None
+        hop_span = hop_spans.get(message.msg_id) if hop_spans else None
+        return self.tracing.span(
+            context.trace_id, _parent_id(hop_span, context),
+            "forward", src_broker, start, end,
+            to=str(destination), kind=message.kind, **attrs,
+        )
 
     def _client_receive(
-        self, client_id: str, message: Message, hops: int,
-        parent_span: Optional[Span] = None,
+        self, client_id: str, messages: Sequence[Message], hops: int,
+        parents: Optional[Dict[int, Span]] = None,
+        view: Optional[str] = None,
     ):
-        self.stats.record_client_message()
-        view = self._view_kinds.pop((client_id, message.msg_id), None)
+        """One frame reached a subscriber.  *view* is "serve"/"replay"
+        when a materialized view produced it (labels the spans and the
+        audit observations).  Dedup, delivery records, spans and audit
+        observations are per message."""
+        self.stats.record_client_message(len(messages))
         client = self.subscribers[client_id]
-        fresh = client.receive(message, hops)
         tracing = self.tracing
-        if tracing is not None:
-            context = trace_of(message)
-            if context is not None:
-                attrs = {
-                    "subscriber": client_id,
-                    "fresh": fresh,
-                    "hops": hops,
-                }
-                if view is not None:
-                    attrs["view"] = view
-                publication = getattr(message, "publication", None)
-                if publication is not None:
-                    attrs["doc"] = publication.doc_id
-                    attrs["path_id"] = publication.path_id
-                tracing.span(
-                    context.trace_id, _parent_id(parent_span, context),
-                    "deliver" if fresh else "dropped.duplicate",
-                    client_id, self.sim.now, self.sim.now, **attrs,
+        now = self.sim.now
+        for message in messages:
+            fresh = client.receive(message, hops)
+            if tracing is not None:
+                context = trace_of(message)
+                if context is not None:
+                    attrs = {
+                        "subscriber": client_id,
+                        "fresh": fresh,
+                        "hops": hops,
+                    }
+                    if view is not None:
+                        attrs["view"] = view
+                    publication = getattr(message, "publication", None)
+                    if publication is not None:
+                        attrs["doc"] = publication.doc_id
+                        attrs["path_id"] = publication.path_id
+                    tracing.span(
+                        context.trace_id,
+                        _parent_id(
+                            parents.get(message.msg_id) if parents else None,
+                            context,
+                        ),
+                        "deliver" if fresh else "dropped.duplicate",
+                        client_id, now, now, **attrs,
+                    )
+            if fresh and isinstance(message, PublishMsg):
+                for auditor in self._auditors:
+                    if view is not None:
+                        auditor.observe_delivery(client_id, message, view=view)
+                    else:
+                        auditor.observe_delivery(client_id, message)
+                # duplicates (client.receive returned False) never reach
+                # the delivery statistics: redelivered publications
+                # count once.
+                self.stats.record_delivery(
+                    DeliveryRecord(
+                        subscriber_id=client_id,
+                        doc_id=message.publication.doc_id,
+                        path_id=message.publication.path_id,
+                        issued_at=message.issued_at,
+                        delivered_at=now,
+                        hops=hops,
+                    )
                 )
-        if fresh and isinstance(message, PublishMsg):
-            for auditor in self._auditors:
-                if view is not None:
-                    auditor.observe_delivery(client_id, message, view=view)
-                else:
-                    auditor.observe_delivery(client_id, message)
-            # duplicates (client.receive returned False) never reach the
-            # delivery statistics: redelivered publications count once.
-            self.stats.record_delivery(
-                DeliveryRecord(
-                    subscriber_id=client_id,
-                    doc_id=message.publication.doc_id,
-                    path_id=message.publication.path_id,
-                    issued_at=message.issued_at,
-                    delivered_at=self.sim.now,
-                    hops=hops,
-                )
-            )
-            if self.telemetry is not None:
-                self.telemetry.note_delivery(
-                    self._client_home.get(client_id),
-                    self.sim.now - message.issued_at,
-                )
+                if self.telemetry is not None:
+                    self.telemetry.note_delivery(
+                        self._client_home.get(client_id),
+                        now - message.issued_at,
+                    )
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Drain all pending traffic; returns processed event count."""
@@ -1122,6 +1083,31 @@ class Overlay:
             client_id: client.delivered_documents()
             for client_id, client in self.subscribers.items()
         }
+
+
+class _Group:
+    """A client→edge frame in flight: one control message, or the
+    publications of one document submitted back to back (see
+    :meth:`Overlay.submit`)."""
+
+    __slots__ = (
+        "client_id", "doc_id", "size", "at", "latency", "messages", "roots",
+    )
+
+    def __init__(
+        self, client_id: str, message: Message, at: float, latency: float
+    ):
+        self.client_id = client_id
+        #: What a later publication must share to join; both None for
+        #: a control message, which nothing ever joins.
+        publication = getattr(message, "publication", None)
+        self.doc_id = None if publication is None else publication.doc_id
+        self.size = getattr(message, "doc_size_bytes", None)
+        self.at = at
+        self.latency = latency
+        self.messages: List[Message] = [message]
+        #: ``msg_id`` → ``submit`` root span of every traced message.
+        self.roots: Dict[int, Span] = {}
 
 
 def _parent_id(parent: Optional[Span], context: TraceContext) -> str:

@@ -39,9 +39,15 @@ class NetworkStats:
     When a :class:`~repro.obs.MetricsRegistry` is attached (the overlay
     attaches its own), every recorded event is mirrored into it —
     ``network.messages`` / ``network.messages.<kind>`` counters, the
-    ``network.client_messages`` counter and the ``network.delivery_delay``
-    histogram — so one registry snapshot carries traffic, delay and
-    hot-path timing together.
+    ``network.client_messages`` and ``network.frames`` counters and the
+    ``network.delivery_delay`` histogram — so one registry snapshot
+    carries traffic, delay and hot-path timing together.
+
+    Messages are *logical*: every path of a document counts, however
+    many of them crossed a link together (the paper's Tables 2–3
+    metric).  ``frames`` is the physical count beside it: what a host
+    actually put on a broker- or client-bound link, a group of
+    publications being one frame.
     """
 
     broker_messages: Dict[str, int] = field(
@@ -51,24 +57,33 @@ class NetworkStats:
         default_factory=lambda: defaultdict(int)
     )
     client_messages: int = 0
+    frames: int = 0
     deliveries: List[DeliveryRecord] = field(default_factory=list)
     registry: Optional[MetricsRegistry] = None
 
     # -- recording -------------------------------------------------------
 
-    def record_broker_message(self, broker_id: str, kind: str):
-        self.broker_messages[broker_id] += 1
-        self.messages_by_kind[kind] += 1
+    def record_broker_message(self, broker_id: str, kind: str, count: int = 1):
+        """*count* messages of one kind reached *broker_id*."""
+        self.broker_messages[broker_id] += count
+        self.messages_by_kind[kind] += count
         registry = self.registry
         if registry is not None and registry.enabled:
-            registry.counter("network.messages").inc()
-            registry.counter("network.messages." + kind).inc()
+            registry.counter("network.messages").inc(count)
+            registry.counter("network.messages." + kind).inc(count)
 
-    def record_client_message(self):
-        self.client_messages += 1
+    def record_client_message(self, count: int = 1):
+        self.client_messages += count
         registry = self.registry
         if registry is not None and registry.enabled:
-            registry.counter("network.client_messages").inc()
+            registry.counter("network.client_messages").inc(count)
+
+    def record_frame(self):
+        """A host scheduled one broker- or client-bound frame."""
+        self.frames += 1
+        registry = self.registry
+        if registry is not None and registry.enabled:
+            registry.counter("network.frames").inc()
 
     def record_delivery(self, record: DeliveryRecord):
         self.deliveries.append(record)
@@ -132,6 +147,8 @@ class NetworkStats:
         return {
             "network_traffic": self.network_traffic,
             "by_kind": dict(self.messages_by_kind),
+            "client_messages": self.client_messages,
+            "frames": self.frames,
             "deliveries": len(self.deliveries),
             "documents_delivered": len(self.delivered_documents()),
             "mean_delay_ms": None if mean_delay is None else mean_delay * 1e3,

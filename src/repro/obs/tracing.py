@@ -145,14 +145,29 @@ class HopScope:
     about the overlay.  Wall-clock offsets measured inside the handler
     are mapped onto the virtual clock via ``processing_scale``."""
 
-    __slots__ = ("recorder", "span", "scale", "wall_anchor", "prev")
+    __slots__ = (
+        "recorder", "span", "scale", "wall_anchor", "prev", "spans",
+    )
 
-    def __init__(self, recorder: "TraceRecorder", span: Span, scale: float):
+    def __init__(
+        self, recorder: "TraceRecorder", span: Span, scale: float,
+        spans: Optional[Dict[int, Span]] = None,
+    ):
         self.recorder = recorder
         self.span = span
         self.scale = scale
         self.wall_anchor = perf_counter()
         self.prev = None
+        #: ``msg_id`` → hop span of every traced message of the frame
+        #: being handled (None: *span* is the only one).
+        self.spans = spans
+
+    def focus(self, message):
+        """The broker is now routing *message* of a group: sub-spans
+        emitted from here on belong to that message's hop span (they
+        stay placed at their own wall offset in the group's window)."""
+        if self.spans is not None:
+            self.span = self.spans.get(message.msg_id, self.span)
 
     def sub_span(self, name: str, wall_start: float, wall_end: float, **attrs):
         base = self.span.start
@@ -262,9 +277,14 @@ class TraceRecorder:
                  client_id, now, now + latency, attrs)
         )
 
-    def push_hop(self, span: Span, scale: float) -> HopScope:
-        """Enter a hop scope (restored with :meth:`pop_hop`)."""
-        scope = HopScope(self, span, scale)
+    def push_hop(
+        self, span: Span, scale: float,
+        spans: Optional[Dict[int, Span]] = None,
+    ) -> HopScope:
+        """Enter a hop scope (restored with :meth:`pop_hop`); *spans*
+        lets the broker re-point it per message of a group (see
+        :meth:`HopScope.focus`)."""
+        scope = HopScope(self, span, scale, spans)
         scope.prev = _tls.__dict__.get("scope")
         _tls.scope = scope
         return scope

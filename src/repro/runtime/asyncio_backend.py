@@ -83,10 +83,6 @@ class AsyncioRuntime:
         metrics: metrics registry (defaults to the process registry).
     """
 
-    #: Mirrors ``Overlay.batching`` for the publisher client; the
-    #: asyncio backend always ships publications one message at a time.
-    batching = False
-
     def __init__(
         self,
         config: Optional[RoutingConfig] = None,
@@ -130,9 +126,6 @@ class AsyncioRuntime:
         self._pending = 0
         self._idle: Optional[asyncio.Event] = None
         self._errors: List[BaseException] = []
-        #: ``(client_id, msg_id)`` → "serve"/"replay" for deliveries a
-        #: materialized view produced (popped by :meth:`_deliver`).
-        self._view_kinds: Dict[Tuple[str, int], str] = {}
         self._issued: Dict[Tuple[str, int], float] = {}
         #: The live telemetry plane (:meth:`enable_telemetry`); sampled
         #: by a wall-clock task that is *outside* the pending-message
@@ -374,11 +367,8 @@ class AsyncioRuntime:
                 (publication.doc_id, publication.path_id), now
             )
         self._begin()
+        self.stats.record_frame()
         self._inboxes[broker_id].put_nowait((message, client_id, 1, root))
-
-    def submit_batch(self, client_id: str, messages: List[Message]):
-        for message in messages:
-            self.submit(client_id, message)
 
     def trigger_merge_sweep(self, broker_id: str):
         """Enqueue an immediate merge sweep on one broker (processed in
@@ -509,77 +499,45 @@ class AsyncioRuntime:
         context: Optional[TraceContext],
         hop_span: Optional[Span],
     ):
+        """Interpret one effect.  Inbox items are single messages, so
+        every frame the core emits here is a group of one (a Replay
+        aside), and each message rides its queue on its own."""
         tracing = self.tracing
-        if isinstance(effect, Replay):
-            # A view window replayed to a late subscriber: each retained
-            # publication rides the client's bounded delivery queue like
-            # any delivery (backpressure included); client-side dedup
-            # makes the replay exactly-once.
+        if isinstance(effect, Send):
+            key = (broker_id, effect.destination)
+            queue = self._link_queues[key]
             for out_msg in effect.messages:
-                self._view_kinds[
-                    (effect.client_id, out_msg.msg_id)
-                ] = "replay"
-                fwd: Optional[Span] = None
-                out_context = (
-                    trace_of(out_msg) if tracing is not None else None
-                )
-                if out_context is not None:
-                    now = self.now
-                    fwd = tracing.span(
-                        out_context.trace_id,
-                        _parent_id(hop_span, out_context),
-                        "forward", broker_id, now, now,
-                        to=str(effect.client_id), kind=out_msg.kind,
-                        view="replay",
+                fwd = None
+                if tracing is not None:
+                    fwd = self._forward_span(
+                        broker_id, effect.destination, out_msg, context,
+                        hop_span,
                     )
                 self._begin()
-                await self._bounded_put(
-                    self._client_queues[effect.client_id],
-                    effect.client_id,
-                    (out_msg, hops, fwd),
-                )
-            return
-        if isinstance(effect, (Send, Deliver)):
-            if isinstance(effect, ViewServe):
-                self._view_kinds[
-                    (effect.client_id, effect.message.msg_id)
-                ] = "serve"
-            out_msg = effect.message
-            # Broker-originated control traffic joins the causal trace
-            # of the message that produced it (same rule as the
-            # simulator); messages with a context keep theirs.
-            if context is not None and trace_of(out_msg) is None:
-                stamp(
-                    out_msg,
-                    TraceContext(context.trace_id, hop_span.span_id),
-                )
-            fwd: Optional[Span] = None
-            out_context = trace_of(out_msg) if tracing is not None else None
-            if out_context is not None:
-                now = self.now
-                destination = (
-                    effect.destination
-                    if isinstance(effect, Send)
-                    else effect.client_id
-                )
-                fwd = tracing.span(
-                    out_context.trace_id,
-                    _parent_id(hop_span, out_context),
-                    "forward", broker_id, now, now,
-                    to=str(destination), kind=out_msg.kind,
-                )
-            self._begin()
-            if isinstance(effect, Send):
-                await self._bounded_put(
-                    self._link_queues[(broker_id, effect.destination)],
-                    (broker_id, effect.destination),
-                    (out_msg, hops, fwd),
-                )
+                self.stats.record_frame()
+                await self._bounded_put(queue, key, (out_msg, hops, fwd))
+        elif isinstance(effect, (Deliver, Replay)):
+            # Deliveries — a view window replayed to a late subscriber
+            # included — ride the client's bounded queue (backpressure
+            # included); client-side dedup makes a replay exactly-once.
+            client_id = effect.client_id
+            queue = self._client_queues[client_id]
+            if isinstance(effect, Replay):
+                view = "replay"
             else:
+                view = "serve" if isinstance(effect, ViewServe) else None
+            attrs = {} if view is None else {"view": view}
+            for out_msg in effect.messages:
+                fwd = None
+                if tracing is not None:
+                    fwd = self._forward_span(
+                        broker_id, client_id, out_msg, context, hop_span,
+                        **attrs,
+                    )
+                self._begin()
+                self.stats.record_frame()
                 await self._bounded_put(
-                    self._client_queues[effect.client_id],
-                    effect.client_id,
-                    (out_msg, hops, fwd),
+                    queue, client_id, (out_msg, hops, fwd, view)
                 )
         elif isinstance(effect, TimerRequest):
             self._begin()
@@ -592,6 +550,27 @@ class AsyncioRuntime:
         elif isinstance(effect, Telemetry):
             if self.metrics.enabled:
                 self.metrics.counter(effect.name).inc(effect.value)
+
+    def _forward_span(
+        self, broker_id: str, destination: object, out_msg: Message,
+        context: Optional[TraceContext], hop_span: Optional[Span], **attrs,
+    ) -> Optional[Span]:
+        """The ``forward`` span of one outbound message while tracing
+        is on (None for an untraced message).  Broker-originated
+        traffic joins the causal trace of the message that produced it
+        (same rule as the simulator); messages with a context keep
+        theirs."""
+        if context is not None and trace_of(out_msg) is None:
+            stamp(out_msg, TraceContext(context.trace_id, hop_span.span_id))
+        out_context = trace_of(out_msg)
+        if out_context is None:
+            return None
+        now = self.now
+        return self.tracing.span(
+            out_context.trace_id, _parent_id(hop_span, out_context),
+            "forward", broker_id, now, now,
+            to=str(destination), kind=out_msg.kind, **attrs,
+        )
 
     async def _bounded_put(self, queue: asyncio.Queue, key, item):
         """Put with backpressure accounting: a full queue blocks the
@@ -632,12 +611,12 @@ class AsyncioRuntime:
     async def _client_consumer(self, client_id: str):
         queue = self._client_queues[client_id]
         while True:
-            message, hops, span = await queue.get()
+            message, hops, span, view = await queue.get()
             try:
                 delay = self.client_delay.get(client_id, 0.0)
                 if delay:
                     await asyncio.sleep(delay)
-                self._deliver(client_id, message, hops, span)
+                self._deliver(client_id, message, hops, span, view)
             except asyncio.CancelledError:
                 raise
             except BaseException as exc:
@@ -649,10 +628,11 @@ class AsyncioRuntime:
 
     def _deliver(
         self, client_id: str, message: Message, hops: int,
-        parent_span: Optional[Span],
+        parent_span: Optional[Span], view: Optional[str] = None,
     ):
+        """*view* is "serve"/"replay" when a materialized view produced
+        the delivery (labels the span and the audit observation)."""
         self.stats.record_client_message()
-        view = self._view_kinds.pop((client_id, message.msg_id), None)
         client = self.subscribers[client_id]
         fresh = client.receive(message, hops)
         now = self.now

@@ -209,7 +209,9 @@ def _assert_twin_agrees(core, message, from_hop, emitted, count):
     *emitted*, so there is an order to pin."""
     twin = BrokerCore.restore(core.snapshot())
     effects = core.on_message(message, from_hop)
-    assert sum(isinstance(e.message, emitted) for e in effects) == count
+    assert sum(
+        isinstance(m, emitted) for e in effects for m in e.messages
+    ) == count
     assert canonical_effects(twin.on_message(message, from_hop)) \
         == canonical_effects(effects)
 
@@ -248,3 +250,41 @@ def test_covered_retraction_order_survives_restore():
         UnsubscribeMsg,
         2,
     )
+
+
+def test_a_group_routes_like_its_members_one_by_one():
+    """``on_publications`` is per-message routing regrouped: every
+    destination gets one effect carrying, in arrival order, exactly the
+    messages ``on_message`` would have sent it one at a time."""
+    core = _fresh_core()
+    subscriptions = [
+        (_relative("a"), "n2"), (_relative("a", "b"), "c1"),
+        (_relative("c"), "n3"), (_relative("b"), "c2"),
+    ]
+    for expr, hop in subscriptions:
+        core.on_message(SubscribeMsg(expr=expr, subscriber_id="s"), hop)
+    twin = BrokerCore.restore(core.snapshot())
+    group = [
+        PublishMsg(
+            publication=Publication(doc_id="d", path_id=i, path=path),
+            publisher_id="p",
+        )
+        for i, path in enumerate(
+            [("a", "b"), ("c",), ("a",), ("z",), ("a", "b", "c")]
+        )
+    ]
+
+    def per_destination(effects):
+        flat = {}
+        for verb, destination, message in canonical_effects(effects):
+            flat.setdefault((verb, destination), []).append(message)
+        return flat
+
+    grouped = core.on_publications(group, "n1")
+    one_by_one = [
+        effect for message in group for effect in twin.on_message(message, "n1")
+    ]
+    assert per_destination(grouped) == per_destination(one_by_one)
+    assert len(grouped) == len(per_destination(grouped)) < len(one_by_one)
+    assert core.broker.stats["PublishMsg"] == 5
+    assert twin.broker.stats["PublishMsg"] == 5

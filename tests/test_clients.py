@@ -146,6 +146,28 @@ class TestDuplicateSuppression:
         delivered_before = len(overlay.stats.deliveries)
         assert delivered_before == len(subscriber.received)
         for msg in list(subscriber.received):
-            overlay._client_receive("sub", msg, hops=2)
+            overlay._client_receive("sub", (msg,), hops=2)
         assert len(overlay.stats.deliveries) == delivered_before
         assert subscriber.duplicates == delivered_before
+
+
+class TestAdvertisementIds:
+    def test_a_scenario_built_twice_gets_the_same_ids(self):
+        """Default advertisement ids are numbered per client, not per
+        process: building one scenario twice must give the same ids
+        and therefore the same routing state on every broker."""
+
+        def scenario():
+            overlay, publisher, subscriber = wired_overlay()
+            subscriber.subscribe("//sequence")
+            overlay.run()
+            return list(publisher.advertised), {
+                broker_id: core.fingerprint()
+                for broker_id, core in overlay.cores.items()
+            }
+
+        first_ids, first_tables = scenario()
+        again_ids, again_tables = scenario()
+        assert first_ids[0] == "pub/adv0"
+        assert again_ids == first_ids
+        assert again_tables == first_tables

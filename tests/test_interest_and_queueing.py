@@ -60,9 +60,12 @@ class TestQueueing:
             2,
             config=RoutingConfig.with_adv_with_cov(),
             latency_model=ConstantLatency(0.001),
-            processing_scale=1.0,
+            # A fixed per-message charge, not measured wall time: the
+            # comparison is about queueing, not scheduler noise.
+            processing_scale=0.0,
             queueing=queueing,
         )
+        overlay.processing_delay = dict.fromkeys(overlay.brokers, 0.0005)
         publisher = overlay.attach_publisher("pub", "b2")
         subscriber = overlay.attach_subscriber("sub", "b3")
         publisher.advertise_dtd(psd_dtd())
@@ -77,9 +80,11 @@ class TestQueueing:
     def test_queueing_never_faster(self):
         plain = self.run_overlay(queueing=False)
         queued = self.run_overlay(queueing=True)
+        # Four documents handed in at one instant overlap for free
+        # without queueing and wait for one another with it.
         assert (
             queued.stats.mean_notification_delay()
-            >= plain.stats.mean_notification_delay() * 0.99
+            > plain.stats.mean_notification_delay()
         )
         # Deliveries themselves are unaffected.
         assert queued.delivered_map() == plain.delivered_map()

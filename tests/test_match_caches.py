@@ -12,12 +12,16 @@ Four properties guard the result caches of the matching core:
   engine probe;
 * restored brokers (restart and crash/recovery) start with empty
   memos — routing decisions never survive a process boundary;
-* batched publication dispatch delivers exactly the same document sets
-  as per-message dispatch.
+* a document's paths crossing every link as one group is unobservable:
+  deliveries, logical traffic counts, per-broker publication counts and
+  memo probes equal those of publishing the same plan path by path.
 """
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -42,7 +46,9 @@ from repro.covering.algorithms import covers, covers_uncached
 from repro.dtd.samples import psd_dtd
 from repro.merging.engine import PathUniverse
 from repro.network import ConstantLatency, Overlay
-from repro.network.faults import FaultPlan
+from repro.network.faults import FaultPlan, LinkFaults
+from repro.obs.tracing import verify_traces
+from repro.runtime.workload import PUBLISHER, WorkloadSpec, build_plan
 from repro.workloads.document_generator import generate_documents
 from repro.workloads.xpath_generator import XPathWorkloadParams, generate_queries
 from repro.xmldoc import Publication
@@ -566,20 +572,165 @@ def test_crash_recovery_starts_with_empty_cache():
     assert doc in subscriber.delivered_documents()
 
 
-# -- batched dispatch equivalence ------------------------------------------
+# -- the dispatch unit: a document's paths cross a link as one group -------
 
 
-def delivered_with(batching):
-    overlay, publisher, subscriber = overlay_with_traffic(batching=batching)
-    subscriber2 = overlay.attach_subscriber("sub2", "b2")
-    subscriber2.subscribe("//ProteinEntry")
+#: The plan's documents are published this many times over (fresh doc
+#: ids each round), so repeat publications meet warm memos and — with
+#: views on — materialized views that serve them.
+DISPATCH_ROUNDS = 3
+
+
+def run_dispatch_plan(spec, path_by_path, attach=None, faults=None):
+    """One seeded plan on the 7-broker simulator.  A document's paths
+    are submitted back to back (they form groups) or, with
+    *path_by_path*, with the overlay drained after each (every group is
+    then one message — the per-message reference, no knob needed)."""
+    plan = build_plan(spec)
+    overlay = Overlay.binary_tree(
+        spec.levels,
+        config=spec.config(),
+        latency_model=ConstantLatency(0.001),
+        processing_scale=0.0,
+        faults=faults,
+    )
+    if attach is not None:
+        attach(overlay)
+    publisher = overlay.attach_publisher(PUBLISHER, plan.broker_ids[0])
+    for adv_id, advert in plan.adverts:
+        publisher.advertise(advert, adv_id)
     overlay.run()
-    docs = generate_documents(psd_dtd(), 4, seed=17, target_bytes=800)
-    for doc in docs:
-        publisher.publish_document(doc)
-    overlay.run()
-    return overlay.delivered_map()
+    for leaf in sorted(plan.subscriptions):
+        subscriber = overlay.attach_subscriber("sub-%s" % leaf, leaf)
+        for expr in plan.subscriptions[leaf]:
+            subscriber.subscribe(expr)
+        overlay.run()
+    for round_index in range(DISPATCH_ROUNDS):
+        for document in plan.documents:
+            size = document.size_bytes()
+            for publication in document.publications():
+                overlay.submit(
+                    PUBLISHER,
+                    PublishMsg(
+                        publication=replace(
+                            publication,
+                            doc_id="r%d-%s" % (round_index, publication.doc_id),
+                        ),
+                        publisher_id=PUBLISHER,
+                        doc_size_bytes=size,
+                        issued_at=overlay.now,
+                    ),
+                )
+                if path_by_path:
+                    overlay.run()
+            overlay.run()
+    return overlay
 
 
-def test_batched_dispatch_delivers_identical_sets():
-    assert delivered_with(batching=True) == delivered_with(batching=False)
+def dispatch_observations(overlay):
+    """Everything that must not depend on how paths were grouped."""
+    stats = overlay.stats
+    return {
+        "delivered": Counter(
+            (client_id, msg.publication.doc_id, msg.publication.path)
+            for client_id, client in overlay.subscribers.items()
+            for msg in client.received
+        ),
+        "broker_messages": dict(stats.broker_messages),
+        "messages_by_kind": dict(stats.messages_by_kind),
+        "client_messages": stats.client_messages,
+        "published": {
+            broker_id: broker.stats.get("PublishMsg", 0)
+            for broker_id, broker in overlay.brokers.items()
+        },
+        "memo_probes": {
+            broker_id: broker.match_cache.hits + broker.match_cache.misses
+            for broker_id, broker in overlay.brokers.items()
+        },
+    }
+
+
+def assert_grouping_is_unobservable(spec, **kwargs):
+    grouped = run_dispatch_plan(spec, path_by_path=False, **kwargs)
+    single = run_dispatch_plan(spec, path_by_path=True, **kwargs)
+    assert dispatch_observations(grouped) == dispatch_observations(single)
+    assert grouped.stats.client_messages > 0
+    # ... and groups really formed: fewer frames carried the same messages.
+    assert grouped.stats.frames < single.stats.frames
+    return grouped, single
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    covering=st.booleans(),
+    engine=st.sampled_from(("auto", "shared", "sharded")),
+    views=st.booleans(),
+)
+@settings(max_examples=20)
+def test_grouped_dispatch_is_path_by_path_dispatch(
+    seed, covering, engine, views
+):
+    assert_grouping_is_unobservable(
+        WorkloadSpec(
+            levels=3,
+            queries_per_leaf=5,
+            documents=3,
+            seed=seed,
+            strategy="with-Adv-with-Cov" if covering else "with-Adv-no-Cov",
+            matching_engine=engine,
+            views=views,
+            view_hot_threshold=2,
+            target_bytes=1024,
+        )
+    )
+
+
+DISPATCH_SPEC = WorkloadSpec(
+    levels=3, queries_per_leaf=6, documents=3, seed=11, target_bytes=1024
+)
+
+
+def test_grouped_dispatch_under_the_audit_oracle(audit_oracle):
+    oracles = []
+    assert_grouping_is_unobservable(
+        DISPATCH_SPEC, attach=lambda o: oracles.append(audit_oracle(o))
+    )
+    for oracle in oracles:
+        report = oracle.check()
+        assert not report.soundness and not report.unexplained_fp, (
+            report.summary()
+        )
+
+
+def test_grouped_dispatch_keeps_spans_per_message():
+    grouped, single = assert_grouping_is_unobservable(
+        DISPATCH_SPEC, attach=lambda o: o.enable_tracing()
+    )
+    for overlay in (grouped, single):
+        assert verify_traces(overlay) == []
+        spans = overlay.tracing.spans
+        hops = {
+            span.span_id
+            for span in spans
+            if span.name == "hop" and span.attrs["kind"] == "PublishMsg"
+        }
+        # one hop span per routed publication, one match span under it
+        assert len(hops) == sum(
+            broker.stats.get("PublishMsg", 0)
+            for broker in overlay.brokers.values()
+        )
+        matched = [s.parent_id for s in spans if s.name == "match"]
+        assert sorted(matched) == sorted(hops)
+    assert any(s.attrs.get("group", 1) > 1 for s in grouped.tracing.spans)
+    assert not any("group" in s.attrs for s in single.tracing.spans)
+
+
+def test_grouped_dispatch_over_lossy_links():
+    """Under a fault plan the transport carries one message per frame;
+    the client-edge link and the deliveries still group."""
+    grouped, _ = assert_grouping_is_unobservable(
+        DISPATCH_SPEC,
+        faults=FaultPlan(seed=11, default=LinkFaults(drop=0.2), rto=0.01),
+    )
+    assert grouped.transport.stats["retransmits"] > 0
+    assert grouped.transport.in_flight() == 0

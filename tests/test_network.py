@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.broker import PublishMsg, SubscribeMsg
 from repro.errors import RoutingError, TopologyError
 from repro.network import (
     ClusterLatency,
@@ -9,8 +10,12 @@ from repro.network import (
     Overlay,
     PlanetLabLatency,
     Simulator,
+    Tracer,
 )
 from repro.network.stats import DeliveryRecord, NetworkStats
+from repro.runtime.workload import PUBLISHER, WorkloadSpec, build_plan
+from repro.xmldoc import Publication
+from repro.xpath import parse_xpath
 
 
 class TestSimulator:
@@ -196,3 +201,109 @@ class TestAcyclicity:
         overlay.connect("c", "d")
         overlay.connect("b", "c")  # joins the components: fine
         assert len(overlay.links) == 3
+
+
+class TestDispatchUnit:
+    """Consecutive publications of one document cross a link as one
+    frame (a group); everything else stays per message."""
+
+    @staticmethod
+    def publication(path_id, doc_id="d1", size=512):
+        return PublishMsg(
+            publication=Publication(
+                doc_id=doc_id, path_id=path_id, path=("a", "b")
+            ),
+            publisher_id="c",
+            doc_size_bytes=size,
+        )
+
+    def test_link_stays_fifo_across_a_closed_group(self):
+        """PUB, SUB, PUB at one instant: the SUB closes the group, so
+        the three reach the edge broker in submission order."""
+        overlay = Overlay.binary_tree(1, latency_model=ConstantLatency(0.001))
+        overlay.attach_subscriber("c", "b1")
+        tracer = overlay.attach_tracer(Tracer())
+        overlay.submit("c", self.publication(0))
+        overlay.submit(
+            "c", SubscribeMsg(expr=parse_xpath("/a/b"), subscriber_id="c")
+        )
+        overlay.submit("c", self.publication(1))
+        overlay.run()
+        assert [record.kind for record in tracer.records] == [
+            "PublishMsg", "SubscribeMsg", "PublishMsg",
+        ]
+        assert overlay.stats.frames == 3
+
+    def test_a_group_is_one_document_at_one_instant(self):
+        overlay = Overlay.binary_tree(1, latency_model=ConstantLatency(0.001))
+        overlay.attach_subscriber("c", "b1")
+        for path_id in range(3):
+            overlay.submit("c", self.publication(path_id))
+        assert overlay.stats.frames == 1
+        overlay.submit("c", self.publication(0, doc_id="d2"))  # other document
+        overlay.submit("c", self.publication(1, doc_id="d2", size=9))  # other size
+        assert overlay.stats.frames == 3
+        overlay.run()
+        overlay.submit("c", self.publication(2, doc_id="d2", size=9))  # later
+        assert overlay.stats.frames == 4
+        overlay.run()
+        assert overlay.stats.network_traffic == 6
+        assert overlay.sim.processed_events == 4
+
+    def test_a_group_joined_after_it_arrived_is_not_lost(self):
+        """Zero link latency: the clock does not move while the first
+        frame is delivered, yet a later path must open a new one."""
+        overlay = Overlay.binary_tree(1, latency_model=ConstantLatency(0.0))
+        overlay.attach_subscriber("c", "b1")
+        overlay.submit("c", self.publication(0))
+        overlay.run()
+        overlay.submit("c", self.publication(1))
+        overlay.run()
+        assert overlay.stats.network_traffic == 2
+
+    @pytest.mark.parametrize(
+        "queries_per_leaf, seed, traffic, client_messages",
+        # (traffic, client messages): what one event per message cost
+        # at the commit before groups — logical counts, pinned.
+        [(1, 2, 36, 13), (3, 1, 42, 21), (8, 7, 63, 36)],
+    )
+    def test_one_document_costs_one_event_per_broker_and_subscriber(
+        self, queries_per_leaf, seed, traffic, client_messages
+    ):
+        spec = WorkloadSpec(
+            levels=3, queries_per_leaf=queries_per_leaf, documents=1,
+            seed=seed, target_bytes=2048,
+        )
+        plan = build_plan(spec)
+        overlay = Overlay.binary_tree(
+            3, config=spec.config(), latency_model=ConstantLatency(0.001),
+            processing_scale=0.0,
+        )
+        publisher = overlay.attach_publisher(PUBLISHER, "b1")
+        for adv_id, advert in plan.adverts:
+            publisher.advertise(advert, adv_id)
+        overlay.run()
+        for leaf in sorted(plan.subscriptions):
+            subscriber = overlay.attach_subscriber("sub-%s" % leaf, leaf)
+            for expr in plan.subscriptions[leaf]:
+                subscriber.subscribe(expr)
+            overlay.run()
+        stats = overlay.stats
+        traffic_before = stats.network_traffic
+        at_brokers = dict(stats.broker_messages)
+        events_before = overlay.sim.processed_events
+        publisher.publish_document(plan.documents[0])
+        overlay.run()
+        assert stats.network_traffic - traffic_before == traffic
+        assert stats.client_messages == client_messages
+        brokers_reached = sum(
+            1 for broker_id, count in stats.broker_messages.items()
+            if count > at_brokers.get(broker_id, 0)
+        )
+        subscribers_reached = sum(
+            1 for client in overlay.subscribers.values() if client.received
+        )
+        assert (
+            overlay.sim.processed_events - events_before
+            <= brokers_reached + subscribers_reached
+        )

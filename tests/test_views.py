@@ -176,6 +176,29 @@ class TestByteIdentity:
         assert saw_serve  # the fast path actually engaged
         assert viewed.broker.views.serves >= 1
 
+    def test_a_group_splits_into_served_and_routed_runs(self):
+        """One client's share of a group may mix view-served and
+        core-routed members: one effect per run, arrival order kept,
+        and flattened it is what the plain core delivers."""
+        viewed = _core(_views_config(view_hot_threshold=1))
+        plain = _core(dataclasses.replace(_views_config(), views=False))
+        for core in (viewed, plain):
+            core.on_message(
+                SubscribeMsg(expr=x("/a/c"), subscriber_id="c1"), "c1"
+            )
+            core.on_message(_pub(("a", "b"), "warm"), "n1")  # /a/b is hot
+        paths = [("a", "b"), ("a", "c"), ("a", "c"), ("a", "b")]
+        group = [_pub(path, "doc", i) for i, path in enumerate(paths)]
+        got = viewed.on_publications(group, "n1")
+        assert [(type(e), len(e.messages)) for e in got] == [
+            (ViewServe, 1), (Deliver, 1), (ViewServe, 2),
+        ]
+        want = plain.on_publications(
+            [dataclasses.replace(m) for m in group], "n1"
+        )
+        assert [(type(e), len(e.messages)) for e in want] == [(Deliver, 4)]
+        assert canonical_effects(got) == canonical_effects(want)
+
     def test_replay_effect_carries_the_window(self):
         core = _core(_views_config(view_hot_threshold=1))
         for i in range(3):
