@@ -329,9 +329,7 @@ class AuditOracle:
         )
         if offenders:
             report.info["traces"] = ", ".join(offenders)
-        dump = tracing.flight.dump(
-            "audit-violation", time=self._overlay.sim.now
-        )
+        dump = tracing.flight.dump("audit-violation", time=self._overlay.now)
         report.info["flight_dump"] = dump.get(
             "path", "in-memory #%d" % dump["sequence"]
         )

@@ -21,8 +21,6 @@ from repro.broker.core import (
     Deliver,
     Effect,
     Send,
-    Telemetry,
-    TimerRequest,
     canonical_effects,
 )
 from repro.broker.persistence import (
@@ -51,8 +49,6 @@ __all__ = [
     "Deliver",
     "Effect",
     "Send",
-    "Telemetry",
-    "TimerRequest",
     "canonical_effects",
     "PersistenceError",
     "restore",

@@ -8,8 +8,8 @@ backend (:mod:`repro.runtime.asyncio_backend`) and the multiprocess
 socket deployment (:mod:`repro.runtime.multiprocess`) — feeds it one
 frame at a time (a control message, or a *group*: consecutive
 publications of one document that crossed the link together; a lone
-publication is a group of one) and interprets the returned
-:class:`Effect` list however its execution model requires:
+publication is a group of one) and moves what the returned
+:class:`Effect` list names however its execution model requires:
 
 * :class:`Send` — forward a frame to a neighbouring broker (over a
   simulated link, an asyncio queue, or a TCP connection),
@@ -17,11 +17,12 @@ publication is a group of one) and interprets the returned
 * :class:`ViewServe` — a Deliver satisfied from an edge materialized
   view (a subclass, so Deliver-handling hosts work unchanged),
 * :class:`Replay` — deliver a view's retained publication window to a
-  late subscriber (see docs/views.md),
-* :class:`TimerRequest` — ask the host to call :meth:`BrokerCore.
-  on_timer` later (the merge-sweep cadence; the core never sleeps),
-* :class:`Telemetry` — a host-visible measurement the core does not
-  interpret (hosts may map these onto their metrics registry).
+  late subscriber (see docs/views.md).
+
+The core never asks for time: merge sweeps are count-driven inside the
+broker (and :meth:`BrokerCore.on_timer` lets a host force one), and
+telemetry sampling cadence is the host's own business.  The one
+interpreter of this vocabulary is :mod:`repro.runtime.host`.
 
 Determinism contract (pinned by tests/test_broker_core.py): for a fixed
 message sequence the effect list is a pure function of the sequence —
@@ -44,9 +45,9 @@ from repro.broker.messages import Message, PublishMsg
 from repro.broker.strategies import RoutingConfig
 from repro.errors import RoutingError
 
-#: The merge-sweep timer name (the only timer the core requests today).
+#: The one timer name :meth:`BrokerCore.on_timer` accepts: a host (or a
+#: test) forcing a merge sweep ahead of the broker's own count-driven one.
 MERGE_SWEEP_TIMER = "merge-sweep"
-TELEMETRY_TIMER = "telemetry-sample"
 
 
 @dataclass(frozen=True)
@@ -94,23 +95,6 @@ class Replay(Effect):
     group: tuple  # the view's path, for tracing/debugging
 
 
-@dataclass(frozen=True)
-class TimerRequest(Effect):
-    """Ask the host to call :meth:`BrokerCore.on_timer` with *name*
-    after *delay* seconds of the host's own clock (the core has none)."""
-
-    name: str
-    delay: float
-
-
-@dataclass(frozen=True)
-class Telemetry(Effect):
-    """A measurement for the host's metrics pipeline (never routed)."""
-
-    name: str
-    value: float = 1.0
-
-
 class BrokerCore:
     """One broker as a pure state machine.
 
@@ -134,9 +118,6 @@ class BrokerCore:
                 raise RoutingError("BrokerCore needs a broker or a broker_id")
             broker = Broker(broker_id, config=config, universe=universe)
         self.broker = broker
-        #: Sampling period while the telemetry timer is armed (None
-        #: when the host has not enabled telemetry on this core).
-        self.telemetry_interval: Optional[float] = None
 
     @property
     def broker_id(self):
@@ -189,29 +170,11 @@ class BrokerCore:
                     effects.append(kind(destination, tuple(run)))
         return effects
 
-    def enable_telemetry(self, interval: float) -> TimerRequest:
-        """Arm the periodic telemetry timer; the host schedules the
-        returned request and keeps re-scheduling the one
-        :meth:`on_timer` re-emits each period."""
-        self.telemetry_interval = float(interval)
-        return TimerRequest(TELEMETRY_TIMER, self.telemetry_interval)
-
     def on_timer(self, name: str) -> List[Effect]:
-        """A host timer fired.  ``merge-sweep`` runs one merging sweep;
-        ``telemetry-sample`` marks a sampling tick (the host reads the
-        gauges — the core just re-arms and counts); unknown timer names
-        are a host bug and raise."""
+        """A host timer fired.  ``merge-sweep`` runs one merging sweep
+        now; unknown timer names are a host bug and raise."""
         if name == MERGE_SWEEP_TIMER:
             return self._classify(self.broker.run_merge_sweep())
-        if name == TELEMETRY_TIMER:
-            if self.telemetry_interval is None:
-                # Telemetry was disabled between scheduling and firing
-                # (e.g. the core was rebuilt on restart): drop the tick.
-                return []
-            return [
-                Telemetry("telemetry.timer.fires"),
-                TimerRequest(TELEMETRY_TIMER, self.telemetry_interval),
-            ]
         raise RoutingError(
             "broker %r received unknown timer %r" % (self.broker_id, name)
         )
@@ -324,10 +287,6 @@ def canonical_effects(effects: List[Effect]) -> List[tuple]:
                     tuple(message_key(m) for m in effect.messages),
                 )
             )
-        elif isinstance(effect, TimerRequest):
-            rendered.append(("timer", effect.name, effect.delay))
-        elif isinstance(effect, Telemetry):
-            rendered.append(("telemetry", effect.name, effect.value))
         else:  # pragma: no cover - future effect kinds must opt in
             raise RoutingError("cannot canonicalise effect %r" % (effect,))
     return rendered

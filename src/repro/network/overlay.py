@@ -11,38 +11,28 @@ modelled wide-area latency with the real cost of routing-table matching
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro import obs
 from repro.broker.broker import Broker
-from repro.broker.core import (
-    MERGE_SWEEP_TIMER,
-    TELEMETRY_TIMER,
-    BrokerCore,
-    Deliver,
-    Replay,
-    Send,
-    Telemetry,
-    TimerRequest,
-    ViewServe,
-)
+from repro.broker.core import BrokerCore
 from repro.broker.messages import AdvertiseMsg, Message, PublishMsg
 from repro.broker.strategies import RoutingConfig
 from repro.errors import RoutingError, TopologyError
 from repro.merging.engine import PathUniverse
-from repro.network.clients import PublisherClient, SubscriberClient
 from repro.network.faults import FaultPlan
 from repro.network.latency import ClusterLatency, LatencyModel
 from repro.network.simulator import Simulator
-from repro.network.stats import DeliveryRecord, NetworkStats
 from repro.obs import MetricsRegistry
-from repro.obs.telemetry import TelemetryPlane, broker_gauges
-from repro.obs.tracing import Span, TraceContext, TraceRecorder, stamp, trace_of
+from repro.obs.tracing import Span
+from repro.runtime.host import HostKernel
 
 
-class Overlay:
-    """A network of content-based XML routers.
+class Overlay(HostKernel):
+    """A network of content-based XML routers: the discrete-event
+    backend of :class:`~repro.runtime.host.HostKernel`.  The kernel
+    owns the topology, the observers and what a frame means; this class
+    supplies the virtual clock, link latency, the processing charge
+    (with optional queueing), the telemetry cadence and fault injection.
 
     Args:
         config: routing strategy applied to every broker.
@@ -74,30 +64,13 @@ class Overlay:
         metrics: Optional[MetricsRegistry] = None,
         faults: Optional[FaultPlan] = None,
     ):
-        self.config = config if config is not None else RoutingConfig.full()
+        super().__init__(config, universe, metrics)
         self.latency_model = (
             latency_model if latency_model is not None else ClusterLatency()
         )
-        self.universe = universe
         self.processing_scale = processing_scale
         self.sim = Simulator()
-        self.metrics = metrics if metrics is not None else obs.get_registry()
-        self.stats = NetworkStats(registry=self.metrics)
-        #: The runtime-agnostic cores this host drives.  ``brokers``
-        #: keeps exposing the wrapped :class:`Broker` objects — the
-        #: audit oracle and the test suites inspect their tables, and
-        #: that interface is identical on every backend.
-        self.cores: Dict[str, BrokerCore] = {}
-        self.brokers: Dict[str, Broker] = {}
-        self.links: Set[Tuple[str, str]] = set()
-        self.subscribers: Dict[str, SubscriberClient] = {}
-        self.publishers: Dict[str, PublisherClient] = {}
-        self._client_home: Dict[str, str] = {}
         self._tracers = []
-        self._auditors = []
-        #: Causal tracing (see :meth:`enable_tracing`); None keeps every
-        #: hot path on the original zero-overhead branch.
-        self.tracing: Optional[TraceRecorder] = None
         #: With queueing enabled a broker serialises its message
         #: processing: a message arriving while the broker is busy waits
         #: for the previous one to finish, so per-hop delays grow under
@@ -117,12 +90,9 @@ class Overlay:
             str,
             List[Tuple[Sequence[Message], object, int, Optional[Dict[int, Span]]]],
         ] = {}
-        #: Live telemetry plane (see :meth:`enable_telemetry`); None
-        #: keeps the original zero-overhead paths.
-        self.telemetry = None
-        #: Telemetry timer events currently in the simulator heap; the
-        #: sampler parks itself when they are the only pending work so
-        #: ``sim.run()`` still quiesces.
+        #: Telemetry sampling events currently in the simulator heap;
+        #: the sampler parks itself when they are the only pending work
+        #: so ``sim.run()`` still quiesces.
         self._telemetry_scheduled = 0
         self._telemetry_parked: Set[str] = set()
         #: In-progress message count per broker while queueing —
@@ -231,22 +201,9 @@ class Overlay:
         duplicate advertisements terminate at the SRT)."""
         if broker_id not in self._down:
             raise TopologyError("broker %r is not down" % broker_id)
-        from repro.broker.persistence import restore
-
         state = self._crash_state.pop(broker_id)
         with_state = state is not None
-        old = self.brokers[broker_id]
-        if with_state:
-            replacement = restore(state, universe=self.universe)
-        else:
-            replacement = Broker(
-                broker_id=broker_id, config=self.config, universe=self.universe
-            )
-            for neighbor in old.neighbors:
-                replacement.connect(neighbor)
-            for client in old.local_clients:
-                replacement.attach_client(client)
-        self._rebind_broker(broker_id, replacement)
+        replacement = self._rebind_broker(broker_id, state)
         self._down.discard(broker_id)
         self._transport.reset_links_of(broker_id, resend_outbox=with_state)
         for messages, from_hop, hops, parents in self._held_while_down.pop(
@@ -275,79 +232,10 @@ class Overlay:
     # -- construction -----------------------------------------------------
 
     def add_broker(self, broker_id: str) -> Broker:
-        if broker_id in self.brokers:
-            raise TopologyError("duplicate broker id %r" % broker_id)
-        core = BrokerCore(
-            broker_id=broker_id, config=self.config, universe=self.universe
-        )
-        self.cores[broker_id] = core
-        self.brokers[broker_id] = core.broker
+        broker = super().add_broker(broker_id)
         if self.telemetry is not None:
-            self._frames(
-                broker_id, [core.enable_telemetry(self.telemetry.interval)]
-            )
-        return core.broker
-
-    def connect(self, a: str, b: str):
-        """Create a bidirectional link between two brokers.
-
-        The overlay must stay acyclic: the paper's dissemination
-        protocol floods advertisements and reverse-path-routes
-        subscriptions/publications over a spanning tree, and a cycle
-        would duplicate (and for publications, loop) messages.
-        """
-        if a not in self.brokers or b not in self.brokers:
-            raise TopologyError("cannot link unknown brokers %r-%r" % (a, b))
-        if (a, b) in self.links or (b, a) in self.links:
-            raise TopologyError("duplicate link %r-%r" % (a, b))
-        if self._connected(a, b):
-            raise TopologyError(
-                "link %r-%r would close a cycle; the overlay must remain "
-                "a tree" % (a, b)
-            )
-        self.links.add((a, b))
-        self.brokers[a].connect(b)
-        self.brokers[b].connect(a)
-
-    def _connected(self, a: str, b: str) -> bool:
-        """Is there already a path between brokers *a* and *b*?"""
-        adjacency: Dict[str, list] = {}
-        for left, right in self.links:
-            adjacency.setdefault(left, []).append(right)
-            adjacency.setdefault(right, []).append(left)
-        seen = {a}
-        stack = [a]
-        while stack:
-            current = stack.pop()
-            if current == b:
-                return True
-            for neighbor in adjacency.get(current, ()):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        return False
-
-    def attach_subscriber(self, client_id: str, broker_id: str) -> SubscriberClient:
-        self._check_client(client_id, broker_id)
-        client = SubscriberClient(client_id, self, broker_id)
-        self.subscribers[client_id] = client
-        self._client_home[client_id] = broker_id
-        self.brokers[broker_id].attach_client(client_id)
-        return client
-
-    def attach_publisher(self, client_id: str, broker_id: str) -> PublisherClient:
-        self._check_client(client_id, broker_id)
-        client = PublisherClient(client_id, self, broker_id)
-        self.publishers[client_id] = client
-        self._client_home[client_id] = broker_id
-        self.brokers[broker_id].attach_client(client_id)
-        return client
-
-    def _check_client(self, client_id: str, broker_id: str):
-        if broker_id not in self.brokers:
-            raise TopologyError("unknown broker %r" % broker_id)
-        if client_id in self._client_home or client_id in self.brokers:
-            raise TopologyError("duplicate client id %r" % client_id)
+            self._arm_sampler(broker_id)
+        return broker
 
     @classmethod
     def binary_tree(
@@ -403,19 +291,8 @@ class Overlay:
         rides on it — a resubmission stays in its original trace) and a
         ``submit`` root span covering the client-edge link is recorded.
         """
-        broker_id = self._client_home.get(client_id)
-        if broker_id is None:
-            raise RoutingError("unknown client %r" % client_id)
+        broker_id, context = self.admit(client_id, message)
         self._poke_telemetry()
-        tracing = self.tracing
-        if tracing is not None and trace_of(message) is None:
-            context = tracing.mint(message)
-        else:
-            context = None
-        # the auditor observes *after* stamping so violation reports can
-        # name the offending trace ids.
-        for auditor in self._auditors:
-            auditor.observe_submit(client_id, message)
         now = self.sim.now
         group = self._open_group
         if (
@@ -437,7 +314,7 @@ class Overlay:
                 latency, lambda: self._edge_receive(broker_id, group)
             )
         if context is not None:
-            group.roots[message.msg_id] = tracing.record_root(
+            group.roots[message.msg_id] = self.tracing.record_root(
                 context, client_id, message, now, group.latency
             )
 
@@ -457,82 +334,33 @@ class Overlay:
             tracer.registry = self.metrics
         return tracer
 
-    def enable_tracing(
-        self, recorder: Optional[TraceRecorder] = None, **kwargs
-    ) -> TraceRecorder:
-        """Turn on causal tracing: every subsequently submitted message
-        is stamped with a trace context and every hop emits spans into
-        *recorder* (a fresh :class:`~repro.obs.tracing.TraceRecorder`
-        bound to this overlay's registry by default; extra keyword
-        arguments — ``flight_dir``, ``flight_capacity``, ``max_spans`` —
-        configure it).  Enable before submitting traffic or early
-        deliveries will have no trace trees."""
-        if recorder is None:
-            recorder = TraceRecorder(registry=self.metrics, **kwargs)
-        self.tracing = recorder
-        return recorder
-
-    def attach_auditor(self, auditor):
-        """Register a :class:`repro.audit.AuditOracle`; it observes
-        client submits, deliveries, and crash recoveries."""
-        self._auditors.append(auditor)
-        auditor.bind(self)
-        return auditor
-
     def trigger_merge_sweep(self, broker_id: str):
         """Force an immediate merge sweep on one broker and forward the
         sweep's outbound control traffic (merger subscriptions plus
         constituent retractions) into the network."""
-        if broker_id not in self.brokers:
-            raise TopologyError("unknown broker %r" % broker_id)
-        if broker_id not in self._down:
-            self._on_broker_timer(broker_id, MERGE_SWEEP_TIMER)
-
-    def _frames(
-        self, broker_id: str, effects
-    ) -> List[Tuple[object, Tuple[Message, ...], Optional[str]]]:
-        """Interpret a core's effects under the simulator's execution
-        model: sends and deliveries become ``(destination, messages,
-        view)`` frames for :meth:`_forward` (which models the link) —
-        *view* labels what a materialized view produced, "serve" or
-        "replay", for spans and the audit oracle — timer requests land
-        on the virtual clock, telemetry lands on the metrics registry."""
-        frames: List[Tuple[object, Tuple[Message, ...], Optional[str]]] = []
-        for effect in effects:
-            if isinstance(effect, Send):
-                frames.append((effect.destination, effect.messages, None))
-            elif isinstance(effect, Deliver):
-                frames.append((
-                    effect.client_id, effect.messages,
-                    "serve" if isinstance(effect, ViewServe) else None,
-                ))
-            elif isinstance(effect, Replay):
-                # A view window replayed to a late subscriber travels
-                # the broker→client link like any delivery (client-side
-                # dedup makes the replay exactly-once).
-                frames.append((effect.client_id, effect.messages, "replay"))
-            elif isinstance(effect, TimerRequest):
-                if effect.name == TELEMETRY_TIMER:
-                    self._telemetry_scheduled += 1
-                self.sim.schedule(
-                    effect.delay,
-                    lambda e=effect: self._on_broker_timer(broker_id, e.name),
-                )
-            elif isinstance(effect, Telemetry):
-                if self.metrics.enabled:
-                    self.metrics.counter(effect.name).inc(effect.value)
-        return frames
-
-    def _on_broker_timer(self, broker_id: str, name: str):
-        if name == TELEMETRY_TIMER:
-            self._on_telemetry_timer(broker_id)
-            return
         if broker_id in self._down:
             return
-        for destination, messages, view in self._frames(
-            broker_id, self.cores[broker_id].on_timer(name)
-        ):
+        for destination, messages, view in self.sweep(broker_id):
             self._forward(broker_id, destination, messages, 0.0, 1, view=view)
+
+    # -- telemetry cadence -------------------------------------------------
+
+    def enable_telemetry(self, plane=None, interval: float = 0.05, **kwargs):
+        """See :meth:`HostKernel.enable_telemetry`.  Here every broker
+        gets a recurring sampling event on the virtual clock; each tick
+        records queue depth/lag beside the kernel's gauges."""
+        if self.telemetry is None:
+            super().enable_telemetry(plane, interval, **kwargs)
+            for broker_id in sorted(self.cores):
+                self._arm_sampler(broker_id)
+        return self.telemetry
+
+    def _arm_sampler(self, broker_id: str):
+        self._telemetry_scheduled += 1
+        self.sim.schedule(
+            self.telemetry.interval,
+            lambda: self._on_telemetry_timer(broker_id),
+        )
 
     def _on_telemetry_timer(self, broker_id: str):
         """One sampling tick.  The sampler re-arms itself only while
@@ -540,82 +368,22 @@ class Overlay:
         and :meth:`submit` wakes it — so ``sim.run()`` still quiesces
         with telemetry enabled."""
         self._telemetry_scheduled -= 1
-        plane = self.telemetry
-        if plane is None:
-            return
         if broker_id in self._down:
             # Dead brokers don't sample; park the timer so recovery's
             # next submission restarts it.
             self._telemetry_parked.add(broker_id)
             return
-        core = self.cores[broker_id]
-        if core.telemetry_interval is None:
-            # The core was rebuilt on recovery; re-arm it in place.
-            core.telemetry_interval = plane.interval
-        effects = core.on_timer(TELEMETRY_TIMER)
-        self._sample_broker(broker_id)
-        if self.sim.pending() > self._telemetry_scheduled:
-            self._frames(broker_id, effects)
-        else:
-            # Only telemetry timers remain: drop the re-arm request.
-            self._frames(
-                broker_id,
-                [e for e in effects if not isinstance(e, TimerRequest)],
-            )
-            self._telemetry_parked.add(broker_id)
-
-    def _sample_broker(self, broker_id: str):
-        plane = self.telemetry
         now = self.sim.now
-        plane.maybe_record_cluster(now)
-        gauges = {
+        self.sample(broker_id, now, {
             "queue_depth": float(self._queue_len.get(broker_id, 0)),
             "queue_lag": max(
                 0.0, self._busy_until.get(broker_id, 0.0) - now
             ),
-            "audit_degraded": 1.0
-            if any(
-                getattr(a, "stateless_recoveries", None)
-                for a in self._auditors
-            )
-            else 0.0,
-        }
-        gauges.update(broker_gauges(self.brokers[broker_id]))
-        counters = {
-            "handled": float(sum(self.brokers[broker_id].stats.values())),
-        }
-        plane.record(broker_id, now, gauges=gauges, counters=counters)
-
-    def enable_telemetry(self, plane=None, interval: float = 0.05, **kwargs):
-        """Turn on the live telemetry plane: every broker core arms a
-        ``telemetry-sample`` timer on the virtual clock and each tick
-        records queue depth/lag, matcher and view gauges, and handled
-        deltas into *plane* (a fresh
-        :class:`~repro.obs.telemetry.TelemetryPlane` bound to this
-        overlay's registry by default; extra keyword arguments —
-        ``rules``, ``ring_capacity``, ``clear_after`` — configure it).
-        Health transitions dump the flight recorder when tracing is
-        also enabled."""
-        if self.telemetry is not None:
-            return self.telemetry
-        if plane is None:
-            plane = TelemetryPlane(
-                registry=self.metrics, interval=interval, **kwargs
-            )
-        self.telemetry = plane
-        plane.add_transition_hook(self._on_health_transition)
-        for broker_id in sorted(self.cores):
-            self._frames(
-                broker_id,
-                [self.cores[broker_id].enable_telemetry(plane.interval)],
-            )
-        return plane
-
-    def _on_health_transition(self, broker_id, previous, state, rule, sample):
-        if self.tracing is not None:
-            self.tracing.flight.dump(
-                "health-%s-%s" % (broker_id, state), time=self.sim.now
-            )
+        })
+        if self.sim.pending() > self._telemetry_scheduled:
+            self._arm_sampler(broker_id)
+        else:
+            self._telemetry_parked.add(broker_id)
 
     def _poke_telemetry(self):
         """Re-arm parked telemetry timers — new work just arrived."""
@@ -625,11 +393,8 @@ class Overlay:
         for broker_id in sorted(parked):
             if broker_id in self._down:
                 self._telemetry_parked.add(broker_id)
-                continue
-            self._frames(
-                broker_id,
-                [TimerRequest(TELEMETRY_TIMER, self.telemetry.interval)],
-            )
+            else:
+                self._arm_sampler(broker_id)
 
     def transport_deliver(
         self, broker_id: str, message: Message, from_hop: object, hops: int,
@@ -653,16 +418,9 @@ class Overlay:
         self, broker_id: str, messages: Sequence[Message], from_hop: object,
         hops: int, parents: Optional[Dict[int, Span]] = None,
     ):
-        """One frame reached a broker: a control message, or a group of
-        publications (consecutive paths of one document).  The frame is
-        one simulator event, one core call and one processing charge;
-        traffic statistics, tracer records and spans stay per message.
-
-        ``parents`` maps ``msg_id`` to the span that caused the message
-        (tracing only).  Every message keeps its own ``hop`` span over
-        the group's window; the broker re-points the hop scope per
-        message, so ``match`` sub-spans stay attributable.
-        """
+        """One frame reached a broker (see :meth:`HostKernel.dispatch`):
+        here it is one simulator event and one processing charge, which
+        closes the frame's ``hop`` spans and delays what it sends."""
         if self._down and broker_id in self._down:
             # A directly-scheduled frame (client edge) reached a dead
             # broker: hold it and replay on recovery, as a reconnecting
@@ -674,96 +432,30 @@ class Overlay:
                 "held_while_down", "network.faults.held", len(messages)
             )
             return
-        first = messages[0]
-        count = len(messages)
         now = self.sim.now
-        self.stats.record_broker_message(broker_id, first.kind, count)
         if self._tracers:
             for message in messages:
                 for tracer in self._tracers:
                     tracer.record(now, broker_id, message, from_hop)
-        tracing = self.tracing
-        hop_spans = sole = scope = None
-        if tracing is not None:
-            hop_spans = self._hop_spans(broker_id, messages, from_hop, parents)
-        if hop_spans:
-            first_span = next(iter(hop_spans.values()))
-            scope = tracing.push_hop(
-                first_span, self.processing_scale, hop_spans
-            )
-            if count == 1:
-                sole = first_span
-        core = self.cores[broker_id]
-        started = time.perf_counter()
-        try:
-            if isinstance(first, PublishMsg):
-                effects = core.on_publications(messages, from_hop)
-            else:
-                effects = core.on_message(first, from_hop)
-            frames = self._frames(broker_id, effects)
-        finally:
-            if scope is not None:
-                tracing.pop_hop(scope)
-        elapsed = time.perf_counter() - started
-        metrics = self.metrics
-        if metrics.enabled:
-            metrics.histogram("network.dispatch").record(elapsed)
-            metrics.counter("network.dispatch.outbound").inc(
-                sum(len(frame[1]) for frame in frames)
-            )
+        frames, hop_spans, elapsed = self.dispatch(
+            broker_id, messages, from_hop, now, parents
+        )
         processing, waited = self._charge_processing(
-            broker_id, elapsed, count
+            broker_id, elapsed, len(messages)
         )
         if hop_spans:
             for hop_span in hop_spans.values():
                 hop_span.end = now + processing
                 if waited > 0.0:
-                    tracing.span(
+                    self.tracing.span(
                         hop_span.trace_id, hop_span.span_id, "queue.wait",
                         broker_id, now, now + waited,
                     )
-            # What a lone message's handler originated — merger
-            # subscriptions, covering retractions, replays — joins the
-            # trace that caused it; messages already carrying a context
-            # keep theirs.  (A group only ever forwards its members.)
-            for _destination, out_messages, _view in frames:
-                for out_msg in out_messages:
-                    hop_span = hop_spans.get(out_msg.msg_id, sole)
-                    if hop_span is None:
-                        continue
-                    hop_span.attrs["fanout"] += 1
-                    if trace_of(out_msg) is None:
-                        stamp(
-                            out_msg,
-                            TraceContext(hop_span.trace_id, hop_span.span_id),
-                        )
         for destination, out_messages, view in frames:
             self._forward(
                 broker_id, destination, out_messages, processing, hops,
                 hop_spans, view,
             )
-
-    def _hop_spans(
-        self, broker_id: str, messages: Sequence[Message], from_hop: object,
-        parents: Optional[Dict[int, Span]],
-    ) -> Dict[int, Span]:
-        """Open the ``hop`` span of every traced message of an arriving
-        frame (``msg_id`` → span); the caller closes them once the
-        frame's processing charge is known."""
-        now = self.sim.now
-        attrs = {"group": len(messages)} if len(messages) > 1 else {}
-        hop_spans: Dict[int, Span] = {}
-        for message in messages:
-            context = trace_of(message)
-            if context is None:
-                continue
-            parent = parents.get(message.msg_id) if parents else None
-            hop_spans[message.msg_id] = self.tracing.span(
-                context.trace_id, _parent_id(parent, context),
-                "hop", broker_id, now, now,
-                kind=message.kind, from_hop=str(from_hop), fanout=0, **attrs,
-            )
-        return hop_spans
 
     def _charge_processing(
         self, broker_id: str, elapsed: float, count: int = 1
@@ -838,7 +530,7 @@ class Overlay:
                 # backoff) belongs to the transport, whose delays
                 # appear as gaps — never overlaps — in the chain.
                 fwd = (
-                    self._forward_span(
+                    self.forward_span(
                         src_broker, destination, message, hop_spans,
                         start, start, transport=True,
                     )
@@ -861,14 +553,12 @@ class Overlay:
         latency = self.latency_model.latency(src_broker, destination, size)
         parents: Optional[Dict[int, Span]] = None
         if tracing is not None:
-            attrs = {} if view is None else {"view": view}
-            if len(messages) > 1:
-                attrs["group"] = len(messages)
+            attrs = {"group": len(messages)} if len(messages) > 1 else {}
             parents = {}
             for message in messages:
-                fwd = self._forward_span(
+                fwd = self.forward_span(
                     src_broker, destination, message, hop_spans,
-                    start, start + latency, **attrs,
+                    start, start + latency, view, **attrs,
                 )
                 if fwd is not None:
                     parents[message.msg_id] = fwd
@@ -883,92 +573,10 @@ class Overlay:
         else:
             self.sim.schedule(
                 processing + latency,
-                lambda: self._client_receive(
-                    destination, messages, hops, parents, view
+                lambda: self.receive(
+                    destination, messages, hops, self.sim.now, parents, view
                 ),
             )
-
-    def _forward_span(
-        self, src_broker: str, destination: object, message: Message,
-        hop_spans: Optional[Dict[int, Span]], start: float, end: float,
-        **attrs,
-    ) -> Optional[Span]:
-        """The ``forward`` span of one message of an outbound frame
-        (None for an untraced message), under the message's own hop
-        span.  What the broker originated is in nobody's *hop_spans*;
-        its stamp already names the hop that caused it."""
-        context = trace_of(message)
-        if context is None:
-            return None
-        hop_span = hop_spans.get(message.msg_id) if hop_spans else None
-        return self.tracing.span(
-            context.trace_id, _parent_id(hop_span, context),
-            "forward", src_broker, start, end,
-            to=str(destination), kind=message.kind, **attrs,
-        )
-
-    def _client_receive(
-        self, client_id: str, messages: Sequence[Message], hops: int,
-        parents: Optional[Dict[int, Span]] = None,
-        view: Optional[str] = None,
-    ):
-        """One frame reached a subscriber.  *view* is "serve"/"replay"
-        when a materialized view produced it (labels the spans and the
-        audit observations).  Dedup, delivery records, spans and audit
-        observations are per message."""
-        self.stats.record_client_message(len(messages))
-        client = self.subscribers[client_id]
-        tracing = self.tracing
-        now = self.sim.now
-        for message in messages:
-            fresh = client.receive(message, hops)
-            if tracing is not None:
-                context = trace_of(message)
-                if context is not None:
-                    attrs = {
-                        "subscriber": client_id,
-                        "fresh": fresh,
-                        "hops": hops,
-                    }
-                    if view is not None:
-                        attrs["view"] = view
-                    publication = getattr(message, "publication", None)
-                    if publication is not None:
-                        attrs["doc"] = publication.doc_id
-                        attrs["path_id"] = publication.path_id
-                    tracing.span(
-                        context.trace_id,
-                        _parent_id(
-                            parents.get(message.msg_id) if parents else None,
-                            context,
-                        ),
-                        "deliver" if fresh else "dropped.duplicate",
-                        client_id, now, now, **attrs,
-                    )
-            if fresh and isinstance(message, PublishMsg):
-                for auditor in self._auditors:
-                    if view is not None:
-                        auditor.observe_delivery(client_id, message, view=view)
-                    else:
-                        auditor.observe_delivery(client_id, message)
-                # duplicates (client.receive returned False) never reach
-                # the delivery statistics: redelivered publications
-                # count once.
-                self.stats.record_delivery(
-                    DeliveryRecord(
-                        subscriber_id=client_id,
-                        doc_id=message.publication.doc_id,
-                        path_id=message.publication.path_id,
-                        issued_at=message.issued_at,
-                        delivered_at=now,
-                        hops=hops,
-                    )
-                )
-                if self.telemetry is not None:
-                    self.telemetry.note_delivery(
-                        self._client_home.get(client_id),
-                        now - message.issued_at,
-                    )
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Drain all pending traffic; returns processed event count."""
@@ -1036,30 +644,35 @@ class Overlay:
         unaffected; without it the broker comes back empty — the
         degraded behaviour the persistence layer exists to avoid.
         """
-        from repro.broker.persistence import restore, snapshot
+        from repro.broker.persistence import snapshot
 
         old = self.brokers.get(broker_id)
         if old is None:
             raise TopologyError("unknown broker %r" % broker_id)
-        if with_state:
-            replacement = restore(snapshot(old), universe=self.universe)
+        return self._rebind_broker(
+            broker_id, snapshot(old) if with_state else None
+        )
+
+    def _rebind_broker(self, broker_id: str, state: Optional[Dict]) -> Broker:
+        """Swap in the broker a restart leaves behind — restored from
+        the snapshot *state*, or (None) empty but for its wiring — and
+        re-wrap its core."""
+        from repro.broker.persistence import restore
+
+        old = self.brokers[broker_id]
+        if state is not None:
+            replacement = restore(state, universe=self.universe)
         else:
             replacement = Broker(
-                broker_id=broker_id,
-                config=self.config,
-                universe=self.universe,
+                broker_id=broker_id, config=self.config, universe=self.universe
             )
             for neighbor in old.neighbors:
                 replacement.connect(neighbor)
             for client in old.local_clients:
                 replacement.attach_client(client)
-        self._rebind_broker(broker_id, replacement)
-        return replacement
-
-    def _rebind_broker(self, broker_id: str, replacement: Broker):
-        """Swap in a restored/replacement broker, re-wrapping its core."""
         self.cores[broker_id] = BrokerCore(broker=replacement)
         self.brokers[broker_id] = replacement
+        return replacement
 
     def describe(self) -> Dict[str, object]:
         """Topology plus per-broker summaries (CLI / debugging)."""
@@ -1074,14 +687,6 @@ class Overlay:
                 broker_id: broker.describe()
                 for broker_id, broker in sorted(self.brokers.items())
             },
-        }
-
-    def delivered_map(self) -> Dict[str, Set[str]]:
-        """subscriber id -> set of delivered document ids (the delivery
-        -equivalence invariant compares these across strategies)."""
-        return {
-            client_id: client.delivered_documents()
-            for client_id, client in self.subscribers.items()
         }
 
 
@@ -1108,17 +713,6 @@ class _Group:
         self.messages: List[Message] = [message]
         #: ``msg_id`` → ``submit`` root span of every traced message.
         self.roots: Dict[int, Span] = {}
-
-
-def _parent_id(parent: Optional[Span], context: TraceContext) -> str:
-    """The parent span id for a new span of *context*'s trace: the
-    causing span when it belongs to the same trace, else the trace's
-    own root (e.g. a stored subscription re-emitted while handling an
-    advertisement parents back to its original submit, not into the
-    advertisement's trace)."""
-    if parent is not None and parent.trace_id == context.trace_id:
-        return parent.span_id
-    return context.span_id
 
 
 def _size_of(message: Message) -> int:

@@ -1,19 +1,18 @@
-"""Reliable delivery over faulty links (simulator transport).
+"""Reliable delivery over faulty links.
 
-With a :class:`~repro.network.faults.FaultPlan` installed, every
-broker-to-broker hop of an :class:`~repro.network.overlay.Overlay`
-travels through this transport instead of being scheduled directly:
+:class:`Channel` is the protocol, as a sans-IO state machine — no
+clock, no scheduler, no socket:
 
-* each directed link is a **channel** carrying sequence-numbered data
-  frames and cumulative acknowledgements;
+* a link direction carries sequence-numbered data frames and
+  **cumulative** acknowledgements;
 * unacknowledged frames are **retransmitted** after a timeout that
   backs off exponentially (capped), so drops, partitions and crashed
   receivers are survived;
-* the receiver **suppresses duplicates** and delivers strictly
+* the receiver **suppresses duplicates** and releases strictly
   **in order** (out-of-order frames are buffered until the gap fills),
   so reordered and duplicated transmissions never reach a broker
   twice or early;
-* acknowledgements are cumulative over *delivered* frames only, so a
+* acknowledgements are cumulative over *released* frames only, so a
   crash cannot lose frames that were buffered but never handed to the
   broker — the peer still holds them unacknowledged and resends them
   on the post-recovery channel epoch.
@@ -22,9 +21,13 @@ Together with idempotent broker handlers and crash recovery from
 persisted snapshots this gives at-least-once transmission with
 effectively exactly-once routing-state updates.
 
-Frames are plain Python here (the simulator passes objects by
-reference); the byte-level twin of this protocol lives in
-:mod:`repro.network.wire` / :mod:`repro.network.sockets`.
+Two drivers run the machine.  :class:`ReliableTransport` (below) is the
+simulator's: with a :class:`~repro.network.faults.FaultPlan` installed,
+every broker-to-broker hop of an :class:`~repro.network.overlay.Overlay`
+travels through it instead of being scheduled directly — frames are
+plain Python objects, timers are simulator events, loss is the plan's.
+``repro.network.sockets._Connection`` is the TCP one: frames are
+:mod:`repro.network.wire` lines, timers a polling thread.
 
 Traffic accounting note: :class:`~repro.network.stats.NetworkStats`
 keeps counting *application* messages received by brokers (the paper's
@@ -40,52 +43,117 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 from repro.broker.messages import Message
-from repro.network.faults import FaultPlan
-from repro.obs.tracing import Span, trace_of
+from repro.network.faults import FaultDecision, FaultPlan
+from repro.obs.tracing import Span, _parent_id, trace_of
 
 
 class Channel:
-    """One directed link's reliability state.
+    """One link's reliability state machine.
 
-    Sender-side fields live at ``src`` (sequence allocation, unacked
-    frames, per-frame timeout), receiver-side fields at ``dst``
-    (next expected sequence, out-of-order buffer); co-locating them in
-    one object is a simulator convenience.  ``epoch`` guards against
-    frames and acknowledgements from before a channel reset (broker
-    restart): stale deliveries are discarded.
+    The sender half (sequence allocation, unacked frames, attempts —
+    :meth:`push` / :meth:`retry` / :meth:`acked`) and the receiver half
+    (next expected sequence, out-of-order buffer — :meth:`accept` /
+    :attr:`ack`) share no field.  The simulator keeps both ends of one
+    *directed* link in one object; a socket connection keeps its own
+    sending half and the receiving half of the opposite direction in
+    one.  Payloads are opaque: whatever the driver needs back when a
+    frame is retransmitted or released.
+
+    ``epoch`` guards against frames and acknowledgements from before a
+    :meth:`reset` (broker restart): the driver tags what it puts in
+    flight with the epoch and discards stale arrivals.
+
+    Args:
+        rto: initial retransmission timeout, in the driver's seconds.
+        rto_cap: the timeout doubles per retransmission up to this.
+        max_attempts: transmissions per frame before it is abandoned.
+        src, dst: labels for the driver; the machine never reads them.
     """
 
     __slots__ = (
-        "src", "dst", "epoch", "next_seq", "unacked", "rto_of",
-        "attempts", "tx_index", "expected", "buffer",
+        "src", "dst", "rto", "rto_cap", "max_attempts", "epoch",
+        "next_seq", "unacked", "attempts", "expected", "buffer",
     )
 
-    def __init__(self, src: object, dst: object):
+    def __init__(
+        self, rto: float, rto_cap: float, max_attempts: int,
+        src: object = None, dst: object = None,
+    ):
         self.src = src
         self.dst = dst
+        self.rto = rto
+        self.rto_cap = rto_cap
+        self.max_attempts = max_attempts
         self.epoch = 0
         self.next_seq = 0
-        #: seq -> (message, hops, parent span) awaiting cumulative
-        #: acknowledgement; the parent span keeps retransmissions (and
-        #: post-crash resends) in the message's original trace.
-        self.unacked: Dict[int, Tuple[Message, int, Optional[Span]]] = {}
-        self.rto_of: Dict[int, float] = {}
+        #: seq -> payload awaiting cumulative acknowledgement.
+        self.unacked: Dict[int, object] = {}
+        #: seq -> transmissions so far (the first one included).
         self.attempts: Dict[int, int] = {}
-        #: physical transmission counter — the index fed to
-        #: :meth:`FaultPlan.decide`, shared by data and ack frames so
-        #: the fault schedule of a link direction is one stream.
-        self.tx_index = 0
         self.expected = 0
-        self.buffer: Dict[int, Tuple[Message, int, Optional[Span]]] = {}
+        self.buffer: Dict[int, object] = {}
 
-    def reset(self) -> List[Tuple[Message, int, Optional[Span]]]:
-        """Start a new epoch, returning the unacked frames in sequence
+    # -- sender half -------------------------------------------------------
+
+    def push(self, payload: object) -> int:
+        """Take a frame for its first transmission; returns its
+        sequence number.  The driver transmits it and arms a timer of
+        :attr:`rto`."""
+        seq = self.next_seq
+        self.next_seq += 1
+        self.unacked[seq] = payload
+        self.attempts[seq] = 1
+        return seq
+
+    def retry(self, seq: int) -> Optional[float]:
+        """The timer of the still-unacked frame *seq* fired.  Returns
+        the timeout to arm after retransmitting it — doubled per
+        attempt, capped — or None when its attempts are used up: the
+        frame is abandoned (forgotten here; the driver counts it)."""
+        attempts = self.attempts[seq]
+        if attempts >= self.max_attempts:
+            del self.unacked[seq]
+            del self.attempts[seq]
+            return None
+        self.attempts[seq] = attempts + 1
+        return min(self.rto * 2.0 ** attempts, self.rto_cap)
+
+    def acked(self, ack: int):
+        """A cumulative acknowledgement arrived: everything numbered
+        *ack* or lower was released at the far end."""
+        for seq in [s for s in self.unacked if s <= ack]:
+            del self.unacked[seq]
+            del self.attempts[seq]
+
+    # -- receiver half -----------------------------------------------------
+
+    def accept(self, seq: int, payload: object) -> Optional[List[object]]:
+        """A data frame arrived.  Returns None for a duplicate (already
+        released, or already waiting in the buffer); otherwise the
+        payloads that are now releasable in sequence order — empty
+        while a gap before *seq* is still open."""
+        if seq < self.expected or seq in self.buffer:
+            return None
+        self.buffer[seq] = payload
+        ready = []
+        while self.expected in self.buffer:
+            ready.append(self.buffer.pop(self.expected))
+            self.expected += 1
+        return ready
+
+    @property
+    def ack(self) -> int:
+        """The cumulative acknowledgement to send: the last sequence
+        number released in order (-1 before the first)."""
+        return self.expected - 1
+
+    def reset(self) -> List[object]:
+        """Start a new epoch, returning the unacked payloads in sequence
         order (the caller decides whether to resend them)."""
         pending = [self.unacked[seq] for seq in sorted(self.unacked)]
         self.epoch += 1
         self.next_seq = 0
         self.unacked = {}
-        self.rto_of = {}
         self.attempts = {}
         self.expected = 0
         self.buffer = {}
@@ -93,7 +161,9 @@ class Channel:
 
 
 class ReliableTransport:
-    """Sequence/ack/retransmit machinery for one overlay.
+    """The simulator's driver of :class:`Channel`: one channel per
+    directed link, timers as simulator events, every physical
+    transmission filtered through the fault plan, spans and counters.
 
     Args:
         overlay: the owning :class:`~repro.network.overlay.Overlay`.
@@ -113,6 +183,10 @@ class ReliableTransport:
         self.plan = plan
         self.max_attempts = max_attempts
         self.channels: Dict[Tuple[object, object], Channel] = {}
+        #: physical transmissions so far per link direction — the index
+        #: fed to :meth:`FaultPlan.decide`, shared by data and ack
+        #: frames so the fault schedule of a direction is one stream.
+        self._tx_index: Dict[Tuple[object, object], int] = defaultdict(int)
         self.stats: Dict[str, int] = defaultdict(int)
 
     # -- bookkeeping -------------------------------------------------------
@@ -120,7 +194,10 @@ class ReliableTransport:
     def channel(self, src: object, dst: object) -> Channel:
         channel = self.channels.get((src, dst))
         if channel is None:
-            channel = self.channels[(src, dst)] = Channel(src, dst)
+            channel = self.channels[(src, dst)] = Channel(
+                self.plan.rto, self.plan.rto * self.RTO_CAP_FACTOR,
+                self.max_attempts, src, dst,
+            )
         return channel
 
     def _count(self, stat: str, metric: str, amount: int = 1):
@@ -128,6 +205,20 @@ class ReliableTransport:
         metrics = self.overlay.metrics
         if metrics.enabled:
             metrics.counter(metric).inc(amount)
+
+    def _decide(self, src: object, dst: object) -> Optional[FaultDecision]:
+        """Draw the plan's decision for one physical transmission on
+        the src→dst direction; None when the frame is lost to it."""
+        index = self._tx_index[(src, dst)]
+        self._tx_index[(src, dst)] = index + 1
+        decision = self.plan.decide(src, dst, index, self.overlay.sim.now)
+        if decision.partitioned:
+            self._count("partitioned", "network.faults.partitioned")
+            return None
+        if decision.dropped:
+            self._count("dropped", "network.faults.dropped")
+            return None
+        return decision
 
     # -- sending -----------------------------------------------------------
 
@@ -141,44 +232,30 @@ class ReliableTransport:
         ``first_delay`` models sender-side processing before the first
         transmission (retransmissions skip it).  ``parent_span`` is the
         causing span (the overlay's ``forward``) — every transmission
-        of the frame, retransmissions included, stays under it.
+        of the frame, retransmissions and post-crash resends included,
+        stays under it, in the message's original trace.
         """
         channel = self.channel(src, dst)
-        seq = channel.next_seq
-        channel.next_seq += 1
-        channel.unacked[seq] = (message, hops, parent_span)
-        channel.rto_of[seq] = self.plan.rto
-        channel.attempts[seq] = 0
+        seq = channel.push((message, hops, parent_span))
         self._count("sent", "network.transport.sent")
-        self._transmit(
-            channel, seq, message, hops, extra=first_delay,
-            parent_span=parent_span,
-        )
+        self._transmit(channel, seq, extra=first_delay)
         self._schedule_retransmit(
-            channel, seq, channel.epoch, first_delay + self.plan.rto
+            channel, seq, channel.epoch, first_delay + channel.rto
         )
 
-    def _transmit(
-        self, channel: Channel, seq: int, message: Message, hops: int,
-        extra: float = 0.0, parent_span: Optional[Span] = None,
-    ):
-        channel.attempts[seq] = channel.attempts.get(seq, 0) + 1
-        decision = self.plan.decide(
-            channel.src, channel.dst, channel.tx_index, self.overlay.sim.now
-        )
-        channel.tx_index += 1
+    def _transmit(self, channel: Channel, seq: int, extra: float = 0.0):
         self._count("frames", "network.transport.frames")
-        if decision.partitioned:
-            self._count("partitioned", "network.faults.partitioned")
-            return
-        if decision.dropped:
-            self._count("dropped", "network.faults.dropped")
+        decision = self._decide(channel.src, channel.dst)
+        if decision is None:
             return
         if decision.copies > 1:
             self._count("duplicated", "network.faults.duplicated")
         if decision.reordered:
             self._count("reordered", "network.faults.reordered")
-        latency = self.overlay.link_latency(channel.src, channel.dst, message)
+        payload = channel.unacked[seq]
+        latency = self.overlay.link_latency(
+            channel.src, channel.dst, payload[0]
+        )
         epoch = channel.epoch
         for copy in range(decision.copies):
             # the duplicate trails the original by a hair so "arrives
@@ -186,17 +263,14 @@ class ReliableTransport:
             delay = extra + latency + decision.extra_delay + copy * 1e-9
             self.overlay.sim.schedule(
                 delay,
-                lambda c=channel, e=epoch, s=seq, m=message, h=hops,
-                       p=parent_span:
-                    self._deliver_data(c, e, s, m, h, p),
+                lambda: self._deliver_data(channel, epoch, seq, payload),
             )
 
     def _schedule_retransmit(
         self, channel: Channel, seq: int, epoch: int, delay: float
     ):
         self.overlay.sim.schedule(
-            delay,
-            lambda c=channel, e=epoch, s=seq: self._retransmit_check(c, e, s),
+            delay, lambda: self._retransmit_check(channel, epoch, seq)
         )
 
     def _retransmit_check(self, channel: Channel, epoch: int, seq: int):
@@ -204,41 +278,31 @@ class ReliableTransport:
             return  # acknowledged, or superseded by a channel reset
         if self.overlay.is_down(channel.src):
             return  # sender died; recovery resends its outbox
-        if channel.attempts.get(seq, 0) >= self.max_attempts:
+        attempt = channel.attempts[seq]
+        rto = channel.retry(seq)
+        if rto is None:
             self._count("abandoned", "network.transport.abandoned")
-            channel.unacked.pop(seq, None)
-            channel.rto_of.pop(seq, None)
             return
-        rto = min(
-            channel.rto_of[seq] * 2.0, self.plan.rto * self.RTO_CAP_FACTOR
-        )
-        channel.rto_of[seq] = rto
         self._count("retransmits", "broker.retransmits")
-        message, hops, parent_span = channel.unacked[seq]
+        message, _hops, parent_span = channel.unacked[seq]
         tracing = self.overlay.tracing
         if tracing is not None:
             context = trace_of(message)
             if context is not None:
-                parent_id = (
-                    parent_span.span_id
-                    if parent_span is not None
-                    and parent_span.trace_id == context.trace_id
-                    else context.span_id
-                )
+                now = self.overlay.sim.now
                 tracing.span(
-                    context.trace_id, parent_id, "retransmit", channel.src,
-                    self.overlay.sim.now, self.overlay.sim.now,
-                    to=str(channel.dst), seq=seq,
-                    attempt=channel.attempts.get(seq, 0),
+                    context.trace_id, _parent_id(parent_span, context),
+                    "retransmit", channel.src, now, now,
+                    to=str(channel.dst), seq=seq, attempt=attempt,
                 )
-        self._transmit(channel, seq, message, hops, parent_span=parent_span)
+        self._transmit(channel, seq)
         self._schedule_retransmit(channel, seq, channel.epoch, rto)
 
     # -- receiving ---------------------------------------------------------
 
     def _deliver_data(
-        self, channel: Channel, epoch: int, seq: int, message: Message,
-        hops: int, parent_span: Optional[Span] = None,
+        self, channel: Channel, epoch: int, seq: int,
+        payload: Tuple[Message, int, Optional[Span]],
     ):
         if epoch != channel.epoch:
             self._count("stale", "network.transport.stale")
@@ -246,75 +310,54 @@ class ReliableTransport:
         if self.overlay.is_down(channel.dst):
             self._count("crash_dropped", "network.faults.crash_dropped")
             return
-        if seq < channel.expected or seq in channel.buffer:
+        ready = channel.accept(seq, payload)
+        if ready is None:
             self._count("dup_suppressed", "broker.dup_suppressed")
             tracing = self.overlay.tracing
             if tracing is not None:
+                message, _hops, parent_span = payload
                 context = trace_of(message)
                 if context is not None:
                     # The duplicate joins the original trace — it must
                     # never look like a fresh operation.
-                    parent_id = (
-                        parent_span.span_id
-                        if parent_span is not None
-                        and parent_span.trace_id == context.trace_id
-                        else context.span_id
-                    )
+                    now = self.overlay.sim.now
                     tracing.span(
-                        context.trace_id, parent_id, "dropped.duplicate",
-                        channel.dst, self.overlay.sim.now,
-                        self.overlay.sim.now,
+                        context.trace_id, _parent_id(parent_span, context),
+                        "dropped.duplicate", channel.dst, now, now,
                         seq=seq, src=str(channel.src),
                     )
-            self._send_ack(channel)
-            return
-        channel.buffer[seq] = (message, hops, parent_span)
-        while channel.expected in channel.buffer:
-            ready, ready_hops, ready_parent = channel.buffer.pop(
-                channel.expected
-            )
-            channel.expected += 1
-            self.overlay.transport_deliver(
-                channel.dst, ready, channel.src, ready_hops, ready_parent
-            )
+        else:
+            for message, hops, parent_span in ready:
+                self.overlay.transport_deliver(
+                    channel.dst, message, channel.src, hops, parent_span
+                )
         self._send_ack(channel)
 
     def _send_ack(self, channel: Channel):
         """Cumulative ack of everything delivered in order so far.
 
         Acks physically ride the reverse link direction, so they draw
-        fault decisions from the reverse channel's transmission stream
-        (and can be dropped, delayed or duplicated like any frame —
-        a lost ack just means one more retransmission).
+        fault decisions from the reverse direction's transmission
+        stream (and can be dropped, delayed or duplicated like any
+        frame — a lost ack just means one more retransmission).
         """
-        reverse = self.channel(channel.dst, channel.src)
-        decision = self.plan.decide(
-            reverse.src, reverse.dst, reverse.tx_index, self.overlay.sim.now
-        )
-        reverse.tx_index += 1
         self._count("acks", "network.transport.acks")
-        if decision.partitioned:
-            self._count("partitioned", "network.faults.partitioned")
+        decision = self._decide(channel.dst, channel.src)
+        if decision is None:
             return
-        if decision.dropped:
-            self._count("dropped", "network.faults.dropped")
-            return
-        ack = channel.expected - 1
+        ack = channel.ack
         epoch = channel.epoch
         latency = self.overlay.link_latency(channel.dst, channel.src, None)
         for copy in range(decision.copies):
             self.overlay.sim.schedule(
                 latency + decision.extra_delay + copy * 1e-9,
-                lambda c=channel, e=epoch, a=ack: self._deliver_ack(c, e, a),
+                lambda: self._deliver_ack(channel, epoch, ack),
             )
 
     def _deliver_ack(self, channel: Channel, epoch: int, ack: int):
         if epoch != channel.epoch or self.overlay.is_down(channel.src):
             return
-        for seq in [s for s in channel.unacked if s <= ack]:
-            del channel.unacked[seq]
-            channel.rto_of.pop(seq, None)
-            channel.attempts.pop(seq, None)
+        channel.acked(ack)
 
     # -- crash recovery ----------------------------------------------------
 

@@ -2,8 +2,10 @@
 
 The paper deploys its routers on a 20-node cluster and on PlanetLab.
 This module provides the equivalent runnable artifact: each
-:class:`SocketBrokerNode` hosts one :class:`~repro.broker.broker.Broker`
-behind a TCP listener, speaking the newline-delimited JSON protocol of
+:class:`SocketBrokerNode` hosts one broker — a
+:class:`~repro.broker.core.BrokerCore` inside a one-broker
+:class:`~repro.runtime.host.HostKernel` — behind a TCP listener,
+speaking the newline-delimited JSON protocol of
 :mod:`repro.network.wire`.  Neighbour brokers and clients connect over
 sockets; everything the simulator exercises in-process runs unchanged
 over real connections.
@@ -32,10 +34,13 @@ layer is transport-independent and to back the integration tests in
 tests/test_sockets.py.
 
 Reliability: every message travels as a sequence-numbered data frame
-(:func:`repro.network.wire.encode_data_frame`) acknowledged per frame;
-a retransmission thread resends unacknowledged frames with exponential
-backoff and the receiver suppresses duplicate sequence numbers, so the
-deployment survives lossy transports.  TCP itself never loses bytes —
+(:func:`repro.network.wire.encode_data_frame`) acknowledged
+cumulatively.  Each connection drives one
+:class:`~repro.network.reliable.Channel` — the same state machine the
+simulator's transport drives — so unacknowledged frames are resent
+with capped exponential backoff and the receiver suppresses duplicates
+and releases strictly in order: a retransmitted SUB can never be
+overtaken by the UNSUB sent after it.  TCP itself never loses bytes —
 the loss the layer heals is injected via ``loss_rate`` (dropping
 physical sends before the socket), which is how the integration tests
 exercise retransmission without leaving localhost.
@@ -52,17 +57,19 @@ import traceback
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import obs
-from repro.broker.broker import Broker
 from repro.broker.messages import Message, PublishMsg
 from repro.broker.strategies import RoutingConfig
 from repro.errors import RoutingError
+from repro.network.reliable import Channel
 from repro.network.wire import (
+    WireError,
     decode_frame,
     encode_ack_frame,
     encode_data_frame,
 )
 from repro.obs.tracing import Span, mint_context, next_span_id, stamp, trace_of
 from repro.runtime.base import scaled
+from repro.runtime.host import HostKernel
 
 
 def stamp_view(message: Message, kind: str):
@@ -73,18 +80,17 @@ def stamp_view(message: Message, kind: str):
     object.__setattr__(message, "view", kind)
 
 
-def view_of(message: Message) -> Optional[str]:
-    return getattr(message, "view", None)
-
-
 class _Connection:
-    """One reliable framed peer connection with a reader thread.
+    """One reliable framed peer connection: the TCP driver of a
+    :class:`~repro.network.reliable.Channel` (this end's sending half
+    plus the receiving half of the opposite direction), with a reader
+    thread and a retransmission thread.
 
     Args:
         sock: the connected socket.
         peer_name: broker/client id of the far end.
         on_message: ``callback(peer_name, message)`` for each
-            application message (duplicates are suppressed before it).
+            application message, exactly once and in sending order.
         drop_send: optional fault hook ``f(payload_bytes) -> bool``;
             returning True discards that physical transmission (the
             retransmission loop recovers it).
@@ -110,14 +116,12 @@ class _Connection:
         self.peer_name = peer_name
         self._on_message = on_message
         self._drop_send = drop_send
-        self._rto = rto
-        self._max_attempts = max_attempts
         self._send_lock = threading.Lock()
         self._state_lock = threading.Lock()
-        self._next_seq = 0
-        #: seq -> [payload, attempts, resend-deadline (monotonic)]
-        self._unacked: Dict[int, list] = {}
-        self._delivered_seqs: Set[int] = set()
+        #: Guarded by ``_state_lock``.  An unacked payload is
+        #: ``[message, resend deadline (monotonic)]`` — the deadline is
+        #: this driver's timer.
+        self._channel = Channel(rto, rto * self.RTO_CAP_FACTOR, max_attempts)
         #: Data frames acked but whose dispatch has not returned yet.
         #: The ack races ahead of the routing work it acknowledges, so a
         #: quiescence probe that only watches unacked counts can declare
@@ -127,7 +131,7 @@ class _Connection:
         self._inflight_rx = 0
         self.stats: Dict[str, int] = {
             "sent": 0, "retransmits": 0, "dup_suppressed": 0,
-            "acks": 0, "abandoned": 0, "injected_drops": 0,
+            "acks": 0, "abandoned": 0, "injected_drops": 0, "malformed": 0,
         }
         self._thread = threading.Thread(target=self._read_loop, daemon=True)
         self._retransmitter = threading.Thread(
@@ -141,14 +145,10 @@ class _Connection:
 
     def send(self, message: Message):
         with self._state_lock:
-            seq = self._next_seq
-            self._next_seq += 1
-            payload = encode_data_frame(seq, message)
-            self._unacked[seq] = [
-                payload, 1, time.monotonic() + self._rto
-            ]
+            channel = self._channel
+            seq = channel.push([message, time.monotonic() + channel.rto])
             self.stats["sent"] += 1
-        self._transmit(payload)
+        self._transmit(encode_data_frame(seq, message))
 
     def _transmit(self, payload: bytes):
         if self._drop_send is not None and self._drop_send(payload):
@@ -161,41 +161,33 @@ class _Connection:
                 self._closed.set()
 
     def _retransmit_loop(self):
-        tick = max(self._rto / 4.0, 0.005)
+        tick = max(self._channel.rto / 4.0, 0.005)
         while not self._closed.is_set():
             time.sleep(tick)
             now = time.monotonic()
             due = []
             with self._state_lock:
-                for seq, record in list(self._unacked.items()):
-                    payload, attempts, deadline = record
-                    if now < deadline:
+                channel = self._channel
+                for seq, record in list(channel.unacked.items()):
+                    if now < record[1]:
                         continue
-                    if attempts >= self._max_attempts:
-                        del self._unacked[seq]
+                    rto = channel.retry(seq)
+                    if rto is None:
                         self.stats["abandoned"] += 1
                         continue
-                    record[1] = attempts + 1
-                    record[2] = now + min(
-                        self._rto * (2 ** attempts),
-                        self._rto * self.RTO_CAP_FACTOR,
-                    )
-                    due.append(payload)
+                    record[1] = now + rto
+                    due.append(encode_data_frame(seq, record[0]))
                     self.stats["retransmits"] += 1
             for payload in due:
                 obs.inc("broker.retransmits")
                 self._transmit(payload)
-
-    def unacked_count(self) -> int:
-        with self._state_lock:
-            return len(self._unacked)
 
     def pending_count(self) -> int:
         """Frames whose reliable exchange is incomplete from this
         connection's point of view: sent-but-unacked plus
         received-and-acked-but-not-yet-dispatched."""
         with self._state_lock:
-            return len(self._unacked) + self._inflight_rx
+            return len(self._channel.unacked) + self._inflight_rx
 
     def close(self):
         self._closed.set()
@@ -222,39 +214,49 @@ class _Connection:
         self._closed.set()
 
     def _handle_line(self, line: bytes):
-        frame = decode_frame(line)
+        try:
+            frame = decode_frame(line)
+        except WireError:
+            # One bad line must not end the reader: the connection
+            # would look open while every later frame went unread.
+            self.stats["malformed"] += 1
+            obs.inc("network.transport.malformed")
+            return
         if frame.kind == "ack":
             with self._state_lock:
-                self._unacked.pop(frame.seq, None)
+                self._channel.acked(frame.seq)
             return
-        if frame.kind == "data":
-            # Ack first (even duplicates: their first ack may be the
-            # one that got lost), deliver once.  The ack echoes the data
-            # frame's trace id so both directions of a reliable exchange
-            # are attributable to the same causal trace.  The inflight
-            # counter goes up before the ack leaves: by the time the
-            # sender sees its unacked count drop, this side already
-            # advertises the pending dispatch, so a cross-node
-            # quiescence probe can never observe "all idle" with the
-            # handler still to run.
-            self.stats["acks"] += 1
+        if frame.kind == "raw":
+            # legacy unframed message: deliver as-is (no reliability
+            # contract)
+            self._on_message(self.peer_name, frame.message)
+            return
+        # Ack everything released so far (even on a duplicate: its
+        # first ack may be the one that got lost), hand each message on
+        # once, in order.  The ack echoes the data frame's trace id so
+        # both directions of a reliable exchange are attributable to the
+        # same causal trace.  The inflight counter goes up before the
+        # ack leaves: by the time the sender sees its unacked count
+        # drop, this side already advertises the pending dispatch, so a
+        # cross-node quiescence probe can never observe "all idle" with
+        # the handler still to run.
+        self.stats["acks"] += 1
+        with self._state_lock:
+            self._inflight_rx += 1
+            ready = self._channel.accept(frame.seq, frame.message)
+            ack = self._channel.ack
+        try:
+            if ack >= 0:  # nothing to acknowledge before frame 0 lands
+                self._transmit(encode_ack_frame(ack, trace_id=frame.trace_id))
+            if ready is None:
+                self.stats["dup_suppressed"] += 1
+                obs.inc("broker.dup_suppressed")
+                return
+            for message in ready:
+                self._on_message(self.peer_name, message)
+        finally:
             with self._state_lock:
-                self._inflight_rx += 1
-            self._transmit(encode_ack_frame(frame.seq, trace_id=frame.trace_id))
-            try:
-                with self._state_lock:
-                    if frame.seq in self._delivered_seqs:
-                        self.stats["dup_suppressed"] += 1
-                        obs.inc("broker.dup_suppressed")
-                        return
-                    self._delivered_seqs.add(frame.seq)
-                self._on_message(self.peer_name, frame.message)
-            finally:
-                with self._state_lock:
-                    self._inflight_rx -= 1
-            return
-        # raw legacy frame: deliver as-is (no reliability contract)
-        self._on_message(self.peer_name, frame.message)
+                self._inflight_rx -= 1
 
 
 class SocketBrokerNode:
@@ -279,7 +281,10 @@ class SocketBrokerNode:
         rto: float = 0.05,
         service_delay: float = 0.0,
     ):
-        self.broker = Broker(broker_id, config=config, universe=universe)
+        #: A one-broker host kernel: it turns each inbound message into
+        #: the frames this node then writes to a connection or a sink.
+        self.kernel = HostKernel(config=config, universe=universe)
+        self.broker = self.kernel.add_broker(broker_id)
         self.broker_id = broker_id
         self.loss_rate = loss_rate
         self.rto = rto
@@ -296,6 +301,8 @@ class SocketBrokerNode:
         self._listener = socket.create_server((host, port))
         self.host, self.port = self._listener.getsockname()
         self._connections: Dict[str, _Connection] = {}
+        #: client id -> ``deliver(message)`` of each in-process client.
+        self._client_sinks: Dict[str, Callable[[Message], None]] = {}
         self._lock = threading.RLock()
         self._accept_thread = threading.Thread(
             target=self._accept_loop, daemon=True
@@ -312,7 +319,6 @@ class SocketBrokerNode:
         #: Tracebacks from handler failures (the dispatcher must not
         #: die silently; tests and the worker loop surface these).
         self.errors: List[str] = []
-        self.delivered: List[Tuple[str, Message]] = []
         #: With ``record_hops`` every handled message appends
         #: ``(trace_id, kind, from_hop, detail)`` — the per-process
         #: evidence the multiprocess deployment assembles into causal-
@@ -404,7 +410,6 @@ class SocketBrokerNode:
         message routed to it (publishers never receive anything)."""
         with self._lock:
             self.broker.attach_client(client_id)
-            self._client_sinks = getattr(self, "_client_sinks", {})
             self._client_sinks[client_id] = deliver
 
     def _accept_loop(self):
@@ -436,11 +441,12 @@ class SocketBrokerNode:
             self._connections[peer_name] = connection
             if peer_name not in self.broker.neighbors:
                 self.broker.connect(peer_name)
+        # What arrived behind the handshake line goes through before the
+        # reader thread exists, so the connection releases in order.
+        for extra in rest.split(b"\n"):
+            if extra.strip():
+                connection._handle_line(extra)
         connection.start()
-        if rest.strip():
-            for extra in rest.split(b"\n"):
-                if extra.strip():
-                    connection._handle_line(extra)
 
     # -- message plumbing ------------------------------------------------------
 
@@ -500,38 +506,29 @@ class SocketBrokerNode:
                     message.kind, str(from_hop),
                     str(detail) if detail is not None else None,
                 ))
-            outbound = self.broker.handle(message, from_hop)
-            # This node drives the raw broker, not a BrokerCore, so the
-            # view marks/replays the core would classify into effects
-            # are drained here (see repro.broker.core and docs/views.md).
-            served = self.broker._take_view_served()
-            replays = self.broker._take_pending_replays()
-            sinks = getattr(self, "_client_sinks", {})
-            for destination, out_msg in outbound:
-                if destination in sinks:
-                    if served and (destination, out_msg.msg_id) in served:
-                        # Rides the message object like the trace stamp;
-                        # the multiprocess worker folds it into the wire
-                        # object so the parent-side auditor can classify
-                        # the delivery.
-                        stamp_view(out_msg, "serve")
-                    self.delivered.append((destination, out_msg))
-                    sinks[destination](out_msg)
-                else:
+            # (no trace recorder in this process, so no clock is read)
+            frames, _spans, _elapsed = self.kernel.dispatch(
+                self.broker_id, (message,), from_hop, 0.0
+            )
+            for destination, out_messages, view in frames:
+                sink = self._client_sinks.get(destination)
+                if sink is None:
                     connection = self._connections.get(destination)
                     if connection is None:
                         raise RoutingError(
                             "broker %r has no connection to %r"
                             % (self.broker_id, destination)
                         )
-                    connection.send(out_msg)
-            for client_id, messages, _group in replays:
-                sink = sinks.get(client_id)
-                if sink is None:
+                    for out_msg in out_messages:
+                        connection.send(out_msg)
                     continue
-                for out_msg in messages:
-                    stamp_view(out_msg, "replay")
-                    self.delivered.append((client_id, out_msg))
+                for out_msg in out_messages:
+                    if view is not None:
+                        # Rides the message object like the trace stamp;
+                        # the multiprocess worker folds it into the wire
+                        # object so the parent-side auditor can classify
+                        # the delivery.
+                        stamp_view(out_msg, view)
                     sink(out_msg)
 
 

@@ -14,9 +14,10 @@ frame over TCP and to inspect on the wire):
 property-based tests round-trip randomly generated messages.
 
 Reliable framing: the TCP deployment wraps messages in sequence-
-numbered **data frames** acknowledged by **ack frames** so lost or
-duplicated transmissions are retransmitted and suppressed (the byte-
-level twin of :mod:`repro.network.reliable`)::
+numbered **data frames** acknowledged cumulatively by **ack frames**,
+so lost or duplicated transmissions are retransmitted and suppressed
+(the byte form of what :class:`repro.network.reliable.Channel`
+exchanges)::
 
     {"kind":"data","seq":7,"msg":{"kind":"subscribe",...}}
     {"kind":"ack","seq":7}
@@ -137,11 +138,11 @@ def _as_line(obj: dict) -> bytes:
 
 
 def _load_obj(line: Union[bytes, str]) -> dict:
-    if isinstance(line, bytes):
-        line = line.decode("utf-8")
     try:
+        if isinstance(line, bytes):
+            line = line.decode("utf-8")
         obj = json.loads(line)
-    except ValueError as exc:
+    except ValueError as exc:  # bad UTF-8 is a ValueError too
         raise WireError("invalid JSON on the wire: %s" % exc)
     if not isinstance(obj, dict):
         raise WireError("wire object must be a JSON object")
@@ -245,10 +246,11 @@ def encode_data_frame(seq: int, message: Message) -> bytes:
 
 
 def encode_ack_frame(seq: int, trace_id: Optional[str] = None) -> bytes:
-    """An acknowledgement for the data frame numbered *seq* (the
-    simulator transport acknowledges cumulatively, the TCP deployment
-    per frame; the wire form is the same).  *trace_id* echoes the data
-    frame's trace so acks join the same causal trace on the wire."""
+    """A cumulative acknowledgement: every data frame numbered *seq*
+    or lower was released in order at the sender of this frame (see
+    :class:`repro.network.reliable.Channel`).  *trace_id* echoes the
+    trace of the data frame that prompted it, so acks join the same
+    causal trace on the wire."""
     obj = {"kind": "ack", "seq": seq}
     if trace_id is not None:
         obj["trace"] = trace_id

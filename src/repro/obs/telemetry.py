@@ -8,10 +8,10 @@ quiescence, a flight dump only on crash.  The paper's evaluation (§4)
 reasons about broker load, routing-table size and notification delay
 over *time*, so the backends now drive a shared sampling pipeline:
 
-* the simulator arms a ``telemetry-sample`` :class:`TimerRequest` on
-  every broker core and samples on virtual time,
+* the simulator schedules a recurring sampling event per broker and
+  samples on virtual time,
 * :class:`~repro.runtime.asyncio_backend.AsyncioRuntime` runs a
-  wall-clock sampler task alongside the actors,
+  wall-clock sampler task alongside the actors while it is drained,
 * :class:`~repro.runtime.multiprocess.MultiprocessDeployment`
   piggybacks sampling frames on the control channel it already polls.
 

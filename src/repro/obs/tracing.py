@@ -87,6 +87,17 @@ def trace_of(message) -> Optional[TraceContext]:
     return getattr(message, "trace", None)
 
 
+def _parent_id(parent: Optional["Span"], context: TraceContext) -> str:
+    """The parent span id for a new span of *context*'s trace: the
+    causing span when it belongs to the same trace, else the trace's
+    own root (e.g. a stored subscription re-emitted while handling an
+    advertisement parents back to its original submit, not into the
+    advertisement's trace)."""
+    if parent is not None and parent.trace_id == context.trace_id:
+        return parent.span_id
+    return context.span_id
+
+
 class Span:
     """One timed stage of one trace.  ``start``/``end`` are virtual
     seconds; zero-duration spans are point events."""

@@ -1,7 +1,9 @@
 """Real execution backends for the runtime-agnostic broker core.
 
 The discrete-event simulator (:mod:`repro.network.overlay`) is one host
-of :class:`repro.broker.core.BrokerCore`; this package adds two more:
+of :class:`repro.broker.core.BrokerCore`; this package holds what all
+hosts share — :mod:`repro.runtime.host`, the sans-IO host kernel that
+interprets the core's effects once — and adds two more backends:
 
 * :mod:`repro.runtime.asyncio_backend` — every broker is an asyncio
   actor with bounded per-link send queues (real backpressure, graceful
@@ -16,6 +18,11 @@ any backend, which is how tests/test_runtime_equivalence.py proves the
 three executions are observationally identical.
 """
 
+# ``repro.network`` first: its Overlay extends the host kernel of
+# :mod:`repro.runtime.host`, which in turn imports the client and stats
+# modules of ``repro.network`` — entered from this side, the cycle only
+# closes if the network package is already loading.
+import repro.network
 from repro.runtime.base import (
     binary_tree_topology,
     routing_fingerprint,

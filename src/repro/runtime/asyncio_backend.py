@@ -1,8 +1,9 @@
 """An asyncio event-loop execution of the broker core.
 
 Every broker is an actor: an unbounded inbox drained by one task that
-feeds each inbound message to its :class:`~repro.broker.core.BrokerCore`
-and interprets the returned effects.  Every directed broker link has a
+hands each inbound message to the host kernel
+(:meth:`~repro.runtime.host.HostKernel.dispatch`) and queues the frames
+it returns.  Every directed broker link has a
 **bounded** send queue drained by a sender task, and every subscriber
 has a bounded delivery queue drained by a consumer task — so a slow
 link or a slow client exerts real backpressure: the upstream actor
@@ -15,64 +16,38 @@ inbox, so every bounded queue always drains.
 Nothing is ever dropped unless the host installs a
 :attr:`AsyncioRuntime.drop_filter` fault hook.
 
-The class deliberately mirrors the :class:`~repro.network.overlay.
-Overlay` surface (``submit``/``run``/``brokers``/``links``/``tracing``/
-``attach_auditor`` …) so the publisher/subscriber clients, the audit
-oracle and :func:`repro.obs.tracing.verify_traces` work on it
-unchanged.  The loop is private and driven synchronously: callers stay
-plain blocking code and the runtime only makes progress inside
-:meth:`run` / :meth:`drain` / :meth:`close`.
+The class shares the :class:`~repro.network.overlay.Overlay` surface
+(``submit``/``run``/``brokers``/``links``/``tracing``/``attach_auditor``
+…) by extending the same :class:`~repro.runtime.host.HostKernel`, so
+the publisher/subscriber clients, the audit oracle and
+:func:`repro.obs.tracing.verify_traces` work on it unchanged.  What
+this module adds is the transport: a wall clock, queues, tasks and the
+sampler's cadence.  The loop is private and driven synchronously:
+callers stay plain blocking code and the runtime only makes progress
+inside :meth:`run` / :meth:`drain` / :meth:`close`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import obs
 from repro.broker.broker import Broker
-from repro.broker.core import (
-    BrokerCore,
-    Deliver,
-    Replay,
-    Send,
-    Telemetry,
-    TimerRequest,
-    ViewServe,
-)
-from repro.broker.messages import Message, PublishMsg
+from repro.broker.messages import Message
 from repro.broker.strategies import RoutingConfig
 from repro.errors import RoutingError, TopologyError
-from repro.network.clients import PublisherClient, SubscriberClient
-from repro.network.stats import DeliveryRecord, NetworkStats
-from repro.obs.tracing import Span, TraceContext, TraceRecorder, stamp, trace_of
+from repro.network.clients import SubscriberClient
+from repro.obs.tracing import Span
 from repro.runtime.base import scaled
+from repro.runtime.host import HostKernel
+
+#: Inbox item asking an actor for a merge sweep, in arrival order with
+#: the rest of its inbox.
+_SWEEP = object()
 
 
-class _TimerFire:
-    """Internal inbox item: a host timer fired for this broker."""
-
-    __slots__ = ("name",)
-    kind = "timer"
-
-    def __init__(self, name: str):
-        self.name = name
-
-
-class _Clock:
-    """Monotonic seconds since the runtime started (the ``sim.now``
-    shim the oracle's failure reporting expects)."""
-
-    def __init__(self):
-        self._t0 = time.monotonic()
-
-    @property
-    def now(self) -> float:
-        return time.monotonic() - self._t0
-
-
-class AsyncioRuntime:
+class AsyncioRuntime(HostKernel):
     """One-process concurrent backend: brokers as asyncio actors.
 
     Args:
@@ -91,21 +66,10 @@ class AsyncioRuntime:
         client_capacity: int = 16,
         metrics=None,
     ):
-        self.config = config if config is not None else RoutingConfig.full()
-        self.universe = universe
+        super().__init__(config, universe, metrics)
         self.link_capacity = link_capacity
         self.client_capacity = client_capacity
-        self.metrics = metrics if metrics is not None else obs.get_registry()
-        self.stats = NetworkStats(registry=self.metrics)
-        self.sim = _Clock()
-        self.cores: Dict[str, BrokerCore] = {}
-        self.brokers: Dict[str, Broker] = {}
-        self.links: Set[Tuple[str, str]] = set()
-        self.subscribers: Dict[str, SubscriberClient] = {}
-        self.publishers: Dict[str, PublisherClient] = {}
-        self._client_home: Dict[str, str] = {}
-        self._auditors = []
-        self.tracing: Optional[TraceRecorder] = None
+        self._t0 = time.monotonic()
         #: Fault hook: ``f(src, dst, message) -> True`` drops the frame
         #: on the src→dst link (counted as ``runtime.faults.dropped``).
         #: Without it the runtime never drops anything.
@@ -126,12 +90,6 @@ class AsyncioRuntime:
         self._pending = 0
         self._idle: Optional[asyncio.Event] = None
         self._errors: List[BaseException] = []
-        self._issued: Dict[Tuple[str, int], float] = {}
-        #: The live telemetry plane (:meth:`enable_telemetry`); sampled
-        #: by a wall-clock task that is *outside* the pending-message
-        #: accounting — it must never keep :meth:`drain` from settling.
-        self.telemetry = None
-        self._sampler_spawned = False
         self._started = False
         self._closed = False
         # asyncio primitives must be created while the owning loop is
@@ -146,29 +104,18 @@ class AsyncioRuntime:
 
     @property
     def now(self) -> float:
-        return self.sim.now
+        """Monotonic seconds since the runtime was built."""
+        return time.monotonic() - self._t0
 
     def add_broker(self, broker_id: str) -> Broker:
         if self._started:
             raise TopologyError("add brokers before start()")
-        if broker_id in self.brokers:
-            raise TopologyError("duplicate broker id %r" % broker_id)
-        core = BrokerCore(
-            broker_id=broker_id, config=self.config, universe=self.universe
-        )
-        self.cores[broker_id] = core
-        self.brokers[broker_id] = core.broker
-        return core.broker
+        return super().add_broker(broker_id)
 
     def connect(self, a: str, b: str):
         if self._started:
             raise TopologyError("connect brokers before start()")
-        for broker_id in (a, b):
-            if broker_id not in self.brokers:
-                raise TopologyError("unknown broker %r" % broker_id)
-        self.cores[a].connect(b)
-        self.cores[b].connect(a)
-        self.links.add((a, b))
+        super().connect(a, b)
 
     def start(self):
         """Spawn the actor, link-sender and client-consumer tasks."""
@@ -176,8 +123,6 @@ class AsyncioRuntime:
             return
         self._started = True
         self._loop.run_until_complete(self._spawn_topology())
-        if self.telemetry is not None and not self._sampler_spawned:
-            self._loop.run_until_complete(self._spawn_sampler())
 
     async def _spawn_topology(self):
         for broker_id in self.brokers:
@@ -195,20 +140,8 @@ class AsyncioRuntime:
 
     # -- clients ----------------------------------------------------------
 
-    def attach_publisher(self, client_id: str, broker_id: str) -> PublisherClient:
-        self._check_client(client_id, broker_id)
-        client = PublisherClient(client_id, self, broker_id)
-        self.publishers[client_id] = client
-        self.cores[broker_id].attach_client(client_id)
-        self._client_home[client_id] = broker_id
-        return client
-
     def attach_subscriber(self, client_id: str, broker_id: str) -> SubscriberClient:
-        self._check_client(client_id, broker_id)
-        client = SubscriberClient(client_id, self, broker_id)
-        self.subscribers[client_id] = client
-        self.cores[broker_id].attach_client(client_id)
-        self._client_home[client_id] = broker_id
+        client = super().attach_subscriber(client_id, broker_id)
         self._loop.run_until_complete(self._spawn_consumer(client_id))
         return client
 
@@ -223,65 +156,21 @@ class AsyncioRuntime:
     def _check_client(self, client_id: str, broker_id: str):
         if not self._started:
             raise TopologyError("attach clients after start()")
-        if broker_id not in self.brokers:
-            raise TopologyError("unknown broker %r" % broker_id)
-        if client_id in self._client_home or client_id in self.brokers:
-            raise TopologyError("duplicate client id %r" % client_id)
+        super()._check_client(client_id, broker_id)
 
-    # -- overlay-compatible surface ---------------------------------------
-
-    def is_down(self, broker_id: str) -> bool:
-        return False
-
-    def attach_auditor(self, auditor):
-        self._auditors.append(auditor)
-        auditor.bind(self)
-        return auditor
-
-    def enable_tracing(
-        self, recorder: Optional[TraceRecorder] = None, **kwargs
-    ) -> TraceRecorder:
-        if recorder is None:
-            recorder = TraceRecorder(registry=self.metrics, **kwargs)
-        self.tracing = recorder
-        return recorder
-
-    def enable_telemetry(self, plane=None, interval: float = 0.05, **kwargs):
-        """Turn on the live telemetry plane: a dedicated wall-clock
-        sampler task wakes every *interval* seconds (while the loop is
-        being driven by :meth:`run`/:meth:`drain`) and records each
-        broker's queue depths, matcher/view gauges and handled deltas
-        into *plane* (a fresh
-        :class:`~repro.obs.telemetry.TelemetryPlane` bound to this
-        runtime's registry by default; extra keyword arguments —
-        ``rules``, ``ring_capacity``, ``clear_after`` — configure it).
-
-        The sampler deliberately lives outside the pending-message
-        accounting: re-arming core ``TimerRequest`` ticks through
-        :meth:`_apply_effect` would hold ``_pending`` above zero forever
-        and hang every drain.  Health transitions dump the flight
-        recorder when tracing is also enabled."""
-        if self.telemetry is not None:
-            return self.telemetry
-        if plane is None:
-            from repro.obs.telemetry import TelemetryPlane
-
-            plane = TelemetryPlane(
-                registry=self.metrics, interval=interval, **kwargs
-            )
-        self.telemetry = plane
-        plane.add_transition_hook(self._on_health_transition)
-        if self._started and not self._sampler_spawned:
-            self._loop.run_until_complete(self._spawn_sampler())
-        return plane
-
-    async def _spawn_sampler(self):
-        self._sampler_spawned = True
-        self._tasks.append(
-            self._loop.create_task(self._telemetry_sampler())
-        )
+    # -- telemetry cadence -------------------------------------------------
 
     async def _telemetry_sampler(self):
+        """This backend's sampling cadence: while a :meth:`drain` is
+        driving the loop, one sample of every broker per plane interval
+        (each broker's queue depth beside the kernel's gauges).
+
+        The sampler lives for one drain, outside the pending-message
+        accounting — a tick that counted as pending work would hold
+        ``_pending`` above zero forever and hang the drain — and its
+        first tick comes a full interval after driving resumed: a timer
+        left over from before the loop was parked would sample the
+        caller's burst of submits, not the brokers' backlog."""
         plane = self.telemetry
         while True:
             await asyncio.sleep(plane.interval)
@@ -295,13 +184,6 @@ class AsyncioRuntime:
                 self._errors.append(exc)
                 self._idle.set()
                 return
-
-    def _on_health_transition(self, broker_id, previous, state, rule, sample):
-        tracing = self.tracing
-        if tracing is not None and getattr(tracing, "flight", None) is not None:
-            tracing.flight.dump(
-                "health-%s-%s" % (broker_id, state), time=self.now
-            )
 
     def queue_depth(self, broker_id: str) -> int:
         """Instantaneous backlog attributable to *broker_id*: its inbox
@@ -320,27 +202,13 @@ class AsyncioRuntime:
         """Take one telemetry sample of every broker right now (the
         sampler task calls this on its cadence; tests may call it
         directly for a deterministic sample)."""
-        plane = self.telemetry
-        if plane is None:
+        if self.telemetry is None:
             return
-        from repro.obs.telemetry import broker_gauges
-
         now = self.now
-        plane.maybe_record_cluster(now)
-        degraded = any(
-            getattr(auditor, "stateless_recoveries", None)
-            for auditor in self._auditors
-        )
         for broker_id in self.brokers:
-            gauges = {
+            self.sample(broker_id, now, {
                 "queue_depth": float(self.queue_depth(broker_id)),
-                "audit_degraded": 1.0 if degraded else 0.0,
-            }
-            gauges.update(broker_gauges(self.brokers[broker_id]))
-            counters = {
-                "handled": float(sum(self.brokers[broker_id].stats.values()))
-            }
-            plane.record(broker_id, now, gauges=gauges, counters=counters)
+            })
 
     def submit(self, client_id: str, message: Message):
         """A client hands a message to its edge broker.
@@ -348,23 +216,16 @@ class AsyncioRuntime:
         Safe to call while the loop is parked: the message queues and
         travels on the next :meth:`run`/:meth:`drain`.
         """
-        broker_id = self._client_home.get(client_id)
-        if broker_id is None:
-            raise RoutingError("unknown client %r" % client_id)
-        tracing = self.tracing
-        context = None
-        if tracing is not None and trace_of(message) is None:
-            context = tracing.mint(message)
-        for auditor in self._auditors:
-            auditor.observe_submit(client_id, message)
-        now = self.now
+        broker_id, context = self.admit(client_id, message)
         root: Optional[Span] = None
         if context is not None:
-            root = tracing.record_root(context, client_id, message, now, 0.0)
-        publication = getattr(message, "publication", None)
-        if publication is not None:
-            self._issued.setdefault(
-                (publication.doc_id, publication.path_id), now
+            # The wall clock has moved since the publisher stamped
+            # ``issued_at``: the trace starts there, so its root and the
+            # delivery record (which trusts the stamp) agree.
+            now = self.now
+            issued = min(getattr(message, "issued_at", now), now)
+            root = self.tracing.record_root(
+                context, client_id, message, issued, now - issued
             )
         self._begin()
         self.stats.record_frame()
@@ -376,9 +237,7 @@ class AsyncioRuntime:
         if broker_id not in self.brokers:
             raise TopologyError("unknown broker %r" % broker_id)
         self._begin()
-        self._inboxes[broker_id].put_nowait(
-            (_TimerFire("merge-sweep"), None, 0, None)
-        )
+        self._inboxes[broker_id].put_nowait((_SWEEP, None, 0, None))
 
     # -- progress ---------------------------------------------------------
 
@@ -409,7 +268,15 @@ class AsyncioRuntime:
         return 0
 
     async def _drained(self):
-        await self._idle.wait()
+        if self.telemetry is None:
+            await self._idle.wait()
+            return
+        sampler = self._loop.create_task(self._telemetry_sampler())
+        try:
+            await self._idle.wait()
+        finally:
+            sampler.cancel()
+            await asyncio.gather(sampler, return_exceptions=True)
 
     def _begin(self):
         self._pending += 1
@@ -451,35 +318,27 @@ class AsyncioRuntime:
 
     async def _actor(self, broker_id: str):
         inbox = self._inboxes[broker_id]
-        core = self.cores[broker_id]
         while True:
             message, from_hop, hops, parent_span = await inbox.get()
             try:
-                tracing = self.tracing
-                context = None
-                hop_span: Optional[Span] = None
-                if isinstance(message, _TimerFire):
-                    effects = core.on_timer(message.name)
+                hop_spans = None
+                if message is _SWEEP:
+                    frames = self.sweep(broker_id)
                 else:
-                    self.stats.record_broker_message(broker_id, message.kind)
-                    context = (
-                        trace_of(message) if tracing is not None else None
+                    # Inbox items are single messages, so the kernel
+                    # sees groups of one.  (Only spans read the clock.)
+                    frames, hop_spans, _elapsed = self.dispatch(
+                        broker_id, (message,), from_hop,
+                        0.0 if self.tracing is None else self.now,
+                        None if parent_span is None
+                        else {message.msg_id: parent_span},
                     )
-                    if context is not None:
-                        now = self.now
-                        hop_span = tracing.span(
-                            context.trace_id,
-                            _parent_id(parent_span, context),
-                            "hop", broker_id, now, now,
-                            kind=message.kind, from_hop=str(from_hop),
-                        )
-                    effects = core.on_message(message, from_hop)
-                    if hop_span is not None:
-                        hop_span.end = self.now
-                        hop_span.attrs["fanout"] = len(effects)
-                for effect in effects:
-                    await self._apply_effect(
-                        broker_id, effect, hops, context, hop_span
+                    if hop_spans:
+                        hop_spans[message.msg_id].end = self.now
+                for destination, messages, view in frames:
+                    await self._forward(
+                        broker_id, destination, messages, hops, hop_spans,
+                        view,
                     )
             except asyncio.CancelledError:
                 raise
@@ -491,86 +350,33 @@ class AsyncioRuntime:
             finally:
                 self._finish()
 
-    async def _apply_effect(
-        self,
-        broker_id: str,
-        effect,
-        hops: int,
-        context: Optional[TraceContext],
-        hop_span: Optional[Span],
+    async def _forward(
+        self, broker_id: str, destination: object,
+        messages: Sequence[Message], hops: int,
+        hop_spans: Optional[Dict[int, Span]], view: Optional[str],
     ):
-        """Interpret one effect.  Inbox items are single messages, so
-        every frame the core emits here is a group of one (a Replay
-        aside), and each message rides its queue on its own."""
-        tracing = self.tracing
-        if isinstance(effect, Send):
-            key = (broker_id, effect.destination)
+        """Queue one outbound frame, each message on its own: onto the
+        bounded link queue toward a neighbour, or the bounded delivery
+        queue of a local subscriber (a view window replayed to a late
+        subscriber included — backpressure applies to it too)."""
+        if destination in self.brokers:
+            key = (broker_id, destination)
             queue = self._link_queues[key]
-            for out_msg in effect.messages:
-                fwd = None
-                if tracing is not None:
-                    fwd = self._forward_span(
-                        broker_id, effect.destination, out_msg, context,
-                        hop_span,
-                    )
-                self._begin()
-                self.stats.record_frame()
-                await self._bounded_put(queue, key, (out_msg, hops, fwd))
-        elif isinstance(effect, (Deliver, Replay)):
-            # Deliveries — a view window replayed to a late subscriber
-            # included — ride the client's bounded queue (backpressure
-            # included); client-side dedup makes a replay exactly-once.
-            client_id = effect.client_id
-            queue = self._client_queues[client_id]
-            if isinstance(effect, Replay):
-                view = "replay"
-            else:
-                view = "serve" if isinstance(effect, ViewServe) else None
-            attrs = {} if view is None else {"view": view}
-            for out_msg in effect.messages:
-                fwd = None
-                if tracing is not None:
-                    fwd = self._forward_span(
-                        broker_id, client_id, out_msg, context, hop_span,
-                        **attrs,
-                    )
-                self._begin()
-                self.stats.record_frame()
-                await self._bounded_put(
-                    queue, client_id, (out_msg, hops, fwd, view)
+        else:
+            key = destination
+            queue = self._client_queues[destination]
+        tracing = self.tracing is not None
+        for out_msg in messages:
+            fwd = None
+            if tracing:
+                now = self.now
+                fwd = self.forward_span(
+                    broker_id, destination, out_msg, hop_spans, now, now,
+                    view,
                 )
-        elif isinstance(effect, TimerRequest):
             self._begin()
-            self._loop.call_later(
-                effect.delay,
-                lambda: self._inboxes[broker_id].put_nowait(
-                    (_TimerFire(effect.name), None, 0, None)
-                ),
-            )
-        elif isinstance(effect, Telemetry):
-            if self.metrics.enabled:
-                self.metrics.counter(effect.name).inc(effect.value)
-
-    def _forward_span(
-        self, broker_id: str, destination: object, out_msg: Message,
-        context: Optional[TraceContext], hop_span: Optional[Span], **attrs,
-    ) -> Optional[Span]:
-        """The ``forward`` span of one outbound message while tracing
-        is on (None for an untraced message).  Broker-originated
-        traffic joins the causal trace of the message that produced it
-        (same rule as the simulator); messages with a context keep
-        theirs."""
-        if context is not None and trace_of(out_msg) is None:
-            stamp(out_msg, TraceContext(context.trace_id, hop_span.span_id))
-        out_context = trace_of(out_msg)
-        if out_context is None:
-            return None
-        now = self.now
-        return self.tracing.span(
-            out_context.trace_id, _parent_id(hop_span, out_context),
-            "forward", broker_id, now, now,
-            to=str(destination), kind=out_msg.kind, **attrs,
-        )
+            self.stats.record_frame()
+            await self._bounded_put(queue, key, (out_msg, hops, fwd, view))
 
     async def _bounded_put(self, queue: asyncio.Queue, key, item):
         """Put with backpressure accounting: a full queue blocks the
@@ -594,7 +400,7 @@ class AsyncioRuntime:
     async def _link_sender(self, src: str, dst: str):
         queue = self._link_queues[(src, dst)]
         while True:
-            message, hops, span = await queue.get()
+            message, hops, span, _view = await queue.get()
             delay = self.link_delay.get((src, dst), 0.0)
             if delay:
                 await asyncio.sleep(delay)
@@ -616,7 +422,10 @@ class AsyncioRuntime:
                 delay = self.client_delay.get(client_id, 0.0)
                 if delay:
                     await asyncio.sleep(delay)
-                self._deliver(client_id, message, hops, span, view)
+                self.receive(
+                    client_id, (message,), hops, self.now,
+                    None if span is None else {message.msg_id: span}, view,
+                )
             except asyncio.CancelledError:
                 raise
             except BaseException as exc:
@@ -625,74 +434,3 @@ class AsyncioRuntime:
                 raise
             finally:
                 self._finish()
-
-    def _deliver(
-        self, client_id: str, message: Message, hops: int,
-        parent_span: Optional[Span], view: Optional[str] = None,
-    ):
-        """*view* is "serve"/"replay" when a materialized view produced
-        the delivery (labels the span and the audit observation)."""
-        self.stats.record_client_message()
-        client = self.subscribers[client_id]
-        fresh = client.receive(message, hops)
-        now = self.now
-        tracing = self.tracing
-        if tracing is not None:
-            context = trace_of(message)
-            if context is not None:
-                attrs = {
-                    "subscriber": client_id, "fresh": fresh, "hops": hops,
-                }
-                if view is not None:
-                    attrs["view"] = view
-                publication = getattr(message, "publication", None)
-                if publication is not None:
-                    attrs["doc"] = publication.doc_id
-                    attrs["path_id"] = publication.path_id
-                tracing.span(
-                    context.trace_id, _parent_id(parent_span, context),
-                    "deliver" if fresh else "dropped.duplicate",
-                    client_id, now, now, **attrs,
-                )
-        if fresh and isinstance(message, PublishMsg):
-            for auditor in self._auditors:
-                if view is not None:
-                    auditor.observe_delivery(client_id, message, view=view)
-                else:
-                    auditor.observe_delivery(client_id, message)
-            key = (message.publication.doc_id, message.publication.path_id)
-            issued_at = self._issued.get(key, message.issued_at)
-            self.stats.record_delivery(
-                DeliveryRecord(
-                    subscriber_id=client_id,
-                    doc_id=message.publication.doc_id,
-                    path_id=message.publication.path_id,
-                    issued_at=issued_at,
-                    delivered_at=now,
-                    hops=hops,
-                )
-            )
-            if self.telemetry is not None:
-                self.telemetry.note_delivery(
-                    self._client_home.get(client_id), now - issued_at
-                )
-
-    # -- reporting ---------------------------------------------------------
-
-    def routing_fingerprints(self) -> Dict[str, str]:
-        return {
-            broker_id: core.fingerprint()
-            for broker_id, core in self.cores.items()
-        }
-
-    def delivered_map(self) -> Dict[str, Set[str]]:
-        return {
-            client_id: client.delivered_documents()
-            for client_id, client in self.subscribers.items()
-        }
-
-
-def _parent_id(parent: Optional[Span], context: TraceContext) -> str:
-    if parent is not None and parent.trace_id == context.trace_id:
-        return parent.span_id
-    return context.span_id

@@ -22,7 +22,6 @@ import json
 import os
 from typing import List, Tuple
 
-from repro.broker.persistence import snapshot
 from repro.errors import TopologyError
 
 #: Environment knob scaling every runtime/socket test deadline.
@@ -64,6 +63,10 @@ def routing_fingerprint(broker) -> str:
     non-merging configurations — which is what the equivalence battery
     runs.
     """
+    # imported here: persistence pulls in ``repro.network`` (the wire
+    # codec), whose Overlay needs this package — see ``__init__``.
+    from repro.broker.persistence import snapshot
+
     state = snapshot(broker)
     canonical = {
         "broker_id": state["broker_id"],

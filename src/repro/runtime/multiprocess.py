@@ -13,11 +13,13 @@ This is the backend that runs the paper's Table 3 overlay — 127 broker
 processes in a complete binary tree — on one machine (``repro
 deploy``).  Everything observable crosses a process boundary, so:
 
-* delivered documents come back as wire objects and are deduplicated
-  parent-side exactly like a subscriber client would;
+* delivered documents come back as wire objects and go through the
+  parent's half of the host kernel (:meth:`~repro.runtime.host.
+  HostKernel.receive`): the same :class:`~repro.network.clients.
+  SubscriberClient` dedup and audit observation as in-process hosts;
 * the audit oracle runs against brokers *restored from persistence
-  snapshots* shipped over the pipes (:meth:`MultiprocessDeployment.
-  audit_view`);
+  snapshots* shipped over the pipes (the facade
+  :meth:`MultiprocessDeployment.attach_auditor` binds it to);
 * causal tracing cannot share a recorder across processes, so each
   child keeps a hop log of ``(trace_id, kind, from_hop)`` and
   :meth:`MultiprocessDeployment.verify_hop_traces` checks that every
@@ -35,13 +37,14 @@ import time
 import traceback
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro import obs
-from repro.broker.messages import Message, PublishMsg
+from repro.broker.messages import Message
 from repro.broker.strategies import RoutingConfig
 from repro.errors import RoutingError, TopologyError
+from repro.network.clients import PublisherClient, SubscriberClient
 from repro.network.wire import message_from_obj, message_to_obj
 from repro.obs.tracing import mint_context, stamp, trace_of
 from repro.runtime.base import routing_fingerprint, scaled
+from repro.runtime.host import HostKernel
 
 
 def _broker_worker(
@@ -124,19 +127,13 @@ def _broker_worker(
             elif command == "transport_stats":
                 reply = node.transport_stats()
             elif command == "telemetry":
-                from repro.obs.telemetry import broker_gauges
-
-                gauges = {
+                gauges, counters = node.kernel.gather_sample(broker_id, {
                     "queue_depth": float(node.inbox_depth()),
                     "pending": float(node.pending_count()),
-                }
-                gauges.update(broker_gauges(node.broker))
+                })
                 stats = node.transport_stats()
-                counters = {
-                    "handled": float(sum(node.broker.stats.values())),
-                    "retransmits": float(stats.get("retransmits", 0)),
-                    "sent": float(stats.get("sent", 0)),
-                }
+                counters["retransmits"] = float(stats.get("retransmits", 0))
+                counters["sent"] = float(stats.get("sent", 0))
                 reply = (gauges, counters)
             elif command == "flight_dump":
                 (reason,) = args
@@ -172,42 +169,9 @@ def _broker_worker(
     conn.close()
 
 
-class _MpClient:
-    """Parent-side record of one attached client."""
-
-    def __init__(self, client_id: str, broker_id: str):
-        self.client_id = client_id
-        self.broker_id = broker_id
-        self.received: List[Message] = []
-        self._seen: Set[Tuple[str, int]] = set()
-        self.duplicates = 0
-
-    def accept(self, message: Message) -> bool:
-        """Parent-side duplicate filter, mirroring
-        :meth:`SubscriberClient.receive`."""
-        if isinstance(message, PublishMsg):
-            key = (message.publication.doc_id, message.publication.path_id)
-            if key in self._seen:
-                self.duplicates += 1
-                return False
-            self._seen.add(key)
-        self.received.append(message)
-        return True
-
-    def delivered_documents(self) -> Set[str]:
-        return {
-            msg.publication.doc_id
-            for msg in self.received
-            if isinstance(msg, PublishMsg)
-        }
-
-
-class _StoppedClock:
-    now = 0.0
-
-
 class _AuditView:
-    """The overlay facade the audit oracle binds to.
+    """The overlay facade the audit oracle binds to: the deployment
+    itself (topology, client registry, clock …) except for two things.
 
     ``brokers`` holds parent-side replicas restored from each child's
     persistence snapshot; :meth:`run` (the oracle's drain hook) settles
@@ -217,32 +181,30 @@ class _AuditView:
 
     def __init__(self, deployment: "MultiprocessDeployment"):
         self._deployment = deployment
-        self.config = deployment.config
-        self.universe = deployment.universe
-        self.links = deployment.links
-        self.metrics = deployment.metrics
-        self.publishers = deployment.publishers
-        self._client_home = deployment._client_home
         self.brokers = {}
-        self.sim = _StoppedClock()
-        self.tracing = None
+
+    def __getattr__(self, name):
+        return getattr(self._deployment, name)
 
     def run(self):
-        self._deployment.settle()
-        self._deployment.drain_deliveries()
+        self._deployment.run()
         self.brokers = self._deployment.restore_brokers()
 
-    def is_down(self, _broker_id) -> bool:
-        return False
 
-
-class MultiprocessDeployment:
+class MultiprocessDeployment(HostKernel):
     """A real multi-process broker overlay on localhost.
 
     Drive it like the other backends: ``add_broker`` / ``link`` /
-    ``start`` / ``attach_*`` / ``submit`` / ``settle`` — then read
-    ``subscribers[..].received``, :meth:`fingerprints` and
-    :meth:`audit_view`.  Always :meth:`stop` (or use ``with``).
+    ``start`` / ``attach_*`` / ``submit`` / ``run`` — then read
+    ``subscribers[..].received`` and :meth:`routing_fingerprints`.
+    Always :meth:`stop` (or use ``with``).
+
+    This is the parent half of the host: the client registry, the
+    observers, :meth:`~repro.runtime.host.HostKernel.admit` and
+    :meth:`~repro.runtime.host.HostKernel.receive`.  The brokers — and
+    the kernel's ``dispatch`` — run in the children, one
+    :class:`~repro.network.sockets.SocketBrokerNode` each, so ``cores``
+    and ``brokers`` stay empty here.
     """
 
     def __init__(
@@ -256,8 +218,7 @@ class MultiprocessDeployment:
         flight_capacity: int = 256,
         service_delay: Optional[Dict[str, float]] = None,
     ):
-        self.config = config if config is not None else RoutingConfig.full()
-        self.universe = universe
+        super().__init__(config, universe)
         self.record_hops = record_hops
         self.rto = rto
         #: Directory the children dump flight rings into (crashes and
@@ -272,21 +233,10 @@ class MultiprocessDeployment:
             start_method = "fork" if "fork" in methods else "spawn"
         self._ctx = multiprocessing.get_context(start_method)
         self.broker_ids: List[str] = []
-        self.links: Set[Tuple[str, str]] = set()
-        self.metrics = obs.get_registry()
-        self.publishers: Dict[str, _MpClient] = {}
-        self.subscribers: Dict[str, _MpClient] = {}
-        self._client_home: Dict[str, str] = {}
-        self._auditors = []
         self._procs: Dict[str, multiprocessing.Process] = {}
         self._pipes: Dict[str, object] = {}
         self._addresses: Dict[str, Tuple[str, int]] = {}
-        #: (subscriber, doc_id, path_id) -> trace id, from drained
-        #: deliveries (used by :meth:`verify_hop_traces`).
-        self._delivery_traces: Dict[Tuple[str, str, int], Optional[str]] = {}
         self._started = False
-        #: Live telemetry plane (see :meth:`enable_telemetry`).
-        self.telemetry = None
         self._t0: Optional[float] = None
         self._last_sample: Optional[float] = None
 
@@ -406,22 +356,24 @@ class MultiprocessDeployment:
 
     # -- clients ----------------------------------------------------------
 
-    def attach_publisher(self, client_id: str, broker_id: str) -> _MpClient:
-        client = self._attach(client_id, broker_id)
+    def attach_publisher(self, client_id: str, broker_id: str) -> PublisherClient:
+        self._attach(client_id, broker_id)
+        client = PublisherClient(client_id, self, broker_id)
         self.publishers[client_id] = client
         return client
 
-    def attach_subscriber(self, client_id: str, broker_id: str) -> _MpClient:
-        client = self._attach(client_id, broker_id)
+    def attach_subscriber(self, client_id: str, broker_id: str) -> SubscriberClient:
+        self._attach(client_id, broker_id)
+        client = SubscriberClient(client_id, self, broker_id)
         self.subscribers[client_id] = client
         return client
 
-    def _attach(self, client_id: str, broker_id: str) -> _MpClient:
+    def _attach(self, client_id: str, broker_id: str):
+        """The broker lives in a child: attaching is an RPC."""
         if client_id in self._client_home:
             raise TopologyError("duplicate client id %r" % client_id)
         self._rpc(broker_id, "attach", client_id)
         self._client_home[client_id] = broker_id
-        return _MpClient(client_id, broker_id)
 
     def submit(self, client_id: str, message: Message):
         """Ship one client message to its edge broker's process.
@@ -430,13 +382,9 @@ class MultiprocessDeployment:
         already carries one) and rides the wire object, so the hop logs
         of every process the message crosses name the same trace.
         """
-        broker_id = self._client_home.get(client_id)
-        if broker_id is None:
-            raise RoutingError("unknown client %r" % client_id)
         if trace_of(message) is None:
             stamp(message, mint_context())
-        for auditor in self._auditors:
-            auditor.observe_submit(client_id, message)
+        broker_id, _context = self.admit(client_id, message)
         self._rpc(broker_id, "submit", client_id, message_to_obj(message))
 
     # -- quiescence and observation ---------------------------------------
@@ -496,22 +444,13 @@ class MultiprocessDeployment:
     # -- telemetry ---------------------------------------------------------
 
     def enable_telemetry(self, plane=None, interval: float = 0.25, **kwargs):
-        """Turn on the live telemetry plane.  Sampling frames piggyback
-        on the control pipes: every :meth:`settle` poll (or an explicit
-        :meth:`sample_telemetry`) sweeps the children at most once per
-        plane interval.  Health transitions ask the affected child to
-        dump its flight ring (when ``flight_dir`` is configured)."""
-        from repro.obs.telemetry import TelemetryPlane
-
-        if self.telemetry is not None:
-            return self.telemetry
-        if plane is None:
-            plane = TelemetryPlane(
-                registry=self.metrics, interval=interval, **kwargs
-            )
-        self.telemetry = plane
-        plane.add_transition_hook(self._on_health_transition)
-        return plane
+        """See :meth:`HostKernel.enable_telemetry`.  Here sampling
+        frames piggyback on the control pipes: every :meth:`settle`
+        poll (or an explicit :meth:`sample_telemetry`) sweeps the
+        children at most once per plane interval.  Health transitions
+        ask the affected child to dump its flight ring (when
+        ``flight_dir`` is configured)."""
+        return super().enable_telemetry(plane, interval, **kwargs)
 
     def _on_health_transition(self, broker_id, previous, state, rule, sample):
         if self.flight_dir is None:
@@ -538,16 +477,9 @@ class MultiprocessDeployment:
     def sample_telemetry(self):
         """One sampling sweep: ask every live child for its gauge and
         counter frame over the control pipe and feed the plane."""
-        plane = self.telemetry
-        if plane is None:
+        if self.telemetry is None:
             return
-        now = self.now
-        self._last_sample = now
-        plane.maybe_record_cluster(now)
-        degraded = 1.0 if any(
-            getattr(a, "stateless_recoveries", None)
-            for a in self._auditors
-        ) else 0.0
+        now = self._last_sample = self.now
         for broker_id in self._live_ids():
             try:
                 gauges, counters = self._rpc(
@@ -555,8 +487,7 @@ class MultiprocessDeployment:
                 )
             except (RoutingError, OSError, BrokenPipeError):
                 continue
-            gauges["audit_degraded"] = degraded
-            plane.record(broker_id, now, gauges=gauges, counters=counters)
+            self.record_sample(broker_id, now, gauges, counters)
 
     def broker_errors(self) -> Dict[str, List[str]]:
         """Handler tracebacks collected by each live child's
@@ -585,35 +516,31 @@ class MultiprocessDeployment:
             process.join(timeout=scaled(timeout))
 
     def drain_deliveries(self) -> int:
-        """Pull buffered deliveries out of every child, deduplicate
-        them per subscriber, and feed fresh ones to the auditors.
-        Returns the number of fresh deliveries folded in."""
+        """Pull buffered deliveries out of every child and hand them to
+        the kernel's :meth:`receive` (per-subscriber dedup, audit
+        observation).  Returns the number of fresh deliveries folded
+        in.  The parent learns of a delivery only now, not when it
+        happened, so it records no latency for it."""
         fresh = 0
         for broker_id in self._live_ids():
             for client_id, obj in self._rpc(broker_id, "drain_deliveries"):
-                view = obj.pop("view", None) if isinstance(obj, dict) else None
+                view = obj.pop("view", None)
                 message = message_from_obj(obj)
-                client = self.subscribers.get(client_id)
-                if client is None or not client.accept(message):
-                    continue
-                fresh += 1
-                if isinstance(message, PublishMsg):
-                    context = trace_of(message)
-                    self._delivery_traces[(
-                        client_id,
-                        message.publication.doc_id,
-                        message.publication.path_id,
-                    )] = context.trace_id if context is not None else None
-                    for auditor in self._auditors:
-                        if view is not None:
-                            auditor.observe_delivery(
-                                client_id, message, view=view
-                            )
-                        else:
-                            auditor.observe_delivery(client_id, message)
+                if client_id in self.subscribers:
+                    fresh += self.receive(
+                        client_id, (message,), 0, None, view=view
+                    )
         return fresh
 
-    def fingerprints(self) -> Dict[str, str]:
+    def run(self, max_events=None) -> int:
+        """Overlay-compatible quiescence: settle, then fold the
+        children's buffered deliveries in."""
+        if not self.settle():
+            raise RoutingError("multiprocess deployment failed to settle")
+        self.drain_deliveries()
+        return 0
+
+    def routing_fingerprints(self) -> Dict[str, str]:
         return {
             broker_id: self._rpc(broker_id, "fingerprint")
             for broker_id in self.broker_ids
@@ -637,12 +564,6 @@ class MultiprocessDeployment:
             for key, value in self._rpc(broker_id, "transport_stats").items():
                 totals[key] = totals.get(key, 0) + value
         return totals
-
-    def delivered_map(self) -> Dict[str, Set[str]]:
-        return {
-            client_id: client.delivered_documents()
-            for client_id, client in self.subscribers.items()
-        }
 
     # -- audit and tracing -------------------------------------------------
 
@@ -673,15 +594,25 @@ class MultiprocessDeployment:
             adjacency[a].append(b)
             adjacency[b].append(a)
         problems: List[str] = []
-        for (client_id, doc_id, path_id), trace_id in sorted(
-            self._delivery_traces.items(), key=str
-        ):
-            if trace_id is None:
+        # What each subscriber holds is exactly the fresh deliveries,
+        # trace stamp included (it rode the wire object).
+        delivered = sorted(
+            (
+                (client_id, m.publication.doc_id, m.publication.path_id,
+                 trace_of(m))
+                for client_id, client in self.subscribers.items()
+                for m in client.received
+            ),
+            key=lambda delivery: delivery[:3],
+        )
+        for client_id, doc_id, path_id, context in delivered:
+            if context is None:
                 problems.append(
                     "delivery %s/%s#%d carried no trace context"
                     % (client_id, doc_id, path_id)
                 )
                 continue
+            trace_id = context.trace_id
             home = self._client_home[client_id]
             publisher_homes = {
                 self._client_home[p] for p in self.publishers

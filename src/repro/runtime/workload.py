@@ -207,33 +207,58 @@ def run_workload(
 
 
 class _Adapter:
-    """Interface every backend adapter fills in."""
+    """What the backend adapters share.  Every host presents the host
+    kernel's surface — ``submit`` / ``run`` / ``now`` /
+    ``attach_auditor`` / ``routing_fingerprints`` / ``subscribers`` —
+    so an adapter only has to build its host in :meth:`setup`."""
 
     name = "?"
+    #: The live host; :meth:`setup` sets it (beside the adapter's own
+    #: name for it: ``overlay`` / ``runtime`` / ``deployment``).
+    host = None
 
     def setup(self, spec: WorkloadSpec, plan: WorkloadPlan):
         raise NotImplementedError
 
+    def _attach_clients(self, plan: WorkloadPlan):
+        self.host.attach_publisher(PUBLISHER, plan.broker_ids[0])
+        for leaf in sorted(plan.subscriptions):
+            self.host.attach_subscriber("sub-%s" % leaf, leaf)
+
     def submit(self, client_id: str, message):
-        raise NotImplementedError
+        self.host.submit(client_id, message)
 
     def quiesce(self):
-        raise NotImplementedError
+        self.host.run()
 
     def now(self) -> float:
-        return 0.0
+        return self.host.now
 
     def delivered(self) -> Set[Tuple[str, str, Tuple[str, ...]]]:
-        raise NotImplementedError
+        return {
+            (
+                client_id,
+                message.publication.doc_id,
+                tuple(message.publication.path),
+            )
+            for client_id, client in self.host.subscribers.items()
+            for message in client.received
+        }
 
     def fingerprints(self) -> Dict[str, str]:
-        raise NotImplementedError
+        return self.host.routing_fingerprints()
 
     def attach_auditor(self, auditor):
-        raise NotImplementedError
+        self.host.attach_auditor(auditor)
 
     def trace_problems(self) -> List[str]:
-        return []
+        """Causal completeness of the host's :class:`TraceRecorder`
+        trees, when the adapter was built with ``tracing=True``."""
+        if self.host.tracing is None:
+            return []
+        from repro.obs.tracing import verify_traces
+
+        return verify_traces(self.host)
 
     def extras(self) -> Dict[str, object]:
         return {}
@@ -264,7 +289,7 @@ class SimulatorAdapter(_Adapter):
         # overlay charges each handler's *measured wall time* into the
         # virtual clock, which perturbs equal-latency arrivals by
         # scheduler noise and lets an UNSUB overtake the SUB it retracts.
-        self.overlay = Overlay.binary_tree(
+        self.host = self.overlay = Overlay.binary_tree(
             spec.levels,
             config=spec.config(),
             latency_model=ConstantLatency(0.001),
@@ -272,37 +297,7 @@ class SimulatorAdapter(_Adapter):
         )
         if self._tracing:
             self.overlay.enable_tracing()
-        self.overlay.attach_publisher(PUBLISHER, plan.broker_ids[0])
-        for leaf in sorted(plan.subscriptions):
-            self.overlay.attach_subscriber("sub-%s" % leaf, leaf)
-
-    def submit(self, client_id: str, message):
-        self.overlay.submit(client_id, message)
-
-    def quiesce(self):
-        self.overlay.run()
-
-    def now(self) -> float:
-        return self.overlay.now
-
-    def delivered(self):
-        return _delivered_from_clients(self.overlay.subscribers)
-
-    def fingerprints(self):
-        return {
-            broker_id: core.fingerprint()
-            for broker_id, core in self.overlay.cores.items()
-        }
-
-    def attach_auditor(self, auditor):
-        self.overlay.attach_auditor(auditor)
-
-    def trace_problems(self):
-        if not self._tracing:
-            return []
-        from repro.obs.tracing import verify_traces
-
-        return verify_traces(self.overlay)
+        self._attach_clients(plan)
 
     def extras(self):
         return {"network_traffic": self.overlay.stats.network_traffic}
@@ -321,7 +316,7 @@ class AsyncioAdapter(_Adapter):
     def setup(self, spec: WorkloadSpec, plan: WorkloadPlan):
         from repro.runtime.asyncio_backend import AsyncioRuntime
 
-        self.runtime = AsyncioRuntime(
+        self.host = self.runtime = AsyncioRuntime(
             config=spec.config(), link_capacity=self._link_capacity
         )
         if self._tracing:
@@ -331,34 +326,7 @@ class AsyncioAdapter(_Adapter):
         for a, b in plan.links:
             self.runtime.connect(a, b)
         self.runtime.start()
-        self.runtime.attach_publisher(PUBLISHER, plan.broker_ids[0])
-        for leaf in sorted(plan.subscriptions):
-            self.runtime.attach_subscriber("sub-%s" % leaf, leaf)
-
-    def submit(self, client_id: str, message):
-        self.runtime.submit(client_id, message)
-
-    def quiesce(self):
-        self.runtime.drain()
-
-    def now(self) -> float:
-        return self.runtime.now
-
-    def delivered(self):
-        return _delivered_from_clients(self.runtime.subscribers)
-
-    def fingerprints(self):
-        return self.runtime.routing_fingerprints()
-
-    def attach_auditor(self, auditor):
-        self.runtime.attach_auditor(auditor)
-
-    def trace_problems(self):
-        if not self._tracing:
-            return []
-        from repro.obs.tracing import verify_traces
-
-        return verify_traces(self.runtime)
+        self._attach_clients(plan)
 
     def extras(self):
         return {
@@ -391,7 +359,7 @@ class MultiprocessAdapter(_Adapter):
         rto = self._rto
         if rto is None:
             rto = 0.05 if len(plan.broker_ids) <= 31 else 0.5
-        self.deployment = MultiprocessDeployment(
+        self.host = self.deployment = MultiprocessDeployment(
             config=spec.config(),
             record_hops=self._record_hops,
             rto=rto,
@@ -401,28 +369,11 @@ class MultiprocessAdapter(_Adapter):
         for a, b in plan.links:
             self.deployment.link(a, b)
         self.deployment.start()
-        self.deployment.attach_publisher(PUBLISHER, plan.broker_ids[0])
-        for leaf in sorted(plan.subscriptions):
-            self.deployment.attach_subscriber("sub-%s" % leaf, leaf)
-
-    def submit(self, client_id: str, message):
-        self.deployment.submit(client_id, message)
-
-    def quiesce(self):
-        if not self.deployment.settle():
-            raise RuntimeError("multiprocess deployment failed to settle")
-        self.deployment.drain_deliveries()
-
-    def delivered(self):
-        return _delivered_from_clients(self.deployment.subscribers)
-
-    def fingerprints(self):
-        return self.deployment.fingerprints()
-
-    def attach_auditor(self, auditor):
-        self.deployment.attach_auditor(auditor)
+        self._attach_clients(plan)
 
     def trace_problems(self):
+        """A parent cannot read a child's recorder: the per-process hop
+        logs are checked against the overlay tree paths instead."""
         if not self._record_hops:
             return []
         return self.deployment.verify_hop_traces()
@@ -433,19 +384,6 @@ class MultiprocessAdapter(_Adapter):
     def close(self):
         if self.deployment is not None:
             self.deployment.stop()
-
-
-def _delivered_from_clients(subscribers) -> Set[Tuple[str, str, Tuple[str, ...]]]:
-    delivered: Set[Tuple[str, str, Tuple[str, ...]]] = set()
-    for client_id, client in subscribers.items():
-        for message in client.received:
-            if isinstance(message, PublishMsg):
-                delivered.add((
-                    client_id,
-                    message.publication.doc_id,
-                    tuple(message.publication.path),
-                ))
-    return delivered
 
 
 ADAPTERS = {

@@ -146,7 +146,7 @@ class TestDuplicateSuppression:
         delivered_before = len(overlay.stats.deliveries)
         assert delivered_before == len(subscriber.received)
         for msg in list(subscriber.received):
-            overlay._client_receive("sub", (msg,), hops=2)
+            overlay.receive("sub", (msg,), 2, overlay.now)
         assert len(overlay.stats.deliveries) == delivered_before
         assert subscriber.duplicates == delivered_before
 

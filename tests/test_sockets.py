@@ -246,3 +246,246 @@ class TestLossyLinks:
         # loss was healed, never surfaced: every loss was retried and
         # each broker saw each message once (no dup delivered twice)
         assert stats["abandoned"] == 0
+
+
+# -- the reliable connection: one Channel, driven over TCP --------------------
+
+
+def _wait_until(condition, timeout=5.0):
+    import time
+
+    deadline = time.time() + scaled(timeout)
+    while time.time() < deadline:
+        if condition():
+            return True
+        time.sleep(0.005)
+    return condition()
+
+
+def _label(message):
+    return "%s:%s" % (type(message).__name__, message.expr)
+
+
+class TestConnection:
+    """``_Connection`` pairs over ``socket.socketpair()`` — the TCP
+    driver of ``repro.network.reliable.Channel`` without a broker."""
+
+    @pytest.fixture
+    def pair(self):
+        import socket
+
+        from repro.network.sockets import _Connection
+
+        made = []
+
+        def connect(drop_send=None):
+            left, right = socket.socketpair()
+            received = []
+            sender = _Connection(
+                left, "rx", lambda peer, message: None,
+                drop_send=drop_send, rto=0.02,
+            )
+            receiver = _Connection(
+                right, "tx", lambda peer, message: received.append(message),
+                rto=0.02,
+            )
+            made.extend((sender, receiver))
+            sender.start()
+            receiver.start()
+            return sender, receiver, received
+
+        yield connect
+        for connection in made:
+            connection.close()
+
+    def test_unsub_never_overtakes_its_sub_under_loss(self, pair):
+        """The first physical transmission (the SUB) is dropped; its
+        retransmission reaches the peer after the UNSUB sent behind it.
+        The connection must still hand the broker SUB before UNSUB,
+        each exactly once — released out of order, the UNSUB would be a
+        no-op and the SUB a dead subscription routed forever."""
+        from repro.broker.messages import UnsubscribeMsg
+
+        dropped = []
+
+        def drop_first(payload):
+            if not dropped:
+                dropped.append(payload)
+                return True
+            return False
+
+        sender, _receiver, received = pair(drop_send=drop_first)
+        expr = parse_xpath("/a")
+        sender.send(SubscribeMsg(expr=expr, subscriber_id="s"))
+        sender.send(UnsubscribeMsg(expr=expr, subscriber_id="s"))
+        assert _wait_until(lambda: sender.pending_count() == 0)
+        assert [_label(m) for m in received] == [
+            "SubscribeMsg:/a", "UnsubscribeMsg:/a",
+        ]
+        assert sender.stats["retransmits"] >= 1
+
+    def test_receiver_dedup_state_does_not_grow_with_traffic(self, pair):
+        """After N in-order frames the receiving end holds a counter
+        and an empty window — not N sequence numbers."""
+        sender, receiver, received = pair()
+        for i in range(200):
+            sender.send(SubscribeMsg(expr=parse_xpath("/a/b%d" % i)))
+        assert _wait_until(
+            lambda: len(received) == 200 and sender.pending_count() == 0
+        )
+        channel = receiver._channel
+        assert channel.expected == 200
+        assert channel.buffer == {} and channel.unacked == {}
+        assert sender._channel.unacked == {}
+
+    def test_malformed_frames_do_not_kill_the_reader(self):
+        """Garbage on the wire is counted and skipped; a valid data
+        frame behind it on the same socket is still delivered and
+        acknowledged (the reader thread used to die on the first bad
+        line, with the connection still looking open)."""
+        import socket
+
+        from repro.network.sockets import _Connection
+        from repro.network.wire import decode_frame, encode_data_frame
+
+        raw, wired = socket.socketpair()
+        received = []
+        connection = _Connection(
+            wired, "peer", lambda peer, message: received.append(message)
+        )
+        connection.start()
+        try:
+            message = SubscribeMsg(expr=parse_xpath("/a"), subscriber_id="s")
+            raw.sendall(
+                b"not json at all\n"
+                b"\xff\xfe\xfd\n"
+                b'{"kind":"data","seq":"x"}\n'
+                + encode_data_frame(0, message)
+            )
+            raw.settimeout(scaled(5.0))
+            reply = b""
+            while b"\n" not in reply:
+                reply += raw.recv(4096)
+            ack = decode_frame(reply.split(b"\n", 1)[0])
+            assert (ack.kind, ack.seq) == ("ack", 0)
+            # (the ack leaves before the message is handed on)
+            assert _wait_until(lambda: len(received) == 1)
+            assert [_label(m) for m in received] == ["SubscribeMsg:/a"]
+            assert connection.stats["malformed"] == 3
+        finally:
+            connection.close()
+            raw.close()
+
+
+class TestLossyLinksKeepOrder:
+    def test_sub_unsub_pub_under_loss_leaves_nothing_behind(self):
+        """SUB then UNSUB back to back over 25 %-lossy links, then a
+        publication: whatever was dropped and resent, every broker ends
+        with an empty routing table and nothing is delivered."""
+        from repro.broker.messages import UnsubscribeMsg
+
+        deployment = LocalDeployment(
+            config=RoutingConfig.no_adv_no_cov(),
+            loss_rate=0.25, loss_seed=11, rto=0.02,
+        )
+        for name in ("b1", "b2", "b3"):
+            deployment.add_broker(name)
+        deployment.link("b1", "b2")
+        deployment.link("b2", "b3")
+        deployment.start()
+        try:
+            publisher = deployment.publisher("pub", "b1")
+            subscriber = deployment.subscriber("sub", "b3")
+            exprs = [parse_xpath("/claims/claim/f%d" % i) for i in range(12)]
+            exprs.append(parse_xpath("/claims//amount"))
+            for expr in exprs:
+                subscriber.submit(SubscribeMsg(expr=expr, subscriber_id="sub"))
+                subscriber.submit(
+                    UnsubscribeMsg(expr=expr, subscriber_id="sub")
+                )
+            assert deployment.settle(timeout=20.0)
+            publisher.submit(
+                PublishMsg(
+                    publication=Publication(
+                        doc_id="c-1", path_id=0,
+                        path=("claims", "claim", "amount"),
+                    ),
+                    publisher_id="pub",
+                )
+            )
+            assert deployment.settle(timeout=20.0)
+            assert deployment.transport_stats()["retransmits"] > 0
+            assert subscriber.delivered_documents() == set()
+            for name, node in deployment.nodes.items():
+                assert node.broker.routing_table_size() == 0, name
+                assert node.errors == [], name
+        finally:
+            deployment.stop()
+
+
+class TestMergingOnSockets:
+    def test_merge_sweeps_run_without_any_host_timer(self):
+        """Merge sweeps are count-driven inside ``Broker.handle_subscribe``
+        (every ``merge_interval`` subscriptions), not a host timer: a
+        socket host, which has no timers at all, still merges — and the
+        merger crosses the wire to the neighbour."""
+        from repro.dtd.parser import parse_dtd
+        from repro.merging.engine import PathUniverse
+
+        from repro.adverts.generator import generate_advertisements
+
+        dtd = parse_dtd(
+            """
+            <!ELEMENT r (a, b)>
+            <!ELEMENT a (c | d | e)>
+            <!ELEMENT b (c?)>
+            <!ELEMENT c (#PCDATA)>
+            <!ELEMENT d (#PCDATA)>
+            <!ELEMENT e (#PCDATA)>
+            """
+        )
+        universe = PathUniverse.from_dtd(dtd)
+        deployment = LocalDeployment(
+            config=RoutingConfig.with_adv_with_cov_ipm(merge_interval=3),
+            universe=universe,
+        )
+        for name in ("b1", "b2", "b3"):
+            deployment.add_broker(name)
+        deployment.link("b1", "b2")
+        deployment.link("b2", "b3")
+        deployment.start()
+        try:
+            publisher = deployment.publisher("pub", "b1")
+            subscriber = deployment.subscriber("sub", "b3")
+            for i, advert in enumerate(generate_advertisements(dtd)):
+                publisher.submit(
+                    AdvertiseMsg(
+                        adv_id="adv%d" % i, advert=advert, publisher_id="pub"
+                    )
+                )
+            assert deployment.settle(timeout=5.0)
+            # the full sibling set under /r/a: the third subscription
+            # triggers b3's sweep, which rewrites it to /r/a/*
+            for text in ("/r/a/c", "/r/a/d", "/r/a/e"):
+                subscriber.submit(
+                    SubscribeMsg(expr=parse_xpath(text), subscriber_id="sub")
+                )
+            assert deployment.settle(timeout=5.0)
+            merger = parse_xpath("/r/a/*")
+            edge = deployment.nodes["b3"].broker
+            assert [event.merger for event in edge.merge_log] == [merger]
+            neighbour = deployment.nodes["b2"].broker
+            assert merger in neighbour.tree
+            assert "b3" in neighbour.tree.node_of(merger).keys
+            publisher.submit(
+                PublishMsg(
+                    publication=Publication(
+                        doc_id="m-1", path_id=0, path=("r", "a", "d")
+                    ),
+                    publisher_id="pub",
+                )
+            )
+            assert deployment.settle(timeout=5.0)
+            assert subscriber.delivered_documents() == {"m-1"}
+        finally:
+            deployment.stop()
