@@ -12,16 +12,23 @@ and asserts:
 * the shared engine is at least :data:`SPEEDUP_FLOOR` times faster
   end-to-end.
 
+The **churn lane** (``test_mass_churn_100k``) pins selective
+invalidation: with the table loaded and the DFA warm, a round of one
+anchored SUB + UNSUB followed by re-walking known trails must cost
+about what re-walking them alone costs, because the edit repairs only
+the DFA states it touches (docs/matching.md, "Selective invalidation").
+
 Per-probe timings land in the ``matching.mass.*`` histograms of
 ``BENCH_obs.json``, which ``check_obs_regression.py --only
 matching.mass.`` gates bidirectionally against the committed baseline —
 a regression that eats the speedup fails CI, and so does an unexplained
 further speedup (refresh the baseline deliberately).
 
-The 1M-subscription variant is marked ``soak`` and excluded from the
-PR lane (``-m "not soak"``); the scheduled soak job runs it.
+The 1M-subscription variants are marked ``soak`` and excluded from the
+PR lane (``-m "not soak"``); the scheduled soak job runs them.
 """
 
+import statistics
 import time
 
 import pytest
@@ -34,6 +41,7 @@ from repro.workloads.mass import (
     generate_mass_subscriptions,
     generate_probe_paths,
 )
+from repro.xpath.parser import parse_xpath
 
 SUBSCRIPTIONS = 100_000
 SOAK_SUBSCRIPTIONS = 1_000_000
@@ -45,6 +53,15 @@ PROBES = 60
 #: The ISSUE's acceptance floor: shared automaton at least this many
 #: times faster than the per-XPE scan at 100k resident subscriptions.
 SPEEDUP_FLOOR = 10.0
+
+#: Churn lane: rounds (one histogram sample each, above the regression
+#: gate's MIN_SAMPLES) and known trails re-walked per round.
+CHURN_ROUNDS = 40
+CHURN_PROBES = 15
+
+#: Churn lane: a churn round's p50 over a steady round's.  Measured
+#: 1.1x; wholesale invalidation, which this replaces, measured 4.2x.
+CHURN_RATIO_CEILING = 1.5
 
 
 def _distinct_probe_paths(count, params, seed):
@@ -149,8 +166,8 @@ def test_mass_matching_100k():
 def test_dfa_eviction_steady_state():
     """DFA-overflow discipline: under steady-state mass matching with a
     tight state budget, overflow is absorbed by cold-half eviction —
-    ``dfa_flushes`` (wholesale discards, now reserved for structural
-    invalidation) stays 0, the probes stay correct, and the cache obeys
+    ``dfa_flushes`` (wholesale discards, reserved for ``clear()``)
+    stays 0, the probes stay correct, and the cache obeys
     the bound throughout.  Pins the replacement of the old
     flush-everything overflow response."""
     limit = 64
@@ -190,3 +207,70 @@ def test_dfa_eviction_steady_state():
 @pytest.mark.soak
 def test_mass_matching_1m():
     _run_pair(SOAK_SUBSCRIPTIONS)
+
+
+# -- the churn lane --------------------------------------------------------
+
+
+def _run_churn(count):
+    params = MassWorkloadParams()
+    shared = SharedAutomatonMatcher()
+    for expr, key in generate_mass_subscriptions(count, params, seed=7):
+        shared.add(expr, key)
+    paths = _distinct_probe_paths(CHURN_PROBES, params, seed=8)
+    # The steady state being measured is "table loaded, DFA built":
+    # then churn arrives.
+    warm_results = [shared.match(path) for path in paths]
+    warm_states = shared.dfa_size()
+
+    registry = obs.get_registry()
+    steady, churn = [], []
+    for round_index in range(CHURN_ROUNDS):
+        start = time.perf_counter()
+        steady_results = [shared.match(path) for path in paths]
+        steady.append(time.perf_counter() - start)
+
+        # Anchored under a rotating vocabulary root, along a trail no
+        # probe walks ("churn" is not in the vocabulary).
+        root = params.vocabulary[round_index % len(params.vocabulary)]
+        expr = parse_xpath("/%s/churn/r%d" % (root, round_index))
+        start = time.perf_counter()
+        with registry.timer("matching.mass.churn"):
+            shared.add(expr, "churn")
+            shared.remove(expr, "churn")
+            churn_results = [shared.match(path) for path in paths]
+        churn.append(time.perf_counter() - start)
+
+        assert steady_results == warm_results
+        assert churn_results == warm_results
+        assert shared.dfa_size() == warm_states, (
+            "an edit off the probed trails changed the DFA: %d -> %d "
+            "states in round %d"
+            % (warm_states, shared.dfa_size(), round_index)
+        )
+
+    steady_p50 = statistics.median(steady)
+    churn_p50 = statistics.median(churn)
+    ratio = churn_p50 / steady_p50
+    print(
+        "\n%d subscriptions, %d rounds x %d known trails: steady p50 "
+        "%.6fs, churn p50 %.6fs (%.2fx), %d DFA states, %d flushes"
+        % (count, CHURN_ROUNDS, len(paths), steady_p50, churn_p50, ratio,
+           warm_states, shared.dfa_flushes)
+    )
+    assert shared.dfa_flushes == 0
+    assert ratio <= CHURN_RATIO_CEILING, (
+        "a churn round costs %.2fx a steady round at %d subscriptions "
+        "(ceiling %.1fx)" % (ratio, count, CHURN_RATIO_CEILING)
+    )
+
+
+@pytest.mark.paper
+def test_mass_churn_100k():
+    _run_churn(SUBSCRIPTIONS)
+
+
+@pytest.mark.paper
+@pytest.mark.soak
+def test_mass_churn_1m():
+    _run_churn(SOAK_SUBSCRIPTIONS)

@@ -70,7 +70,6 @@ def run_audited_workload(
     tracing: bool = False,
     flight_dir: Optional[str] = None,
     matching_engine: str = "auto",
-    shard_count: int = 4,
     views: bool = False,
     view_hot_threshold: int = 3,
 ):
@@ -95,8 +94,6 @@ def run_audited_workload(
         )
     if config.matching_engine != matching_engine:
         config = replace(config, matching_engine=matching_engine)
-    if config.shard_count != shard_count:
-        config = replace(config, shard_count=shard_count)
     if config.views != views or config.view_hot_threshold != view_hot_threshold:
         config = replace(
             config, views=views, view_hot_threshold=view_hot_threshold

@@ -96,21 +96,11 @@ class Broker:
         #: lazily after bulk rewrites (merge sweeps, snapshot restore).
         #: The tree/flat table keeps driving *forwarding* decisions —
         #: the mirror only answers "which keys match this publication".
-        if self.config.matching_engine == "shared":
-            self.shared: Optional[SharedAutomatonMatcher] = (
-                SharedAutomatonMatcher()
-            )
-        elif self.config.matching_engine == "sharded":
-            from repro.matching.sharded import ShardedMatcher
-
-            self.shared = ShardedMatcher(shard_count=self.config.shard_count)
-            # A rebalance must never migrate expressions out of a shard
-            # the pending dirty-rebuild is about to discard: the engine
-            # rebuilds through this hook first (see ShardedMatcher.
-            # mark_stale and tests/test_sharded_matcher.py).
-            self.shared.set_rebuild_hook(self._refresh_shared)
-        else:
-            self.shared = None
+        self.shared: Optional[SharedAutomatonMatcher] = (
+            SharedAutomatonMatcher()
+            if self.config.matching_engine == "shared"
+            else None
+        )
         self._shared_dirty = False
 
         self._merger: Optional[MergingEngine] = None
@@ -748,7 +738,7 @@ class Broker:
         attributes = publication.attribute_maps()
         if self.shared is not None:
             keys = frozenset(self._shared_engine().match(path, attributes))
-            engine = self.config.matching_engine
+            engine = "shared"
         elif self.config.covering:
             keys = frozenset(self.tree.match_keys(path, attributes))
             engine = "tree"
@@ -852,36 +842,20 @@ class Broker:
         (merge sweep, snapshot restore): rebuild lazily on next match."""
         if self.shared is not None:
             self._shared_dirty = True
-            if self.config.matching_engine == "sharded":
-                # The sharded engine must know too: an explicit
-                # rebalance on a stale table would migrate expressions
-                # out of shards the pending rebuild is about to drop.
-                self.shared.mark_stale()
 
-    def _shared_engine(self):
-        """The live mirror (``SharedAutomatonMatcher`` or
-        ``ShardedMatcher`` — same maintenance contract), rebuilt from
-        the authoritative table first if a bulk rewrite invalidated
-        it."""
+    def _shared_engine(self) -> SharedAutomatonMatcher:
+        """The live mirror, rebuilt from the authoritative table first
+        if a bulk rewrite invalidated it."""
         if self._shared_dirty:
-            self._refresh_shared()
-        return self.shared
-
-    def _refresh_shared(self):
-        """Rebuild the mirror and clear both dirty flags (the broker's
-        and the sharded engine's must never disagree).  Also the
-        rebuild hook handed to the sharded engine: a rebalance that
-        finds the mirror stale rebuilds through here first."""
-        registry = obs.get_registry()
-        if registry.enabled:
-            with registry.timer("matching.shared.rebuild"):
+            registry = obs.get_registry()
+            if registry.enabled:
+                with registry.timer("matching.shared.rebuild"):
+                    self._rebuild_shared()
+                registry.counter("matching.shared.rebuilds").inc()
+            else:
                 self._rebuild_shared()
-            registry.counter("matching.shared.rebuilds").inc()
-        else:
-            self._rebuild_shared()
-        self._shared_dirty = False
-        if self.config.matching_engine == "sharded":
-            self.shared.stale = False
+            self._shared_dirty = False
+        return self.shared
 
     def _rebuild_shared(self):
         self.shared.clear()

@@ -216,21 +216,17 @@ class BrokerCore:
         state: Dict,
         universe=None,
         matching_engine: Optional[str] = None,
-        shard_count: Optional[int] = None,
     ) -> "BrokerCore":
         """Rebuild a core from :meth:`snapshot` output.  Replaying the
         message suffix recorded after the snapshot yields the same
         effects the original core produced (the determinism contract).
-        ``matching_engine``/``shard_count`` override the snapshot's
-        values (see :func:`repro.broker.persistence.restore`)."""
+        ``matching_engine`` overrides the snapshot's value (see
+        :func:`repro.broker.persistence.restore`)."""
         from repro.broker.persistence import restore
 
         return cls(
             broker=restore(
-                state,
-                universe=universe,
-                matching_engine=matching_engine,
-                shard_count=shard_count,
+                state, universe=universe, matching_engine=matching_engine
             )
         )
 

@@ -42,7 +42,6 @@ def snapshot(broker: Broker) -> Dict:
             "merge_interval": config.merge_interval,
             "advert_covering": config.advert_covering,
             "matching_engine": config.matching_engine,
-            "shard_count": config.shard_count,
             "views": config.views,
             "view_window": config.view_window,
             "view_hot_threshold": config.view_hot_threshold,
@@ -119,63 +118,46 @@ def snapshot_json(broker: Broker) -> str:
     return json.dumps(snapshot(broker), indent=2, sort_keys=True)
 
 
-def _validated_matching(
-    config_state: Dict,
-    matching_engine: "str | None",
-    shard_count: "int | None",
-):
-    """Resolve and validate the matching-engine fields of a snapshot
-    (with optional restore-time overrides).  A snapshot written by a
-    future version — an engine name or shard count this build does not
-    understand — must fail with a :class:`~repro.errors.ConfigError`
-    naming the field, not a bare ``KeyError``/``ValueError`` from deep
-    inside matcher construction."""
-    engine = (
-        matching_engine
-        if matching_engine is not None
-        else config_state.get("matching_engine", "auto")
-    )
+def _validated_engine(config_state: Dict, matching_engine: "str | None"):
+    """Resolve and validate the matching engine of a snapshot (with the
+    optional restore-time override).  A snapshot written by a future
+    version — an engine name this build does not understand — must
+    fail with a :class:`~repro.errors.ConfigError` naming the field,
+    not a bare ``KeyError``/``ValueError`` from deep inside matcher
+    construction."""
+    engine = matching_engine
+    if engine is None:
+        engine = config_state.get("matching_engine", "auto")
+        if engine == "sharded":  # old snapshots: that mirror is "shared" now
+            engine = "shared"
     if engine not in MATCHING_ENGINES:
         raise ConfigError(
             "snapshot field 'matching_engine': unknown engine %r "
             "(this build supports %s)" % (engine, ", ".join(MATCHING_ENGINES))
         )
-    shards = (
-        shard_count
-        if shard_count is not None
-        else config_state.get("shard_count", 4)
-    )
-    if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-        raise ConfigError(
-            "snapshot field 'shard_count': expected a positive integer, "
-            "got %r" % (shards,)
-        )
-    return engine, shards
+    return engine
 
 
 def restore(
     state: Dict,
     universe=None,
     matching_engine: "str | None" = None,
-    shard_count: "int | None" = None,
 ) -> Broker:
     """Rebuild a broker from a :func:`snapshot` dict.
 
-    ``matching_engine``/``shard_count`` override the snapshot's values,
-    so a snapshot taken under one engine can be restored under another
-    (an operator migration path).  The restored broker's shared-
-    automaton mirror is rebuilt lazily from the restored table; on an
-    engine or shard-count *switch* the broker-global match-cache
-    generation is additionally bumped, so no stamp minted under the old
-    engine can be mistaken for current (a same-engine restore keeps
-    the ordinary cold-start contract: empty caches, generation 0)."""
+    ``matching_engine`` overrides the snapshot's value, so a snapshot
+    taken under one engine can be restored under another (an operator
+    migration path).  The restored broker's shared-automaton mirror is
+    rebuilt lazily from the restored table; on an engine *switch* the
+    broker-global match-cache generation is additionally bumped, so no
+    stamp minted under the old engine can be mistaken for current (a
+    same-engine restore keeps the ordinary cold-start contract: empty
+    caches, generation 0)."""
     if not isinstance(state, dict) or "config" not in state:
         raise PersistenceError(
             "malformed broker snapshot: missing 'config'"
         )
-    engine, shards = _validated_matching(
-        state["config"], matching_engine, shard_count
-    )
+    engine = _validated_engine(state["config"], matching_engine)
     try:
         config_state = state["config"]
         config = RoutingConfig(
@@ -186,7 +168,6 @@ def restore(
             merge_interval=config_state["merge_interval"],
             advert_covering=config_state.get("advert_covering", False),
             matching_engine=engine,
-            shard_count=shards,
             views=config_state.get("views", False),
             view_window=config_state.get("view_window", 64),
             view_hot_threshold=config_state.get("view_hot_threshold", 3),
@@ -223,16 +204,13 @@ def restore(
         # broker re-derives it from the restored table, same as the
         # match caches starting cold.  Materialized views are derived
         # state too: a restored broker starts with an empty
-        # ViewManager and rewarms from live traffic.)  On an engine or
-        # shard-count switch the generation bump makes the staleness
-        # explicit — no stamp minted under the snapshotted engine can
-        # be mistaken for current; a same-engine restore keeps the
-        # cold-start contract of generation 0.
+        # ViewManager and rewarms from live traffic.)  On an engine
+        # switch the generation bump makes the staleness explicit — no
+        # stamp minted under the snapshotted engine can be mistaken for
+        # current; a same-engine restore keeps the cold-start contract
+        # of generation 0.
         broker._mark_shared_dirty()
-        if (
-            engine != config_state.get("matching_engine", "auto")
-            or shards != config_state.get("shard_count", 4)
-        ):
+        if engine != config_state.get("matching_engine", "auto"):
             broker._invalidate_match_cache()
         for item in state["forwarded"]:
             expr = parse_xpath(item["expr"])
@@ -271,16 +249,10 @@ def restore_json(
     text: str,
     universe=None,
     matching_engine: "str | None" = None,
-    shard_count: "int | None" = None,
 ) -> Broker:
     """Rebuild a broker from :func:`snapshot_json` output."""
     try:
         state = json.loads(text)
     except ValueError as exc:
         raise PersistenceError("invalid snapshot JSON: %s" % exc)
-    return restore(
-        state,
-        universe=universe,
-        matching_engine=matching_engine,
-        shard_count=shard_count,
-    )
+    return restore(state, universe=universe, matching_engine=matching_engine)

@@ -27,11 +27,10 @@ class MergingMode(enum.Enum):
 #: layers a :class:`~repro.matching.shared_automaton.
 #: SharedAutomatonMatcher` mirror over the routing table so one
 #: document pass matches every resident subscription at once (the
-#: mass-subscription path — see docs/matching.md); ``sharded``
-#: partitions that mirror by root element into ``shard_count`` shards
-#: (:class:`~repro.matching.sharded.ShardedMatcher`) so churn in one
-#: shard leaves the others' lazy-DFA fragments warm.
-MATCHING_ENGINES = ("auto", "shared", "sharded")
+#: mass-subscription path — see docs/matching.md).  A SUB or UNSUB
+#: repairs only the lazy-DFA states it touches, so the mirror needs no
+#: partitioning to stay warm under churn.
+MATCHING_ENGINES = ("auto", "shared")
 
 
 @dataclass(frozen=True)
@@ -68,11 +67,6 @@ class RoutingConfig:
     #: driving *forwarding*, this only selects how a publication is
     #: matched against the resident XPEs.
     matching_engine: str = "auto"
-    #: Root shards for ``matching_engine="sharded"`` (ignored by the
-    #: other engines).  The floating shard for relative/wildcard-root
-    #: expressions is extra, and a skew-triggered split can grow the
-    #: live shard count beyond this at runtime.
-    shard_count: int = 4
     #: Edge materialized views (see docs/views.md): every broker with
     #: local subscribers memoises the routing decision and retains the
     #: delivered-publication window of its hot publication groups, so
@@ -95,8 +89,6 @@ class RoutingConfig:
                 "unknown matching engine %r (one of %s)"
                 % (self.matching_engine, ", ".join(MATCHING_ENGINES))
             )
-        if self.shard_count < 1:
-            raise ValueError("shard_count must be at least 1")
         if self.view_window < 1:
             raise ValueError("view_window must be at least 1")
         if self.view_hot_threshold < 1:

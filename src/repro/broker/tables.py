@@ -12,12 +12,12 @@ or a :class:`~repro.covering.subscription_tree.SubscriptionTree`
 (covering strategies) inside :class:`~repro.broker.broker.Broker`, plus
 the per-neighbour ``forwarded`` bookkeeping defined here.
 
-Under ``matching_engine="sharded"`` the PRT's *matching* view is
-additionally partitioned: a :class:`~repro.matching.sharded.
-ShardedMatcher` mirrors the authoritative tree/flat table as N
-root-element shards with independent caches and DFA fragments (see
-docs/matching.md).  The authoritative table here stays monolithic —
-forwarding, covering, and merging semantics are untouched by sharding.
+Under ``matching_engine="shared"`` the PRT additionally has a
+*matching* view: a :class:`~repro.matching.shared_automaton.
+SharedAutomatonMatcher` mirrors the authoritative tree/flat table as
+one shared-prefix automaton (see docs/matching.md).  The authoritative
+table here is untouched by it — forwarding, covering, and merging
+semantics do not depend on the engine.
 """
 
 from __future__ import annotations

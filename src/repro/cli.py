@@ -60,17 +60,8 @@ def _add_engine_option(parser):
         default="auto",
         help="publication-matching backend on every broker: 'auto' "
         "matches through the routing table itself, 'shared' layers the "
-        "shared-automaton mass-subscription engine over it, 'sharded' "
-        "partitions that engine by root element "
+        "shared-automaton mass-subscription engine over it "
         "(see docs/matching.md)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        metavar="N",
-        help="root-shard count for --engine sharded (default 4; "
-        "ignored by the other engines)",
     )
 
 
@@ -178,7 +169,6 @@ def cmd_simulate(args) -> int:
         check_delivery_equivalence=strategies is None,
         faults=_parse_faults(args),
         matching_engine=args.engine,
-        shard_count=args.shards,
         views=args.views,
     )
     print(result.format())
@@ -211,7 +201,6 @@ def cmd_stats(args) -> int:
         check_delivery_equivalence=False,
         faults=_parse_faults(args),
         matching_engine=args.engine,
-        shard_count=args.shards,
         views=args.views,
         telemetry_interval=args.sample_every,
     )
@@ -234,13 +223,6 @@ def cmd_stats(args) -> int:
             "misses": misses,
             "hit_ratio": (serves / probes) if probes else 0.0,
         }
-    if args.engine == "sharded":
-        meta["shards"] = {
-            "rebalances": registry.counter("matching.shard.rebalances").value,
-            "migrated_exprs": registry.counter(
-                "matching.shard.migrated_exprs"
-            ).value,
-        }
     if args.format == "line":
         rendered = obs.to_line_protocol(registry)
     else:
@@ -253,14 +235,6 @@ def cmd_stats(args) -> int:
                 meta["views"]["serves"],
                 meta["views"]["misses"],
                 meta["views"]["hit_ratio"],
-            )
-        )
-    if args.engine == "sharded":
-        print(
-            "shards: rebalances=%d migrated_exprs=%d"
-            % (
-                meta["shards"]["rebalances"],
-                meta["shards"]["migrated_exprs"],
             )
         )
     if args.sample_every is not None:
@@ -530,7 +504,6 @@ def cmd_audit(args) -> int:
             merge_interval=args.merge_interval,
             seed=args.seed + 3,
             matching_engine=args.engine,
-            shard_count=args.shards,
             views=args.views,
         )
         status = "OK" if report.ok else "FAIL"
@@ -704,7 +677,6 @@ def cmd_deploy(args) -> int:
         seed=args.seed,
         strategy=args.strategy or "with-Adv-with-Cov",
         matching_engine=args.engine,
-        shard_count=args.shards,
         views=args.views,
         serialize_subscriptions=not args.no_serialize,
     )

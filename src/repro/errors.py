@@ -54,12 +54,11 @@ class ProtocolError(RoutingError):
 
 class ConfigError(ReproError):
     """Raised when a configuration value is unusable — an unknown
-    matching engine in a snapshot, a shard count that is not a positive
-    integer, and similar.  Deliberately *not* a subclass of
-    :class:`ValueError`/:class:`KeyError`: persistence wraps those in
-    :class:`~repro.broker.persistence.PersistenceError`, and a
-    configuration problem must surface under its own name (with the
-    offending field) instead of as "malformed snapshot".
+    matching engine in a snapshot and similar.  Deliberately *not* a
+    subclass of :class:`ValueError`/:class:`KeyError`: persistence
+    wraps those in :class:`~repro.broker.persistence.PersistenceError`,
+    and a configuration problem must surface under its own name (with
+    the offending field) instead of as "malformed snapshot".
     """
 
 

@@ -45,7 +45,6 @@ def run_traffic_experiment(
     check_delivery_equivalence: bool = True,
     faults=None,
     matching_engine: str = "auto",
-    shard_count: int = 4,
     views: bool = False,
     telemetry_interval: Optional[float] = None,
 ) -> ExperimentResult:
@@ -59,9 +58,8 @@ def run_traffic_experiment(
     links plus idempotent handlers mask the faults.
 
     ``matching_engine`` selects the publication-matching backend on
-    every broker (``auto``, ``shared`` or ``sharded`` — the latter
-    partitioned into ``shard_count`` root shards); routing decisions
-    and delivered document sets are identical across engines.
+    every broker (``auto`` or ``shared``); routing decisions and
+    delivered document sets are identical across engines.
 
     ``views`` enables edge materialized views (:mod:`repro.views`) on
     every broker; delivered document sets are unaffected (views serve
@@ -94,9 +92,7 @@ def run_traffic_experiment(
     result.telemetry = {}
     baseline_deliveries = None
     for name in strategies:
-        config = _configure(
-            name, merge_interval, matching_engine, shard_count, views
-        )
+        config = _configure(name, merge_interval, matching_engine, views)
         overlay = Overlay.binary_tree(
             levels,
             config=config,
@@ -157,7 +153,6 @@ def _configure(
     name: str,
     merge_interval: int,
     matching_engine: str = "auto",
-    shard_count: int = 4,
     views: bool = False,
 ) -> RoutingConfig:
     config = RoutingConfig.by_name(name)
@@ -165,8 +160,6 @@ def _configure(
         config = replace(config, merge_interval=merge_interval)
     if config.matching_engine != matching_engine:
         config = replace(config, matching_engine=matching_engine)
-    if config.shard_count != shard_count:
-        config = replace(config, shard_count=shard_count)
     if config.views != views:
         config = replace(config, views=views)
     return config

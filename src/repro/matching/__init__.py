@@ -4,7 +4,6 @@ from repro.covering.pathmatch import matches_document_paths, matches_path
 from repro.matching.engine import LinearMatcher, TreeMatcher
 from repro.matching.predicate_index import PredicateIndexMatcher
 from repro.matching.shared_automaton import SharedAutomatonMatcher
-from repro.matching.sharded import ShardedMatcher
 from repro.matching.yfilter import SharedPathNFA, YFilterMatcher
 
 __all__ = [
@@ -13,7 +12,6 @@ __all__ = [
     "LinearMatcher",
     "PredicateIndexMatcher",
     "SharedAutomatonMatcher",
-    "ShardedMatcher",
     "SharedPathNFA",
     "TreeMatcher",
     "YFilterMatcher",

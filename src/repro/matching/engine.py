@@ -9,7 +9,7 @@ the flat baseline and the tree-based matcher behind one interface.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import Dict, Sequence, Set
 
 from repro import obs
 from repro.covering.pathmatch import path_matcher
@@ -51,25 +51,6 @@ class LinearMatcher:
                 matched |= keys
         return matched
 
-    def matching_exprs(
-        self, path: Sequence[str], attributes=None
-    ) -> List[XPathExpr]:
-        # Same instrumented path as match(): engine-ablation benchmarks
-        # must see this scan under matching.linear.* too.
-        registry = obs.get_registry()
-        if not registry.enabled:
-            return self._matching_exprs(path, attributes)
-        with registry.timer("matching.linear.match"):
-            matched = self._matching_exprs(path, attributes)
-        registry.counter("matching.linear.exprs_scanned").inc(len(self._subs))
-        return matched
-
-    def _matching_exprs(
-        self, path: Sequence[str], attributes=None
-    ) -> List[XPathExpr]:
-        wants = path_matcher(path, attributes)
-        return [expr for expr in self._subs if wants(expr)]
-
     def keys_of(self, expr: XPathExpr) -> Set[object]:
         return set(self._subs.get(expr, ()))
 
@@ -104,17 +85,6 @@ class TreeMatcher:
             return self._tree.match_keys(path, attributes)
         with registry.timer("matching.tree.match"):
             return self._tree.match_keys(path, attributes)
-
-    def matching_exprs(
-        self, path: Sequence[str], attributes=None
-    ) -> List[XPathExpr]:
-        # Route through the same engine-level timer as match() so
-        # ablation runs comparing the two entry points see both.
-        registry = obs.get_registry()
-        if not registry.enabled:
-            return [node.expr for node in self._tree.match(path, attributes)]
-        with registry.timer("matching.tree.match"):
-            return [node.expr for node in self._tree.match(path, attributes)]
 
     def exprs(self):
         return self._tree.exprs()

@@ -27,7 +27,7 @@ YFilterMatcher, so it drops into brokers and ablation benchmarks.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.covering.pathmatch import matches_path
@@ -164,11 +164,6 @@ class PredicateIndexMatcher:
         for expr in self.match_exprs(path, attributes):
             keys |= self._exprs[expr]
         return keys
-
-    def matching_exprs(
-        self, path: Sequence[str], attributes=None
-    ) -> List[XPathExpr]:
-        return list(self.match_exprs(path, attributes))
 
     def keys_of(self, expr: XPathExpr) -> Set[object]:
         return set(self._exprs.get(expr, ()))

@@ -21,19 +21,21 @@ Three layers on top of the plain NFA simulation:
   are stamped with a per-walk clock, so recently-walked states survive)
   instead of the classic wholesale flush, which used to discard the
   entire hot fragment because one publication wandered somewhere new.
-  Correctness never depends on the cache; ``dfa_flushes`` now counts
-  wholesale discards (structural invalidations), ``dfa_evictions`` the
-  bounded overflow evictions.
+  Correctness never depends on the cache; ``dfa_flushes`` counts
+  wholesale discards (``clear()`` only), ``dfa_evictions`` the bounded
+  overflow evictions.
 * **Predicate post-filtering.**  Attribute predicates are invisible to
   the structural automaton.  Predicated expressions live in a
   :class:`~repro.matching.predicate_index.PredicateIndexMatcher` side
   index (the paper's companion matcher [16]): the automaton handles the
   structural mass, the predicate index the value-constrained minority,
   and a match is the union of the two.
-* **Versioning.**  ``version`` is bumped by every mutation that can
-  change a match result.  Structural mutations additionally
-  invalidate the DFA cache (NFA states may have been pruned — cached
-  subsets would reference freed states).
+* **Selective invalidation.**  Prefix sharing means an added or
+  removed XPE touches only its own suffix of the NFA, and
+  :class:`SharedPathNFA` reports exactly what: the edit repairs the
+  cached DFA states whose subset contains a touched NFA state
+  (:meth:`SharedAutomatonMatcher._repair_dfa`) and leaves every other
+  walk warm.  The rules are spelled out in docs/matching.md.
 
 Incremental ``add``/``remove`` (including real NFA state pruning on
 unsubscribe) comes from the underlying :class:`SharedPathNFA`;
@@ -42,37 +44,44 @@ unsubscribe) comes from the underlying :class:`SharedPathNFA`;
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.matching.predicate_index import PredicateIndexMatcher
-from repro.matching.yfilter import SharedPathNFA, _State
-from repro.xpath.ast import XPathExpr
+from repro.matching.yfilter import ACCEPT_ONLY, SharedPathNFA, _State
+from repro.xpath.ast import WILDCARD, XPathExpr
 
-#: Default bound on cached DFA states before a wholesale flush.
+#: Default bound on cached DFA states before the cold half is evicted.
 DEFAULT_DFA_STATE_LIMIT = 50_000
 
 
 class _DFAState:
     """One lazily-built DFA state: a canonicalised NFA subset."""
 
-    __slots__ = ("nfa_states", "accepting", "transitions", "stamp")
+    __slots__ = ("nfa_states", "accepting", "transitions", "stamp", "dead")
 
     def __init__(self, nfa_states: Tuple[_State, ...]):
         self.nfa_states = nfa_states
-        accepting: Set[XPathExpr] = set()
-        for state in nfa_states:
-            if state.accepting:
-                accepting |= state.accepting
-        self.accepting: FrozenSet[XPathExpr] = frozenset(accepting)
+        self.refresh_accepting()
         self.transitions: Dict[str, "_DFAState"] = {}
         #: Last walk (matcher ``_clock`` value) that visited this state;
         #: eviction keeps the highest stamps.
         self.stamp = 0
+        #: Dropped from the cache (evicted, or invalidated by an edit).
+        #: Survivors' transitions may still point here; a walk treats a
+        #: dead target as a miss and re-derives it.
+        self.dead = False
+
+    def refresh_accepting(self):
+        accepting: Set[XPathExpr] = set()
+        for state in self.nfa_states:
+            if state.accepting:
+                accepting |= state.accepting
+        self.accepting: FrozenSet[XPathExpr] = frozenset(accepting)
 
 
-#: The unique dead state: empty subset, no way back.
-_DEAD = _DFAState(())
+#: The unique sink state: empty subset, no way back.
+_SINK = _DFAState(())
 
 
 class SharedAutomatonMatcher:
@@ -89,11 +98,9 @@ class SharedAutomatonMatcher:
         self._nfa = SharedPathNFA()
         self._predicated = PredicateIndexMatcher()
         self._keys: Dict[XPathExpr, Set[object]] = {}
-        #: Bumped on every mutation that can change a match result.
-        self.version = 0
         self.dfa_state_limit = dfa_state_limit
-        #: Wholesale discards — structural NFA changes only, never
-        #: overflow (overflow evicts the cold half instead).
+        #: Wholesale discards — ``clear()`` only: an edit repairs the
+        #: states it touches, overflow evicts the cold half.
         self.dfa_flushes = 0
         #: Bounded cold-half evictions on cache overflow.
         self.dfa_evictions = 0
@@ -106,21 +113,14 @@ class SharedAutomatonMatcher:
     # -- maintenance -----------------------------------------------------
 
     def add(self, expr: XPathExpr, key: object = None):
-        keys = self._keys.get(expr)
-        if keys is None:
-            self._keys[expr] = {key}
-            if expr.has_predicates:
-                self._predicated.add(expr, key)
-            else:
-                self._nfa.add(expr)
-                self._invalidate_dfa()
-        else:
-            if key in keys:
-                return
-            keys.add(key)
-            if expr.has_predicates:
-                self._predicated.add(expr, key)
-        self.version += 1
+        keys = self._keys.setdefault(expr, set())
+        if key in keys:
+            return
+        if expr.has_predicates:
+            self._predicated.add(expr, key)
+        elif not keys:
+            self._repair_dfa(*self._nfa.add(expr))
+        keys.add(key)
 
     def remove(self, expr: XPathExpr, key: object = None):
         keys = self._keys.get(expr)
@@ -132,9 +132,7 @@ class SharedAutomatonMatcher:
         if not keys:
             del self._keys[expr]
             if not expr.has_predicates:
-                self._nfa.remove(expr)
-                self._invalidate_dfa()
-        self.version += 1
+                self._repair_dfa(*self._nfa.remove(expr))
 
     def clear(self):
         """Drop every expression (used by full rebuilds)."""
@@ -142,19 +140,51 @@ class SharedAutomatonMatcher:
         self._predicated = PredicateIndexMatcher()
         self._keys = {}
         self._invalidate_dfa()
-        self.version += 1
 
     # -- the lazy DFA ----------------------------------------------------
 
     def _invalidate_dfa(self):
-        """Structural NFA change: every cached subset may reference
-        pruned states, so the whole DFA is discarded and re-derived
-        lazily from the live NFA."""
+        """The NFA itself was replaced: discard the whole DFA."""
         if self._dfa_cache or self._dfa_start is not None:
             self._dfa_cache = {}
             self._dfa_start = None
             self.dfa_flushes += 1
             obs.inc("matching.shared.dfa_flushes")
+
+    def _repair_dfa(self, anchor: _State, label, pruned: Tuple[_State, ...]):
+        """One NFA edit (a :data:`~repro.matching.yfilter.Touched`
+        report): repair exactly the cached states whose subset holds a
+        touched NFA state.  A scan of the cache keys — O(cached states)
+        per edit, nothing on the read path.
+
+        States holding a pruned NFA state are dropped, here, while
+        *pruned* still pins the ids their keys are made of.  States
+        holding the anchor are dropped too when a // link appeared or
+        went under it (they are no longer ε-closed); otherwise they
+        forget the transition on the created or cut edge's label —
+        every transition for ``*`` — or, when no edge changed, re-read
+        their accepting set.
+        """
+        if not self._dfa_cache:
+            return  # cold (bulk load, rebuild): nothing to repair
+        anchor_id = id(anchor)
+        gone = {id(state) for state in pruned}
+        if label is None:
+            gone.add(anchor_id)
+        dropped = []
+        for key, state in self._dfa_cache.items():
+            if not gone.isdisjoint(key):
+                state.dead = True
+                dropped.append(key)
+            elif anchor_id in key:
+                if label is ACCEPT_ONLY:
+                    state.refresh_accepting()
+                elif label == WILDCARD:
+                    state.transitions.clear()
+                else:
+                    state.transitions.pop(label, None)
+        for key in dropped:
+            del self._dfa_cache[key]
 
     def _dfa_state_for(self, nfa_states: Dict[int, _State]) -> _DFAState:
         key = frozenset(nfa_states)
@@ -173,41 +203,28 @@ class SharedAutomatonMatcher:
         most recently walked states.
 
         States held by an in-flight walk stay valid (the NFA is
-        unchanged), evicted ones just stop being findable.  Surviving
-        states' transition tables are pruned of edges into evicted
-        states so a re-derived subset always resolves back to the
-        single cached ``_DFAState`` per key (``_DEAD`` edges stay —
-        the dead state is a module singleton, never cached)."""
+        unchanged); evicted ones are marked dead, so a walk that
+        reaches one through a survivor re-derives the subset and
+        resolves back to the single cached ``_DFAState`` per key."""
         keep = max(1, self.dfa_state_limit // 2)
         ranked = sorted(
             self._dfa_cache.items(),
             key=lambda item: item[1].stamp,
             reverse=True,
         )
-        kept = dict(ranked[:keep])
-        survivors = {id(state) for state in kept.values()}
-        survivors.add(id(_DEAD))
-        for state in kept.values():
-            if any(
-                id(target) not in survivors
-                for target in state.transitions.values()
-            ):
-                state.transitions = {
-                    symbol: target
-                    for symbol, target in state.transitions.items()
-                    if id(target) in survivors
-                }
-        self._dfa_cache = kept
-        if self._dfa_start is not None \
-                and id(self._dfa_start) not in survivors:
-            self._dfa_start = None
+        for _, state in ranked[keep:]:
+            state.dead = True
+        self._dfa_cache = dict(ranked[:keep])
         self.dfa_evictions += 1
         obs.inc("matching.shared.dfa_evictions")
 
     def _start_state(self) -> _DFAState:
-        if self._dfa_start is None:
-            self._dfa_start = self._dfa_state_for(self._nfa.initial_states())
-        return self._dfa_start
+        start = self._dfa_start
+        if start is None or start.dead:
+            start = self._dfa_start = self._dfa_state_for(
+                self._nfa.initial_states()
+            )
+        return start
 
     def _transition(self, state: _DFAState, symbol: str) -> _DFAState:
         nxt: Dict[int, _State] = {}
@@ -221,7 +238,7 @@ class SharedAutomatonMatcher:
             if nfa_state.self_loop:
                 nxt[id(nfa_state)] = nfa_state
         _absorb(nxt)
-        target_state = self._dfa_state_for(nxt) if nxt else _DEAD
+        target_state = self._dfa_state_for(nxt) if nxt else _SINK
         state.transitions[symbol] = target_state
         return target_state
 
@@ -234,9 +251,9 @@ class SharedAutomatonMatcher:
         transition = self._transition
         for symbol in path:
             nxt = state.transitions.get(symbol)
-            if nxt is None:
+            if nxt is None or nxt.dead:
                 nxt = transition(state, symbol)
-            if nxt is _DEAD:
+            if nxt is _SINK:
                 break
             state = nxt
             state.stamp = clock
@@ -264,11 +281,6 @@ class SharedAutomatonMatcher:
         for expr in self.match_exprs(path, attributes):
             keys |= expr_keys[expr]
         return keys
-
-    def matching_exprs(
-        self, path: Sequence[str], attributes=None
-    ) -> List[XPathExpr]:
-        return list(self.match_exprs(path, attributes))
 
     # -- views -----------------------------------------------------------
 
@@ -300,7 +312,6 @@ class SharedAutomatonMatcher:
             "dfa_states": self.dfa_size(),
             "dfa_flushes": self.dfa_flushes,
             "dfa_evictions": self.dfa_evictions,
-            "version": self.version,
         }
 
 

@@ -71,6 +71,18 @@ class _State:
 #: descendant link, reached state).
 _TrailEntry = Tuple[_State, Optional[str], _State]
 
+#: Edit-report label: no edge changed, only *anchor*'s accepting set.
+ACCEPT_ONLY = object()
+
+#: What one ``add``/``remove`` touched, for caches keyed on NFA states
+#: (the lazy DFA): ``(anchor, label, pruned)``.  *anchor* is the deepest
+#: state on the trail that existed before the edit and survives it,
+#: *label* the first edge created — or the one cut — under it (a
+#: trail-entry label: an element name, ``*``, or None for the //
+#: link; :data:`ACCEPT_ONLY` when the trail's shape did not change),
+#: *pruned* the chain of states a cut released.
+Touched = Tuple[_State, object, Tuple[_State, ...]]
+
 
 class SharedPathNFA:
     """A shared-prefix NFA over a set of structural XPE skeletons.
@@ -96,10 +108,11 @@ class SharedPathNFA:
 
     # -- maintenance -----------------------------------------------------
 
-    def add(self, expr: XPathExpr):
-        """Insert *expr*'s structural trail (idempotent)."""
+    def add(self, expr: XPathExpr) -> Optional[Touched]:
+        """Insert *expr*'s structural trail (idempotent: None when
+        already present) and report what the insertion touched."""
         if expr in self._trails:
-            return
+            return None
         trail: List[_TrailEntry] = []
         state = self._root
         if expr.is_relative:
@@ -111,31 +124,39 @@ class SharedPathNFA:
                 state = self._descendant_of(state, trail)
             state = self._edge_of(state, step.test, trail)
         state.accepting.add(expr)
-        for _, _, reached in trail:
+        # Every pre-existing state is on a live trail (refs >= 1), so
+        # the first unreferenced one is the first this call created.
+        touched = None
+        for parent, label, reached in trail:
+            if touched is None and not reached.refs:
+                touched = (parent, label, ())
             reached.refs += 1
         self._trails[expr] = trail
+        return touched or (state, ACCEPT_ONLY, ())
 
-    def remove(self, expr: XPathExpr):
-        """Remove *expr* and prune every state its departure orphans.
+    def remove(self, expr: XPathExpr) -> Optional[Touched]:
+        """Remove *expr*, prune every state its departure orphans and
+        report what was touched (None when *expr* is not stored).
 
         The trail's states form a root-to-leaf chain; a state's
         reference count bounds its children's, so unlinking the
         *shallowest* state that reached zero releases the entire dead
-        subtree in one cut.
+        subtree — the rest of this trail — in one cut.
         """
         trail = self._trails.pop(expr, None)
         if trail is None:
-            return
+            return None
         trail[-1][2].accepting.discard(expr)
         for _, _, reached in trail:
             reached.refs -= 1
-        for parent, label, reached in trail:
+        for index, (parent, label, reached) in enumerate(trail):
             if reached.refs == 0:
                 if label is None:
                     parent.descendant = None
                 else:
                     del parent.edges[label]
-                break
+                return parent, label, tuple(e[2] for e in trail[index:])
+        return trail[-1][2], ACCEPT_ONLY, ()
 
     def _descendant_of(self, state: _State, trail: List[_TrailEntry]) -> _State:
         child = state.descendant
@@ -274,11 +295,6 @@ class YFilterMatcher:
         for expr in self.match_exprs(path, attributes):
             keys |= self._exprs[expr]
         return keys
-
-    def matching_exprs(
-        self, path: Sequence[str], attributes=None
-    ) -> List[XPathExpr]:
-        return list(self.match_exprs(path, attributes))
 
     def keys_of(self, expr: XPathExpr) -> Set[object]:
         return set(self._exprs.get(expr, ()))

@@ -203,7 +203,6 @@ class SLORule:
 def default_slo_rules(
     queue_depth: Tuple[float, float] = (64.0, 256.0),
     retransmit_rate: Tuple[float, float] = (20.0, 100.0),
-    shard_skew: Tuple[float, float] = (4.0, 8.0),
     view_hit_ratio: float = 0.05,
     delivery_p99: Tuple[float, float] = (0.5, 2.0),
 ) -> List[SLORule]:
@@ -212,7 +211,6 @@ def default_slo_rules(
     return [
         SLORule("queue-depth", "queue_depth", ">", *queue_depth),
         SLORule("retransmit-rate", "retransmits", ">", *retransmit_rate),
-        SLORule("shard-skew", "shard_skew", ">", *shard_skew),
         SLORule("view-hit-ratio", "view_hit_ratio", "<", view_hit_ratio),
         SLORule("delivery-p99", "delivery_p99", ">", *delivery_p99),
         # The audit oracle's stateless-recovery fallback means delivered
@@ -539,30 +537,17 @@ def broker_gauges(broker, min_view_probes: int = 8) -> Dict[str, float]:
     """Duck-typed gauge bundle from a :class:`~repro.broker.Broker`.
 
     Works on any backend's broker object: routing-table size, match
-    cache hit ratio, shard skew and rebalance count (sharded engine),
-    DFA size (shared engines) and view hit ratio / retention (when
-    views are enabled).  The view hit ratio is withheld until
-    ``min_view_probes`` lookups so cold caches don't trip the floor
-    rule."""
+    cache hit ratio, DFA size (shared engine) and view hit ratio /
+    retention (when views are enabled).  The view hit ratio is withheld
+    until ``min_view_probes`` lookups so cold caches don't trip the
+    floor rule."""
     gauges: Dict[str, float] = {}
     size = getattr(broker, "routing_table_size", None)
     if callable(size):
         gauges["routing_table"] = float(size())
     engine = getattr(broker, "shared", None)
     stats = engine.stats() if engine is not None else {}
-    if "max_shard_exprs" in stats:
-        shard_count = max(1, stats.get("shard_count", 1))
-        sharded_exprs = max(
-            0, stats.get("exprs", 0) - stats.get("floating_exprs", 0)
-        )
-        mean = sharded_exprs / shard_count
-        if mean > 0:
-            gauges["shard_skew"] = stats["max_shard_exprs"] / mean
-        gauges["shard_rebalances"] = float(stats.get("rebalances", 0))
-        gauges["dfa_states"] = float(
-            sum(shard.get("dfa_states", 0) for shard in stats.get("shards", ()))
-        )
-    elif "dfa_states" in stats:
+    if "dfa_states" in stats:
         gauges["dfa_states"] = float(stats["dfa_states"])
     views = getattr(broker, "views", None)
     if views is not None:

@@ -45,8 +45,6 @@ class WorkloadSpec:
     seed: int = 7
     strategy: str = "with-Adv-with-Cov"
     matching_engine: str = "auto"
-    #: Root shards for ``matching_engine="sharded"``.
-    shard_count: int = 4
     #: Edge materialized views (repro.views) on every broker.
     views: bool = False
     view_hot_threshold: int = 3
@@ -63,10 +61,6 @@ class WorkloadSpec:
         if self.matching_engine != config.matching_engine:
             config = dataclasses.replace(
                 config, matching_engine=self.matching_engine
-            )
-        if self.shard_count != config.shard_count:
-            config = dataclasses.replace(
-                config, shard_count=self.shard_count
             )
         if (
             self.views != config.views

@@ -5,8 +5,8 @@ Four properties guard the result caches of the matching core:
 * the ``covers()`` memo always agrees with the uncached dispatch
   (expressions are immutable, so any disagreement is a caching bug);
 * a broker's route memo is exact under maintenance: after any
-  interleaving of SUB/UNSUB/ADV, merge sweeps, shard splits,
-  redeliveries and snapshot-restores, memoised routing decisions equal
+  interleaving of SUB/UNSUB/ADV, merge sweeps, redeliveries and
+  snapshot-restores, memoised routing decisions equal
   a cold recomputation on every engine — a SUB costs at most one
   structural probe per cached path, and a repeat publication costs no
   engine probe;
@@ -187,7 +187,7 @@ def test_repeat_publication_hits_cache_with_identical_output():
     assert broker.match_cache.hits > hits_before
 
 
-@pytest.mark.parametrize("engine", ("auto", "shared", "sharded"))
+@pytest.mark.parametrize("engine", ("auto", "shared"))
 def test_repeat_publication_never_reaches_the_engine(engine, monkeypatch):
     """The route memo fronts every engine: a repeat publication is a
     memo hit and costs no engine probe, whichever engine is configured."""
@@ -282,7 +282,7 @@ _MERGEABLE = (
     "/ProteinDatabase/ProteinEntry/organism",
     "/ProteinDatabase/ProteinEntry/*",
 )
-#: Further root elements, so a sharded engine has something to split.
+#: Further root elements: routes no merge sweep or predicate touches.
 _OTHER_ROOTS = ("/somewhere/else", "/somewhere/*", "/elsewhere/else")
 _MEMO_XPES = _MERGEABLE + _OTHER_ROOTS + (
     "/ProteinDatabase",
@@ -320,17 +320,16 @@ _MEMO_CONFIGS = tuple(
         max_imperfect_degree=1.0,
         merge_interval=1_000_000,  # sweeps fire only explicitly
         matching_engine=engine,
-        shard_count=1,  # every root shares one shard until a split
     )
     for covering in (True, False)
-    for engine in ("auto", "shared", "sharded")
+    for engine in ("auto", "shared")
 )
 
 
 class RouteMemoMachine(RuleBasedStateMachine):
     """SUB / UNSUB (of live and of unknown subscriptions, plus
     ``redeliver`` repeating the last message) / ADV / merge sweep /
-    shard split / snapshot-restore / publish on a 3-neighbour broker
+    snapshot-restore / publish on a 3-neighbour broker
     with two local clients, under imperfect merging so the exact edge
     recheck decides deliveries.  After every step each probe's
     memoised destinations must equal a cold recomputation."""
@@ -396,17 +395,6 @@ class RouteMemoMachine(RuleBasedStateMachine):
     @rule()
     def merge_sweep(self):
         self.broker.run_merge_sweep()
-
-    @rule()
-    def rebalance(self):
-        """Split the fullest shard: expressions migrate between shards,
-        match results (hence memoised routes) must not move."""
-        if self.broker.config.matching_engine == "sharded":
-            engine = self.broker._shared_engine()
-            engine.split_shard(
-                max(engine._shards, key=lambda shard: len(shard.engine))
-            )
-            engine.check_invariants()
 
     @rule()
     def snapshot_restore(self):
@@ -663,7 +651,7 @@ def assert_grouping_is_unobservable(spec, **kwargs):
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     covering=st.booleans(),
-    engine=st.sampled_from(("auto", "shared", "sharded")),
+    engine=st.sampled_from(("auto", "shared")),
     views=st.booleans(),
 )
 @settings(max_examples=20)

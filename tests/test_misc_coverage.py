@@ -15,10 +15,6 @@ class TestTreeMatcher:
         matcher.add(parse_xpath("/a"), "k1")
         matcher.add(parse_xpath("/a/b"), "k2")
         assert matcher.match(("a", "b")) == {"k1", "k2"}
-        assert set(matcher.matching_exprs(("a", "b"))) == {
-            parse_xpath("/a"),
-            parse_xpath("/a/b"),
-        }
         matcher.remove(parse_xpath("/a"), "k1")
         assert matcher.match(("a", "b")) == {"k2"}
         assert len(matcher) == 1

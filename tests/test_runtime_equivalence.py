@@ -86,26 +86,23 @@ def test_traces_causally_complete(results):
         assert result.trace_problems == [], name
 
 
-def test_sharded_engine_equivalent_on_every_backend():
-    """The acceptance battery for ``matching_engine="sharded"``: the
-    same workload matched through the root-sharded engine delivers the
-    identical set on all three backends (with the asyncio backend's
-    probe pool and the per-process multiprocess pools engaged), keeps
-    all seven routing fingerprints identical to the plain-engine
-    simulator reference, and stays audit-clean."""
+def test_shared_engine_equivalent_on_every_backend():
+    """The acceptance battery for ``matching_engine="shared"``: the
+    same workload matched through the shared-automaton mirror delivers
+    the identical set on all three backends, keeps all seven routing
+    fingerprints identical across them, and stays audit-clean."""
     spec = WorkloadSpec(
         levels=3,
         queries_per_leaf=4,
         documents=4,
         seed=7,
-        matching_engine="sharded",
-        shard_count=4,
+        matching_engine="shared",
     )
-    sharded_plan = build_plan(spec)
+    shared_plan = build_plan(spec)
     reference = run_workload(SimulatorAdapter(), SPEC, build_plan(SPEC))
     results = {
         name: run_workload(
-            adapter_cls(), spec, sharded_plan, auditor=AuditOracle()
+            adapter_cls(), spec, shared_plan, auditor=AuditOracle()
         )
         for name, adapter_cls in (
             ("simulator", SimulatorAdapter),
@@ -115,17 +112,17 @@ def test_sharded_engine_equivalent_on_every_backend():
     }
     assert reference.delivered
     # Fingerprints digest the config (engine name included), so the
-    # cross-backend comparison is among the sharded runs; the delivered
-    # sets additionally match the plain-engine reference.
-    sharded_reference = results["simulator"]
+    # cross-backend comparison is among the shared-engine runs; the
+    # delivered sets additionally match the plain-engine reference.
+    shared_reference = results["simulator"]
     for name, result in results.items():
         assert result.delivered == reference.delivered, name
         assert result.audit_problems == [], name
         diverged = [
             broker_id
-            for broker_id in sharded_reference.fingerprints
+            for broker_id in shared_reference.fingerprints
             if result.fingerprints.get(broker_id)
-            != sharded_reference.fingerprints[broker_id]
+            != shared_reference.fingerprints[broker_id]
         ]
         assert diverged == [], (name, diverged)
 

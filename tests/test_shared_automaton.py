@@ -2,18 +2,28 @@
 
 Four layers of assurance, mirroring how the engine is deployed:
 
-* unit tests of the engine contract (duplicate keys, versioning, NFA
-  pruning, lazy-DFA caching/invalidation/flush);
+* unit tests of the engine contract (duplicate keys, NFA pruning,
+  lazy-DFA caching, selective invalidation, eviction);
 * Hypothesis differentials against :class:`LinearMatcher` and the
-  reference interpreter, attribute predicates included;
+  reference interpreter, attribute predicates included, plus a stateful
+  machine that edits a *warm* DFA and audits every cached state;
 * broker-level equivalence: a ``matching_engine="shared"`` broker makes
   the same routing decisions as the default one, across merge sweeps
-  and snapshot/restore;
+  and snapshot/restore (a second stateful machine interleaves them);
 * the audit oracle's six invariants hold on chaos workloads (fault-free
   and crash-restart) run entirely on the shared engine.
 """
 
+import itertools
+
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.adverts import Advertisement
 from repro.broker import (
@@ -24,9 +34,19 @@ from repro.broker import (
     SubscribeMsg,
     UnsubscribeMsg,
 )
-from repro.broker.persistence import restore_json, snapshot_json
+from repro.broker.persistence import (
+    restore,
+    restore_json,
+    snapshot,
+    snapshot_json,
+)
+from repro.broker.strategies import MergingMode
 from repro.covering.pathmatch import matches_path_reference
+from repro.dtd.samples import psd_dtd
 from repro.matching import LinearMatcher, SharedAutomatonMatcher
+from repro.matching.shared_automaton import DEFAULT_DFA_STATE_LIMIT, _SINK
+from repro.matching.yfilter import SharedPathNFA
+from repro.merging.engine import PathUniverse
 from repro.xmldoc import Publication
 from repro.xpath import parse_xpath
 
@@ -74,25 +94,13 @@ class TestEngineContract:
 
     def test_remove_absent_is_noop(self):
         m = build("/a")
-        before = m.version
+        m.match(("a",))
+        cached = m.dfa_size()
         m.remove(x("/zzz"), "nobody")
         m.remove(x("/a"), "wrong-key")
         assert len(m) == 1
-        assert m.version == before
-
-    def test_version_bumps_on_match_changing_mutations(self):
-        m = SharedAutomatonMatcher()
-        v0 = m.version
-        m.add(x("/a"), "k1")
-        assert m.version == v0 + 1
-        m.add(x("/a"), "k1")  # idempotent: no result can change
-        assert m.version == v0 + 1
-        m.add(x("/a"), "k2")  # new key: match results change
-        assert m.version == v0 + 2
-        m.remove(x("/a"), "k2")
-        assert m.version == v0 + 3
-        m.clear()
-        assert m.version == v0 + 4
+        assert m.dfa_size() == cached
+        assert m.match(("a",)) == {"/a"}
 
     def test_keys_of_and_exprs(self):
         m = SharedAutomatonMatcher()
@@ -120,13 +128,24 @@ class TestPruningAndDFA:
         m._nfa.check_refcounts()
 
     def test_dfa_caches_and_is_invalidated_by_structure(self):
-        m = build("/a/b", "/a//c")
+        m = build("/a/b", "/a//c", "/q/r")
         assert m.dfa_size() == 0
         assert m.match(("a", "b")) == {"/a/b"}
-        assert m.dfa_size() > 0
-        m.add(x("/a/b/z"), "new")  # structural change: cache discarded
-        assert m.dfa_size() == 0
+        assert m.match(("q", "r")) == {"/q/r"}
+        unrelated = _cached_walk(m, ("q", "r"))
+        assert len(unrelated) == 3
+        # Structural edits under /a/b: the walk of the unrelated root
+        # stays cached, state for state, and nothing is flushed.
+        m.add(x("/a/b/z"), "new")
+        assert _cached_walk(m, ("q", "r")) == unrelated
         assert m.match(("a", "b", "z")) == {"/a/b", "new"}
+        m.remove(x("/a/b/z"), "new")
+        assert _cached_walk(m, ("q", "r")) == unrelated
+        assert m.match(("a", "b", "z")) == {"/a/b"}
+        assert m.dfa_flushes == 0
+        _check_dfa(m)
+        m.clear()  # the one wholesale discard left
+        assert m.dfa_size() == 0 and m.dfa_flushes == 1
 
     def test_predicated_add_keeps_dfa(self):
         m = build("/a/b")
@@ -165,21 +184,166 @@ class TestPruningAndDFA:
                      ("u", "z"), ("z", "z")):
             m.match(path)
         assert m.dfa_evictions > 0
-        m.match(hot)  # must still resolve purely from / into the cache
+        m.match(hot)  # re-derives evicted targets back into the cache
         assert m.match(hot) == {"/a/b/c"}
-        # Surviving states never point at evicted objects: every cached
-        # transition target is the cached object for its subset key.
-        by_key = {
-            frozenset(id(s) for s in state.nfa_states): state
-            for state in m._dfa_cache.values()
-        }
-        from repro.matching.shared_automaton import _DEAD
-        for state in m._dfa_cache.values():
-            for target in state.transitions.values():
-                if target is not _DEAD:
-                    key = frozenset(id(s) for s in target.nfa_states)
-                    assert by_key.get(key) is target
+        # A survivor's edge into an evicted state is marked dead, never
+        # followed: every other cached transition target is the cached
+        # object for its subset key.
+        _check_dfa(m)
         assert hot_states >= 1
+
+
+def _cached_walk(m, path):
+    """The DFA states *path* walks, read off the cache alone (fails on
+    a missing or dead transition — the walk would re-derive there)."""
+    state = m._dfa_start
+    walk = [state]
+    for symbol in path:
+        state = state.transitions[symbol]
+        walk.append(state)
+    assert not any(state.dead for state in walk), path
+    return walk
+
+
+def _live_nfa_ids(nfa):
+    seen = {}
+    stack = [nfa._root]
+    while stack:
+        state = stack.pop()
+        if id(state) not in seen:
+            seen[id(state)] = state
+            stack.extend(state.edges.values())
+            if state.descendant is not None:
+                stack.append(state.descendant)
+    return set(seen)
+
+
+def _check_dfa(m):
+    """Cache coherence: every cached DFA state is exactly what the
+    subset construction over the *live* NFA would build today."""
+    live = _live_nfa_ids(m._nfa)
+    for key, state in m._dfa_cache.items():
+        assert not state.dead
+        assert key == frozenset(map(id, state.nfa_states))
+        assert key <= live, "cached subset holds a pruned NFA state"
+        accepting = set()
+        for nfa_state in state.nfa_states:
+            accepting |= nfa_state.accepting
+            gap = nfa_state.descendant
+            assert gap is None or id(gap) in key, "subset not ε-closed"
+        assert state.accepting == accepting
+        active = {id(s): s for s in state.nfa_states}
+        for symbol, target in state.transitions.items():
+            if target.dead:
+                continue
+            want = frozenset(SharedPathNFA.step_states(active, symbol))
+            assert want == frozenset(map(id, target.nfa_states)), symbol
+            assert target is (m._dfa_cache.get(want) if want else _SINK)
+    start = m._dfa_start
+    if start is not None and not start.dead:
+        initial = frozenset(m._nfa.initial_states())
+        assert m._dfa_cache.get(initial) is start
+
+
+class TestSelectiveInvalidation:
+    """The six repair rules (docs/matching.md, "Selective
+    invalidation"), one case each: the edit lands on a warm DFA, what it
+    did not touch stays cached, what it touched answers correctly."""
+
+    def test_a_accept_only_edit_updates_in_place(self):
+        m = build("/a/b/c", "/q")
+        m.match(("a", "b", "c"))
+        m.match(("q",))
+        before = list(m._dfa_cache.values())
+        m.add(x("/a/b"), "mid")  # the whole trail pre-exists
+        assert list(m._dfa_cache.values()) == before
+        assert m.match(("a", "b")) == {"mid"}
+        assert m.match(("a", "b", "c")) == {"mid", "/a/b/c"}
+        m.remove(x("/a/b"), "mid")  # nothing to prune
+        assert list(m._dfa_cache.values()) == before
+        assert m.match(("a", "b", "c")) == {"/a/b/c"}
+        _check_dfa(m)
+
+    def test_b_new_or_cut_edge_forgets_one_label(self):
+        m = build("/a/b")
+        m.match(("a", "b"))
+        assert m.match(("a", "c")) == set()  # caches {A} -c-> sink
+        at_a = _cached_walk(m, ("a",))[-1]
+        m.add(x("/a/c"), "c")
+        assert set(at_a.transitions) == {"b"} and not at_a.dead
+        assert m.match(("a", "c")) == {"c"}
+        m.remove(x("/a/c"), "c")
+        assert set(at_a.transitions) == {"b"} and not at_a.dead
+        assert m.match(("a", "c")) == set()
+        _check_dfa(m)
+
+    def test_b_wildcard_edge_forgets_every_label(self):
+        m = build("/a/b")
+        m.match(("a", "b"))
+        m.match(("a", "c"))
+        at_a = _cached_walk(m, ("a",))[-1]
+        m.add(x("/a/*"), "any")
+        assert not at_a.transitions and not at_a.dead
+        assert m.match(("a", "b")) == {"/a/b", "any"}
+        assert m.match(("a", "c")) == {"any"}
+        m.remove(x("/a/*"), "any")
+        assert m.match(("a", "b")) == {"/a/b"}
+        assert m.match(("a", "c")) == set()
+        _check_dfa(m)
+
+    def test_c_new_descendant_link_drops_the_anchor_states(self):
+        m = build("/a/b", "/q")
+        m.match(("a", "b"))
+        m.match(("q",))
+        start, at_a = _cached_walk(m, ("a",))
+        at_q = _cached_walk(m, ("q",))[-1]
+        m.add(x("/a//c"), "deep")  # {A} is no longer ε-closed
+        assert at_a.dead and not start.dead and not at_q.dead
+        assert m.match(("a", "z", "c")) == {"deep"}
+        assert m.match(("a", "b", "c")) == {"/a/b", "deep"}
+        assert _cached_walk(m, ("q",))[-1] is at_q
+        _check_dfa(m)
+
+    def test_d_prune_drops_every_state_holding_a_pruned_nfa_state(self):
+        m = build("/a/b/c/d", "/q")
+        m.match(("a", "b", "c", "d"))
+        m.match(("q",))
+        walk = _cached_walk(m, ("a", "b", "c", "d"))
+        pruned = {id(entry[2]) for entry in m._nfa._trails[x("/a/b/c/d")]}
+        m.remove(x("/a/b/c/d"), "/a/b/c/d")
+        assert [state.dead for state in walk] == [False] + [True] * 4
+        for key in m._dfa_cache:
+            assert not key & pruned
+        assert m.dfa_size() == 2  # the start state and {Q}
+        assert m.match(("a", "b", "c", "d")) == set()
+        _check_dfa(m)
+
+    def test_e_survivor_pointing_at_a_dropped_state_rederives(self):
+        m = build("/a", "/a//b")
+        assert m.match(("a", "b")) == {"/a", "/a//b"}
+        start, at_a = _cached_walk(m, ("a",))
+        m.remove(x("/a//b"), "/a//b")
+        # The start state holds no touched NFA state and keeps its edge
+        # into {A, A//}: following it would still report /a//b.
+        assert start.transitions["a"] is at_a and at_a.dead
+        assert m.match(("a", "b")) == {"/a"}
+        assert not start.transitions["a"].dead
+        _check_dfa(m)
+
+    def test_f_dropped_start_state_is_rebuilt(self):
+        m = build("/a")
+        m.match(("a",))
+        first = m._dfa_start
+        m.add(x("b"), "rel")  # root grows a // link: the start set changes
+        assert first.dead
+        assert m.match(("z", "b")) == {"rel"}
+        second = m._dfa_start
+        assert second is not first and len(second.nfa_states) == 2
+        m.remove(x("b"), "rel")
+        assert second.dead
+        assert m.match(("a",)) == {"/a"} and m.match(("z", "b")) == set()
+        assert m.dfa_flushes == 0
+        _check_dfa(m)
 
 
 # -- Hypothesis differentials ----------------------------------------------
@@ -262,6 +426,78 @@ def test_differential_vs_reference_interpreter(text, probe):
         {"k"} if matches_path_reference(expr, path, attributes) else set()
     )
     assert m.match(path, attributes) == expected
+
+
+# -- edits on a warm DFA -----------------------------------------------------
+#
+# The differentials above apply every edit cold and probe once at the
+# end; this machine interleaves add / remove / match so edits land on a
+# DFA that earlier probes built, and audits the whole cache after every
+# step.  Small alphabet, short expressions: trails collide constantly.
+
+_node_tests = st.sampled_from(("a", "b", "c", "*"))
+
+
+@st.composite
+def structural_texts(draw):
+    parts = [draw(st.sampled_from(("/", "//", ""))) + draw(_node_tests)]
+    for _ in range(draw(st.integers(0, 2))):
+        parts.append(draw(st.sampled_from(("/", "//"))) + draw(_node_tests))
+    return "".join(parts)
+
+
+_walks = st.lists(st.sampled_from(("a", "b", "c", "d")), max_size=5).map(tuple)
+
+#: Every path of up to three elements: swept once when an example ends,
+#: so a stale state no drawn probe happened to walk still surfaces.
+_ALL_SHORT_WALKS = [
+    walk
+    for length in range(4)
+    for walk in itertools.product("abcd", repeat=length)
+]
+
+
+class WarmDFAEditMachine(RuleBasedStateMachine):
+    live = Bundle("live")
+
+    @initialize(limit=st.sampled_from((4, 16, DEFAULT_DFA_STATE_LIMIT)))
+    def setup(self, limit):
+        self.shared = SharedAutomatonMatcher(dfa_state_limit=limit)
+        self.linear = LinearMatcher()
+
+    @rule(target=live, text=structural_texts(),
+          key=st.sampled_from(("k1", "k2")))
+    def add(self, text, key):
+        self.shared.add(x(text), key)
+        self.linear.add(x(text), key)
+        return text, key
+
+    @rule(pair=live)
+    def remove(self, pair):
+        text, key = pair  # possibly gone already: a no-op on both
+        self.shared.remove(x(text), key)
+        self.linear.remove(x(text), key)
+
+    @rule(path=_walks)
+    def match(self, path):
+        assert self.shared.match(path) == self.linear.match(path), path
+
+    @invariant()
+    def cache_is_coherent(self):
+        _check_dfa(self.shared)
+        assert self.shared.dfa_size() <= self.shared.dfa_state_limit
+        assert self.shared.dfa_flushes == 0
+        self.shared._nfa.check_refcounts()
+
+    def teardown(self):
+        for path in _ALL_SHORT_WALKS:
+            self.match(path)
+
+
+TestWarmDFAEditMachine = WarmDFAEditMachine.TestCase
+TestWarmDFAEditMachine.settings = settings(
+    max_examples=150, stateful_step_count=40, deadline=None
+)
 
 
 # -- broker level -----------------------------------------------------------
@@ -410,6 +646,137 @@ class TestBrokerIntegration:
         assert restored.describe()["shared_automaton"]["exprs"] == len(
             shared.shared.exprs()
         )
+
+
+# -- the broker churn machine -------------------------------------------------
+
+_PSD_HEADER = "/ProteinDatabase/ProteinEntry/header"
+
+CHURN_PROBES = (
+    ("a", "b"),
+    ("a", "b", "c"),
+    ("a", "z", "c"),
+    ("b", "c"),
+    ("c", "d"),
+    ("z", "b"),
+    ("ProteinDatabase", "ProteinEntry", "header", "uid"),
+    ("ProteinDatabase", "ProteinEntry", "header", "accession"),
+    ("ProteinDatabase", "ProteinEntry", "protein", "name"),
+)
+
+# Abstract roots collide on short trails; the PSD paths live in the
+# merge universe, so sweeps can actually rewrite the table under them.
+_CHURN_POOL = (
+    "/a/b", "/a/c", "/a/*", "/a/b/c", "/a//c",
+    "/b/c", "/b/*", "/c/d",
+    "//b", "a/b", "/*/b",
+    _PSD_HEADER + "/uid",
+    _PSD_HEADER + "/accession",
+    _PSD_HEADER + "/created-date",
+    _PSD_HEADER + "/seq-rev-date",
+    _PSD_HEADER + "/txt-rev-date",
+    "/ProteinDatabase/ProteinEntry/protein/name",
+    "/ProteinDatabase/ProteinEntry/protein/alt-name",
+    "//author",
+)
+
+_CHURN_HOPS = ("n1", "n2", "c1")
+
+
+class SharedChurnMachine(RuleBasedStateMachine):
+    """SUB/UNSUB/ADV/merge-sweep/snapshot-restore on a shared-engine
+    broker and an ``auto`` broker fed the identical message stream:
+    after every step both resolve every probe publication to the same
+    keys — through the route memo, and asking the mirror directly (a
+    memo hit never reaches it) — and the mirror's DFA is coherent."""
+
+    @initialize()
+    def setup(self):
+        self.universe = PathUniverse.from_dtd(psd_dtd(), max_depth=6)
+        self.shared, self.auto = (
+            self._broker(engine) for engine in ("shared", "auto")
+        )
+        self.pub_seq = 0
+
+    def _broker(self, engine):
+        config = RoutingConfig(
+            advertisements=False,
+            covering=True,
+            merging=MergingMode.IMPERFECT,
+            max_imperfect_degree=0.5,
+            merge_interval=1_000_000,  # sweeps fire only explicitly
+            matching_engine=engine,
+        )
+        broker = Broker("b1", config=config, universe=self.universe)
+        for neighbor in ("n1", "n2"):
+            broker.connect(neighbor)
+        broker.attach_client("c1")
+        return broker
+
+    def _both(self, msg, hop):
+        self.shared.handle(msg, hop)
+        self.auto.handle(msg, hop)
+
+    @rule(
+        text=st.sampled_from(_CHURN_POOL),
+        hop=st.sampled_from(_CHURN_HOPS),
+        data=st.integers(min_value=0, max_value=3),
+    )
+    def subscribe(self, text, hop, data):
+        self._both(SubscribeMsg(expr=x(text), subscriber_id="s%d" % data), hop)
+
+    @rule(
+        text=st.sampled_from(_CHURN_POOL),
+        hop=st.sampled_from(_CHURN_HOPS),
+        data=st.integers(min_value=0, max_value=3),
+    )
+    def unsubscribe(self, text, hop, data):
+        self._both(
+            UnsubscribeMsg(expr=x(text), subscriber_id="s%d" % data), hop
+        )
+
+    @rule(root=st.sampled_from(("a", "b", "c")),
+          hop=st.sampled_from(_CHURN_HOPS))
+    def advertise(self, root, hop):
+        self._both(
+            AdvertiseMsg(
+                adv_id="adv-%s" % root,
+                advert=Advertisement.from_tests((root,)),
+                publisher_id="p",
+            ),
+            hop,
+        )
+
+    @rule()
+    def merge_sweep(self):
+        self.shared.run_merge_sweep()
+        self.auto.run_merge_sweep()
+
+    @rule()
+    def snapshot_restore(self):
+        self.shared = restore(snapshot(self.shared), universe=self.universe)
+        self.auto = restore(snapshot(self.auto), universe=self.universe)
+
+    @invariant()
+    def match_sets_equal(self):
+        if not hasattr(self, "shared"):
+            return
+        mirror = self.shared._shared_engine()
+        for path in CHURN_PROBES:
+            self.pub_seq += 1
+            publication = Publication(
+                doc_id="d%d" % self.pub_seq, path_id=0, path=path
+            )
+            want = self.auto._publication_keys(publication)
+            assert self.shared._publication_keys(publication) == want, path
+            assert mirror.match(path) == want, path
+        _check_dfa(mirror)
+
+
+TestSharedChurnMachine = SharedChurnMachine.TestCase
+TestSharedChurnMachine.settings = settings(
+    max_examples=25, stateful_step_count=30, deadline=None
+)
 
 
 class TestAuditChaos:

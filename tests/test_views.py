@@ -430,9 +430,8 @@ def test_audited_chaos_with_views(scenario):
     assert report.ok, report.problems()
 
 
-def test_audited_views_with_sharded_engine():
+def test_audited_views_with_shared_engine():
     _, _, report = run_audited_workload(
-        views=True, view_hot_threshold=1,
-        matching_engine="sharded", shard_count=3, seed=7,
+        views=True, view_hot_threshold=1, matching_engine="shared", seed=7,
     )
     assert report.ok, report.problems()

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.covering.pathmatch import matches_path
 from repro.matching.engine import LinearMatcher
-from repro.matching.yfilter import YFilterMatcher
+from repro.matching.yfilter import ACCEPT_ONLY, SharedPathNFA, YFilterMatcher
 from repro.xpath import parse_xpath
 from repro.xpath.ast import Axis, Step, XPathExpr
 
@@ -127,6 +127,41 @@ class TestPruning:
         m.remove(x("/a/b"), "k2")
         assert m.state_count() == 1  # root only
         m._nfa.check_refcounts()
+
+
+class TestEditReports:
+    """``add``/``remove`` report what they touched — the contract the
+    lazy DFA's selective invalidation (docs/matching.md) repairs from."""
+
+    def test_new_suffix_reports_anchor_and_first_created_label(self):
+        nfa = SharedPathNFA()
+        assert nfa.add(x("/a/b")) == (nfa._root, "a", ())
+        at_a = nfa._root.edges["a"]
+        assert nfa.add(x("/a/c/d")) == (at_a, "c", ())
+        assert nfa.add(x("/a/*")) == (at_a, "*", ())
+        assert nfa.add(x("/a//z")) == (at_a, None, ())  # the // link
+        assert nfa.add(x("/a/b")) is None  # idempotent
+
+    def test_existing_trail_reports_the_accepting_state_only(self):
+        nfa = SharedPathNFA()
+        nfa.add(x("/a/b/c"))
+        at_b = nfa._root.edges["a"].edges["b"]
+        assert nfa.add(x("/a/b")) == (at_b, ACCEPT_ONLY, ())
+        assert nfa.remove(x("/a/b")) == (at_b, ACCEPT_ONLY, ())
+        assert nfa.remove(x("/a/b")) is None
+
+    def test_prune_reports_the_cut_and_the_dead_chain(self):
+        nfa = SharedPathNFA()
+        nfa.add(x("/a/b"))
+        nfa.add(x("/a//c/d"))
+        at_a = nfa._root.edges["a"]
+        gap = at_a.descendant
+        chain = (gap, gap.edges["c"], gap.edges["c"].edges["d"])
+        assert nfa.remove(x("/a//c/d")) == (at_a, None, chain)
+        assert at_a.descendant is None
+        at_b = at_a.edges["b"]
+        assert nfa.remove(x("/a/b")) == (nfa._root, "a", (at_a, at_b))
+        nfa.check_refcounts()
 
 
 NAMES = st.sampled_from(["a", "b", "c", "*"])
