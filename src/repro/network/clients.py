@@ -147,8 +147,8 @@ class PublisherClient:
 
     def publish_document(self, document: XMLDocument):
         """Decompose *document* into publications and submit them (the
-        overlay carries consecutive publications of one document as one
-        group — see ``Overlay.submit``)."""
+        host carries consecutive publications of one document as one
+        group — see ``HostKernel.join``)."""
         size = document.size_bytes()
         now = self._overlay.now
         for publication in document.publications():

@@ -24,7 +24,7 @@ from repro.network.latency import ClusterLatency, LatencyModel
 from repro.network.simulator import Simulator
 from repro.obs import MetricsRegistry
 from repro.obs.tracing import Span
-from repro.runtime.host import HostKernel
+from repro.runtime.host import Group, HostKernel
 
 
 class Overlay(HostKernel):
@@ -80,10 +80,6 @@ class Overlay(HostKernel):
         #: Reliable transport + fault schedule (see install_faults);
         #: None keeps the original direct-delivery fast path.
         self._transport = None
-        #: The client→edge frame still accepting publications (see
-        #: :meth:`submit`); None once anything else was submitted or
-        #: the frame arrived.
-        self._open_group: Optional[_Group] = None
         self._down: Set[str] = set()
         self._crash_state: Dict[str, Optional[Dict]] = {}
         self._held_while_down: Dict[
@@ -278,13 +274,10 @@ class Overlay(HostKernel):
         """A client hands a message to its edge broker (hop 0).
 
         Consecutive publications of one document cross the client-edge
-        link as one frame — a *group*: a :class:`PublishMsg` joins the
-        client's open group when it has the same ``doc_id`` and
-        ``doc_size_bytes``, the clock has not moved and nothing else
-        was submitted since.  Any other submit closes the group, so
-        the link stays FIFO (PUB, SUB, PUB at one instant arrive in
-        that order).  Whether tracing, an auditor or telemetry is
-        attached never changes where a group ends.
+        link as one frame — a *group*, formed by the kernel's join rule
+        (:meth:`HostKernel.join`).  Here a group stays open while the
+        clock has not moved and its frame has not reached the edge
+        broker.
 
         With tracing enabled the message is stamped with a fresh
         :class:`~repro.obs.tracing.TraceContext` (unless one already
@@ -295,33 +288,26 @@ class Overlay(HostKernel):
         self._poke_telemetry()
         now = self.sim.now
         group = self._open_group
-        if (
-            group is not None
-            and isinstance(message, PublishMsg)
-            and group.client_id == client_id
-            and group.doc_id == message.publication.doc_id
-            and group.size == message.doc_size_bytes
-            and group.at == now
-        ):
-            group.messages.append(message)
-        else:
-            latency = self.latency_model.latency(
+        if group is not None and group.at != now:
+            self.close_group()
+        group, opened = self.join(client_id, message)
+        if opened:
+            group.at = now
+            group.latency = self.latency_model.latency(
                 client_id, broker_id, _size_of(message)
             )
-            group = self._open_group = _Group(client_id, message, now, latency)
             self.stats.record_frame()
             self.sim.schedule(
-                latency, lambda: self._edge_receive(broker_id, group)
+                group.latency, lambda: self._edge_receive(broker_id, group)
             )
         if context is not None:
             group.roots[message.msg_id] = self.tracing.record_root(
                 context, client_id, message, now, group.latency
             )
 
-    def _edge_receive(self, broker_id: str, group: "_Group"):
+    def _edge_receive(self, broker_id: str, group: Group):
         """A client's frame reached its edge broker."""
-        if self._open_group is group:
-            self._open_group = None
+        self.close_group(group.messages)
         self._broker_receive(
             broker_id, group.messages, group.client_id, 1, group.roots
         )
@@ -338,6 +324,7 @@ class Overlay(HostKernel):
         """Force an immediate merge sweep on one broker and forward the
         sweep's outbound control traffic (merger subscriptions plus
         constituent retractions) into the network."""
+        self.close_group()
         if broker_id in self._down:
             return
         for destination, messages, view in self.sweep(broker_id):
@@ -548,7 +535,7 @@ class Overlay(HostKernel):
             # its largest member would.
             size = max(map(_size_of, messages))
         else:
-            # a group shares one doc_size_bytes (submit's join rule).
+            # a group shares one doc_size_bytes (the kernel's join rule).
             size = _size_of(messages[0])
         latency = self.latency_model.latency(src_broker, destination, size)
         parents: Optional[Dict[int, Span]] = None
@@ -688,31 +675,6 @@ class Overlay(HostKernel):
                 for broker_id, broker in sorted(self.brokers.items())
             },
         }
-
-
-class _Group:
-    """A client→edge frame in flight: one control message, or the
-    publications of one document submitted back to back (see
-    :meth:`Overlay.submit`)."""
-
-    __slots__ = (
-        "client_id", "doc_id", "size", "at", "latency", "messages", "roots",
-    )
-
-    def __init__(
-        self, client_id: str, message: Message, at: float, latency: float
-    ):
-        self.client_id = client_id
-        #: What a later publication must share to join; both None for
-        #: a control message, which nothing ever joins.
-        publication = getattr(message, "publication", None)
-        self.doc_id = None if publication is None else publication.doc_id
-        self.size = getattr(message, "doc_size_bytes", None)
-        self.at = at
-        self.latency = latency
-        self.messages: List[Message] = [message]
-        #: ``msg_id`` → ``submit`` root span of every traced message.
-        self.roots: Dict[int, Span] = {}
 
 
 def _size_of(message: Message) -> int:

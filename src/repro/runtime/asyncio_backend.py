@@ -1,7 +1,11 @@
 """An asyncio event-loop execution of the broker core.
 
-Every broker is an actor: an unbounded inbox drained by one task that
-hands each inbound message to the host kernel
+What travels is the *frame*: a control message, or a group — the
+consecutive publications of one document on one link (the kernel's
+join rule, :meth:`~repro.runtime.host.HostKernel.join`, forms it at
+the client edge; brokers forward a group as a group).  Every broker is
+an actor: an unbounded inbox drained by one task that hands each
+inbound frame to the host kernel
 (:meth:`~repro.runtime.host.HostKernel.dispatch`) and queues the frames
 it returns.  Every directed broker link has a
 **bounded** send queue drained by a sender task, and every subscriber
@@ -10,11 +14,15 @@ link or a slow client exerts real backpressure: the upstream actor
 blocks on the full queue (surfacing ``runtime.backpressure.*``
 metrics) instead of buffering without limit.  Only send queues are
 bounded; inboxes are not, which is what makes the topology
-deadlock-free — a sender task can always hand its message to the next
+deadlock-free — a sender task can always hand its frame to the next
 inbox, so every bounded queue always drains.
 
-Nothing is ever dropped unless the host installs a
-:attr:`AsyncioRuntime.drop_filter` fault hook.
+A queue slot, a pending unit and ``NetworkStats.frames`` count frames;
+artificial delays, the fault hook and the telemetry ``queue_depth``
+gauge stay per message (a frame of *n* paths is delayed *n* times the
+per-message delay, loses only the members the hook names, and weighs
+*n* in its broker's backlog).  Nothing is ever dropped unless the host
+installs a :attr:`AsyncioRuntime.drop_filter` fault hook.
 
 The class shares the :class:`~repro.network.overlay.Overlay` surface
 (``submit``/``run``/``brokers``/``links``/``tracing``/``attach_auditor``
@@ -42,9 +50,9 @@ from repro.obs.tracing import Span
 from repro.runtime.base import scaled
 from repro.runtime.host import HostKernel
 
-#: Inbox item asking an actor for a merge sweep, in arrival order with
-#: the rest of its inbox.
-_SWEEP = object()
+#: The inbox frame of no messages: it asks an actor for a merge sweep,
+#: in arrival order with the rest of its inbox.
+_SWEEP: Tuple[Message, ...] = ()
 
 
 class AsyncioRuntime(HostKernel):
@@ -53,8 +61,11 @@ class AsyncioRuntime(HostKernel):
     Args:
         config: routing configuration shared by every broker.
         universe: optional :class:`~repro.xpath.universe.PathUniverse`.
-        link_capacity: bound of every broker→broker send queue.
-        client_capacity: bound of every subscriber delivery queue.
+        link_capacity: bound of every broker→broker send queue, in
+            frames — a slot holds one control message or one group,
+            however many paths it carries (as a simulator event does).
+        client_capacity: bound of every subscriber delivery queue, in
+            frames likewise.
         metrics: metrics registry (defaults to the process registry).
     """
 
@@ -70,16 +81,18 @@ class AsyncioRuntime(HostKernel):
         self.link_capacity = link_capacity
         self.client_capacity = client_capacity
         self._t0 = time.monotonic()
-        #: Fault hook: ``f(src, dst, message) -> True`` drops the frame
-        #: on the src→dst link (counted as ``runtime.faults.dropped``).
-        #: Without it the runtime never drops anything.
+        #: Fault hook: ``f(src, dst, message) -> True`` drops that
+        #: message on the src→dst link (counted as
+        #: ``runtime.faults.dropped``); the rest of its frame travels
+        #: on.  Without it the runtime never drops anything.
         self.drop_filter: Optional[Callable[[str, str, Message], bool]] = None
-        #: Per-directed-link artificial service delay, seconds — the
-        #: slow-consumer-link knob the backpressure tests turn.
+        #: Per-directed-link artificial service delay, seconds per
+        #: message — the slow-consumer-link knob the backpressure tests
+        #: turn.
         self.link_delay: Dict[Tuple[str, str], float] = {}
-        #: Per-subscriber artificial consume delay, seconds.
+        #: Per-subscriber artificial consume delay, seconds per message.
         self.client_delay: Dict[str, float] = {}
-        #: Observed high-water mark of every bounded queue.
+        #: Observed high-water mark of every bounded queue, in frames.
         self.max_queue_depth: Dict[object, int] = {}
 
         self._loop = asyncio.new_event_loop()
@@ -87,7 +100,10 @@ class AsyncioRuntime(HostKernel):
         self._inboxes: Dict[str, asyncio.Queue] = {}
         self._link_queues: Dict[Tuple[str, str], asyncio.Queue] = {}
         self._client_queues: Dict[str, asyncio.Queue] = {}
+        #: Frames in flight anywhere, and beside it every broker's
+        #: share in messages (see :meth:`queue_depth`).
         self._pending = 0
+        self._backlog: Dict[str, int] = {}
         self._idle: Optional[asyncio.Event] = None
         self._errors: List[BaseException] = []
         self._started = False
@@ -127,6 +143,7 @@ class AsyncioRuntime(HostKernel):
     async def _spawn_topology(self):
         for broker_id in self.brokers:
             self._inboxes[broker_id] = asyncio.Queue()
+            self._backlog[broker_id] = 0
             self._tasks.append(
                 self._loop.create_task(self._actor(broker_id))
             )
@@ -165,7 +182,7 @@ class AsyncioRuntime(HostKernel):
         driving the loop, one sample of every broker per plane interval
         (each broker's queue depth beside the kernel's gauges).
 
-        The sampler lives for one drain, outside the pending-message
+        The sampler lives for one drain, outside the pending-frame
         accounting — a tick that counted as pending work would hold
         ``_pending`` above zero forever and hang the drain — and its
         first tick comes a full interval after driving resumed: a timer
@@ -186,17 +203,14 @@ class AsyncioRuntime(HostKernel):
                 return
 
     def queue_depth(self, broker_id: str) -> int:
-        """Instantaneous backlog attributable to *broker_id*: its inbox
-        plus its outbound link queues plus the delivery queues of its
-        locally attached subscribers."""
-        depth = self._inboxes[broker_id].qsize()
-        for (src, _dst), queue in self._link_queues.items():
-            if src == broker_id:
-                depth += queue.qsize()
-        for client_id, queue in self._client_queues.items():
-            if self._client_home.get(client_id) == broker_id:
-                depth += queue.qsize()
-        return depth
+        """Instantaneous backlog attributable to *broker_id*, in
+        messages: those of every frame in its inbox, its outbound link
+        queues and the delivery queues of its locally attached
+        subscribers — or held by the task that took the frame off one
+        of them and is not done with it yet (an actor blocked on a full
+        queue, a sender or consumer mid-delay).  A running count, not a
+        walk over the queues."""
+        return self._backlog[broker_id]
 
     def sample_telemetry(self):
         """Take one telemetry sample of every broker right now (the
@@ -213,43 +227,55 @@ class AsyncioRuntime(HostKernel):
     def submit(self, client_id: str, message: Message):
         """A client hands a message to its edge broker.
 
-        Safe to call while the loop is parked: the message queues and
-        travels on the next :meth:`run`/:meth:`drain`.
+        Consecutive publications of one document join one inbox frame
+        (:meth:`HostKernel.join`); here a group stays open until the
+        edge broker's actor dequeues it.  Safe to call while the loop
+        is parked: the frame queues and travels on the next
+        :meth:`run`/:meth:`drain`.
         """
+        self._check_open()
         broker_id, context = self.admit(client_id, message)
-        root: Optional[Span] = None
+        group, opened = self.join(client_id, message)
         if context is not None:
             # The wall clock has moved since the publisher stamped
             # ``issued_at``: the trace starts there, so its root and the
             # delivery record (which trusts the stamp) agree.
             now = self.now
             issued = min(getattr(message, "issued_at", now), now)
-            root = self.tracing.record_root(
+            group.roots[message.msg_id] = self.tracing.record_root(
                 context, client_id, message, issued, now - issued
             )
-        self._begin()
-        self.stats.record_frame()
-        self._inboxes[broker_id].put_nowait((message, client_id, 1, root))
+        if opened:
+            self._begin(broker_id, 1)
+            self.stats.record_frame()
+            self._inboxes[broker_id].put_nowait(
+                (group.messages, client_id, 1, group.roots)
+            )
+        else:
+            self._backlog[broker_id] += 1
 
     def trigger_merge_sweep(self, broker_id: str):
         """Enqueue an immediate merge sweep on one broker (processed in
         arrival order with the rest of its inbox)."""
+        self._check_open()
         if broker_id not in self.brokers:
             raise TopologyError("unknown broker %r" % broker_id)
-        self._begin()
+        if not self._started:
+            raise TopologyError("trigger merge sweeps after start()")
+        self.close_group()
+        self._begin(broker_id, 0)
         self._inboxes[broker_id].put_nowait((_SWEEP, None, 0, None))
 
     # -- progress ---------------------------------------------------------
 
     def drain(self, timeout: float = 30.0) -> None:
-        """Run the loop until no message is in flight anywhere.
+        """Run the loop until no frame is in flight anywhere.
 
         *timeout* is in unscaled seconds (``REPRO_TEST_TIMEOUT_SCALE``
         multiplies it); expiry raises — a drain that cannot finish
-        means a lost message or a stuck task, never a legal state.
+        means a lost frame or a stuck task, never a legal state.
         """
-        if self._closed:
-            raise RoutingError("runtime is closed")
+        self._check_open()
         try:
             self._loop.run_until_complete(
                 asyncio.wait_for(self._drained(), scaled(timeout))
@@ -257,7 +283,7 @@ class AsyncioRuntime(HostKernel):
         except asyncio.TimeoutError:
             raise RoutingError(
                 "asyncio runtime failed to drain within %.1fs "
-                "(%d messages still pending)" % (scaled(timeout), self._pending)
+                "(%d frames still pending)" % (scaled(timeout), self._pending)
             )
         if self._errors:
             raise self._errors[0]
@@ -278,11 +304,19 @@ class AsyncioRuntime(HostKernel):
             sampler.cancel()
             await asyncio.gather(sampler, return_exceptions=True)
 
-    def _begin(self):
+    def _check_open(self):
+        if self._closed:
+            raise RoutingError("runtime is closed")
+
+    def _begin(self, broker_id: str, count: int):
+        """One more frame in flight, its *count* messages in
+        *broker_id*'s backlog."""
         self._pending += 1
+        self._backlog[broker_id] += count
         self._idle.clear()
 
-    def _finish(self):
+    def _finish(self, broker_id: str, count: int):
+        self._backlog[broker_id] -= count
         self._pending -= 1
         if self._pending == 0:
             self._idle.set()
@@ -319,26 +353,28 @@ class AsyncioRuntime(HostKernel):
     async def _actor(self, broker_id: str):
         inbox = self._inboxes[broker_id]
         while True:
-            message, from_hop, hops, parent_span = await inbox.get()
+            messages, from_hop, hops, parents = await inbox.get()
             try:
                 hop_spans = None
-                if message is _SWEEP:
+                if messages is _SWEEP:
                     frames = self.sweep(broker_id)
                 else:
-                    # Inbox items are single messages, so the kernel
-                    # sees groups of one.  (Only spans read the clock.)
+                    # Off the client→edge link: a later path of this
+                    # document opens a new frame.
+                    self.close_group(messages)
+                    # (Only spans read the clock.)
                     frames, hop_spans, _elapsed = self.dispatch(
-                        broker_id, (message,), from_hop,
-                        0.0 if self.tracing is None else self.now,
-                        None if parent_span is None
-                        else {message.msg_id: parent_span},
+                        broker_id, messages, from_hop,
+                        0.0 if self.tracing is None else self.now, parents,
                     )
                     if hop_spans:
-                        hop_spans[message.msg_id].end = self.now
-                for destination, messages, view in frames:
+                        now = self.now
+                        for hop_span in hop_spans.values():
+                            hop_span.end = now
+                for destination, out_messages, view in frames:
                     await self._forward(
-                        broker_id, destination, messages, hops, hop_spans,
-                        view,
+                        broker_id, destination, out_messages, hops,
+                        hop_spans, view,
                     )
             except asyncio.CancelledError:
                 raise
@@ -348,35 +384,39 @@ class AsyncioRuntime(HostKernel):
                 self._idle.set()
                 raise
             finally:
-                self._finish()
+                self._finish(broker_id, len(messages))
 
     async def _forward(
         self, broker_id: str, destination: object,
         messages: Sequence[Message], hops: int,
         hop_spans: Optional[Dict[int, Span]], view: Optional[str],
     ):
-        """Queue one outbound frame, each message on its own: onto the
-        bounded link queue toward a neighbour, or the bounded delivery
-        queue of a local subscriber (a view window replayed to a late
-        subscriber included — backpressure applies to it too)."""
+        """Queue one outbound frame, one slot whatever its length: onto
+        the bounded link queue toward a neighbour, or the bounded
+        delivery queue of a local subscriber (a view window replayed to
+        a late subscriber included — backpressure applies to it too).
+        ``forward`` spans stay one per message."""
         if destination in self.brokers:
             key = (broker_id, destination)
             queue = self._link_queues[key]
         else:
             key = destination
             queue = self._client_queues[destination]
-        tracing = self.tracing is not None
-        for out_msg in messages:
-            fwd = None
-            if tracing:
-                now = self.now
+        parents: Optional[Dict[int, Span]] = None
+        if self.tracing is not None:
+            now = self.now
+            attrs = {"group": len(messages)} if len(messages) > 1 else {}
+            parents = {}
+            for message in messages:
                 fwd = self.forward_span(
-                    broker_id, destination, out_msg, hop_spans, now, now,
-                    view,
+                    broker_id, destination, message, hop_spans, now, now,
+                    view, **attrs,
                 )
-            self._begin()
-            self.stats.record_frame()
-            await self._bounded_put(queue, key, (out_msg, hops, fwd, view))
+                if fwd is not None:
+                    parents[message.msg_id] = fwd
+        self._begin(broker_id, len(messages))
+        self.stats.record_frame()
+        await self._bounded_put(queue, key, (messages, hops, parents, view))
 
     async def _bounded_put(self, queue: asyncio.Queue, key, item):
         """Put with backpressure accounting: a full queue blocks the
@@ -400,31 +440,42 @@ class AsyncioRuntime(HostKernel):
     async def _link_sender(self, src: str, dst: str):
         queue = self._link_queues[(src, dst)]
         while True:
-            message, hops, span, _view = await queue.get()
+            messages, hops, parents, _view = await queue.get()
+            count = len(messages)
             delay = self.link_delay.get((src, dst), 0.0)
             if delay:
-                await asyncio.sleep(delay)
+                await asyncio.sleep(delay * count)
             drop = self.drop_filter
-            if drop is not None and drop(src, dst, message):
-                if self.metrics.enabled:
-                    self.metrics.counter("runtime.faults.dropped").inc()
-                self._finish()
-                continue
-            # inboxes are unbounded: the sender never blocks, so every
+            if drop is not None:
+                messages = tuple(
+                    message for message in messages
+                    if not drop(src, dst, message)
+                )
+                if len(messages) < count and self.metrics.enabled:
+                    self.metrics.counter("runtime.faults.dropped").inc(
+                        count - len(messages)
+                    )
+                if not messages:
+                    self._finish(src, count)
+                    continue
+            # The frame — what survived of it — changes backlogs.
+            # Inboxes are unbounded: the sender never blocks, so every
             # bounded queue upstream is guaranteed to drain (no cycles).
-            self._inboxes[dst].put_nowait((message, src, hops + 1, span))
+            self._backlog[src] -= count
+            self._backlog[dst] += len(messages)
+            self._inboxes[dst].put_nowait((messages, src, hops + 1, parents))
 
     async def _client_consumer(self, client_id: str):
         queue = self._client_queues[client_id]
+        home = self._client_home[client_id]
         while True:
-            message, hops, span, view = await queue.get()
+            messages, hops, parents, view = await queue.get()
             try:
                 delay = self.client_delay.get(client_id, 0.0)
                 if delay:
-                    await asyncio.sleep(delay)
+                    await asyncio.sleep(delay * len(messages))
                 self.receive(
-                    client_id, (message,), hops, self.now,
-                    None if span is None else {message.msg_id: span}, view,
+                    client_id, messages, hops, self.now, parents, view
                 )
             except asyncio.CancelledError:
                 raise
@@ -433,4 +484,4 @@ class AsyncioRuntime(HostKernel):
                 self._idle.set()
                 raise
             finally:
-                self._finish()
+                self._finish(home, len(messages))

@@ -8,7 +8,9 @@ that does not depend on how bytes move lives here, once:
   ``links`` / ``subscribers`` / ``publishers``),
 * observer attachment — audit oracle, causal tracing, the telemetry
   plane and its health-transition flight dump,
-* :meth:`HostKernel.admit`, the front half of a client submit,
+* :meth:`HostKernel.admit`, the front half of a client submit, and
+  :meth:`HostKernel.join`, the rule that makes consecutive publications
+  of one document one client→edge frame (a :class:`Group`),
 * :meth:`HostKernel.dispatch`, one frame through one broker: the single
   ``core.on_publications`` / ``on_message`` call, effects interpreted
   into ``(destination, messages, view)`` frames, ``hop`` spans and the
@@ -68,6 +70,30 @@ from repro.obs.tracing import (
 Frame = Tuple[object, Tuple[Message, ...], Optional[str]]
 
 
+class Group:
+    """A client→edge frame: one control message, or the publications of
+    one document a client submitted back to back (see
+    :meth:`HostKernel.join`)."""
+
+    __slots__ = (
+        "client_id", "doc_id", "size", "messages", "roots", "at", "latency",
+    )
+
+    def __init__(self, client_id: str, message: Message):
+        self.client_id = client_id
+        #: What a later publication must share to join; both None for
+        #: a control message, which nothing ever joins.
+        publication = getattr(message, "publication", None)
+        self.doc_id = None if publication is None else publication.doc_id
+        self.size = getattr(message, "doc_size_bytes", None)
+        self.messages: List[Message] = [message]
+        #: ``msg_id`` → ``submit`` root span of every traced message.
+        self.roots: Dict[int, Span] = {}
+        #: For a backend that models the client→edge link: when the
+        #: frame left the client and the link delay it was charged.
+        self.at = self.latency = 0.0
+
+
 class HostKernel:
     """The transport-independent half of a broker host.
 
@@ -112,6 +138,10 @@ class HostKernel:
         #: every hot path on the zero-overhead branch.
         self.tracing: Optional[TraceRecorder] = None
         self.telemetry: Optional[TelemetryPlane] = None
+        #: The client→edge frame still accepting publications (see
+        #: :meth:`join`); None once anything else was submitted or the
+        #: backend closed it.
+        self._open_group: Optional[Group] = None
 
     # -- topology and clients ----------------------------------------------
 
@@ -261,6 +291,47 @@ class HostKernel:
         for auditor in self._auditors:
             auditor.observe_submit(client_id, message)
         return broker_id, context
+
+    def join(self, client_id: str, message: Message) -> Tuple[Group, bool]:
+        """The join rule, after :meth:`admit`: consecutive publications
+        of one document cross the client→edge link as one frame — a
+        *group*.  A :class:`PublishMsg` joins the open group when it
+        comes from the same client with the same ``doc_id`` and
+        ``doc_size_bytes`` and nothing else was submitted since; any
+        other message opens a new group, so the link stays FIFO (PUB,
+        SUB, PUB arrive in that order).  Whether tracing, an auditor or
+        telemetry is attached never changes where a group ends.
+
+        The backend owns how long a group stays open: it calls
+        :meth:`close_group` once the frame can take no more (the clock
+        moved, the edge broker took it) and for anything that enters a
+        link without a submit (a forced merge sweep).
+
+        Returns ``(group, opened)``: the frame now carrying *message*,
+        and whether it is a new one the backend has yet to move.
+        """
+        group = self._open_group
+        if (
+            group is not None
+            and isinstance(message, PublishMsg)
+            and group.client_id == client_id
+            and group.doc_id == message.publication.doc_id
+            and group.size == message.doc_size_bytes
+        ):
+            group.messages.append(message)
+            return group, False
+        group = self._open_group = Group(client_id, message)
+        return group, True
+
+    def close_group(self, messages: Optional[Sequence[Message]] = None):
+        """The open group accepts nothing more.  With *messages* — a
+        frame the backend just took off the client→edge link — only if
+        they are that group's."""
+        group = self._open_group
+        if group is not None and (
+            messages is None or group.messages is messages
+        ):
+            self._open_group = None
 
     # -- one frame through one broker --------------------------------------
 

@@ -6,7 +6,7 @@ backend only moves frames.  So a test can substitute the cheapest
 backend there is: no clock, no queue, no latency; frames sit in a list
 until the test carries them across.  The second half checks the promise
 that falls out of one kernel: the simulator and the asyncio runtime
-emit the same span and metric *names*.
+emit the same span and metric *names* and move the same frames.
 """
 
 import pytest
@@ -35,21 +35,28 @@ class ListBackend(HostKernel):
         self.sent = []
 
     def submit(self, client_id, *messages):
-        """One client→edge frame (several publications: a group)."""
-        roots = {}
+        """Messages handed in back to back (the publications of one
+        document join one client→edge frame: a group).  A group stays
+        open until :meth:`pump` takes its frame off the wire."""
         for message in messages:
             broker_id, context = self.admit(client_id, message)
+            group, opened = self.join(client_id, message)
             if context is not None:
-                roots[message.msg_id] = self.tracing.record_root(
+                group.roots[message.msg_id] = self.tracing.record_root(
                     context, client_id, message, self.now, 0.0
                 )
-        self.wire.append((broker_id, messages, client_id, 1, roots, None))
+            if opened:
+                self.wire.append(
+                    (broker_id, group.messages, client_id, 1, group.roots,
+                     None)
+                )
 
     def pump(self):
         while self.wire:
             destination, messages, from_hop, hops, parents, view = (
                 self.wire.pop(0)
             )
+            self.close_group(messages)
             if destination not in self.brokers:
                 self.receive(
                     destination, messages, hops, self.now, parents, view
@@ -286,6 +293,22 @@ class TestKernelWithAListBackend:
         )
         assert snapshot["counters"]["network.messages"] == 13
 
+    def test_only_the_frame_taken_off_the_link_closes_its_group(self, host):
+        host.submit("early", SubscribeMsg(
+            expr=parse_xpath("/a"), subscriber_id="early"
+        ))
+        first, second = _group("d1", issued_at=1.0)
+        host.submit("pub", first)
+        # the SUB's frame leaves the wire: d1's group is still open ...
+        host.close_group(host.wire[0][1])
+        host.submit("pub", second)
+        # ... until its own frame does
+        host.close_group(host.wire[1][1])
+        host.submit("pub", _group("d1", issued_at=1.0)[0])
+        assert [[_label(m) for m in frame[1]] for frame in host.wire] == [
+            ["SUB /a"], ["PUB d1#0", "PUB d1#1"], ["PUB d1#0"],
+        ]
+
     def test_merge_sweep_frames_and_topology_checks(self, host):
         assert host.sweep("b1") == []  # merging is off: nothing to send
         with pytest.raises(TopologyError):
@@ -311,14 +334,12 @@ BACKEND_ONLY_METRIC_PREFIXES = (
     "network.queue_wait",     # the simulator's queueing model
     "network.sim.",           # the simulator's event loop
 )
-#: Only the simulator forms groups longer than one (ROADMAP 2a/2b).
-BACKEND_ONLY_ATTRS = {"group"}
 
 
 def _vocabulary(adapter):
     from repro.runtime.workload import WorkloadSpec, build_plan, run_workload
 
-    spec = WorkloadSpec(levels=2, queries_per_leaf=3, documents=3, seed=7)
+    spec = WorkloadSpec(levels=3, queries_per_leaf=8, documents=6, seed=7)
     registry = obs.enable_metrics(reset=True)
     try:
         result = run_workload(adapter, spec, build_plan(spec))
@@ -340,12 +361,18 @@ def _vocabulary(adapter):
     return {
         "spans": {span.name for span in spans} - BACKEND_ONLY_SPANS,
         "attrs": {
-            name: keys - BACKEND_ONLY_ATTRS
+            name: keys
             for name, keys in attrs.items()
             if name not in BACKEND_ONLY_SPANS
         },
         "metrics": metrics,
         "delivered": result.delivered,
+        # the hosts move the same frames, not just the same messages
+        "traffic": {
+            "frames": adapter.host.stats.frames,
+            "network_traffic": adapter.host.stats.network_traffic,
+            "client_messages": adapter.host.stats.client_messages,
+        },
     }
 
 
@@ -355,6 +382,12 @@ def test_simulator_and_asyncio_share_one_vocabulary():
     simulator = _vocabulary(SimulatorAdapter(tracing=True))
     asyncio_ = _vocabulary(AsyncioAdapter(tracing=True))
     assert asyncio_["delivered"] == simulator["delivered"]
+    assert asyncio_["traffic"] == simulator["traffic"]
+    assert simulator["traffic"]["frames"] < (
+        simulator["traffic"]["network_traffic"]
+        + simulator["traffic"]["client_messages"]
+    )
+    assert "group" in simulator["attrs"]["hop"]
     assert simulator["spans"] >= {
         "submit", "hop", "match", "covering.check", "forward", "deliver",
     }

@@ -10,9 +10,9 @@ from repro.network import (
     Overlay,
     PlanetLabLatency,
     Simulator,
-    Tracer,
 )
 from repro.network.stats import DeliveryRecord, NetworkStats
+from repro.runtime.asyncio_backend import AsyncioRuntime
 from repro.runtime.workload import PUBLISHER, WorkloadSpec, build_plan
 from repro.xmldoc import Publication
 from repro.xpath import parse_xpath
@@ -203,9 +203,11 @@ class TestAcyclicity:
         assert len(overlay.links) == 3
 
 
-class TestDispatchUnit:
-    """Consecutive publications of one document cross a link as one
-    frame (a group); everything else stays per message."""
+class JoinRuleCases:
+    """The kernel's join rule (``HostKernel.join``) on whichever host
+    the subclass's ``one_broker`` fixture builds: one broker ``b1``
+    with one client ``c``.  The rule is one piece of code; only how
+    long a group stays open is the backend's."""
 
     @staticmethod
     def publication(path_id, doc_id="d1", size=512):
@@ -217,49 +219,94 @@ class TestDispatchUnit:
             doc_size_bytes=size,
         )
 
-    def test_link_stays_fifo_across_a_closed_group(self):
-        """PUB, SUB, PUB at one instant: the SUB closes the group, so
+    def test_link_stays_fifo_across_a_closed_group(self, one_broker):
+        """PUB, SUB, PUB back to back: the SUB closes the group, so
         the three reach the edge broker in submission order."""
-        overlay = Overlay.binary_tree(1, latency_model=ConstantLatency(0.001))
-        overlay.attach_subscriber("c", "b1")
-        tracer = overlay.attach_tracer(Tracer())
-        overlay.submit("c", self.publication(0))
-        overlay.submit(
+        host = one_broker()
+        recorder = host.enable_tracing()
+        host.submit("c", self.publication(0))
+        host.submit(
             "c", SubscribeMsg(expr=parse_xpath("/a/b"), subscriber_id="c")
         )
-        overlay.submit("c", self.publication(1))
-        overlay.run()
-        assert [record.kind for record in tracer.records] == [
+        host.submit("c", self.publication(1))
+        host.run()
+        hops = [span for span in recorder.spans if span.name == "hop"]
+        assert [span.attrs["kind"] for span in hops] == [
             "PublishMsg", "SubscribeMsg", "PublishMsg",
         ]
-        assert overlay.stats.frames == 3
+        assert not any("group" in span.attrs for span in hops)
+        assert host.stats.frames == 3
 
-    def test_a_group_is_one_document_at_one_instant(self):
-        overlay = Overlay.binary_tree(1, latency_model=ConstantLatency(0.001))
-        overlay.attach_subscriber("c", "b1")
+    def test_a_forced_merge_sweep_closes_the_group(self, one_broker):
+        host = one_broker()
+        host.submit("c", self.publication(0))
+        host.trigger_merge_sweep("b1")
+        host.submit("c", self.publication(1))
+        assert host.stats.frames == 2
+        host.run()
+        assert host.stats.network_traffic == 2
+
+    def test_a_group_is_one_document_at_one_instant(self, one_broker):
+        host = one_broker()
         for path_id in range(3):
-            overlay.submit("c", self.publication(path_id))
-        assert overlay.stats.frames == 1
-        overlay.submit("c", self.publication(0, doc_id="d2"))  # other document
-        overlay.submit("c", self.publication(1, doc_id="d2", size=9))  # other size
-        assert overlay.stats.frames == 3
-        overlay.run()
-        overlay.submit("c", self.publication(2, doc_id="d2", size=9))  # later
-        assert overlay.stats.frames == 4
-        overlay.run()
-        assert overlay.stats.network_traffic == 6
-        assert overlay.sim.processed_events == 4
+            host.submit("c", self.publication(path_id))
+        assert host.stats.frames == 1
+        host.submit("c", self.publication(0, doc_id="d2"))  # other document
+        host.submit("c", self.publication(1, doc_id="d2", size=9))  # other size
+        assert host.stats.frames == 3
+        host.run()
+        host.submit("c", self.publication(2, doc_id="d2", size=9))  # later
+        assert host.stats.frames == 4
+        host.run()
+        assert host.stats.network_traffic == 6
+        if isinstance(host, Overlay):
+            assert host.sim.processed_events == 4
 
-    def test_a_group_joined_after_it_arrived_is_not_lost(self):
-        """Zero link latency: the clock does not move while the first
-        frame is delivered, yet a later path must open a new one."""
-        overlay = Overlay.binary_tree(1, latency_model=ConstantLatency(0.0))
-        overlay.attach_subscriber("c", "b1")
-        overlay.submit("c", self.publication(0))
-        overlay.run()
-        overlay.submit("c", self.publication(1))
-        overlay.run()
-        assert overlay.stats.network_traffic == 2
+    def test_a_group_joined_after_it_arrived_is_not_lost(self, one_broker):
+        """Zero link latency: the simulator's clock does not move while
+        the first frame is delivered, yet a later path must open a new
+        one (on asyncio: the actor has dequeued the first)."""
+        host = one_broker(latency=0.0)
+        host.submit("c", self.publication(0))
+        host.run()
+        host.submit("c", self.publication(1))
+        host.run()
+        assert host.stats.frames == 2
+        assert host.stats.network_traffic == 2
+
+
+class TestDispatchUnitOnAsyncio(JoinRuleCases):
+    @pytest.fixture
+    def one_broker(self):
+        runtimes = []
+
+        def build(latency=None):  # the client-edge link is a queue put
+            runtime = AsyncioRuntime()
+            runtimes.append(runtime)
+            runtime.add_broker("b1")
+            runtime.start()
+            runtime.attach_subscriber("c", "b1")
+            return runtime
+
+        yield build
+        for runtime in runtimes:
+            runtime.close(drain=False)
+
+
+class TestDispatchUnit(JoinRuleCases):
+    """Consecutive publications of one document cross a link as one
+    frame (a group); everything else stays per message."""
+
+    @pytest.fixture
+    def one_broker(self):
+        def build(latency=0.001):
+            overlay = Overlay.binary_tree(
+                1, latency_model=ConstantLatency(latency)
+            )
+            overlay.attach_subscriber("c", "b1")
+            return overlay
+
+        return build
 
     @pytest.mark.parametrize(
         "queries_per_leaf, seed, traffic, client_messages",

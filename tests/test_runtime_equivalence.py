@@ -18,6 +18,7 @@ the subscription phase is serialized.
 import pytest
 
 from repro.audit.oracle import AuditOracle
+from repro.broker.messages import PublishMsg
 from repro.runtime.base import binary_tree_topology, tree_leaves
 from repro.runtime.workload import (
     ADAPTERS,
@@ -84,6 +85,49 @@ def test_traces_causally_complete(results):
     # the overlay tree paths (a parent cannot read a child's recorder).
     for name, result in results.items():
         assert result.trace_problems == [], name
+
+
+class PathByPathAsyncio(AsyncioAdapter):
+    """The per-message reference, no knob needed: every publication is
+    drained before the next is submitted, so each travels as a group of
+    one."""
+
+    def submit(self, client_id, message):
+        super().submit(client_id, message)
+        if isinstance(message, PublishMsg):
+            self.quiesce()
+
+
+def test_grouped_dispatch_is_path_by_path_dispatch_on_asyncio(plan):
+    """The asyncio row of tests/test_match_caches.py::
+    test_grouped_dispatch_is_path_by_path_dispatch: how a document's
+    paths were framed is unobservable in what was delivered, in the
+    routing tables, to the audit oracle and in the trace trees."""
+    adapters = {
+        "grouped": AsyncioAdapter(tracing=True),
+        "single": PathByPathAsyncio(tracing=True),
+    }
+    results = {
+        name: run_workload(adapter, SPEC, plan, auditor=AuditOracle())
+        for name, adapter in adapters.items()
+    }
+    grouped, single = results["grouped"], results["single"]
+    assert grouped.delivered and grouped.delivered == single.delivered
+    assert grouped.fingerprints == single.fingerprints
+    for result in results.values():
+        assert result.audit_problems == []
+        assert result.trace_problems == []
+    grouped_stats = adapters["grouped"].host.stats
+    single_stats = adapters["single"].host.stats
+    assert grouped_stats.network_traffic == single_stats.network_traffic
+    assert grouped_stats.client_messages == single_stats.client_messages
+    # ... and groups really formed: fewer frames carried the same messages.
+    assert grouped_stats.frames < single_stats.frames
+    spans = {
+        name: adapter.host.tracing.spans for name, adapter in adapters.items()
+    }
+    assert any(s.attrs.get("group", 1) > 1 for s in spans["grouped"])
+    assert not any("group" in s.attrs for s in spans["single"])
 
 
 def test_shared_engine_equivalent_on_every_backend():

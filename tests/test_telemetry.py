@@ -49,10 +49,13 @@ def _clean_global_registry():
     obs.get_registry().reset().disable()
 
 
-def _publication(i, path=("claims", "claim", "amount"), round_no=0):
+def _publication(
+    i, path=("claims", "claim", "amount"), round_no=0, path_id=0
+):
     return PublishMsg(
         publication=Publication(
-            doc_id="doc-%d-%d" % (round_no, i), path_id=0, path=tuple(path)
+            doc_id="doc-%d-%d" % (round_no, i), path_id=path_id,
+            path=tuple(path),
         ),
         publisher_id="pub",
     )
@@ -534,6 +537,43 @@ class TestAsyncioTelemetry:
             dumps = sorted(os.listdir(str(tmp_path)))
             assert any("health-b3-degraded" in name for name in dumps)
             assert any("health-b3-overloaded" in name for name in dumps)
+        finally:
+            runtime.close()
+
+    def test_overload_is_measured_in_messages_held_frames_included(self):
+        """The multi-path twin: three documents of twelve paths are
+        three frames.  Counted in frames b3's backlog never exceeds 3;
+        counting only queued messages it never exceeds 24 (the consumer
+        holds one frame through its per-message delay).  Only the
+        message count with the held frame included — 36 — crosses both
+        ceilings."""
+        documents, paths = 3, 12
+        registry = MetricsRegistry(enabled=True)
+        runtime = self._runtime(registry)
+        plane = runtime.enable_telemetry(
+            interval=0.01,
+            rules=_overload_rules(queue_depth=(4.0, 30.0)),
+            clear_after=100000,
+        )
+        runtime.start()
+        try:
+            runtime.attach_publisher("pub", "b1")
+            subscriber = runtime.attach_subscriber("sub", "b3")
+            runtime.submit(
+                "sub",
+                SubscribeMsg(
+                    expr=parse_xpath("/claims//amount"), subscriber_id="sub"
+                ),
+            )
+            runtime.drain()
+            runtime.client_delay["sub"] = 0.01
+            for i in range(documents):
+                for path_id in range(paths):
+                    runtime.submit("pub", _publication(i, path_id=path_id))
+            runtime.drain(timeout=60.0)
+            assert len(subscriber.received) == documents * paths
+            assert max(runtime.max_queue_depth.values()) <= documents
+            _assert_full_walk(plane, "b3", ("b1", "b2"))
         finally:
             runtime.close()
 
