@@ -65,8 +65,9 @@ CHURN_RATIO_CEILING = 1.5
 
 
 def _distinct_probe_paths(count, params, seed):
-    """*count* distinct paths: every timed probe builds its own DFA
-    trail instead of re-walking a warm one."""
+    """*count* distinct paths: every timed probe walks a trail of its
+    own (cold past whatever prefix it shares with an earlier one)
+    instead of re-walking a warm one."""
     paths = []
     seen = set()
     batch_seed = seed
@@ -219,8 +220,13 @@ def _run_churn(count):
         shared.add(expr, key)
     paths = _distinct_probe_paths(CHURN_PROBES, params, seed=8)
     # The steady state being measured is "table loaded, DFA built":
-    # then churn arrives.
-    warm_results = [shared.match(path) for path in paths]
+    # then churn arrives.  A transition is built at its second sighting
+    # (docs/matching.md, "Admission"), so the trails are walked until a
+    # whole pass stays inside the DFA.
+    for _walk in range(max(map(len, paths)) + 2):
+        cold_walks = shared.cold_walks
+        warm_results = [shared.match(path) for path in paths]
+    assert shared.cold_walks == cold_walks, "the trails never warmed"
     warm_states = shared.dfa_size()
 
     registry = obs.get_registry()

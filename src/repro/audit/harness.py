@@ -81,7 +81,7 @@ def run_audited_workload(
     trace context before any traffic flows (``flight_dir`` is where
     automatic flight-recorder dumps land; see :mod:`repro.obs.flight`).
     ``matching_engine`` selects every broker's publication-matching
-    backend, auditing the overlay's six invariants against it.  With
+    backend, auditing the overlay's seven invariants against it.  With
     *views* every edge broker keeps materialized views of hot delivery
     groups (see :mod:`repro.views`); the oracle then also classifies
     view-served and replayed deliveries.

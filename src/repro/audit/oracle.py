@@ -4,7 +4,7 @@ The oracle keeps a *flat, centralized* view of the ground truth the
 distributed protocol is supposed to maintain: which (client, XPE) pairs
 are live, which advertisements stand, and — per submitted publication —
 which clients must receive it.  :meth:`AuditOracle.check` then walks the
-overlay at a quiescent point and verifies six invariants:
+overlay at a quiescent point and verifies seven invariants:
 
 1. **Delivery soundness** — every publication reached exactly the
    clients whose live subscriptions matched it at submit time.
@@ -27,6 +27,13 @@ overlay at a quiescent point and verifies six invariants:
 6. **Degree budget** — every recorded merge event's ``D_imperfect``
    against the path universe stays within the configured budget.
 
+7. **Edge exactness** — every table entry ``(expr, client)`` of a local
+   client is one of that client's exact subscriptions, or a registered
+   merger holding a constituent or direct entry from it.  This is the
+   premise an edge broker delivers on without re-checking
+   (``Broker._resolve``); an entry that breaks it is a ``soundness``
+   violation, ``inexact-client-entry``.
+
 Violations are classified as ``soundness`` (a delivery can be missed),
 ``unexplained_fp`` (extra traffic not attributable to an imperfect
 merger within budget), or ``explained_fp`` (informational: the paper's
@@ -36,7 +43,7 @@ Accuracy contract: expected delivery sets are snapshotted when the
 publication is *submitted*, so the harness must submit publications at
 quiescent points (drain the overlay between subscription churn and
 publishing) for the delivery check to be exact.  The structural checks
-(2–6) are independent of submit timing.  A broker recovered *without*
+(2–7) are independent of submit timing.  A broker recovered *without*
 state (``with_state=False``) legitimately forgets routing state — the
 oracle records the event and skips the structural checks, since that
 degraded mode is documented behaviour, not a bug.
@@ -309,6 +316,7 @@ class AuditOracle:
         self._check_forwarded_agreement(report)
         self._check_probes(report)
         self._check_merge_degrees(report)
+        self._check_edge_exactness(report)
         self._count(report)
         self._flight_dump_on_violation(report)
         return report
@@ -805,3 +813,25 @@ class AuditOracle:
                         )
                     )
         report.info["merge_events"] = events
+
+    # -- invariant 7: edge exactness --------------------------------------
+
+    def _check_edge_exactness(self, report: AuditReport):
+        overlay = self._overlay
+        for broker_id in sorted(overlay.brokers):
+            if overlay.is_down(broker_id):
+                continue
+            broker = overlay.brokers[broker_id]
+            for client, expr in sorted(
+                broker.inexact_client_entries(), key=str
+            ):
+                report.add(
+                    Violation(
+                        SOUNDNESS,
+                        "inexact-client-entry",
+                        broker_id,
+                        "entry (%s, %s) is neither an exact subscription "
+                        "of that client nor a merger absorbing one; the "
+                        "edge would deliver on it unchecked" % (expr, client),
+                    )
+                )

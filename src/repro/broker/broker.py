@@ -18,9 +18,16 @@ checks every strategy delivers exactly the flooding baseline's
 documents.
 
 False positives: imperfect merging may route extra publications through
-the network, but an edge broker delivers to a client only after
-re-checking the client's *exact* subscriptions — clients are never
-exposed to false positives (paper §4.3/§5).
+the network, but an edge broker delivers to a client only on the
+client's *exact* subscriptions — clients are never exposed to false
+positives (paper §4.3/§5).  A table entry ``(expr, client)`` is one of
+the client's own subscriptions unless ``expr`` is a merger that absorbed
+some of them, so for a client no live merger absorbs, "its key matched"
+already *is* "an exact subscription matched" and the match that ran
+decides delivery; only a client the merger registry reports absorbed
+(``MergerRegistry.absorbs``) is re-checked against ``client_subs``.  The
+audit oracle's *edge exactness* invariant and ``persistence.restore``
+check the premise (:meth:`Broker.inexact_client_entries`).
 """
 
 from __future__ import annotations
@@ -120,7 +127,8 @@ class Broker:
         #: false positives to these (persisted across crash recovery).
         self.merge_log: List[MergeEvent] = []
 
-        # Exact client subscriptions: the edge-delivery filter.
+        # Exact client subscriptions: the edge-delivery filter for
+        # clients a merger absorbs (see the module docstring).
         self.client_subs: Dict[object, Set[XPathExpr]] = defaultdict(set)
         self.stats: Dict[str, int] = defaultdict(int)
 
@@ -366,6 +374,11 @@ class Broker:
         local = from_hop in self.local_clients
         if local:
             self.client_subs[from_hop].add(expr)
+        if merge_registry is not None:
+            # A new hop subscribing a live merger expression: direct
+            # interest, like the redelivery case above (no-op unless
+            # *expr* is a registered merger).
+            merge_registry.add_direct(expr, from_hop)
         self._match_generation += 1
         self.match_cache.subscribe(
             expr, from_hop, local or from_hop in self.neighbors
@@ -769,21 +782,30 @@ class Broker:
 
     def _resolve(self, publication, keys) -> tuple:
         """Matched keys → destinations in emission order: neighbours,
-        and the local clients that pass the exact edge recheck."""
+        and the local clients an exact subscription of theirs matched —
+        which a matched key proves, except for a client some live
+        merger absorbs: that one is re-checked (module docstring)."""
+        local_clients = self.local_clients
+        neighbors = self.neighbors
+        registry = self._merge_registry
         hops = []
+        rechecked = 0
         attribute_maps = None
-        maps_ready = False
         for key in sorted(keys, key=str):
-            if key in self.local_clients:
-                if not maps_ready:
-                    attribute_maps = publication.attribute_maps()
-                    maps_ready = True
-                if self._client_wants(
-                    key, publication.path, attribute_maps
-                ):
-                    hops.append(key)
-            elif key in self.neighbors:
+            if key in local_clients:
+                if registry is not None and registry.absorbs(key):
+                    if not rechecked:
+                        attribute_maps = publication.attribute_maps()
+                    rechecked += 1
+                    if not self._client_wants(
+                        key, publication.path, attribute_maps
+                    ):
+                        continue
                 hops.append(key)
+            elif key in neighbors:
+                hops.append(key)
+        if rechecked:
+            obs.inc("broker.edge.recheck", rechecked)
         return tuple(hops)
 
     def _invalidate_match_cache(self):
@@ -871,12 +893,30 @@ class Broker:
                     shared_add(expr, key)
 
     def _client_wants(self, client_id: object, path, attributes=None) -> bool:
-        """Exact-subscription recheck at the edge: merging-induced false
-        positives stop here and never reach clients."""
+        """Exact-subscription recheck at the edge, for a client a
+        merger absorbs: merging-induced false positives stop here and
+        never reach clients."""
         return any(
             matches_path(expr, path, attributes)
             for expr in self.client_subs[client_id]
         )
+
+    def inexact_client_entries(self) -> List[Tuple[object, XPathExpr]]:
+        """Table entries ``(client, expr)`` that break the premise
+        :meth:`_resolve` delivers on: *expr* is neither one of the local
+        client's exact subscriptions nor a registered merger holding
+        that client's interest.  Empty in every state the broker
+        reaches through its own handlers; the audit oracle and
+        ``persistence.restore`` check it."""
+        registry = self._merge_registry
+        return [
+            (key, expr)
+            for expr in self._forwardable_exprs()
+            for key in self._keys_of(expr)
+            if key in self.local_clients
+            and expr not in self.client_subs.get(key, ())
+            and not (registry is not None and registry.hop_needs(expr, key))
+        ]
 
     # -- merging ---------------------------------------------------------------------
 

@@ -222,14 +222,14 @@ def restore(
         if broker._merge_registry is not None:
             registry = broker._merge_registry
             for item in state.get("mergers", ()):
-                merger = parse_xpath(item["expr"])
-                bucket = registry.constituents.setdefault(merger, {})
-                direct = registry.direct.setdefault(merger, set())
-                direct.update(item.get("direct", ()))
-                for entry in item.get("constituents", ()):
-                    bucket.setdefault(
-                        parse_xpath(entry["expr"]), set()
-                    ).update(entry["hops"])
+                registry.install(
+                    parse_xpath(item["expr"]),
+                    item.get("direct", ()),
+                    [
+                        (parse_xpath(entry["expr"]), entry["hops"])
+                        for entry in item.get("constituents", ())
+                    ],
+                )
             for item in state.get("merge_log", ()):
                 broker.merge_log.append(
                     MergeEvent(
@@ -240,9 +240,19 @@ def restore(
                         degree=item["degree"],
                     )
                 )
-        return broker
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistenceError("malformed broker snapshot: %s" % exc)
+    inexact = min(broker.inexact_client_entries(), key=str, default=None)
+    if inexact is not None:
+        # The restored broker would deliver on this entry unchecked.
+        client, expr = inexact
+        raise ConfigError(
+            "snapshot of broker %r: table entry (%s, %s) is neither an "
+            "exact subscription of client %r ('client_subs') nor a "
+            "merger absorbing one ('mergers')"
+            % (broker.broker_id, expr, client, client)
+        )
+    return broker
 
 
 def restore_json(

@@ -119,9 +119,14 @@ class LRUCache:
         )
 
 
-#: What recomputing one memoised decision costs, in maintenance probes
-#: (a probe is one ``matches_path`` call, ~0.7 µs; the cheapest
-#: recomputation — a small covering tree plus the recheck — is >12 µs).
+#: What recomputing one memoised decision costs, in maintenance probes.
+#: A probe is one ``matches_path`` call, ~0.5 µs.  The cheapest
+#: recomputation is a walk of a small covering tree and nothing else
+#: (the edge recheck only runs for clients a merger absorbs): 2.5 µs
+#: for a one-node tree, 6 µs for ten nodes, 5–12 probes — so 16 sits
+#: at the generous end for tiny tables.  It was set on ``churn7_sim``
+#: (the workload that pays maintenance), which reads the same with and
+#: without the recheck: 1,979 vs 2,004 docs/s over six alternated pairs.
 _REBUILD_PROBES = 16
 
 
@@ -131,7 +136,7 @@ class RouteMemo:
 
     A decision is the frozen set of matched subscriber ``keys`` and the
     tuple of ``hops`` they resolve to — neighbours plus the local
-    clients that pass the exact recheck, in emission order.
+    clients whose exact subscriptions match, in emission order.
 
     A subscription edit of ``(expr, key)`` can only change the decisions
     of publications *expr* matches, so :meth:`subscribe` inserts the key

@@ -13,10 +13,19 @@ Three layers on top of the plain NFA simulation:
 
 * **Lazy DFA.**  The active-state-set of the NFA simulation is
   deterministic given the input path, so each distinct set becomes one
-  cached DFA state; a ``(state, element)`` transition is computed once
-  via the subset construction and replayed as a single dict lookup ever
-  after.  Publication workloads touch a tiny, hot fragment of the full
-  (exponential) subset space — the cache is bounded by
+  cached DFA state and a ``(state, element)`` transition, once built
+  via the subset construction, is replayed as a single dict lookup ever
+  after.  A transition is built at its **second** sighting: the first
+  miss on ``(state, element)`` only records that it happened and the
+  walk finishes as a plain NFA simulation from that state's subset —
+  no subset key, no state, no accepting set allocated — so a path that
+  never recurs costs one NFA pass and leaves nothing behind, while a
+  recurring trail of depth *d* is fully cached after *d* + 1 walks
+  (each cached state justified by its own evidence; what reaches the
+  engine twice behind the broker's route memo is shared prefixes, and
+  those are what get cached).  Publication workloads touch a tiny, hot
+  fragment of the full (exponential) subset space — the cache is
+  bounded by
   ``dfa_state_limit``; on overflow the *cold half* is evicted (states
   are stamped with a per-walk clock, so recently-walked states survive)
   instead of the classic wholesale flush, which used to discard the
@@ -44,11 +53,18 @@ unsubscribe) comes from the underlying :class:`SharedPathNFA`;
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.matching.predicate_index import PredicateIndexMatcher
-from repro.matching.yfilter import ACCEPT_ONLY, SharedPathNFA, _State
+from repro.matching.yfilter import (
+    ACCEPT_ONLY,
+    SharedPathNFA,
+    _State,
+    simulate,
+    subset_step,
+)
 from repro.xpath.ast import WILDCARD, XPathExpr
 
 #: Default bound on cached DFA states before the cold half is evicted.
@@ -83,6 +99,14 @@ class _DFAState:
 #: The unique sink state: empty subset, no way back.
 _SINK = _DFAState(())
 
+#: A transition value, never a cached state: this ``(state, symbol)``
+#: pair missed once and was walked on the NFA (see the admission rule
+#: in the module docstring).  Dead, so the walk's one ``dead`` test
+#: sends the second sighting down the path that builds the target, and
+#: whatever forgets a transition forgets its sighting with it.
+_SIGHTED = _DFAState(())
+_SIGHTED.dead = True
+
 
 class SharedAutomatonMatcher:
     """Shared-automaton bulk matcher with lazy-DFA state caching.
@@ -104,6 +128,9 @@ class SharedAutomatonMatcher:
         self.dfa_flushes = 0
         #: Bounded cold-half evictions on cache overflow.
         self.dfa_evictions = 0
+        #: Walks that left the DFA at a first-sighted transition and
+        #: finished on the NFA.
+        self.cold_walks = 0
         self._dfa_cache: Dict[FrozenSet[int], _DFAState] = {}
         self._dfa_start: Optional[_DFAState] = None
         #: Walk counter; every structural match stamps the states it
@@ -227,17 +254,7 @@ class SharedAutomatonMatcher:
         return start
 
     def _transition(self, state: _DFAState, symbol: str) -> _DFAState:
-        nxt: Dict[int, _State] = {}
-        for nfa_state in state.nfa_states:
-            target = nfa_state.edges.get(symbol)
-            if target is not None:
-                nxt[id(target)] = target
-            star = nfa_state.edges.get("*")
-            if star is not None:
-                nxt[id(star)] = star
-            if nfa_state.self_loop:
-                nxt[id(nfa_state)] = nfa_state
-        _absorb(nxt)
+        nxt = subset_step(state.nfa_states, symbol)
         target_state = self._dfa_state_for(nxt) if nxt else _SINK
         state.transitions[symbol] = target_state
         return target_state
@@ -248,11 +265,23 @@ class SharedAutomatonMatcher:
         clock = self._clock
         state = self._start_state()
         state.stamp = clock
-        transition = self._transition
-        for symbol in path:
+        symbols = iter(path)
+        for symbol in symbols:
             nxt = state.transitions.get(symbol)
             if nxt is None or nxt.dead:
-                nxt = transition(state, symbol)
+                if nxt is None:
+                    # First sighting: note it, finish on the NFA.
+                    state.transitions[symbol] = _SIGHTED
+                    simulate(
+                        state.nfa_states, chain((symbol,), symbols), matched
+                    )
+                    self.cold_walks += 1
+                    registry = obs.get_registry()
+                    if registry.enabled:
+                        registry.counter("matching.shared.cold_walks").inc()
+                    break
+                # Sighted before, or dropped since: (re)build it.
+                nxt = self._transition(state, symbol)
             if nxt is _SINK:
                 break
             state = nxt
@@ -312,16 +341,5 @@ class SharedAutomatonMatcher:
             "dfa_states": self.dfa_size(),
             "dfa_flushes": self.dfa_flushes,
             "dfa_evictions": self.dfa_evictions,
+            "cold_walks": self.cold_walks,
         }
-
-
-def _absorb(active: Dict[int, _State]):
-    """ε-closure over the //-descendant links (module-local copy of the
-    NFA helper, kept tight for the transition hot path)."""
-    stack = list(active.values())
-    while stack:
-        state = stack.pop()
-        child = state.descendant
-        if child is not None and id(child) not in active:
-            active[id(child)] = child
-            stack.append(child)

@@ -39,7 +39,7 @@ untenable at routing-table scale).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.covering.pathmatch import matches_path
@@ -187,30 +187,12 @@ class SharedPathNFA:
         active: Dict[int, _State], symbol: str
     ) -> Dict[int, _State]:
         """One symbol of the active-state-set simulation (ε-closed)."""
-        nxt: Dict[int, _State] = {}
-        for state in active.values():
-            target = state.edges.get(symbol)
-            if target is not None:
-                nxt[id(target)] = target
-            star = state.edges.get(WILDCARD)
-            if star is not None:
-                nxt[id(star)] = star
-            if state.self_loop:
-                nxt[id(state)] = state
-        _absorb_descendants(nxt)
-        return nxt
+        return subset_step(active.values(), symbol)
 
     def match_set(self, path: Sequence[str]) -> Set[XPathExpr]:
         """All stored XPEs whose structural skeleton matches *path*."""
         matched: Set[XPathExpr] = set()
-        active = self.initial_states()
-        for symbol in path:
-            active = self.step_states(active, symbol)
-            if not active:
-                break
-            for state in active.values():
-                if state.accepting:
-                    matched |= state.accepting
+        simulate(self.initial_states().values(), path, matched)
         return matched
 
     def state_count(self) -> int:
@@ -312,6 +294,44 @@ class YFilterMatcher:
     def automaton_size(self) -> int:
         """Alias of :meth:`state_count` (the engine-reporting name)."""
         return self._nfa.state_count()
+
+
+def subset_step(
+    states: Iterable[_State], symbol: str
+) -> Dict[int, _State]:
+    """The one subset step: the ε-closed set *states* reaches on
+    *symbol*, by ``id``.  The NFA simulation below, the lazy DFA's
+    transition and its cold finish (:mod:`repro.matching.
+    shared_automaton`) all take their steps here."""
+    nxt: Dict[int, _State] = {}
+    for state in states:
+        edges = state.edges
+        if edges:
+            target = edges.get(symbol)
+            if target is not None:
+                nxt[id(target)] = target
+            star = edges.get(WILDCARD)
+            if star is not None:
+                nxt[id(star)] = star
+        if state.self_loop:
+            nxt[id(state)] = state
+    _absorb_descendants(nxt)
+    return nxt
+
+
+def simulate(
+    states: Iterable[_State], path: Iterable[str], matched: Set[XPathExpr]
+):
+    """Run the active-state-set simulation over *path* from the
+    ε-closed set *states*, adding every XPE accepted on the way to
+    *matched* (acceptance may fire at any position)."""
+    for symbol in path:
+        states = subset_step(states, symbol).values()
+        if not states:
+            return
+        for state in states:
+            if state.accepting:
+                matched |= state.accepting
 
 
 def _absorb_descendants(active: Dict[int, "_State"]):

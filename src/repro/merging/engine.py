@@ -200,6 +200,10 @@ class MergingEngine:
         for parent in parents:
             if not parent.children:
                 continue
+            if parent.expr is not None and tree.node_of(parent.expr) is not parent:
+                # Merged away earlier in this sweep: its children hang
+                # under the merger now (and wait for the next sweep).
+                continue
             self._merge_siblings(tree, parent, report)
         return report
 

@@ -17,6 +17,15 @@ Chained merges flatten: when a sweep replaces an expression that is
 itself a registered merger, its constituent entries move under the new
 merger (and its direct hops become a constituent entry of their own),
 so lookups never have to walk merge chains.
+
+The same pairs are indexed by hop (``hop -> constituent -> merger``):
+"is anything of this hop's merged away?" is what an edge broker asks
+per matched local client on every memo miss (:meth:`absorbs` — only an
+absorbed client can be reached through an expression it never
+subscribed), and what every SUB / UNSUB asks per expression
+(:meth:`find_contribution`).  ``constituents`` and ``direct`` are read
+freely (snapshots, the audit oracle); every write goes through a method
+here so the index moves with them.
 """
 
 from __future__ import annotations
@@ -35,6 +44,10 @@ class MergerRegistry:
         self.constituents: Dict[XPathExpr, Dict[XPathExpr, Set[object]]] = {}
         #: merger -> hops that subscribed the merger expression itself
         self.direct: Dict[XPathExpr, Set[object]] = {}
+        #: hop -> constituent expression -> the merger that absorbed it
+        #: (``constituents`` by hop; a hop with nothing absorbed has no
+        #: entry)
+        self._absorbed: Dict[object, Dict[XPathExpr, XPathExpr]] = {}
 
     def __len__(self):
         return len(self.constituents)
@@ -60,24 +73,43 @@ class MergerRegistry:
             if expr in self.constituents:
                 # Chained merge: flatten the absorbed merger's entries.
                 for leaf, hops in self.constituents.pop(expr).items():
-                    bucket.setdefault(leaf, set()).update(hops)
+                    self._absorb(merger, leaf, hops)
                 absorbed_direct = self.direct.pop(expr, set())
                 if absorbed_direct:
-                    bucket.setdefault(expr, set()).update(absorbed_direct)
+                    self._absorb(merger, expr, absorbed_direct)
             else:
-                bucket.setdefault(expr, set()).update(keys)
+                self._absorb(merger, expr, keys)
+
+    def install(
+        self,
+        merger: XPathExpr,
+        direct: Iterable[object],
+        constituents: Iterable,
+    ):
+        """Re-create one merger from a snapshot: its direct hops and its
+        ``(constituent expression, hops)`` pairs."""
+        self.constituents.setdefault(merger, {})
+        self.direct.setdefault(merger, set()).update(direct)
+        for expr, hops in constituents:
+            self._absorb(merger, expr, hops)
+
+    def _absorb(self, merger: XPathExpr, expr: XPathExpr, hops):
+        """*merger* now carries *hops*' interest in constituent *expr*."""
+        self.constituents[merger].setdefault(expr, set()).update(hops)
+        for hop in hops:
+            self._absorbed.setdefault(hop, {})[expr] = merger
 
     # -- queries -------------------------------------------------------------
+
+    def absorbs(self, hop: object) -> bool:
+        """Does some live merger stand in for a subscription of *hop*?"""
+        return hop in self._absorbed
 
     def find_contribution(
         self, expr: XPathExpr, hop: object
     ) -> Optional[XPathExpr]:
         """The merger holding *hop*'s interest in constituent *expr*."""
-        for merger, bucket in self.constituents.items():
-            hops = bucket.get(expr)
-            if hops and hop in hops:
-                return merger
-        return None
+        return self._absorbed.get(hop, {}).get(expr)
 
     def hop_needs(self, merger: XPathExpr, hop: object) -> bool:
         """Does *hop* still justify a key on *merger*?"""
@@ -97,12 +129,7 @@ class MergerRegistry:
     def constituents_absorbed_from(self, hop: object) -> Set[XPathExpr]:
         """Constituent expressions some merger absorbed for *hop* (the
         downstream half of the forwarded-mark agreement invariant)."""
-        absorbed: Set[XPathExpr] = set()
-        for bucket in self.constituents.values():
-            for expr, hops in bucket.items():
-                if hop in hops:
-                    absorbed.add(expr)
-        return absorbed
+        return set(self._absorbed.get(hop, ()))
 
     # -- mutation ------------------------------------------------------------
 
@@ -125,8 +152,18 @@ class MergerRegistry:
         hops.discard(hop)
         if not hops:
             del bucket[expr]
+        self._release(merger, expr, hop)
 
     def forget(self, merger: XPathExpr):
         """Drop all registry state for a fully retired merger."""
-        self.constituents.pop(merger, None)
+        for expr, hops in self.constituents.pop(merger, {}).items():
+            for hop in hops:
+                self._release(merger, expr, hop)
         self.direct.pop(merger, None)
+
+    def _release(self, merger: XPathExpr, expr: XPathExpr, hop: object):
+        absorbed = self._absorbed.get(hop)
+        if absorbed is not None and absorbed.get(expr) == merger:
+            del absorbed[expr]
+            if not absorbed:
+                del self._absorbed[hop]

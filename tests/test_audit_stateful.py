@@ -244,9 +244,7 @@ def test_reverting_the_registry_fix_makes_the_audit_fail():
     # Revert fix #1: the pre-fix broker kept no constituent bookkeeping,
     # so a constituent UNSUB hits the unknown-expression no-op and the
     # merger key at b1 leaks forever.
-    registry = overlay.brokers["b1"]._merge_registry
-    registry.constituents.clear()
-    registry.direct.clear()
+    overlay.brokers["b1"]._merge_registry = MergerRegistry()
     subscriber.unsubscribe("/r/a/c")
     subscriber.unsubscribe("/r/a/d")
     overlay.run()
@@ -281,6 +279,25 @@ def test_reverting_the_mark_fix_makes_the_audit_fail():
     assert any(
         v.code == "missing-routing-entry" for v in report.soundness
     ), report.summary()
+
+
+def test_inexact_client_entry_makes_the_audit_fail():
+    """Invariant 7: an edge broker delivers on a matched client key
+    without re-checking, so an entry the client never subscribed (and
+    no merger explains) is a soundness violation."""
+    overlay, oracle, _ = _small_audited_overlay()
+    assert oracle.check().ok
+    edge = overlay.brokers["b3"]
+    edge.client_subs["sub"].discard(x("/r/a/c"))
+    report = oracle.check()
+    assert [v.code for v in report.soundness] == ["inexact-client-entry"]
+    assert report.soundness[0].broker_id == "b3"
+    assert "/r/a/c" in report.soundness[0].detail
+    # A merger absorbing the client's subscriptions explains its entry.
+    edge.client_subs["sub"].add(x("/r/a/c"))
+    overlay.trigger_merge_sweep("b3")
+    assert edge._keys_of(x("/r/a/*")) == {"sub"}
+    assert oracle.check().ok
 
 
 # -- the chaos-matrix acceptance gate --------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.adverts import Advertisement
 from repro.broker import (
     AdvertiseMsg,
@@ -13,7 +14,10 @@ from repro.broker import (
     UnadvertiseMsg,
     UnsubscribeMsg,
 )
+from repro.broker.strategies import MergingMode
+from repro.dtd import parse_dtd
 from repro.errors import RoutingError
+from repro.merging.engine import PathUniverse
 from repro.xmldoc import Publication
 from repro.xpath import parse_xpath
 
@@ -219,18 +223,72 @@ class TestPublishing:
     def test_edge_recheck_blocks_false_positives(self):
         """A client key reached via a merged/covering node must still
         pass the client's exact subscriptions."""
-        broker = make_broker(
+        broker = _imperfectly_merged_broker()
+        assert broker._keys_of(x("/r/a/*")) == {"c1", "c2"}
+        out = broker.handle(pub(("r", "a", "e")), "upstream")
+        assert out == []  # matched the merger but not c1's real sub
+
+    def test_only_an_absorbed_client_is_rechecked(self, recheck_counter):
+        """The recheck is paid where a merger stands in for a client's
+        subscriptions, and nowhere else: a matched key of any other
+        client already is an exact match."""
+        plain = make_broker(
             config=RoutingConfig.no_adv_with_cov(), clients=["c1"]
         )
-        broker.handle(sub("/a/b", subscriber="c1"), "c1")
-        # Manually widen the tree node (simulating an imperfect merger
-        # that kept c1's key on a more general expression).
-        node = broker.tree.node_of(x("/a/b"))
-        broker.tree._by_expr.pop(node.expr)
-        object.__setattr__(node, "expr", x("/a/*"))
-        broker.tree._by_expr[x("/a/*")] = node
-        out = broker.handle(pub(("a", "z")), "upstream")
-        assert out == []  # matched the merger but not c1's real sub
+        plain.handle(sub("/a/b", subscriber="c1"), "c1")
+        out = plain.handle(pub(("a", "b")), "upstream")
+        assert [d for d, _ in out] == ["c1"]
+        assert recheck_counter() == 0  # no registry, nothing to recheck
+
+        merged = _imperfectly_merged_broker()
+        merged.handle(sub("/r/b", subscriber="c3"), "c3")  # not merged
+        assert recheck_counter() == 0
+        out = merged.handle(pub(("r", "b", "c")), "upstream")
+        assert [d for d, _ in out] == ["c3"]
+        assert recheck_counter() == 0  # c3's neighbours are absorbed, not c3
+        out = merged.handle(pub(("r", "a", "c")), "upstream")
+        assert [d for d, _ in out] == ["c1"]
+        assert recheck_counter() == 2  # c1 passed, c2 was the false positive
+
+
+UNIVERSE_DTD = """
+<!ELEMENT r (a, b?)>
+<!ELEMENT a (c?, d?, e?)>
+<!ELEMENT b (c?)>
+<!ELEMENT c (#PCDATA)>
+<!ELEMENT d (#PCDATA)>
+<!ELEMENT e (#PCDATA)>
+"""
+
+
+def _imperfectly_merged_broker():
+    """c1 holds /r/a/c, c2 holds /r/a/d; one sweep replaced both with
+    the imperfect merger /r/a/* (it also admits /r/a/e)."""
+    broker = Broker(
+        "b1",
+        config=RoutingConfig(
+            advertisements=False,
+            covering=True,
+            merging=MergingMode.IMPERFECT,
+            max_imperfect_degree=0.5,
+            merge_interval=1000,
+        ),
+        universe=PathUniverse.from_dtd(parse_dtd(UNIVERSE_DTD)),
+    )
+    for client in ("c1", "c2", "c3"):
+        broker.attach_client(client)
+    broker.handle(sub("/r/a/c", subscriber="c1"), "c1")
+    broker.handle(sub("/r/a/d", subscriber="c2"), "c2")
+    broker.run_merge_sweep()
+    return broker
+
+
+@pytest.fixture
+def recheck_counter():
+    """Reads ``broker.edge.recheck`` (metrics on for the test only)."""
+    registry = obs.enable_metrics(reset=True)
+    yield lambda: registry.counter_values().get("broker.edge.recheck", 0)
+    registry.reset().disable()
 
 
 class TestSRT:

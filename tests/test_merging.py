@@ -203,6 +203,29 @@ class TestMergingEngine:
         engine.merge_tree(tree)
         tree.validate()
 
+    def test_sweep_skips_a_parent_it_just_merged_away(self):
+        """The sweep snapshots its parents up front.  One that an
+        earlier step of the same sweep merged away still lists its old
+        children; merging those too unregistered nodes that by then hung
+        under the merger — they left ``node_of`` at once and the tree
+        at the next sweep, taking their keys (deliveries) with them."""
+        tree = self.build_tree(
+            "/r/a/*", "/r/b/*", "/r/a/c", "/r/a/d", "/r/a/e"
+        )
+        engine = MergingEngine(universe=self.universe(), max_degree=0.0)
+        report = engine.merge_tree(tree)
+        assert [event.merger for event in report.events] == [x("/r/*/*")]
+        tree.validate()
+        for text in ("/r/a/c", "/r/a/d", "/r/a/e"):
+            assert tree.node_of(x(text)).parent.expr == x("/r/*/*")
+        # The next sweep finds them where they hang now.
+        report = engine.merge_tree(tree)
+        assert [event.merger for event in report.events] == [x("/r/a/*")]
+        tree.validate()
+        assert tree.match_keys(("r", "a", "c")) == {
+            "/r/a/*", "/r/b/*", "/r/a/c", "/r/a/d", "/r/a/e"
+        }
+
     def test_without_universe_no_merges_at_zero_budget(self):
         tree = self.build_tree("/r/a/c", "/r/a/d", "/r/a/e")
         engine = MergingEngine(universe=None, max_degree=0.0)

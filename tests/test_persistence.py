@@ -207,3 +207,16 @@ class TestErrors:
         state["config"]["matching_engine"] = "quantum"
         with pytest.raises(ConfigError):
             restore_json(json.dumps(state))
+
+    def test_inexact_client_entry_is_refused(self):
+        """A table entry keyed to a local client that is neither one of
+        its exact subscriptions nor a merger absorbing one: the edge
+        would deliver on it unchecked (audit invariant 7)."""
+        from repro.errors import ConfigError
+
+        state = snapshot(populated_broker())
+        state["client_subs"]["c1"].remove("/x/y")
+        with pytest.raises(ConfigError) as excinfo:
+            restore(state)
+        message = str(excinfo.value)
+        assert "'b1'" in message and "'c1'" in message and "/x/y" in message

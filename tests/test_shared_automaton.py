@@ -3,14 +3,15 @@
 Four layers of assurance, mirroring how the engine is deployed:
 
 * unit tests of the engine contract (duplicate keys, NFA pruning,
-  lazy-DFA caching, selective invalidation, eviction);
+  lazy-DFA caching and second-sighting admission, selective
+  invalidation, eviction);
 * Hypothesis differentials against :class:`LinearMatcher` and the
   reference interpreter, attribute predicates included, plus a stateful
   machine that edits a *warm* DFA and audits every cached state;
 * broker-level equivalence: a ``matching_engine="shared"`` broker makes
   the same routing decisions as the default one, across merge sweeps
   and snapshot/restore (a second stateful machine interleaves them);
-* the audit oracle's six invariants hold on chaos workloads (fault-free
+* the audit oracle's seven invariants hold on chaos workloads (fault-free
   and crash-restart) run entirely on the shared engine.
 """
 
@@ -130,8 +131,8 @@ class TestPruningAndDFA:
     def test_dfa_caches_and_is_invalidated_by_structure(self):
         m = build("/a/b", "/a//c", "/q/r")
         assert m.dfa_size() == 0
-        assert m.match(("a", "b")) == {"/a/b"}
-        assert m.match(("q", "r")) == {"/q/r"}
+        assert _warm(m, ("a", "b")) == {"/a/b"}
+        assert _warm(m, ("q", "r")) == {"/q/r"}
         unrelated = _cached_walk(m, ("q", "r"))
         assert len(unrelated) == 3
         # Structural edits under /a/b: the walk of the unrelated root
@@ -193,6 +194,18 @@ class TestPruningAndDFA:
         assert hot_states >= 1
 
 
+def _warm(m, path):
+    """Walk *path* until the walk stays in the DFA from end to end (a
+    transition is only built at its second sighting, so that takes up
+    to ``len(path) + 1`` walks); returns the match result."""
+    for _ in range(len(path) + 1):
+        cold = m.cold_walks
+        matched = m.match(path)
+        if m.cold_walks == cold:
+            return matched
+    raise AssertionError("%r is still cold after %d walks" % (path, len(path) + 1))
+
+
 def _cached_walk(m, path):
     """The DFA states *path* walks, read off the cache alone (fails on
     a missing or dead transition — the walk would re-derive there)."""
@@ -252,8 +265,8 @@ class TestSelectiveInvalidation:
 
     def test_a_accept_only_edit_updates_in_place(self):
         m = build("/a/b/c", "/q")
-        m.match(("a", "b", "c"))
-        m.match(("q",))
+        _warm(m, ("a", "b", "c"))
+        _warm(m, ("q",))
         before = list(m._dfa_cache.values())
         m.add(x("/a/b"), "mid")  # the whole trail pre-exists
         assert list(m._dfa_cache.values()) == before
@@ -266,8 +279,8 @@ class TestSelectiveInvalidation:
 
     def test_b_new_or_cut_edge_forgets_one_label(self):
         m = build("/a/b")
-        m.match(("a", "b"))
-        assert m.match(("a", "c")) == set()  # caches {A} -c-> sink
+        _warm(m, ("a", "b"))
+        assert _warm(m, ("a", "c")) == set()  # caches {A} -c-> sink
         at_a = _cached_walk(m, ("a",))[-1]
         m.add(x("/a/c"), "c")
         assert set(at_a.transitions) == {"b"} and not at_a.dead
@@ -279,8 +292,8 @@ class TestSelectiveInvalidation:
 
     def test_b_wildcard_edge_forgets_every_label(self):
         m = build("/a/b")
-        m.match(("a", "b"))
-        m.match(("a", "c"))
+        _warm(m, ("a", "b"))
+        _warm(m, ("a", "c"))
         at_a = _cached_walk(m, ("a",))[-1]
         m.add(x("/a/*"), "any")
         assert not at_a.transitions and not at_a.dead
@@ -293,8 +306,8 @@ class TestSelectiveInvalidation:
 
     def test_c_new_descendant_link_drops_the_anchor_states(self):
         m = build("/a/b", "/q")
-        m.match(("a", "b"))
-        m.match(("q",))
+        _warm(m, ("a", "b"))
+        _warm(m, ("q",))
         start, at_a = _cached_walk(m, ("a",))
         at_q = _cached_walk(m, ("q",))[-1]
         m.add(x("/a//c"), "deep")  # {A} is no longer ε-closed
@@ -306,8 +319,8 @@ class TestSelectiveInvalidation:
 
     def test_d_prune_drops_every_state_holding_a_pruned_nfa_state(self):
         m = build("/a/b/c/d", "/q")
-        m.match(("a", "b", "c", "d"))
-        m.match(("q",))
+        _warm(m, ("a", "b", "c", "d"))
+        _warm(m, ("q",))
         walk = _cached_walk(m, ("a", "b", "c", "d"))
         pruned = {id(entry[2]) for entry in m._nfa._trails[x("/a/b/c/d")]}
         m.remove(x("/a/b/c/d"), "/a/b/c/d")
@@ -320,7 +333,7 @@ class TestSelectiveInvalidation:
 
     def test_e_survivor_pointing_at_a_dropped_state_rederives(self):
         m = build("/a", "/a//b")
-        assert m.match(("a", "b")) == {"/a", "/a//b"}
+        assert _warm(m, ("a", "b")) == {"/a", "/a//b"}
         start, at_a = _cached_walk(m, ("a",))
         m.remove(x("/a//b"), "/a//b")
         # The start state holds no touched NFA state and keeps its edge
@@ -343,6 +356,67 @@ class TestSelectiveInvalidation:
         assert second.dead
         assert m.match(("a",)) == {"/a"} and m.match(("z", "b")) == set()
         assert m.dfa_flushes == 0
+        _check_dfa(m)
+
+
+class TestAdmission:
+    """A transition is built at its second sighting (docs/matching.md,
+    "Admission"): a path that never recurs allocates nothing, a
+    recurring one is cached level by level."""
+
+    TEXTS = ("/a/b/c", "/a//c", "b/c", "/a/*/d", "//b")
+
+    def _pair(self):
+        linear = LinearMatcher()
+        for text in self.TEXTS:
+            linear.add(x(text), text)
+        return build(*self.TEXTS), linear
+
+    def test_never_seen_path_allocates_nothing(self):
+        m, linear = self._pair()
+        m.match(())  # the start state, which every walk needs
+        assert m.dfa_size() == 1
+        fresh = [("a", "b", "c"), ("b", "c"), ("q", "b", "c", "d"), ("z",)]
+        for path in fresh:  # no two share their first step
+            assert m.match(path) == linear.match(path), path
+            assert m.dfa_size() == 1
+        assert m.cold_walks == len(fresh)
+        assert m.stats()["cold_walks"] == len(fresh)
+
+    def test_trail_is_fully_materialised_after_depth_plus_one_walks(self):
+        m, linear = self._pair()
+        path = ("a", "b", "c", "d")  # b/c keeps the root's // state live
+        for walk in range(len(path)):
+            assert m.cold_walks == walk  # one more level each time
+            assert m.match(path) == linear.match(path)
+            assert m.dfa_size() == walk + 1
+        assert m.match(path) == linear.match(path)
+        assert m.cold_walks == len(path)  # walk d + 1 never left the DFA
+        # ... and from here on it is the eager construction's walk.
+        cached = _cached_walk(m, path)
+        active = m._nfa.initial_states()
+        matched = set()
+        for symbol, state in zip(path, cached[1:]):
+            active = SharedPathNFA.step_states(active, symbol)
+            assert frozenset(active) == frozenset(map(id, state.nfa_states))
+            matched |= state.accepting
+        assert {str(expr) for expr in matched} == linear.match(path)
+        _check_dfa(m)
+
+    def test_dead_target_rederives_in_one_walk(self):
+        m = build("/a/b")
+        _warm(m, ("a", "b"))
+        start, at_a, _ = _cached_walk(m, ("a", "b"))
+        m.add(x("/a//c"), "deep")  # rule c: at_a is dropped
+        assert start.transitions["a"] is at_a and at_a.dead
+        cold = m.cold_walks
+        assert m.match(("a",)) == set()
+        # The transition was admitted once already: rebuilt at the
+        # first walk that needs it, not sighted a second time.
+        assert m.cold_walks == cold
+        rebuilt = start.transitions["a"]
+        assert rebuilt is not at_a and not rebuilt.dead
+        assert len(rebuilt.nfa_states) == 2
         _check_dfa(m)
 
 
@@ -492,6 +566,11 @@ class WarmDFAEditMachine(RuleBasedStateMachine):
     def teardown(self):
         for path in _ALL_SHORT_WALKS:
             self.match(path)
+        # The sweep walks every first step many times over: whatever
+        # the example did, second sightings happened and the invariants
+        # above audited materialised states, not only the start state.
+        if len(self.shared):
+            assert self.shared.dfa_size() > 1
 
 
 TestWarmDFAEditMachine = WarmDFAEditMachine.TestCase

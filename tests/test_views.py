@@ -420,7 +420,7 @@ class TestSimulator:
 
 @pytest.mark.parametrize("scenario", ["fault-free", "crash-restart"])
 def test_audited_chaos_with_views(scenario):
-    """The six invariants (plus the view classifications) hold with
+    """The seven invariants (plus the view classifications) hold with
     views enabled — including a broker crash that drops its views
     mid-stream, after which deliveries converge via the core."""
     plan = audit_scenarios(0)[scenario]
