@@ -610,37 +610,67 @@ class Broker:
         order.  Every path probes the route memo (and, with views, its
         group's view) on its own, so routing a group is exactly routing
         its members one by one; only the per-hop bookkeeping around
-        them is paid once.
+        them is paid once — the registry and hop-scope lookups, the
+        ``broker.match_cache.*`` counters (incremented by count), and,
+        when every path resolved to one decision (the memo's
+        ``_intern`` makes equal decisions one object), the fan-out.
         """
         self.stats[messages[0].kind] += len(messages)
         registry = obs.get_registry()
-        started = perf_counter() if registry.enabled else 0.0
+        metered = registry.enabled
+        if metered:
+            started = perf_counter()
+            memo = self.match_cache
+            hits, misses = memo.hits, memo.misses
+        scope = current_scope()
         # A lone message's hop scope already points at it.
-        scope = current_scope() if len(messages) > 1 else None
+        focus = scope is not None and len(messages) > 1
         views = self.views
-        routed: Dict[object, List[PublishMsg]] = {}
+        decisions = []
         for msg in messages:
-            if scope is not None:
+            if focus:
                 scope.focus(msg)
             if views is None:
-                destinations = self._route(msg.publication)[1]
-                served = False
+                decisions.append(self._route(msg.publication, scope)[1])
             else:
                 destinations = self._publish_destinations_viewed(
                     msg.publication, from_hop, msg
                 )
-                served = self._served_via_view
-            for destination in destinations:
-                if destination == from_hop:
-                    continue
-                group = routed.get(destination)
-                if group is None:
-                    routed[destination] = [msg]
-                else:
-                    group.append(msg)
-                if served and destination in self.local_clients:
-                    self._view_served_marks.add((destination, msg.msg_id))
-        if registry.enabled:
+                decisions.append(destinations)
+                if self._served_via_view:
+                    self._view_served_marks.update(
+                        (destination, msg.msg_id)
+                        for destination in destinations
+                        if destination in self.local_clients
+                    )
+        routed = {}
+        first = decisions[0]
+        # ``count`` tries identity before equality, so one interned
+        # decision is recognised without comparing a tuple; an equal
+        # copy (after ``_intern`` forgot its table) fans out the same.
+        if decisions.count(first) == len(decisions):
+            for hop in first:
+                if hop != from_hop:
+                    routed[hop] = list(messages)
+        else:
+            for msg, destinations in zip(messages, decisions):
+                for destination in destinations:
+                    if destination == from_hop:
+                        continue
+                    group = routed.get(destination)
+                    if group is None:
+                        routed[destination] = [msg]
+                    else:
+                        group.append(msg)
+        if metered:
+            if memo.hits != hits:
+                registry.counter("broker.match_cache.hits").inc(
+                    memo.hits - hits
+                )
+            if memo.misses != misses:
+                registry.counter("broker.match_cache.misses").inc(
+                    memo.misses - misses
+                )
             registry.histogram("broker.handle.publish").record(
                 perf_counter() - started
             )
@@ -705,7 +735,7 @@ class Broker:
                         keys=len(keys), delivered=len(destinations),
                     )
             return destinations
-        keys, hops = self._route(publication)
+        keys, hops = self._route(publication, scope)
         if message is not None:
             # The view holds every local decision, the arrival hop's
             # included, so a later serve (from any hop) stays
@@ -725,29 +755,30 @@ class Broker:
         """Matched subscriber keys for *publication*."""
         return self._route(publication)[0]
 
-    def _route(self, publication) -> Tuple[frozenset, tuple]:
+    def _route(self, publication, scope=None) -> Tuple[frozenset, tuple]:
         """The routing decision for *publication* — ``(matched keys,
         destinations in emission order)`` — from the route memo (see
-        ``match_cache``) or computed and memoised."""
+        ``match_cache``) or computed and memoised.  *scope* is the hop
+        scope the caller read (None outside a traced hop): it receives
+        the ``match`` sub-span.  The memo's own ``hits`` / ``misses``
+        are the only per-path counts; the caller publishes them."""
         path = publication.path
         attrs = publication.attributes
-        if attrs is not None and self._attribute_blind():
-            attrs = None
-        registry = obs.get_registry()
-        scope = current_scope()
+        if attrs is not None:
+            predicated = self._predicated
+            if predicated is None:
+                predicated = self._scan_predicates()
+            if not predicated:  # nothing here reads attributes
+                attrs = None
         wall0 = perf_counter() if scope is not None else 0.0
         route = self.match_cache.get(path, attrs)
         if route is not None:
-            if registry.enabled:
-                registry.counter("broker.match_cache.hits").inc()
             if scope is not None:
                 scope.sub_span(
                     "match", wall0, perf_counter(),
                     cache="hit", keys=len(route[0]),
                 )
             return route
-        if registry.enabled:
-            registry.counter("broker.match_cache.misses").inc()
         attributes = publication.attribute_maps()
         if self.shared is not None:
             keys = frozenset(self._shared_engine().match(path, attributes))
@@ -767,18 +798,17 @@ class Broker:
             path, attrs, keys, self._resolve(publication, keys)
         )
 
-    def _attribute_blind(self) -> bool:
-        """True while no XPE held here reads attributes (see
-        ``_predicated``)."""
-        if self._predicated is None:
-            self._predicated = any(
-                expr.has_predicates
-                for exprs in (
-                    self._forwardable_exprs(), *self.client_subs.values()
-                )
-                for expr in exprs
+    def _scan_predicates(self) -> bool:
+        """Fill ``_predicated``: does any XPE held here read
+        attributes?"""
+        self._predicated = any(
+            expr.has_predicates
+            for exprs in (
+                self._forwardable_exprs(), *self.client_subs.values()
             )
-        return not self._predicated
+            for expr in exprs
+        )
+        return self._predicated
 
     def _resolve(self, publication, keys) -> tuple:
         """Matched keys → destinations in emission order: neighbours,

@@ -120,12 +120,6 @@ class MergerRegistry:
             for hops in self.constituents.get(merger, {}).values()
         )
 
-    def contributed_hops(self, merger: XPathExpr) -> Set[object]:
-        hops: Set[object] = set(self.direct.get(merger, ()))
-        for constituent_hops in self.constituents.get(merger, {}).values():
-            hops |= constituent_hops
-        return hops
-
     def constituents_absorbed_from(self, hop: object) -> Set[XPathExpr]:
         """Constituent expressions some merger absorbed for *hop* (the
         downstream half of the forwarded-mark agreement invariant)."""

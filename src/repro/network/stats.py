@@ -11,14 +11,19 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs import MetricsRegistry
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
-    """One document delivery at one subscriber."""
+class DeliveryRecord(NamedTuple):
+    """One document delivery at one subscriber.
+
+    Immutable, compared and hashed by value.  A named tuple rather than
+    a frozen dataclass: one is built per fresh delivery (~255 per
+    document on the 127-broker overlay), and a frozen dataclass pays
+    one ``object.__setattr__`` per field — ≈ 1.0 µs against ≈ 0.33 µs.
+    """
 
     subscriber_id: str
     doc_id: str

@@ -469,9 +469,12 @@ class HostKernel:
         fact (the multiprocess parent draining its children): it is
         deduplicated and audited, but no latency is recorded for it.
         """
-        self.stats.record_client_message(len(messages))
+        stats = self.stats
+        stats.record_client_message(len(messages))
         client = self.subscribers[client_id]
         tracing = self.tracing
+        auditors = self._auditors
+        telemetry = self.telemetry
         delivered = 0
         for message in messages:
             fresh = client.receive(message, hops)
@@ -501,22 +504,19 @@ class HostKernel:
             if not fresh:
                 continue
             delivered += 1
-            for auditor in self._auditors:
+            for auditor in auditors:
                 auditor.observe_delivery(client_id, message, view)
             if now is None:
                 continue
-            self.stats.record_delivery(
+            publication = message.publication
+            stats.record_delivery(
                 DeliveryRecord(
-                    subscriber_id=client_id,
-                    doc_id=message.publication.doc_id,
-                    path_id=message.publication.path_id,
-                    issued_at=message.issued_at,
-                    delivered_at=now,
-                    hops=hops,
+                    client_id, publication.doc_id, publication.path_id,
+                    message.issued_at, now, hops,
                 )
             )
-            if self.telemetry is not None:
-                self.telemetry.note_delivery(
+            if telemetry is not None:
+                telemetry.note_delivery(
                     self._client_home.get(client_id), now - message.issued_at
                 )
         return delivered

@@ -13,9 +13,11 @@ contract every backend relies on after every step:
 * the snapshot/restore round trip preserves the fingerprint.
 """
 
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro import obs
 from repro.adverts.model import Advertisement
 from repro.broker.core import (
     MERGE_SWEEP_TIMER,
@@ -252,6 +254,13 @@ def test_covered_retraction_order_survives_restore():
     )
 
 
+def _per_destination(effects):
+    flat = {}
+    for verb, destination, message in canonical_effects(effects):
+        flat.setdefault((verb, destination), []).append(message)
+    return flat
+
+
 def test_a_group_routes_like_its_members_one_by_one():
     """``on_publications`` is per-message routing regrouped: every
     destination gets one effect carrying, in arrival order, exactly the
@@ -274,17 +283,157 @@ def test_a_group_routes_like_its_members_one_by_one():
         )
     ]
 
-    def per_destination(effects):
-        flat = {}
-        for verb, destination, message in canonical_effects(effects):
-            flat.setdefault((verb, destination), []).append(message)
-        return flat
-
     grouped = core.on_publications(group, "n1")
     one_by_one = [
         effect for message in group for effect in twin.on_message(message, "n1")
     ]
-    assert per_destination(grouped) == per_destination(one_by_one)
-    assert len(grouped) == len(per_destination(grouped)) < len(one_by_one)
+    assert _per_destination(grouped) == _per_destination(one_by_one)
+    assert len(grouped) == len(_per_destination(grouped)) < len(one_by_one)
     assert core.broker.stats["PublishMsg"] == 5
     assert twin.broker.stats["PublishMsg"] == 5
+
+
+def _group(*paths, doc_id="d"):
+    return [
+        PublishMsg(
+            publication=Publication(doc_id=doc_id, path_id=i, path=path),
+            publisher_id="p",
+        )
+        for i, path in enumerate(paths)
+    ]
+
+
+def _subscribed_core(subscriptions):
+    core = _fresh_core()
+    for expr, hop in subscriptions:
+        core.on_message(SubscribeMsg(expr=expr, subscriber_id="s"), hop)
+    return core
+
+
+def _assert_grouped_like_one_by_one(core, twin, group, from_hop):
+    """*core* routes *group* as one frame, *twin* message by message:
+    the same messages reach the same destinations, in arrival order."""
+    grouped = core.on_publications(group, from_hop)
+    one_by_one = [
+        effect
+        for message in group
+        for effect in twin.on_message(message, from_hop)
+    ]
+    assert _per_destination(grouped) == _per_destination(one_by_one)
+    assert len(grouped) == len(_per_destination(grouped))
+    return grouped
+
+
+def _decisions(core, group):
+    """The memoised destination tuple of every path of *group*."""
+    memo = core.broker.match_cache
+    return [memo.get(m.publication.path, None)[1] for m in group]
+
+
+def test_a_group_sharing_one_decision_with_its_arrival_hop():
+    """Every path resolves to the one interned decision, which names the
+    hop the group came from: one fan-out, the arrival hop left out."""
+    core = _subscribed_core([
+        (_relative("a"), "n1"), (_relative("a"), "n2"), (_relative("a"), "c1"),
+    ])
+    twin = BrokerCore.restore(core.snapshot())
+    group = _group(("a",), ("a", "b"), ("x", "a"), ("a", "c"))
+    grouped = _assert_grouped_like_one_by_one(core, twin, group, "n1")
+    decisions = _decisions(core, group)
+    assert all(hops is decisions[0] for hops in decisions)
+    assert "n1" in decisions[0]
+    assert {
+        key: len(messages)
+        for key, messages in _per_destination(grouped).items()
+    } == {("deliver", "c1"): 4, ("send", "n2"): 4}
+
+
+def test_a_mixed_group_routes_like_its_members_one_by_one():
+    """Paths with different decisions (and one with none) fan out per
+    path and destination."""
+    core = _subscribed_core([
+        (_relative("a"), "n2"), (_relative("a", "b"), "c1"),
+        (_relative("b"), "n1"),
+    ])
+    twin = BrokerCore.restore(core.snapshot())
+    group = _group(("a",), ("a", "b"), ("z",), ("a",), ("b",))
+    _assert_grouped_like_one_by_one(core, twin, group, "n1")
+    decisions = _decisions(core, group)
+    assert len({id(hops) for hops in decisions}) == 4
+
+
+def test_a_group_with_equal_but_not_identical_decisions():
+    """After the memo's intern table forgot an equal decision, two paths
+    hold equal but distinct tuples; the group still routes exactly like
+    its members one by one."""
+    core = _subscribed_core([(_relative("a"), "n2"), (_relative("a"), "c1")])
+    twin = BrokerCore.restore(core.snapshot())
+    warm = _group(("a",), doc_id="warm")
+    core.on_publications(warm, "n1")
+    twin.on_publications(warm, "n1")
+    core.broker.match_cache._routes.clear()
+    twin.broker.match_cache._routes.clear()
+    group = _group(("a",), ("b", "a"), ("a", "c"))
+    _assert_grouped_like_one_by_one(core, twin, group, "n1")
+    first, second, third = _decisions(core, group)
+    assert first == second == third
+    assert first is not second and second is third
+
+
+@pytest.fixture
+def clean_registry():
+    obs.get_registry().reset().disable()
+    yield obs.get_registry()
+    obs.get_registry().reset().disable()
+
+
+def test_match_cache_counters_are_the_memos_per_group(clean_registry):
+    """With metrics on, ``broker.match_cache.hits`` / ``.misses`` are
+    published once per group, by count — and total what the route memo
+    itself counted, path by path."""
+    core = _subscribed_core([
+        (_relative("a"), "n2"), (_relative("a", "b"), "c1"),
+        (_relative("c"), "n3"),
+    ])
+    memo = core.broker.match_cache
+    before = (memo.hits, memo.misses)
+    clean_registry.enable()
+    for doc in range(4):
+        core.on_publications(
+            _group(("a",), ("a", "b"), ("c", str(doc)), ("z",), doc_id=str(doc)),
+            "n1",
+        )
+    counters = clean_registry.snapshot()["counters"]
+    assert counters["broker.match_cache.hits"] == memo.hits - before[0] == 9
+    assert counters["broker.match_cache.misses"] == memo.misses - before[1] == 7
+
+
+def test_a_warm_group_reads_the_registry_and_scope_once(monkeypatch):
+    """Cost discipline: with metrics and tracing off, a warm 4-path
+    group looks up the registry and the hop scope at most once each —
+    not once per path."""
+    import repro.broker.broker as broker_module
+
+    core = _subscribed_core([(_relative("a"), "n2"), (_relative("b"), "c1")])
+    group = _group(("a",), ("a", "b"), ("b",), ("z",))
+    core.on_publications(group, "n1")  # warm the route memo
+    calls = {"get_registry": 0, "current_scope": 0}
+
+    def spy(name, real):
+        def counted():
+            calls[name] += 1
+            return real()
+        return counted
+
+    monkeypatch.setattr(
+        obs, "get_registry", spy("get_registry", obs.get_registry)
+    )
+    monkeypatch.setattr(
+        broker_module, "current_scope",
+        spy("current_scope", broker_module.current_scope),
+    )
+    hits = core.broker.match_cache.hits
+    core.on_publications(group, "n1")
+    assert core.broker.match_cache.hits == hits + 4
+    assert calls["get_registry"] <= 1
+    assert calls["current_scope"] <= 1

@@ -131,6 +131,27 @@ class TestNetworkStats:
         grouped = stats.delays_by_hops()
         assert grouped == {2: [1.0], 4: [3.0]}
 
+    def test_delivery_record_is_an_immutable_value(self):
+        positional = DeliveryRecord("s", "d", 1, 0.5, 2.0, 3)
+        keyword = DeliveryRecord(
+            subscriber_id="s", doc_id="d", path_id=1,
+            issued_at=0.5, delivered_at=2.0, hops=3,
+        )
+        assert positional == keyword
+        assert hash(positional) == hash(keyword)
+        assert len({positional, keyword}) == 1
+        assert positional != DeliveryRecord("s", "d", 1, 0.5, 2.0, 4)
+        assert positional.delay == 1.5
+        assert repr(positional) == (
+            "DeliveryRecord(subscriber_id='s', doc_id='d', path_id=1, "
+            "issued_at=0.5, delivered_at=2.0, hops=3)"
+        )
+        with pytest.raises(AttributeError):
+            positional.hops = 4
+        with pytest.raises(AttributeError):
+            positional.note = "late"
+        assert positional.hops == 3
+
     def test_empty_stats(self):
         stats = NetworkStats()
         assert stats.mean_notification_delay() is None
