@@ -129,8 +129,7 @@ class Overlay(HostKernel):
                 # moment a partition heals (a no-op while tracing is off,
                 # checked at fire time so enable order does not matter).
                 self.sim.schedule(
-                    part.end - self.sim.now,
-                    lambda p=part: self._on_partition_heal(p),
+                    part.end - self.sim.now, self._on_partition_heal, part
                 )
         for event in plan.crashes:
             if event.at < self.sim.now:
@@ -139,11 +138,11 @@ class Overlay(HostKernel):
                 )
             self.sim.schedule(
                 event.at - self.sim.now,
-                lambda e=event: self.crash_broker(e.broker_id, e.with_state),
+                self.crash_broker, event.broker_id, event.with_state,
             )
             self.sim.schedule(
                 event.restart_at - self.sim.now,
-                lambda e=event: self.recover_broker(e.broker_id),
+                self.recover_broker, event.broker_id,
             )
         return self._transport
 
@@ -206,9 +205,8 @@ class Overlay(HostKernel):
             broker_id, ()
         ):
             self.sim.schedule(
-                0.0,
-                lambda m=messages, f=from_hop, h=hops, p=parents:
-                    self._broker_receive(broker_id, m, f, h, p),
+                0.0, self._broker_receive,
+                broker_id, messages, from_hop, hops, parents,
             )
         if with_state:
             for entry in replacement.srt.entries():
@@ -298,7 +296,7 @@ class Overlay(HostKernel):
             )
             self.stats.record_frame()
             self.sim.schedule(
-                group.latency, lambda: self._edge_receive(broker_id, group)
+                group.latency, self._edge_receive, broker_id, group
             )
         if context is not None:
             group.roots[message.msg_id] = self.tracing.record_root(
@@ -345,8 +343,7 @@ class Overlay(HostKernel):
     def _arm_sampler(self, broker_id: str):
         self._telemetry_scheduled += 1
         self.sim.schedule(
-            self.telemetry.interval,
-            lambda: self._on_telemetry_timer(broker_id),
+            self.telemetry.interval, self._on_telemetry_timer, broker_id
         )
 
     def _on_telemetry_timer(self, broker_id: str):
@@ -480,12 +477,13 @@ class Overlay(HostKernel):
                     self._queue_len.get(broker_id, 0) + count
                 )
                 self.sim.schedule(
-                    processing,
-                    lambda b=broker_id: self._queue_len.__setitem__(
-                        b, self._queue_len[b] - count
-                    ),
+                    processing, self._release_backlog, broker_id, count
                 )
         return processing, waited
+
+    def _release_backlog(self, broker_id: str, count: int):
+        """A queued frame of *count* messages finished processing."""
+        self._queue_len[broker_id] -= count
 
     def _forward(
         self,
@@ -552,18 +550,21 @@ class Overlay(HostKernel):
         self.stats.record_frame()
         if to_broker:
             self.sim.schedule(
-                processing + latency,
-                lambda: self._broker_receive(
-                    destination, messages, src_broker, hops + 1, parents
-                ),
+                processing + latency, self._broker_receive,
+                destination, messages, src_broker, hops + 1, parents,
             )
         else:
             self.sim.schedule(
-                processing + latency,
-                lambda: self.receive(
-                    destination, messages, hops, self.sim.now, parents, view
-                ),
+                processing + latency, self._client_receive,
+                destination, messages, hops, parents, view,
             )
+
+    def _client_receive(
+        self, client_id: str, messages: Sequence[Message], hops: int,
+        parents: Optional[Dict[int, Span]], view: Optional[str],
+    ):
+        """A broker's frame reached a subscriber, now."""
+        self.receive(client_id, messages, hops, self.sim.now, parents, view)
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Drain all pending traffic; returns processed event count."""

@@ -262,15 +262,14 @@ class ReliableTransport:
             # twice" and "arrives out of order" stay distinct faults.
             delay = extra + latency + decision.extra_delay + copy * 1e-9
             self.overlay.sim.schedule(
-                delay,
-                lambda: self._deliver_data(channel, epoch, seq, payload),
+                delay, self._deliver_data, channel, epoch, seq, payload
             )
 
     def _schedule_retransmit(
         self, channel: Channel, seq: int, epoch: int, delay: float
     ):
         self.overlay.sim.schedule(
-            delay, lambda: self._retransmit_check(channel, epoch, seq)
+            delay, self._retransmit_check, channel, epoch, seq
         )
 
     def _retransmit_check(self, channel: Channel, epoch: int, seq: int):
@@ -351,7 +350,7 @@ class ReliableTransport:
         for copy in range(decision.copies):
             self.overlay.sim.schedule(
                 latency + decision.extra_delay + copy * 1e-9,
-                lambda: self._deliver_ack(channel, epoch, ack),
+                self._deliver_ack, channel, epoch, ack,
             )
 
     def _deliver_ack(self, channel: Channel, epoch: int, ack: int):

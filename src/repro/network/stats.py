@@ -10,8 +10,9 @@ the) document.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.obs import MetricsRegistry
 
@@ -35,6 +36,45 @@ class DeliveryRecord(NamedTuple):
     @property
     def delay(self) -> float:
         return self.delivered_at - self.issued_at
+
+
+class DeliveryLog(Sequence):
+    """The delivery records of one run, stored so the cyclic garbage
+    collector never has to visit them again.
+
+    A row is an *exact* tuple of a record's six atomic fields.  CPython
+    stops tracking such a tuple the first time a collection sees it; a
+    :class:`DeliveryRecord`, being a tuple *subclass*, stays tracked and
+    would be traversed by every full collection for as long as the log
+    keeps it.  Reading is unchanged: iterating or indexing yields
+    :class:`DeliveryRecord` values; ``len``, truth and ``del log[:]``
+    work as on a list.  :meth:`NetworkStats.record_delivery` is the one
+    writer.
+    """
+
+    __slots__ = ("_rows", "append")
+
+    def __init__(self):
+        self._rows: List[tuple] = []
+        #: Stores one row as given (the writer passes exact tuples).
+        self.append = self._rows.append
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [DeliveryRecord._make(row) for row in self._rows[index]]
+        return DeliveryRecord._make(self._rows[index])
+
+    def __iter__(self) -> Iterator[DeliveryRecord]:
+        return map(DeliveryRecord._make, self._rows)
+
+    def __delitem__(self, index):
+        del self._rows[index]
+
+    def __repr__(self) -> str:
+        return "DeliveryLog(%d records)" % len(self._rows)
 
 
 @dataclass
@@ -63,7 +103,7 @@ class NetworkStats:
     )
     client_messages: int = 0
     frames: int = 0
-    deliveries: List[DeliveryRecord] = field(default_factory=list)
+    deliveries: DeliveryLog = field(default_factory=DeliveryLog)
     registry: Optional[MetricsRegistry] = None
 
     # -- recording -------------------------------------------------------
@@ -90,12 +130,16 @@ class NetworkStats:
         if registry is not None and registry.enabled:
             registry.counter("network.frames").inc()
 
-    def record_delivery(self, record: DeliveryRecord):
-        self.deliveries.append(record)
+    def record_delivery(self, record: Tuple):
+        """One fresh delivery: a :class:`DeliveryRecord` or the exact
+        tuple of its six fields, stored as the latter (``tuple`` of an
+        exact tuple is the tuple itself, so the hosts pass one)."""
+        row = tuple(record)
+        self.deliveries.append(row)
         registry = self.registry
         if registry is not None and registry.enabled:
-            registry.histogram("network.delivery_delay").record(record.delay)
-            registry.histogram("network.delivery_hops").record(record.hops)
+            registry.histogram("network.delivery_delay").record(row[4] - row[3])
+            registry.histogram("network.delivery_hops").record(row[5])
 
     # -- report ------------------------------------------------------------
 

@@ -52,7 +52,7 @@ from repro.broker.strategies import RoutingConfig
 from repro.errors import RoutingError, TopologyError
 from repro.merging.engine import PathUniverse
 from repro.network.clients import PublisherClient, SubscriberClient
-from repro.network.stats import DeliveryRecord, NetworkStats
+from repro.network.stats import NetworkStats
 from repro.obs import MetricsRegistry
 from repro.obs.telemetry import TelemetryPlane, broker_gauges
 from repro.obs.tracing import (
@@ -509,12 +509,12 @@ class HostKernel:
             if now is None:
                 continue
             publication = message.publication
-            stats.record_delivery(
-                DeliveryRecord(
-                    client_id, publication.doc_id, publication.path_id,
-                    message.issued_at, now, hops,
-                )
-            )
+            # the exact tuple of a DeliveryRecord's fields: what the
+            # delivery log stores, and untracked by the collector.
+            stats.record_delivery((
+                client_id, publication.doc_id, publication.path_id,
+                message.issued_at, now, hops,
+            ))
             if telemetry is not None:
                 telemetry.note_delivery(
                     self._client_home.get(client_id), now - message.issued_at

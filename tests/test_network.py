@@ -1,17 +1,22 @@
 """Unit tests for the simulator, latency models, stats and overlay."""
 
+import gc
+
 import pytest
 
+from repro import obs
 from repro.broker import PublishMsg, SubscribeMsg
 from repro.errors import RoutingError, TopologyError
 from repro.network import (
     ClusterLatency,
     ConstantLatency,
+    FaultPlan,
     Overlay,
     PlanetLabLatency,
     Simulator,
 )
-from repro.network.stats import DeliveryRecord, NetworkStats
+from repro.network.stats import DeliveryLog, DeliveryRecord, NetworkStats
+from repro.obs import MetricsRegistry
 from repro.runtime.asyncio_backend import AsyncioRuntime
 from repro.runtime.workload import PUBLISHER, WorkloadSpec, build_plan
 from repro.xmldoc import Publication
@@ -71,6 +76,100 @@ class TestSimulator:
         sim.schedule(1.0, reschedule)
         processed = sim.run(max_events=10)
         assert processed == 10
+
+    def test_events_carry_their_arguments_in_fifo_order(self):
+        """An event is ``action(*args)``; equal timestamps still run in
+        scheduling order, zero-argument callables interleaved."""
+        sim = Simulator()
+        order = []
+        for i in range(3):
+            sim.schedule(1.0, order.append, i)
+            sim.schedule(1.0, lambda i=i: order.append(-i))
+        sim.schedule(0.5, order.extend, ("a", "b"))
+        sim.schedule(1.0, divmod, 7, 2)  # a return value is ignored
+        with pytest.raises(ValueError):
+            sim.schedule(-1.0, order.append, "past")
+        assert sim.run() == 8
+        assert order == ["a", "b", 0, 0, 1, -1, 2, -2]
+        assert sim.now == 1.0
+
+    def test_until_and_max_events_bound_argument_events(self):
+        sim = Simulator()
+        seen = []
+        for at in (1.0, 2.0, 3.0, 4.0):
+            sim.schedule(at, seen.append, at)
+        assert sim.run(until=2.5) == 2
+        assert sim.run(max_events=1) == 1
+        assert seen == [1.0, 2.0, 3.0]
+        assert (sim.pending(), sim.processed_events, sim.now) == (1, 3, 3.0)
+
+    def test_counts_survive_a_raising_action(self):
+        """The events that completed before an action raised are counted
+        — ``processed_events`` and the ``network.sim.events`` counter —
+        and the next run picks up after the failed event."""
+        previous = obs.get_registry()
+        registry = obs.set_registry(MetricsRegistry())
+        try:
+            sim = Simulator()
+            seen = []
+            sim.schedule(1.0, lambda: seen.append(1))
+            sim.schedule(2.0, lambda: seen.append(2))
+            sim.schedule(3.0, lambda: 1 / 0)
+            sim.schedule(4.0, lambda: seen.append(4))
+            with pytest.raises(ZeroDivisionError):
+                sim.run()
+            assert seen == [1, 2]
+            assert sim.processed_events == 2
+            assert registry.counter("network.sim.events").value == 2
+            assert registry.gauge("network.sim.pending").value == 1
+            assert sim.run() == 1
+            assert sim.processed_events == 3
+            assert registry.counter("network.sim.events").value == 3
+        finally:
+            obs.set_registry(previous)
+
+    @pytest.mark.parametrize("faults", [None, "drop=0.1,dup=0.05,seed=3"])
+    def test_no_closure_in_the_heap_while_a_document_is_in_flight(
+        self, faults
+    ):
+        """Every event a host schedules — link and client frames, and
+        with a fault plan the transport's data, ack and retransmit
+        timers — is a bound method plus arguments, never a lambda."""
+        spec = WorkloadSpec(
+            levels=3, queries_per_leaf=3, documents=2, seed=1,
+            target_bytes=2048,
+        )
+        plan = build_plan(spec)
+        overlay = Overlay.binary_tree(
+            3, config=spec.config(), latency_model=ConstantLatency(0.001),
+            processing_scale=0.0,
+            faults=None if faults is None else FaultPlan.from_spec(faults),
+        )
+        publisher = overlay.attach_publisher(PUBLISHER, "b1")
+        for adv_id, advert in plan.adverts:
+            publisher.advertise(advert, adv_id)
+        for leaf in sorted(plan.subscriptions):
+            subscriber = overlay.attach_subscriber("sub-%s" % leaf, leaf)
+            for expr in plan.subscriptions[leaf]:
+                subscriber.subscribe(expr)
+        overlay.run()
+        delivered_before = len(overlay.stats.deliveries)
+        kinds = set()
+        for document in plan.documents:
+            publisher.publish_document(document)
+        while overlay.sim.pending():
+            for _time, _seq, action, args in overlay.sim._queue:
+                assert action.__name__ != "<lambda>", (action, args)
+                kinds.add(action.__name__)
+            overlay.sim.run(max_events=1)
+        assert len(overlay.stats.deliveries) > delivered_before
+        expected = {"_edge_receive", "_broker_receive", "_client_receive"}
+        if faults is not None:
+            expected = {
+                "_edge_receive", "_client_receive", "_deliver_data",
+                "_deliver_ack", "_retransmit_check",
+            }
+        assert expected <= kinds
 
 
 class TestLatencyModels:
@@ -156,6 +255,69 @@ class TestNetworkStats:
         stats = NetworkStats()
         assert stats.mean_notification_delay() is None
         assert stats.summary()["network_traffic"] == 0
+
+
+class TestDeliveryLog:
+    """The collector contract: what a delivery leaves behind is an exact
+    tuple of atomic values, which CPython stops tracking, and it still
+    reads as :class:`DeliveryRecord` values."""
+
+    FIELDS = ("s", "d", 1, 0.5, 2.0, 3)
+
+    def test_reads_as_delivery_records(self):
+        stats = NetworkStats()
+        stats.record_delivery(self.FIELDS)
+        stats.record_delivery(DeliveryRecord("s", "d", 2, 0.5, 3.0, 4))
+        log = stats.deliveries
+        assert isinstance(log, DeliveryLog)
+        assert len(log) == 2 and log
+        first = log[0]
+        assert type(first) is DeliveryRecord
+        assert first == DeliveryRecord(*self.FIELDS) == self.FIELDS
+        assert first.delay == 1.5
+        assert log[-1].path_id == 2
+        assert log[:1] == [first]
+        assert [r.delivered_at for r in log] == [2.0, 3.0]
+        assert DeliveryRecord(*self.FIELDS) in log
+        del log[:]
+        assert len(log) == 0 and not log
+        assert list(log) == []
+
+    def test_a_record_passed_in_is_stored_untracked(self):
+        stats = NetworkStats()
+        stats.record_delivery(DeliveryRecord(*self.FIELDS))
+        gc.collect()
+        (row,) = stats.deliveries._rows
+        assert type(row) is tuple
+        assert not gc.is_tracked(row)
+        assert stats.deliveries[0] == DeliveryRecord(*self.FIELDS)
+
+    def test_delivering_leaves_nothing_for_the_collector(self):
+        """N publications through a one-broker overlay: every stored
+        delivery is untracked after a collection, and the collector's
+        object count grows by far less than N."""
+        overlay = Overlay.binary_tree(1, latency_model=ConstantLatency(0.001))
+        publisher = overlay.attach_publisher("p", "b1")
+        subscriber = overlay.attach_subscriber("s", "b1")
+        subscriber.subscribe("/a")
+        overlay.run()
+
+        def deliver(first, count):
+            for i in range(first, first + count):
+                publisher.publish_paths([("a", "b")], doc_id="d%d" % i)
+                overlay.run()
+            del subscriber.received[:]
+            gc.collect()
+
+        deliver(0, 50)  # warm every cache on the path
+        before = len(gc.get_objects())
+        count = 2000
+        deliver(50, count)
+        grown = len(gc.get_objects()) - before
+        assert len(overlay.stats.deliveries) == 50 + count
+        assert grown < count // 20, grown
+        rows = overlay.stats.deliveries._rows
+        assert not any(gc.is_tracked(row) for row in rows)
 
 
 class TestOverlayTopology:
