@@ -221,6 +221,27 @@ class TestByteIdentity:
         )
         assert not [e for e in effects if isinstance(e, Replay)]
 
+    def test_unrelated_subscription_keeps_the_window(self):
+        """A window holds the last publications its group delivered,
+        whoever subscribes meanwhile: a neighbour's unrelated SUB
+        between two publications must not truncate it."""
+        core = _core(_views_config())
+        for doc_id in ("d1", "d2"):
+            core.on_message(_pub(("a", "b"), doc_id), "n1")
+        core.on_message(
+            SubscribeMsg(expr=x("/z/q"), subscriber_id="s9"), "n1"
+        )
+        core.on_message(_pub(("a", "b"), "d3"), "n1")
+        core.attach_client("late")
+        effects = core.on_message(
+            SubscribeMsg(expr=x("/a/b"), subscriber_id="late"), "late"
+        )
+        replays = [e for e in effects if isinstance(e, Replay)]
+        assert [
+            [m.publication.doc_id for m in replay.messages]
+            for replay in replays
+        ] == [["d1", "d2", "d3"]]
+
     def test_unsubscribe_invalidates_the_serve_memo(self):
         core = _core(_views_config(view_hot_threshold=1))
         core.attach_client("c2")
