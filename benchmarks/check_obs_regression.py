@@ -50,7 +50,6 @@ GATED_PREFIXES = (
     "merging.",
     "network.dispatch",
     "telemetry.",
-    "views.",
 )
 
 

@@ -71,7 +71,6 @@ def run_audited_workload(
     flight_dir: Optional[str] = None,
     matching_engine: str = "auto",
     views: bool = False,
-    view_hot_threshold: int = 3,
 ):
     """Run the audited workload; returns ``(overlay, oracle, report)``.
 
@@ -82,9 +81,9 @@ def run_audited_workload(
     automatic flight-recorder dumps land; see :mod:`repro.obs.flight`).
     ``matching_engine`` selects every broker's publication-matching
     backend, auditing the overlay's seven invariants against it.  With
-    *views* every edge broker keeps materialized views of hot delivery
-    groups (see :mod:`repro.views`); the oracle then also classifies
-    view-served and replayed deliveries.
+    *views* every broker keeps replay windows of its routed publication
+    groups (see :mod:`repro.views`); the oracle then also judges the
+    window replays late subscribers receive.
     """
     dtd = psd_dtd()
     universe = PathUniverse.from_dtd(dtd, max_depth=10)
@@ -94,10 +93,8 @@ def run_audited_workload(
         )
     if config.matching_engine != matching_engine:
         config = replace(config, matching_engine=matching_engine)
-    if config.views != views or config.view_hot_threshold != view_hot_threshold:
-        config = replace(
-            config, views=views, view_hot_threshold=view_hot_threshold
-        )
+    if config.views != views:
+        config = replace(config, views=views)
     overlay = Overlay.binary_tree(
         levels,
         config=config,

@@ -182,16 +182,11 @@ class AuditOracle:
         self.publications: Dict[Tuple[str, int], PubRecord] = {}
         #: (doc_id, path_id) -> clients that received it (fresh only)
         self.delivered: Dict[Tuple[str, int], Set[str]] = {}
-        #: (doc_id, path_id) -> clients served from an edge materialized
-        #: view (docs/views.md).  A view-served delivery must land
-        #: inside the submit-time expected set *exactly* — any excess is
-        #: a soundness violation, because the serve path promises byte-
-        #: identity with the core route.
-        self.view_served: Dict[Tuple[str, int], Set[str]] = {}
         #: (doc_id, path_id) -> clients that received the publication
-        #: via a view window replay.  Late subscribers are absent from
-        #: the submit-time expected set by construction, so replays are
-        #: judged at observe time (below) instead of against it.
+        #: via a window replay (docs/views.md).  Late subscribers are
+        #: absent from the submit-time expected set by construction, so
+        #: replays are judged at observe time (below) instead of
+        #: against it.
         self.replayed: Dict[Tuple[str, int], Set[str]] = {}
         #: replays that matched no live subscription of the receiving
         #: client at delivery time — each becomes a soundness violation.
@@ -269,9 +264,7 @@ class AuditOracle:
         publication = message.publication
         key = (publication.doc_id, publication.path_id)
         self.delivered.setdefault(key, set()).add(client_id)
-        if view == "serve":
-            self.view_served.setdefault(key, set()).add(client_id)
-        elif view == "replay":
+        if view == "replay":
             self.replayed.setdefault(key, set()).add(client_id)
             # Judged now, not at check time: the legitimacy of a replay
             # is "the client held a matching subscription when the
@@ -359,16 +352,12 @@ class AuditOracle:
 
     def _check_deliveries(self, report: AuditReport):
         if getattr(self._overlay.config, "views", False):
-            report.info["view_served"] = sum(
-                len(clients) for clients in self.view_served.values()
-            )
             report.info["replayed"] = sum(
                 len(clients) for clients in self.replayed.values()
             )
         for key, record in sorted(self.publications.items()):
             delivered = self.delivered.get(key, set())
             traces = (record.trace_id,) if record.trace_id else ()
-            served = self.view_served.get(key, set())
             replayed = self.replayed.get(key, set())
             for client in sorted(record.expected - delivered):
                 report.add(
@@ -382,23 +371,6 @@ class AuditOracle:
                     )
                 )
             for client in sorted(delivered - record.expected):
-                if client in served:
-                    # The serve path claims byte-identity with the core
-                    # route; delivering outside the expected set means
-                    # the view memo diverged — a soundness bug, not a
-                    # merging-induced false positive.
-                    report.add(
-                        Violation(
-                            SOUNDNESS,
-                            "view-false-positive",
-                            "",
-                            "%s was view-served %s#%d outside the "
-                            "expected set"
-                            % (client, record.doc_id, record.path_id),
-                            trace_ids=traces,
-                        )
-                    )
-                    continue
                 if client in replayed:
                     # Late-subscriber replays are legitimately absent
                     # from the submit-time expected set; their own

@@ -132,25 +132,15 @@ class Broker:
         self.client_subs: Dict[object, Set[XPathExpr]] = defaultdict(set)
         self.stats: Dict[str, int] = defaultdict(int)
 
-        #: Edge materialized views (docs/views.md): routing memos plus
-        #: replay windows for hot publication groups.  Rebuildable
-        #: state — never persisted, dropped on crash, rewarmed lazily.
+        #: Edge replay windows (docs/views.md): the last publications
+        #: routed per publication group, replayed to late subscribers.
+        #: Rebuildable state — never persisted, dropped on crash.
         if self.config.views:
             from repro.views import ViewManager
 
-            self.views: Optional[ViewManager] = ViewManager(
-                window=self.config.view_window,
-                hot_threshold=self.config.view_hot_threshold,
-                max_views=self.config.view_max,
-            )
+            self.views: Optional[ViewManager] = ViewManager()
         else:
             self.views = None
-        #: True while the destinations just computed came from a view
-        #: memo (:meth:`handle_publications` marks the deliveries).
-        self._served_via_view = False
-        #: ``(client_id, msg_id)`` pairs whose Deliver effect must be
-        #: classified as ViewServe; drained by the broker core.
-        self._view_served_marks: Set[Tuple[object, int]] = set()
 
         #: The route memo: path → attribute fingerprint → routing
         #: decision (matched keys + sorted destinations).  Exact by
@@ -168,8 +158,6 @@ class Broker:
         #: attributes.  None = not scanned yet (restore() fills the
         #: table directly); set for good by the first predicated SUB.
         self._predicated: Optional[bool] = None
-        #: Bumped by every SUB/UNSUB/ADV/UNADV/merge: the views stamp.
-        self._match_generation = 0
 
     # -- wiring --------------------------------------------------------------
 
@@ -244,9 +232,7 @@ class Broker:
             self.stats["redelivered"] += 1
             obs.inc("broker.redelivered.advertise")
             return []
-        # Publication routing never reads the SRT, so the route memo
-        # stays; the generation still moves for the views stamp.
-        self._match_generation += 1
+        # Publication routing never reads the SRT: the route memo stays.
         flood = True
         if self.advert_covers is not None:
             flood = self.advert_covers.add(msg.adv_id, msg.advert, from_hop)
@@ -301,7 +287,6 @@ class Broker:
             self.stats["redelivered"] += 1
             obs.inc("broker.redelivered.unadvertise")
             return []
-        self._match_generation += 1
         out: Outbound = [(n, msg) for n in self.neighbors if n != from_hop]
         if self.advert_covers is not None:
             for promoted_id in self.advert_covers.remove(msg.adv_id):
@@ -379,7 +364,6 @@ class Broker:
             # interest, like the redelivery case above (no-op unless
             # *expr* is a registered merger).
             merge_registry.add_direct(expr, from_hop)
-        self._match_generation += 1
         self.match_cache.subscribe(
             expr, from_hop, local or from_hop in self.neighbors
         )
@@ -539,7 +523,6 @@ class Broker:
         the forwarding marks atomically with the emission — a mark must
         never outlive the upstream entry it describes (it would suppress
         a later re-forward of the same expression)."""
-        self._match_generation += 1
         dropped = self.match_cache.retire(expr)
         if dropped:
             self.match_cache_stale += dropped
@@ -607,13 +590,14 @@ class Broker:
 
         Returns ``{destination: [messages]}``: each destination's
         messages in arrival order, destinations in first-emission
-        order.  Every path probes the route memo (and, with views, its
-        group's view) on its own, so routing a group is exactly routing
-        its members one by one; only the per-hop bookkeeping around
-        them is paid once — the registry and hop-scope lookups, the
-        ``broker.match_cache.*`` counters (incremented by count), and,
-        when every path resolved to one decision (the memo's
-        ``_intern`` makes equal decisions one object), the fan-out.
+        order.  Every path probes the route memo on its own, so routing
+        a group is exactly routing its members one by one; only the
+        per-hop bookkeeping around them is paid once — the registry and
+        hop-scope lookups, the ``broker.match_cache.*`` counters
+        (incremented by count), and, when every path resolved to one
+        decision (the memo's ``_intern`` makes equal decisions one
+        object), the fan-out.  With views on, the routed group then
+        feeds the replay windows.
         """
         self.stats[messages[0].kind] += len(messages)
         registry = obs.get_registry()
@@ -625,24 +609,13 @@ class Broker:
         scope = current_scope()
         # A lone message's hop scope already points at it.
         focus = scope is not None and len(messages) > 1
-        views = self.views
         decisions = []
         for msg in messages:
             if focus:
                 scope.focus(msg)
-            if views is None:
-                decisions.append(self._route(msg.publication, scope)[1])
-            else:
-                destinations = self._publish_destinations_viewed(
-                    msg.publication, from_hop, msg
-                )
-                decisions.append(destinations)
-                if self._served_via_view:
-                    self._view_served_marks.update(
-                        (destination, msg.msg_id)
-                        for destination in destinations
-                        if destination in self.local_clients
-                    )
+            decisions.append(self._route(msg.publication, scope)[1])
+        if self.views is not None:
+            self.views.capture(messages)
         routed = {}
         first = decisions[0]
         # ``count`` tries identity before equality, so one interned
@@ -676,80 +649,10 @@ class Broker:
             )
         return routed
 
-    def _publish_destinations(
-        self, publication, from_hop: object, message=None
-    ) -> List[object]:
+    def _publish_destinations(self, publication, from_hop: object) -> List[object]:
         """Destinations for one publication: the memoised routing
-        decision minus the arrival hop.  With views enabled a live view
-        memo serves the whole decision — byte-identical to the core
-        route, because the memo is stamped with the match generation
-        *and* the client-subscription epoch and dropped on any
-        mismatch."""
-        if self.views is None:
-            return [
-                hop for hop in self._route(publication)[1]
-                if hop != from_hop
-            ]
-        return self._publish_destinations_viewed(
-            publication, from_hop, message
-        )
-
-    def _publish_destinations_viewed(
-        self, publication, from_hop: object, message=None
-    ) -> List[object]:
-        """The view-enabled routing path (see docs/views.md): serve a
-        repeat publication from the group's memo, or route through the
-        core and feed the group's heat/window."""
-        views = self.views
-        self._served_via_view = False
-        path = publication.path
-        attrs_key = publication.attributes
-        stamp = (self._match_generation, views.client_epoch)
-        registry = obs.get_registry()
-        scope = current_scope()
-        timed = registry.enabled or scope is not None
-        wall0 = perf_counter() if timed else 0.0
-        served = views.serve(path, attrs_key, stamp)
-        if served is not None:
-            keys, wanting = served
-            destinations = [
-                key
-                for key in sorted(keys, key=str)
-                if key != from_hop
-                and (
-                    key in wanting
-                    if key in self.local_clients
-                    else key in self.neighbors
-                )
-            ]
-            self._served_via_view = True
-            if message is not None:
-                views.capture(path, attrs_key, message)
-            if timed:
-                wall1 = perf_counter()
-                if registry.enabled:
-                    registry.histogram("views.serve").record(wall1 - wall0)
-                if scope is not None:
-                    scope.sub_span(
-                        "view.serve", wall0, wall1,
-                        keys=len(keys), delivered=len(destinations),
-                    )
-            return destinations
-        keys, hops = self._route(publication, scope)
-        if message is not None:
-            # The view holds every local decision, the arrival hop's
-            # included, so a later serve (from any hop) stays
-            # byte-identical.
-            views.observe(
-                path, attrs_key, keys,
-                frozenset(self.local_clients.intersection(hops)),
-                stamp, message,
-            )
-        if registry.enabled:
-            registry.histogram("views.route").record(
-                perf_counter() - wall0
-            )
-        return [hop for hop in hops if hop != from_hop]
+        decision minus the arrival hop."""
+        return [hop for hop in self._route(publication)[1] if hop != from_hop]
 
     def _publication_keys(self, publication) -> frozenset:
         """Matched subscriber keys for *publication*."""
@@ -838,37 +741,19 @@ class Broker:
             obs.inc("broker.edge.recheck", rechecked)
         return tuple(hops)
 
-    def _invalidate_match_cache(self):
-        """The table changed by more than a single-key edit (merge
-        sweep, engine switch): drop the whole route memo."""
-        self._match_generation += 1
-        self.match_cache.clear()
-
-    # -- materialized views ----------------------------------------------------
+    # -- exact client subscriptions and replay windows -------------------------
 
     def _client_subs_edited(self):
         """The exact client-subscription table changed with no table
-        edit (redelivered SUB, early-return UNSUB): view memos and
-        memoised routes capture ``_client_wants`` outcomes, so both
-        must see it."""
+        edit (redelivered SUB, early-return UNSUB): memoised routes
+        capture ``_client_wants`` outcomes, so they must see it."""
         self.match_cache.clear()
-        if self.views is not None:
-            self.views.client_epoch += 1
 
     def _client_sub_add(self, client_id: object, expr: XPathExpr):
         subs = self.client_subs[client_id]
         if expr not in subs:
             subs.add(expr)
             self._client_subs_edited()
-
-    def _take_view_served(self):
-        """Drain the (client_id, msg_id) pairs whose Deliver effects the
-        core must classify as ViewServe."""
-        if not self._view_served_marks:
-            return ()
-        marks = frozenset(self._view_served_marks)
-        self._view_served_marks.clear()
-        return marks
 
     def _take_pending_replays(self):
         """Drain queued late-subscriber window replays (the core turns
@@ -984,7 +869,7 @@ class Broker:
         # both covering and flat mode: routes memoised before the sweep
         # are dropped — and the shared-automaton mirror is rebuilt
         # lazily from the rewritten table.
-        self._invalidate_match_cache()
+        self.match_cache.clear()
         if report.events:
             self._mark_shared_dirty()
         out: Outbound = []
@@ -1032,9 +917,7 @@ class Broker:
             "forwarded": len(self.forwarded),
             "messages_handled": dict(self.stats),
             "match_cache": dict(
-                self.match_cache.stats(),
-                stale=self.match_cache_stale,
-                generation=self._match_generation,
+                self.match_cache.stats(), stale=self.match_cache_stale
             ),
         }
         if self.config.covering:

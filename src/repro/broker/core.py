@@ -14,10 +14,8 @@ publication is a group of one) and moves what the returned
 * :class:`Send` — forward a frame to a neighbouring broker (over a
   simulated link, an asyncio queue, or a TCP connection),
 * :class:`Deliver` — hand a frame to a locally attached client,
-* :class:`ViewServe` — a Deliver satisfied from an edge materialized
-  view (a subclass, so Deliver-handling hosts work unchanged),
-* :class:`Replay` — deliver a view's retained publication window to a
-  late subscriber (see docs/views.md).
+* :class:`Replay` — deliver a replay window's retained publications to
+  a late subscriber (see docs/views.md).
 
 The core never asks for time: merge sweeps are count-driven inside the
 broker (and :meth:`BrokerCore.on_timer` lets a host force one), and
@@ -37,7 +35,6 @@ snapshot replay sound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.broker.broker import Broker
@@ -75,18 +72,9 @@ class Deliver(Effect):
 
 
 @dataclass(frozen=True)
-class ViewServe(Deliver):
-    """A :class:`Deliver` satisfied from an edge materialized view
-    (docs/views.md) instead of the matching core.  Subclassing keeps
-    every host's ``isinstance(effect, Deliver)`` path working — the
-    delivery is byte-identical to the core route; the subtype only
-    lets hosts label spans/metrics and the audit oracle classify it."""
-
-
-@dataclass(frozen=True)
 class Replay(Effect):
-    """Deliver a materialized view's retained publication window to the
-    late subscriber *client_id* (one message at a time, over whatever
+    """Deliver a replay window's retained publications to the late
+    subscriber *client_id* (one message at a time, over whatever
     transport the host uses for deliveries — client-side dedup on
     ``(doc_id, path_id)`` supplies the exactly-once semantics)."""
 
@@ -151,23 +139,14 @@ class BrokerCore:
         per destination, carrying that destination's messages."""
         broker = self.broker
         routed = broker.handle_publications(messages, from_hop)
-        served = broker._take_view_served()
         effects: List[Effect] = []
         for destination, group in routed.items():
             if destination in broker.neighbors:
                 effects.append(Send(destination, tuple(group)))
-            elif destination not in broker.local_clients:
-                raise self._unknown_destination(destination)
-            elif not served:
+            elif destination in broker.local_clients:
                 effects.append(Deliver(destination, tuple(group)))
             else:
-                # A client's group may mix view-served and core-routed
-                # members: one effect per run, so arrival order holds.
-                for is_served, run in groupby(
-                    group, lambda m: (destination, m.msg_id) in served
-                ):
-                    kind = ViewServe if is_served else Deliver
-                    effects.append(kind(destination, tuple(run)))
+                raise self._unknown_destination(destination)
         return effects
 
     def on_timer(self, name: str) -> List[Effect]:
@@ -268,9 +247,6 @@ def canonical_effects(effects: List[Effect]) -> List[tuple]:
                 for message in effect.messages
             )
         elif isinstance(effect, Deliver):
-            # ViewServe renders as a plain delivery on purpose: a
-            # view-served delivery must be byte-identical to the core
-            # route, and replay tests compare through this form.
             rendered.extend(
                 ("deliver", str(effect.client_id), message_key(message))
                 for message in effect.messages

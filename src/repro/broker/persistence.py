@@ -43,9 +43,6 @@ def snapshot(broker: Broker) -> Dict:
             "advert_covering": config.advert_covering,
             "matching_engine": config.matching_engine,
             "views": config.views,
-            "view_window": config.view_window,
-            "view_hot_threshold": config.view_hot_threshold,
-            "view_max": config.view_max,
         },
         "neighbors": sorted(map(str, broker.neighbors)),
         "local_clients": sorted(map(str, broker.local_clients)),
@@ -148,11 +145,11 @@ def restore(
     ``matching_engine`` overrides the snapshot's value, so a snapshot
     taken under one engine can be restored under another (an operator
     migration path).  The restored broker's shared-automaton mirror is
-    rebuilt lazily from the restored table; on an engine *switch* the
-    broker-global match-cache generation is additionally bumped, so no
-    stamp minted under the old engine can be mistaken for current (a
-    same-engine restore keeps the ordinary cold-start contract: empty
-    caches, generation 0)."""
+    rebuilt lazily from the restored table, and its route memo starts
+    empty, so nothing decided under the old engine survives a switch.
+
+    Older snapshots carry three retired per-view config keys (window
+    size, hot threshold, view bound); restore ignores them."""
     if not isinstance(state, dict) or "config" not in state:
         raise PersistenceError(
             "malformed broker snapshot: missing 'config'"
@@ -169,9 +166,6 @@ def restore(
             advert_covering=config_state.get("advert_covering", False),
             matching_engine=engine,
             views=config_state.get("views", False),
-            view_window=config_state.get("view_window", 64),
-            view_hot_threshold=config_state.get("view_hot_threshold", 3),
-            view_max=config_state.get("view_max", 128),
         )
         broker = Broker(state["broker_id"], config=config, universe=universe)
         for neighbor in state["neighbors"]:
@@ -202,16 +196,10 @@ def restore(
         # first publication the restored broker matches.  (Automaton
         # state is derived, so snapshots never carry it — a restored
         # broker re-derives it from the restored table, same as the
-        # match caches starting cold.  Materialized views are derived
-        # state too: a restored broker starts with an empty
-        # ViewManager and rewarms from live traffic.)  On an engine
-        # switch the generation bump makes the staleness explicit — no
-        # stamp minted under the snapshotted engine can be mistaken for
-        # current; a same-engine restore keeps the cold-start contract
-        # of generation 0.
+        # route memo starting empty, whichever engine filled it before.
+        # Replay windows are derived state too: a restored broker
+        # starts with an empty ViewManager.)
         broker._mark_shared_dirty()
-        if engine != config_state.get("matching_engine", "auto"):
-            broker._invalidate_match_cache()
         for item in state["forwarded"]:
             expr = parse_xpath(item["expr"])
             for neighbor in item["neighbors"]:

@@ -67,19 +67,12 @@ class RoutingConfig:
     #: driving *forwarding*, this only selects how a publication is
     #: matched against the resident XPEs.
     matching_engine: str = "auto"
-    #: Edge materialized views (see docs/views.md): every broker with
-    #: local subscribers memoises the routing decision and retains the
-    #: delivered-publication window of its hot publication groups, so
-    #: repeat publications are served without re-matching and a late
-    #: subscriber gets the window replayed.  Off by default — views are
-    #: rebuildable state and orthogonal to the routing strategy.
+    #: Edge replay windows (see docs/views.md): every broker retains
+    #: the last publications it routed per publication group, and a
+    #: late local subscriber gets the matching windows replayed.
+    #: Routing is unchanged.  Off by default — windows are rebuildable
+    #: state and orthogonal to the routing strategy.
     views: bool = False
-    #: Retained publications per materialized view (the replay window).
-    view_window: int = 64
-    #: Deliveries of a publication group before a view materializes.
-    view_hot_threshold: int = 3
-    #: Maximum live views per broker (oldest dropped beyond this).
-    view_max: int = 128
 
     def __post_init__(self):
         if self.merge_interval < 1:
@@ -89,12 +82,6 @@ class RoutingConfig:
                 "unknown matching engine %r (one of %s)"
                 % (self.matching_engine, ", ".join(MATCHING_ENGINES))
             )
-        if self.view_window < 1:
-            raise ValueError("view_window must be at least 1")
-        if self.view_hot_threshold < 1:
-            raise ValueError("view_hot_threshold must be at least 1")
-        if self.view_max < 1:
-            raise ValueError("view_max must be at least 1")
 
     # -- the six rows of Tables 2 and 3 ------------------------------------
 

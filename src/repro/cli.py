@@ -69,10 +69,9 @@ def _add_views_option(parser):
     parser.add_argument(
         "--views",
         action="store_true",
-        help="keep edge materialized views of hot delivery groups and "
-        "serve repeat publications (and late subscribers, via window "
-        "replay) from them instead of re-routing through the core "
-        "(see docs/views.md)",
+        help="keep a replay window of the last publications each broker "
+        "routed per publication group, and replay the matching windows "
+        "to a late subscriber (see docs/views.md)",
     )
 
 
@@ -215,13 +214,10 @@ def cmd_stats(args) -> int:
         "seed": args.seed,
     }
     if args.views:
-        serves = registry.counter("views.serves").value
-        misses = registry.counter("views.misses").value
-        probes = serves + misses
         meta["views"] = {
-            "serves": serves,
-            "misses": misses,
-            "hit_ratio": (serves / probes) if probes else 0.0,
+            "windows": registry.gauge("views.live").value,
+            "retained": registry.gauge("views.retained").value,
+            "replays": registry.counter("views.replays").value,
         }
     if args.format == "line":
         rendered = obs.to_line_protocol(registry)
@@ -230,11 +226,11 @@ def cmd_stats(args) -> int:
         rendered = json.dumps(document, indent=2, sort_keys=True)
     if args.views:
         print(
-            "views: serves=%d misses=%d hit_ratio=%.3f"
+            "views: windows=%d retained=%d replays=%d"
             % (
-                meta["views"]["serves"],
-                meta["views"]["misses"],
-                meta["views"]["hit_ratio"],
+                meta["views"]["windows"],
+                meta["views"]["retained"],
+                meta["views"]["replays"],
             )
         )
     if args.sample_every is not None:

@@ -31,6 +31,7 @@ from repro.experiments.common import ExperimentResult, scaled
 from repro.merging.engine import PathUniverse
 from repro.network.latency import ClusterLatency
 from repro.network.overlay import Overlay
+from repro.views import record_gauges as record_view_gauges
 from repro.workloads.datasets import psd_queries
 from repro.workloads.document_generator import generate_documents
 
@@ -61,9 +62,10 @@ def run_traffic_experiment(
     every broker (``auto`` or ``shared``); routing decisions and
     delivered document sets are identical across engines.
 
-    ``views`` enables edge materialized views (:mod:`repro.views`) on
-    every broker; delivered document sets are unaffected (views serve
-    byte-identical deliveries for hot groups).
+    ``views`` enables edge replay windows (:mod:`repro.views`) on every
+    broker; routing and delivered document sets are unaffected.  Their
+    ``views.live`` / ``views.retained`` gauges are folded into the
+    registry after each strategy's run.
 
     ``telemetry_interval`` (virtual seconds) turns on the live
     telemetry plane per strategy; each strategy's timeline document
@@ -125,6 +127,7 @@ def run_traffic_experiment(
         for doc in docs:
             publisher.publish_document(doc)
         overlay.run()
+        record_view_gauges(overlay.metrics, overlay.brokers.values())
 
         delivered = overlay.delivered_map()
         if check_delivery_equivalence:

@@ -25,6 +25,7 @@ from repro.network.simulator import Simulator
 from repro.obs import MetricsRegistry
 from repro.obs.tracing import Span
 from repro.runtime.host import Group, HostKernel
+from repro.views import record_gauges as record_view_gauges
 
 
 class Overlay(HostKernel):
@@ -593,24 +594,7 @@ class Overlay(HostKernel):
         self.metrics.gauge("broker.match_cache.evictions").set(
             sum(b.match_cache.evictions for b in self.brokers.values())
         )
-        serves = misses = live = retained = 0
-        views_on = False
-        for broker in self.brokers.values():
-            manager = broker.views
-            if manager is None:
-                continue
-            views_on = True
-            serves += manager.serves
-            misses += manager.misses
-            live += len(manager.views)
-            retained += sum(len(v.window) for v in manager.views.values())
-        if views_on:
-            total = serves + misses
-            self.metrics.gauge("views.hit_ratio").set(
-                (serves / total) if total else 0.0
-            )
-            self.metrics.gauge("views.live").set(live)
-            self.metrics.gauge("views.retained").set(retained)
+        record_view_gauges(self.metrics, self.brokers.values())
         document = self.metrics.snapshot()
         document["network"] = self.stats.summary()
         if self._transport is not None:

@@ -73,7 +73,7 @@ from repro.runtime.host import HostKernel
 
 
 def stamp_view(message: Message, kind: str):
-    """Attach the view-delivery class ("serve"/"replay") to a message
+    """Attach the view-delivery class ("replay") to a message
     object, the same out-of-band way trace contexts travel (works on
     frozen dataclasses; local deliveries only — never wire-encoded by
     the transport, only folded into drained delivery objects)."""

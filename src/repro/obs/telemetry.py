@@ -166,8 +166,8 @@ class SLORule:
     """One declarative service-level objective.
 
     ``metric`` is looked up in each sample's values; absent metrics are
-    skipped (a broker without views never breaches the view-hit-ratio
-    floor).  ``op`` is ``">"`` for ceilings and ``"<"`` for floors.
+    skipped (a broker with no local deliveries never breaches the
+    delivery-p99 ceiling).  ``op`` is ``">"`` for ceilings and ``"<"`` for floors.
     Crossing ``degraded`` marks the sample degraded; crossing
     ``overloaded`` (when set) marks it overloaded.
     """
@@ -203,7 +203,6 @@ class SLORule:
 def default_slo_rules(
     queue_depth: Tuple[float, float] = (64.0, 256.0),
     retransmit_rate: Tuple[float, float] = (20.0, 100.0),
-    view_hit_ratio: float = 0.05,
     delivery_p99: Tuple[float, float] = (0.5, 2.0),
 ) -> List[SLORule]:
     """The stock rule set (see docs/telemetry.md for the rationale
@@ -211,7 +210,6 @@ def default_slo_rules(
     return [
         SLORule("queue-depth", "queue_depth", ">", *queue_depth),
         SLORule("retransmit-rate", "retransmits", ">", *retransmit_rate),
-        SLORule("view-hit-ratio", "view_hit_ratio", "<", view_hit_ratio),
         SLORule("delivery-p99", "delivery_p99", ">", *delivery_p99),
         # The audit oracle's stateless-recovery fallback means delivered
         # sets are no longer being checked exactly; surface that as a
@@ -533,14 +531,11 @@ class TelemetryPlane:
 
 # -- per-broker gauge extraction -------------------------------------------
 
-def broker_gauges(broker, min_view_probes: int = 8) -> Dict[str, float]:
+def broker_gauges(broker) -> Dict[str, float]:
     """Duck-typed gauge bundle from a :class:`~repro.broker.Broker`.
 
-    Works on any backend's broker object: routing-table size, match
-    cache hit ratio, DFA size (shared engine) and view hit ratio /
-    retention (when views are enabled).  The view hit ratio is withheld
-    until ``min_view_probes`` lookups so cold caches don't trip the
-    floor rule."""
+    Works on any backend's broker object: routing-table size, DFA size
+    (shared engine) and live replay windows (when views are enabled)."""
     gauges: Dict[str, float] = {}
     size = getattr(broker, "routing_table_size", None)
     if callable(size):
@@ -551,14 +546,7 @@ def broker_gauges(broker, min_view_probes: int = 8) -> Dict[str, float]:
         gauges["dfa_states"] = float(stats["dfa_states"])
     views = getattr(broker, "views", None)
     if views is not None:
-        serves = getattr(views, "serves", 0)
-        misses = getattr(views, "misses", 0)
-        probes = serves + misses
-        if probes >= min_view_probes:
-            gauges["view_hit_ratio"] = serves / probes
-        live = getattr(views, "views", None)
-        if live is not None:
-            gauges["views_live"] = float(len(live))
+        gauges["views_live"] = float(len(views.views))
     return gauges
 
 

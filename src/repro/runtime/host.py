@@ -45,7 +45,6 @@ from repro.broker.core import (
     Deliver,
     Replay,
     Send,
-    ViewServe,
 )
 from repro.broker.messages import Message, PublishMsg
 from repro.broker.strategies import RoutingConfig
@@ -64,9 +63,9 @@ from repro.obs.tracing import (
     trace_of,
 )
 
-#: One outbound frame: ``(destination, messages, view)``.  *view*
-#: labels what a materialized view produced — "serve" or "replay" —
-#: for spans and the audit oracle; None for the core route.
+#: One outbound frame: ``(destination, messages, view)``.  *view* is
+#: "replay" for a replay window sent to a late subscriber — it labels
+#: spans and the audit oracle's observation; None for the core route.
 Frame = Tuple[object, Tuple[Message, ...], Optional[str]]
 
 
@@ -460,9 +459,9 @@ class HostKernel:
         now: Optional[float], parents: Optional[Dict[int, Span]] = None,
         view: Optional[str] = None,
     ) -> int:
-        """One frame reached a subscriber.  *view* is "serve"/"replay"
-        when a materialized view produced it (labels the spans and the
-        audit observations).  Dedup, delivery records, spans and audit
+        """One frame reached a subscriber.  *view* is "replay" when a
+        replay window produced it (labels the spans and the audit
+        observations).  Dedup, delivery records, spans and audit
         observations are per message; returns how many were fresh.
 
         *now* is None when the caller learns of the delivery after the
@@ -573,20 +572,16 @@ class HostKernel:
 
 
 def _frames(effects) -> List[Frame]:
-    """Interpret a core's effects: sends and deliveries — view-served
-    and replayed ones included — become frames for the backend to move.
-    A view window replayed to a late subscriber travels the
-    broker→client link like any delivery (client-side dedup makes the
-    replay exactly-once)."""
+    """Interpret a core's effects: sends, deliveries and replays become
+    frames for the backend to move.  A window replayed to a late
+    subscriber travels the broker→client link like any delivery
+    (client-side dedup makes the replay exactly-once)."""
     frames: List[Frame] = []
     for effect in effects:
         if isinstance(effect, Send):
             frames.append((effect.destination, effect.messages, None))
         elif isinstance(effect, Deliver):
-            frames.append((
-                effect.client_id, effect.messages,
-                "serve" if isinstance(effect, ViewServe) else None,
-            ))
+            frames.append((effect.client_id, effect.messages, None))
         elif isinstance(effect, Replay):
             frames.append((effect.client_id, effect.messages, "replay"))
     return frames

@@ -102,7 +102,7 @@ def _broker_worker(
                     view = getattr(message, "view", None)
                     if view is not None:
                         # Local-delivery classification from the socket
-                        # node (view-served / replayed); folded into the
+                        # node (a window replay); folded into the
                         # drained object for the parent-side auditor.
                         obj["view"] = view
                     delivered.append((client_id, obj))

@@ -45,9 +45,8 @@ class WorkloadSpec:
     seed: int = 7
     strategy: str = "with-Adv-with-Cov"
     matching_engine: str = "auto"
-    #: Edge materialized views (repro.views) on every broker.
+    #: Edge replay windows (repro.views) on every broker.
     views: bool = False
-    view_hot_threshold: int = 3
     target_bytes: int = 600
     #: Quiesce between per-leaf subscription batches.  Covering
     #: decisions depend on the order concurrent subscriptions from
@@ -62,15 +61,8 @@ class WorkloadSpec:
             config = dataclasses.replace(
                 config, matching_engine=self.matching_engine
             )
-        if (
-            self.views != config.views
-            or self.view_hot_threshold != config.view_hot_threshold
-        ):
-            config = dataclasses.replace(
-                config,
-                views=self.views,
-                view_hot_threshold=self.view_hot_threshold,
-            )
+        if self.views != config.views:
+            config = dataclasses.replace(config, views=self.views)
         return config
 
 

@@ -1,81 +1,53 @@
-"""Edge materialized views over the delivered-publication stream.
+"""Edge replay windows over the routed-publication stream.
 
-The paper routes every publication through the matching core.  This
-module places *content* at the edge (following the ViP2P/LiquidXML
-line of work — see PAPERS.md): a broker with local subscribers watches
-its publication groups (one group = one ``(path, attribute
-fingerprint)``, the same key the match caches use), and when a group
-turns hot it **materializes a view**:
+The paper routes every publication through the matching core, and so
+does a broker with views on: nothing here routes.  This module only
+keeps *content* at the edge (following ViP2P — see PAPERS.md): per
+publication group (one group = one ``(path, attribute fingerprint)``,
+the key the route memo uses) a FIFO window of the last :data:`WINDOW`
+publications the broker routed.  When a local client subscribes, every
+window whose group its expression matches is replayed to it over the
+reliable transport; client dedup on ``(doc_id, path_id)`` gives replay
+its exactly-once semantics.
 
-* the *routing memo* — the matched subscriber keys and the per-client
-  exact-filter (``_client_wants``) outcomes, stamped with the broker's
-  match-cache generation and the client-subscription epoch, so a
-  repeat publication of the group is served byte-identically to the
-  core route without touching the matching engine or re-running the
-  XPath filters;
-* the *replay window* — the last ``view_window`` publications the
-  group delivered, so a **late subscriber** whose XPE matches the
-  group gets the window replayed over the reliable transport (client
-  dedup on ``(doc_id, path_id)`` gives replay its exactly-once
-  semantics for free).
-
-Views are **rebuildable state**: they are never persisted, a crashed
-or restored broker comes back with an empty :class:`ViewManager`, and
-any routing-state change (the generation stamp) or client-subscription
-change (the epoch stamp) drops the affected view lazily — the group's
-heat survives, so the view rewarms on the next publication.  The audit
-oracle checks view-served deliveries against its expected set exactly
-(``view-false-positive`` is a soundness violation — see docs/views.md
-and docs/audit.md).
+A window's contents depend only on the publications routed, not on who
+is subscribed, so no subscription change can make one stale and no
+stamp guards it.  Windows are rebuildable state: never persisted, gone
+with a crashed broker, refilled by the next publications (see
+docs/views.md).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro import obs
 from repro.covering.pathmatch import matches_path
 from repro.xpath.ast import XPathExpr
+
+#: Publications one window retains.
+WINDOW = 64
+#: Windows one broker retains, least recently routed evicted first.
+MAX_VIEWS = 128
 
 #: A publication group key: ``(path, attribute fingerprint)``.
 GroupKey = Tuple[Tuple[str, ...], object]
 
 
 class MaterializedView:
-    """One hot publication group's routing memo + replay window."""
+    """One publication group's replay window."""
 
-    __slots__ = (
-        "path", "attrs_key", "keys", "wanting", "stamp",
-        "window", "capacity", "serves", "created_gen",
-    )
+    __slots__ = ("path", "window", "capacity")
 
-    def __init__(
-        self,
-        path: Tuple[str, ...],
-        attrs_key: object,
-        keys: frozenset,
-        wanting: frozenset,
-        stamp: Tuple[int, int],
-        capacity: int,
-    ):
+    def __init__(self, path: Tuple[str, ...], capacity: int):
         self.path = path
-        self.attrs_key = attrs_key
-        #: every matched subscriber key (local clients and neighbours).
-        self.keys = keys
-        #: the local-client subset that passed the exact edge filter.
-        self.wanting = wanting
-        #: ``(match generation, client epoch)`` the memo was computed
-        #: under; any mismatch at serve time drops the view.
-        self.stamp = stamp
         #: ``(doc_id, path_id)`` -> PublishMsg, insertion-ordered.
         self.window: "OrderedDict[Tuple[str, int], object]" = OrderedDict()
         self.capacity = capacity
-        self.serves = 0
-        self.created_gen = stamp[0]
 
     def capture(self, message) -> None:
-        """Retain one delivered publication in the replay window."""
+        """Retain one routed publication in the window."""
         publication = message.publication
         key = (publication.doc_id, publication.path_id)
         if key in self.window:
@@ -87,128 +59,45 @@ class MaterializedView:
     def replay_messages(self) -> Tuple[object, ...]:
         return tuple(self.window.values())
 
-    def stats(self) -> Dict[str, object]:
-        return {
-            "path": "/" + "/".join(self.path),
-            "keys": len(self.keys),
-            "wanting": len(self.wanting),
-            "window": len(self.window),
-            "serves": self.serves,
-        }
-
 
 class ViewManager:
-    """Per-broker registry of materialized views.
+    """Per-broker registry of replay windows.
 
-    The owning broker calls :meth:`serve` on every publication (the
-    fast path), :meth:`observe` after a core-routed match (heat +
-    materialization + window capture), :meth:`queue_replays_for` when a
-    local client subscribes, and bumps :attr:`client_epoch` whenever
-    its exact client-subscription table changes without a match-cache
-    generation bump.  The broker core drains :attr:`pending_replays`
-    into ``Replay`` effects.
+    The owning broker hands every routed group to :meth:`capture` and
+    calls :meth:`queue_replays_for` when a local client subscribes; the
+    broker core drains :attr:`pending_replays` into ``Replay`` effects.
     """
 
-    def __init__(
-        self,
-        window: int = 64,
-        hot_threshold: int = 3,
-        max_views: int = 128,
-    ):
+    def __init__(self, window: int = WINDOW, max_views: int = MAX_VIEWS):
         self.window = window
-        self.hot_threshold = hot_threshold
         self.max_views = max_views
-        #: group key -> live view, insertion-ordered for LRU eviction.
+        #: group key -> window, in least-recently-routed order.
         self.views: "OrderedDict[GroupKey, MaterializedView]" = OrderedDict()
-        #: group key -> core-routed delivery count (the heat signal).
-        #: Survives a dropped view so it rewarms on the next match.
-        self.heat: Dict[GroupKey, int] = {}
-        #: Bumped by the broker on client-subscription mutations that do
-        #: not bump the match-cache generation (redelivered SUBs, the
-        #: early-return UNSUB path): the memo's local-client decisions
-        #: depend on ``client_subs``, so generation alone is not enough.
-        self.client_epoch = 0
         #: ``(client_id, messages, group_path)`` triples awaiting
         #: conversion into Replay effects by the broker core.
         self.pending_replays: List[Tuple[object, Tuple[object, ...], Tuple[str, ...]]] = []
-        self.serves = 0
-        self.misses = 0
-        self.dropped_stale = 0
         self.materialized = 0
         self.replays_queued = 0
 
-    # -- the serve fast path ---------------------------------------------
-
-    def serve(
-        self, path, attrs_key, stamp: Tuple[int, int]
-    ) -> Optional[Tuple[frozenset, frozenset]]:
-        """Return the live routing memo ``(keys, wanting)`` for this
-        publication group, or None (miss or stale-dropped)."""
-        group: GroupKey = (path, attrs_key)
-        view = self.views.get(group)
-        if view is None:
-            self.misses += 1
-            obs.inc("views.misses")
-            return None
-        if view.stamp != stamp:
-            # Routing state or client subscriptions moved under the
-            # view: drop it (the window with it — its contents were
-            # selected by the stale memo) and rewarm lazily.
-            del self.views[group]
-            self.dropped_stale += 1
-            obs.inc("views.dropped_stale")
-            self.misses += 1
-            obs.inc("views.misses")
-            return None
-        view.serves += 1
-        self.serves += 1
-        self.views.move_to_end(group)
-        obs.inc("views.serves")
-        return view.keys, view.wanting
-
-    # -- heat / materialization / capture --------------------------------
-
-    def observe(
-        self,
-        path,
-        attrs_key,
-        keys: frozenset,
-        wanting: frozenset,
-        stamp: Tuple[int, int],
-        message=None,
-    ) -> None:
-        """A core-routed match finished: account heat, materialize the
-        view once the group is hot, and capture *message* (when given —
-        audit probes route without one) into the window."""
-        group: GroupKey = (path, attrs_key)
-        view = self.views.get(group)
-        if view is not None and view.stamp != stamp:
-            del self.views[group]
-            self.dropped_stale += 1
-            obs.inc("views.dropped_stale")
-            view = None
-        if view is None:
-            count = self.heat.get(group, 0) + 1
-            self.heat[group] = count
-            if count >= self.hot_threshold:
-                view = MaterializedView(
-                    path, attrs_key, keys, wanting, stamp, self.window
+    def capture(self, messages) -> None:
+        """Append routed publications to their groups' windows, opening
+        a window at a group's first publication."""
+        views = self.views
+        for message in messages:
+            publication = message.publication
+            group: GroupKey = (publication.path, publication.attributes)
+            view = views.get(group)
+            if view is None:
+                view = views[group] = MaterializedView(
+                    publication.path, self.window
                 )
-                self.views[group] = view
                 self.materialized += 1
                 obs.inc("views.materialized")
-                while len(self.views) > self.max_views:
-                    self.views.popitem(last=False)
-        if view is not None and message is not None:
+                if len(views) > self.max_views:
+                    views.popitem(last=False)
+            else:
+                views.move_to_end(group)
             view.capture(message)
-
-    def capture(self, path, attrs_key, message) -> None:
-        """Append one served publication to its view's window."""
-        view = self.views.get((path, attrs_key))
-        if view is not None:
-            view.capture(message)
-
-    # -- replay -----------------------------------------------------------
 
     def queue_replays_for(self, client_id, expr: XPathExpr) -> int:
         """A local client subscribed *expr*: queue a window replay from
@@ -237,22 +126,27 @@ class ViewManager:
         del self.pending_replays[:]
         return pending
 
-    # -- reporting --------------------------------------------------------
-
-    def hit_ratio(self) -> float:
-        total = self.serves + self.misses
-        return (self.serves / total) if total else 0.0
+    def retained(self) -> int:
+        """Publications held across every window."""
+        return sum(len(view.window) for view in self.views.values())
 
     def stats(self) -> Dict[str, object]:
         return {
             "views": len(self.views),
-            "hot_groups": len(self.heat),
-            "serves": self.serves,
-            "misses": self.misses,
-            "hit_ratio": round(self.hit_ratio(), 4),
             "materialized": self.materialized,
-            "dropped_stale": self.dropped_stale,
             "replays_queued": self.replays_queued,
             "window_capacity": self.window,
-            "retained": sum(len(v.window) for v in self.views.values()),
+            "retained": self.retained(),
         }
+
+
+def record_gauges(registry, brokers) -> None:
+    """Fold the live windows and retained publications of *brokers*
+    into the ``views.live`` / ``views.retained`` gauges (no-op when no
+    broker keeps views)."""
+    managers = [b.views for b in brokers if b.views is not None]
+    if managers:
+        registry.gauge("views.live").set(sum(len(m.views) for m in managers))
+        registry.gauge("views.retained").set(
+            sum(m.retained() for m in managers)
+        )

@@ -123,13 +123,11 @@ def _group(doc_id, issued_at):
 
 @pytest.fixture
 def host():
-    """b1 — b2, publisher at b1, subscribers at b2, views on (a group
-    materializes after its first publication)."""
+    """b1 — b2, publisher at b1, subscribers at b2, views on (every
+    routed group fills a replay window)."""
     import dataclasses
 
-    config = dataclasses.replace(
-        RoutingConfig.with_adv_with_cov(), views=True, view_hot_threshold=1
-    )
+    config = dataclasses.replace(RoutingConfig.with_adv_with_cov(), views=True)
     host = ListBackend(config)
     host.add_broker("b1")
     host.add_broker("b2")
@@ -141,8 +139,8 @@ def host():
 
 
 def _run_scenario(host):
-    """ADV → SUB → PUB group (core route) → PUB group (view-served) →
-    late SUB (window replay).  Returns the frames of each phase."""
+    """ADV → SUB → PUB group → the same paths again → late SUB (window
+    replay).  Returns the frames of each phase."""
     phases = {}
 
     def phase(name, at, client_id, *messages):
@@ -159,8 +157,8 @@ def _run_scenario(host):
     phase("sub", 2.0, "early", SubscribeMsg(
         expr=parse_xpath("/a"), subscriber_id="early"
     ))
-    phase("core", 3.0, "pub", *_group("d1", issued_at=3.0))
-    phase("served", 4.0, "pub", *_group("d2", issued_at=4.0))
+    phase("first", 3.0, "pub", *_group("d1", issued_at=3.0))
+    phase("repeat", 4.0, "pub", *_group("d2", issued_at=4.0))
     phase("late", 5.0, "late", SubscribeMsg(
         expr=parse_xpath("/a/b"), subscriber_id="late"
     ))
@@ -174,14 +172,14 @@ class TestKernelWithAListBackend:
         assert phases["sub"] == [("b2", "b1", ["SUB /a"], None)]
         # a document's paths cross each link as one group, and reach the
         # client as one frame
-        assert phases["core"] == [
+        assert phases["first"] == [
             ("b1", "b2", ["PUB d1#0", "PUB d1#1"], None),
             ("b2", "early", ["PUB d1#0", "PUB d1#1"], None),
         ]
-        # second publication of the same groups: served from the views
-        assert phases["served"] == [
+        # the same paths again: routed like the first, no view label
+        assert phases["repeat"] == [
             ("b1", "b2", ["PUB d2#0", "PUB d2#1"], None),
-            ("b2", "early", ["PUB d2#0", "PUB d2#1"], "serve"),
+            ("b2", "early", ["PUB d2#0", "PUB d2#1"], None),
         ]
         # the late subscriber is caught up from the /a/b view's window;
         # /a already covers /a/b upstream, so nothing goes to b1
@@ -204,7 +202,7 @@ class TestKernelWithAListBackend:
         ]
         assert auditor.deliveries == [
             ("early", "PUB d1#0", None), ("early", "PUB d1#1", None),
-            ("early", "PUB d2#0", "serve"), ("early", "PUB d2#1", "serve"),
+            ("early", "PUB d2#0", None), ("early", "PUB d2#1", None),
             ("late", "PUB d1#0", "replay"), ("late", "PUB d2#0", "replay"),
         ]
         # a redelivered frame is deduplicated before the auditor
@@ -260,7 +258,7 @@ class TestKernelWithAListBackend:
             ("forward", "b2", None), ("deliver", "early", None),
         ]
         assert chain_of("early", "d2")[-2:] == [
-            ("forward", "b2", "serve"), ("deliver", "early", "serve"),
+            ("forward", "b2", None), ("deliver", "early", None),
         ]
         # a replayed publication keeps the trace it was published in:
         # the window holds the stamped message, and a message that

@@ -667,7 +667,6 @@ def test_grouped_dispatch_is_path_by_path_dispatch(
             strategy="with-Adv-with-Cov" if covering else "with-Adv-no-Cov",
             matching_engine=engine,
             views=views,
-            view_hot_threshold=2,
             target_bytes=1024,
         )
     )

