@@ -691,12 +691,7 @@ def cmd_deploy(args) -> int:
         )
     )
 
-    backend_cls = ADAPTERS[args.backend]
-    adapter = (
-        backend_cls(tracing=True)
-        if args.backend == "asyncio"
-        else backend_cls()
-    )
+    adapter = ADAPTERS[args.backend](tracing=True)
     auditor = AuditOracle() if args.audit else None
     result = run_workload(adapter, spec, plan, auditor=auditor)
     print(

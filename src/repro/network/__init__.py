@@ -19,7 +19,6 @@ from repro.network.overlay import Overlay
 from repro.network.reliable import Channel, ReliableTransport
 from repro.network.simulator import Simulator
 from repro.network.stats import DeliveryRecord, NetworkStats
-from repro.network.trace import TraceRecord, Tracer
 from repro.network.wire import decode, encode
 
 __all__ = [
@@ -41,8 +40,6 @@ __all__ = [
     "Simulator",
     "DeliveryRecord",
     "NetworkStats",
-    "TraceRecord",
-    "Tracer",
     "decode",
     "encode",
 ]

@@ -71,7 +71,6 @@ class Overlay(HostKernel):
         )
         self.processing_scale = processing_scale
         self.sim = Simulator()
-        self._tracers = []
         #: With queueing enabled a broker serialises its message
         #: processing: a message arriving while the broker is busy waits
         #: for the previous one to finish, so per-hop delays grow under
@@ -311,14 +310,6 @@ class Overlay(HostKernel):
             broker_id, group.messages, group.client_id, 1, group.roots
         )
 
-    def attach_tracer(self, tracer):
-        """Register a :class:`repro.network.trace.Tracer`; every broker
-        message hop is offered to it."""
-        self._tracers.append(tracer)
-        if getattr(tracer, "registry", None) is None:
-            tracer.registry = self.metrics
-        return tracer
-
     def trigger_merge_sweep(self, broker_id: str):
         """Force an immediate merge sweep on one broker and forward the
         sweep's outbound control traffic (merger subscriptions plus
@@ -418,10 +409,6 @@ class Overlay(HostKernel):
             )
             return
         now = self.sim.now
-        if self._tracers:
-            for message in messages:
-                for tracer in self._tracers:
-                    tracer.record(now, broker_id, message, from_hop)
         frames, hop_spans, elapsed = self.dispatch(
             broker_id, messages, from_hop, now, parents
         )

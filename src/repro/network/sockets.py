@@ -43,7 +43,15 @@ and releases strictly in order: a retransmitted SUB can never be
 overtaken by the UNSUB sent after it.  TCP itself never loses bytes —
 the loss the layer heals is injected via ``loss_rate`` (dropping
 physical sends before the socket), which is how the integration tests
-exercise retransmission without leaving localhost.
+exercise retransmission without leaving localhost.  A line that is not
+a data or ack frame is malformed: it is counted and skipped, so nothing
+reaches the broker outside the ordered, deduplicated stream.
+
+Tracing: a node's hops are recorded by its kernel, as on every other
+host.  After ``node.kernel.enable_tracing()`` each dispatched message
+opens a ``hop`` span on the wall clock (``time.monotonic``), closed
+when the handler returns; the recorder's flight ring is the node's
+black box.
 """
 
 from __future__ import annotations
@@ -67,7 +75,7 @@ from repro.network.wire import (
     encode_ack_frame,
     encode_data_frame,
 )
-from repro.obs.tracing import Span, mint_context, next_span_id, stamp, trace_of
+from repro.obs.tracing import mint_context, stamp, trace_of
 from repro.runtime.base import scaled
 from repro.runtime.host import HostKernel
 
@@ -226,11 +234,6 @@ class _Connection:
             with self._state_lock:
                 self._channel.acked(frame.seq)
             return
-        if frame.kind == "raw":
-            # legacy unframed message: deliver as-is (no reliability
-            # contract)
-            self._on_message(self.peer_name, frame.message)
-            return
         # Ack everything released so far (even on a duplicate: its
         # first ack may be the one that got lost), hand each message on
         # once, in order.  The ack echoes the data frame's trace id so
@@ -291,11 +294,6 @@ class SocketBrokerNode:
         #: Extra seconds the dispatcher sleeps before each message — a
         #: deterministic bottleneck knob for overload scenarios.
         self.service_delay = service_delay
-        #: Optional :class:`~repro.obs.flight.FlightRecorderSet`; when
-        #: set, every handled message records a "hop" span into the
-        #: ring so a crash (or health transition) dump carries the
-        #: node's recent history.
-        self.flight = None
         self._loss_rng = random.Random((loss_seed, broker_id).__repr__())
         self._loss_lock = threading.Lock()
         self._listener = socket.create_server((host, port))
@@ -319,14 +317,6 @@ class SocketBrokerNode:
         #: Tracebacks from handler failures (the dispatcher must not
         #: die silently; tests and the worker loop surface these).
         self.errors: List[str] = []
-        #: With ``record_hops`` every handled message appends
-        #: ``(trace_id, kind, from_hop, detail)`` — the per-process
-        #: evidence the multiprocess deployment assembles into causal-
-        #: completeness checks (a parent cannot see a child process's
-        #: TraceRecorder).  *detail* is the XPE or advertisement id, so
-        #: a divergence between deployments can be replayed exactly.
-        self.record_hops = False
-        self.hop_log: List[Tuple[Optional[str], str, str, Optional[str]]] = []
 
     def _drop_send(self, _payload: bytes) -> bool:
         if self.loss_rate <= 0.0:
@@ -483,33 +473,16 @@ class SocketBrokerNode:
                     self._dispatch_pending -= 1
 
     def _dispatch(self, from_hop: str, message: Message):
-        started = time.monotonic()
-        self._handle(from_hop, message)
-        if self.flight is not None:
-            context = trace_of(message)
-            self.flight.record(Span(
-                context.trace_id if context is not None else "-",
-                next_span_id(), None, "hop", self.broker_id,
-                started, time.monotonic(),
-                attrs={"kind": message.kind, "from": str(from_hop)},
-            ))
-
-    def _handle(self, from_hop: str, message: Message):
         with self._lock:
-            if self.record_hops:
-                context = trace_of(message)
-                detail = getattr(message, "expr", None)
-                if detail is None:
-                    detail = getattr(message, "adv_id", None)
-                self.hop_log.append((
-                    context.trace_id if context is not None else None,
-                    message.kind, str(from_hop),
-                    str(detail) if detail is not None else None,
-                ))
-            # (no trace recorder in this process, so no clock is read)
-            frames, _spans, _elapsed = self.kernel.dispatch(
-                self.broker_id, (message,), from_hop, 0.0
+            # (Only spans read the clock.)
+            frames, hop_spans, _elapsed = self.kernel.dispatch(
+                self.broker_id, (message,), from_hop,
+                0.0 if self.kernel.tracing is None else time.monotonic(),
             )
+            if hop_spans:
+                now = time.monotonic()
+                for hop_span in hop_spans.values():
+                    hop_span.end = now
             for destination, out_messages, view in frames:
                 sink = self._client_sinks.get(destination)
                 if sink is None:

@@ -22,8 +22,9 @@ exchanges)::
     {"kind":"data","seq":7,"msg":{"kind":"subscribe",...}}
     {"kind":"ack","seq":7}
 
-``decode_frame`` also accepts a bare message object (a ``raw`` frame)
-so pre-framing peers and hand-written test fixtures keep working.
+There are no other frames: ``decode_frame`` rejects a bare message
+object, so every message a peer hands in is sequenced, acknowledged
+and deduplicated.
 """
 
 from __future__ import annotations
@@ -224,16 +225,15 @@ def _decode_message(obj: dict) -> Message:
 class Frame:
     """One decoded wire frame.
 
-    ``kind`` is ``"data"`` (sequence-numbered message), ``"ack"``
-    (cumulative acknowledgement, ``message`` is None) or ``"raw"``
-    (an unframed legacy message, ``seq`` is None).  ``trace_id`` is the
-    causal trace the frame belongs to: for data/raw frames it is the
-    carried message's trace, for ack frames the trace of the data frame
-    being acknowledged (when the peer supplied one).
+    ``kind`` is ``"data"`` (sequence-numbered message) or ``"ack"``
+    (cumulative acknowledgement, ``message`` is None).  ``trace_id`` is
+    the causal trace the frame belongs to: for a data frame it is the
+    carried message's trace, for an ack frame the trace of the data
+    frame being acknowledged (when the peer supplied one).
     """
 
     kind: str
-    seq: Optional[int]
+    seq: int
     message: Optional[Message]
     trace_id: Optional[str] = None
 
@@ -258,32 +258,26 @@ def encode_ack_frame(seq: int, trace_id: Optional[str] = None) -> bytes:
 
 
 def decode_frame(line: Union[bytes, str]) -> Frame:
-    """Decode a frame line; bare messages come back as ``raw`` frames."""
+    """Decode a data or ack frame line; anything else — a bare message
+    included — is a :class:`WireError`."""
     obj = _load_obj(line)
     kind = obj.get("kind")
-    if kind in ("data", "ack"):
-        seq = obj.get("seq")
-        if not isinstance(seq, int) or seq < 0:
-            raise WireError("frame %r carries no valid seq" % (kind,))
-        if kind == "ack":
-            trace_id = obj.get("trace")
-            if trace_id is not None and not isinstance(trace_id, str):
-                raise WireError("malformed ack trace %r" % (trace_id,))
-            return Frame(kind="ack", seq=seq, message=None, trace_id=trace_id)
-        payload = obj.get("msg")
-        if not isinstance(payload, dict):
-            raise WireError("data frame %d carries no message" % seq)
-        message = message_from_obj(payload)
-        return Frame(
-            kind="data", seq=seq, message=message,
-            trace_id=_trace_id_of(message),
-        )
-    message = message_from_obj(obj)
-    return Frame(
-        kind="raw", seq=None, message=message, trace_id=_trace_id_of(message)
-    )
-
-
-def _trace_id_of(message: Message) -> Optional[str]:
+    if kind not in ("data", "ack"):
+        raise WireError("not a data or ack frame: kind %r" % (kind,))
+    seq = obj.get("seq")
+    if not isinstance(seq, int) or seq < 0:
+        raise WireError("frame %r carries no valid seq" % (kind,))
+    if kind == "ack":
+        trace_id = obj.get("trace")
+        if trace_id is not None and not isinstance(trace_id, str):
+            raise WireError("malformed ack trace %r" % (trace_id,))
+        return Frame(kind="ack", seq=seq, message=None, trace_id=trace_id)
+    payload = obj.get("msg")
+    if not isinstance(payload, dict):
+        raise WireError("data frame %d carries no message" % seq)
+    message = message_from_obj(payload)
     trace = getattr(message, "trace", None)
-    return trace.trace_id if trace is not None else None
+    return Frame(
+        kind="data", seq=seq, message=message,
+        trace_id=trace.trace_id if trace is not None else None,
+    )

@@ -27,9 +27,10 @@ backpressure or loss model.  The simulator
 (:class:`~repro.network.overlay.Overlay`) and the asyncio runtime
 extend the kernel; a socket node owns a one-broker kernel; the
 multiprocess parent — whose brokers live in child processes — extends
-it for the client edge and the observers.  The kernel never sleeps,
-schedules or touches a socket, so a test can drive it with a plain
-list (tests/test_host_kernel.py).
+it for the client edge and the observers.  On every host the ``hop``
+span :meth:`HostKernel.dispatch` opens is the one record of a hop.
+The kernel never sleeps, schedules or touches a socket, so a test can
+drive it with a plain list (tests/test_host_kernel.py).
 """
 
 from __future__ import annotations
@@ -466,12 +467,13 @@ class HostKernel:
 
         *now* is None when the caller learns of the delivery after the
         fact (the multiprocess parent draining its children): it is
-        deduplicated and audited, but no latency is recorded for it.
+        deduplicated and audited, but no latency and no span is
+        recorded for it.
         """
         stats = self.stats
         stats.record_client_message(len(messages))
         client = self.subscribers[client_id]
-        tracing = self.tracing
+        tracing = self.tracing if now is not None else None
         auditors = self._auditors
         telemetry = self.telemetry
         delivered = 0

@@ -7,7 +7,7 @@ retransmission — the full reliable transport) to its neighbours.  The
 parent keeps one control pipe per child and drives it with a tiny
 command protocol: connect-to-peer, attach-client, submit, probe for
 quiescence, drain buffered deliveries, snapshot / fingerprint the
-routing tables, report hop logs and transport stats, stop.
+routing tables, report spans and transport stats, stop.
 
 This is the backend that runs the paper's Table 3 overlay — 127 broker
 processes in a complete binary tree — on one machine (``repro
@@ -20,11 +20,14 @@ deploy``).  Everything observable crosses a process boundary, so:
 * the audit oracle runs against brokers *restored from persistence
   snapshots* shipped over the pipes (the facade
   :meth:`MultiprocessDeployment.attach_auditor` binds it to);
-* causal tracing cannot share a recorder across processes, so each
-  child keeps a hop log of ``(trace_id, kind, from_hop)`` and
-  :meth:`MultiprocessDeployment.verify_hop_traces` checks that every
-  delivered publication's trace is visible at every broker on its
-  routing path — the cross-process causal-completeness statement.
+* causal tracing cannot share a recorder across processes, so
+  :meth:`MultiprocessDeployment.enable_tracing` gives each child a
+  recorder of its own: the kernel's ``hop`` spans land there, on the
+  child's wall clock, and its flight ring is what a crash or health
+  dump carries.  :meth:`MultiprocessDeployment.verify_hop_traces`
+  checks that every delivered publication's trace has a ``hop`` span
+  at every broker on its routing path — the cross-process
+  causal-completeness statement.
 
 Every deadline is scaled by ``REPRO_TEST_TIMEOUT_SCALE`` (see
 :mod:`repro.runtime.base`).
@@ -42,7 +45,7 @@ from repro.broker.strategies import RoutingConfig
 from repro.errors import RoutingError, TopologyError
 from repro.network.clients import PublisherClient, SubscriberClient
 from repro.network.wire import message_from_obj, message_to_obj
-from repro.obs.tracing import mint_context, stamp, trace_of
+from repro.obs.tracing import TraceRecorder, mint_context, stamp, trace_of
 from repro.runtime.base import routing_fingerprint, scaled
 from repro.runtime.host import HostKernel
 
@@ -51,13 +54,13 @@ def _broker_worker(
     conn,
     broker_id: str,
     config,
-    record_hops: bool,
     rto: float,
-    flight_dir: Optional[str] = None,
-    flight_capacity: int = 256,
+    tracing: Optional[dict] = None,
     service_delay: float = 0.0,
 ):
-    """Child-process main: host one socket broker, obey the pipe."""
+    """Child-process main: host one socket broker, obey the pipe.
+    *tracing* is the keyword arguments of the child kernel's
+    ``enable_tracing`` (None: tracing off)."""
     # Imported here as well so a ``spawn`` child resolves everything in
     # its own interpreter (under ``fork`` these are already loaded).
     from repro.broker.persistence import snapshot
@@ -67,17 +70,11 @@ def _broker_worker(
         broker_id, config=config, port=0, rto=rto,
         service_delay=service_delay,
     )
-    node.record_hops = record_hops
-    if flight_dir is not None:
-        # Per-child flight ring: every handled message records a hop
-        # span, so a crash or health dump carries this process's
-        # recent history (dump reasons always carry the broker id —
-        # the children share one output directory).
-        from repro.obs.flight import FlightRecorderSet
-
-        node.flight = FlightRecorderSet(
-            capacity=flight_capacity, out_dir=flight_dir
-        )
+    # Dump reasons always carry the broker id: the children share one
+    # flight directory.
+    recorder = (
+        None if tracing is None else node.kernel.enable_tracing(**tracing)
+    )
     node.start()
     delivered: List[Tuple[str, dict]] = []
     conn.send(("ready", node.host, node.port))
@@ -122,8 +119,11 @@ def _broker_worker(
                 reply = routing_fingerprint(node.broker)
             elif command == "snapshot":
                 reply = snapshot(node.broker)
-            elif command == "hops":
-                reply = list(node.hop_log)
+            elif command == "spans":
+                reply = (
+                    [] if recorder is None
+                    else [span.to_dict() for span in list(recorder.spans)]
+                )
             elif command == "transport_stats":
                 reply = node.transport_stats()
             elif command == "telemetry":
@@ -138,8 +138,8 @@ def _broker_worker(
             elif command == "flight_dump":
                 (reason,) = args
                 reply = None
-                if node.flight is not None:
-                    document = node.flight.dump(
+                if recorder is not None:
+                    document = recorder.flight.dump(
                         reason, time=time.monotonic()
                     )
                     reply = document.get("path")
@@ -149,8 +149,8 @@ def _broker_worker(
                 # Supervised abort: dump the flight ring the way a
                 # fatal-signal handler would, ack so the parent knows
                 # the dump landed, then die without cleanup.
-                if node.flight is not None:
-                    node.flight.dump(
+                if recorder is not None:
+                    recorder.flight.dump(
                         "crash-%s" % broker_id, time=time.monotonic()
                     )
                 conn.send(("ok", None))
@@ -211,20 +211,15 @@ class MultiprocessDeployment(HostKernel):
         self,
         config: Optional[RoutingConfig] = None,
         universe=None,
-        record_hops: bool = False,
         rto: float = 0.05,
         start_method: Optional[str] = None,
-        flight_dir: Optional[str] = None,
-        flight_capacity: int = 256,
         service_delay: Optional[Dict[str, float]] = None,
     ):
         super().__init__(config, universe)
-        self.record_hops = record_hops
         self.rto = rto
-        #: Directory the children dump flight rings into (crashes and
-        #: health transitions); None disables per-child flight rings.
-        self.flight_dir = flight_dir
-        self.flight_capacity = flight_capacity
+        #: What every child passes to its kernel's ``enable_tracing``
+        #: (see :meth:`enable_tracing`); None keeps tracing off.
+        self._child_tracing: Optional[dict] = None
         #: Per-broker dispatcher slowdown, seconds per message — the
         #: deterministic overload knob for telemetry scenarios.
         self.service_delay = dict(service_delay or {})
@@ -266,9 +261,8 @@ class MultiprocessDeployment(HostKernel):
             process = self._ctx.Process(
                 target=_broker_worker,
                 args=(
-                    child_conn, broker_id, self.config,
-                    self.record_hops, self.rto,
-                    self.flight_dir, self.flight_capacity,
+                    child_conn, broker_id, self.config, self.rto,
+                    self._child_tracing,
                     self.service_delay.get(broker_id, 0.0),
                 ),
                 daemon=True,
@@ -379,7 +373,7 @@ class MultiprocessDeployment(HostKernel):
         """Ship one client message to its edge broker's process.
 
         A fresh trace context is minted parent-side (unless the message
-        already carries one) and rides the wire object, so the hop logs
+        already carries one) and rides the wire object, so the hop spans
         of every process the message crosses name the same trace.
         """
         if trace_of(message) is None:
@@ -441,19 +435,34 @@ class MultiprocessDeployment(HostKernel):
                 return True
         return False
 
-    # -- telemetry ---------------------------------------------------------
+    # -- observers ---------------------------------------------------------
+
+    def enable_tracing(self, **kwargs) -> TraceRecorder:
+        """Turn on causal tracing in every child; call before
+        :meth:`start`.  Each child calls its kernel's
+        :meth:`~repro.runtime.host.HostKernel.enable_tracing` with
+        *kwargs* — ``flight_dir``, ``flight_capacity``, ``max_spans`` —
+        so its hops are ``hop`` spans in its own recorder (read them
+        with :meth:`child_spans`) and its flight ring is what crash and
+        health dumps carry.  The parent's recorder, returned, records
+        nothing: deliveries reach it after the fact (see
+        :meth:`drain_deliveries`)."""
+        if self._started:
+            raise TopologyError("enable tracing before start()")
+        self._child_tracing = kwargs
+        return super().enable_tracing()
 
     def enable_telemetry(self, plane=None, interval: float = 0.25, **kwargs):
         """See :meth:`HostKernel.enable_telemetry`.  Here sampling
         frames piggyback on the control pipes: every :meth:`settle`
         poll (or an explicit :meth:`sample_telemetry`) sweeps the
         children at most once per plane interval.  Health transitions
-        ask the affected child to dump its flight ring (when
-        ``flight_dir`` is configured)."""
+        ask the affected child to dump its flight ring (when tracing
+        is on)."""
         return super().enable_telemetry(plane, interval, **kwargs)
 
     def _on_health_transition(self, broker_id, previous, state, rule, sample):
-        if self.flight_dir is None:
+        if self._child_tracing is None:
             return
         try:
             self._rpc(
@@ -499,7 +508,7 @@ class MultiprocessDeployment(HostKernel):
 
     def crash_broker(self, broker_id: str, timeout: float = 10.0):
         """Hard-kill one child the supervised-abort way: it dumps its
-        flight ring (when ``flight_dir`` is configured) and exits
+        flight ring (when tracing is on) and exits
         without cleanup — peers see a dead listener, exactly like a
         real node failure.  Returns when the process is gone."""
         pipe = self._pipes[broker_id]
@@ -576,69 +585,82 @@ class MultiprocessDeployment(HostKernel):
         auditor.bind(view)
         return view
 
+    def child_spans(self) -> Dict[str, List[dict]]:
+        """Every span each child's recorder holds, as
+        :meth:`~repro.obs.tracing.Span.to_dict` objects (empty lists
+        while tracing is off)."""
+        return {
+            broker_id: self._rpc(broker_id, "spans")
+            for broker_id in self.broker_ids
+        }
+
     def verify_hop_traces(self) -> List[str]:
         """Cross-process causal completeness: every delivered
-        publication's trace id must appear in the hop log of **every**
-        broker on the unique tree path from the publisher's edge broker
-        to the subscriber's.  Requires ``record_hops=True``; returns
-        human-readable problems (empty = causally complete)."""
-        if not self.record_hops:
-            return ["hop recording is off (record_hops=False)"]
-        hop_traces: Dict[str, Set[Optional[str]]] = {}
-        for broker_id in self.broker_ids:
-            hop_traces[broker_id] = {
-                entry[0] for entry in self._rpc(broker_id, "hops")
-            }
+        publication's trace id must appear in a ``hop`` span of
+        **every** broker on the unique tree path from the edge broker of
+        the publisher that sent it to the subscriber's.  Requires
+        :meth:`enable_tracing`; returns human-readable problems (empty =
+        causally complete)."""
+        if self.tracing is None:
+            return ["tracing is off (enable_tracing was not called)"]
+        hop_traces: Dict[str, Set[str]] = {
+            broker_id: {span["trace"] for span in spans if span["name"] == "hop"}
+            for broker_id, spans in self.child_spans().items()
+        }
         adjacency: Dict[str, List[str]] = {b: [] for b in self.broker_ids}
         for a, b in self.links:
             adjacency[a].append(b)
             adjacency[b].append(a)
         problems: List[str] = []
         # What each subscriber holds is exactly the fresh deliveries,
-        # trace stamp included (it rode the wire object).
+        # trace stamp and publisher id included (both rode the wire).
         delivered = sorted(
             (
                 (client_id, m.publication.doc_id, m.publication.path_id,
-                 trace_of(m))
+                 m.publisher_id, trace_of(m))
                 for client_id, client in self.subscribers.items()
                 for m in client.received
             ),
             key=lambda delivery: delivery[:3],
         )
-        for client_id, doc_id, path_id, context in delivered:
+        for client_id, doc_id, path_id, publisher_id, context in delivered:
             if context is None:
                 problems.append(
                     "delivery %s/%s#%d carried no trace context"
                     % (client_id, doc_id, path_id)
                 )
                 continue
-            trace_id = context.trace_id
-            home = self._client_home[client_id]
-            publisher_homes = {
-                self._client_home[p] for p in self.publishers
-            }
-            path = self._tree_path(adjacency, home, publisher_homes)
+            source = self._client_home.get(publisher_id)
+            if source is None:
+                problems.append(
+                    "delivery %s/%s#%d names unknown publisher %r"
+                    % (client_id, doc_id, path_id, publisher_id)
+                )
+                continue
+            path = self._tree_path(
+                adjacency, self._client_home[client_id], source
+            )
             for broker_id in path:
-                if trace_id not in hop_traces[broker_id]:
+                if context.trace_id not in hop_traces[broker_id]:
                     problems.append(
-                        "delivery %s/%s#%d: trace %s missing from hop log "
-                        "of %s" % (client_id, doc_id, path_id, trace_id,
-                                   broker_id)
+                        "delivery %s/%s#%d: trace %s has no hop span at %s"
+                        % (client_id, doc_id, path_id, context.trace_id,
+                           broker_id)
                     )
         return problems
 
     @staticmethod
     def _tree_path(
-        adjacency: Dict[str, List[str]], start: str, goals: Set[str]
+        adjacency: Dict[str, List[str]], start: str, goal: str
     ) -> List[str]:
-        """BFS path from *start* to the nearest goal broker (trees have
-        exactly one simple path)."""
+        """BFS path from *start* to *goal* (trees have exactly one
+        simple path)."""
         parents: Dict[str, Optional[str]] = {start: None}
         frontier = [start]
         while frontier:
             nxt: List[str] = []
             for node in frontier:
-                if node in goals:
+                if node == goal:
                     path = []
                     cursor: Optional[str] = node
                     while cursor is not None:

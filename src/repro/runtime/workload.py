@@ -330,8 +330,8 @@ class MultiprocessAdapter(_Adapter):
 
     name = "multiprocess"
 
-    def __init__(self, record_hops: bool = True, rto: Optional[float] = None):
-        self._record_hops = record_hops
+    def __init__(self, tracing: bool = False, rto: Optional[float] = None):
+        self._tracing = tracing
         self._rto = rto
         self.deployment = None
 
@@ -346,10 +346,10 @@ class MultiprocessAdapter(_Adapter):
         if rto is None:
             rto = 0.05 if len(plan.broker_ids) <= 31 else 0.5
         self.host = self.deployment = MultiprocessDeployment(
-            config=spec.config(),
-            record_hops=self._record_hops,
-            rto=rto,
+            config=spec.config(), rto=rto
         )
+        if self._tracing:
+            self.deployment.enable_tracing()
         for broker_id in plan.broker_ids:
             self.deployment.add_broker(broker_id)
         for a, b in plan.links:
@@ -358,9 +358,9 @@ class MultiprocessAdapter(_Adapter):
         self._attach_clients(plan)
 
     def trace_problems(self):
-        """A parent cannot read a child's recorder: the per-process hop
-        logs are checked against the overlay tree paths instead."""
-        if not self._record_hops:
+        """The children's ``hop`` spans, checked against the overlay
+        tree paths (a child's recorder never sees a delivery)."""
+        if self.host.tracing is None:
             return []
         return self.deployment.verify_hop_traces()
 

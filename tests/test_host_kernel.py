@@ -6,7 +6,8 @@ backend only moves frames.  So a test can substitute the cheapest
 backend there is: no clock, no queue, no latency; frames sit in a list
 until the test carries them across.  The second half checks the promise
 that falls out of one kernel: the simulator and the asyncio runtime
-emit the same span and metric *names* and move the same frames.
+emit the same span and metric *names* and move the same frames, and
+the multiprocess children record a subset of those span names.
 """
 
 import pytest
@@ -396,3 +397,77 @@ def test_simulator_and_asyncio_share_one_vocabulary():
         "network.dispatch.outbound", "network.delivery_delay",
     }
     assert asyncio_["metrics"] == simulator["metrics"]
+
+
+# -- the multiprocess children: the same kernel, a subset of the names -------
+
+
+def _child_spans_adapter(**kwargs):
+    """A multiprocess adapter that keeps what its children recorded,
+    and the hop check's verdict, before the run stops them."""
+    from repro.runtime.workload import MultiprocessAdapter
+
+    class ChildSpans(MultiprocessAdapter):
+        def extras(self):
+            self.spans = [
+                span
+                for spans in self.deployment.child_spans().values()
+                for span in spans
+            ]
+            self.verdict = self.deployment.verify_hop_traces()
+            return super().extras()
+
+    return ChildSpans(**kwargs)
+
+
+def _names(spans):
+    """Span names, and the message kind of every ``hop``."""
+    return {
+        (name, attrs["kind"] if name == "hop" else None)
+        for name, attrs in spans
+    }
+
+
+def test_multiprocess_children_record_a_subset_of_the_simulators_spans():
+    """Each child records only what its kernel dispatches (``hop`` and
+    the broker sub-spans), so its names are a subset of the simulator's
+    for the same plan; the parent, which learns of deliveries after the
+    fact, records none."""
+    from repro.runtime.workload import (
+        SimulatorAdapter,
+        WorkloadSpec,
+        build_plan,
+        run_workload,
+    )
+
+    spec = WorkloadSpec(levels=3, queries_per_leaf=4, documents=3, seed=7)
+    plan = build_plan(spec)
+    simulator = SimulatorAdapter(tracing=True)
+    reference = run_workload(simulator, spec, plan)
+    multiprocess = _child_spans_adapter(tracing=True)
+    result = run_workload(multiprocess, spec, plan)
+    assert result.delivered == reference.delivered
+    assert result.trace_problems == [] and multiprocess.verdict == []
+    children = _names((s["name"], s["attrs"]) for s in multiprocess.spans)
+    assert {
+        ("hop", "AdvertiseMsg"), ("hop", "SubscribeMsg"),
+        ("hop", "PublishMsg"), ("match", None), ("covering.check", None),
+    } <= children
+    assert children <= _names(
+        (s.name, s.attrs) for s in simulator.host.tracing.spans
+    )
+    assert multiprocess.host.tracing.spans == []
+
+
+def test_an_untraced_multiprocess_run_records_no_spans():
+    from repro.runtime.workload import WorkloadSpec, run_workload
+
+    spec = WorkloadSpec(levels=2, queries_per_leaf=2, documents=1, seed=7)
+    multiprocess = _child_spans_adapter()
+    result = run_workload(multiprocess, spec)
+    assert result.delivered and result.trace_problems == []
+    assert multiprocess.host.tracing is None
+    assert multiprocess.spans == []
+    assert multiprocess.verdict == [
+        "tracing is off (enable_tracing was not called)"
+    ]

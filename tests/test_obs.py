@@ -305,25 +305,6 @@ class TestOverlaySnapshot:
         assert snap["histograms"] == {}
         assert "network.messages" not in snap["counters"]
 
-    def test_tracer_feeds_registry(self):
-        from repro.network.trace import Tracer
-
-        obs.enable_metrics(reset=True)
-        overlay = None
-        from repro.network.overlay import Overlay
-
-        overlay = Overlay.binary_tree(2)
-        tracer = overlay.attach_tracer(Tracer(limit=1))
-        assert tracer.registry is overlay.metrics
-        publisher = overlay.attach_publisher("pub", "b2")
-        from repro.dtd.samples import psd_dtd
-
-        publisher.advertise_dtd(psd_dtd())
-        overlay.run()
-        snap = obs.get_registry().snapshot()
-        assert snap["counters"]["network.trace.records"] == 1
-        assert snap["counters"]["network.trace.dropped"] > 0
-
 
 # -- exporters ---------------------------------------------------------------
 

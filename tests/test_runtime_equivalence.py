@@ -43,7 +43,7 @@ def results(plan):
     adapters = {
         "simulator": SimulatorAdapter(tracing=True),
         "asyncio": AsyncioAdapter(tracing=True),
-        "multiprocess": MultiprocessAdapter(),
+        "multiprocess": MultiprocessAdapter(tracing=True),
     }
     return {
         name: run_workload(adapter, SPEC, plan, auditor=AuditOracle())
@@ -81,8 +81,8 @@ def test_audit_oracle_clean_on_every_backend(results):
 
 def test_traces_causally_complete(results):
     # The simulator and asyncio runtime verify full TraceRecorder trees;
-    # the multiprocess deployment verifies per-process hop logs against
-    # the overlay tree paths (a parent cannot read a child's recorder).
+    # the multiprocess deployment checks its children's hop spans
+    # against the overlay tree paths (a child never sees a delivery).
     for name, result in results.items():
         assert result.trace_problems == [], name
 
@@ -190,7 +190,7 @@ def test_views_equivalent_on_every_backend():
         for name, adapter in (
             ("simulator", SimulatorAdapter(tracing=True)),
             ("asyncio", AsyncioAdapter(tracing=True)),
-            ("multiprocess", MultiprocessAdapter()),
+            ("multiprocess", MultiprocessAdapter(tracing=True)),
         )
     }
     assert reference.delivered

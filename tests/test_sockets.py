@@ -376,6 +376,38 @@ class TestConnection:
             connection.close()
             raw.close()
 
+    def test_a_bare_message_line_is_malformed(self):
+        """A message outside a data frame carries no seq: handed on, it
+        would skip the ack, the dedup and the in-order release, and
+        overtake the stream unseen by a quiescence probe.  It is
+        counted as malformed and skipped; the data frame behind it is
+        the one message delivered."""
+        import socket
+
+        from repro.network.sockets import _Connection
+        from repro.network.wire import encode, encode_data_frame
+
+        peer, wired = socket.socketpair()
+        received = []
+        connection = _Connection(
+            wired, "peer", lambda _peer, message: received.append(message)
+        )
+        connection.start()
+        try:
+            peer.sendall(
+                encode(SubscribeMsg(expr=parse_xpath("/x"), subscriber_id="s"))
+                + encode_data_frame(
+                    0, SubscribeMsg(expr=parse_xpath("/a"), subscriber_id="s")
+                )
+            )
+            assert _wait_until(lambda: connection.stats["acks"] == 1)
+            assert _wait_until(lambda: connection.pending_count() == 0)
+            assert [_label(m) for m in received] == ["SubscribeMsg:/a"]
+            assert connection.stats["malformed"] == 1
+        finally:
+            connection.close()
+            peer.close()
+
 
 class TestLossyLinksKeepOrder:
     def test_sub_unsub_pub_under_loss_leaves_nothing_behind(self):

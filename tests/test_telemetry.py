@@ -611,9 +611,10 @@ class TestMultiprocessTelemetry:
 
         deployment = MultiprocessDeployment(
             config=RoutingConfig.no_adv_no_cov(),
-            flight_dir=None if tmp_path is None else str(tmp_path),
             service_delay=service_delay,
         )
+        if tmp_path is not None:
+            deployment.enable_tracing(flight_dir=str(tmp_path))
         for broker_id in ("b1", "b2", "b3"):
             deployment.add_broker(broker_id)
         deployment.link("b1", "b2")

@@ -1,100 +1,4 @@
-"""Tests for the tracing subsystem and ASCII plotting."""
-
-from repro.dtd.samples import psd_dtd
-from repro.broker.strategies import RoutingConfig
-from repro.network import ConstantLatency, Overlay, Tracer
-from repro.workloads.document_generator import generate_documents
-
-
-def build_traced_overlay(tracer):
-    overlay = Overlay.binary_tree(
-        2,
-        config=RoutingConfig.with_adv_with_cov(),
-        latency_model=ConstantLatency(0.001),
-    )
-    overlay.attach_tracer(tracer)
-    publisher = overlay.attach_publisher("pub", "b2")
-    subscriber = overlay.attach_subscriber("sub", "b3")
-    publisher.advertise_dtd(psd_dtd())
-    overlay.run()
-    subscriber.subscribe("/ProteinDatabase")
-    overlay.run()
-    publisher.publish_document(
-        generate_documents(psd_dtd(), 1, seed=2, target_bytes=600)[0]
-    )
-    overlay.run()
-    return overlay
-
-
-class TestTracer:
-    def test_records_all_kinds(self):
-        tracer = Tracer()
-        build_traced_overlay(tracer)
-        kinds = tracer.kinds_seen()
-        assert kinds["AdvertiseMsg"] > 0
-        assert kinds["SubscribeMsg"] > 0
-        assert kinds["PublishMsg"] > 0
-
-    def test_kind_filter(self):
-        tracer = Tracer(kinds=["PublishMsg"])
-        build_traced_overlay(tracer)
-        assert set(tracer.kinds_seen()) == {"PublishMsg"}
-
-    def test_broker_filter(self):
-        tracer = Tracer(brokers=["b3"])
-        build_traced_overlay(tracer)
-        assert {r.broker_id for r in tracer.records} == {"b3"}
-
-    def test_limit_counts_drops(self):
-        tracer = Tracer(limit=5)
-        build_traced_overlay(tracer)
-        assert len(tracer) == 5
-        assert tracer.dropped > 0
-        assert "dropped" in tracer.format()
-
-    def test_predicate_filter(self):
-        tracer = Tracer(predicate=lambda r: "ProteinDatabase" in r.detail)
-        build_traced_overlay(tracer)
-        assert tracer.records
-        assert all("ProteinDatabase" in r.detail for r in tracer.records)
-
-    def test_timestamps_monotone(self):
-        tracer = Tracer()
-        build_traced_overlay(tracer)
-        times = [r.time for r in tracer.records]
-        assert times == sorted(times)
-
-    def test_format_contains_details(self):
-        tracer = Tracer(kinds=["SubscribeMsg"])
-        build_traced_overlay(tracer)
-        assert "/ProteinDatabase" in tracer.format()
-
-    def test_by_broker_partition(self):
-        tracer = Tracer()
-        build_traced_overlay(tracer)
-        grouped = tracer.by_broker()
-        assert sum(len(v) for v in grouped.values()) == len(tracer)
-
-    def test_limit_drops_are_counted_post_filter(self):
-        # records the kind filter rejects never count as drops: with the
-        # same workload, kept + dropped must equal the *filtered* total
-        unlimited = Tracer(kinds=["PublishMsg"])
-        build_traced_overlay(unlimited)
-        limited = Tracer(kinds=["PublishMsg"], limit=3)
-        build_traced_overlay(limited)
-        assert len(limited) == 3
-        assert limited.dropped == len(unlimited) - 3
-
-    def test_clear_resets_records_but_keeps_filters(self):
-        tracer = Tracer(kinds=["PublishMsg"], limit=3)
-        build_traced_overlay(tracer)
-        assert len(tracer) == 3 and tracer.dropped > 0
-        tracer.clear()
-        assert len(tracer) == 0 and tracer.dropped == 0
-        assert "dropped" not in tracer.format()
-        build_traced_overlay(tracer)  # filters and limit still apply
-        assert len(tracer) == 3
-        assert set(tracer.kinds_seen()) == {"PublishMsg"}
+"""Tests for the ASCII charts of experiment results."""
 
 
 class TestAsciiChart:

@@ -4,11 +4,14 @@ Covers context propagation through the simulator and the reliable
 transport (retransmission and crash/restart redelivery keep the
 *original* trace id), span-tree assembly and verification against the
 recorded deliveries, the per-broker flight recorder with its dump
-triggers, and the Chrome-trace / Prometheus exporters.
+triggers, the Chrome-trace / Prometheus exporters, and the hop spans of
+socket nodes and of the one-process-per-broker deployment.
 """
 
 import json
 import os
+
+import pytest
 
 from repro.audit import AuditOracle, audit_scenarios, run_audited_workload
 from repro.broker.messages import SubscribeMsg
@@ -473,5 +476,131 @@ class TestSocketDeployment:
             # the delivery crossed a wire hop: the decoded copy carries
             # the publisher's trace context
             assert trace_of(received[0]).trace_id == minted.trace_id
+        finally:
+            deployment.stop()
+
+    def test_a_traced_node_records_its_hops_through_its_kernel(self):
+        from repro.network.sockets import LocalDeployment
+
+        deployment = LocalDeployment(config=RoutingConfig.no_adv_no_cov())
+        for name in ("b1", "b2"):
+            deployment.add_broker(name)
+        deployment.link("b1", "b2")
+        recorders = {
+            name: node.kernel.enable_tracing()
+            for name, node in deployment.nodes.items()
+        }
+        deployment.start()
+        try:
+            publisher = deployment.publisher("pub", "b1")
+            subscriber = deployment.subscriber("sub", "b2")
+            subscriber.submit(
+                SubscribeMsg(expr=parse_xpath("/claims//amount"),
+                             subscriber_id="sub")
+            )
+            assert deployment.settle(timeout=5.0)
+            publication = _claim("c-1", "pub")
+            publisher.submit(publication)
+            assert deployment.settle(timeout=5.0)
+            assert len(subscriber.received) == 1
+            trace_id = trace_of(publication).trace_id
+            for name, recorder in recorders.items():
+                (hop,) = [
+                    s for s in recorder.traces[trace_id] if s.name == "hop"
+                ]
+                assert hop.broker_id == name
+                assert hop.attrs["kind"] == "PublishMsg"
+                # a wall-clock window, closed once the handler returned
+                assert 0.0 < hop.start <= hop.end
+                assert any(
+                    s.name == "match" and s.parent_id == hop.span_id
+                    for s in recorder.traces[trace_id]
+                )
+                # the flight ring is fed by the same recorder
+                assert hop in recorder.flight.recorder(name).spans()
+        finally:
+            deployment.stop()
+
+
+def _claim(doc_id, publisher_id):
+    from repro.broker.messages import PublishMsg
+    from repro.xmldoc import Publication
+
+    return PublishMsg(
+        publication=Publication(
+            doc_id=doc_id, path_id=0, path=("claims", "claim", "amount")
+        ),
+        publisher_id=publisher_id,
+    )
+
+
+class TestMultiprocessHopSpans:
+    """One broker per OS process: each child records its hops in its
+    own kernel's recorder, and the parent checks them against the tree
+    path of every delivery."""
+
+    def _tree(self):
+        """The 7-broker tree, traced, with publishers at b5 and b7 and
+        a subscriber at b4 (routing needs no advertisements)."""
+        from repro.runtime.base import binary_tree_topology
+        from repro.runtime.multiprocess import MultiprocessDeployment
+
+        deployment = MultiprocessDeployment(
+            config=RoutingConfig.no_adv_no_cov()
+        )
+        deployment.enable_tracing()
+        broker_ids, links = binary_tree_topology(3)
+        for broker_id in broker_ids:
+            deployment.add_broker(broker_id)
+        for a, b in links:
+            deployment.link(a, b)
+        deployment.start()
+        deployment.attach_publisher("pub5", "b5")
+        deployment.attach_publisher("pub7", "b7")
+        deployment.attach_subscriber("sub", "b4")
+        deployment.submit(
+            "sub",
+            SubscribeMsg(expr=parse_xpath("/claims//amount"),
+                         subscriber_id="sub"),
+        )
+        deployment.run()
+        return deployment
+
+    def test_hop_check_follows_the_publisher_that_sent(self):
+        """With two publishers the checked path runs to the sender's
+        edge broker, not to the nearest publisher's: a b7 publication
+        crosses b7-b3-b1-b2-b4 and never b5."""
+        deployment = self._tree()
+        try:
+            publication = _claim("c-7", "pub7")
+            deployment.submit("pub7", publication)
+            deployment.run()
+            assert len(deployment.subscribers["sub"].received) == 1
+            assert deployment.verify_hop_traces() == []
+            trace_id = trace_of(publication).trace_id
+            hop_brokers = {
+                broker_id
+                for broker_id, spans in deployment.child_spans().items()
+                if any(
+                    s["name"] == "hop" and s["trace"] == trace_id
+                    for s in spans
+                )
+            }
+            assert hop_brokers == {"b7", "b3", "b1", "b2", "b4"}
+            # the parent mints contexts but records no span
+            assert deployment.tracing.spans == []
+        finally:
+            deployment.stop()
+
+    def test_tracing_must_be_enabled_before_start(self):
+        from repro.errors import TopologyError
+        from repro.runtime.multiprocess import MultiprocessDeployment
+
+        deployment = MultiprocessDeployment()
+        deployment.add_broker("b1")
+        deployment.start()
+        try:
+            with pytest.raises(TopologyError):
+                deployment.enable_tracing()
         finally:
             deployment.stop()

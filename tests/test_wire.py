@@ -11,7 +11,6 @@ from repro.broker.messages import (
     UnadvertiseMsg,
     UnsubscribeMsg,
 )
-from repro.network.trace import describe_message
 from repro.network.wire import (
     WireError,
     advert_from_obj,
@@ -107,6 +106,13 @@ class TestErrors:
         with pytest.raises(WireError):
             advert_from_obj([{"lit": [1, 2]}])
 
+    def test_a_bare_message_is_not_a_frame(self):
+        # a valid message outside a data frame has no seq to ack, dedup
+        # or release in order
+        assert decode(encode(UnadvertiseMsg(adv_id="g"))).adv_id == "g"
+        with pytest.raises(WireError):
+            decode_frame(encode(UnadvertiseMsg(adv_id="g")))
+
 
 def _sample_messages():
     return [
@@ -175,41 +181,6 @@ class TestTraceContext:
     def test_malformed_ack_trace_raises(self):
         with pytest.raises(WireError):
             decode_frame(b'{"kind":"ack","seq":1,"trace":5}')
-
-
-class TestDescriptions:
-    """Every wire-level object has a stable, non-empty description that
-    survives an encode/decode round trip (the hop-log contract of
-    repro.network.trace)."""
-
-    def test_every_message_kind_round_trips_its_description(self):
-        for msg in _sample_messages():
-            description = describe_message(msg)
-            assert description
-            assert describe_message(decode(encode(msg))) == description
-
-    def test_message_descriptions_name_the_operation(self):
-        described = [describe_message(m) for m in _sample_messages()]
-        assert [d.split()[0] for d in described] == [
-            "SUB", "UNSUB", "ADV", "UNADV", "PUB",
-        ]
-
-    def test_data_frame_description_includes_the_payload(self):
-        msg = SubscribeMsg(expr=parse_xpath("/a/b"), subscriber_id="s")
-        frame = decode_frame(encode_data_frame(7, msg))
-        assert describe_message(frame) == "DATA seq=7 SUB /a/b"
-
-    def test_ack_frame_description_is_non_empty(self):
-        assert describe_message(
-            decode_frame(encode_ack_frame(3))
-        ) == "ACK seq=3"
-        assert describe_message(
-            decode_frame(encode_ack_frame(3, trace_id="t2"))
-        ) == "ACK seq=3 trace=t2"
-
-    def test_raw_frame_description_wraps_the_message(self):
-        raw = decode_frame(encode(UnadvertiseMsg(adv_id="g")))
-        assert describe_message(raw) == "RAW UNADV g"
 
 
 NAMES = st.sampled_from(["a", "b", "c", "meta", "*"])
