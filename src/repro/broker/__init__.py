@@ -18,9 +18,7 @@ from repro.broker.broker import Broker
 from repro.broker.core import (
     MERGE_SWEEP_TIMER,
     BrokerCore,
-    Deliver,
-    Effect,
-    Send,
+    Frame,
     canonical_effects,
 )
 from repro.broker.persistence import (
@@ -46,9 +44,7 @@ __all__ = [
     "Broker",
     "MERGE_SWEEP_TIMER",
     "BrokerCore",
-    "Deliver",
-    "Effect",
-    "Send",
+    "Frame",
     "canonical_effects",
     "PersistenceError",
     "restore",

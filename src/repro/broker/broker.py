@@ -192,7 +192,7 @@ class Broker:
                 # destinations come out in emission order.
                 return [
                     (destination, message)
-                    for destination in self.handle_publications(
+                    for destination, _group, _view in self.handle_publications(
                         (message,), from_hop
                     )
                 ]
@@ -583,21 +583,23 @@ class Broker:
 
     def handle_publications(
         self, messages: Sequence[PublishMsg], from_hop: object
-    ) -> Dict[object, List[PublishMsg]]:
+    ) -> List[Tuple[object, Tuple[PublishMsg, ...], None]]:
         """Route a group of publications arriving from one hop —
         consecutive paths of one document, or a lone publication as a
         group of one.
 
-        Returns ``{destination: [messages]}``: each destination's
-        messages in arrival order, destinations in first-emission
-        order.  Every path probes the route memo on its own, so routing
-        a group is exactly routing its members one by one; only the
-        per-hop bookkeeping around them is paid once — the registry and
+        Returns the outbound frames ``(destination, messages, None)``
+        (:data:`repro.broker.core.Frame`): each destination's messages
+        in arrival order, destinations in first-emission order.  Every
+        path probes the route memo on its own, so routing a group is
+        exactly routing its members one by one; only the per-hop
+        bookkeeping around them is paid once — the registry and
         hop-scope lookups, the ``broker.match_cache.*`` counters
         (incremented by count), and, when every path resolved to one
         decision (the memo's ``_intern`` makes equal decisions one
-        object), the fan-out.  With views on, the routed group then
-        feeds the replay windows.
+        object), the fan-out: then every destination's frame carries
+        the one tuple of the whole group.  With views on, the routed
+        group then feeds the replay windows.
         """
         self.stats[messages[0].kind] += len(messages)
         registry = obs.get_registry()
@@ -616,25 +618,28 @@ class Broker:
             decisions.append(self._route(msg.publication, scope)[1])
         if self.views is not None:
             self.views.capture(messages)
-        routed = {}
         first = decisions[0]
         # ``count`` tries identity before equality, so one interned
         # decision is recognised without comparing a tuple; an equal
         # copy (after ``_intern`` forgot its table) fans out the same.
         if decisions.count(first) == len(decisions):
-            for hop in first:
-                if hop != from_hop:
-                    routed[hop] = list(messages)
+            group = tuple(messages)  # the identity for a forwarded frame
+            frames = [(hop, group, None) for hop in first if hop != from_hop]
         else:
+            routed: Dict[object, List[PublishMsg]] = {}
             for msg, destinations in zip(messages, decisions):
                 for destination in destinations:
                     if destination == from_hop:
                         continue
-                    group = routed.get(destination)
-                    if group is None:
+                    members = routed.get(destination)
+                    if members is None:
                         routed[destination] = [msg]
                     else:
-                        group.append(msg)
+                        members.append(msg)
+            frames = [
+                (destination, tuple(members), None)
+                for destination, members in routed.items()
+            ]
         if metered:
             if memo.hits != hits:
                 registry.counter("broker.match_cache.hits").inc(
@@ -647,7 +652,7 @@ class Broker:
             registry.histogram("broker.handle.publish").record(
                 perf_counter() - started
             )
-        return routed
+        return frames
 
     def _publish_destinations(self, publication, from_hop: object) -> List[object]:
         """Destinations for one publication: the memoised routing
@@ -756,8 +761,8 @@ class Broker:
             self._client_subs_edited()
 
     def _take_pending_replays(self):
-        """Drain queued late-subscriber window replays (the core turns
-        them into Replay effects; the hosts deliver them)."""
+        """Drain the replay frames queued for late subscribers (the core
+        appends them to a control step's frames)."""
         if self.views is None:
             return ()
         return self.views.take_pending_replays()

@@ -1,4 +1,4 @@
-"""The runtime-agnostic broker core: message in → effects out.
+"""The runtime-agnostic broker core: message in → frames out.
 
 :class:`BrokerCore` is the pure state-machine face of a
 :class:`~repro.broker.broker.Broker`.  It owns no clock, no queue and
@@ -8,25 +8,24 @@ backend (:mod:`repro.runtime.asyncio_backend`) and the multiprocess
 socket deployment (:mod:`repro.runtime.multiprocess`) — feeds it one
 frame at a time (a control message, or a *group*: consecutive
 publications of one document that crossed the link together; a lone
-publication is a group of one) and moves what the returned
-:class:`Effect` list names however its execution model requires:
-
-* :class:`Send` — forward a frame to a neighbouring broker (over a
-  simulated link, an asyncio queue, or a TCP connection),
-* :class:`Deliver` — hand a frame to a locally attached client,
-* :class:`Replay` — deliver a replay window's retained publications to
-  a late subscriber (see docs/views.md).
+publication is a group of one) and moves the outbound :data:`Frame`
+list it returns however its execution model requires.  A frame is
+``(destination, messages, view)``: *destination* is a neighbouring
+broker or a locally attached client, *messages* a tuple, and *view* is
+``"replay"`` for a replay window delivered to a late subscriber (see
+docs/views.md), None for everything the core routed.
 
 The core never asks for time: merge sweeps are count-driven inside the
 broker (and :meth:`BrokerCore.on_timer` lets a host force one), and
-telemetry sampling cadence is the host's own business.  The one
-interpreter of this vocabulary is :mod:`repro.runtime.host`.
+telemetry sampling cadence is the host's own business.  What a frame
+means beyond its link — spans, audit, delivery records — lives once in
+:mod:`repro.runtime.host`.
 
 Determinism contract (pinned by tests/test_broker_core.py): for a fixed
-message sequence the effect list is a pure function of the sequence —
+message sequence the frame list is a pure function of the sequence —
 no wall-clock reads, no iteration-order nondeterminism — and replaying
 the suffix of a sequence on a core restored from a mid-sequence
-snapshot yields byte-identical effects.  That contract is what lets the
+snapshot yields byte-identical frames.  That contract is what lets the
 three backends be differentially tested against each other
 (tests/test_runtime_equivalence.py) and what makes crash recovery by
 snapshot replay sound.
@@ -34,7 +33,6 @@ snapshot replay sound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.broker.broker import Broker
@@ -46,51 +44,18 @@ from repro.errors import RoutingError
 #: test) forcing a merge sweep ahead of the broker's own count-driven one.
 MERGE_SWEEP_TIMER = "merge-sweep"
 
-
-@dataclass(frozen=True)
-class Effect:
-    """Base class for everything a core asks its host to do."""
-
-
-@dataclass(frozen=True)
-class Send(Effect):
-    """Forward *messages* to the neighbouring broker *destination* as
-    one frame: a group of publications (consecutive paths of one
-    document, in arrival order) or a single control message."""
-
-    destination: object
-    messages: Tuple[Message, ...]
-
-
-@dataclass(frozen=True)
-class Deliver(Effect):
-    """Hand *messages* (a group, as for :class:`Send`) to the locally
-    attached client *client_id*."""
-
-    client_id: object
-    messages: Tuple[Message, ...]
-
-
-@dataclass(frozen=True)
-class Replay(Effect):
-    """Deliver a replay window's retained publications to the late
-    subscriber *client_id* (one message at a time, over whatever
-    transport the host uses for deliveries — client-side dedup on
-    ``(doc_id, path_id)`` supplies the exactly-once semantics)."""
-
-    client_id: object
-    messages: tuple
-    group: tuple  # the view's path, for tracing/debugging
+#: One outbound frame: ``(destination, messages, view)``.  *view* is
+#: "replay" for a replay window sent to a late subscriber — it labels
+#: spans and the audit oracle's observation; None for the core route.
+Frame = Tuple[object, Tuple[Message, ...], Optional[str]]
 
 
 class BrokerCore:
     """One broker as a pure state machine.
 
-    Wraps (or builds) a :class:`Broker` and partitions its outbound
-    ``(destination, message)`` pairs into typed effects, so hosts never
-    need to know which destinations are neighbours and which are local
-    clients.  The wrapped broker is reachable as :attr:`broker` — the
-    simulator's audit oracle and the test suites inspect its tables
+    Wraps (or builds) a :class:`Broker` and hands its outbound traffic
+    back as frames.  The wrapped broker is reachable as :attr:`broker` —
+    the simulator's audit oracle and the test suites inspect its tables
     directly, and that stays true on every backend.
     """
 
@@ -125,60 +90,48 @@ class BrokerCore:
 
     # -- the state machine -------------------------------------------------
 
-    def on_message(self, message: Message, from_hop: object) -> List[Effect]:
-        """Process one inbound message; returns the resulting effects."""
+    def on_message(self, message: Message, from_hop: object) -> List[Frame]:
+        """Process one inbound message; returns the outbound frames."""
         if isinstance(message, PublishMsg):
-            return self.on_publications((message,), from_hop)
-        return self._classify(self.broker.handle(message, from_hop))
+            return self.broker.handle_publications((message,), from_hop)
+        return self._control_frames(self.broker.handle(message, from_hop))
 
     def on_publications(
         self, messages: Sequence[PublishMsg], from_hop: object
-    ) -> List[Effect]:
+    ) -> List[Frame]:
         """Process a group of publications that arrived from one hop as
-        one frame (a lone publication is a group of one): one effect
-        per destination, carrying that destination's messages."""
-        broker = self.broker
-        routed = broker.handle_publications(messages, from_hop)
-        effects: List[Effect] = []
-        for destination, group in routed.items():
-            if destination in broker.neighbors:
-                effects.append(Send(destination, tuple(group)))
-            elif destination in broker.local_clients:
-                effects.append(Deliver(destination, tuple(group)))
-            else:
-                raise self._unknown_destination(destination)
-        return effects
+        one frame (a lone publication is a group of one): one frame per
+        destination, carrying that destination's messages.  A routing
+        decision only ever names a neighbour or an attached client
+        (``Broker._resolve``), so these frames need no check."""
+        return self.broker.handle_publications(messages, from_hop)
 
-    def on_timer(self, name: str) -> List[Effect]:
+    def on_timer(self, name: str) -> List[Frame]:
         """A host timer fired.  ``merge-sweep`` runs one merging sweep
         now; unknown timer names are a host bug and raise."""
         if name == MERGE_SWEEP_TIMER:
-            return self._classify(self.broker.run_merge_sweep())
+            return self._control_frames(self.broker.run_merge_sweep())
         raise RoutingError(
             "broker %r received unknown timer %r" % (self.broker_id, name)
         )
 
-    def _classify(self, outbound) -> List[Effect]:
-        """Control traffic: one single-message effect per outbound
-        pair, in emission order."""
+    def _control_frames(self, outbound) -> List[Frame]:
+        """Control traffic: one single-message frame per outbound pair,
+        in emission order, then any replay windows the step queued.  A
+        destination that is neither a neighbour nor an attached client
+        raises here, before any host sees it."""
         broker = self.broker
-        effects: List[Effect] = []
+        neighbors, clients = broker.neighbors, broker.local_clients
+        frames: List[Frame] = []
         for destination, message in outbound:
-            if destination in broker.neighbors:
-                effects.append(Send(destination, (message,)))
-            elif destination in broker.local_clients:
-                effects.append(Deliver(destination, (message,)))
-            else:
-                raise self._unknown_destination(destination)
-        for client_id, messages, group in broker._take_pending_replays():
-            effects.append(Replay(client_id, tuple(messages), tuple(group)))
-        return effects
-
-    def _unknown_destination(self, destination: object) -> RoutingError:
-        return RoutingError(
-            "broker %r emitted message to unknown destination %r"
-            % (self.broker_id, destination)
-        )
+            if destination not in neighbors and destination not in clients:
+                raise RoutingError(
+                    "broker %r emitted message to unknown destination %r"
+                    % (self.broker_id, destination)
+                )
+            frames.append((destination, (message,), None))
+        frames.extend(broker._take_pending_replays())
+        return frames
 
     # -- snapshot / replay -------------------------------------------------
 
@@ -198,7 +151,7 @@ class BrokerCore:
     ) -> "BrokerCore":
         """Rebuild a core from :meth:`snapshot` output.  Replaying the
         message suffix recorded after the snapshot yields the same
-        effects the original core produced (the determinism contract).
+        frames the original core produced (the determinism contract).
         ``matching_engine`` overrides the snapshot's value (see
         :func:`repro.broker.persistence.restore`)."""
         from repro.broker.persistence import restore
@@ -223,12 +176,13 @@ class BrokerCore:
         return "BrokerCore(%r)" % (self.broker,)
 
 
-def canonical_effects(effects: List[Effect]) -> List[tuple]:
-    """A value-comparable form of an effect list.
+def canonical_effects(frames: List[Frame]) -> List[tuple]:
+    """A value-comparable form of a frame list: one
+    ``(destination, view, message)`` row per message, in order.
 
     ``Message`` equality includes the process-unique ``msg_id``, so two
-    semantically identical effect lists from two cores never compare
-    equal directly.  This renders each effect through the wire encoding
+    semantically identical frame lists from two cores never compare
+    equal directly.  This renders each message through the wire encoding
     (which, like a real network, carries no ``msg_id`` and no trace
     stamp), giving replay tests an exact-equality target.
     """
@@ -239,29 +193,11 @@ def canonical_effects(effects: List[Effect]) -> List[tuple]:
         obj.pop("trace", None)
         return _freeze(obj)
 
-    rendered: List[tuple] = []
-    for effect in effects:
-        if isinstance(effect, Send):
-            rendered.extend(
-                ("send", str(effect.destination), message_key(message))
-                for message in effect.messages
-            )
-        elif isinstance(effect, Deliver):
-            rendered.extend(
-                ("deliver", str(effect.client_id), message_key(message))
-                for message in effect.messages
-            )
-        elif isinstance(effect, Replay):
-            rendered.append(
-                (
-                    "replay",
-                    str(effect.client_id),
-                    tuple(message_key(m) for m in effect.messages),
-                )
-            )
-        else:  # pragma: no cover - future effect kinds must opt in
-            raise RoutingError("cannot canonicalise effect %r" % (effect,))
-    return rendered
+    return [
+        (str(destination), view, message_key(message))
+        for destination, messages, view in frames
+        for message in messages
+    ]
 
 
 def _freeze(value):

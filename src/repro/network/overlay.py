@@ -11,13 +11,14 @@ modelled wide-area latency with the real cost of routing-table matching
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.broker.broker import Broker
 from repro.broker.core import BrokerCore
 from repro.broker.messages import AdvertiseMsg, Message, PublishMsg
 from repro.broker.strategies import RoutingConfig
-from repro.errors import RoutingError, TopologyError
+from repro.errors import TopologyError
 from repro.merging.engine import PathUniverse
 from repro.network.faults import FaultPlan
 from repro.network.latency import ClusterLatency, LatencyModel
@@ -91,9 +92,11 @@ class Overlay(HostKernel):
         #: so ``sim.run()`` still quiesces.
         self._telemetry_scheduled = 0
         self._telemetry_parked: Set[str] = set()
-        #: In-progress message count per broker while queueing —
-        #: the ``queue_depth`` gauge the sampler reads.
-        self._queue_len: Dict[str, int] = {}
+        #: Per broker while queueing with telemetry on, ``(finish,
+        #: count)`` of every frame charged, in finish order (a broker's
+        #: finish times only grow under queueing).  The sampler expires
+        #: what finished and reads the rest as ``queue_depth``.
+        self._backlog: Dict[str, Deque[Tuple[float, int]]] = {}
         #: Deterministic per-broker overload knob: extra processing
         #: seconds charged per message on top of ``processing_scale``.
         self.processing_delay: Dict[str, float] = {}
@@ -179,6 +182,7 @@ class Overlay(HostKernel):
             snapshot(self.brokers[broker_id]) if with_state else None
         )
         self._busy_until.pop(broker_id, None)
+        self._backlog.pop(broker_id, None)
         self._transport._count("crashes", "broker.crashes")
         if self.tracing is not None:
             # The black box: everything the overlay was doing in the
@@ -351,7 +355,7 @@ class Overlay(HostKernel):
             return
         now = self.sim.now
         self.sample(broker_id, now, {
-            "queue_depth": float(self._queue_len.get(broker_id, 0)),
+            "queue_depth": float(self._queue_depth(broker_id, now)),
             "queue_lag": max(
                 0.0, self._busy_until.get(broker_id, 0.0) - now
             ),
@@ -360,6 +364,14 @@ class Overlay(HostKernel):
             self._arm_sampler(broker_id)
         else:
             self._telemetry_parked.add(broker_id)
+
+    def _queue_depth(self, broker_id: str, now: float) -> int:
+        """Messages still in progress at *broker_id*: the backlog's
+        frames that finish after *now* (those that did are dropped)."""
+        backlog = self._backlog.get(broker_id, ())
+        while backlog and backlog[0][0] <= now:
+            backlog.popleft()
+        return sum(count for _finish, count in backlog)
 
     def _poke_telemetry(self):
         """Re-arm parked telemetry timers — new work just arrived."""
@@ -458,20 +470,12 @@ class Overlay(HostKernel):
             if self.metrics.enabled:
                 self.metrics.histogram("network.queue_wait").record(waited)
             if self.telemetry is not None:
-                # Track the instantaneous backlog for the sampler:
                 # *count* messages in progress from now until the
-                # frame's finish time.
-                self._queue_len[broker_id] = (
-                    self._queue_len.get(broker_id, 0) + count
-                )
-                self.sim.schedule(
-                    processing, self._release_backlog, broker_id, count
+                # frame's finish time, read at sample time.
+                self._backlog.setdefault(broker_id, deque()).append(
+                    (finish, count)
                 )
         return processing, waited
-
-    def _release_backlog(self, broker_id: str, count: int):
-        """A queued frame of *count* messages finished processing."""
-        self._queue_len[broker_id] -= count
 
     def _forward(
         self,
@@ -490,12 +494,8 @@ class Overlay(HostKernel):
         transport one message each — its sequence numbers,
         acknowledgements and dedup are per message."""
         tracing = self.tracing
+        # The core named a neighbour or an attached client: no check.
         to_broker = destination in self.brokers
-        if not to_broker and destination not in self.subscribers:
-            raise RoutingError(
-                "broker %r emitted message to unknown destination %r"
-                % (src_broker, destination)
-            )
         start = self.sim.now + processing
         if to_broker and self._transport is not None:
             for message in messages:

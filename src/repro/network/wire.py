@@ -42,7 +42,7 @@ from repro.broker.messages import (
     UnadvertiseMsg,
     UnsubscribeMsg,
 )
-from repro.errors import ReproError
+from repro.errors import ReproError, XPathSyntaxError
 from repro.obs.tracing import TraceContext, stamp
 from repro.xmldoc.document import Publication
 from repro.xpath.parser import parse_xpath
@@ -62,14 +62,12 @@ def _advert_node_from_obj(obj) -> AdvNode:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise WireError("malformed advertisement node %r" % (obj,))
     if "lit" in obj:
-        tests = obj["lit"]
-        if not isinstance(tests, list) or not all(
-            isinstance(t, str) for t in tests
-        ):
-            raise WireError("malformed literal tests %r" % (tests,))
-        return Lit(tuple(tests))
+        return Lit(_strings(obj["lit"], "literal tests"))
     if "rep" in obj:
-        return Rep(tuple(_advert_node_from_obj(c) for c in obj["rep"]))
+        body = obj["rep"]
+        if not isinstance(body, list) or not body:
+            raise WireError("malformed recursion group %r" % (body,))
+        return Rep(tuple(_advert_node_from_obj(c) for c in body))
     raise WireError("unknown advertisement node key in %r" % (obj,))
 
 
@@ -80,7 +78,12 @@ def advert_to_obj(advert: Advertisement):
 def advert_from_obj(obj) -> Advertisement:
     if not isinstance(obj, list) or not obj:
         raise WireError("malformed advertisement %r" % (obj,))
-    return Advertisement(tuple(_advert_node_from_obj(node) for node in obj))
+    try:
+        return Advertisement(
+            tuple(_advert_node_from_obj(node) for node in obj)
+        )
+    except ValueError as exc:  # an empty literal, or an invalid shape
+        raise WireError("malformed advertisement %r: %s" % (obj, exc))
 
 
 def message_to_obj(message: Message) -> dict:
@@ -143,7 +146,9 @@ def _load_obj(line: Union[bytes, str]) -> dict:
         if isinstance(line, bytes):
             line = line.decode("utf-8")
         obj = json.loads(line)
-    except ValueError as exc:  # bad UTF-8 is a ValueError too
+    # bad UTF-8 is a ValueError too; nesting past the parser's stack a
+    # RecursionError
+    except (ValueError, RecursionError) as exc:
         raise WireError("invalid JSON on the wire: %s" % exc)
     if not isinstance(obj, dict):
         raise WireError("wire object must be a JSON object")
@@ -175,47 +180,89 @@ def _apply_trace(obj: dict, message: Message) -> Message:
     return stamp(message, TraceContext(trace["id"], trace["span"]))
 
 
-def _decode_message(obj: dict) -> Message:
-    kind = obj.get("kind")
+_REQUIRED = object()
+
+
+def _field(obj: dict, name: str, kinds, default=_REQUIRED):
+    """``obj[name]``, which must be an instance of *kinds* — and never a
+    bool, which JSON decodes to a subclass of int."""
+    if name not in obj:
+        if default is _REQUIRED:
+            raise WireError("missing wire field %r" % name)
+        return default
+    value = obj[name]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise WireError("wire field %r has the wrong type: %r" % (name, value))
+    return value
+
+
+def _strings(value, what: str) -> tuple:
+    if not isinstance(value, list) or not all(
+        isinstance(item, str) for item in value
+    ):
+        raise WireError("malformed %s %r" % (what, value))
+    return tuple(value)
+
+
+def _expr(obj: dict):
+    text = _field(obj, "expr", str)
     try:
-        if kind == "advertise":
-            return AdvertiseMsg(
-                adv_id=obj["adv_id"],
-                advert=advert_from_obj(obj["advert"]),
-                publisher_id=obj.get("publisher_id", ""),
-            )
-        if kind == "unadvertise":
-            return UnadvertiseMsg(adv_id=obj["adv_id"])
-        if kind == "subscribe":
-            return SubscribeMsg(
-                expr=parse_xpath(obj["expr"]),
-                subscriber_id=obj.get("subscriber_id", ""),
-            )
-        if kind == "unsubscribe":
-            return UnsubscribeMsg(
-                expr=parse_xpath(obj["expr"]),
-                subscriber_id=obj.get("subscriber_id", ""),
-            )
-        if kind == "publish":
-            attributes = None
-            if "attributes" in obj:
-                attributes = tuple(
-                    tuple((str(n), str(v)) for n, v in pairs)
-                    for pairs in obj["attributes"]
-                )
-            return PublishMsg(
-                publication=Publication(
-                    doc_id=obj["doc_id"],
-                    path_id=int(obj["path_id"]),
-                    path=tuple(obj["path"]),
-                    attributes=attributes,
-                ),
-                publisher_id=obj.get("publisher_id", ""),
-                doc_size_bytes=int(obj.get("doc_size_bytes", 0)),
-                issued_at=float(obj.get("issued_at", 0.0)),
-            )
-    except KeyError as exc:
-        raise WireError("missing wire field %s" % exc)
+        return parse_xpath(text)
+    except XPathSyntaxError as exc:
+        raise WireError("malformed expression on the wire: %s" % exc)
+
+
+def _attributes(obj: dict):
+    """Per path step, the ``[name, value]`` pairs of its attributes."""
+    steps = _field(obj, "attributes", list, None)
+    if steps is None:
+        return None
+    decoded = []
+    for pairs in steps:
+        if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2
+            and isinstance(pair[0], str) and isinstance(pair[1], str)
+            for pair in pairs
+        ):
+            raise WireError("malformed attributes %r" % (pairs,))
+        decoded.append(tuple((name, value) for name, value in pairs))
+    return tuple(decoded)
+
+
+def _decode_message(obj: dict) -> Message:
+    """One message from its object form; a missing or wrong-typed field
+    is a :class:`WireError`, never a ``TypeError`` / ``ValueError``."""
+    kind = obj.get("kind")
+    if kind == "advertise":
+        return AdvertiseMsg(
+            adv_id=_field(obj, "adv_id", str),
+            advert=advert_from_obj(_field(obj, "advert", list)),
+            publisher_id=_field(obj, "publisher_id", str, ""),
+        )
+    if kind == "unadvertise":
+        return UnadvertiseMsg(adv_id=_field(obj, "adv_id", str))
+    if kind == "subscribe":
+        return SubscribeMsg(
+            expr=_expr(obj),
+            subscriber_id=_field(obj, "subscriber_id", str, ""),
+        )
+    if kind == "unsubscribe":
+        return UnsubscribeMsg(
+            expr=_expr(obj),
+            subscriber_id=_field(obj, "subscriber_id", str, ""),
+        )
+    if kind == "publish":
+        return PublishMsg(
+            publication=Publication(
+                doc_id=_field(obj, "doc_id", str),
+                path_id=_field(obj, "path_id", int),
+                path=_strings(_field(obj, "path", list), "path"),
+                attributes=_attributes(obj),
+            ),
+            publisher_id=_field(obj, "publisher_id", str, ""),
+            doc_size_bytes=_field(obj, "doc_size_bytes", int, 0),
+            issued_at=float(_field(obj, "issued_at", (int, float), 0.0)),
+        )
     raise WireError("unknown wire message kind %r" % (kind,))
 
 
@@ -265,7 +312,7 @@ def decode_frame(line: Union[bytes, str]) -> Frame:
     if kind not in ("data", "ack"):
         raise WireError("not a data or ack frame: kind %r" % (kind,))
     seq = obj.get("seq")
-    if not isinstance(seq, int) or seq < 0:
+    if isinstance(seq, bool) or not isinstance(seq, int) or seq < 0:
         raise WireError("frame %r carries no valid seq" % (kind,))
     if kind == "ack":
         trace_id = obj.get("trace")

@@ -3,7 +3,7 @@
 The discrete-event simulator (:mod:`repro.network.overlay`) is one host
 of :class:`repro.broker.core.BrokerCore`; this package holds what all
 hosts share — :mod:`repro.runtime.host`, the sans-IO host kernel that
-interprets the core's effects once — and adds two more backends:
+gives the core's frames their meaning once — and adds two more backends:
 
 * :mod:`repro.runtime.asyncio_backend` — every broker is an asyncio
   actor with bounded per-link send queues (real backpressure, graceful

@@ -1,8 +1,9 @@
 """The sans-IO host kernel: what every backend does around a broker core.
 
-:class:`~repro.broker.core.BrokerCore` turns a frame into effects; a
-*host* turns effects into traffic.  Everything about that second step
-that does not depend on how bytes move lives here, once:
+:class:`~repro.broker.core.BrokerCore` turns a frame into outbound
+frames; a *host* turns those frames into traffic.  Everything about
+that second step that does not depend on how bytes move lives here,
+once:
 
 * the topology and the client registry (``cores`` / ``brokers`` /
   ``links`` / ``subscribers`` / ``publishers``),
@@ -12,9 +13,9 @@ that does not depend on how bytes move lives here, once:
   :meth:`HostKernel.join`, the rule that makes consecutive publications
   of one document one client→edge frame (a :class:`Group`),
 * :meth:`HostKernel.dispatch`, one frame through one broker: the single
-  ``core.on_publications`` / ``on_message`` call, effects interpreted
-  into ``(destination, messages, view)`` frames, ``hop`` spans and the
-  hop scope, trace-stamping of what the broker originated,
+  ``core.on_publications`` / ``on_message`` call, whose
+  ``(destination, messages, view)`` frames it returns, ``hop`` spans
+  and the hop scope, trace-stamping of what the broker originated,
 * :meth:`HostKernel.receive`, the back half of a delivery: client
   dedup, ``deliver`` spans, audit observation, delivery records,
 * the telemetry *sample* and the end-of-run reports.
@@ -40,13 +41,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.broker.broker import Broker
-from repro.broker.core import (
-    MERGE_SWEEP_TIMER,
-    BrokerCore,
-    Deliver,
-    Replay,
-    Send,
-)
+from repro.broker.core import MERGE_SWEEP_TIMER, BrokerCore, Frame
 from repro.broker.messages import Message, PublishMsg
 from repro.broker.strategies import RoutingConfig
 from repro.errors import RoutingError, TopologyError
@@ -63,12 +58,6 @@ from repro.obs.tracing import (
     stamp,
     trace_of,
 )
-
-#: One outbound frame: ``(destination, messages, view)``.  *view* is
-#: "replay" for a replay window sent to a late subscriber — it labels
-#: spans and the audit oracle's observation; None for the core route.
-Frame = Tuple[object, Tuple[Message, ...], Optional[str]]
-
 
 class Group:
     """A client→edge frame: one control message, or the publications of
@@ -370,13 +359,12 @@ class HostKernel:
         started = perf_counter()
         try:
             if isinstance(first, PublishMsg):
-                effects = core.on_publications(messages, from_hop)
+                frames = core.on_publications(messages, from_hop)
             else:
-                effects = core.on_message(first, from_hop)
+                frames = core.on_message(first, from_hop)
         finally:
             if scope is not None:
                 tracing.pop_hop(scope)
-        frames = _frames(effects)
         elapsed = perf_counter() - started
         metrics = self.metrics
         if metrics.enabled:
@@ -429,7 +417,7 @@ class HostKernel:
         retractions) as frames."""
         if broker_id not in self.cores:
             raise TopologyError("unknown broker %r" % broker_id)
-        return _frames(self.cores[broker_id].on_timer(MERGE_SWEEP_TIMER))
+        return self.cores[broker_id].on_timer(MERGE_SWEEP_TIMER)
 
     def forward_span(
         self, src_broker: str, destination: object, message: Message,
@@ -572,18 +560,3 @@ class HostKernel:
             for client_id, client in self.subscribers.items()
         }
 
-
-def _frames(effects) -> List[Frame]:
-    """Interpret a core's effects: sends, deliveries and replays become
-    frames for the backend to move.  A window replayed to a late
-    subscriber travels the broker→client link like any delivery
-    (client-side dedup makes the replay exactly-once)."""
-    frames: List[Frame] = []
-    for effect in effects:
-        if isinstance(effect, Send):
-            frames.append((effect.destination, effect.messages, None))
-        elif isinstance(effect, Deliver):
-            frames.append((effect.client_id, effect.messages, None))
-        elif isinstance(effect, Replay):
-            frames.append((effect.client_id, effect.messages, "replay"))
-    return frames

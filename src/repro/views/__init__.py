@@ -65,7 +65,7 @@ class ViewManager:
 
     The owning broker hands every routed group to :meth:`capture` and
     calls :meth:`queue_replays_for` when a local client subscribes; the
-    broker core drains :attr:`pending_replays` into ``Replay`` effects.
+    broker core appends :attr:`pending_replays` to that step's frames.
     """
 
     def __init__(self, window: int = WINDOW, max_views: int = MAX_VIEWS):
@@ -73,9 +73,9 @@ class ViewManager:
         self.max_views = max_views
         #: group key -> window, in least-recently-routed order.
         self.views: "OrderedDict[GroupKey, MaterializedView]" = OrderedDict()
-        #: ``(client_id, messages, group_path)`` triples awaiting
-        #: conversion into Replay effects by the broker core.
-        self.pending_replays: List[Tuple[object, Tuple[object, ...], Tuple[str, ...]]] = []
+        #: Replay frames ``(client_id, messages, "replay")`` the broker
+        #: core has yet to hand out.
+        self.pending_replays: List[Tuple[object, Tuple[object, ...], str]] = []
         self.materialized = 0
         self.replays_queued = 0
 
@@ -112,7 +112,7 @@ class ViewManager:
             if not matches_path(expr, view.path, attribute_maps):
                 continue
             messages = view.replay_messages()
-            self.pending_replays.append((client_id, messages, view.path))
+            self.pending_replays.append((client_id, messages, "replay"))
             self.replays_queued += 1
             queued += len(messages)
             obs.inc("views.replays")

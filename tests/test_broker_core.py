@@ -5,11 +5,11 @@ unsubscribe, publish, merge sweeps, duplicates included) into one
 :class:`~repro.broker.core.BrokerCore` and checks the state-machine
 contract every backend relies on after every step:
 
-* effects are *deterministic and replayable*: a twin core restored from
-  the pre-step snapshot produces byte-identical canonical effects for
+* frames are *deterministic and replayable*: a twin core restored from
+  the pre-step snapshot produces byte-identical canonical frames for
   the same input, and lands on the same routing fingerprint;
-* effects are *well-classified*: Send targets are neighbours, Deliver
-  targets are attached clients, nothing else comes out;
+* frames are *well-classified*: every destination is a neighbour or an
+  attached client, and only a client frame is a replay;
 * the snapshot/restore round trip preserves the fingerprint.
 """
 
@@ -22,8 +22,6 @@ from repro.adverts.model import Advertisement
 from repro.broker.core import (
     MERGE_SWEEP_TIMER,
     BrokerCore,
-    Deliver,
-    Send,
     canonical_effects,
 )
 from repro.broker.messages import (
@@ -84,22 +82,25 @@ class BrokerCoreMachine(RuleBasedStateMachine):
 
     def _step(self, message, from_hop):
         """Apply one message to the live core AND to a twin restored
-        from the pre-step snapshot; their effects and resulting
+        from the pre-step snapshot; their frames and resulting
         fingerprints must agree exactly."""
         before = self.core.snapshot()
-        effects = self.core.on_message(message, from_hop)
+        frames = self.core.on_message(message, from_hop)
 
         twin = BrokerCore.restore(before)
-        twin_effects = twin.on_message(message, from_hop)
-        assert canonical_effects(twin_effects) == canonical_effects(effects)
+        twin_frames = twin.on_message(message, from_hop)
+        assert canonical_effects(twin_frames) == canonical_effects(frames)
         assert twin.fingerprint() == self.core.fingerprint()
 
-        for effect in effects:
-            if isinstance(effect, Send):
-                assert effect.destination in NEIGHBORS, effect
-            elif isinstance(effect, Deliver):
-                assert effect.client_id in CLIENTS, effect
-        return effects
+        for destination, messages, view in frames:
+            assert destination in NEIGHBORS or destination in CLIENTS, (
+                destination
+            )
+            assert view is None or (
+                view == "replay" and destination in CLIENTS
+            ), (destination, view)
+            assert isinstance(messages, tuple) and messages
+        return frames
 
     @rule(advert=adverts(), from_hop=st.sampled_from(HOPS))
     def advertise(self, advert, from_hop):
@@ -139,10 +140,10 @@ class BrokerCoreMachine(RuleBasedStateMachine):
     @rule()
     def merge_sweep(self):
         before = self.core.snapshot()
-        effects = self.core.on_timer(MERGE_SWEEP_TIMER)
+        frames = self.core.on_timer(MERGE_SWEEP_TIMER)
         twin = BrokerCore.restore(before)
         assert canonical_effects(twin.on_timer(MERGE_SWEEP_TIMER)) \
-            == canonical_effects(effects)
+            == canonical_effects(frames)
         assert twin.fingerprint() == self.core.fingerprint()
 
     @invariant()
@@ -159,7 +160,7 @@ TestBrokerCoreMachine.settings = settings(
 
 def test_effects_are_pure_data():
     """Two fresh cores fed the same stream emit identical canonical
-    effects at every step — the determinism contract backends build on."""
+    frames at every step — the determinism contract backends build on."""
     stream = [
         (
             AdvertiseMsg(
@@ -207,15 +208,15 @@ def _advertisement(*tests):
 
 def _assert_twin_agrees(core, message, from_hop, emitted, count):
     """A twin restored from *core*'s snapshot emits the same canonical
-    effects for *message* — including *count* messages of type
+    frames for *message* — including *count* messages of type
     *emitted*, so there is an order to pin."""
     twin = BrokerCore.restore(core.snapshot())
-    effects = core.on_message(message, from_hop)
+    frames = core.on_message(message, from_hop)
     assert sum(
-        isinstance(m, emitted) for e in effects for m in e.messages
+        isinstance(m, emitted) for _d, messages, _v in frames for m in messages
     ) == count
     assert canonical_effects(twin.on_message(message, from_hop)) \
-        == canonical_effects(effects)
+        == canonical_effects(frames)
 
 
 def test_subscription_replay_order_survives_restore():
@@ -254,16 +255,16 @@ def test_covered_retraction_order_survives_restore():
     )
 
 
-def _per_destination(effects):
+def _per_destination(frames):
     flat = {}
-    for verb, destination, message in canonical_effects(effects):
-        flat.setdefault((verb, destination), []).append(message)
+    for destination, view, message in canonical_effects(frames):
+        flat.setdefault((destination, view), []).append(message)
     return flat
 
 
 def test_a_group_routes_like_its_members_one_by_one():
     """``on_publications`` is per-message routing regrouped: every
-    destination gets one effect carrying, in arrival order, exactly the
+    destination gets one frame carrying, in arrival order, exactly the
     messages ``on_message`` would have sent it one at a time."""
     core = _fresh_core()
     subscriptions = [
@@ -285,7 +286,7 @@ def test_a_group_routes_like_its_members_one_by_one():
 
     grouped = core.on_publications(group, "n1")
     one_by_one = [
-        effect for message in group for effect in twin.on_message(message, "n1")
+        frame for message in group for frame in twin.on_message(message, "n1")
     ]
     assert _per_destination(grouped) == _per_destination(one_by_one)
     assert len(grouped) == len(_per_destination(grouped)) < len(one_by_one)
@@ -315,9 +316,9 @@ def _assert_grouped_like_one_by_one(core, twin, group, from_hop):
     the same messages reach the same destinations, in arrival order."""
     grouped = core.on_publications(group, from_hop)
     one_by_one = [
-        effect
+        frame
         for message in group
-        for effect in twin.on_message(message, from_hop)
+        for frame in twin.on_message(message, from_hop)
     ]
     assert _per_destination(grouped) == _per_destination(one_by_one)
     assert len(grouped) == len(_per_destination(grouped))
@@ -345,7 +346,9 @@ def test_a_group_sharing_one_decision_with_its_arrival_hop():
     assert {
         key: len(messages)
         for key, messages in _per_destination(grouped).items()
-    } == {("deliver", "c1"): 4, ("send", "n2"): 4}
+    } == {("c1", None): 4, ("n2", None): 4}
+    # one fan-out: every destination's frame carries the one tuple
+    assert len({id(messages) for _d, messages, _v in grouped}) == 1
 
 
 def test_a_mixed_group_routes_like_its_members_one_by_one():

@@ -308,6 +308,40 @@ class TestKernelWithAListBackend:
             ["SUB /a"], ["PUB d1#0", "PUB d1#1"], ["PUB d1#0"],
         ]
 
+    def test_a_shared_decision_fans_out_one_tuple(self):
+        """A warmed group whose paths share one decision reaches every
+        destination as one tuple object: built once from the client's
+        list, and a forwarded tuple passes through uncopied."""
+        kernel = HostKernel(config=RoutingConfig.no_adv_with_cov())
+        for broker_id in ("b1", "b2", "b3"):
+            kernel.add_broker(broker_id)
+        kernel.connect("b1", "b2")
+        kernel.connect("b1", "b3")
+        kernel.attach_subscriber("s", "b1")
+        core = kernel.cores["b1"]
+        for hop in ("b3", "s"):
+            core.on_message(
+                SubscribeMsg(expr=parse_xpath("//a"), subscriber_id=hop), hop
+            )
+        group = [
+            PublishMsg(
+                publication=Publication(
+                    doc_id="d", path_id=i, path=("r", "a", str(i))
+                ),
+                publisher_id="pub",
+            )
+            for i in range(4)
+        ]
+        kernel.dispatch("b1", group, "b2", 0.0)  # warm the route memo
+        for arriving in (group, tuple(group)):
+            frames, _spans, _elapsed = kernel.dispatch(
+                "b1", arriving, "b2", 0.0
+            )
+            assert sorted(d for d, _m, _v in frames) == ["b3", "s"]
+            first, second = (messages for _d, messages, _v in frames)
+            assert first is second and first == tuple(group)
+        assert first is arriving
+
     def test_merge_sweep_frames_and_topology_checks(self, host):
         assert host.sweep("b1") == []  # merging is off: nothing to send
         with pytest.raises(TopologyError):

@@ -376,6 +376,60 @@ class TestConnection:
             connection.close()
             raw.close()
 
+    #: Data frames that parse as JSON but carry a wrong-typed field.
+    WRONG_TYPED = [
+        {"kind": "publish", "doc_id": "d", "path_id": 0, "path": 5},
+        {"kind": "publish", "doc_id": "d", "path_id": "x", "path": ["a"]},
+        {"kind": "publish", "doc_id": "d", "path_id": 0, "path": ["a"],
+         "attributes": 5},
+        {"kind": "publish", "doc_id": "d", "path_id": 0, "path": ["a"],
+         "doc_size_bytes": "z"},
+        {"kind": "subscribe", "expr": 5},
+        {"kind": "subscribe", "expr": "/a[["},
+        {"kind": "advertise", "adv_id": "a1", "advert": [{"rep": 5}]},
+    ]
+
+    def test_wrong_typed_data_frames_are_malformed(self):
+        """A data frame whose JSON parses but whose fields have the
+        wrong type is counted as malformed and skipped like garbage;
+        the valid frame behind it is still delivered.  A bool is not a
+        seq: ``"seq": true`` would otherwise be buffered as seq 1 and
+        released behind the valid seq 0."""
+        import json
+        import socket
+
+        from repro.network.sockets import _Connection
+        from repro.network.wire import encode_data_frame
+
+        peer, wired = socket.socketpair()
+        received = []
+        connection = _Connection(
+            wired, "peer", lambda _peer, message: received.append(message)
+        )
+        connection.start()
+        try:
+            lines = [
+                json.dumps({"kind": "data", "seq": 0, "msg": msg})
+                for msg in self.WRONG_TYPED
+            ]
+            lines.append(json.dumps({
+                "kind": "data", "seq": True,
+                "msg": {"kind": "subscribe", "expr": "/x"},
+            }))
+            peer.sendall(
+                "".join(line + "\n" for line in lines).encode("utf-8")
+                + encode_data_frame(
+                    0, SubscribeMsg(expr=parse_xpath("/a"), subscriber_id="s")
+                )
+            )
+            assert _wait_until(lambda: connection.stats["acks"] == 1)
+            assert _wait_until(lambda: connection.pending_count() == 0)
+            assert connection.stats["malformed"] == len(lines)
+            assert [_label(m) for m in received] == ["SubscribeMsg:/a"]
+        finally:
+            connection.close()
+            peer.close()
+
     def test_a_bare_message_line_is_malformed(self):
         """A message outside a data frame carries no seq: handed on, it
         would skip the ack, the dedup and the in-order release, and

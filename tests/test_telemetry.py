@@ -432,6 +432,40 @@ class TestSimulatorTelemetry:
         assert any("health-b2-degraded" in name for name in dumps)
         assert any("health-b2-overloaded" in name for name in dumps)
 
+    def test_the_backlog_is_read_at_sample_time(self):
+        """Queueing with telemetry on schedules no event per queued
+        frame (no ``_release_backlog``): the heap only ever holds frames
+        and sampling ticks, and the sampler still sees b2's backlog."""
+        registry = MetricsRegistry(enabled=True)
+        overlay = _simulator_overlay(registry)
+        plane = overlay.enable_telemetry(
+            interval=0.002, rules=_overload_rules(), clear_after=1000
+        )
+        overlay.processing_delay["b2"] = 0.005
+        scheduled = set()
+        schedule = overlay.sim.schedule
+
+        def spy(delay, action, *args):
+            scheduled.add(action.__name__)
+            return schedule(delay, action, *args)
+
+        overlay.sim.schedule = spy
+        overlay.attach_publisher("pub", "b1")
+        subscriber = overlay.attach_subscriber("sub", "b2")
+        subscriber.subscribe(parse_xpath("/claims//amount"))
+        overlay.run()
+        for i in range(40):
+            overlay.submit("pub", _publication(i))
+        overlay.run()
+        assert len(subscriber.received) == 40
+        assert scheduled == {
+            "_edge_receive", "_broker_receive", "_client_receive",
+            "_on_telemetry_timer",
+        }
+        depths = [sample.values["queue_depth"] for sample in plane.ring("b2")]
+        assert max(depths) >= 8.0  # the overloaded ceiling
+        assert depths[-1] == 0.0  # drained by the last sample
+
     def test_fault_free_twin_stays_healthy(self):
         registry = MetricsRegistry(enabled=True)
         overlay = _simulator_overlay(registry)

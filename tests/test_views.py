@@ -5,8 +5,7 @@ classification and backend equivalence.
 The load-bearing guarantees (docs/views.md):
 
 * views never route: a views-on core emits exactly the views-off
-  core's ``Send`` / ``Deliver`` effects (compared through
-  ``canonical_effects``);
+  core's frames (compared through ``canonical_effects``);
 * a window holds the last publications its group routed, whoever
   subscribes meanwhile — no subscription change truncates it;
 * replays are exactly-once per ``(doc_id, path_id)`` at the client;
@@ -28,13 +27,7 @@ from repro.broker import (
     RoutingConfig,
     SubscribeMsg,
 )
-from repro.broker.core import (
-    BrokerCore,
-    Deliver,
-    Replay,
-    Send,
-    canonical_effects,
-)
+from repro.broker.core import BrokerCore, canonical_effects
 from repro.broker.messages import UnsubscribeMsg
 from repro.broker.persistence import restore, snapshot
 from repro.dtd.samples import psd_dtd
@@ -100,8 +93,8 @@ class TestViewManager:
         assert views.queue_replays_for("late", x("/z/q")) == 0
         pending = views.take_pending_replays()
         assert len(pending) == 1
-        client_id, messages, group = pending[0]
-        assert client_id == "late" and group == ("a", "b")
+        client_id, messages, view = pending[0]
+        assert client_id == "late" and view == "replay"
         assert _doc_ids(messages) == ["d1", "d2"]
         assert not views.take_pending_replays()
 
@@ -129,7 +122,8 @@ def _core(config):
 class TestByteIdentity:
     def test_views_on_effects_equal_views_off_effects(self):
         """Publications, groups, a second client and its UNSUB: every
-        step yields the same Send / Deliver effects with views on."""
+        step yields the same frames with views on, none of them a
+        replay."""
         viewed = _core(_views_config())
         plain = _core(_views_config(views=False))
         for core in (viewed, plain):
@@ -152,10 +146,10 @@ class TestByteIdentity:
 
         for item in steps:
             got, want = step(viewed, item), step(plain, item)
-            assert all(isinstance(e, (Send, Deliver)) for e in got)
+            assert all(view is None for _d, _m, view in got)
             assert canonical_effects(got) == canonical_effects(want)
         # c2 left: the last publication reached c1 alone.
-        assert {e.client_id for e in got if isinstance(e, Deliver)} == {"c1"}
+        assert [destination for destination, _m, _v in got] == ["c1"]
         # Every routed publication is retained, /a/c's included.
         assert viewed.broker.views.stats()["retained"] == 7
 
@@ -164,20 +158,21 @@ class TestByteIdentity:
         for i in range(3):
             core.on_message(_pub(("a", "b"), "doc%d" % i), "n1")
         core.attach_client("late")
-        effects = core.on_message(
+        frames = core.on_message(
             SubscribeMsg(expr=x("/a/b"), subscriber_id="late"), "late"
         )
-        replays = [e for e in effects if isinstance(e, Replay)]
+        replays = [frame for frame in frames if frame[2] == "replay"]
         assert len(replays) == 1
-        assert replays[0].client_id == "late"
-        assert _doc_ids(replays[0].messages) == ["doc0", "doc1", "doc2"]
+        destination, messages, _view = replays[0]
+        assert destination == "late"
+        assert _doc_ids(messages) == ["doc0", "doc1", "doc2"]
         # Replays target only local clients; a neighbor subscribing to
         # the same expression must not trigger one.
         core.connect("n2")
-        effects = core.on_message(
+        frames = core.on_message(
             SubscribeMsg(expr=x("/a/b"), subscriber_id="s9"), "n2"
         )
-        assert not [e for e in effects if isinstance(e, Replay)]
+        assert not [frame for frame in frames if frame[2] == "replay"]
 
     def test_unrelated_subscription_keeps_the_window(self):
         """A window holds the last publications its group delivered,
@@ -191,13 +186,13 @@ class TestByteIdentity:
         )
         core.on_message(_pub(("a", "b"), "d3"), "n1")
         core.attach_client("late")
-        effects = core.on_message(
+        frames = core.on_message(
             SubscribeMsg(expr=x("/a/b"), subscriber_id="late"), "late"
         )
-        replays = [e for e in effects if isinstance(e, Replay)]
         assert [
-            [m.publication.doc_id for m in replay.messages]
-            for replay in replays
+            _doc_ids(messages)
+            for _d, messages, view in frames
+            if view == "replay"
         ] == [["d1", "d2", "d3"]]
 
 

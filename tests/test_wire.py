@@ -1,5 +1,8 @@
 """Unit + property tests for the wire format."""
 
+import json
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +15,7 @@ from repro.broker.messages import (
     UnsubscribeMsg,
 )
 from repro.network.wire import (
+    Frame,
     WireError,
     advert_from_obj,
     decode,
@@ -216,3 +220,123 @@ class TestPropertyRoundTrips:
         text = ("/" if rooted else "") + "/".join(names)
         expr = parse_xpath(text)
         assert decode(encode(SubscribeMsg(expr=expr))).expr == expr
+
+
+# -- fuzzed frames ------------------------------------------------------------
+
+#: Tier-1 draws a fixed, derandomised set; the CI chaos job
+#: (``HYPOTHESIS_PROFILE=chaos``) draws ten times as many from a fresh seed.
+FUZZ_EXAMPLES = (
+    2000 if os.environ.get("HYPOTHESIS_PROFILE") == "chaos" else 200
+)
+
+#: Any JSON value: the wrong type for every field some of the time.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+#: Advertisement nodes, empty literals and groups included.
+ADVERT_NODES = st.recursive(
+    st.fixed_dictionaries({"lit": st.lists(NAMES, max_size=3)}),
+    lambda children: st.fixed_dictionaries(
+        {"rep": st.lists(children, max_size=3)}
+    ),
+    max_leaves=4,
+)
+
+#: Per field, a well-typed value, so decoding gets past it.
+FIELDS = {
+    "adv_id": st.sampled_from(["a1", "a2"]),
+    "advert": st.lists(ADVERT_NODES, min_size=1, max_size=3),
+    "publisher_id": st.sampled_from(["p", ""]),
+    "expr": st.sampled_from(["/a", "a//b", "/a[@k='1']", "//*"])
+    | st.text(max_size=8),
+    "subscriber_id": st.sampled_from(["s", ""]),
+    "doc_id": st.sampled_from(["d1", "d2"]),
+    "path_id": st.integers(0, 9),
+    "path": st.lists(NAMES, min_size=1, max_size=3),
+    "attributes": st.lists(
+        st.lists(st.lists(st.text(max_size=3), min_size=2, max_size=2),
+                 max_size=2),
+        max_size=2,
+    ),
+    "doc_size_bytes": st.integers(0, 4096),
+    "issued_at": st.floats(allow_nan=False),
+    "trace": st.fixed_dictionaries(
+        {"id": st.text(max_size=3), "span": st.text(max_size=3)}
+    ),
+}
+MESSAGE_KINDS = ["advertise", "unadvertise", "subscribe", "unsubscribe",
+                 "publish"]
+
+
+def _mostly(draw, good, bad=JSON):
+    """Draw from *good* four times in five and from *bad* otherwise, so
+    most objects get deep into the decoder before one field is wrong."""
+    return draw(bad if draw(st.integers(0, 4)) == 0 else good)
+
+
+@st.composite
+def message_objs(draw):
+    obj = {"kind": _mostly(draw, st.sampled_from(MESSAGE_KINDS))}
+    for name, good in FIELDS.items():
+        roll = draw(st.integers(0, 5))
+        if roll < 4:
+            obj[name] = draw(good)
+        elif roll == 4:
+            obj[name] = draw(JSON)
+    return obj
+
+
+@st.composite
+def frame_objs(draw):
+    obj = {
+        "kind": _mostly(draw, st.sampled_from(["data", "data", "ack"])),
+        "seq": _mostly(draw, st.integers(0, 9)),
+    }
+    if draw(st.integers(0, 9)):
+        obj["msg"] = _mostly(draw, message_objs())
+    if not draw(st.integers(0, 3)):
+        obj["trace"] = _mostly(draw, st.text(max_size=3))
+    return obj
+
+
+class TestFuzzedFrames:
+    @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+    @given(obj=frame_objs())
+    def test_decode_frame_returns_a_frame_or_raises_wire_error(self, obj):
+        """Whatever a peer writes as a JSON object, ``decode_frame``
+        returns a frame or raises :class:`WireError` — the one error the
+        connection reader counts and survives."""
+        try:
+            frame = decode_frame(json.dumps(obj))
+        except WireError:
+            return
+        assert isinstance(frame, Frame)
+        assert frame.kind in ("data", "ack")
+        assert type(frame.seq) is int and frame.seq >= 0
+        assert (frame.message is None) == (frame.kind == "ack")
+
+    @pytest.mark.parametrize("line", [
+        b'{"kind":"data","seq":true,"msg":{"kind":"unadvertise","adv_id":"x"}}',
+        b'{"kind":"data","seq":0,"msg":{"kind":"publish","doc_id":"d",'
+        b'"path_id":0,"path":"ab"}}',
+        b'{"kind":"data","seq":0,"msg":{"kind":"publish","doc_id":"d",'
+        b'"path_id":1.5,"path":["a"]}}',
+        b'{"kind":"data","seq":0,"msg":{"kind":"publish","doc_id":5,'
+        b'"path_id":0,"path":["a"]}}',
+        b'{"kind":"data","seq":0,"msg":{"kind":"publish","doc_id":"d",'
+        b'"path_id":0,"path":["a"],"doc_size_bytes":true}}',
+        b'{"kind":"data","seq":0,"msg":{"kind":"advertise","adv_id":"a",'
+        b'"advert":[{"lit":[]}]}}',
+        b'{"kind":"data","seq":0,"msg":{"kind":"subscribe","expr":"/a[["}}',
+    ])
+    def test_wrong_types_are_not_coerced(self, line):
+        """A field of the wrong type is refused, never coerced: a bool is
+        not a seq or a size, a string is not a path, a float is not a
+        path id."""
+        with pytest.raises(WireError):
+            decode_frame(line)
