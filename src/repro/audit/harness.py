@@ -70,7 +70,6 @@ def run_audited_workload(
     tracing: bool = False,
     flight_dir: Optional[str] = None,
     matching_engine: str = "auto",
-    views: bool = False,
 ):
     """Run the audited workload; returns ``(overlay, oracle, report)``.
 
@@ -80,10 +79,7 @@ def run_audited_workload(
     trace context before any traffic flows (``flight_dir`` is where
     automatic flight-recorder dumps land; see :mod:`repro.obs.flight`).
     ``matching_engine`` selects every broker's publication-matching
-    backend, auditing the overlay's seven invariants against it.  With
-    *views* every broker keeps replay windows of its routed publication
-    groups (see :mod:`repro.views`); the oracle then also judges the
-    window replays late subscribers receive.
+    backend, auditing the overlay's seven invariants against it.
     """
     dtd = psd_dtd()
     universe = PathUniverse.from_dtd(dtd, max_depth=10)
@@ -93,8 +89,6 @@ def run_audited_workload(
         )
     if config.matching_engine != matching_engine:
         config = replace(config, matching_engine=matching_engine)
-    if config.views != views:
-        config = replace(config, views=views)
     overlay = Overlay.binary_tree(
         levels,
         config=config,

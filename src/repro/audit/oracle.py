@@ -182,15 +182,6 @@ class AuditOracle:
         self.publications: Dict[Tuple[str, int], PubRecord] = {}
         #: (doc_id, path_id) -> clients that received it (fresh only)
         self.delivered: Dict[Tuple[str, int], Set[str]] = {}
-        #: (doc_id, path_id) -> clients that received the publication
-        #: via a window replay (docs/views.md).  Late subscribers are
-        #: absent from the submit-time expected set by construction, so
-        #: replays are judged at observe time (below) instead of
-        #: against it.
-        self.replayed: Dict[Tuple[str, int], Set[str]] = {}
-        #: replays that matched no live subscription of the receiving
-        #: client at delivery time — each becomes a soundness violation.
-        self.replay_violations: List[Tuple[Tuple[str, int], str]] = []
         #: brokers that recovered without persisted state — documented
         #: degraded mode; structural checks are skipped once this is set
         self.stateless_recoveries: List[str] = []
@@ -255,26 +246,10 @@ class AuditOracle:
             if owner == publisher_id
         )
 
-    def observe_delivery(
-        self,
-        client_id: str,
-        message: PublishMsg,
-        view: Optional[str] = None,
-    ):
+    def observe_delivery(self, client_id: str, message: PublishMsg):
         publication = message.publication
         key = (publication.doc_id, publication.path_id)
         self.delivered.setdefault(key, set()).add(client_id)
-        if view == "replay":
-            self.replayed.setdefault(key, set()).add(client_id)
-            # Judged now, not at check time: the legitimacy of a replay
-            # is "the client held a matching subscription when the
-            # window arrived", and live_subs moves on after this.
-            attribute_maps = publication.attribute_maps()
-            if not any(
-                matches_path(expr, publication.path, attribute_maps)
-                for expr in self.live_subs.get(client_id, ())
-            ):
-                self.replay_violations.append((key, client_id))
 
     def observe_recovery(self, broker_id: str, with_state: bool):
         if not with_state:
@@ -351,14 +326,9 @@ class AuditOracle:
     # -- invariant 1: delivery soundness ----------------------------------
 
     def _check_deliveries(self, report: AuditReport):
-        if getattr(self._overlay.config, "views", False):
-            report.info["replayed"] = sum(
-                len(clients) for clients in self.replayed.values()
-            )
         for key, record in sorted(self.publications.items()):
             delivered = self.delivered.get(key, set())
             traces = (record.trace_id,) if record.trace_id else ()
-            replayed = self.replayed.get(key, set())
             for client in sorted(record.expected - delivered):
                 report.add(
                     Violation(
@@ -371,12 +341,6 @@ class AuditOracle:
                     )
                 )
             for client in sorted(delivered - record.expected):
-                if client in replayed:
-                    # Late-subscriber replays are legitimately absent
-                    # from the submit-time expected set; their own
-                    # legitimacy check ran at observe time and any
-                    # failure sits in replay_violations (below).
-                    continue
                 report.add(
                     Violation(
                         UNEXPLAINED_FP,
@@ -387,16 +351,6 @@ class AuditOracle:
                         trace_ids=traces,
                     )
                 )
-        for key, client in self.replay_violations:
-            report.add(
-                Violation(
-                    SOUNDNESS,
-                    "view-replay-false-positive",
-                    "",
-                    "%s was replayed %s#%d without a matching live "
-                    "subscription" % (client, key[0], key[1]),
-                )
-            )
 
     # -- topology helpers --------------------------------------------------
 

@@ -132,16 +132,6 @@ class Broker:
         self.client_subs: Dict[object, Set[XPathExpr]] = defaultdict(set)
         self.stats: Dict[str, int] = defaultdict(int)
 
-        #: Edge replay windows (docs/views.md): the last publications
-        #: routed per publication group, replayed to late subscribers.
-        #: Rebuildable state — never persisted, dropped on crash.
-        if self.config.views:
-            from repro.views import ViewManager
-
-            self.views: Optional[ViewManager] = ViewManager()
-        else:
-            self.views = None
-
         #: The route memo: path → attribute fingerprint → routing
         #: decision (matched keys + sorted destinations).  Exact by
         #: maintenance, not by versioning: a SUB inserts its hop into
@@ -192,7 +182,7 @@ class Broker:
                 # destinations come out in emission order.
                 return [
                     (destination, message)
-                    for destination, _group, _view in self.handle_publications(
+                    for destination, _group in self.handle_publications(
                         (message,), from_hop
                     )
                 ]
@@ -315,20 +305,6 @@ class Broker:
             # path-only entries stay valid for attribute-less
             # publications, the only ones that can still reach them.
             self._predicated = True
-        if from_hop in self.local_clients and self.views is not None:
-            # Late-subscriber replay: every retained window whose group
-            # this expression matches is queued for this client before
-            # the tables mutate (idempotent — clients deduplicate on
-            # (doc_id, path_id), so a re-subscription replays nothing
-            # the client has not already dropped as duplicate).
-            scope = current_scope()
-            wall0 = perf_counter() if scope is not None else 0.0
-            queued = self.views.queue_replays_for(from_hop, expr)
-            if scope is not None and queued:
-                scope.sub_span(
-                    "view.replay", wall0, perf_counter(),
-                    client=str(from_hop), messages=queued,
-                )
         if from_hop in self._keys_of(expr):
             # At-least-once redelivery of a subscription this broker
             # already holds for this hop: re-applying it must not touch
@@ -583,12 +559,12 @@ class Broker:
 
     def handle_publications(
         self, messages: Sequence[PublishMsg], from_hop: object
-    ) -> List[Tuple[object, Tuple[PublishMsg, ...], None]]:
+    ) -> List[Tuple[object, Tuple[PublishMsg, ...]]]:
         """Route a group of publications arriving from one hop —
         consecutive paths of one document, or a lone publication as a
         group of one.
 
-        Returns the outbound frames ``(destination, messages, None)``
+        Returns the outbound frames ``(destination, messages)``
         (:data:`repro.broker.core.Frame`): each destination's messages
         in arrival order, destinations in first-emission order.  Every
         path probes the route memo on its own, so routing a group is
@@ -598,8 +574,7 @@ class Broker:
         (incremented by count), and, when every path resolved to one
         decision (the memo's ``_intern`` makes equal decisions one
         object), the fan-out: then every destination's frame carries
-        the one tuple of the whole group.  With views on, the routed
-        group then feeds the replay windows.
+        the one tuple of the whole group.
         """
         self.stats[messages[0].kind] += len(messages)
         registry = obs.get_registry()
@@ -616,15 +591,13 @@ class Broker:
             if focus:
                 scope.focus(msg)
             decisions.append(self._route(msg.publication, scope)[1])
-        if self.views is not None:
-            self.views.capture(messages)
         first = decisions[0]
         # ``count`` tries identity before equality, so one interned
         # decision is recognised without comparing a tuple; an equal
         # copy (after ``_intern`` forgot its table) fans out the same.
         if decisions.count(first) == len(decisions):
             group = tuple(messages)  # the identity for a forwarded frame
-            frames = [(hop, group, None) for hop in first if hop != from_hop]
+            frames = [(hop, group) for hop in first if hop != from_hop]
         else:
             routed: Dict[object, List[PublishMsg]] = {}
             for msg, destinations in zip(messages, decisions):
@@ -637,7 +610,7 @@ class Broker:
                     else:
                         members.append(msg)
             frames = [
-                (destination, tuple(members), None)
+                (destination, tuple(members))
                 for destination, members in routed.items()
             ]
         if metered:
@@ -759,13 +732,6 @@ class Broker:
         if expr not in subs:
             subs.add(expr)
             self._client_subs_edited()
-
-    def _take_pending_replays(self):
-        """Drain the replay frames queued for late subscribers (the core
-        appends them to a control step's frames)."""
-        if self.views is None:
-            return ()
-        return self.views.take_pending_replays()
 
     # -- the shared-automaton mirror ------------------------------------------
 
@@ -932,8 +898,6 @@ class Broker:
             summary["shared_automaton"] = dict(
                 self.shared.stats(), dirty=self._shared_dirty
             )
-        if self.views is not None:
-            summary["views"] = self.views.stats()
         if self._merge_registry is not None:
             summary["live_mergers"] = len(self._merge_registry)
             summary["merge_events"] = len(self.merge_log)

@@ -10,10 +10,8 @@ frame at a time (a control message, or a *group*: consecutive
 publications of one document that crossed the link together; a lone
 publication is a group of one) and moves the outbound :data:`Frame`
 list it returns however its execution model requires.  A frame is
-``(destination, messages, view)``: *destination* is a neighbouring
-broker or a locally attached client, *messages* a tuple, and *view* is
-``"replay"`` for a replay window delivered to a late subscriber (see
-docs/views.md), None for everything the core routed.
+``(destination, messages)``: *destination* is a neighbouring broker or
+a locally attached client, *messages* a tuple.
 
 The core never asks for time: merge sweeps are count-driven inside the
 broker (and :meth:`BrokerCore.on_timer` lets a host force one), and
@@ -44,10 +42,8 @@ from repro.errors import RoutingError
 #: test) forcing a merge sweep ahead of the broker's own count-driven one.
 MERGE_SWEEP_TIMER = "merge-sweep"
 
-#: One outbound frame: ``(destination, messages, view)``.  *view* is
-#: "replay" for a replay window sent to a late subscriber — it labels
-#: spans and the audit oracle's observation; None for the core route.
-Frame = Tuple[object, Tuple[Message, ...], Optional[str]]
+#: One outbound frame: ``(destination, messages)``.
+Frame = Tuple[object, Tuple[Message, ...]]
 
 
 class BrokerCore:
@@ -117,9 +113,8 @@ class BrokerCore:
 
     def _control_frames(self, outbound) -> List[Frame]:
         """Control traffic: one single-message frame per outbound pair,
-        in emission order, then any replay windows the step queued.  A
-        destination that is neither a neighbour nor an attached client
-        raises here, before any host sees it."""
+        in emission order.  A destination that is neither a neighbour
+        nor an attached client raises here, before any host sees it."""
         broker = self.broker
         neighbors, clients = broker.neighbors, broker.local_clients
         frames: List[Frame] = []
@@ -129,8 +124,7 @@ class BrokerCore:
                     "broker %r emitted message to unknown destination %r"
                     % (self.broker_id, destination)
                 )
-            frames.append((destination, (message,), None))
-        frames.extend(broker._take_pending_replays())
+            frames.append((destination, (message,)))
         return frames
 
     # -- snapshot / replay -------------------------------------------------
@@ -178,7 +172,7 @@ class BrokerCore:
 
 def canonical_effects(frames: List[Frame]) -> List[tuple]:
     """A value-comparable form of a frame list: one
-    ``(destination, view, message)`` row per message, in order.
+    ``(destination, message)`` row per message, in order.
 
     ``Message`` equality includes the process-unique ``msg_id``, so two
     semantically identical frame lists from two cores never compare
@@ -194,8 +188,8 @@ def canonical_effects(frames: List[Frame]) -> List[tuple]:
         return _freeze(obj)
 
     return [
-        (str(destination), view, message_key(message))
-        for destination, messages, view in frames
+        (str(destination), message_key(message))
+        for destination, messages in frames
         for message in messages
     ]
 

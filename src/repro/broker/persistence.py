@@ -42,7 +42,6 @@ def snapshot(broker: Broker) -> Dict:
             "merge_interval": config.merge_interval,
             "advert_covering": config.advert_covering,
             "matching_engine": config.matching_engine,
-            "views": config.views,
         },
         "neighbors": sorted(map(str, broker.neighbors)),
         "local_clients": sorted(map(str, broker.local_clients)),
@@ -148,8 +147,9 @@ def restore(
     rebuilt lazily from the restored table, and its route memo starts
     empty, so nothing decided under the old engine survives a switch.
 
-    Older snapshots carry three retired per-view config keys (window
-    size, hot threshold, view bound); restore ignores them."""
+    Older snapshots carry a retired ``views`` flag and three retired
+    per-view config keys (window size, hot threshold, view bound);
+    restore ignores them."""
     if not isinstance(state, dict) or "config" not in state:
         raise PersistenceError(
             "malformed broker snapshot: missing 'config'"
@@ -165,7 +165,6 @@ def restore(
             merge_interval=config_state["merge_interval"],
             advert_covering=config_state.get("advert_covering", False),
             matching_engine=engine,
-            views=config_state.get("views", False),
         )
         broker = Broker(state["broker_id"], config=config, universe=universe)
         for neighbor in state["neighbors"]:
@@ -196,9 +195,7 @@ def restore(
         # first publication the restored broker matches.  (Automaton
         # state is derived, so snapshots never carry it — a restored
         # broker re-derives it from the restored table, same as the
-        # route memo starting empty, whichever engine filled it before.
-        # Replay windows are derived state too: a restored broker
-        # starts with an empty ViewManager.)
+        # route memo starting empty, whichever engine filled it before.)
         broker._mark_shared_dirty()
         for item in state["forwarded"]:
             expr = parse_xpath(item["expr"])

@@ -67,12 +67,6 @@ class RoutingConfig:
     #: driving *forwarding*, this only selects how a publication is
     #: matched against the resident XPEs.
     matching_engine: str = "auto"
-    #: Edge replay windows (see docs/views.md): every broker retains
-    #: the last publications it routed per publication group, and a
-    #: late local subscriber gets the matching windows replayed.
-    #: Routing is unchanged.  Off by default — windows are rebuildable
-    #: state and orthogonal to the routing strategy.
-    views: bool = False
 
     def __post_init__(self):
         if self.merge_interval < 1:

@@ -65,16 +65,6 @@ def _add_engine_option(parser):
     )
 
 
-def _add_views_option(parser):
-    parser.add_argument(
-        "--views",
-        action="store_true",
-        help="keep a replay window of the last publications each broker "
-        "routed per publication group, and replay the matching windows "
-        "to a late subscriber (see docs/views.md)",
-    )
-
-
 def _add_dtd_options(parser):
     parser.add_argument("dtd_file", nargs="?", help="path to a DTD file")
     parser.add_argument(
@@ -168,7 +158,6 @@ def cmd_simulate(args) -> int:
         check_delivery_equivalence=strategies is None,
         faults=_parse_faults(args),
         matching_engine=args.engine,
-        views=args.views,
     )
     print(result.format())
     if metrics_out:
@@ -200,7 +189,6 @@ def cmd_stats(args) -> int:
         check_delivery_equivalence=False,
         faults=_parse_faults(args),
         matching_engine=args.engine,
-        views=args.views,
         telemetry_interval=args.sample_every,
     )
     registry = obs.get_registry()
@@ -213,26 +201,11 @@ def cmd_stats(args) -> int:
         "documents": args.documents,
         "seed": args.seed,
     }
-    if args.views:
-        meta["views"] = {
-            "windows": registry.gauge("views.live").value,
-            "retained": registry.gauge("views.retained").value,
-            "replays": registry.counter("views.replays").value,
-        }
     if args.format == "line":
         rendered = obs.to_line_protocol(registry)
     else:
         document = obs.snapshot_document(registry, meta=meta)
         rendered = json.dumps(document, indent=2, sort_keys=True)
-    if args.views:
-        print(
-            "views: windows=%d retained=%d replays=%d"
-            % (
-                meta["views"]["windows"],
-                meta["views"]["retained"],
-                meta["views"]["replays"],
-            )
-        )
     if args.sample_every is not None:
         document = result.telemetry[strategy]
         with open(args.timeline_out, "w") as handle:
@@ -500,7 +473,6 @@ def cmd_audit(args) -> int:
             merge_interval=args.merge_interval,
             seed=args.seed + 3,
             matching_engine=args.engine,
-            views=args.views,
         )
         status = "OK" if report.ok else "FAIL"
         print(
@@ -673,7 +645,6 @@ def cmd_deploy(args) -> int:
         seed=args.seed,
         strategy=args.strategy or "with-Adv-with-Cov",
         matching_engine=args.engine,
-        views=args.views,
         serialize_subscriptions=not args.no_serialize,
     )
     plan = build_plan(spec)
@@ -865,7 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable metrics and write the JSON snapshot here",
     )
     _add_engine_option(p)
-    _add_views_option(p)
     _add_faults_option(p)
     p.set_defaults(fn=cmd_simulate)
 
@@ -899,7 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
         "telemetry-timeline.json; render with 'repro timeline')",
     )
     _add_engine_option(p)
-    _add_views_option(p)
     _add_faults_option(p)
     p.set_defaults(fn=cmd_stats)
 
@@ -1019,7 +988,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=float, default=0.1)
     p.add_argument("--merge-interval", type=int, default=4)
     _add_engine_option(p)
-    _add_views_option(p)
     p.set_defaults(fn=cmd_audit)
 
     p = sub.add_parser(
@@ -1124,7 +1092,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the diagnostics dump even on success",
     )
     _add_engine_option(p)
-    _add_views_option(p)
     p.set_defaults(fn=cmd_deploy)
 
     p = sub.add_parser("experiments", help="reproduce the paper's tables/figures")

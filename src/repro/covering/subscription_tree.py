@@ -247,8 +247,11 @@ class SubscriptionTree:
             target.children.append(child)
             if was_top_level and target is self._root:
                 promoted.append(child.expr)
-        for other in self._by_expr.values():
-            other.super_pointers.discard(id(node))
+        if self._eager_super_pointers:
+            # Only eager trees hold super pointers; a lazy tree's sets
+            # are all empty, so it skips this sweep over every node.
+            for other in self._by_expr.values():
+                other.super_pointers.discard(id(node))
         return RemoveOutcome(
             removed=True,
             was_top_level=was_top_level,

@@ -31,7 +31,6 @@ from repro.experiments.common import ExperimentResult, scaled
 from repro.merging.engine import PathUniverse
 from repro.network.latency import ClusterLatency
 from repro.network.overlay import Overlay
-from repro.views import record_gauges as record_view_gauges
 from repro.workloads.datasets import psd_queries
 from repro.workloads.document_generator import generate_documents
 
@@ -46,7 +45,6 @@ def run_traffic_experiment(
     check_delivery_equivalence: bool = True,
     faults=None,
     matching_engine: str = "auto",
-    views: bool = False,
     telemetry_interval: Optional[float] = None,
 ) -> ExperimentResult:
     """Run the Tables 2/3 experiment on a ``levels``-deep broker tree.
@@ -61,11 +59,6 @@ def run_traffic_experiment(
     ``matching_engine`` selects the publication-matching backend on
     every broker (``auto`` or ``shared``); routing decisions and
     delivered document sets are identical across engines.
-
-    ``views`` enables edge replay windows (:mod:`repro.views`) on every
-    broker; routing and delivered document sets are unaffected.  Their
-    ``views.live`` / ``views.retained`` gauges are folded into the
-    registry after each strategy's run.
 
     ``telemetry_interval`` (virtual seconds) turns on the live
     telemetry plane per strategy; each strategy's timeline document
@@ -94,7 +87,7 @@ def run_traffic_experiment(
     result.telemetry = {}
     baseline_deliveries = None
     for name in strategies:
-        config = _configure(name, merge_interval, matching_engine, views)
+        config = _configure(name, merge_interval, matching_engine)
         overlay = Overlay.binary_tree(
             levels,
             config=config,
@@ -127,7 +120,6 @@ def run_traffic_experiment(
         for doc in docs:
             publisher.publish_document(doc)
         overlay.run()
-        record_view_gauges(overlay.metrics, overlay.brokers.values())
 
         delivered = overlay.delivered_map()
         if check_delivery_equivalence:
@@ -156,15 +148,12 @@ def _configure(
     name: str,
     merge_interval: int,
     matching_engine: str = "auto",
-    views: bool = False,
 ) -> RoutingConfig:
     config = RoutingConfig.by_name(name)
     if config.merging.value != "off" and config.merge_interval != merge_interval:
         config = replace(config, merge_interval=merge_interval)
     if config.matching_engine != matching_engine:
         config = replace(config, matching_engine=matching_engine)
-    if config.views != views:
-        config = replace(config, views=views)
     return config
 
 

@@ -26,7 +26,6 @@ from repro.network.simulator import Simulator
 from repro.obs import MetricsRegistry
 from repro.obs.tracing import Span
 from repro.runtime.host import Group, HostKernel
-from repro.views import record_gauges as record_view_gauges
 
 
 class Overlay(HostKernel):
@@ -321,8 +320,8 @@ class Overlay(HostKernel):
         self.close_group()
         if broker_id in self._down:
             return
-        for destination, messages, view in self.sweep(broker_id):
-            self._forward(broker_id, destination, messages, 0.0, 1, view=view)
+        for destination, messages in self.sweep(broker_id):
+            self._forward(broker_id, destination, messages, 0.0, 1)
 
     # -- telemetry cadence -------------------------------------------------
 
@@ -435,10 +434,10 @@ class Overlay(HostKernel):
                         hop_span.trace_id, hop_span.span_id, "queue.wait",
                         broker_id, now, now + waited,
                     )
-        for destination, out_messages, view in frames:
+        for destination, out_messages in frames:
             self._forward(
                 broker_id, destination, out_messages, processing, hops,
-                hop_spans, view,
+                hop_spans,
             )
 
     def _charge_processing(
@@ -485,10 +484,9 @@ class Overlay(HostKernel):
         processing: float,
         hops: int,
         hop_spans: Optional[Dict[int, Span]] = None,
-        view: Optional[str] = None,
     ):
         """Put one outbound frame on its link: one latency draw (at the
-        frame's largest document size) and one simulator event per
+        frame's document size) and one simulator event per
         frame, one ``forward`` span per message.  With a fault plan
         installed broker-bound frames are handed to the reliable
         transport one message each — its sequence numbers,
@@ -516,14 +514,10 @@ class Overlay(HostKernel):
                     first_delay=processing, parent_span=fwd,
                 )
             return
-        if view == "replay":
-            # a replayed window mixes documents: the frame arrives when
-            # its largest member would.
-            size = max(map(_size_of, messages))
-        else:
-            # a group shares one doc_size_bytes (the kernel's join rule).
-            size = _size_of(messages[0])
-        latency = self.latency_model.latency(src_broker, destination, size)
+        # a group shares one doc_size_bytes (the kernel's join rule).
+        latency = self.latency_model.latency(
+            src_broker, destination, _size_of(messages[0])
+        )
         parents: Optional[Dict[int, Span]] = None
         if tracing is not None:
             attrs = {"group": len(messages)} if len(messages) > 1 else {}
@@ -531,7 +525,7 @@ class Overlay(HostKernel):
             for message in messages:
                 fwd = self.forward_span(
                     src_broker, destination, message, hop_spans,
-                    start, start + latency, view, **attrs,
+                    start, start + latency, **attrs,
                 )
                 if fwd is not None:
                     parents[message.msg_id] = fwd
@@ -544,15 +538,15 @@ class Overlay(HostKernel):
         else:
             self.sim.schedule(
                 processing + latency, self._client_receive,
-                destination, messages, hops, parents, view,
+                destination, messages, hops, parents,
             )
 
     def _client_receive(
         self, client_id: str, messages: Sequence[Message], hops: int,
-        parents: Optional[Dict[int, Span]], view: Optional[str],
+        parents: Optional[Dict[int, Span]],
     ):
         """A broker's frame reached a subscriber, now."""
-        self.receive(client_id, messages, hops, self.sim.now, parents, view)
+        self.receive(client_id, messages, hops, self.sim.now, parents)
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Drain all pending traffic; returns processed event count."""
@@ -581,7 +575,6 @@ class Overlay(HostKernel):
         self.metrics.gauge("broker.match_cache.evictions").set(
             sum(b.match_cache.evictions for b in self.brokers.values())
         )
-        record_view_gauges(self.metrics, self.brokers.values())
         document = self.metrics.snapshot()
         document["network"] = self.stats.summary()
         if self._transport is not None:

@@ -80,14 +80,6 @@ from repro.runtime.base import scaled
 from repro.runtime.host import HostKernel
 
 
-def stamp_view(message: Message, kind: str):
-    """Attach the view-delivery class ("replay") to a message
-    object, the same out-of-band way trace contexts travel (works on
-    frozen dataclasses; local deliveries only — never wire-encoded by
-    the transport, only folded into drained delivery objects)."""
-    object.__setattr__(message, "view", kind)
-
-
 class _Connection:
     """One reliable framed peer connection: the TCP driver of a
     :class:`~repro.network.reliable.Channel` (this end's sending half
@@ -483,7 +475,7 @@ class SocketBrokerNode:
                 now = time.monotonic()
                 for hop_span in hop_spans.values():
                     hop_span.end = now
-            for destination, out_messages, view in frames:
+            for destination, out_messages in frames:
                 sink = self._client_sinks.get(destination)
                 if sink is None:
                     connection = self._connections.get(destination)
@@ -496,12 +488,6 @@ class SocketBrokerNode:
                         connection.send(out_msg)
                     continue
                 for out_msg in out_messages:
-                    if view is not None:
-                        # Rides the message object like the trace stamp;
-                        # the multiprocess worker folds it into the wire
-                        # object so the parent-side auditor can classify
-                        # the delivery.
-                        stamp_view(out_msg, view)
                     sink(out_msg)
 
 

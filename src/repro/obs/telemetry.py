@@ -80,7 +80,6 @@ DEFAULT_COUNTER_PREFIXES: Tuple[str, ...] = (
     "network.",
     "runtime.",
     "matching.",
-    "views.",
     "telemetry.",
 )
 
@@ -534,8 +533,8 @@ class TelemetryPlane:
 def broker_gauges(broker) -> Dict[str, float]:
     """Duck-typed gauge bundle from a :class:`~repro.broker.Broker`.
 
-    Works on any backend's broker object: routing-table size, DFA size
-    (shared engine) and live replay windows (when views are enabled)."""
+    Works on any backend's broker object: routing-table size and DFA
+    size (shared engine)."""
     gauges: Dict[str, float] = {}
     size = getattr(broker, "routing_table_size", None)
     if callable(size):
@@ -544,9 +543,6 @@ def broker_gauges(broker) -> Dict[str, float]:
     stats = engine.stats() if engine is not None else {}
     if "dfa_states" in stats:
         gauges["dfa_states"] = float(stats["dfa_states"])
-    views = getattr(broker, "views", None)
-    if views is not None:
-        gauges["views_live"] = float(len(views.views))
     return gauges
 
 

@@ -371,10 +371,10 @@ class AsyncioRuntime(HostKernel):
                         now = self.now
                         for hop_span in hop_spans.values():
                             hop_span.end = now
-                for destination, out_messages, view in frames:
+                for destination, out_messages in frames:
                     await self._forward(
                         broker_id, destination, out_messages, hops,
-                        hop_spans, view,
+                        hop_spans,
                     )
             except asyncio.CancelledError:
                 raise
@@ -389,13 +389,12 @@ class AsyncioRuntime(HostKernel):
     async def _forward(
         self, broker_id: str, destination: object,
         messages: Sequence[Message], hops: int,
-        hop_spans: Optional[Dict[int, Span]], view: Optional[str],
+        hop_spans: Optional[Dict[int, Span]],
     ):
         """Queue one outbound frame, one slot whatever its length: onto
         the bounded link queue toward a neighbour, or the bounded
-        delivery queue of a local subscriber (a view window replayed to
-        a late subscriber included — backpressure applies to it too).
-        ``forward`` spans stay one per message."""
+        delivery queue of a local subscriber.  ``forward`` spans stay
+        one per message."""
         if destination in self.brokers:
             key = (broker_id, destination)
             queue = self._link_queues[key]
@@ -410,13 +409,13 @@ class AsyncioRuntime(HostKernel):
             for message in messages:
                 fwd = self.forward_span(
                     broker_id, destination, message, hop_spans, now, now,
-                    view, **attrs,
+                    **attrs,
                 )
                 if fwd is not None:
                     parents[message.msg_id] = fwd
         self._begin(broker_id, len(messages))
         self.stats.record_frame()
-        await self._bounded_put(queue, key, (messages, hops, parents, view))
+        await self._bounded_put(queue, key, (messages, hops, parents))
 
     async def _bounded_put(self, queue: asyncio.Queue, key, item):
         """Put with backpressure accounting: a full queue blocks the
@@ -440,7 +439,7 @@ class AsyncioRuntime(HostKernel):
     async def _link_sender(self, src: str, dst: str):
         queue = self._link_queues[(src, dst)]
         while True:
-            messages, hops, parents, _view = await queue.get()
+            messages, hops, parents = await queue.get()
             count = len(messages)
             delay = self.link_delay.get((src, dst), 0.0)
             if delay:
@@ -469,14 +468,12 @@ class AsyncioRuntime(HostKernel):
         queue = self._client_queues[client_id]
         home = self._client_home[client_id]
         while True:
-            messages, hops, parents, view = await queue.get()
+            messages, hops, parents = await queue.get()
             try:
                 delay = self.client_delay.get(client_id, 0.0)
                 if delay:
                     await asyncio.sleep(delay * len(messages))
-                self.receive(
-                    client_id, messages, hops, self.now, parents, view
-                )
+                self.receive(client_id, messages, hops, self.now, parents)
             except asyncio.CancelledError:
                 raise
             except BaseException as exc:

@@ -14,7 +14,7 @@ once:
   of one document one client→edge frame (a :class:`Group`),
 * :meth:`HostKernel.dispatch`, one frame through one broker: the single
   ``core.on_publications`` / ``on_message`` call, whose
-  ``(destination, messages, view)`` frames it returns, ``hop`` spans
+  ``(destination, messages)`` frames it returns, ``hop`` spans
   and the hop scope, trace-stamping of what the broker originated,
 * :meth:`HostKernel.receive`, the back half of a delivery: client
   dedup, ``deliver`` spans, audit observation, delivery records,
@@ -374,11 +374,11 @@ class HostKernel:
             )
         if hop_spans:
             # What a lone message's handler originated — merger
-            # subscriptions, covering retractions, replays — joins the
+            # subscriptions and covering retractions — joins the
             # trace that caused it; messages already carrying a context
             # keep theirs.  (A group only ever forwards its members.)
             sole = first_span if len(messages) == 1 else None
-            for _destination, out_messages, _view in frames:
+            for _destination, out_messages in frames:
                 for out_msg in out_messages:
                     hop_span = hop_spans.get(out_msg.msg_id, sole)
                     if hop_span is None:
@@ -422,18 +422,15 @@ class HostKernel:
     def forward_span(
         self, src_broker: str, destination: object, message: Message,
         hop_spans: Optional[Dict[int, Span]], start: float, end: float,
-        view: Optional[str] = None, **attrs,
+        **attrs,
     ) -> Optional[Span]:
         """The ``forward`` span of one message of an outbound frame
         (None for an untraced message), under the message's own hop
         span.  What the broker originated is in nobody's *hop_spans*;
-        its stamp already names the hop that caused it.  *view* is the
-        frame's view label, recorded when there is one."""
+        its stamp already names the hop that caused it."""
         context = trace_of(message)
         if context is None:
             return None
-        if view is not None:
-            attrs["view"] = view
         hop_span = hop_spans.get(message.msg_id) if hop_spans else None
         return self.tracing.span(
             context.trace_id, _parent_id(hop_span, context),
@@ -446,12 +443,10 @@ class HostKernel:
     def receive(
         self, client_id: str, messages: Sequence[Message], hops: int,
         now: Optional[float], parents: Optional[Dict[int, Span]] = None,
-        view: Optional[str] = None,
     ) -> int:
-        """One frame reached a subscriber.  *view* is "replay" when a
-        replay window produced it (labels the spans and the audit
-        observations).  Dedup, delivery records, spans and audit
-        observations are per message; returns how many were fresh.
+        """One frame reached a subscriber.  Dedup, delivery records,
+        spans and audit observations are per message; returns how many
+        were fresh.
 
         *now* is None when the caller learns of the delivery after the
         fact (the multiprocess parent draining its children): it is
@@ -476,8 +471,6 @@ class HostKernel:
                         "doc": publication.doc_id,
                         "path_id": publication.path_id,
                     }
-                    if view is not None:
-                        attrs["view"] = view
                     tracing.span(
                         context.trace_id,
                         _parent_id(
@@ -494,7 +487,7 @@ class HostKernel:
                 continue
             delivered += 1
             for auditor in auditors:
-                auditor.observe_delivery(client_id, message, view)
+                auditor.observe_delivery(client_id, message)
             if now is None:
                 continue
             publication = message.publication
@@ -516,8 +509,8 @@ class HostKernel:
         self, broker_id: str, gauges: Dict[str, float]
     ) -> Tuple[Dict[str, float], Dict[str, float]]:
         """One broker's sample, read where the broker lives: the
-        backend's own queue *gauges* plus routing-table, matcher and
-        view gauges, and the cumulative ``handled`` counter."""
+        backend's own queue *gauges* plus routing-table and matcher
+        gauges, and the cumulative ``handled`` counter."""
         broker = self.brokers[broker_id]
         gauges.update(broker_gauges(broker))
         return gauges, {"handled": float(sum(broker.stats.values()))}

@@ -95,14 +95,7 @@ def _broker_worker(
                 (client_id,) = args
 
                 def sink(message, client_id=client_id):
-                    obj = message_to_obj(message)
-                    view = getattr(message, "view", None)
-                    if view is not None:
-                        # Local-delivery classification from the socket
-                        # node (a window replay); folded into the
-                        # drained object for the parent-side auditor.
-                        obj["view"] = view
-                    delivered.append((client_id, obj))
+                    delivered.append((client_id, message_to_obj(message)))
 
                 node.attach_local_client(client_id, sink)
                 reply = None
@@ -533,12 +526,9 @@ class MultiprocessDeployment(HostKernel):
         fresh = 0
         for broker_id in self._live_ids():
             for client_id, obj in self._rpc(broker_id, "drain_deliveries"):
-                view = obj.pop("view", None)
                 message = message_from_obj(obj)
                 if client_id in self.subscribers:
-                    fresh += self.receive(
-                        client_id, (message,), 0, None, view=view
-                    )
+                    fresh += self.receive(client_id, (message,), 0, None)
         return fresh
 
     def run(self, max_events=None) -> int:

@@ -45,8 +45,6 @@ class WorkloadSpec:
     seed: int = 7
     strategy: str = "with-Adv-with-Cov"
     matching_engine: str = "auto"
-    #: Edge replay windows (repro.views) on every broker.
-    views: bool = False
     target_bytes: int = 600
     #: Quiesce between per-leaf subscription batches.  Covering
     #: decisions depend on the order concurrent subscriptions from
@@ -61,8 +59,6 @@ class WorkloadSpec:
             config = dataclasses.replace(
                 config, matching_engine=self.matching_engine
             )
-        if self.views != config.views:
-            config = dataclasses.replace(config, views=self.views)
         return config
 
 

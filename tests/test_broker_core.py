@@ -9,7 +9,7 @@ contract every backend relies on after every step:
   the pre-step snapshot produces byte-identical canonical frames for
   the same input, and lands on the same routing fingerprint;
 * frames are *well-classified*: every destination is a neighbour or an
-  attached client, and only a client frame is a replay;
+  attached client, and every frame carries a non-empty message tuple;
 * the snapshot/restore round trip preserves the fingerprint.
 """
 
@@ -92,13 +92,10 @@ class BrokerCoreMachine(RuleBasedStateMachine):
         assert canonical_effects(twin_frames) == canonical_effects(frames)
         assert twin.fingerprint() == self.core.fingerprint()
 
-        for destination, messages, view in frames:
+        for destination, messages in frames:
             assert destination in NEIGHBORS or destination in CLIENTS, (
                 destination
             )
-            assert view is None or (
-                view == "replay" and destination in CLIENTS
-            ), (destination, view)
             assert isinstance(messages, tuple) and messages
         return frames
 
@@ -213,7 +210,7 @@ def _assert_twin_agrees(core, message, from_hop, emitted, count):
     twin = BrokerCore.restore(core.snapshot())
     frames = core.on_message(message, from_hop)
     assert sum(
-        isinstance(m, emitted) for _d, messages, _v in frames for m in messages
+        isinstance(m, emitted) for _d, messages in frames for m in messages
     ) == count
     assert canonical_effects(twin.on_message(message, from_hop)) \
         == canonical_effects(frames)
@@ -257,8 +254,8 @@ def test_covered_retraction_order_survives_restore():
 
 def _per_destination(frames):
     flat = {}
-    for destination, view, message in canonical_effects(frames):
-        flat.setdefault((destination, view), []).append(message)
+    for destination, message in canonical_effects(frames):
+        flat.setdefault(destination, []).append(message)
     return flat
 
 
@@ -346,9 +343,9 @@ def test_a_group_sharing_one_decision_with_its_arrival_hop():
     assert {
         key: len(messages)
         for key, messages in _per_destination(grouped).items()
-    } == {("c1", None): 4, ("n2", None): 4}
+    } == {"c1": 4, "n2": 4}
     # one fan-out: every destination's frame carries the one tuple
-    assert len({id(messages) for _d, messages, _v in grouped}) == 1
+    assert len({id(messages) for _d, messages in grouped}) == 1
 
 
 def test_a_mixed_group_routes_like_its_members_one_by_one():

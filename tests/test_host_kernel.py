@@ -30,9 +30,9 @@ class ListBackend(HostKernel):
     def __init__(self, config):
         super().__init__(config=config, metrics=MetricsRegistry(enabled=True))
         self.now = 0.0
-        #: (destination, messages, from_hop, hops, parent spans, view)
+        #: (destination, messages, from_hop, hops, parent spans)
         self.wire = []
-        #: every broker-originated frame: (src, destination, labels, view)
+        #: every broker-originated frame: (src, destination, labels)
         self.sent = []
 
     def submit(self, client_id, *messages):
@@ -48,41 +48,35 @@ class ListBackend(HostKernel):
                 )
             if opened:
                 self.wire.append(
-                    (broker_id, group.messages, client_id, 1, group.roots,
-                     None)
+                    (broker_id, group.messages, client_id, 1, group.roots)
                 )
 
     def pump(self):
         while self.wire:
-            destination, messages, from_hop, hops, parents, view = (
-                self.wire.pop(0)
-            )
+            destination, messages, from_hop, hops, parents = self.wire.pop(0)
             self.close_group(messages)
             if destination not in self.brokers:
-                self.receive(
-                    destination, messages, hops, self.now, parents, view
-                )
+                self.receive(destination, messages, hops, self.now, parents)
                 continue
             frames, hop_spans, _elapsed = self.dispatch(
                 destination, messages, from_hop, self.now, parents
             )
             for span in (hop_spans or {}).values():
                 span.end = self.now
-            for target, out, label in frames:
+            for target, out in frames:
                 forwards = {
                     m.msg_id: self.forward_span(
-                        destination, target, m, hop_spans,
-                        self.now, self.now, label
+                        destination, target, m, hop_spans, self.now, self.now
                     )
                     for m in out
                 } if self.tracing is not None else None
                 self.sent.append(
-                    (destination, target, [_label(m) for m in out], label)
+                    (destination, target, [_label(m) for m in out])
                 )
                 # hops count brokers: the edge→client leg adds none
                 next_hops = hops + 1 if target in self.brokers else hops
                 self.wire.append(
-                    (target, out, destination, next_hops, forwards, label)
+                    (target, out, destination, next_hops, forwards)
                 )
 
 
@@ -98,8 +92,8 @@ class RecordingAuditor:
     def observe_submit(self, client_id, message):
         self.submits.append((client_id, _label(message)))
 
-    def observe_delivery(self, client_id, message, view=None):
-        self.deliveries.append((client_id, _label(message), view))
+    def observe_delivery(self, client_id, message):
+        self.deliveries.append((client_id, _label(message)))
 
 
 def _label(message):
@@ -124,12 +118,8 @@ def _group(doc_id, issued_at):
 
 @pytest.fixture
 def host():
-    """b1 — b2, publisher at b1, subscribers at b2, views on (every
-    routed group fills a replay window)."""
-    import dataclasses
-
-    config = dataclasses.replace(RoutingConfig.with_adv_with_cov(), views=True)
-    host = ListBackend(config)
+    """b1 — b2, publisher at b1, subscribers at b2."""
+    host = ListBackend(RoutingConfig.with_adv_with_cov())
     host.add_broker("b1")
     host.add_broker("b2")
     host.connect("b1", "b2")
@@ -140,8 +130,8 @@ def host():
 
 
 def _run_scenario(host):
-    """ADV → SUB → PUB group → the same paths again → late SUB (window
-    replay).  Returns the frames of each phase."""
+    """ADV → SUB → PUB group → the same paths again.  Returns the
+    frames of each phase."""
     phases = {}
 
     def phase(name, at, client_id, *messages):
@@ -160,36 +150,26 @@ def _run_scenario(host):
     ))
     phase("first", 3.0, "pub", *_group("d1", issued_at=3.0))
     phase("repeat", 4.0, "pub", *_group("d2", issued_at=4.0))
-    phase("late", 5.0, "late", SubscribeMsg(
-        expr=parse_xpath("/a/b"), subscriber_id="late"
-    ))
     return phases
 
 
 class TestKernelWithAListBackend:
-    def test_frames_and_view_labels(self, host):
+    def test_frames_per_phase(self, host):
         phases = _run_scenario(host)
-        assert phases["adv"] == [("b1", "b2", ["ADV adv1"], None)]
-        assert phases["sub"] == [("b2", "b1", ["SUB /a"], None)]
+        assert phases["adv"] == [("b1", "b2", ["ADV adv1"])]
+        assert phases["sub"] == [("b2", "b1", ["SUB /a"])]
         # a document's paths cross each link as one group, and reach the
         # client as one frame
         assert phases["first"] == [
-            ("b1", "b2", ["PUB d1#0", "PUB d1#1"], None),
-            ("b2", "early", ["PUB d1#0", "PUB d1#1"], None),
+            ("b1", "b2", ["PUB d1#0", "PUB d1#1"]),
+            ("b2", "early", ["PUB d1#0", "PUB d1#1"]),
         ]
-        # the same paths again: routed like the first, no view label
+        # the same paths again: routed like the first
         assert phases["repeat"] == [
-            ("b1", "b2", ["PUB d2#0", "PUB d2#1"], None),
-            ("b2", "early", ["PUB d2#0", "PUB d2#1"], None),
+            ("b1", "b2", ["PUB d2#0", "PUB d2#1"]),
+            ("b2", "early", ["PUB d2#0", "PUB d2#1"]),
         ]
-        # the late subscriber is caught up from the /a/b view's window;
-        # /a already covers /a/b upstream, so nothing goes to b1
-        assert phases["late"] == [
-            ("b2", "late", ["PUB d1#0", "PUB d2#0"], "replay"),
-        ]
-        assert host.delivered_map() == {
-            "early": {"d1", "d2"}, "late": {"d1", "d2"},
-        }
+        assert host.delivered_map() == {"early": {"d1", "d2"}, "late": set()}
 
     def test_auditor_sees_every_submit_and_each_fresh_delivery(self, host):
         auditor = host.attach_auditor(RecordingAuditor())
@@ -199,18 +179,16 @@ class TestKernelWithAListBackend:
             ("pub", "ADV adv1"), ("early", "SUB /a"),
             ("pub", "PUB d1#0"), ("pub", "PUB d1#1"),
             ("pub", "PUB d2#0"), ("pub", "PUB d2#1"),
-            ("late", "SUB /a/b"),
         ]
         assert auditor.deliveries == [
-            ("early", "PUB d1#0", None), ("early", "PUB d1#1", None),
-            ("early", "PUB d2#0", None), ("early", "PUB d2#1", None),
-            ("late", "PUB d1#0", "replay"), ("late", "PUB d2#0", "replay"),
+            ("early", "PUB d1#0"), ("early", "PUB d1#1"),
+            ("early", "PUB d2#0"), ("early", "PUB d2#1"),
         ]
         # a redelivered frame is deduplicated before the auditor
-        replayed = host.subscribers["late"].received[0]
-        assert host.receive("late", (replayed,), 2, 6.0) == 0
-        assert len(auditor.deliveries) == 6
-        assert host.subscribers["late"].duplicates == 1
+        redelivered = host.subscribers["early"].received[0]
+        assert host.receive("early", (redelivered,), 2, 6.0) == 0
+        assert len(auditor.deliveries) == 4
+        assert host.subscribers["early"].duplicates == 1
 
     def test_delivery_records_use_the_backends_clock(self, host):
         _run_scenario(host)
@@ -222,16 +200,13 @@ class TestKernelWithAListBackend:
         assert records == [
             ("early", "d1", 0, 3.0, 3.0, 2), ("early", "d1", 1, 3.0, 3.0, 2),
             ("early", "d2", 0, 4.0, 4.0, 2), ("early", "d2", 1, 4.0, 4.0, 2),
-            # replayed at 5.0 what was issued at 3.0 and 4.0, one hop
-            # from where the late SUB arrived
-            ("late", "d1", 0, 3.0, 5.0, 1), ("late", "d2", 0, 4.0, 5.0, 1),
         ]
         # a delivery learnt of after the fact (now=None) is deduplicated
         # and counted, but leaves no latency record
         extra = _group("d3", issued_at=9.0)[0]
         assert host.receive("late", (extra,), 0, None) == 1
-        assert len(host.stats.deliveries) == 6
-        assert host.stats.client_messages == 7
+        assert len(host.stats.deliveries) == 4
+        assert host.stats.client_messages == 5
 
     def test_span_names_and_parentage(self, host):
         recorder = host.enable_tracing()
@@ -248,26 +223,14 @@ class TestKernelWithAListBackend:
                 and span.attrs["doc"] == doc
                 and span.attrs["path_id"] == 0
             ]
-            return [
-                (s.name, str(s.broker_id), s.attrs.get("view"))
-                for s in tree.chain(span)
-            ]
+            return [(s.name, str(s.broker_id)) for s in tree.chain(span)]
 
         assert chain_of("early", "d1") == [
-            ("submit", "pub", None), ("hop", "b1", None),
-            ("forward", "b1", None), ("hop", "b2", None),
-            ("forward", "b2", None), ("deliver", "early", None),
+            ("submit", "pub"), ("hop", "b1"), ("forward", "b1"),
+            ("hop", "b2"), ("forward", "b2"), ("deliver", "early"),
         ]
         assert chain_of("early", "d2")[-2:] == [
-            ("forward", "b2", None), ("deliver", "early", None),
-        ]
-        # a replayed publication keeps the trace it was published in:
-        # the window holds the stamped message, and a message that
-        # carries a context parents to its own root, not to the hop of
-        # the late SUB that happened to trigger the replay
-        assert chain_of("late", "d2") == [
-            ("submit", "pub", None),
-            ("forward", "b2", "replay"), ("deliver", "late", "replay"),
+            ("forward", "b2"), ("deliver", "early"),
         ]
         hops = [s for s in recorder.spans if s.name == "hop"]
         grouped = [s for s in hops if s.attrs["kind"] == "PublishMsg"]
@@ -283,14 +246,14 @@ class TestKernelWithAListBackend:
     def test_dispatch_metrics(self, host):
         phases = _run_scenario(host)
         snapshot = host.metrics.snapshot()
-        # 2 ADV hops, 2 SUB hops, 2x2 PUB group hops, 1 late SUB hop
-        assert snapshot["histograms"]["network.dispatch"]["count"] == 9
+        # 2 ADV hops, 2 SUB hops, 2x2 PUB group hops
+        assert snapshot["histograms"]["network.dispatch"]["count"] == 8
         assert snapshot["counters"]["network.dispatch.outbound"] == sum(
             len(labels)
             for frames in phases.values()
-            for _src, _dst, labels, _view in frames
+            for _src, _dst, labels in frames
         )
-        assert snapshot["counters"]["network.messages"] == 13
+        assert snapshot["counters"]["network.messages"] == 12
 
     def test_only_the_frame_taken_off_the_link_closes_its_group(self, host):
         host.submit("early", SubscribeMsg(
@@ -337,8 +300,8 @@ class TestKernelWithAListBackend:
             frames, _spans, _elapsed = kernel.dispatch(
                 "b1", arriving, "b2", 0.0
             )
-            assert sorted(d for d, _m, _v in frames) == ["b3", "s"]
-            first, second = (messages for _d, messages, _v in frames)
+            assert sorted(d for d, _m in frames) == ["b3", "s"]
+            first, second = (messages for _d, messages in frames)
             assert first is second and first == tuple(group)
         assert first is arriving
 

@@ -564,8 +564,7 @@ def test_crash_recovery_starts_with_empty_cache():
 
 
 #: The plan's documents are published this many times over (fresh doc
-#: ids each round), so repeat publications meet warm memos and — with
-#: views on — materialized views that serve them.
+#: ids each round), so repeat publications meet warm memos.
 DISPATCH_ROUNDS = 3
 
 
@@ -652,12 +651,9 @@ def assert_grouping_is_unobservable(spec, **kwargs):
     seed=st.integers(min_value=0, max_value=10_000),
     covering=st.booleans(),
     engine=st.sampled_from(("auto", "shared")),
-    views=st.booleans(),
 )
 @settings(max_examples=20)
-def test_grouped_dispatch_is_path_by_path_dispatch(
-    seed, covering, engine, views
-):
+def test_grouped_dispatch_is_path_by_path_dispatch(seed, covering, engine):
     assert_grouping_is_unobservable(
         WorkloadSpec(
             levels=3,
@@ -666,7 +662,6 @@ def test_grouped_dispatch_is_path_by_path_dispatch(
             seed=seed,
             strategy="with-Adv-with-Cov" if covering else "with-Adv-no-Cov",
             matching_engine=engine,
-            views=views,
             target_bytes=1024,
         )
     )

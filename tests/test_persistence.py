@@ -116,16 +116,15 @@ class TestRoundTrip:
         rebuilt = restore(snapshot(original))
         assert rebuilt.client_subs["c1"] == original.client_subs["c1"]
 
-    def test_snapshot_writes_views_as_one_flag(self):
+    def test_snapshot_writes_no_view_keys(self):
         config = snapshot(populated_broker())["config"]
-        assert config["views"] is False
-        assert not [key for key in config if key.startswith("view_")]
+        assert not [key for key in config if key.startswith("view")]
 
 
-#: A snapshot as written while views still had three settings of their
-#: own (window size, hot threshold, view bound).  The retired key names
-#: are assembled from parts so the options they named appear nowhere
-#: else in the tree.
+#: A snapshot as written while brokers still kept edge replay windows:
+#: a ``views`` flag and three per-view settings (window size, hot
+#: threshold, view bound).  The retired key names are assembled from
+#: parts so the options they named appear nowhere else in the tree.
 OLD_FORMAT_SNAPSHOT = {
     "broker_id": "b1",
     "config": {
@@ -152,13 +151,18 @@ OLD_FORMAT_SNAPSHOT = {
 
 def test_old_format_snapshot_with_view_settings_restores():
     rebuilt = restore(OLD_FORMAT_SNAPSHOT)
-    assert rebuilt.config.views and rebuilt.views is not None
+    current = dict(OLD_FORMAT_SNAPSHOT, config={
+        key: value
+        for key, value in OLD_FORMAT_SNAPSHOT["config"].items()
+        if not key.startswith("view")
+    })
     assert publish(rebuilt, ("a", "b")) == [
         ("c1", "PublishMsg", "d#0:/a/b")
     ]
+    assert publish(rebuilt, ("a", "b")) == publish(restore(current), ("a", "b"))
     # Written back, the retired settings are gone.
     assert not [
-        key for key in snapshot(rebuilt)["config"] if key.startswith("view_")
+        key for key in snapshot(rebuilt)["config"] if key.startswith("view")
     ]
 
 

@@ -171,35 +171,6 @@ def test_shared_engine_equivalent_on_every_backend():
         assert diverged == [], (name, diverged)
 
 
-def test_views_equivalent_on_every_backend():
-    """Edge replay windows (docs/views.md) on all three backends: views
-    never change routing, so the delivered sets match the views-off
-    simulator reference exactly, the audit oracle (which judges window
-    replays) stays clean, and causal traces stay complete."""
-    spec = WorkloadSpec(
-        levels=3,
-        queries_per_leaf=4,
-        documents=4,
-        seed=7,
-        views=True,
-    )
-    views_plan = build_plan(spec)
-    reference = run_workload(SimulatorAdapter(), SPEC, build_plan(SPEC))
-    results = {
-        name: run_workload(adapter, spec, views_plan, auditor=AuditOracle())
-        for name, adapter in (
-            ("simulator", SimulatorAdapter(tracing=True)),
-            ("asyncio", AsyncioAdapter(tracing=True)),
-            ("multiprocess", MultiprocessAdapter(tracing=True)),
-        )
-    }
-    assert reference.delivered
-    for name, result in results.items():
-        assert result.delivered == reference.delivered, name
-        assert result.audit_problems == [], name
-        assert result.trace_problems == [], name
-
-
 def test_unserialized_subscriptions_still_deliver_identically(plan):
     """Covering tables are arrival-order-dependent (racing subscriptions
     from different leaves at a shared ancestor resolve differently), but

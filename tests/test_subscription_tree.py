@@ -171,6 +171,20 @@ class TestSuperPointers:
         node = tree.node_of(x("/*/b"))
         assert id(covered) not in node.super_pointers
 
+    def test_lazy_tree_removal_does_not_sweep_every_node(self):
+        """A lazy tree holds no super pointers, so retiring a node must
+        not walk the whole table to clear them."""
+
+        class NoFullScan(dict):
+            def values(self):
+                raise AssertionError("removal walked every stored node")
+
+        tree, _ = build("/a", "/a/b", "/*/b", "/c")
+        assert not any(node.super_pointers for node in tree.iter_nodes())
+        tree._by_expr = NoFullScan(tree._by_expr)
+        assert tree.remove(x("/a/b"), "/a/b").removed
+        assert tree.node_of(x("/a/b")) is None
+
 
 class TestDotExport:
     def test_dot_contains_nodes_and_edges(self):
