@@ -3,10 +3,10 @@
 The same matching workload — a PSD query pool probed with every
 DTD-derived publication path — timed twice: once through the compiled
 dispatch (``repro.xpath.compiled``, the default) and once with the
-fast path disabled (``REPRO_COMPILED=0`` mode).  Both tests assert the
-identical match count, so the pair doubles as a coarse differential
-check; ``tests/test_matcher_differential.py`` carries the exhaustive
-one.
+fast path disabled (``set_compiled_enabled(False)``).  Both tests
+assert the identical match count, so the pair doubles as a coarse
+differential check; ``tests/test_matcher_differential.py`` carries the
+exhaustive one.
 
 The covering benchmark exercises the other compiled consumer:
 ``covers()`` between simple expressions reduces to one anchored-regex

@@ -24,7 +24,6 @@ from repro.adverts.recursive import (
     expr_and_rec_adv,
     expr_and_rec_adv_expansion,
 )
-from repro.adverts.covering import AdvertCoverSet, advert_covers
 from repro.adverts.nfa import AdvertNFA, expr_and_advert_nfa
 
 __all__ = [
@@ -46,8 +45,6 @@ __all__ = [
     "expr_and_advertisement",
     "expr_and_rec_adv",
     "expr_and_rec_adv_expansion",
-    "AdvertCoverSet",
-    "advert_covers",
     "AdvertNFA",
     "expr_and_advert_nfa",
 ]

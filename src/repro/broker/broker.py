@@ -84,12 +84,6 @@ class Broker:
 
         self.srt = SubscriptionRoutingTable()
         self.forwarded = ForwardedState()
-        if self.config.advert_covering:
-            from repro.adverts.covering import AdvertCoverSet
-
-            self.advert_covers: Optional[AdvertCoverSet] = AdvertCoverSet()
-        else:
-            self.advert_covers = None
         if self.config.covering:
             self.tree: Optional[SubscriptionTree] = SubscriptionTree()
             self.flat: Optional[LinearMatcher] = None
@@ -223,14 +217,7 @@ class Broker:
             obs.inc("broker.redelivered.advertise")
             return []
         # Publication routing never reads the SRT: the route memo stays.
-        flood = True
-        if self.advert_covers is not None:
-            flood = self.advert_covers.add(msg.adv_id, msg.advert, from_hop)
-        out: Outbound = (
-            [(n, msg) for n in self.neighbors if n != from_hop]
-            if flood
-            else []
-        )
+        out: Outbound = [(n, msg) for n in self.neighbors if n != from_hop]
         if self.config.advertisements:
             out.extend(self._replay_subscriptions(msg, from_hop))
         return out
@@ -267,33 +254,12 @@ class Broker:
         self, msg: UnadvertiseMsg, from_hop: object
     ) -> Outbound:
         """Retract an advertisement (extension; the paper's evaluation
-        never unadvertises).  With advertisement covering enabled,
-        advertisements the retracted one was suppressing become maximal
-        and must be flooded now."""
-        entries = {
-            entry.adv_id: entry for entry in self.srt.entries()
-        }
+        never unadvertises)."""
         if not self.srt.remove(msg.adv_id):
             self.stats["redelivered"] += 1
             obs.inc("broker.redelivered.unadvertise")
             return []
-        out: Outbound = [(n, msg) for n in self.neighbors if n != from_hop]
-        if self.advert_covers is not None:
-            for promoted_id in self.advert_covers.remove(msg.adv_id):
-                entry = entries.get(promoted_id)
-                if entry is None:
-                    continue
-                promoted_msg = AdvertiseMsg(
-                    adv_id=entry.adv_id,
-                    advert=entry.advert,
-                    publisher_id=entry.publisher_id,
-                )
-                out.extend(
-                    (n, promoted_msg)
-                    for n in self.neighbors
-                    if n != entry.last_hop
-                )
-        return out
+        return [(n, msg) for n in self.neighbors if n != from_hop]
 
     # -- subscriptions ------------------------------------------------------------
 
@@ -827,19 +793,16 @@ class Broker:
             return []
         scope = current_scope()
         wall0 = perf_counter() if scope is not None else 0.0
-        if self.config.covering:
-            report = self._merger.merge_tree(self.tree)
-        else:
-            report = self._merger.merge_flat(self.flat)
+        report = self._merger.merge_tree(self.tree)
         if scope is not None:
             scope.sub_span(
                 "merge.absorb", wall0, perf_counter(),
                 events=len(report.events),
             )
-        # Sweeps rewrite the table through the engine's internals, in
-        # both covering and flat mode: routes memoised before the sweep
-        # are dropped — and the shared-automaton mirror is rebuilt
-        # lazily from the rewritten table.
+        # Sweeps rewrite the tree through the engine's internals:
+        # routes memoised before the sweep are dropped — and the
+        # shared-automaton mirror is rebuilt lazily from the rewritten
+        # table.
         self.match_cache.clear()
         if report.events:
             self._mark_shared_dirty()
@@ -901,10 +864,6 @@ class Broker:
         if self._merge_registry is not None:
             summary["live_mergers"] = len(self._merge_registry)
             summary["merge_events"] = len(self.merge_log)
-        if self.advert_covers is not None:
-            summary["maximal_advertisements"] = (
-                self.advert_covers.maximal_count()
-            )
         return summary
 
     def __repr__(self):

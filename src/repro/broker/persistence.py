@@ -10,6 +10,10 @@ broker's decisions message-for-message).
 
 Keys (last hops and client ids) must be strings — which they are
 everywhere in the overlay and the TCP deployment.
+
+Snapshots only travel within one build (crash recovery in the
+simulator, child → parent in the multiprocess runtime), so the format
+carries a ``version`` and restore refuses any other one.
 """
 
 from __future__ import annotations
@@ -25,6 +29,10 @@ from repro.network.wire import advert_from_obj, advert_to_obj
 from repro.xpath.parser import parse_xpath
 
 
+#: The snapshot format this build writes and reads.
+SNAPSHOT_VERSION = 1
+
+
 class PersistenceError(ReproError):
     """Raised for malformed snapshots."""
 
@@ -33,6 +41,7 @@ def snapshot(broker: Broker) -> Dict:
     """Capture *broker*'s routing state as plain data."""
     config = broker.config
     state = {
+        "version": SNAPSHOT_VERSION,
         "broker_id": broker.broker_id,
         "config": {
             "advertisements": config.advertisements,
@@ -40,7 +49,6 @@ def snapshot(broker: Broker) -> Dict:
             "merging": config.merging.value,
             "max_imperfect_degree": config.max_imperfect_degree,
             "merge_interval": config.merge_interval,
-            "advert_covering": config.advert_covering,
             "matching_engine": config.matching_engine,
         },
         "neighbors": sorted(map(str, broker.neighbors)),
@@ -116,16 +124,13 @@ def snapshot_json(broker: Broker) -> str:
 
 def _validated_engine(config_state: Dict, matching_engine: "str | None"):
     """Resolve and validate the matching engine of a snapshot (with the
-    optional restore-time override).  A snapshot written by a future
-    version — an engine name this build does not understand — must
-    fail with a :class:`~repro.errors.ConfigError` naming the field,
-    not a bare ``KeyError``/``ValueError`` from deep inside matcher
-    construction."""
+    optional restore-time override).  An engine name this build does
+    not understand must fail with a :class:`~repro.errors.ConfigError`
+    naming the field, not a bare ``KeyError``/``ValueError`` from deep
+    inside matcher construction."""
     engine = matching_engine
     if engine is None:
         engine = config_state.get("matching_engine", "auto")
-        if engine == "sharded":  # old snapshots: that mirror is "shared" now
-            engine = "shared"
     if engine not in MATCHING_ENGINES:
         raise ConfigError(
             "snapshot field 'matching_engine': unknown engine %r "
@@ -147,12 +152,17 @@ def restore(
     rebuilt lazily from the restored table, and its route memo starts
     empty, so nothing decided under the old engine survives a switch.
 
-    Older snapshots carry a retired ``views`` flag and three retired
-    per-view config keys (window size, hot threshold, view bound);
-    restore ignores them."""
+    A snapshot of any other format version than :data:`SNAPSHOT_VERSION`
+    (or of none) is refused with a :class:`PersistenceError`."""
     if not isinstance(state, dict) or "config" not in state:
         raise PersistenceError(
             "malformed broker snapshot: missing 'config'"
+        )
+    version = state.get("version")
+    if version != SNAPSHOT_VERSION:
+        raise PersistenceError(
+            "broker snapshot version %r: this build reads version %d"
+            % (version, SNAPSHOT_VERSION)
         )
     engine = _validated_engine(state["config"], matching_engine)
     try:
@@ -163,7 +173,6 @@ def restore(
             merging=MergingMode(config_state["merging"]),
             max_imperfect_degree=config_state["max_imperfect_degree"],
             merge_interval=config_state["merge_interval"],
-            advert_covering=config_state.get("advert_covering", False),
             matching_engine=engine,
         )
         broker = Broker(state["broker_id"], config=config, universe=universe)
@@ -172,17 +181,12 @@ def restore(
         for client in state["local_clients"]:
             broker.attach_client(client)
         for entry in state["srt"]:
-            advert = advert_from_obj(entry["advert"])
             broker.srt.add(
                 entry["adv_id"],
-                advert,
+                advert_from_obj(entry["advert"]),
                 entry["last_hop"],
                 entry.get("publisher_id", ""),
             )
-            if broker.advert_covers is not None:
-                broker.advert_covers.add(
-                    entry["adv_id"], advert, entry["last_hop"]
-                )
         for item in state["subscriptions"]:
             expr = parse_xpath(item["expr"])
             for key in item["keys"]:

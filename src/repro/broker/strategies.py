@@ -42,10 +42,8 @@ class RoutingConfig:
             advertisements instead of flooding them.
         covering: suppress forwarding of covered subscriptions and
             unsubscribe displaced ones.
-        merging: merge similar XPEs in the routing table.  With
-            covering the sweep rewrites the subscription tree; without
-            it the flat table is swept as one sibling group (see
-            ``MergingEngine.merge_flat``).
+        merging: merge similar XPEs in the subscription tree (requires
+            covering: the sweep rewrites the tree's sibling groups).
         max_imperfect_degree: imperfection budget for ``IMPERFECT``
             merging (the paper's headline configuration uses 0.1).
         merge_interval: run a merge sweep after this many processed
@@ -57,11 +55,6 @@ class RoutingConfig:
     merging: MergingMode = MergingMode.OFF
     max_imperfect_degree: float = 0.1
     merge_interval: int = 100
-    #: Suppress flooding of advertisements covered by a same-direction
-    #: advertisement (paper §2.2 defines advertisement covering "in the
-    #: same manner" as subscription covering).  Off by default — the
-    #: paper's evaluation does not enable it.
-    advert_covering: bool = False
     #: Publication-matching backend (see :data:`MATCHING_ENGINES`).
     #: Orthogonal to the routing strategy: the SRT/covering tree keep
     #: driving *forwarding*, this only selects how a publication is
@@ -71,6 +64,8 @@ class RoutingConfig:
     def __post_init__(self):
         if self.merge_interval < 1:
             raise ValueError("merge_interval must be at least 1")
+        if self.merging is not MergingMode.OFF and not self.covering:
+            raise ValueError("merging requires covering")
         if self.matching_engine not in MATCHING_ENGINES:
             raise ValueError(
                 "unknown matching engine %r (one of %s)"

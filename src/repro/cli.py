@@ -10,7 +10,6 @@ Usage::
     python -m repro.cli covers "/a" "/a/b"             # covering check
     python -m repro.cli simulate --levels 3 --strategy with-Adv-with-Cov
     python -m repro.cli stats --levels 3               # metrics snapshot
-    python -m repro.cli experiments --only fig6        # paper tables
 
 Each subcommand is a thin veneer over the library — anything it prints
 can be recomputed through the public API.
@@ -764,32 +763,10 @@ def cmd_deploy(args) -> int:
     return 0
 
 
-def cmd_experiments(args) -> int:
-    from repro.experiments.__main__ import main as experiments_main
-
-    forwarded = []
-    if args.scale != 1.0:
-        forwarded.extend(["--scale", str(args.scale)])
-    if args.metrics_out:
-        forwarded.extend(["--metrics-out", args.metrics_out])
-    if args.only:
-        forwarded.append("--only")
-        forwarded.extend(args.only)
-    if args.faults:
-        forwarded.extend(["--faults", args.faults])
-    return experiments_main(forwarded)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="XML/XPath data dissemination network (ICDCS 2008 reproduction)",
-    )
-    parser.add_argument(
-        "--no-compiled",
-        action="store_true",
-        help="disable the compiled XPE fast path and run the reference "
-        "interpreter (equivalent to REPRO_COMPILED=0)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1094,28 +1071,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_option(p)
     p.set_defaults(fn=cmd_deploy)
 
-    p = sub.add_parser("experiments", help="reproduce the paper's tables/figures")
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--only", nargs="*", default=None)
-    p.add_argument(
-        "--metrics-out",
-        metavar="FILE",
-        default=None,
-        help="enable metrics and write the JSON snapshot here",
-    )
-    _add_faults_option(p)
-    p.set_defaults(fn=cmd_experiments)
-
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.no_compiled:
-        from repro.xpath.compiled import set_compiled_enabled
-
-        set_compiled_enabled(False)
     try:
         return args.fn(args)
     except ReproError as exc:

@@ -18,7 +18,7 @@ Algorithms, named as in the paper:
 
 :func:`covers` dispatches by shape.  Two accelerations sit in front of
 the algorithms (both sound because they are exact reformulations, and
-both bypassable with ``REPRO_COMPILED=0``):
+both switched off by ``set_compiled_enabled(False)``):
 
 * the **compiled fast path** — for simple shapes, covering is string
   matching, so it runs on the covered side's node-test string with the
@@ -297,7 +297,7 @@ class SiblingCoverageProbe:
     the fast path is a single regex call.  Pairs outside the compiled
     fast path's shape preconditions (predicated or ``//`` coverers,
     the absolute-covers-relative wildcard-prefix corner, separator
-    collisions, ``REPRO_COMPILED=0``) fall back to :func:`covers`
+    collisions, the fast path switched off) fall back to :func:`covers`
     verbatim — the probe is an exact reformulation, pinned by a
     differential test against the per-pair result.
     """

@@ -19,8 +19,8 @@ constrain individual positions.
 :func:`matches_path` dispatches through the compiled fast path
 (:mod:`repro.xpath.compiled`) by default; the interpreter below is kept
 verbatim as :func:`matches_path_reference`, the differential oracle the
-compiled forms are tested against (and the runtime fallback when
-``REPRO_COMPILED=0``).
+compiled forms are tested against (and the runtime fallback while
+``set_compiled_enabled(False)`` is in force).
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ def matches_path(
     """True when *expr* matches the publication *path*.
 
     Dispatches through the compiled form of *expr* unless the compiled
-    fast path is disabled (``REPRO_COMPILED=0`` / ``--no-compiled``),
-    in which case the reference interpreter runs.
+    fast path is disabled (``set_compiled_enabled(False)``), in which
+    case the reference interpreter runs.
 
     Args:
         expr: the XPE.

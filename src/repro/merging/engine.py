@@ -335,75 +335,3 @@ class MergingEngine:
             parent.children.remove(sibling)
             sibling.parent = target
             target.children.append(sibling)
-
-    # -- flat sweep ----------------------------------------------------------
-
-    def merge_flat(self, matcher) -> MergeReport:
-        """One merging sweep over a flat :class:`LinearMatcher` table.
-
-        Non-covering brokers keep their PRT in a flat table; merging
-        still applies (the rules act on XPE shapes, not on tree
-        structure) by treating the whole table as one sibling group.
-        The matcher is rewritten through its ``add``/``remove`` API so
-        its match epoch advances and memoised results version out.
-        """
-        registry = obs.get_registry()
-        if not registry.enabled:
-            return self._merge_flat(matcher)
-        with registry.timer("merging.sweep"):
-            report = self._merge_flat(matcher)
-        registry.counter("merging.events").inc(len(report.events))
-        registry.counter("merging.merged_away").inc(report.merged_away)
-        return report
-
-    def _merge_flat(self, matcher) -> MergeReport:
-        report = MergeReport()
-        # A detached sibling group mirroring the flat table lets the
-        # rule-1 bucketing and bounded pairwise search run unchanged.
-        parent = SubNode(expr=None)
-        for expr in matcher.exprs():
-            parent.children.append(
-                SubNode(expr=expr, parent=parent, keys=matcher.keys_of(expr))
-            )
-        by_expr = {node.expr: node for node in parent.children}
-        while True:
-            event = self._find_rule1_merge(parent)
-            if event is None and len(parent.children) <= self._pairwise_limit:
-                event = self._find_pairwise_merge(parent)
-            if event is None:
-                break
-            merger, group, degree = event
-            existing = by_expr.get(merger)
-            prior_keys = (
-                frozenset(existing.keys) if existing is not None else None
-            )
-            merged_keys: Set[object] = set()
-            replaced = []
-            replaced_keys = []
-            for node in group:
-                if node is existing:
-                    continue
-                parent.children.remove(node)
-                del by_expr[node.expr]
-                merged_keys |= node.keys
-                replaced.append(node.expr)
-                replaced_keys.append(frozenset(node.keys))
-                for key in node.keys:
-                    matcher.remove(node.expr, key)
-            if existing is None:
-                existing = SubNode(expr=merger, parent=parent, keys=set())
-                parent.children.append(existing)
-                by_expr[merger] = existing
-            existing.keys |= merged_keys
-            for key in merged_keys:
-                matcher.add(merger, key)
-            report.events.append(
-                MergeEvent(
-                    merger=merger,
-                    replaced=tuple(replaced),
-                    degree=degree,
-                    replaced_keys=tuple(replaced_keys),
-                    merger_prior_keys=prior_keys,
-                )
-            )
-        return report

@@ -33,15 +33,13 @@ run over the sentinel-joined *node tests* of ``s2`` — a wildcard test
 in ``s2`` is just another symbol, which only ``s1``'s wildcard pattern
 can absorb, reproducing ``covers_test`` exactly.
 
-The fast path is on by default; export ``REPRO_COMPILED=0`` (or run the
-CLI with ``--no-compiled``, or call :func:`set_compiled_enabled`) to
-fall back to the reference interpreter — the differential test suite
-asserts both modes agree on every engine and workload.
+The fast path is always on; :func:`set_compiled_enabled` switches it
+off so the differential tests can reach the reference interpreter and
+assert both modes agree on every engine and workload.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -56,7 +54,7 @@ SEP = "/"
 
 #: Module-level switch read by every dispatch site.  Mutate through
 #: :func:`set_compiled_enabled` only.
-ENABLED = os.environ.get("REPRO_COMPILED", "1") != "0"
+ENABLED = True
 
 _EMPTY_ATTRS: dict = {}
 

@@ -12,7 +12,6 @@ fixes — the unsubscribe/merge leak (a constituent UNSUB hitting the
 — and show that *reverting* either fix makes the audit fail.
 """
 
-import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
@@ -46,11 +45,11 @@ UNIVERSE_DTD = """
 """
 
 
-def make_merging_broker(covering=True, max_degree=0.0):
+def make_merging_broker(max_degree=0.0):
     universe = PathUniverse.from_dtd(parse_dtd(UNIVERSE_DTD))
     config = RoutingConfig(
         advertisements=False,
-        covering=covering,
+        covering=True,
         merging=(
             MergingMode.PERFECT if max_degree == 0.0 else MergingMode.IMPERFECT
         ),
@@ -67,8 +66,8 @@ CONSTITUENTS = ("/r/a/c", "/r/a/d", "/r/a/e")
 MERGER = "/r/a/*"
 
 
-def merged_broker(covering=True):
-    broker = make_merging_broker(covering=covering)
+def merged_broker():
+    broker = make_merging_broker()
     for text in CONSTITUENTS:
         broker.handle(SubscribeMsg(expr=x(text)), "down")
     sweep_out = broker.run_merge_sweep()
@@ -78,9 +77,8 @@ def merged_broker(covering=True):
 # -- fix #1: unsubscribe of merged constituents ----------------------------
 
 
-@pytest.mark.parametrize("covering", [True, False])
-def test_unsubscribe_of_last_constituent_retires_merger(covering):
-    broker, sweep_out = merged_broker(covering=covering)
+def test_unsubscribe_of_last_constituent_retires_merger():
+    broker, sweep_out = merged_broker()
     merger = x(MERGER)
     assert broker._keys_of(merger) == {"down"}
     assert broker._merge_registry.is_merger(merger)

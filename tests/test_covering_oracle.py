@@ -9,7 +9,7 @@ names unknown to ``s1``).
 
 Also cross-checks the KMP-optimised matchers against their naive
 references and the paper-faithful recursive-advertisement algorithm
-against the expansion-based one.
+against the NFA matcher (``expr_and_rec_adv``).
 """
 
 import itertools
@@ -146,7 +146,7 @@ class TestMatchersAgree:
         a3=st.lists(st.sampled_from(TESTS), min_size=0, max_size=3),
         data=st.data(),
     )
-    def test_paper_recursive_algorithm_equals_expansion(
+    def test_paper_recursive_algorithm_equals_nfa(
         self, a1, a2, a3, data
     ):
         sub = data.draw(xpath_exprs(max_steps=7, allow_descendant=False))
@@ -155,8 +155,8 @@ class TestMatchersAgree:
             sub = XPathExpr(steps=steps, rooted=True)
         advert = simple_recursive(tuple(a1), tuple(a2), tuple(a3))
         fast = abs_expr_and_sim_rec_adv(tuple(a1), tuple(a2), tuple(a3), sub)
-        reference = expr_and_rec_adv(advert, sub)
-        assert fast == reference, (a1, a2, a3, str(sub))
+        nfa = expr_and_rec_adv(advert, sub)
+        assert fast == nfa, (a1, a2, a3, str(sub))
 
 
 class TestRelSimCovStringMatching:

@@ -1,22 +1,28 @@
 """The names the prose uses must exist in the code.
 
-Two checks over README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md:
+Checks over README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md:
 
 * every subcommand and ``--flag`` of a ``repro …`` or
   ``python -m repro.cli …`` command — in a backticked span or a fenced
   code block — exists in :func:`repro.cli.build_parser`;
 * every backticked dotted ``repro.*`` name imports as a module or
-  resolves as an attribute of one.
+  resolves as an attribute of one;
+* every backticked ``RoutingConfig.<name>`` resolves, and every field
+  of :class:`~repro.broker.strategies.RoutingConfig` is backticked in
+  docs/architecture.md's "Routing strategies", the one place the
+  fields are documented.
 
-A change that deletes a flag, a subcommand, a module or a class cannot
-leave its prose behind.
+A change that deletes a flag, a subcommand, a module, a class or a
+config field cannot leave its prose behind.
 """
 
 import argparse
+import dataclasses
 import importlib
 import re
 from pathlib import Path
 
+from repro.broker.strategies import RoutingConfig
 from repro.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -119,3 +125,27 @@ def test_documented_dotted_names_resolve():
     })
     assert len(names) > 20  # the scan itself works
     assert [(doc, name) for doc, name in names if not _resolves(name)] == []
+
+
+def _section(path, heading):
+    """The text under ``## heading``, up to the next ``## `` heading."""
+    text = path.read_text()
+    start = text.index("\n## %s\n" % heading)
+    end = text.find("\n## ", start + 1)
+    return text[start : end if end != -1 else len(text)]
+
+
+def test_routing_config_fields_documented():
+    section = _section(ROOT / "docs" / "architecture.md", "Routing strategies")
+    spans = set(re.findall(r"`([^`]+)`", section))
+    fields = [field.name for field in dataclasses.fields(RoutingConfig)]
+    assert [name for name in fields if name not in spans] == []
+
+
+def test_documented_routing_config_names_resolve():
+    names = sorted({
+        (path.name, name)
+        for path in DOCS
+        for name in re.findall(r"`RoutingConfig\.(\w+)", path.read_text())
+    })
+    assert [(doc, name) for doc, name in names if not hasattr(RoutingConfig, name)] == []

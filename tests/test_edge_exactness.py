@@ -114,11 +114,15 @@ def _absorbed_pairs(registry):
 class EdgeExactnessMachine(RuleBasedStateMachine):
     @initialize(
         advertisements=st.booleans(),
-        covering=st.booleans(),
-        merging=st.sampled_from(tuple(MergingMode)),
+        # merging requires covering
+        routing=st.sampled_from(
+            ((False, MergingMode.OFF),)
+            + tuple((True, merging) for merging in MergingMode)
+        ),
         engine=st.sampled_from(("auto", "shared")),
     )
-    def setup(self, advertisements, covering, merging, engine):
+    def setup(self, advertisements, routing, engine):
+        covering, merging = routing
         self.universe = PathUniverse.from_dtd(parse_dtd(UNIVERSE_DTD))
         config = RoutingConfig(
             advertisements=advertisements,

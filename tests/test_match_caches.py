@@ -231,34 +231,6 @@ def test_merge_sweep_invalidates_cache():
     )
 
 
-def test_flat_merge_sweep_invalidates_cache():
-    """Regression: non-covering merge sweeps rewrite the flat table, so
-    match results cached before the sweep must version out too (the
-    sweep used to be covering-only and left flat caches untouched)."""
-    universe = PathUniverse.from_dtd(psd_dtd(), max_depth=6)
-    config = RoutingConfig(
-        advertisements=True,
-        covering=False,
-        merging=MergingMode.IMPERFECT,
-        max_imperfect_degree=1.0,
-        merge_interval=1000,
-    )
-    broker = Broker("b1", config=config, universe=universe)
-    broker.connect("n1")
-    broker.connect("n2")
-    broker.handle(sub("/ProteinDatabase/ProteinEntry/protein"), "n1")
-    broker.handle(sub("/ProteinDatabase/ProteinEntry/reference"), "n1")
-    msg = pub(("ProteinDatabase", "ProteinEntry", "protein"))
-    broker.handle(msg, "n2")  # warm
-    broker.run_merge_sweep()
-    assert broker.merge_log, "the generous budget should allow the merge"
-    assert x("/ProteinDatabase/ProteinEntry/*") in broker.flat.exprs()
-    assert len(broker.match_cache) == 0
-    assert broker._publication_keys(msg.publication) == cold_keys(
-        broker, msg.publication
-    )
-
-
 def test_nocov_broker_cache_agrees_with_flat_matcher():
     broker = make_broker(config=RoutingConfig.by_name("no-Adv-no-Cov"))
     broker.handle(sub("//protein"), "n1")
@@ -315,13 +287,12 @@ _MEMO_PROBES = tuple(
 _MEMO_CONFIGS = tuple(
     RoutingConfig(
         advertisements=True,
-        covering=covering,
+        covering=True,
         merging=MergingMode.IMPERFECT,
         max_imperfect_degree=1.0,
         merge_interval=1_000_000,  # sweeps fire only explicitly
         matching_engine=engine,
     )
-    for covering in (True, False)
     for engine in ("auto", "shared")
 )
 

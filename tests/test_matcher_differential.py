@@ -190,7 +190,7 @@ def test_second_dtd_smoke():
 
 def test_engines_agree_under_reference_interpreter():
     """The four-engine differential holds with the compiled fast path
-    disabled (``REPRO_COMPILED=0`` mode) — every engine falls back to
+    disabled (``set_compiled_enabled(False)``) — every engine falls back to
     the reference interpreter and still agrees."""
     set_compiled_enabled(False)
     try:

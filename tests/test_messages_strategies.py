@@ -64,13 +64,11 @@ class TestRoutingConfig:
         with pytest.raises(ValueError):
             RoutingConfig.by_name("with-Magic")
 
-    def test_merging_without_covering_is_allowed(self):
-        # Non-covering brokers sweep their flat table as one sibling
-        # group (MergingEngine.merge_flat); the combination is legal.
-        config = RoutingConfig(covering=False, merging=MergingMode.PERFECT)
-        assert config.name == "with-Adv-no-CovPM"
-        config = RoutingConfig(covering=False, merging=MergingMode.IMPERFECT)
-        assert config.name == "with-Adv-no-CovIPM"
+    def test_merging_without_covering_is_refused(self):
+        # Merging rewrites the covering tree's sibling groups.
+        for merging in (MergingMode.PERFECT, MergingMode.IMPERFECT):
+            with pytest.raises(ValueError):
+                RoutingConfig(covering=False, merging=merging)
 
     def test_merge_interval_validation(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,8 @@
-"""Assorted coverage: TreeMatcher, xpath helpers, CLI experiments
-subcommand, advert covering corner cases."""
+"""Assorted coverage: TreeMatcher, xpath helpers, the experiments
+entry point (``python -m repro.experiments``)."""
 
 import pytest
 
-from repro.adverts import Advertisement, advert_covers, simple_recursive
 from repro.matching.engine import TreeMatcher
 from repro.xpath import parse_xpath, steps_from_tests, try_parse_xpath
 from repro.xpath.ast import Axis, XPathExpr
@@ -62,37 +61,10 @@ class TestXPathHelpers:
             expr.with_rooted(True)
 
 
-class TestAdvertCoveringCorners:
-    def test_wildcard_in_covered_needs_wildcard_coverer(self):
-        # a2 = /a/* stands for ANY second element: /a/b cannot cover it.
-        assert not advert_covers(
-            Advertisement.from_tests(("a", "b")),
-            Advertisement.from_tests(("a", "*")),
-        )
-        assert advert_covers(
-            Advertisement.from_tests(("a", "*")),
-            Advertisement.from_tests(("a", "*")),
-        )
-
-    def test_recursive_vs_recursive_different_units(self):
-        rec_b = simple_recursive(("a",), ("b",), ("z",))
-        rec_c = simple_recursive(("a",), ("c",), ("z",))
-        assert not advert_covers(rec_b, rec_c)
-        assert not advert_covers(rec_c, rec_b)
-
-    def test_wider_unit_contains_narrower_language(self):
-        one = simple_recursive(("a",), ("b",), ("z",))
-        double = simple_recursive(("a",), ("b", "b"), ("z",))
-        # Every word of `double` (even numbers of b) is a word of `one`.
-        assert advert_covers(one, double)
-        # But not vice versa: a single-b word escapes `double`.
-        assert not advert_covers(double, one)
-
-
 class TestCliExperiments:
     def test_experiments_subcommand_runs(self, capsys):
-        from repro.cli import main
+        from repro.experiments.__main__ import main
 
-        assert main(["experiments", "--only", "tableprofile"]) == 0
+        assert main(["--only", "tableprofile"]) == 0
         out = capsys.readouterr().out
         assert "Routing-table profile" in out

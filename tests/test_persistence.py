@@ -11,6 +11,7 @@ from repro.broker import (
     SubscribeMsg,
 )
 from repro.broker.persistence import (
+    SNAPSHOT_VERSION,
     PersistenceError,
     restore,
     restore_json,
@@ -121,9 +122,10 @@ class TestRoundTrip:
         assert not [key for key in config if key.startswith("view")]
 
 
-#: A snapshot as written while brokers still kept edge replay windows:
-#: a ``views`` flag and three per-view settings (window size, hot
-#: threshold, view bound).  The retired key names are assembled from
+#: A snapshot as written before snapshots carried a format version,
+#: while brokers still kept edge replay windows (a ``views`` flag and
+#: three per-view settings: window size, hot threshold, view bound) and
+#: advertisement covering.  The retired key names are assembled from
 #: parts so the options they named appear nowhere else in the tree.
 OLD_FORMAT_SNAPSHOT = {
     "broker_id": "b1",
@@ -133,7 +135,7 @@ OLD_FORMAT_SNAPSHOT = {
         "merging": "off",
         "max_imperfect_degree": 0.1,
         "merge_interval": 100,
-        "advert_covering": False,
+        "advert_" + "covering": True,
         "matching_engine": "auto",
         "views": True,
         "view_" + "window": 8,
@@ -149,21 +151,22 @@ OLD_FORMAT_SNAPSHOT = {
 }
 
 
-def test_old_format_snapshot_with_view_settings_restores():
-    rebuilt = restore(OLD_FORMAT_SNAPSHOT)
-    current = dict(OLD_FORMAT_SNAPSHOT, config={
-        key: value
-        for key, value in OLD_FORMAT_SNAPSHOT["config"].items()
-        if not key.startswith("view")
-    })
-    assert publish(rebuilt, ("a", "b")) == [
-        ("c1", "PublishMsg", "d#0:/a/b")
-    ]
-    assert publish(rebuilt, ("a", "b")) == publish(restore(current), ("a", "b"))
-    # Written back, the retired settings are gone.
-    assert not [
-        key for key in snapshot(rebuilt)["config"] if key.startswith("view")
-    ]
+def test_old_format_snapshot_with_view_settings_is_refused():
+    with pytest.raises(PersistenceError) as excinfo:
+        restore(OLD_FORMAT_SNAPSHOT)
+    assert "None" in str(excinfo.value)
+    assert str(SNAPSHOT_VERSION) in str(excinfo.value)
+
+
+def test_snapshot_of_another_version_is_refused_naming_both():
+    state = snapshot(populated_broker())
+    assert state["version"] == SNAPSHOT_VERSION
+    state["version"] = SNAPSHOT_VERSION + 1
+    with pytest.raises(PersistenceError) as excinfo:
+        restore(state)
+    message = str(excinfo.value)
+    assert repr(SNAPSHOT_VERSION + 1) in message
+    assert "version %d" % SNAPSHOT_VERSION in message
 
 
 class TestEngineSwitch:
@@ -178,26 +181,15 @@ class TestEngineSwitch:
         return [publish(broker, path, doc_id="d%d" % i)
                 for i, path in enumerate(self.PROBES)]
 
-    def test_sharded_snapshot_restored_as_shared(self):
-        """Old snapshots still load: the partitioned mirror they name
-        was folded into the shared engine, and whatever ``shard_count``
-        they carry is ignored rather than validated."""
-        import dataclasses
-
-        original = populated_broker(
-            dataclasses.replace(
-                RoutingConfig.with_adv_with_cov(), matching_engine="shared"
-            )
-        )
-        baseline = self._delivered(original)
-        state = snapshot(original)
-        assert "shard_count" not in state["config"]
+    def test_sharded_snapshot_is_refused(self):
+        """The partitioned mirror was folded into the shared engine
+        before snapshots carried a version; a snapshot naming it has
+        none and is refused rather than mapped."""
+        state = snapshot(populated_broker())
+        del state["version"]
         state["config"]["matching_engine"] = "sharded"
-        state["config"]["shard_count"] = "seven"
-        rebuilt = restore(state)
-        assert rebuilt.config.matching_engine == "shared"
-        assert rebuilt.shared is not None
-        assert self._delivered(rebuilt) == baseline
+        with pytest.raises(PersistenceError):
+            restore(state)
 
     def test_engine_switch_restore_starts_with_an_empty_route_memo(self):
         original = populated_broker(RoutingConfig.with_adv_with_cov())
@@ -239,8 +231,7 @@ class TestErrors:
         assert "matching_engine" in str(excinfo.value)
 
     def test_retired_engine_name_is_refused_as_an_override(self):
-        """Only a *stored* ``sharded`` is mapped (old snapshots); asking
-        for it at restore time is an unknown engine like any other."""
+        """The retired engine name is an unknown engine like any other."""
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError) as excinfo:

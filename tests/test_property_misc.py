@@ -1,17 +1,17 @@
 """Additional property-based tests across subsystems.
 
 * merging rules always produce coverers of their inputs,
-* advertisement covering is sound against sampled words,
 * document round-trips (paths -> XML -> paths),
 * parser round-trips on randomly assembled expressions,
-* NFA matcher agrees with direct matching on sampled advert words.
+* NFA matcher agrees with direct matching on sampled advert words,
+* NFA matcher equals the bounded-expansion oracle.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.adverts.covering import advert_covers
 from repro.adverts.model import Advertisement, Lit, Rep
 from repro.adverts.nfa import expr_and_advert_nfa
+from repro.adverts.recursive import expr_and_rec_adv_expansion
 from repro.covering.algorithms import covers
 from repro.covering.pathmatch import matches_path
 from repro.merging.rules import merge_pair
@@ -71,29 +71,6 @@ class TestMergingProperties:
         assert first == second
 
 
-class TestAdvertCoveringSoundness:
-    @settings(max_examples=200, deadline=None)
-    @given(a1=adverts(), a2=adverts())
-    def test_covering_claim_holds_on_sampled_words(self, a1, a2):
-        if not advert_covers(a1, a2):
-            return
-        # Every word of a2 (up to a modest bound) must be a word of a1 —
-        # checked via the exact NFA on an equivalent absolute XPE of the
-        # word's exact length... a word w is in P(a1) iff the absolute
-        # expression /w1/../wn of the same length intersects a1 AND a1
-        # admits a word of that length; matching the expression ensures
-        # a1 has an overlapping word of length >= n, and concreteness
-        # pins it exactly when lengths agree.
-        for word in a2.words_up_to(8):
-            expr = XPathExpr.from_tests(word)
-            assert expr_and_advert_nfa(a1, expr), (a1, a2, word)
-
-    @settings(max_examples=200, deadline=None)
-    @given(advert=adverts())
-    def test_advert_covering_reflexive(self, advert):
-        assert advert_covers(advert, advert)
-
-
 class TestDocumentRoundTrips:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -145,4 +122,26 @@ class TestNfaAgainstDirectMatching:
         assert any(
             matches_path(expr.with_rooted(True), prefix)
             for prefix in prefixes
+        ), (advert, expr)
+
+
+#: Largest word length the expansion oracle enumerates in one draw.
+#: It walks every derivation, so nested ``(…)+`` groups make it
+#: exponential in the bound: draws up to 16 take milliseconds, some
+#: above 20 take seconds.
+ORACLE_WORD_BOUND = 16
+
+
+class TestNfaAgainstExpansionOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(advert=adverts(), expr=exprs(max_steps=4))
+    def test_nfa_equals_expansion(self, advert, expr):
+        """Both directions: an NFA false negative would drop a
+        subscription's route, a false positive would add one."""
+        if not (expr.is_simple and expr.is_absolute):
+            # the oracle enumerates words up to this bound; absolute
+            # simple XPEs only need prefixes of their own length
+            assume(advert.expansion_bound(len(expr)) <= ORACLE_WORD_BOUND)
+        assert expr_and_advert_nfa(advert, expr) == (
+            expr_and_rec_adv_expansion(advert, expr)
         ), (advert, expr)
