@@ -14,13 +14,7 @@ from repro.broker.tables import (
     SRTEntry,
     SubscriptionRoutingTable,
 )
-from repro.broker.broker import Broker
-from repro.broker.core import (
-    MERGE_SWEEP_TIMER,
-    BrokerCore,
-    Frame,
-    canonical_effects,
-)
+from repro.broker.broker import Broker, Frame, canonical_effects
 from repro.broker.persistence import (
     PersistenceError,
     restore,
@@ -42,8 +36,6 @@ __all__ = [
     "SRTEntry",
     "SubscriptionRoutingTable",
     "Broker",
-    "MERGE_SWEEP_TIMER",
-    "BrokerCore",
     "Frame",
     "canonical_effects",
     "PersistenceError",

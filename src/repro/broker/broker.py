@@ -1,9 +1,25 @@
 """The content-based XML router (paper §2–4).
 
-A broker knows only its neighbours.  It processes four message kinds and
-returns, for each, the list of ``(destination, message)`` pairs to emit;
-the overlay (or a test) performs the actual delivery.  Destinations are
-neighbour broker ids or locally attached client ids.
+A broker knows only its neighbours.  It owns no clock, no queue and no
+I/O: every host — the discrete-event simulator
+(:class:`~repro.network.overlay.Overlay`), the asyncio backend and the
+socket nodes of the multiprocess deployment — hands it one inbound
+frame at a time (a control message, or a *group*: consecutive
+publications of one document that crossed a link together) and moves
+the outbound :data:`Frame` list it returns.  A frame is ``(destination,
+messages)``: *destination* is a neighbour broker id or a locally
+attached client id, *messages* a tuple.  What a frame means beyond its
+link — spans, audit, delivery records — lives in
+:mod:`repro.runtime.host`.
+
+Determinism contract (pinned by tests/test_broker_core.py): for a fixed
+message sequence the frame list is a pure function of the sequence — no
+wall-clock reads, no iteration-order nondeterminism — and replaying the
+suffix of a sequence on a broker restored from a mid-sequence snapshot
+yields the same frames (compared with :func:`canonical_effects`).  That
+is what lets the three backends be differentially tested against each
+other (tests/test_runtime_equivalence.py) and what makes crash recovery
+by snapshot replay sound.
 
 Correctness note on covering suppression: "do not forward a covered
 subscription" must be applied *per neighbour*.  Suppose ``s1`` arrives
@@ -58,7 +74,8 @@ from repro.merging.engine import MergeEvent, MergingEngine, PathUniverse
 from repro.merging.registry import MergerRegistry
 from repro.xpath.ast import XPathExpr
 
-Outbound = List[Tuple[object, Message]]
+#: One outbound frame: ``(destination, messages)``.
+Frame = Tuple[object, Tuple[Message, ...]]
 
 
 class Broker:
@@ -161,8 +178,11 @@ class Broker:
 
     # -- dispatch --------------------------------------------------------------
 
-    def handle(self, message: Message, from_hop: object) -> Outbound:
-        """Process one message; returns the messages to emit.
+    def handle(self, message: Message, from_hop: object) -> List[Frame]:
+        """Process one message; returns the outbound frames, in
+        emission order.  A control message yields one single-message
+        frame per emitted message; a publication is a group of one
+        (:meth:`handle_publications`).
 
         Unknown message kinds are a protocol violation: they raise
         :class:`~repro.errors.ProtocolError` (and count under the
@@ -172,14 +192,7 @@ class Broker:
         entry = self._DISPATCH.get(type(message))
         if entry is None:
             if isinstance(message, PublishMsg):
-                # A lone publication is a group of one; its
-                # destinations come out in emission order.
-                return [
-                    (destination, message)
-                    for destination, _group in self.handle_publications(
-                        (message,), from_hop
-                    )
-                ]
+                return self.handle_publications((message,), from_hop)
             # Not one of the four exact control types: a subclass still
             # routes (first isinstance match), anything else is unknown.
             for cls, entry in self._DISPATCH.items():
@@ -199,13 +212,30 @@ class Broker:
         self.stats[message.kind] += 1
         registry = obs.get_registry()
         if not registry.enabled:
-            return handler(self, message, from_hop)
+            return self._checked(handler(self, message, from_hop))
         with registry.timer(metric):
-            return handler(self, message, from_hop)
+            return self._checked(handler(self, message, from_hop))
+
+    def _checked(self, frames: List[Frame]) -> List[Frame]:
+        """Control frames on their way out: a destination that is
+        neither a neighbour nor an attached client (an advertisement
+        from an unconnected hop draws a replay toward it) raises here,
+        before any host sees it.  Publication frames need no check:
+        :meth:`_resolve` only ever names a neighbour or a client."""
+        neighbors, clients = self.neighbors, self.local_clients
+        for destination, _messages in frames:
+            if destination not in neighbors and destination not in clients:
+                raise RoutingError(
+                    "broker %r emitted message to unknown destination %r"
+                    % (self.broker_id, destination)
+                )
+        return frames
 
     # -- advertisements ----------------------------------------------------------
 
-    def handle_advertise(self, msg: AdvertiseMsg, from_hop: object) -> Outbound:
+    def handle_advertise(
+        self, msg: AdvertiseMsg, from_hop: object
+    ) -> List[Frame]:
         """Flood the advertisement and replay intersecting subscriptions
         toward it (so subscription/advertisement arrival order does not
         matter)."""
@@ -217,14 +247,14 @@ class Broker:
             obs.inc("broker.redelivered.advertise")
             return []
         # Publication routing never reads the SRT: the route memo stays.
-        out: Outbound = [(n, msg) for n in self.neighbors if n != from_hop]
+        out = self._flood(msg, from_hop)
         if self.config.advertisements:
             out.extend(self._replay_subscriptions(msg, from_hop))
         return out
 
     def _replay_subscriptions(
         self, msg: AdvertiseMsg, from_hop: object
-    ) -> Outbound:
+    ) -> List[Frame]:
         """Forward stored subscriptions that intersect a new advertisement
         toward its last hop, unless already sent or already covered there."""
         if from_hop in self.local_clients or from_hop is None:
@@ -246,24 +276,35 @@ class Broker:
             replayed.append(expr)
             self.forwarded.mark(expr, from_hop)
         return [
-            (from_hop, SubscribeMsg(expr=expr))
+            (from_hop, (SubscribeMsg(expr=expr),))
             for expr in sorted(replayed, key=str)
         ]
 
     def handle_unadvertise(
         self, msg: UnadvertiseMsg, from_hop: object
-    ) -> Outbound:
+    ) -> List[Frame]:
         """Retract an advertisement (extension; the paper's evaluation
         never unadvertises)."""
         if not self.srt.remove(msg.adv_id):
             self.stats["redelivered"] += 1
             obs.inc("broker.redelivered.unadvertise")
             return []
-        return [(n, msg) for n in self.neighbors if n != from_hop]
+        return self._flood(msg, from_hop)
+
+    def _flood(self, msg: Message, from_hop: object) -> List[Frame]:
+        """*msg* to every neighbour but its last hop, in canonical order
+        (``neighbors`` is a set: its order depends on the hash seed)."""
+        return [
+            (n, (msg,))
+            for n in sorted(self.neighbors, key=str)
+            if n != from_hop
+        ]
 
     # -- subscriptions ------------------------------------------------------------
 
-    def handle_subscribe(self, msg: SubscribeMsg, from_hop: object) -> Outbound:
+    def handle_subscribe(
+        self, msg: SubscribeMsg, from_hop: object
+    ) -> List[Frame]:
         expr = msg.expr
         merge_registry = self._merge_registry
         if expr.has_predicates:
@@ -311,7 +352,7 @@ class Broker:
         )
         self._shared_add(expr, from_hop)
 
-        out: Outbound = []
+        out: List[Frame] = []
         if self.config.covering:
             scope = current_scope()
             wall0 = perf_counter() if scope is not None else 0.0
@@ -322,7 +363,7 @@ class Broker:
                     continue
                 if self._covered_at(expr, n, exclude=expr):
                     continue
-                out.append((n, SubscribeMsg(expr=expr)))
+                out.append((n, (SubscribeMsg(expr=expr),)))
                 self.forwarded.mark(expr, n)
             # Unsubscribe now-covered subscriptions from the hops that
             # just received (or already had) the covering expression.
@@ -334,7 +375,7 @@ class Broker:
                     self.forwarded.neighbors_for(descendant), key=str
                 ):
                     if n in covered_now:
-                        out.append((n, UnsubscribeMsg(expr=descendant)))
+                        out.append((n, (UnsubscribeMsg(expr=descendant),)))
                         self.forwarded.unmark(descendant, n)
             if scope is not None:
                 scope.sub_span(
@@ -347,7 +388,7 @@ class Broker:
             for n in sorted(targets, key=str):
                 if self.forwarded.was_sent(expr, n):
                     continue
-                out.append((n, SubscribeMsg(expr=expr)))
+                out.append((n, (SubscribeMsg(expr=expr),)))
                 self.forwarded.mark(expr, n)
 
         out.extend(self._maybe_merge())
@@ -417,7 +458,7 @@ class Broker:
 
     def handle_unsubscribe(
         self, msg: UnsubscribeMsg, from_hop: object
-    ) -> Outbound:
+    ) -> List[Frame]:
         expr = msg.expr
         edited = (
             from_hop in self.local_clients
@@ -458,7 +499,7 @@ class Broker:
                 return []
         return self._retire_key(expr, from_hop)
 
-    def _retire_key(self, expr: XPathExpr, from_hop: object) -> Outbound:
+    def _retire_key(self, expr: XPathExpr, from_hop: object) -> List[Frame]:
         """Remove *expr*'s key for *from_hop* from the routing table and
         emit the resulting retractions/promotions.  Every UNSUBSCRIBE
         emitted here goes through :meth:`_emit_retractions`, which drops
@@ -470,7 +511,7 @@ class Broker:
             self.match_cache_stale += dropped
             obs.inc("broker.match_cache.stale", dropped)
         self._shared_remove(expr, from_hop)
-        out: Outbound = []
+        out: List[Frame] = []
         if self.config.covering:
             outcome = self.tree.remove(expr, from_hop)
             if not outcome.removed:
@@ -488,7 +529,7 @@ class Broker:
                     keys = self._keys_of(promoted)
                     if keys == {n}:
                         continue
-                    out.append((n, SubscribeMsg(expr=promoted)))
+                    out.append((n, (SubscribeMsg(expr=promoted),)))
                     self.forwarded.mark(promoted, n)
         else:
             before = len(self.flat)
@@ -503,11 +544,12 @@ class Broker:
             self._merge_registry.forget(expr)
         return out
 
-    def _emit_retractions(self, expr: XPathExpr) -> Outbound:
+    def _emit_retractions(self, expr: XPathExpr) -> List[Frame]:
         """UNSUBSCRIBE *expr* from every neighbour it was forwarded to,
         clearing the marks in the same step."""
         return [
-            (n, UnsubscribeMsg(expr=expr)) for n in self.forwarded.drop(expr)
+            (n, (UnsubscribeMsg(expr=expr),))
+            for n in self.forwarded.drop(expr)
         ]
 
     # -- publications --------------------------------------------------------------
@@ -525,17 +567,16 @@ class Broker:
 
     def handle_publications(
         self, messages: Sequence[PublishMsg], from_hop: object
-    ) -> List[Tuple[object, Tuple[PublishMsg, ...]]]:
+    ) -> List[Frame]:
         """Route a group of publications arriving from one hop —
         consecutive paths of one document, or a lone publication as a
         group of one.
 
-        Returns the outbound frames ``(destination, messages)``
-        (:data:`repro.broker.core.Frame`): each destination's messages
-        in arrival order, destinations in first-emission order.  Every
-        path probes the route memo on its own, so routing a group is
-        exactly routing its members one by one; only the per-hop
-        bookkeeping around them is paid once — the registry and
+        Returns the outbound frames (:data:`Frame`): each destination's
+        messages in arrival order, destinations in first-emission
+        order.  Every path probes the route memo on its own, so routing
+        a group is exactly routing its members one by one; only the
+        per-hop bookkeeping around them is paid once — the registry and
         hop-scope lookups, the ``broker.match_cache.*`` counters
         (incremented by count), and, when every path resolved to one
         decision (the memo's ``_intern`` makes equal decisions one
@@ -772,16 +813,23 @@ class Broker:
 
     # -- merging ---------------------------------------------------------------------
 
-    def _maybe_merge(self) -> Outbound:
+    def _maybe_merge(self) -> List[Frame]:
         if self._merger is None:
             return []
         self._subs_since_merge += 1
         if self._subs_since_merge < self.config.merge_interval:
             return []
         self._subs_since_merge = 0
-        return self.run_merge_sweep()
+        return self._merge_sweep()
 
-    def run_merge_sweep(self) -> Outbound:
+    def run_merge_sweep(self) -> List[Frame]:
+        """Run one merging sweep now, ahead of the count-driven one a
+        SUB triggers every ``merge_interval`` subscriptions; returns the
+        sweep's control frames (merger subscriptions, then constituent
+        retractions)."""
+        return self._checked(self._merge_sweep())
+
+    def _merge_sweep(self) -> List[Frame]:
         """Apply one merging sweep and emit the routing updates: forward
         each merger, then retract the subscriptions it replaced.
 
@@ -806,7 +854,7 @@ class Broker:
         self.match_cache.clear()
         if report.events:
             self._mark_shared_dirty()
-        out: Outbound = []
+        out: List[Frame] = []
         for event in report.events:
             self._merge_registry.record(event)
             self.merge_log.append(event)
@@ -820,7 +868,7 @@ class Broker:
                         continue
                     if self._covered_at(event.merger, n, exclude=event.merger):
                         continue
-                    out.append((n, SubscribeMsg(expr=event.merger)))
+                    out.append((n, (SubscribeMsg(expr=event.merger),)))
                     self.forwarded.mark(event.merger, n)
             for old in event.replaced:
                 out.extend(self._emit_retractions(old))
@@ -875,3 +923,35 @@ def expr_intersects(msg: AdvertiseMsg, expr: XPathExpr) -> bool:
     from repro.adverts.recursive import expr_and_advertisement
 
     return expr_and_advertisement(msg.advert, expr)
+
+
+def canonical_effects(frames: List[Frame]) -> List[tuple]:
+    """A value-comparable form of a frame list: one
+    ``(destination, message)`` row per message, in order.
+
+    ``Message`` equality includes the process-unique ``msg_id``, so two
+    semantically identical frame lists from two brokers never compare
+    equal directly.  This renders each message through the wire encoding
+    (which, like a real network, carries no ``msg_id`` and no trace
+    stamp), giving replay tests an exact-equality target.
+    """
+    from repro.network.wire import message_to_obj
+
+    def message_key(message: Message):
+        obj = message_to_obj(message)
+        obj.pop("trace", None)
+        return _freeze(obj)
+
+    return [
+        (str(destination), message_key(message))
+        for destination, messages in frames
+        for message in messages
+    ]
+
+
+def _freeze(value):
+    if isinstance(value, dict):
+        return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
+    if isinstance(value, (list, tuple)):
+        return tuple(_freeze(v) for v in value)
+    return value

@@ -15,7 +15,6 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.broker.broker import Broker
-from repro.broker.core import BrokerCore
 from repro.broker.messages import AdvertiseMsg, Message, PublishMsg
 from repro.broker.strategies import RoutingConfig
 from repro.errors import TopologyError
@@ -331,7 +330,7 @@ class Overlay(HostKernel):
         records queue depth/lag beside the kernel's gauges."""
         if self.telemetry is None:
             super().enable_telemetry(plane, interval, **kwargs)
-            for broker_id in sorted(self.cores):
+            for broker_id in sorted(self.brokers):
                 self._arm_sampler(broker_id)
         return self.telemetry
 
@@ -492,7 +491,7 @@ class Overlay(HostKernel):
         transport one message each — its sequence numbers,
         acknowledgements and dedup are per message."""
         tracing = self.tracing
-        # The core named a neighbour or an attached client: no check.
+        # The broker named a neighbour or an attached client: no check.
         to_broker = destination in self.brokers
         start = self.sim.now + processing
         if to_broker and self._transport is not None:
@@ -607,8 +606,7 @@ class Overlay(HostKernel):
 
     def _rebind_broker(self, broker_id: str, state: Optional[Dict]) -> Broker:
         """Swap in the broker a restart leaves behind — restored from
-        the snapshot *state*, or (None) empty but for its wiring — and
-        re-wrap its core."""
+        the snapshot *state*, or (None) empty but for its wiring."""
         from repro.broker.persistence import restore
 
         old = self.brokers[broker_id]
@@ -622,7 +620,6 @@ class Overlay(HostKernel):
                 replacement.connect(neighbor)
             for client in old.local_clients:
                 replacement.attach_client(client)
-        self.cores[broker_id] = BrokerCore(broker=replacement)
         self.brokers[broker_id] = replacement
         return replacement
 

@@ -3,7 +3,7 @@
 The paper deploys its routers on a 20-node cluster and on PlanetLab.
 This module provides the equivalent runnable artifact: each
 :class:`SocketBrokerNode` hosts one broker — a
-:class:`~repro.broker.core.BrokerCore` inside a one-broker
+:class:`~repro.broker.broker.Broker` inside a one-broker
 :class:`~repro.runtime.host.HostKernel` — behind a TCP listener,
 speaking the newline-delimited JSON protocol of
 :mod:`repro.network.wire`.  Neighbour brokers and clients connect over
@@ -89,7 +89,7 @@ class _Connection:
     Args:
         sock: the connected socket.
         peer_name: broker/client id of the far end.
-        on_message: ``callback(peer_name, message)`` for each
+        receive: ``callback(peer_name, message)`` for each
             application message, exactly once and in sending order.
         drop_send: optional fault hook ``f(payload_bytes) -> bool``;
             returning True discards that physical transmission (the
@@ -107,14 +107,14 @@ class _Connection:
         self,
         sock: socket.socket,
         peer_name: str,
-        on_message,
+        receive,
         drop_send: Optional[Callable[[bytes], bool]] = None,
         rto: float = 0.05,
         max_attempts: int = 30,
     ):
         self.sock = sock
         self.peer_name = peer_name
-        self._on_message = on_message
+        self._receive = receive
         self._drop_send = drop_send
         self._send_lock = threading.Lock()
         self._state_lock = threading.Lock()
@@ -248,7 +248,7 @@ class _Connection:
                 obs.inc("broker.dup_suppressed")
                 return
             for message in ready:
-                self._on_message(self.peer_name, message)
+                self._receive(self.peer_name, message)
         finally:
             with self._state_lock:
                 self._inflight_rx -= 1
@@ -320,7 +320,7 @@ class SocketBrokerNode:
         return _Connection(
             sock,
             peer,
-            self._on_message,
+            self._enqueue,
             drop_send=self._drop_send if self.loss_rate > 0.0 else None,
             rto=self.rto,
         )
@@ -434,9 +434,9 @@ class SocketBrokerNode:
 
     def submit_local(self, client_id: str, message: Message):
         """A locally attached client hands in a message."""
-        self._on_message(client_id, message)
+        self._enqueue(client_id, message)
 
-    def _on_message(self, from_hop: str, message: Message):
+    def _enqueue(self, from_hop: str, message: Message):
         """Enqueue one inbound message for the dispatcher thread.
 
         Called from reader threads and local clients; the pending count

@@ -1,9 +1,10 @@
-"""Real execution backends for the runtime-agnostic broker core.
+"""Real execution backends for the runtime-agnostic broker.
 
 The discrete-event simulator (:mod:`repro.network.overlay`) is one host
-of :class:`repro.broker.core.BrokerCore`; this package holds what all
+of :class:`repro.broker.broker.Broker`; this package holds what all
 hosts share — :mod:`repro.runtime.host`, the sans-IO host kernel that
-gives the core's frames their meaning once — and adds two more backends:
+gives the broker's frames their meaning once — and adds two more
+backends:
 
 * :mod:`repro.runtime.asyncio_backend` — every broker is an asyncio
   actor with bounded per-link send queues (real backpressure, graceful

@@ -1,4 +1,4 @@
-"""An asyncio event-loop execution of the broker core.
+"""An asyncio event-loop execution of the brokers.
 
 What travels is the *frame*: a control message, or a group — the
 consecutive publications of one document on one link (the kernel's

@@ -1,19 +1,19 @@
-"""The sans-IO host kernel: what every backend does around a broker core.
+"""The sans-IO host kernel: what every backend does around a broker.
 
-:class:`~repro.broker.core.BrokerCore` turns a frame into outbound
+A :class:`~repro.broker.broker.Broker` turns a frame into outbound
 frames; a *host* turns those frames into traffic.  Everything about
 that second step that does not depend on how bytes move lives here,
 once:
 
-* the topology and the client registry (``cores`` / ``brokers`` /
-  ``links`` / ``subscribers`` / ``publishers``),
+* the topology and the client registry (``brokers`` / ``links`` /
+  ``subscribers`` / ``publishers``),
 * observer attachment — audit oracle, causal tracing, the telemetry
   plane and its health-transition flight dump,
 * :meth:`HostKernel.admit`, the front half of a client submit, and
   :meth:`HostKernel.join`, the rule that makes consecutive publications
   of one document one client→edge frame (a :class:`Group`),
 * :meth:`HostKernel.dispatch`, one frame through one broker: the single
-  ``core.on_publications`` / ``on_message`` call, whose
+  ``Broker.handle_publications`` / ``Broker.handle`` call, whose
   ``(destination, messages)`` frames it returns, ``hop`` spans
   and the hop scope, trace-stamping of what the broker originated,
 * :meth:`HostKernel.receive`, the back half of a delivery: client
@@ -40,8 +40,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.broker.broker import Broker
-from repro.broker.core import MERGE_SWEEP_TIMER, BrokerCore, Frame
+from repro.broker.broker import Broker, Frame
 from repro.broker.messages import Message, PublishMsg
 from repro.broker.strategies import RoutingConfig
 from repro.errors import RoutingError, TopologyError
@@ -58,6 +57,7 @@ from repro.obs.tracing import (
     stamp,
     trace_of,
 )
+from repro.runtime.base import routing_fingerprint
 
 class Group:
     """A client→edge frame: one control message, or the publications of
@@ -111,11 +111,9 @@ class HostKernel:
         self.universe = universe
         self.metrics = metrics if metrics is not None else obs.get_registry()
         self.stats = NetworkStats(registry=self.metrics)
-        #: The runtime-agnostic cores this host drives.  ``brokers``
-        #: exposes the wrapped :class:`Broker` objects — the audit
-        #: oracle and the test suites inspect their tables, and that
-        #: interface is identical on every backend.
-        self.cores: Dict[str, BrokerCore] = {}
+        #: The brokers this host drives — the audit oracle and the test
+        #: suites inspect their tables, and that interface is identical
+        #: on every backend.
         self.brokers: Dict[str, Broker] = {}
         self.links: Set[Tuple[str, str]] = set()
         self.subscribers: Dict[str, SubscriberClient] = {}
@@ -137,12 +135,9 @@ class HostKernel:
     def add_broker(self, broker_id: str) -> Broker:
         if broker_id in self.brokers:
             raise TopologyError("duplicate broker id %r" % broker_id)
-        core = BrokerCore(
-            broker_id=broker_id, config=self.config, universe=self.universe
-        )
-        self.cores[broker_id] = core
-        self.brokers[broker_id] = core.broker
-        return core.broker
+        broker = Broker(broker_id, config=self.config, universe=self.universe)
+        self.brokers[broker_id] = broker
+        return broker
 
     def connect(self, a: str, b: str):
         """Create a bidirectional link between two brokers.
@@ -330,7 +325,7 @@ class HostKernel:
     ) -> Tuple[List[Frame], Optional[Dict[int, Span]], float]:
         """One frame reached a broker: a control message, or a group of
         publications (consecutive paths of one document).  The frame is
-        one core call; traffic statistics and spans stay per message.
+        one broker call; traffic statistics and spans stay per message.
 
         ``parents`` maps ``msg_id`` to the span that caused the message
         (tracing only).  Every message keeps its own ``hop`` span over
@@ -355,13 +350,13 @@ class HostKernel:
                 scope = tracing.push_hop(
                     first_span, self.processing_scale, hop_spans
                 )
-        core = self.cores[broker_id]
+        broker = self.brokers[broker_id]
         started = perf_counter()
         try:
             if isinstance(first, PublishMsg):
-                frames = core.on_publications(messages, from_hop)
+                frames = broker.handle_publications(messages, from_hop)
             else:
-                frames = core.on_message(first, from_hop)
+                frames = broker.handle(first, from_hop)
         finally:
             if scope is not None:
                 tracing.pop_hop(scope)
@@ -415,9 +410,9 @@ class HostKernel:
         """Run one merge sweep on *broker_id* now; returns the sweep's
         outbound control traffic (merger subscriptions plus constituent
         retractions) as frames."""
-        if broker_id not in self.cores:
+        if broker_id not in self.brokers:
             raise TopologyError("unknown broker %r" % broker_id)
-        return self.cores[broker_id].on_timer(MERGE_SWEEP_TIMER)
+        return self.brokers[broker_id].run_merge_sweep()
 
     def forward_span(
         self, src_broker: str, destination: object, message: Message,
@@ -541,8 +536,8 @@ class HostKernel:
 
     def routing_fingerprints(self) -> Dict[str, str]:
         return {
-            broker_id: core.fingerprint()
-            for broker_id, core in self.cores.items()
+            broker_id: routing_fingerprint(broker)
+            for broker_id, broker in self.brokers.items()
         }
 
     def delivered_map(self) -> Dict[str, Set[str]]:

@@ -196,8 +196,8 @@ class MultiprocessDeployment(HostKernel):
     observers, :meth:`~repro.runtime.host.HostKernel.admit` and
     :meth:`~repro.runtime.host.HostKernel.receive`.  The brokers — and
     the kernel's ``dispatch`` — run in the children, one
-    :class:`~repro.network.sockets.SocketBrokerNode` each, so ``cores``
-    and ``brokers`` stay empty here.
+    :class:`~repro.network.sockets.SocketBrokerNode` each, so ``brokers``
+    stays empty here.
     """
 
     def __init__(

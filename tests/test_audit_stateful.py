@@ -85,10 +85,10 @@ def test_unsubscribe_of_last_constituent_retires_merger():
     # The sweep forwarded the merger and retracted the constituents.
     assert any(
         isinstance(m, SubscribeMsg) and m.expr == merger and d == "up"
-        for d, m in sweep_out
+        for d, (m,) in sweep_out
     )
     retracted = {
-        m.expr for d, m in sweep_out if isinstance(m, UnsubscribeMsg)
+        m.expr for d, (m,) in sweep_out if isinstance(m, UnsubscribeMsg)
     }
     assert retracted == {x(t) for t in CONSTITUENTS}
     for text in CONSTITUENTS:
@@ -103,7 +103,7 @@ def test_unsubscribe_of_last_constituent_retires_merger():
     out = broker.handle(UnsubscribeMsg(expr=x(CONSTITUENTS[-1])), "down")
     assert any(
         isinstance(m, UnsubscribeMsg) and m.expr == merger and d == "up"
-        for d, m in out
+        for d, (m,) in out
     )
     assert broker.routing_table_size() == 0
     assert len(broker._merge_registry) == 0
@@ -122,7 +122,7 @@ def test_direct_merger_subscription_outlives_constituents():
     assert broker._keys_of(merger) == {"down"}
     out = broker.handle(UnsubscribeMsg(expr=merger), "down")
     assert any(
-        isinstance(m, UnsubscribeMsg) and m.expr == merger for _, m in out
+        isinstance(m, UnsubscribeMsg) and m.expr == merger for _, (m,) in out
     )
     assert broker.routing_table_size() == 0
 
@@ -197,7 +197,7 @@ def test_retraction_clears_marks_so_repromotion_forwards_again():
     out = broker.handle(SubscribeMsg(expr=expr), "down")
     assert any(
         isinstance(m, SubscribeMsg) and m.expr == expr and d == "up"
-        for d, m in out
+        for d, (m,) in out
     )
 
 

@@ -89,7 +89,7 @@ class TestAdvertisements:
         broker = make_broker(neighbors=["n1", "n2"], clients=["c1"])
         broker.handle(sub("/a/b"), "c1")  # no adverts yet: goes nowhere
         out = broker.handle(adv("a", "b", "c"), "n2")
-        subs_out = [(d, m) for d, m in out if isinstance(m, SubscribeMsg)]
+        subs_out = [(d, m) for d, (m,) in out if isinstance(m, SubscribeMsg)]
         assert ("n2", subs_out[0][1])[0] == "n2"
         assert subs_out[0][1].expr == x("/a/b")
 
@@ -97,7 +97,7 @@ class TestAdvertisements:
         broker = make_broker(neighbors=["n1", "n2"], clients=["c1"])
         broker.handle(sub("/z/z"), "c1")
         out = broker.handle(adv("a", "b"), "n2")
-        assert not any(isinstance(m, SubscribeMsg) for _, m in out)
+        assert not any(isinstance(m, SubscribeMsg) for _, (m,) in out)
 
 
 class TestSubscriptionForwarding:
@@ -105,7 +105,7 @@ class TestSubscriptionForwarding:
         broker = make_broker(neighbors=["n1", "n2"], clients=["c1"])
         broker.handle(adv("a", "b"), "n1")
         out = broker.handle(sub("/a"), "c1")
-        assert [(d, m.expr) for d, m in out] == [("n1", x("/a"))]
+        assert [(d, m.expr) for d, (m,) in out] == [("n1", x("/a"))]
 
     def test_flooding_without_advertisements(self):
         broker = make_broker(
@@ -150,7 +150,7 @@ class TestSubscriptionForwarding:
         )
         broker.handle(sub("/a/b", subscriber="c1"), "c1")
         out = broker.handle(sub("/a", subscriber="c2"), "c2")
-        kinds = [(d, type(m).__name__, getattr(m, "expr", None)) for d, m in out]
+        kinds = [(d, type(m).__name__, getattr(m, "expr", None)) for d, (m,) in out]
         assert ("n1", "SubscribeMsg", x("/a")) in kinds
         assert ("n1", "UnsubscribeMsg", x("/a/b")) in kinds
 
@@ -164,7 +164,7 @@ class TestUnsubscribe:
         )
         broker.handle(sub("/a"), "c1")
         out = broker.handle(UnsubscribeMsg(expr=x("/a")), "c1")
-        assert [(d, type(m).__name__) for d, m in out] == [
+        assert [(d, type(m).__name__) for d, (m,) in out] == [
             ("n1", "UnsubscribeMsg")
         ]
 
@@ -177,7 +177,7 @@ class TestUnsubscribe:
         broker.handle(sub("/a", subscriber="c1"), "c1")
         broker.handle(sub("/a/b", subscriber="c2"), "c2")  # covered
         out = broker.handle(UnsubscribeMsg(expr=x("/a")), "c1")
-        kinds = {(d, type(m).__name__, getattr(m, "expr", None)) for d, m in out}
+        kinds = {(d, type(m).__name__, getattr(m, "expr", None)) for d, (m,) in out}
         assert ("n1", "UnsubscribeMsg", x("/a")) in kinds
         assert ("n1", "SubscribeMsg", x("/a/b")) in kinds
 
@@ -201,7 +201,7 @@ class TestPublishing:
         broker.handle(sub("/a/b", subscriber="c1"), "c1")
         broker.handle(sub("/z", subscriber="c2"), "c2")
         out = broker.handle(pub(("a", "b", "c")), "n-upstream")
-        assert [(d, m.publication.doc_id) for d, m in out] == [("c1", "d1")]
+        assert [(d, m.publication.doc_id) for d, (m,) in out] == [("c1", "d1")]
 
     def test_forward_to_subscribed_neighbor(self):
         broker = make_broker(
@@ -209,7 +209,7 @@ class TestPublishing:
         )
         broker.handle(sub("/a"), "n1")
         out = broker.handle(pub(("a", "b")), "n2")
-        assert [(d, type(m).__name__) for d, m in out] == [
+        assert [(d, type(m).__name__) for d, (m,) in out] == [
             ("n1", "PublishMsg")
         ]
 

@@ -70,7 +70,7 @@ class BrokerMachine(RuleBasedStateMachine):
     def _dispatch(self, message, from_hop):
         out = self.broker.handle(message, from_hop)
         known = set(NEIGHBORS) | set(CLIENTS)
-        for destination, out_msg in out:
+        for destination, (out_msg,) in out:
             assert destination in known, destination
             # A message must never bounce straight back to its sender.
             # Different-kind responses toward the sender are legitimate

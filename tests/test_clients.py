@@ -161,10 +161,7 @@ class TestAdvertisementIds:
             overlay, publisher, subscriber = wired_overlay()
             subscriber.subscribe("//sequence")
             overlay.run()
-            return list(publisher.advertised), {
-                broker_id: core.fingerprint()
-                for broker_id, core in overlay.cores.items()
-            }
+            return list(publisher.advertised), overlay.routing_fingerprints()
 
         first_ids, first_tables = scenario()
         again_ids, again_tables = scenario()

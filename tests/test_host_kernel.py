@@ -281,9 +281,9 @@ class TestKernelWithAListBackend:
         kernel.connect("b1", "b2")
         kernel.connect("b1", "b3")
         kernel.attach_subscriber("s", "b1")
-        core = kernel.cores["b1"]
+        broker = kernel.brokers["b1"]
         for hop in ("b3", "s"):
-            core.on_message(
+            broker.handle(
                 SubscribeMsg(expr=parse_xpath("//a"), subscriber_id=hop), hop
             )
         group = [

@@ -64,7 +64,7 @@ def publish(broker, path, doc_id="d"):
     # Message ids are process-unique; compare routing decisions only.
     return sorted(
         (str(dest), type(msg).__name__, str(msg.publication))
-        for dest, msg in out
+        for dest, (msg,) in out
     )
 
 

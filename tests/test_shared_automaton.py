@@ -612,7 +612,7 @@ def _decisions(broker, path, doc_id):
         "n1",
     )
     return sorted(
-        (str(dest), str(msg.publication)) for dest, msg in out
+        (str(dest), str(msg.publication)) for dest, (msg,) in out
     )
 
 
