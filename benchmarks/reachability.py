@@ -31,6 +31,14 @@ starts.  Their lines count as not entered.
 
 ``--driver NAME --out FILE`` runs one driver in this process and writes
 the entered code objects as JSON; the table run starts itself that way.
+
+``--check [TABLE]`` makes the committed table in docs/architecture.md
+("What reaches what") a ratchet: it exits 1, naming the file, when a
+file's *no driver* count in the fresh table rises above the committed
+one and docs/architecture.md has no keep-reason bullet for it (a line
+``- `path.py` (N): …`` under the table).  TABLE is a table this script
+printed earlier; without it the drivers run first and the fresh table
+is printed as usual.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -51,6 +60,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 E2E = ROOT / "benchmarks" / "e2e"
+ARCHITECTURE = ROOT / "docs" / "architecture.md"
 
 #: inspect.CO_OPTIMIZED: set on function code objects, not on module or
 #: class bodies.
@@ -309,17 +319,60 @@ def render(table, entered: Dict[str, Set[CodeKey]]) -> str:
     return "\n".join(out)
 
 
+# -- the ratchet ---------------------------------------------------------------
+
+#: A keep-reason bullet: ``- `runtime/multiprocess.py` (125): keep. …``.
+KEEP_REASON = re.compile(r"^- `([\w/]+\.py)` \(\d+\):", re.MULTILINE)
+
+
+def no_driver_counts(text: str) -> Dict[str, int]:
+    """``file -> no driver`` read from a table as :func:`render` prints
+    it (the committed copy in docs/architecture.md included)."""
+    counts: Dict[str, int] = {}
+    column = None
+    for line in text.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if cells[:2] == ["file", "lines"]:
+            column = cells.index("no driver")
+        elif column is not None and cells[0].startswith("repro/"):
+            counts[cells[0]] = int(cells[column])
+    return counts
+
+
+def ratchet(committed: str, fresh: str) -> List[str]:
+    """One message per file whose *no driver* count in *fresh* rose
+    above *committed* without a keep-reason bullet in *committed*."""
+    before = no_driver_counts(committed)
+    kept = {"repro/" + path for path in KEEP_REASON.findall(committed)}
+    return [
+        "%s: %d function-body lines no driver enters, %d in the committed "
+        "table, and no keep-reason bullet" % (relative, count,
+                                              before.get(relative, 0))
+        for relative, count in sorted(no_driver_counts(fresh).items())
+        if count > before.get(relative, 0) and relative not in kept
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--driver", choices=sorted(DRIVERS))
     parser.add_argument("--out")
+    parser.add_argument("--check", nargs="?", const="", metavar="TABLE")
     args = parser.parse_args(argv)
     if args.driver:
         run_driver(args.driver, args.out)
         return 0
-    table = function_lines()
-    print(render(table, _collect(sys.executable)))
-    return 0
+    if args.check:
+        fresh = Path(args.check).read_text()
+    else:
+        fresh = render(function_lines(), _collect(sys.executable))
+        print(fresh)
+    if args.check is None:
+        return 0
+    failures = ratchet(ARCHITECTURE.read_text(), fresh)
+    for failure in failures:
+        print("reachability: " + failure, file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -639,10 +639,6 @@ class Broker:
         decision minus the arrival hop."""
         return [hop for hop in self._route(publication)[1] if hop != from_hop]
 
-    def _publication_keys(self, publication) -> frozenset:
-        """Matched subscriber keys for *publication*."""
-        return self._route(publication)[0]
-
     def _route(self, publication, scope=None) -> Tuple[frozenset, tuple]:
         """The routing decision for *publication* — ``(matched keys,
         destinations in emission order)`` — from the route memo (see

@@ -1,10 +1,13 @@
-"""Publication-matching engines.
+"""The flat publication matcher.
 
 Table 1 of the paper compares publication routing time under four
 configurations: no covering (a flat routing table, every XPE checked),
 covering (the subscription tree prunes covered subtrees), and
-covering+merging (a smaller tree still).  The two engines here implement
-the flat baseline and the tree-based matcher behind one interface.
+covering+merging (a smaller tree still).  :class:`LinearMatcher` is the
+flat table: a broker without covering matches on it, and it is the
+reference every matcher differential checks the covering tree
+(:class:`~repro.covering.subscription_tree.SubscriptionTree`) and the
+shared automaton (:mod:`repro.matching.shared_automaton`) against.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from typing import Dict, Sequence, Set
 
 from repro import obs
 from repro.covering.pathmatch import path_matcher
-from repro.covering.subscription_tree import SubscriptionTree
 from repro.xpath.ast import XPathExpr
 
 
@@ -59,35 +61,3 @@ class LinearMatcher:
 
     def __len__(self):
         return len(self._subs)
-
-
-class TreeMatcher:
-    """Covering-based matcher: a subscription tree with subtree pruning."""
-
-    def __init__(self, tree: SubscriptionTree = None):
-        self._tree = tree if tree is not None else SubscriptionTree()
-
-    @property
-    def tree(self) -> SubscriptionTree:
-        return self._tree
-
-    def add(self, expr: XPathExpr, key: object = None):
-        self._tree.insert(expr, key)
-
-    def remove(self, expr: XPathExpr, key: object = None):
-        self._tree.remove(expr, key)
-
-    def match(self, path: Sequence[str], attributes=None) -> Set[object]:
-        # SubscriptionTree.match carries the covering.tree.* metrics;
-        # this wrapper adds the engine-level timing for engine ablations.
-        registry = obs.get_registry()
-        if not registry.enabled:
-            return self._tree.match_keys(path, attributes)
-        with registry.timer("matching.tree.match"):
-            return self._tree.match_keys(path, attributes)
-
-    def exprs(self):
-        return self._tree.exprs()
-
-    def __len__(self):
-        return len(self._tree)

@@ -5,7 +5,7 @@ At 10^5–10^6 resident subscriptions per broker, anything per-XPE is
 linear death: even PR 3's compiled regexes pay one probe per stored
 expression per publication.  Following YFilter [Diao et al., TODS 2003]
 and the FPGA XML-filtering line (arXiv 0909.1781), this engine merges
-every predicate-free XPE into one :class:`~repro.matching.yfilter.
+every XPE's structure into one :class:`~repro.matching.yfilter.
 SharedPathNFA` and matches a publication with a single document pass —
 cost bounded by automaton size, not subscription count.
 
@@ -33,12 +33,15 @@ Three layers on top of the plain NFA simulation:
   Correctness never depends on the cache; ``dfa_flushes`` counts
   wholesale discards (``clear()`` only), ``dfa_evictions`` the bounded
   overflow evictions.
-* **Predicate post-filtering.**  Attribute predicates are invisible to
-  the structural automaton.  Predicated expressions live in a
-  :class:`~repro.matching.predicate_index.PredicateIndexMatcher` side
-  index (the paper's companion matcher [16]): the automaton handles the
-  structural mass, the predicate index the value-constrained minority,
-  and a match is the union of the two.
+* **Predicate verification.**  Attribute predicates are invisible to
+  the structural automaton, so a predicated XPE enters the NFA by its
+  skeleton like any other, and each predicated XPE the walk accepts is
+  re-checked with :func:`~repro.covering.pathmatch.matches_path`
+  against the publication's attributes (match structure in one shared
+  automaton, then check value predicates on its output — the design of
+  the FPGA filtering line, arXiv 0909.1781).  The check runs only while
+  a predicated XPE is resident: a table without one pays a single
+  integer test per match.
 * **Selective invalidation.**  Prefix sharing means an added or
   removed XPE touches only its own suffix of the NFA, and
   :class:`SharedPathNFA` reports exactly what: the edit repairs the
@@ -57,7 +60,7 @@ from itertools import chain
 from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.matching.predicate_index import PredicateIndexMatcher
+from repro.covering.pathmatch import matches_path
 from repro.matching.yfilter import (
     ACCEPT_ONLY,
     SharedPathNFA,
@@ -111,17 +114,19 @@ _SIGHTED.dead = True
 class SharedAutomatonMatcher:
     """Shared-automaton bulk matcher with lazy-DFA state caching.
 
-    Engine contract (same as ``LinearMatcher``/``TreeMatcher``/
-    ``YFilterMatcher``/``PredicateIndexMatcher``): ``add(expr, key)``,
-    ``remove(expr, key)``, ``match(path, attributes) -> set of keys``,
-    plus the expression-level views.  Duplicate XPEs under distinct
-    keys share one automaton trail and one key set.
+    Engine contract (same as :class:`~repro.matching.engine.
+    LinearMatcher`): ``add(expr, key)``, ``remove(expr, key)``,
+    ``match(path, attributes) -> set of keys``, plus the
+    expression-level views.  Duplicate XPEs under distinct keys share
+    one automaton trail and one key set.
     """
 
     def __init__(self, dfa_state_limit: int = DEFAULT_DFA_STATE_LIMIT):
         self._nfa = SharedPathNFA()
-        self._predicated = PredicateIndexMatcher()
         self._keys: Dict[XPathExpr, Set[object]] = {}
+        #: Resident XPEs with attribute predicates; ``match_exprs``
+        #: verifies accepted XPEs only while this is nonzero.
+        self._predicated = 0
         self.dfa_state_limit = dfa_state_limit
         #: Wholesale discards — ``clear()`` only: an edit repairs the
         #: states it touches, overflow evicts the cold half.
@@ -143,10 +148,10 @@ class SharedAutomatonMatcher:
         keys = self._keys.setdefault(expr, set())
         if key in keys:
             return
-        if expr.has_predicates:
-            self._predicated.add(expr, key)
-        elif not keys:
+        if not keys:
             self._repair_dfa(*self._nfa.add(expr))
+            if expr.has_predicates:
+                self._predicated += 1
         keys.add(key)
 
     def remove(self, expr: XPathExpr, key: object = None):
@@ -154,18 +159,17 @@ class SharedAutomatonMatcher:
         if keys is None or key not in keys:
             return
         keys.discard(key)
-        if expr.has_predicates:
-            self._predicated.remove(expr, key)
         if not keys:
             del self._keys[expr]
-            if not expr.has_predicates:
-                self._repair_dfa(*self._nfa.remove(expr))
+            self._repair_dfa(*self._nfa.remove(expr))
+            if expr.has_predicates:
+                self._predicated -= 1
 
     def clear(self):
         """Drop every expression (used by full rebuilds)."""
         self._nfa = SharedPathNFA()
-        self._predicated = PredicateIndexMatcher()
         self._keys = {}
+        self._predicated = 0
         self._invalidate_dfa()
 
     # -- the lazy DFA ----------------------------------------------------
@@ -296,11 +300,17 @@ class SharedAutomatonMatcher:
     def match_exprs(
         self, path: Sequence[str], attributes=None
     ) -> Set[XPathExpr]:
-        """All stored XPEs matching the publication *path* (one
-        automaton pass plus the predicate-index side lookup)."""
+        """All stored XPEs matching the publication *path*: one
+        automaton pass, then the predicate check on the predicated XPEs
+        it accepted."""
         matched = self._match_structural(path)
-        if len(self._predicated):
-            matched |= self._predicated.match_exprs(path, attributes)
+        if self._predicated:
+            matched = {
+                expr
+                for expr in matched
+                if not expr.has_predicates
+                or matches_path(expr, path, attributes)
+            }
         return matched
 
     def match(self, path: Sequence[str], attributes=None) -> Set[object]:
@@ -335,8 +345,8 @@ class SharedAutomatonMatcher:
         """Engine internals for ``Broker.describe()``/ablations."""
         return {
             "exprs": len(self._keys),
-            "structural_exprs": len(self._nfa),
-            "predicated_exprs": len(self._predicated),
+            "structural_exprs": len(self._keys) - self._predicated,
+            "predicated_exprs": self._predicated,
             "nfa_states": self.automaton_size(),
             "dfa_states": self.dfa_size(),
             "dfa_flushes": self.dfa_flushes,

@@ -1,19 +1,15 @@
-"""The shared-prefix NFA over XPE path structure, and the YFilter
-baseline matcher built on it.
+"""The shared-prefix NFA over XPE path structure.
 
 The paper's evaluation (§5, "Publication Routing Time") references a
 comparison of its covering-tree router against **YFilter** [Diao et
 al., TODS 2003]: YFilter compiles all XPEs into one NFA whose common
 prefixes are shared, then matches each incoming document against the
 combined automaton.  :class:`SharedPathNFA` implements that automaton
-for the path-publication model used here; :class:`YFilterMatcher` wraps
-it with the common engine interface
-(:class:`~repro.matching.engine.LinearMatcher` /
-:class:`~repro.matching.engine.TreeMatcher` /
-:class:`~repro.matching.predicate_index.PredicateIndexMatcher`) so the
-engines are interchangeable in brokers and benchmarks.  The
-production-scale engine — a lazy DFA cached over this same NFA — lives
-in :mod:`repro.matching.shared_automaton`.
+for the path-publication model used here, and
+:meth:`SharedPathNFA.match_set` is the YFilter baseline itself (the
+matching-engine ablation times it).  The production engine — a lazy
+DFA cached over this same NFA, with the predicate check on its output —
+lives in :mod:`repro.matching.shared_automaton`.
 
 Construction: one trie-like NFA over location steps.  A ``/t`` step is
 an edge labelled ``t``; ``/*`` an edge labelled ``*`` (matches any
@@ -39,10 +35,8 @@ untenable at routing-table scale).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro import obs
-from repro.covering.pathmatch import matches_path
 from repro.errors import RoutingError
 from repro.xpath.ast import WILDCARD, Axis, XPathExpr
 
@@ -96,15 +90,6 @@ class SharedPathNFA:
     def __init__(self):
         self._root = _State()
         self._trails: Dict[XPathExpr, List[_TrailEntry]] = {}
-
-    def __len__(self):
-        return len(self._trails)
-
-    def __contains__(self, expr: XPathExpr) -> bool:
-        return expr in self._trails
-
-    def exprs(self) -> Iterator[XPathExpr]:
-        return iter(self._trails)
 
     # -- maintenance -----------------------------------------------------
 
@@ -222,78 +207,6 @@ class SharedPathNFA:
                 "shared NFA leak: %d states reachable, %d referenced"
                 % (reachable, len(referenced))
             )
-
-
-class YFilterMatcher:
-    """Shared-prefix NFA engine over a set of XPEs (the baseline)."""
-
-    def __init__(self):
-        self._nfa = SharedPathNFA()
-        self._exprs: Dict[XPathExpr, Set[object]] = {}
-
-    # -- maintenance -----------------------------------------------------
-
-    def add(self, expr: XPathExpr, key: object = None):
-        keys = self._exprs.get(expr)
-        if keys is not None:
-            keys.add(key)
-            return
-        self._exprs[expr] = {key}
-        self._nfa.add(expr)
-
-    def remove(self, expr: XPathExpr, key: object = None):
-        keys = self._exprs.get(expr)
-        if keys is None:
-            return
-        keys.discard(key)
-        if keys:
-            return
-        del self._exprs[expr]
-        self._nfa.remove(expr)
-
-    # -- matching ----------------------------------------------------------
-
-    @obs.timed("matching.yfilter.match")
-    def match_exprs(
-        self, path: Sequence[str], attributes=None
-    ) -> Set[XPathExpr]:
-        """All stored XPEs matching the publication *path*.
-
-        The shared automaton tracks element structure; expressions with
-        attribute predicates are verified with a final predicate-aware
-        recheck.
-        """
-        verified = set()
-        for expr in self._nfa.match_set(path):
-            if not expr.has_predicates or matches_path(
-                expr, path, attributes
-            ):
-                verified.add(expr)
-        return verified
-
-    def match(self, path: Sequence[str], attributes=None) -> Set[object]:
-        """Union of subscriber keys of the matching XPEs (engine API)."""
-        keys: Set[object] = set()
-        for expr in self.match_exprs(path, attributes):
-            keys |= self._exprs[expr]
-        return keys
-
-    def keys_of(self, expr: XPathExpr) -> Set[object]:
-        return set(self._exprs.get(expr, ()))
-
-    def exprs(self):
-        return list(self._exprs)
-
-    def __len__(self):
-        return len(self._exprs)
-
-    def state_count(self) -> int:
-        """Size of the shared automaton (for ablation reporting)."""
-        return self._nfa.state_count()
-
-    def automaton_size(self) -> int:
-        """Alias of :meth:`state_count` (the engine-reporting name)."""
-        return self._nfa.state_count()
 
 
 def subset_step(

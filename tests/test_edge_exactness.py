@@ -67,7 +67,9 @@ POOL = tuple(
 )
 
 #: Sibling sets one sweep merges (the first three perfectly); sweeping
-#: again after two of them have merged chains into ``/r/*/*``.
+#: again after two of them have merged chains into ``/r/*/*``.  The last
+#: one must not merge: its predicated member would lend the merger its
+#: predicate, and the merger would miss ``r/b/c``.
 FAMILIES = tuple(
     tuple(x(text) for text in texts)
     for texts in (
@@ -76,6 +78,7 @@ FAMILIES = tuple(
         ("/r/a/*", "/r/b/*"),
         ("/r/a/c", "/r/a/d"),
         ("/r/a/c", "/r/b/c"),
+        ("/r/a/c[@k='1']", "/r/b/c"),
     )
 )
 
@@ -160,11 +163,6 @@ class EdgeExactnessMachine(RuleBasedStateMachine):
 
     @rule(hop=st.sampled_from(HOPS), expr=st.sampled_from(POOL))
     def subscribe(self, hop, expr):
-        if expr.has_predicates and self.broker._merge_registry is not None:
-            # Known, not this machine's subject: the merging rules copy
-            # the first constituent's predicates onto the merger, which
-            # then fails to cover the others (ROADMAP item 7(i)).
-            return
         self._subscribe(hop, expr)
 
     @rule(hop=st.sampled_from(HOPS), family=st.sampled_from(FAMILIES))
@@ -362,3 +360,21 @@ def test_new_hop_on_a_live_merger_survives_a_chained_sweep():
     broker.handle(UnsubscribeMsg(expr=x("/r/a/*"), subscriber_id="c2"), "c2")
     assert broker.routing_table_size() == 0
     assert len(broker._merge_registry) == 0
+
+
+def test_predicated_subscription_is_not_merged_away():
+    """A merger built from ``/r/a/c[@k='1']`` and ``/r/b/c`` carried the
+    first one's predicate and missed every ``r/b/c`` publication.  The
+    merging rules refuse predicated inputs, so both stay and both hops
+    keep their deliveries."""
+    broker = _perfect_merging_broker()
+    _subscribe(broker, "c1", "/r/a/c[@k='1']")
+    _subscribe(broker, "c2", "/r/b/c")
+    broker.run_merge_sweep()
+    assert broker._merge_registry is not None
+    assert len(broker._merge_registry) == 0
+    assert _delivered(broker, "r", "b", "c") == {"c2"}
+    keyed = Publication(
+        doc_id="d", path_id=1, path=("r", "a", "c"), attributes=_K1
+    )
+    assert set(broker._route(keyed)[1]) == {"c1"}

@@ -168,7 +168,7 @@ def test_cached_matches_equal_cold_recomputation_after_churn():
     assert len(broker.match_cache) == 1
     assert broker.match_cache_stale == stale_before + 3
     for msg in probes:
-        cached = broker._publication_keys(msg.publication)
+        cached = broker._route(msg.publication)[0]
         assert cached == cold_keys(broker, msg.publication)
         for hop in ("n1", "n2", "c1"):
             assert broker._publish_destinations(
@@ -226,7 +226,7 @@ def test_merge_sweep_invalidates_cache():
     assert len(broker.match_cache) == 1
     broker.run_merge_sweep()
     assert len(broker.match_cache) == 0
-    assert broker._publication_keys(msg.publication) == cold_keys(
+    assert broker._route(msg.publication)[0] == cold_keys(
         broker, msg.publication
     )
 
@@ -238,7 +238,7 @@ def test_nocov_broker_cache_agrees_with_flat_matcher():
     for i, path in enumerate(PROBE_PATHS):
         message = pub(path, path_id=i)
         broker.handle(message, "n1")  # warm
-        assert broker._publication_keys(message.publication) == cold_keys(
+        assert broker._route(message.publication)[0] == cold_keys(
             broker, message.publication
         )
 

@@ -1,13 +1,14 @@
 """Differential test: every matching engine agrees on every workload.
 
-The repo carries five matching engines with one contract —
-``add(expr, key)`` / ``remove(expr, key)`` / ``match(path, attributes)
--> set of keys`` — implemented five very different ways (linear scan,
-covering-tree pruning, counting predicate index, YFilter-style NFA,
-lazy-DFA shared automaton).  Hypothesis drives DTD-derived XPE
-workloads with interleaved add and remove operations through all five
-side by side; any disagreement on any publication path is a bug in at
-least one engine.
+A broker matches publications on one of three structures with one
+contract — add an XPE under a key, remove it, and match a publication
+path (with its attributes) to a set of keys: the flat
+:class:`LinearMatcher` (the reference), the covering
+:class:`SubscriptionTree` (``insert`` / ``remove`` / ``match_keys``)
+and the lazy-DFA :class:`SharedAutomatonMatcher`.  Hypothesis drives
+DTD-derived XPE workloads with interleaved add and remove operations
+through all three side by side; any disagreement on any publication
+path is a bug in at least one engine.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -17,26 +18,37 @@ from repro.covering.pathmatch import (
     matches_path_reference,
     path_matcher,
 )
+from repro.covering.subscription_tree import SubscriptionTree
 from repro.dtd.paths import enumerate_paths
 from repro.dtd.samples import nitf_dtd, psd_dtd
-from repro.matching import (
-    LinearMatcher,
-    PredicateIndexMatcher,
-    SharedAutomatonMatcher,
-    TreeMatcher,
-    YFilterMatcher,
-)
+from repro.matching import LinearMatcher, SharedAutomatonMatcher
 from repro.workloads.xpath_generator import XPathWorkloadParams, generate_queries
 from repro.xpath import parse_xpath
 from repro.xpath.compiled import compile_xpe, set_compiled_enabled
 
-ENGINES = (
-    LinearMatcher,
-    TreeMatcher,
-    PredicateIndexMatcher,
-    YFilterMatcher,
-    SharedAutomatonMatcher,
-)
+
+def _linear():
+    matcher = LinearMatcher()
+    return matcher.add, matcher.remove, matcher.match
+
+
+def _tree():
+    tree = SubscriptionTree()
+    return tree.insert, tree.remove, tree.match_keys
+
+
+def _shared():
+    matcher = SharedAutomatonMatcher()
+    return matcher.add, matcher.remove, matcher.match
+
+
+#: ``name -> factory`` of ``(add, remove, match)``; the first is the
+#: reference.
+ENGINES = {
+    "LinearMatcher": _linear,
+    "SubscriptionTree": _tree,
+    "SharedAutomatonMatcher": _shared,
+}
 
 DTD = psd_dtd()
 PATHS = enumerate_paths(DTD, max_depth=10)
@@ -56,28 +68,28 @@ QUERY_POOL = generate_queries(
 def run_differential(ops, paths, pool, attributes=None):
     """Apply one interleaved add/remove schedule to every engine and
     assert identical match sets on every probe path."""
-    engines = [cls() for cls in ENGINES]
+    engines = {name: factory() for name, factory in ENGINES.items()}
     active = set()
     for add, index in ops:
         expr, key = pool[index]
         if add and index not in active:
             active.add(index)
-            for engine in engines:
-                engine.add(expr, key)
+            for insert, _, _ in engines.values():
+                insert(expr, key)
         elif not add and index in active:
             active.discard(index)
-            for engine in engines:
-                engine.remove(expr, key)
-    reference = engines[0]
+            for _, remove, _ in engines.values():
+                remove(expr, key)
+    (reference, (_, _, expect)), *others = engines.items()
     for path in paths:
-        expected = reference.match(path, attributes)
-        for engine in engines[1:]:
-            got = engine.match(path, attributes)
+        expected = expect(path, attributes)
+        for name, (_, _, match) in others:
+            got = match(path, attributes)
             assert got == expected, (
                 "%s disagrees with %s on %r: %r != %r (active: %s)"
                 % (
-                    type(engine).__name__,
-                    type(reference).__name__,
+                    name,
+                    reference,
                     path,
                     sorted(map(str, got)),
                     sorted(map(str, expected)),
@@ -189,7 +201,7 @@ def test_second_dtd_smoke():
 
 
 def test_engines_agree_under_reference_interpreter():
-    """The four-engine differential holds with the compiled fast path
+    """The engine differential holds with the compiled fast path
     disabled (``set_compiled_enabled(False)``) — every engine falls back to
     the reference interpreter and still agrees."""
     set_compiled_enabled(False)

@@ -108,6 +108,23 @@ class TestMergePair:
         merger = merge_pair(x("/a/b/c/z"), x("/a/x/y/w/z"))
         assert merger == x("/a//z")
 
+    def test_refuses_predicated_inputs(self):
+        """§4.3 merges structural XPEs.  A merger built from a predicated
+        constituent's steps carries its predicates and then fails to
+        cover the other constituent: /r/a/c[@k='1'] + /r/b/c would give
+        /r/*/c[@k='1'], which misses every r/b/c publication."""
+        structural = x("/r/b/c")
+        for predicated in (
+            x("/r/a/c[@k='1']"), x("/r[@k]/a/c"), x("/r/a/d/c[@k]")
+        ):
+            assert merge_pair(predicated, structural) is None
+            assert merge_pair(structural, predicated) is None
+        assert merge_one_difference(
+            [x("/r/a/c"), x("/r/b/c[@k]"), x("/r/d/c")]
+        ) is None
+        assert merge_two_differences(x("/a/c/*/*[@k]"), x("/a//c/*/c")) is None
+        assert merge_general(x("/a/b/c/z"), x("/a/q/r/z[@k]")) is None
+
 
 UNIVERSE_DTD = """
 <!ELEMENT r (a, b?)>
@@ -225,6 +242,20 @@ class TestMergingEngine:
         assert tree.match_keys(("r", "a", "c")) == {
             "/r/a/*", "/r/b/*", "/r/a/c", "/r/a/d", "/r/a/e"
         }
+
+    def test_predicated_sibling_neither_merges_nor_blocks(self):
+        """A predicated sibling stays unmerged, and rule-1 bucketing
+        leaves it out, so its structural siblings still merge (the
+        pairwise search is off here: rule 1 alone must find them)."""
+        tree = self.build_tree("/r/a/c", "/r/b/c", "/r/q/c[@k='1']")
+        engine = MergingEngine(
+            universe=self.universe(), max_degree=0.0, pairwise_limit=0
+        )
+        report = engine.merge_tree(tree)
+        assert [event.merger for event in report.events] == [x("/r/*/c")]
+        assert set(report.events[0].replaced) == {x("/r/a/c"), x("/r/b/c")}
+        assert tree.node_of(x("/r/q/c[@k='1']")) is not None
+        tree.validate()
 
     def test_without_universe_no_merges_at_zero_budget(self):
         tree = self.build_tree("/r/a/c", "/r/a/d", "/r/a/e")

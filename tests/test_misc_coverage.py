@@ -1,36 +1,10 @@
-"""Assorted coverage: TreeMatcher, xpath helpers, the experiments
+"""Assorted coverage: xpath helpers, the experiments
 entry point (``python -m repro.experiments``)."""
 
 import pytest
 
-from repro.matching.engine import TreeMatcher
 from repro.xpath import parse_xpath, steps_from_tests, try_parse_xpath
 from repro.xpath.ast import Axis, XPathExpr
-
-
-class TestTreeMatcher:
-    def test_add_match_remove(self):
-        matcher = TreeMatcher()
-        matcher.add(parse_xpath("/a"), "k1")
-        matcher.add(parse_xpath("/a/b"), "k2")
-        assert matcher.match(("a", "b")) == {"k1", "k2"}
-        matcher.remove(parse_xpath("/a"), "k1")
-        assert matcher.match(("a", "b")) == {"k2"}
-        assert len(matcher) == 1
-
-    def test_wraps_existing_tree(self):
-        from repro.covering.subscription_tree import SubscriptionTree
-
-        tree = SubscriptionTree()
-        tree.insert(parse_xpath("/q"), "k")
-        matcher = TreeMatcher(tree)
-        assert matcher.tree is tree
-        assert matcher.match(("q",)) == {"k"}
-
-    def test_exprs_listing(self):
-        matcher = TreeMatcher()
-        matcher.add(parse_xpath("/a"), 1)
-        assert matcher.exprs() == [parse_xpath("/a")]
 
 
 class TestXPathHelpers:

@@ -1,9 +1,16 @@
-"""Tests for the predicate-index (counting) matcher."""
+"""Predicate verification and XPE shapes on the shared engine.
+
+:class:`SharedAutomatonMatcher` matches every XPE's structure in one
+automaton and re-checks the predicated XPEs it accepts against the
+publication's attributes.  These cases pin that verify step and the
+shapes a counting index would split apart — absolute simple paths,
+all-wildcard paths and the length they need, relative and ``//``
+expressions — against :class:`LinearMatcher`.
+"""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.matching.engine import LinearMatcher
-from repro.matching.predicate_index import PredicateIndexMatcher
+from repro.matching import LinearMatcher, SharedAutomatonMatcher
 from repro.xpath import parse_xpath
 from repro.xpath.ast import Axis, Step, XPathExpr
 
@@ -13,7 +20,7 @@ def x(text):
 
 
 def build(*texts):
-    matcher = PredicateIndexMatcher()
+    matcher = SharedAutomatonMatcher()
     for t in texts:
         matcher.add(x(t), t)
     return matcher
@@ -38,10 +45,12 @@ class TestIndexedPath:
 
     def test_index_stats(self):
         m = build("/a/b", "b/c", "//q", "/a/*[@p]")
-        stats = m.index_stats()
-        assert stats["indexed_exprs"] == 1
-        assert stats["filtered_exprs"] == 3
-        assert stats["positional_predicates"] == 2
+        stats = m.stats()
+        assert stats["exprs"] == 4
+        assert stats["predicated_exprs"] == 1
+        assert stats["structural_exprs"] == 3
+        m.remove(x("/a/*[@p]"), "/a/*[@p]")
+        assert m.stats()["predicated_exprs"] == 0
 
 
 class TestFilterVerify:
@@ -64,6 +73,11 @@ class TestFilterVerify:
         assert m.match(("a", "b"), ({}, {"p": "1"})) == {"/a/b[@p='1']"}
         assert m.match(("a", "b"), ({}, {"p": "2"})) == set()
         assert m.match(("a", "b")) == set()
+        m.add(x("/a/b"), "plain")  # the same skeleton, no predicate
+        assert m.match(("a", "b"), ({}, {"p": "2"})) == {"plain"}
+        assert m.match(("a", "b"), ({}, {"p": "1"})) == {
+            "/a/b[@p='1']", "plain"
+        }
 
 
 class TestMaintenance:
@@ -72,7 +86,7 @@ class TestMaintenance:
         m.remove(x("/a/b"), "/a/b")
         assert m.match(("a", "b")) == set()
         assert len(m) == 0
-        assert m.index_stats()["positional_predicates"] == 0
+        assert m.automaton_size() == 1
 
     def test_remove_filtered(self):
         m = build("b//c")
@@ -80,7 +94,7 @@ class TestMaintenance:
         assert m.match(("b", "q", "c")) == set()
 
     def test_shared_keys(self):
-        m = PredicateIndexMatcher()
+        m = SharedAutomatonMatcher()
         m.add(x("/a"), "k1")
         m.add(x("/a"), "k2")
         m.remove(x("/a"), "k1")
@@ -115,11 +129,11 @@ class TestEquivalence:
     )
     def test_matches_like_linear_scan(self, workload, path):
         linear = LinearMatcher()
-        indexed = PredicateIndexMatcher()
+        shared = SharedAutomatonMatcher()
         for i, expr in enumerate(workload):
             linear.add(expr, i)
-            indexed.add(expr, i)
-        assert indexed.match(tuple(path)) == linear.match(tuple(path))
+            shared.add(expr, i)
+        assert shared.match(tuple(path)) == linear.match(tuple(path))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -131,11 +145,11 @@ class TestEquivalence:
     )
     def test_removal_keeps_engines_in_sync(self, workload, path, data):
         linear = LinearMatcher()
-        indexed = PredicateIndexMatcher()
+        shared = SharedAutomatonMatcher()
         for i, expr in enumerate(workload):
             linear.add(expr, i)
-            indexed.add(expr, i)
+            shared.add(expr, i)
         victim = data.draw(st.integers(0, len(workload) - 1))
         linear.remove(workload[victim], victim)
-        indexed.remove(workload[victim], victim)
-        assert indexed.match(tuple(path)) == linear.match(tuple(path))
+        shared.remove(workload[victim], victim)
+        assert shared.match(tuple(path)) == linear.match(tuple(path))

@@ -71,7 +71,7 @@ class TestEngineContract:
         assert m.match(("a", "q", "q", "d")) == {"/a//d"}
         assert m.match(("q", "c", "d")) == {"//c/d"}
 
-    def test_predicates_via_side_index(self):
+    def test_predicates_verified_on_automaton_output(self):
         m = SharedAutomatonMatcher()
         m.add(x("/a/b[@lang='de']"), "pred")
         m.add(x("/a/b"), "plain")
@@ -153,8 +153,11 @@ class TestPruningAndDFA:
         m.match(("a", "b"))
         cached = m.dfa_size()
         assert cached > 0
-        m.add(x("/a/b[@u]"), "pred")  # side index only: structure intact
+        # A predicated twin of a resident skeleton: the trail exists, so
+        # only the accepting sets are refreshed.
+        m.add(x("/a/b[@u]"), "pred")
         assert m.dfa_size() == cached
+        _check_dfa(m)
 
     def test_dfa_eviction_at_limit_preserves_results(self):
         m = SharedAutomatonMatcher(dfa_state_limit=3)
@@ -579,6 +582,72 @@ TestWarmDFAEditMachine.settings = settings(
 )
 
 
+# -- predicated and structural XPEs on one skeleton ------------------------
+#
+# Predicated XPEs enter the automaton by their skeleton, so a predicated
+# XPE and its structural twin share a trail and accepting state.  This
+# machine edits such twins on a warm DFA: the verify step must keep
+# each predicate's verdict its own, and the cache must stay coherent.
+
+SKELETON_TEXTS = (
+    "/a/b", "/a/b[@k]", "//b[@k='1']", "/a/b[@k='2']", "//b", "/a/*[@k]",
+)
+
+#: Probe paths with each attribute variant on the ``b`` element.
+_SKELETON_PROBES = [
+    (path, attributes)
+    for path in (("a", "b"), ("a", "b", "c"), ("c", "b"), ("a",))
+    for attributes in [None] + [
+        tuple(attrs if element == "b" else {} for element in path)
+        for attrs in ({}, {"k": "1"}, {"k": "2"})
+    ]
+]
+
+
+class SharedSkeletonMachine(RuleBasedStateMachine):
+    @initialize(limit=st.sampled_from((4, DEFAULT_DFA_STATE_LIMIT)))
+    def setup(self, limit):
+        self.shared = SharedAutomatonMatcher(dfa_state_limit=limit)
+        self.linear = LinearMatcher()
+
+    @rule(text=st.sampled_from(SKELETON_TEXTS),
+          key=st.sampled_from(("k1", "k2")))
+    def add(self, text, key):
+        self.shared.add(x(text), key)
+        self.linear.add(x(text), key)
+
+    @rule(text=st.sampled_from(SKELETON_TEXTS),
+          key=st.sampled_from(("k1", "k2")))
+    def remove(self, text, key):
+        self.shared.remove(x(text), key)
+        self.linear.remove(x(text), key)
+
+    @rule(probe=st.sampled_from(_SKELETON_PROBES))
+    def match(self, probe):
+        path, attributes = probe
+        # Walk twice: the second walk builds the DFA transitions the
+        # first one sighted, so both the cold and the warm walk answer.
+        for _ in range(2):
+            got = self.shared.match(path, attributes)
+            assert got == self.linear.match(path, attributes), probe
+
+    @invariant()
+    def cache_is_coherent(self):
+        _check_dfa(self.shared)
+        stats = self.shared.stats()
+        resident = self.linear.exprs()
+        predicated = sum(1 for expr in resident if expr.has_predicates)
+        assert stats["predicated_exprs"] == predicated
+        assert stats["structural_exprs"] == len(resident) - predicated
+        self.shared._nfa.check_refcounts()
+
+
+TestSharedSkeletonMachine = SharedSkeletonMachine.TestCase
+TestSharedSkeletonMachine.settings = settings(
+    max_examples=100, stateful_step_count=30, deadline=None
+)
+
+
 # -- broker level -----------------------------------------------------------
 
 def _broker_pair():
@@ -846,8 +915,8 @@ class SharedChurnMachine(RuleBasedStateMachine):
             publication = Publication(
                 doc_id="d%d" % self.pub_seq, path_id=0, path=path
             )
-            want = self.auto._publication_keys(publication)
-            assert self.shared._publication_keys(publication) == want, path
+            want = self.auto._route(publication)[0]
+            assert self.shared._route(publication)[0] == want, path
             assert mirror.match(path) == want, path
         _check_dfa(mirror)
 

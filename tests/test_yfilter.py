@@ -1,10 +1,12 @@
-"""Unit + property tests for the YFilter-style baseline matcher."""
+"""The shared-prefix NFA (the YFilter automaton) and the engine built
+on it: structural matching, pruning and edit reports, checked through
+:class:`SharedAutomatonMatcher` and on :class:`SharedPathNFA` itself."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.covering.pathmatch import matches_path
-from repro.matching.engine import LinearMatcher
-from repro.matching.yfilter import ACCEPT_ONLY, SharedPathNFA, YFilterMatcher
+from repro.matching import LinearMatcher, SharedAutomatonMatcher
+from repro.matching.yfilter import ACCEPT_ONLY, SharedPathNFA
 from repro.xpath import parse_xpath
 from repro.xpath.ast import Axis, Step, XPathExpr
 
@@ -14,7 +16,7 @@ def x(text):
 
 
 def build(*texts):
-    matcher = YFilterMatcher()
+    matcher = SharedAutomatonMatcher()
     for t in texts:
         matcher.add(x(t), t)
     return matcher
@@ -50,13 +52,13 @@ class TestBasicMatching:
     def test_prefix_sharing(self):
         m = build("/a/b/c", "/a/b/d", "/a/b")
         # /a, /a/b shared: expect a compact automaton.
-        assert m.state_count() <= 6
+        assert m.automaton_size() <= 6
         assert m.match(("a", "b", "c")) == {"/a/b/c", "/a/b"}
 
 
 class TestMaintenance:
     def test_remove(self):
-        m = YFilterMatcher()
+        m = SharedAutomatonMatcher()
         m.add(x("/a/b"), "k1")
         m.add(x("/a/b"), "k2")
         m.remove(x("/a/b"), "k1")
@@ -71,7 +73,7 @@ class TestMaintenance:
         assert len(m) == 1
 
     def test_keys_of(self):
-        m = YFilterMatcher()
+        m = SharedAutomatonMatcher()
         m.add(x("/a"), "k1")
         m.add(x("/a"), "k2")
         assert m.keys_of(x("/a")) == {"k1", "k2"}
@@ -84,48 +86,48 @@ class TestPruning:
 
     def test_churn_returns_state_count_to_baseline(self):
         m = build("/a/b", "/a//c")
-        baseline = m.state_count()
+        baseline = m.automaton_size()
         extra = ["/a/b/c/d%d" % i for i in range(8)] + [
             "//x%d//y" % i for i in range(8)
         ]
         for text in extra:
             m.add(x(text), text)
-        grown = m.state_count()
+        grown = m.automaton_size()
         assert grown > baseline
         for text in extra:
             m.remove(x(text), text)
-        assert m.state_count() == baseline
+        assert m.automaton_size() == baseline
         m._nfa.check_refcounts()
 
     def test_shared_prefix_survives_partial_removal(self):
         m = build("/a/b/c", "/a/b/d")
-        size_both = m.state_count()
+        size_both = m.automaton_size()
         m.remove(x("/a/b/c"), "/a/b/c")
         # Only the unshared tail ("c" edge) is released; /a/b stays.
-        assert m.state_count() == size_both - 1
+        assert m.automaton_size() == size_both - 1
         assert m.match(("a", "b", "d")) == {"/a/b/d"}
         assert m.match(("a", "b", "c")) == set()
         m._nfa.check_refcounts()
 
     def test_descendant_state_pruned_with_last_user(self):
         m = build("/a/b")
-        baseline = m.state_count()
+        baseline = m.automaton_size()
         m.add(x("/a//z"), "desc")
-        assert m.state_count() > baseline
+        assert m.automaton_size() > baseline
         m.remove(x("/a//z"), "desc")
-        assert m.state_count() == baseline
+        assert m.automaton_size() == baseline
         assert m.match(("a", "q", "z")) == set()
         m._nfa.check_refcounts()
 
     def test_duplicate_keys_keep_trail_alive(self):
-        m = YFilterMatcher()
+        m = SharedAutomatonMatcher()
         m.add(x("/a/b"), "k1")
         m.add(x("/a/b"), "k2")
-        size = m.state_count()
+        size = m.automaton_size()
         m.remove(x("/a/b"), "k1")
-        assert m.state_count() == size  # k2 still needs the trail
+        assert m.automaton_size() == size  # k2 still needs the trail
         m.remove(x("/a/b"), "k2")
-        assert m.state_count() == 1  # root only
+        assert m.automaton_size() == 1  # root only
         m._nfa.check_refcounts()
 
 
@@ -189,11 +191,11 @@ class TestEquivalenceWithLinear:
     )
     def test_same_matches_as_linear_scan(self, workload, path):
         linear = LinearMatcher()
-        yfilter = YFilterMatcher()
+        shared = SharedAutomatonMatcher()
         for i, expr in enumerate(workload):
             linear.add(expr, i)
-            yfilter.add(expr, i)
-        assert yfilter.match(tuple(path)) == linear.match(tuple(path))
+            shared.add(expr, i)
+        assert shared.match(tuple(path)) == linear.match(tuple(path))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -201,7 +203,7 @@ class TestEquivalenceWithLinear:
         path=st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=7),
     )
     def test_single_expr_agrees_with_matches_path(self, expr, path):
-        m = YFilterMatcher()
+        m = SharedAutomatonMatcher()
         m.add(expr, "k")
         expected = {"k"} if matches_path(expr, tuple(path)) else set()
         assert m.match(tuple(path)) == expected
