@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """A real TCP deployment of the dissemination network on localhost.
 
-The same broker state machine the simulator drives runs here behind TCP
-listeners speaking the newline-delimited JSON wire protocol — the
-runnable equivalent of the paper's cluster/PlanetLab deployment, shrunk
-to one machine.  Also demonstrates broker snapshots: the middle broker
-is serialised to JSON and its state printed.
+The same broker state machine the simulator drives runs here in one OS
+process per broker, behind TCP listeners speaking the newline-delimited
+JSON wire protocol — the runnable equivalent of the paper's
+cluster/PlanetLab deployment, shrunk to one machine.  Also demonstrates
+broker snapshots: the middle broker's state is shipped back to this
+process, serialised to JSON and printed.
 
 Run:  python examples/tcp_deployment.py
 """
@@ -15,7 +16,7 @@ from repro.adverts import generate_advertisements
 from repro.broker import RoutingConfig, SubscribeMsg, AdvertiseMsg, PublishMsg
 from repro.broker.persistence import snapshot_json
 from repro.dtd import parse_dtd
-from repro.network.sockets import LocalDeployment
+from repro.runtime.multiprocess import MultiprocessDeployment
 from repro.xmldoc import XMLDocument
 from repro.xpath import parse_xpath
 
@@ -42,44 +43,49 @@ ORDER_DOC = """
 
 def main():
     dtd = parse_dtd(ORDERS_DTD)
-    deployment = LocalDeployment(config=RoutingConfig.with_adv_with_cov())
+    deployment = MultiprocessDeployment(
+        config=RoutingConfig.with_adv_with_cov()
+    )
     for name in ("edge-west", "core", "edge-east"):
         deployment.add_broker(name)
     deployment.link("edge-west", "core")
     deployment.link("core", "edge-east")
     deployment.start()
-    print("brokers listening:")
-    for name, node in deployment.nodes.items():
-        print("  %-10s 127.0.0.1:%d" % (name, node.port))
 
     try:
-        producer = deployment.publisher("order-entry", "edge-west")
-        fulfilment = deployment.subscriber("fulfilment", "edge-east")
+        print("broker processes: %s" % ", ".join(deployment.broker_ids))
+        for a, b in sorted(deployment.links):
+            print("  TCP link %s <-> %s" % (a, b))
+        deployment.attach_publisher("order-entry", "edge-west")
+        fulfilment = deployment.attach_subscriber("fulfilment", "edge-east")
 
         for index, advert in enumerate(generate_advertisements(dtd)):
-            producer.submit(
+            deployment.submit(
+                "order-entry",
                 AdvertiseMsg(
                     adv_id="orders/%d" % index,
                     advert=advert,
                     publisher_id="order-entry",
-                )
+                ),
             )
-        deployment.settle()
+        deployment.run()
 
-        fulfilment.submit(
+        deployment.submit(
+            "fulfilment",
             SubscribeMsg(
                 expr=parse_xpath("/orders/order/sku"),
                 subscriber_id="fulfilment",
-            )
+            ),
         )
-        deployment.settle()
+        deployment.run()
 
         document = XMLDocument.parse(ORDER_DOC, doc_id="order-1001")
         for publication in document.publications():
-            producer.submit(
-                PublishMsg(publication=publication, publisher_id="order-entry")
+            deployment.submit(
+                "order-entry",
+                PublishMsg(publication=publication, publisher_id="order-entry"),
             )
-        deployment.settle()
+        deployment.run()
 
         print(
             "\nfulfilment received over TCP: %s"
@@ -87,7 +93,7 @@ def main():
         )
         assert fulfilment.delivered_documents() == {"order-1001"}
 
-        core = deployment.nodes["core"].broker
+        core = deployment.restore_brokers()["core"]
         print("\ncore broker state snapshot (persistable JSON):")
         text = snapshot_json(core)
         print(

@@ -166,6 +166,8 @@ class Broker:
         """Attach a neighbouring broker."""
         if neighbor_id == self.broker_id:
             raise RoutingError("a broker cannot neighbour itself")
+        if neighbor_id in self.local_clients:
+            raise RoutingError("%r is already a local client" % (neighbor_id,))
         self.neighbors.add(neighbor_id)
         self.match_cache.clear()
 

@@ -2,12 +2,6 @@
 
 Usage::
 
-    python -m repro.cli adverts --sample nitf          # advertisement set
-    python -m repro.cli adverts my.dtd --stats
-    python -m repro.cli paths --sample psd             # DTD path universe
-    python -m repro.cli workload --sample psd -n 20    # query generator
-    python -m repro.cli match "/a//b" a/x/b            # XPE vs path
-    python -m repro.cli covers "/a" "/a/b"             # covering check
     python -m repro.cli simulate --levels 3 --strategy with-Adv-with-Cov
     python -m repro.cli stats --levels 3               # metrics snapshot
 
@@ -18,27 +12,10 @@ can be recomputed through the public API.
 from __future__ import annotations
 
 import argparse
-import collections
 import sys
 
-from repro.adverts.generator import generate_advertisements
 from repro.broker.strategies import MATCHING_ENGINES, RoutingConfig
-from repro.covering.algorithms import covers
-from repro.covering.pathmatch import matches_path
-from repro.dtd.parser import parse_dtd
-from repro.dtd.paths import enumerate_paths, is_recursive
-from repro.dtd.samples import nitf_dtd, psd_dtd
 from repro.errors import ReproError
-from repro.xpath.parser import parse_xpath
-
-
-def _load_dtd(args):
-    if args.sample:
-        return {"nitf": nitf_dtd, "psd": psd_dtd}[args.sample]()
-    if not args.dtd_file:
-        raise SystemExit("error: provide a DTD file or --sample nitf|psd")
-    with open(args.dtd_file) as handle:
-        return parse_dtd(handle.read())
 
 
 def _add_faults_option(parser):
@@ -62,71 +39,6 @@ def _add_engine_option(parser):
         "shared-automaton mass-subscription engine over it "
         "(see docs/matching.md)",
     )
-
-
-def _add_dtd_options(parser):
-    parser.add_argument("dtd_file", nargs="?", help="path to a DTD file")
-    parser.add_argument(
-        "--sample",
-        choices=("nitf", "psd"),
-        help="use a bundled sample DTD instead of a file",
-    )
-
-
-def cmd_adverts(args) -> int:
-    dtd = _load_dtd(args)
-    adverts = generate_advertisements(dtd)
-    if args.stats:
-        kinds = collections.Counter(advert.kind for advert in adverts)
-        print("root element: %s" % dtd.root)
-        print("recursive DTD: %s" % is_recursive(dtd))
-        print("advertisements: %d" % len(adverts))
-        for kind, count in sorted(kinds.items()):
-            print("  %-20s %6d" % (kind, count))
-    else:
-        for advert in adverts:
-            print(advert)
-    return 0
-
-
-def cmd_paths(args) -> int:
-    dtd = _load_dtd(args)
-    for path in enumerate_paths(dtd, max_depth=args.max_depth):
-        print("/" + "/".join(path))
-    return 0
-
-
-def cmd_workload(args) -> int:
-    from repro.workloads.xpath_generator import (
-        XPathWorkloadParams,
-        generate_queries,
-    )
-
-    dtd = _load_dtd(args)
-    params = XPathWorkloadParams(
-        wildcard_prob=args.wildcard_prob,
-        descendant_prob=args.descendant_prob,
-        relative_prob=args.relative_prob,
-        max_length=args.max_length,
-    )
-    for query in generate_queries(dtd, args.count, params=params, seed=args.seed):
-        print(query)
-    return 0
-
-
-def cmd_match(args) -> int:
-    expr = parse_xpath(args.xpe)
-    path = tuple(part for part in args.path.strip("/").split("/") if part)
-    matched = matches_path(expr, path)
-    print("MATCH" if matched else "NO MATCH")
-    return 0 if matched else 1
-
-
-def cmd_covers(args) -> int:
-    s1, s2 = parse_xpath(args.coverer), parse_xpath(args.covered)
-    answer = covers(s1, s2)
-    print("COVERS" if answer else "DOES NOT COVER")
-    return 0 if answer else 1
 
 
 def _parse_faults(args):
@@ -279,12 +191,6 @@ def cmd_top(args) -> int:
         for a, b in plan.links:
             host.link(a, b)
         host.start()
-
-        def quiesce():
-            if not host.settle():
-                raise ReproError("multiprocess deployment failed to settle")
-            host.drain_deliveries()
-
         teardown = host.stop
     else:
         from repro.runtime.asyncio_backend import AsyncioRuntime
@@ -297,7 +203,6 @@ def cmd_top(args) -> int:
         for a, b in plan.links:
             host.connect(a, b)
         host.start()
-        quiesce = host.drain
         teardown = host.close
 
     telemetry_kwargs = {}
@@ -350,14 +255,14 @@ def cmd_top(args) -> int:
                     adv_id=adv_id, advert=advert, publisher_id=PUBLISHER
                 ),
             )
-        quiesce()
+        host.run()
         for leaf in sorted(plan.subscriptions):
             client_id = "sub-%s" % leaf
             for expr in plan.subscriptions[leaf]:
                 host.submit(
                     client_id, SubscribeMsg(expr=expr, subscriber_id=client_id)
                 )
-        quiesce()
+        host.run()
 
         for round_no in range(args.rounds):
             started = _time.monotonic()
@@ -380,7 +285,7 @@ def cmd_top(args) -> int:
                             issued_at=issued_at,
                         ),
                     )
-            quiesce()
+            host.run()
             host.sample_telemetry()
             frame = render_top(plane, now=host.now)
             if not args.plain and sys.stdout.isatty():
@@ -769,36 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="XML/XPath data dissemination network (ICDCS 2008 reproduction)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("adverts", help="derive a DTD's advertisement set")
-    _add_dtd_options(p)
-    p.add_argument("--stats", action="store_true", help="summary only")
-    p.set_defaults(fn=cmd_adverts)
-
-    p = sub.add_parser("paths", help="enumerate a DTD's root-to-leaf paths")
-    _add_dtd_options(p)
-    p.add_argument("--max-depth", type=int, default=10)
-    p.set_defaults(fn=cmd_paths)
-
-    p = sub.add_parser("workload", help="generate an XPath query workload")
-    _add_dtd_options(p)
-    p.add_argument("-n", "--count", type=int, default=20)
-    p.add_argument("--wildcard-prob", type=float, default=0.2)
-    p.add_argument("--descendant-prob", type=float, default=0.15)
-    p.add_argument("--relative-prob", type=float, default=0.2)
-    p.add_argument("--max-length", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_workload)
-
-    p = sub.add_parser("match", help="match an XPE against a path")
-    p.add_argument("xpe")
-    p.add_argument("path", help="e.g. /a/b/c")
-    p.set_defaults(fn=cmd_match)
-
-    p = sub.add_parser("covers", help="covering check between two XPEs")
-    p.add_argument("coverer")
-    p.add_argument("covered")
-    p.set_defaults(fn=cmd_covers)
 
     p = sub.add_parser("simulate", help="run an overlay traffic experiment")
     p.add_argument("--levels", type=int, default=3)

@@ -1,25 +1,26 @@
-"""A real TCP deployment of the broker.
+"""One broker behind a TCP listener.
 
 The paper deploys its routers on a 20-node cluster and on PlanetLab.
-This module provides the equivalent runnable artifact: each
-:class:`SocketBrokerNode` hosts one broker — a
+Each :class:`SocketBrokerNode` is one such router: a
 :class:`~repro.broker.broker.Broker` inside a one-broker
-:class:`~repro.runtime.host.HostKernel` — behind a TCP listener,
+:class:`~repro.runtime.host.HostKernel`, behind a TCP listener,
 speaking the newline-delimited JSON protocol of
-:mod:`repro.network.wire`.  Neighbour brokers and clients connect over
-sockets; everything the simulator exercises in-process runs unchanged
-over real connections.
+:mod:`repro.network.wire`.  Neighbour brokers connect over sockets
+and introduce themselves with one ``HELLO <broker id>`` line; the
+broker refuses its own id and the id of a locally attached client,
+and a refused or garbled handshake is counted as malformed and
+closed.  The deployment that runs one node per OS process is
+:class:`~repro.runtime.multiprocess.MultiprocessDeployment`::
 
-A deployment is driven programmatically::
-
-    deployment = LocalDeployment(config=RoutingConfig.full())
+    deployment = MultiprocessDeployment(config=RoutingConfig.full())
     deployment.add_broker("b1")
     deployment.add_broker("b2")
     deployment.link("b1", "b2")
     deployment.start()
-    publisher = deployment.publisher("pub", "b1")
-    subscriber = deployment.subscriber("sub", "b2")
+    publisher = deployment.attach_publisher("pub", "b1")
+    subscriber = deployment.attach_subscriber("sub", "b2")
     ...
+    deployment.run()
     deployment.stop()
 
 Threading model: one acceptor plus one reader thread per connection,
@@ -29,9 +30,7 @@ simulator).  Reader threads only ack and enqueue, so a slow broker's
 backlog is *visible*: the inbox depth is the queue-saturation gauge
 the telemetry plane samples, and ``service_delay`` turns one node into
 a deterministic bottleneck for overload scenarios.  The implementation
-favours clarity over raw throughput — it exists to show the routing
-layer is transport-independent and to back the integration tests in
-tests/test_sockets.py.
+favours clarity over raw throughput.
 
 Reliability: every message travels as a sequence-numbered data frame
 (:func:`repro.network.wire.encode_data_frame`) acknowledged
@@ -43,7 +42,8 @@ and releases strictly in order: a retransmitted SUB can never be
 overtaken by the UNSUB sent after it.  TCP itself never loses bytes —
 the loss the layer heals is injected via ``loss_rate`` (dropping
 physical sends before the socket), which is how the integration tests
-exercise retransmission without leaving localhost.  A line that is not
+exercise retransmission without leaving localhost
+(``MultiprocessDeployment(loss_rate=...)``).  A line that is not
 a data or ack frame is malformed: it is counted and skipped, so nothing
 reaches the broker outside the ordered, deduplicated stream.
 
@@ -62,10 +62,10 @@ import socket
 import threading
 import time
 import traceback
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.broker.messages import Message, PublishMsg
+from repro.broker.messages import Message
 from repro.broker.strategies import RoutingConfig
 from repro.errors import RoutingError
 from repro.network.reliable import Channel
@@ -75,8 +75,6 @@ from repro.network.wire import (
     encode_ack_frame,
     encode_data_frame,
 )
-from repro.obs.tracing import mint_context, stamp, trace_of
-from repro.runtime.base import scaled
 from repro.runtime.host import HostKernel
 
 
@@ -291,6 +289,9 @@ class SocketBrokerNode:
         self._listener = socket.create_server((host, port))
         self.host, self.port = self._listener.getsockname()
         self._connections: Dict[str, _Connection] = {}
+        #: Handshakes refused: a garbled HELLO line, or a name the
+        #: broker will not take as a neighbour.
+        self._malformed_handshakes = 0
         #: client id -> ``deliver(message)`` of each in-process client.
         self._client_sinks: Dict[str, Callable[[Message], None]] = {}
         self._lock = threading.RLock()
@@ -326,9 +327,10 @@ class SocketBrokerNode:
         )
 
     def transport_stats(self) -> Dict[str, int]:
-        """Aggregated reliability counters across this node's links."""
-        totals: Dict[str, int] = {}
+        """Aggregated reliability counters across this node's links;
+        ``malformed`` also counts refused handshakes."""
         with self._lock:
+            totals = {"malformed": self._malformed_handshakes}
             connections = list(self._connections.values())
         for connection in connections:
             for key, value in connection.stats.items():
@@ -370,15 +372,10 @@ class SocketBrokerNode:
 
     # -- wiring --------------------------------------------------------------
 
-    def connect_to(self, peer: "SocketBrokerNode"):
-        """Dial a neighbouring in-process node (the passive side learns
-        our name via the handshake line)."""
-        self.dial(peer.broker_id, peer.host, peer.port)
-
     def dial(self, peer_id: str, host: str, port: int):
-        """Dial a neighbouring broker by address — the form the
-        multiprocess deployment uses, where the peer node object lives
-        in another OS process and only its listen address is known."""
+        """Dial a neighbouring broker by address (the peer node lives
+        in another OS process; only its listen address is known).  The
+        passive side learns our name from the handshake line."""
         sock = socket.create_connection((host, port))
         sock.sendall(("HELLO %s\n" % self.broker_id).encode("ascii"))
         connection = self._make_connection(sock, peer_id)
@@ -414,15 +411,24 @@ class SocketBrokerNode:
             buffer += chunk
         line, rest = buffer.split(b"\n", 1)
         words = line.decode("ascii", "replace").split()
-        if len(words) != 2 or words[0] != "HELLO":
+        peer_name = words[1] if len(words) == 2 and words[0] == "HELLO" else None
+        with self._lock:
+            refused = peer_name is None
+            if not refused and peer_name not in self.broker.neighbors:
+                try:
+                    self.broker.connect(peer_name)
+                except RoutingError:  # its own id, or a local client's
+                    refused = True
+            if refused:
+                self._malformed_handshakes += 1
+            else:
+                connection = self._make_connection(sock, peer_name)
+                self._connections[peer_name] = connection
+        if refused:
+            # Counted like a malformed frame; nothing is registered.
+            obs.inc("network.transport.malformed")
             sock.close()
             return
-        peer_name = words[1]
-        connection = self._make_connection(sock, peer_name)
-        with self._lock:
-            self._connections[peer_name] = connection
-            if peer_name not in self.broker.neighbors:
-                self.broker.connect(peer_name)
         # What arrived behind the handshake line goes through before the
         # reader thread exists, so the connection releases in order.
         for extra in rest.split(b"\n"):
@@ -436,7 +442,12 @@ class SocketBrokerNode:
         """A locally attached client hands in a message."""
         self._enqueue(client_id, message)
 
-    def _enqueue(self, from_hop: str, message: Message):
+    def trigger_merge_sweep(self):
+        """Queue a merge sweep behind the messages already in the
+        inbox; the dispatcher runs it and sends its frames."""
+        self._enqueue(None, None)
+
+    def _enqueue(self, from_hop: Optional[str], message: Optional[Message]):
         """Enqueue one inbound message for the dispatcher thread.
 
         Called from reader threads and local clients; the pending count
@@ -464,17 +475,20 @@ class SocketBrokerNode:
                 with self._pending_lock:
                     self._dispatch_pending -= 1
 
-    def _dispatch(self, from_hop: str, message: Message):
+    def _dispatch(self, from_hop: Optional[str], message: Optional[Message]):
         with self._lock:
-            # (Only spans read the clock.)
-            frames, hop_spans, _elapsed = self.kernel.dispatch(
-                self.broker_id, (message,), from_hop,
-                0.0 if self.kernel.tracing is None else time.monotonic(),
-            )
-            if hop_spans:
-                now = time.monotonic()
-                for hop_span in hop_spans.values():
-                    hop_span.end = now
+            if message is None:  # a merge sweep
+                frames = self.kernel.sweep(self.broker_id)
+            else:
+                # (Only spans read the clock.)
+                frames, hop_spans, _elapsed = self.kernel.dispatch(
+                    self.broker_id, (message,), from_hop,
+                    0.0 if self.kernel.tracing is None else time.monotonic(),
+                )
+                if hop_spans:
+                    now = time.monotonic()
+                    for hop_span in hop_spans.values():
+                        hop_span.end = now
             for destination, out_messages in frames:
                 sink = self._client_sinks.get(destination)
                 if sink is None:
@@ -489,150 +503,3 @@ class SocketBrokerNode:
                     continue
                 for out_msg in out_messages:
                     sink(out_msg)
-
-
-class LocalDeployment:
-    """A multi-broker TCP deployment on localhost.
-
-    ``loss_rate``/``loss_seed``/``rto`` propagate to every node's
-    connections (see :class:`SocketBrokerNode`) so a whole deployment
-    can run over injected-lossy links.
-    """
-
-    def __init__(
-        self,
-        config: Optional[RoutingConfig] = None,
-        universe=None,
-        loss_rate: float = 0.0,
-        loss_seed: int = 0,
-        rto: float = 0.05,
-    ):
-        self.config = config
-        self.universe = universe
-        self.loss_rate = loss_rate
-        self.loss_seed = loss_seed
-        self.rto = rto
-        self.nodes: Dict[str, SocketBrokerNode] = {}
-        self._links: Set[Tuple[str, str]] = set()
-        self._clients: Dict[str, "DeployedClient"] = {}
-
-    def add_broker(self, broker_id: str) -> SocketBrokerNode:
-        node = SocketBrokerNode(
-            broker_id,
-            config=self.config,
-            universe=self.universe,
-            loss_rate=self.loss_rate,
-            loss_seed=self.loss_seed,
-            rto=self.rto,
-        )
-        self.nodes[broker_id] = node
-        return node
-
-    def transport_stats(self) -> Dict[str, int]:
-        """Reliability counters aggregated across the deployment."""
-        totals: Dict[str, int] = {}
-        for node in self.nodes.values():
-            for key, value in node.transport_stats().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def link(self, a: str, b: str):
-        self._links.add((a, b))
-
-    def start(self, handshake_timeout: float = 5.0):
-        handshake_timeout = scaled(handshake_timeout)
-        for node in self.nodes.values():
-            node.start()
-        for a, b in sorted(self._links):
-            self.nodes[a].connect_to(self.nodes[b])
-        # connect_to wires the dialing side synchronously, but the
-        # passive side registers the connection (and the broker
-        # neighbour) in its handshake thread.  A client attached right
-        # after start() could otherwise submit to a broker that does not
-        # know its neighbours yet, and the message would never flood.
-        deadline = time.time() + handshake_timeout
-        while time.time() < deadline:
-            if all(
-                a in self.nodes[b]._connections
-                and a in self.nodes[b].broker.neighbors
-                for a, b in self._links
-            ):
-                return
-            time.sleep(0.005)
-        raise RoutingError(
-            "deployment links did not finish handshaking within %.1fs"
-            % handshake_timeout
-        )
-
-    def stop(self):
-        for node in self.nodes.values():
-            node.stop()
-
-    def publisher(self, client_id: str, broker_id: str) -> "DeployedClient":
-        return self._attach(client_id, broker_id)
-
-    def subscriber(self, client_id: str, broker_id: str) -> "DeployedClient":
-        return self._attach(client_id, broker_id)
-
-    def _attach(self, client_id: str, broker_id: str) -> "DeployedClient":
-        client = DeployedClient(client_id, self.nodes[broker_id])
-        self.nodes[broker_id].attach_local_client(client_id, client._deliver)
-        self._clients[client_id] = client
-        return client
-
-    def settle(self, timeout: float = 1.0):
-        """Crude quiescence wait for tests: sleep-poll until no node has
-        handled a new message — and no frame is awaiting an ack — for a
-        short grace period.  *timeout* is in unscaled seconds —
-        ``REPRO_TEST_TIMEOUT_SCALE`` multiplies every deadline here."""
-        timeout = scaled(timeout)
-
-        def totals():
-            handled = tuple(
-                sum(node.broker.stats.values()) for node in self.nodes.values()
-            )
-            pending = sum(node.pending_count() for node in self.nodes.values())
-            return handled, pending
-
-        deadline = time.time() + timeout
-        last = totals()
-        stable_since = time.time()
-        while time.time() < deadline:
-            time.sleep(0.02)
-            current = totals()
-            if current != last:
-                last = current
-                stable_since = time.time()
-            elif current[1] == 0 and time.time() - stable_since > scaled(0.1):
-                return True
-        return False
-
-
-class DeployedClient:
-    """A client attached to a deployed broker over the local API."""
-
-    def __init__(self, client_id: str, node: SocketBrokerNode):
-        self.client_id = client_id
-        self._node = node
-        self.received: List[Message] = []
-        self._lock = threading.Lock()
-
-    def _deliver(self, message: Message):
-        with self._lock:
-            self.received.append(message)
-
-    def submit(self, message: Message):
-        # Client-originated operations mint their causal trace context
-        # here; it rides every data frame the message travels on
-        # (retransmits included — they resend the original payload).
-        if trace_of(message) is None:
-            stamp(message, mint_context())
-        self._node.submit_local(self.client_id, message)
-
-    def delivered_documents(self) -> Set[str]:
-        with self._lock:
-            return {
-                msg.publication.doc_id
-                for msg in self.received
-                if isinstance(msg, PublishMsg)
-            }

@@ -5,9 +5,10 @@ its own ``multiprocessing`` child, listening on a real TCP port and
 speaking :mod:`repro.network.wire` frames (sequence numbers, acks,
 retransmission — the full reliable transport) to its neighbours.  The
 parent keeps one control pipe per child and drives it with a tiny
-command protocol: connect-to-peer, attach-client, submit, probe for
-quiescence, drain buffered deliveries, snapshot / fingerprint the
-routing tables, report spans and transport stats, stop.
+command protocol: connect-to-peer, attach-client, submit, force a
+merge sweep, probe for quiescence, drain buffered deliveries, snapshot
+/ fingerprint the routing tables, report spans and transport stats,
+stop.
 
 This is the backend that runs the paper's Table 3 overlay — 127 broker
 processes in a complete binary tree — on one machine (``repro
@@ -54,9 +55,12 @@ def _broker_worker(
     conn,
     broker_id: str,
     config,
+    universe,
     rto: float,
     tracing: Optional[dict] = None,
     service_delay: float = 0.0,
+    loss_rate: float = 0.0,
+    loss_seed: int = 0,
 ):
     """Child-process main: host one socket broker, obey the pipe.
     *tracing* is the keyword arguments of the child kernel's
@@ -67,7 +71,8 @@ def _broker_worker(
     from repro.network.sockets import SocketBrokerNode
 
     node = SocketBrokerNode(
-        broker_id, config=config, port=0, rto=rto,
+        broker_id, config=config, port=0, universe=universe,
+        loss_rate=loss_rate, loss_seed=loss_seed, rto=rto,
         service_delay=service_delay,
     )
     # Dump reasons always carry the broker id: the children share one
@@ -102,6 +107,9 @@ def _broker_worker(
             elif command == "submit":
                 client_id, obj = args
                 node.submit_local(client_id, message_from_obj(obj))
+                reply = None
+            elif command == "sweep":
+                node.trigger_merge_sweep()
                 reply = None
             elif command == "probe":
                 handled = sum(node.broker.stats.values())
@@ -207,9 +215,16 @@ class MultiprocessDeployment(HostKernel):
         rto: float = 0.05,
         start_method: Optional[str] = None,
         service_delay: Optional[Dict[str, float]] = None,
+        loss_rate: float = 0.0,
+        loss_seed: int = 0,
     ):
         super().__init__(config, universe)
+        #: Every child's transport knobs (see
+        #: :class:`~repro.network.sockets.SocketBrokerNode`):
+        #: retransmission timeout and injected sender-side frame loss.
         self.rto = rto
+        self.loss_rate = loss_rate
+        self.loss_seed = loss_seed
         #: What every child passes to its kernel's ``enable_tracing``
         #: (see :meth:`enable_tracing`); None keeps tracing off.
         self._child_tracing: Optional[dict] = None
@@ -254,9 +269,10 @@ class MultiprocessDeployment(HostKernel):
             process = self._ctx.Process(
                 target=_broker_worker,
                 args=(
-                    child_conn, broker_id, self.config, self.rto,
-                    self._child_tracing,
+                    child_conn, broker_id, self.config, self.universe,
+                    self.rto, self._child_tracing,
                     self.service_delay.get(broker_id, 0.0),
+                    self.loss_rate, self.loss_seed,
                 ),
                 daemon=True,
             )
@@ -373,6 +389,16 @@ class MultiprocessDeployment(HostKernel):
             stamp(message, mint_context())
         broker_id, _context = self.admit(client_id, message)
         self._rpc(broker_id, "submit", client_id, message_to_obj(message))
+
+    def trigger_merge_sweep(self, broker_id: str):
+        """Queue an immediate merge sweep on one broker's process (run
+        by its dispatcher in arrival order with the rest of its
+        inbox)."""
+        if broker_id not in self.broker_ids:
+            raise TopologyError("unknown broker %r" % broker_id)
+        if not self._started:
+            raise TopologyError("trigger merge sweeps after start()")
+        self._rpc(broker_id, "sweep")
 
     # -- quiescence and observation ---------------------------------------
 

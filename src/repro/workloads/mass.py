@@ -1,7 +1,7 @@
 """Mass-subscription workloads for the shared-automaton engine.
 
 The paper's evaluation stops at 8,000 XPEs per broker; the
-mass-subscription path (ROADMAP item 1) asks what happens at 100k–1M.
+mass-subscription path asks what happens at 100k–1M.
 DTD-derived workloads cannot reach that scale — the PSD/NITF path
 universes top out around a few thousand distinct queries — so this
 module generates subscriptions over a *synthetic* element universe: a

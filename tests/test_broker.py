@@ -65,6 +65,14 @@ class TestWiring:
         with pytest.raises(RoutingError):
             broker.attach_client("n1")
 
+    def test_neighbor_cannot_shadow_client(self):
+        """The mirror check: a local client's id is not a neighbour id,
+        or a SUB from another client would flood into its sink."""
+        broker = make_broker(clients=["sub"])
+        with pytest.raises(RoutingError, match="local client"):
+            broker.connect("sub")
+        assert broker.neighbors == set()
+
 
 class TestAdvertisements:
     def test_advert_floods_to_other_neighbors(self):

@@ -5,64 +5,10 @@ import pytest
 from repro.cli import main
 
 
-class TestAdverts:
-    def test_sample_psd_list(self, capsys):
-        assert main(["adverts", "--sample", "psd"]) == 0
-        out = capsys.readouterr().out
-        assert "/ProteinDatabase/ProteinEntry/sequence" in out
-
-    def test_sample_nitf_stats(self, capsys):
-        assert main(["adverts", "--sample", "nitf", "--stats"]) == 0
-        out = capsys.readouterr().out
-        assert "recursive DTD: True" in out
-        assert "simple-recursive" in out
-
-    def test_dtd_file(self, tmp_path, capsys):
-        dtd = tmp_path / "tiny.dtd"
-        dtd.write_text("<!ELEMENT r (a)><!ELEMENT a (#PCDATA)>")
-        assert main(["adverts", str(dtd)]) == 0
-        assert "/r/a" in capsys.readouterr().out
-
-    def test_missing_dtd_errors(self):
-        with pytest.raises(SystemExit):
-            main(["adverts"])
-
-
-class TestPaths:
-    def test_psd_paths(self, capsys):
-        assert main(["paths", "--sample", "psd"]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert "/ProteinDatabase/ProteinEntry/header/uid" in out
-        assert len(out) == 52
-
-
-class TestWorkload:
-    def test_generates_requested_count(self, capsys):
-        assert main(["workload", "--sample", "psd", "-n", "7"]) == 0
-        out = [l for l in capsys.readouterr().out.splitlines() if l]
-        assert len(out) == 7
-
-    def test_deterministic_seed(self, capsys):
-        main(["workload", "--sample", "psd", "-n", "5", "--seed", "3"])
-        first = capsys.readouterr().out
-        main(["workload", "--sample", "psd", "-n", "5", "--seed", "3"])
-        assert capsys.readouterr().out == first
-
-
-class TestMatchAndCovers:
-    def test_match_hit(self, capsys):
-        assert main(["match", "/a//b", "/a/x/b"]) == 0
-        assert "MATCH" in capsys.readouterr().out
-
-    def test_match_miss_sets_exit_code(self, capsys):
-        assert main(["match", "/a/b", "/a/c"]) == 1
-
-    def test_covers(self, capsys):
-        assert main(["covers", "/a", "/a/b"]) == 0
-        assert main(["covers", "/a/b", "/a"]) == 1
-
-    def test_bad_xpe_reports_error(self, capsys):
-        assert main(["covers", "///", "/a"]) == 2
+class TestErrors:
+    def test_a_repro_error_exits_2_with_a_message(self, capsys):
+        rc = main(["simulate", "--levels", "2", "--faults", "bogus=1"])
+        assert rc == 2
         assert "error:" in capsys.readouterr().err
 
 

@@ -2,159 +2,227 @@
 
 The same routing layer the simulator exercises in-process runs here
 over localhost connections with the JSON wire protocol — the runnable
-equivalent of the paper's cluster/PlanetLab deployment.
+equivalent of the paper's cluster/PlanetLab deployment.  Deployments
+are :class:`~repro.runtime.multiprocess.MultiprocessDeployment`s, one
+OS process per broker, so every delivery reaches its subscriber
+through the host kernel's dedup and audit path; the handshake tests
+drive one :class:`~repro.network.sockets.SocketBrokerNode` directly.
 
-Every wall-clock deadline below (the ``settle(timeout=...)`` calls and
+Every wall-clock deadline below (the deployment's quiescence wait and
 the transport's internal ack/retransmit timers) is multiplied by the
 ``REPRO_TEST_TIMEOUT_SCALE`` environment knob, so a loaded CI runner
 slows the whole file down with one export instead of per-test edits.
 """
 
+import socket
+
 import pytest
 
 from repro.adverts import Advertisement
-from repro.broker.messages import AdvertiseMsg, PublishMsg, SubscribeMsg
+from repro.adverts.generator import generate_advertisements
+from repro.broker.messages import (
+    AdvertiseMsg,
+    PublishMsg,
+    SubscribeMsg,
+    UnsubscribeMsg,
+)
 from repro.broker.strategies import RoutingConfig
-from repro.network.sockets import LocalDeployment
+from repro.dtd.parser import parse_dtd
+from repro.errors import TopologyError
+from repro.merging.engine import PathUniverse
+from repro.network import Overlay
+from repro.network.sockets import SocketBrokerNode
 from repro.runtime.base import TIMEOUT_SCALE_ENV, scaled, timeout_scale
+from repro.runtime.multiprocess import MultiprocessDeployment
 from repro.xmldoc import Publication
 from repro.xpath import parse_xpath
 
 
-@pytest.fixture
-def chain():
-    deployment = LocalDeployment(config=RoutingConfig.with_adv_with_cov())
+def _deployment(config, **kwargs):
+    """A started b1 - b2 - b3 chain (the caller stops it)."""
+    deployment = MultiprocessDeployment(config=config, **kwargs)
     for name in ("b1", "b2", "b3"):
         deployment.add_broker(name)
     deployment.link("b1", "b2")
     deployment.link("b2", "b3")
     deployment.start()
+    return deployment
+
+
+def _publication(doc_id, path, publisher_id="pub"):
+    return PublishMsg(
+        publication=Publication(doc_id=doc_id, path_id=0, path=path),
+        publisher_id=publisher_id,
+    )
+
+
+@pytest.fixture
+def chain():
+    deployment = _deployment(RoutingConfig.with_adv_with_cov())
     yield deployment
     deployment.stop()
 
 
 def test_end_to_end_over_tcp(chain):
-    publisher = chain.publisher("pub", "b1")
-    subscriber = chain.subscriber("sub", "b3")
+    chain.attach_publisher("pub", "b1")
+    subscriber = chain.attach_subscriber("sub", "b3")
 
-    publisher.submit(
+    chain.submit(
+        "pub",
         AdvertiseMsg(
             adv_id="adv1",
             advert=Advertisement.from_tests(("claims", "claim", "amount")),
             publisher_id="pub",
-        )
+        ),
     )
-    assert chain.settle(timeout=5.0)
+    chain.run()
 
-    subscriber.submit(
-        SubscribeMsg(expr=parse_xpath("/claims//amount"), subscriber_id="sub")
+    chain.submit(
+        "sub",
+        SubscribeMsg(expr=parse_xpath("/claims//amount"), subscriber_id="sub"),
     )
-    assert chain.settle(timeout=5.0)
+    chain.run()
 
-    publisher.submit(
-        PublishMsg(
-            publication=Publication(
-                doc_id="c-1", path_id=0, path=("claims", "claim", "amount")
-            ),
-            publisher_id="pub",
-        )
-    )
-    assert chain.settle(timeout=5.0)
+    chain.submit("pub", _publication("c-1", ("claims", "claim", "amount")))
+    chain.run()
     assert subscriber.delivered_documents() == {"c-1"}
 
 
 def test_non_matching_publication_not_delivered(chain):
-    publisher = chain.publisher("pub", "b1")
-    subscriber = chain.subscriber("sub", "b3")
+    chain.attach_publisher("pub", "b1")
+    subscriber = chain.attach_subscriber("sub", "b3")
 
-    publisher.submit(
+    chain.submit(
+        "pub",
         AdvertiseMsg(
             adv_id="adv1",
             advert=Advertisement.from_tests(("claims", "claim", "amount")),
             publisher_id="pub",
-        )
+        ),
     )
-    chain.settle(timeout=5.0)
-    subscriber.submit(
-        SubscribeMsg(expr=parse_xpath("/claims/claim/policy"), subscriber_id="sub")
+    chain.run()
+    chain.submit(
+        "sub",
+        SubscribeMsg(
+            expr=parse_xpath("/claims/claim/policy"), subscriber_id="sub"
+        ),
     )
-    chain.settle(timeout=5.0)
-    publisher.submit(
-        PublishMsg(
-            publication=Publication(
-                doc_id="c-2", path_id=0, path=("claims", "claim", "amount")
-            ),
-            publisher_id="pub",
-        )
-    )
-    chain.settle(timeout=5.0)
+    chain.run()
+    chain.submit("pub", _publication("c-2", ("claims", "claim", "amount")))
+    chain.run()
     assert subscriber.delivered_documents() == set()
 
 
 def test_subscription_travels_only_toward_advertiser(chain):
     """With advertisement-based routing, b3's subscription reaches b1
     via b2; brokers store it along the way."""
-    publisher = chain.publisher("pub", "b1")
-    subscriber = chain.subscriber("sub", "b3")
-    publisher.submit(
+    chain.attach_publisher("pub", "b1")
+    chain.attach_subscriber("sub", "b3")
+    chain.submit(
+        "pub",
         AdvertiseMsg(
             adv_id="adv1",
             advert=Advertisement.from_tests(("a", "b")),
             publisher_id="pub",
-        )
+        ),
     )
-    chain.settle(timeout=5.0)
-    subscriber.submit(
-        SubscribeMsg(expr=parse_xpath("/a"), subscriber_id="sub")
-    )
-    chain.settle(timeout=5.0)
-    assert chain.nodes["b1"].broker.routing_table_size() == 1
-    assert chain.nodes["b2"].broker.routing_table_size() == 1
+    chain.run()
+    chain.submit("sub", SubscribeMsg(expr=parse_xpath("/a"), subscriber_id="sub"))
+    chain.run()
+    brokers = chain.restore_brokers()
+    assert brokers["b1"].routing_table_size() == 1
+    assert brokers["b2"].routing_table_size() == 1
+
+
+def _wait_until(condition, timeout=5.0):
+    import time
+
+    deadline = time.time() + scaled(timeout)
+    while time.time() < deadline:
+        if condition():
+            return True
+        time.sleep(0.005)
+    return condition()
 
 
 class TestRobustness:
-    def test_garbage_handshake_is_ignored(self, chain):
-        """A peer that fails the handshake must not crash the node."""
-        import socket
+    """The handshake is the node's: one ``SocketBrokerNode`` with two
+    local clients, and raw sockets playing the dialing peer."""
 
-        node = chain.nodes["b2"]
+    @pytest.fixture
+    def node(self):
+        node = SocketBrokerNode("b1", config=RoutingConfig.no_adv_no_cov())
+        node.start()
+        yield node
+        node.stop()
+
+    @staticmethod
+    def _attach(node, client_id):
+        received = []
+        node.attach_local_client(client_id, received.append)
+        return received
+
+    @staticmethod
+    def _closed_by_node(sock):
+        """True when the node closes *sock* from its end."""
+        sock.settimeout(scaled(5.0))
+        try:
+            return sock.recv(1) == b""
+        finally:
+            sock.close()
+
+    def test_garbage_handshake_is_ignored(self, node):
+        """A peer that fails the handshake must not crash the node."""
         sock = socket.create_connection((node.host, node.port))
         sock.sendall(b"GET / HTTP/1.1\r\n\r\n")
-        sock.close()
-        # The deployment still works end to end afterwards.
-        publisher = chain.publisher("pub2", "b1")
-        subscriber = chain.subscriber("sub2", "b3")
-        publisher.submit(
-            AdvertiseMsg(
-                adv_id="adv9",
-                advert=Advertisement.from_tests(("r", "s")),
-                publisher_id="pub2",
-            )
+        assert self._closed_by_node(sock)
+        # The node still routes afterwards, and still takes a peer.
+        received = self._attach(node, "sub")
+        self._attach(node, "pub")
+        node.submit_local(
+            "sub", SubscribeMsg(expr=parse_xpath("/r"), subscriber_id="sub")
         )
-        chain.settle(timeout=5.0)
-        subscriber.submit(
-            SubscribeMsg(expr=parse_xpath("/r"), subscriber_id="sub2")
-        )
-        chain.settle(timeout=5.0)
-        publisher.submit(
-            PublishMsg(
-                publication=Publication(
-                    doc_id="r-1", path_id=0, path=("r", "s")
-                ),
-                publisher_id="pub2",
-            )
-        )
-        chain.settle(timeout=5.0)
-        assert subscriber.delivered_documents() == {"r-1"}
+        node.submit_local("pub", _publication("r-1", ("r", "s")))
+        assert _wait_until(lambda: len(received) == 1)
+        assert received[0].publication.doc_id == "r-1"
+        peer = socket.create_connection((node.host, node.port))
+        try:
+            peer.sendall(b"HELLO b2\n")
+            assert _wait_until(lambda: "b2" in node.broker.neighbors)
+        finally:
+            peer.close()
+        assert node.transport_stats()["malformed"] == 1
+        assert node.errors == []
 
-    def test_half_open_connection_ignored(self, chain):
-        import socket
-
-        node = chain.nodes["b1"]
+    def test_half_open_connection_ignored(self, node):
         sock = socket.create_connection((node.host, node.port))
         # Say nothing; just disconnect.
         sock.close()
-        assert chain.settle(timeout=2.0)
+        assert _wait_until(lambda: node.pending_count() == 0)
+        assert node.broker.neighbors == set()
+        assert node.errors == []
+
+    def test_hello_with_a_refused_name_registers_nothing(self, node):
+        """``HELLO sub`` names a local client and ``HELLO b1`` the node
+        itself: the broker refuses both, so each socket is closed and
+        counted as malformed, no connection or neighbour is left behind,
+        and a SUB from another client is not flooded into ``sub``'s
+        sink."""
+        received = self._attach(node, "sub")
+        self._attach(node, "other")
+        for name in (b"sub", b"b1"):
+            sock = socket.create_connection((node.host, node.port))
+            sock.sendall(b"HELLO " + name + b"\n")
+            assert self._closed_by_node(sock), name
+        assert node.broker.neighbors == set()
+        assert node._connections == {}
+        assert node.transport_stats()["malformed"] == 2
+        node.submit_local(
+            "other", SubscribeMsg(expr=parse_xpath("/a"), subscriber_id="other")
+        )
+        assert _wait_until(lambda: node.pending_count() == 0)
+        assert received == []
+        assert node.errors == []
 
 
 class TestTimeoutScale:
@@ -183,19 +251,31 @@ class TestTimeoutScale:
         deadline and the transport timers together, it never races one
         against the other."""
         monkeypatch.setenv(TIMEOUT_SCALE_ENV, "2")
-        deployment = LocalDeployment(config=RoutingConfig.no_adv_no_cov())
+        deployment = MultiprocessDeployment(config=RoutingConfig.no_adv_no_cov())
         deployment.add_broker("b1")
         deployment.add_broker("b2")
         deployment.link("b1", "b2")
         deployment.start()
         try:
-            subscriber = deployment.subscriber("sub", "b2")
-            subscriber.submit(
-                SubscribeMsg(expr=parse_xpath("/x"), subscriber_id="sub")
+            deployment.attach_subscriber("sub", "b2")
+            deployment.submit(
+                "sub", SubscribeMsg(expr=parse_xpath("/x"), subscriber_id="sub")
             )
             assert deployment.settle(timeout=2.5)
         finally:
             deployment.stop()
+
+
+def _assert_loss_healed(deployment, subscriber):
+    """Loss was injected and retried, never surfaced: no frame was
+    abandoned, no broker handler failed, and no subscriber saw a
+    redelivery."""
+    stats = deployment.transport_stats()
+    assert stats["injected_drops"] > 0
+    assert stats["retransmits"] > 0
+    assert stats["abandoned"] == 0
+    assert deployment.broker_errors() == {"b1": [], "b2": [], "b3": []}
+    assert subscriber.duplicates == 0
 
 
 class TestLossyLinks:
@@ -205,61 +285,36 @@ class TestLossyLinks:
 
     @pytest.fixture
     def lossy_chain(self):
-        deployment = LocalDeployment(
-            config=RoutingConfig.no_adv_no_cov(),
+        deployment = _deployment(
+            RoutingConfig.no_adv_no_cov(),
             loss_rate=0.25,
             loss_seed=7,
             rto=0.05,
         )
-        for name in ("b1", "b2", "b3"):
-            deployment.add_broker(name)
-        deployment.link("b1", "b2")
-        deployment.link("b2", "b3")
-        deployment.start()
         yield deployment
         deployment.stop()
 
     def test_delivery_survives_injected_loss(self, lossy_chain):
-        publisher = lossy_chain.publisher("pub", "b1")
-        subscriber = lossy_chain.subscriber("sub", "b3")
-        subscriber.submit(
-            SubscribeMsg(expr=parse_xpath("/claims//amount"), subscriber_id="sub")
+        lossy_chain.attach_publisher("pub", "b1")
+        subscriber = lossy_chain.attach_subscriber("sub", "b3")
+        lossy_chain.submit(
+            "sub",
+            SubscribeMsg(
+                expr=parse_xpath("/claims//amount"), subscriber_id="sub"
+            ),
         )
-        assert lossy_chain.settle(timeout=10.0)
+        lossy_chain.run()
         doc_ids = ["c-%d" % i for i in range(5)]
         for doc_id in doc_ids:
-            publisher.submit(
-                PublishMsg(
-                    publication=Publication(
-                        doc_id=doc_id,
-                        path_id=0,
-                        path=("claims", "claim", "amount"),
-                    ),
-                    publisher_id="pub",
-                )
+            lossy_chain.submit(
+                "pub", _publication(doc_id, ("claims", "claim", "amount"))
             )
-        assert lossy_chain.settle(timeout=10.0)
+        lossy_chain.run()
         assert subscriber.delivered_documents() == set(doc_ids)
-        stats = lossy_chain.transport_stats()
-        assert stats["injected_drops"] > 0
-        assert stats["retransmits"] > 0
-        # loss was healed, never surfaced: every loss was retried and
-        # each broker saw each message once (no dup delivered twice)
-        assert stats["abandoned"] == 0
+        _assert_loss_healed(lossy_chain, subscriber)
 
 
 # -- the reliable connection: one Channel, driven over TCP --------------------
-
-
-def _wait_until(condition, timeout=5.0):
-    import time
-
-    deadline = time.time() + scaled(timeout)
-    while time.time() < deadline:
-        if condition():
-            return True
-        time.sleep(0.005)
-    return condition()
 
 
 def _label(message):
@@ -318,7 +373,10 @@ class TestConnection:
         expr = parse_xpath("/a")
         sender.send(SubscribeMsg(expr=expr, subscriber_id="s"))
         sender.send(UnsubscribeMsg(expr=expr, subscriber_id="s"))
-        assert _wait_until(lambda: sender.pending_count() == 0)
+        # (the receiver acks before it hands a message on)
+        assert _wait_until(
+            lambda: len(received) == 2 and sender.pending_count() == 0
+        )
         assert [_label(m) for m in received] == [
             "SubscribeMsg:/a", "UnsubscribeMsg:/a",
         ]
@@ -468,45 +526,79 @@ class TestLossyLinksKeepOrder:
         """SUB then UNSUB back to back over 25 %-lossy links, then a
         publication: whatever was dropped and resent, every broker ends
         with an empty routing table and nothing is delivered."""
-        from repro.broker.messages import UnsubscribeMsg
-
-        deployment = LocalDeployment(
-            config=RoutingConfig.no_adv_no_cov(),
+        deployment = _deployment(
+            RoutingConfig.no_adv_no_cov(),
             loss_rate=0.25, loss_seed=11, rto=0.02,
         )
-        for name in ("b1", "b2", "b3"):
-            deployment.add_broker(name)
-        deployment.link("b1", "b2")
-        deployment.link("b2", "b3")
-        deployment.start()
         try:
-            publisher = deployment.publisher("pub", "b1")
-            subscriber = deployment.subscriber("sub", "b3")
+            deployment.attach_publisher("pub", "b1")
+            subscriber = deployment.attach_subscriber("sub", "b3")
             exprs = [parse_xpath("/claims/claim/f%d" % i) for i in range(12)]
             exprs.append(parse_xpath("/claims//amount"))
             for expr in exprs:
-                subscriber.submit(SubscribeMsg(expr=expr, subscriber_id="sub"))
-                subscriber.submit(
-                    UnsubscribeMsg(expr=expr, subscriber_id="sub")
+                deployment.submit(
+                    "sub", SubscribeMsg(expr=expr, subscriber_id="sub")
                 )
-            assert deployment.settle(timeout=20.0)
-            publisher.submit(
-                PublishMsg(
-                    publication=Publication(
-                        doc_id="c-1", path_id=0,
-                        path=("claims", "claim", "amount"),
-                    ),
-                    publisher_id="pub",
+                deployment.submit(
+                    "sub", UnsubscribeMsg(expr=expr, subscriber_id="sub")
                 )
+            deployment.run()
+            deployment.submit(
+                "pub", _publication("c-1", ("claims", "claim", "amount"))
             )
-            assert deployment.settle(timeout=20.0)
-            assert deployment.transport_stats()["retransmits"] > 0
+            deployment.run()
             assert subscriber.delivered_documents() == set()
-            for name, node in deployment.nodes.items():
-                assert node.broker.routing_table_size() == 0, name
-                assert node.errors == [], name
+            for name, broker in deployment.restore_brokers().items():
+                assert broker.routing_table_size() == 0, name
+            _assert_loss_healed(deployment, subscriber)
         finally:
             deployment.stop()
+
+
+_MERGE_DTD = parse_dtd(
+    """
+    <!ELEMENT r (a, b)>
+    <!ELEMENT a (c | d | e)>
+    <!ELEMENT b (c?)>
+    <!ELEMENT c (#PCDATA)>
+    <!ELEMENT d (#PCDATA)>
+    <!ELEMENT e (#PCDATA)>
+    """
+)
+
+
+def _ipm_chain(merge_interval, host_class=MultiprocessDeployment):
+    """A b1 - b2 - b3 IPM chain over the DTD's universe, with a
+    publisher at b1 whose advertisements have settled, a subscriber
+    ``sub`` at b3 and a subscriber ``mid`` at b2."""
+    config = RoutingConfig.with_adv_with_cov_ipm(merge_interval=merge_interval)
+    universe = PathUniverse.from_dtd(_MERGE_DTD)
+    if host_class is MultiprocessDeployment:
+        host = _deployment(config, universe=universe)
+    else:
+        host = Overlay(config=config, universe=universe)
+        for name in ("b1", "b2", "b3"):
+            host.add_broker(name)
+        host.connect("b1", "b2")
+        host.connect("b2", "b3")
+    host.attach_publisher("pub", "b1")
+    host.attach_subscriber("sub", "b3")
+    host.attach_subscriber("mid", "b2")
+    for i, advert in enumerate(generate_advertisements(_MERGE_DTD)):
+        host.submit(
+            "pub",
+            AdvertiseMsg(adv_id="adv%d" % i, advert=advert, publisher_id="pub"),
+        )
+    host.run()
+    return host
+
+
+def _subscribe(host, client_id, texts):
+    for text in texts:
+        host.submit(
+            client_id,
+            SubscribeMsg(expr=parse_xpath(text), subscriber_id=client_id),
+        )
 
 
 class TestMergingOnSockets:
@@ -515,63 +607,75 @@ class TestMergingOnSockets:
         (every ``merge_interval`` subscriptions), not a host timer: a
         socket host, which has no timers at all, still merges — and the
         merger crosses the wire to the neighbour."""
-        from repro.dtd.parser import parse_dtd
-        from repro.merging.engine import PathUniverse
-
-        from repro.adverts.generator import generate_advertisements
-
-        dtd = parse_dtd(
-            """
-            <!ELEMENT r (a, b)>
-            <!ELEMENT a (c | d | e)>
-            <!ELEMENT b (c?)>
-            <!ELEMENT c (#PCDATA)>
-            <!ELEMENT d (#PCDATA)>
-            <!ELEMENT e (#PCDATA)>
-            """
-        )
-        universe = PathUniverse.from_dtd(dtd)
-        deployment = LocalDeployment(
-            config=RoutingConfig.with_adv_with_cov_ipm(merge_interval=3),
-            universe=universe,
-        )
-        for name in ("b1", "b2", "b3"):
-            deployment.add_broker(name)
-        deployment.link("b1", "b2")
-        deployment.link("b2", "b3")
-        deployment.start()
+        deployment = _ipm_chain(merge_interval=3)
         try:
-            publisher = deployment.publisher("pub", "b1")
-            subscriber = deployment.subscriber("sub", "b3")
-            for i, advert in enumerate(generate_advertisements(dtd)):
-                publisher.submit(
-                    AdvertiseMsg(
-                        adv_id="adv%d" % i, advert=advert, publisher_id="pub"
-                    )
-                )
-            assert deployment.settle(timeout=5.0)
+            subscriber = deployment.subscribers["sub"]
             # the full sibling set under /r/a: the third subscription
             # triggers b3's sweep, which rewrites it to /r/a/*
-            for text in ("/r/a/c", "/r/a/d", "/r/a/e"):
-                subscriber.submit(
-                    SubscribeMsg(expr=parse_xpath(text), subscriber_id="sub")
-                )
-            assert deployment.settle(timeout=5.0)
+            _subscribe(deployment, "sub", ("/r/a/c", "/r/a/d", "/r/a/e"))
+            deployment.run()
             merger = parse_xpath("/r/a/*")
-            edge = deployment.nodes["b3"].broker
+            brokers = deployment.restore_brokers()
+            edge = brokers["b3"]
             assert [event.merger for event in edge.merge_log] == [merger]
-            neighbour = deployment.nodes["b2"].broker
+            neighbour = brokers["b2"]
             assert merger in neighbour.tree
             assert "b3" in neighbour.tree.node_of(merger).keys
-            publisher.submit(
-                PublishMsg(
-                    publication=Publication(
-                        doc_id="m-1", path_id=0, path=("r", "a", "d")
-                    ),
-                    publisher_id="pub",
-                )
-            )
-            assert deployment.settle(timeout=5.0)
+            deployment.submit("pub", _publication("m-1", ("r", "a", "d")))
+            deployment.run()
             assert subscriber.delivered_documents() == {"m-1"}
         finally:
             deployment.stop()
+
+    def test_a_forced_sweep_merges_and_delivers_as_the_simulator(self):
+        """``trigger_merge_sweep`` over the control pipe: b3's
+        dispatcher runs the sweep in inbox order and sends its frames
+        like any handler's; afterwards every subscriber receives exactly
+        what it receives on the simulator after the same forced
+        sweep."""
+        paths = [("r", "a", "c"), ("r", "a", "d"), ("r", "b", "c"),
+                 ("r", "a", "e")]
+
+        def publish_after_sweep(host):
+            """Subscribe, force b3's sweep, publish; each subscriber's
+            delivered documents."""
+            _subscribe(host, "sub", ("/r/a/c", "/r/a/d", "/r/a/e"))
+            _subscribe(host, "mid", ("/r/b/c",))
+            host.run()
+            host.trigger_merge_sweep("b3")
+            host.run()
+            for i, path in enumerate(paths):
+                host.submit("pub", _publication("m-%d" % i, path))
+            host.run()
+            return {
+                client_id: client.delivered_documents()
+                for client_id, client in host.subscribers.items()
+            }
+
+        deployment = _ipm_chain(merge_interval=1000)
+        try:
+            assert deployment.restore_brokers()["b3"].merge_log == []
+            delivered = publish_after_sweep(deployment)
+            merges = deployment.restore_brokers()["b3"].merge_log
+            assert deployment.broker_errors() == {"b1": [], "b2": [], "b3": []}
+        finally:
+            deployment.stop()
+        overlay = _ipm_chain(merge_interval=1000, host_class=Overlay)
+        expected = publish_after_sweep(overlay)
+        merger = parse_xpath("/r/a/*")
+        assert [event.merger for event in merges] == [merger]
+        assert [event.merger for event in overlay.brokers["b3"].merge_log] == [
+            merger
+        ]
+        assert expected == {"sub": {"m-0", "m-1", "m-3"}, "mid": {"m-2"}}
+        assert delivered == expected
+
+    def test_a_forced_sweep_needs_a_started_deployment_and_a_known_broker(
+        self,
+    ):
+        unstarted = MultiprocessDeployment(config=RoutingConfig.no_adv_no_cov())
+        unstarted.add_broker("b1")
+        with pytest.raises(TopologyError, match="unknown broker"):
+            unstarted.trigger_merge_sweep("nowhere")
+        with pytest.raises(TopologyError, match="after start"):
+            unstarted.trigger_merge_sweep("b1")

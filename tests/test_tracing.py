@@ -437,41 +437,40 @@ class TestExporters:
 
 
 class TestSocketDeployment:
-    def test_deployed_submission_mints_and_propagates_a_trace(self):
-        from repro.broker.messages import PublishMsg, SubscribeMsg
-        from repro.network.sockets import LocalDeployment
-        from repro.xmldoc import Publication
+    """Brokers in their own processes over TCP: the trace context rides
+    the wire, and each child records its hops through its kernel."""
 
-        deployment = LocalDeployment(
-            config=RoutingConfig.no_adv_no_cov()
-        )
+    @staticmethod
+    def _pair(**tracing):
+        """A started, traced b1 - b2 deployment with ``pub`` at b1 and a
+        ``/claims//amount`` subscriber ``sub`` at b2."""
+        from repro.runtime.multiprocess import MultiprocessDeployment
+
+        deployment = MultiprocessDeployment(config=RoutingConfig.no_adv_no_cov())
+        deployment.enable_tracing(**tracing)
         for name in ("b1", "b2"):
             deployment.add_broker(name)
         deployment.link("b1", "b2")
         deployment.start()
+        deployment.attach_publisher("pub", "b1")
+        deployment.attach_subscriber("sub", "b2")
+        deployment.submit(
+            "sub",
+            SubscribeMsg(expr=parse_xpath("/claims//amount"),
+                         subscriber_id="sub"),
+        )
+        deployment.run()
+        return deployment
+
+    def test_deployed_submission_mints_and_propagates_a_trace(self):
+        deployment = self._pair()
         try:
-            publisher = deployment.publisher("pub", "b1")
-            subscriber = deployment.subscriber("sub", "b2")
-            subscriber.submit(
-                SubscribeMsg(
-                    expr=parse_xpath("/claims//amount"),
-                    subscriber_id="sub",
-                )
-            )
-            assert deployment.settle(timeout=5.0)
-            publication = PublishMsg(
-                publication=Publication(
-                    doc_id="c-1",
-                    path_id=0,
-                    path=("claims", "claim", "amount"),
-                ),
-                publisher_id="pub",
-            )
-            publisher.submit(publication)
-            assert deployment.settle(timeout=5.0)
+            publication = _claim("c-1", "pub")
+            deployment.submit("pub", publication)
+            deployment.run()
             minted = trace_of(publication)
             assert minted is not None
-            received = subscriber.received
+            received = deployment.subscribers["sub"].received
             assert received
             # the delivery crossed a wire hop: the decoded copy carries
             # the publisher's trace context
@@ -479,45 +478,35 @@ class TestSocketDeployment:
         finally:
             deployment.stop()
 
-    def test_a_traced_node_records_its_hops_through_its_kernel(self):
-        from repro.network.sockets import LocalDeployment
-
-        deployment = LocalDeployment(config=RoutingConfig.no_adv_no_cov())
-        for name in ("b1", "b2"):
-            deployment.add_broker(name)
-        deployment.link("b1", "b2")
-        recorders = {
-            name: node.kernel.enable_tracing()
-            for name, node in deployment.nodes.items()
-        }
-        deployment.start()
+    def test_a_traced_node_records_its_hops_through_its_kernel(
+        self, tmp_path
+    ):
+        deployment = self._pair(flight_dir=str(tmp_path))
         try:
-            publisher = deployment.publisher("pub", "b1")
-            subscriber = deployment.subscriber("sub", "b2")
-            subscriber.submit(
-                SubscribeMsg(expr=parse_xpath("/claims//amount"),
-                             subscriber_id="sub")
-            )
-            assert deployment.settle(timeout=5.0)
             publication = _claim("c-1", "pub")
-            publisher.submit(publication)
-            assert deployment.settle(timeout=5.0)
-            assert len(subscriber.received) == 1
+            deployment.submit("pub", publication)
+            deployment.run()
+            assert len(deployment.subscribers["sub"].received) == 1
             trace_id = trace_of(publication).trace_id
-            for name, recorder in recorders.items():
-                (hop,) = [
-                    s for s in recorder.traces[trace_id] if s.name == "hop"
-                ]
-                assert hop.broker_id == name
-                assert hop.attrs["kind"] == "PublishMsg"
+            hops = {}
+            for name, spans in deployment.child_spans().items():
+                traced = [s for s in spans if s["trace"] == trace_id]
+                (hop,) = [s for s in traced if s["name"] == "hop"]
+                assert hop["broker"] == name
+                assert hop["attrs"]["kind"] == "PublishMsg"
                 # a wall-clock window, closed once the handler returned
-                assert 0.0 < hop.start <= hop.end
+                assert 0.0 < hop["start"] <= hop["end"]
                 assert any(
-                    s.name == "match" and s.parent_id == hop.span_id
-                    for s in recorder.traces[trace_id]
+                    s["name"] == "match" and s["parent"] == hop["span"]
+                    for s in traced
                 )
-                # the flight ring is fed by the same recorder
-                assert hop in recorder.flight.recorder(name).spans()
+                hops[name] = hop
+            # the flight ring is fed by the same recorder: each child's
+            # crash dump carries its hop span
+            for name, hop in hops.items():
+                deployment.crash_broker(name)
+                (dump,) = tmp_path.glob("flight-*-crash-%s.json" % name)
+                assert hop in json.loads(dump.read_text())["brokers"][name]
         finally:
             deployment.stop()
 
