@@ -2,7 +2,30 @@
 
 import pytest
 
+from repro.adverts import generate_advertisements
 from repro.cli import main
+from repro.dtd import enumerate_paths, is_recursive, nitf_dtd, psd_dtd
+
+
+# The advertisement and path listings of the bundled sample DTDs are read
+# from the library, not the command line; these pin what they contain.
+class TestAdverts:
+    def test_sample_psd_list(self):
+        out = {str(advert) for advert in generate_advertisements(psd_dtd())}
+        assert "/ProteinDatabase/ProteinEntry/sequence" in out
+
+    def test_sample_nitf_stats(self):
+        dtd = nitf_dtd()
+        assert is_recursive(dtd)
+        kinds = {advert.kind for advert in generate_advertisements(dtd)}
+        assert "simple-recursive" in kinds
+
+
+class TestPaths:
+    def test_psd_paths(self):
+        out = ["/" + "/".join(path) for path in enumerate_paths(psd_dtd(), 10)]
+        assert "/ProteinDatabase/ProteinEntry/header/uid" in out
+        assert len(out) == 52
 
 
 class TestErrors:
