@@ -8,7 +8,8 @@ metrics registry; counters surface at snapshot time instead.
 
 :class:`RouteMemo` is each broker's publication memo: routing decisions
 indexed by path, then attribute fingerprint, and *maintained* under
-subscription churn instead of versioned out (see its docstring).
+subscription churn instead of versioned out (see its docstring).  A hit
+is a pure read; the memo evicts in insertion order.
 
 Pass ``metric_prefix`` to join a named **cache group**: a single
 registered collector sums every live member's counters into
@@ -149,10 +150,13 @@ class RouteMemo:
     cost (a subscription burst with no traffic in between, or a memo of
     paths that never recur), it is dropped instead of scanned again.
 
-    Bounded at *maxsize* entries; the least recently used path goes
-    first, with all its attribute variants.  Equal decisions share one
-    interned tuple (most attribute variants of a path, and most paths
-    of a document, route alike).
+    Bounded at *maxsize* entries; the oldest-inserted path goes first,
+    with all its attribute variants.  A hit does not reorder the memo:
+    on a cache-hot overlay reordering cost as much as the read it
+    followed, and the one benchmark workload that reaches the bound
+    does so with fresh paths, where recency buys nothing
+    (docs/performance.md §2).  Equal decisions share one interned tuple (most attribute
+    variants of a path, and most paths of a document, route alike).
     """
 
     __slots__ = (
@@ -167,6 +171,9 @@ class RouteMemo:
         self.evictions = 0
         #: Maintenance probes (``matches_path`` calls) spent so far.
         self.probes = 0
+        #: Insertion order is eviction order.  An OrderedDict, not a
+        #: dict: ``popitem(last=False)`` is O(1), while a dict's
+        #: ``next(iter(d))`` rescans the slots earlier evictions left.
         self._paths: OrderedDict = OrderedDict()
         self._size = 0
         self._routes: Dict[tuple, tuple] = {}
@@ -180,7 +187,6 @@ class RouteMemo:
         if inner is not None:
             route = inner.get(attrs)
             if route is not None:
-                self._paths.move_to_end(path)
                 self.hits += 1
                 return route
         self.misses += 1
@@ -193,8 +199,6 @@ class RouteMemo:
         inner = paths.get(path)
         if inner is None:
             inner = paths[path] = {}
-        else:
-            paths.move_to_end(path)
         if attrs not in inner:
             self._size += 1
         inner[attrs] = route

@@ -69,7 +69,7 @@ class Overlay(HostKernel):
             latency_model if latency_model is not None else ClusterLatency()
         )
         self.processing_scale = processing_scale
-        self.sim = Simulator()
+        self.sim = Simulator(self.metrics)
         #: With queueing enabled a broker serialises its message
         #: processing: a message arriving while the broker is busy waits
         #: for the previous one to finish, so per-hop delays grow under

@@ -19,9 +19,16 @@ from repro import obs
 
 
 class Simulator:
-    """Single-threaded discrete-event loop with a virtual clock."""
+    """Single-threaded discrete-event loop with a virtual clock.
 
-    def __init__(self):
+    Args:
+        metrics: the registry ``network.sim.events`` / ``.pending`` are
+            recorded into (an overlay passes its own); None reads the
+            process registry at the end of each :meth:`run`.
+    """
+
+    def __init__(self, metrics: Optional[obs.MetricsRegistry] = None):
+        self.metrics = metrics
         self._queue = []
         self._counter = itertools.count()
         self._now = 0.0
@@ -75,7 +82,9 @@ class Simulator:
                 processed += 1
         finally:
             self._processed += processed
-            registry = obs.get_registry()
+            registry = self.metrics
+            if registry is None:
+                registry = obs.get_registry()
             if registry.enabled and processed:
                 registry.counter("network.sim.events").inc(processed)
                 registry.gauge("network.sim.pending").set(len(queue))

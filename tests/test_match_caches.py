@@ -305,10 +305,21 @@ class RouteMemoMachine(RuleBasedStateMachine):
     recheck decides deliveries.  After every step each probe's
     memoised destinations must equal a cold recomputation."""
 
+    #: None keeps the broker's own memo bound; a size swaps in a memo
+    #: that small (on every broker, restored ones too).
+    memo_maxsize = None
+
+    def _sized(self, broker):
+        if self.memo_maxsize is not None:
+            broker.match_cache = RouteMemo(maxsize=self.memo_maxsize)
+        return broker
+
     @initialize(config=st.sampled_from(_MEMO_CONFIGS))
     def setup(self, config):
         self.universe = PathUniverse.from_dtd(psd_dtd(), max_depth=6)
-        self.broker = Broker("b1", config=config, universe=self.universe)
+        self.broker = self._sized(
+            Broker("b1", config=config, universe=self.universe)
+        )
         for hop in _MEMO_HOPS:
             if hop.startswith("n"):
                 self.broker.connect(hop)
@@ -369,7 +380,9 @@ class RouteMemoMachine(RuleBasedStateMachine):
 
     @rule()
     def snapshot_restore(self):
-        self.broker = restore(snapshot(self.broker), universe=self.universe)
+        self.broker = self._sized(
+            restore(snapshot(self.broker), universe=self.universe)
+        )
 
     @rule(
         probe=st.sampled_from(_MEMO_PROBES),
@@ -402,6 +415,35 @@ TestRouteMemoMachine = RouteMemoMachine.TestCase
 TestRouteMemoMachine.settings = settings(
     max_examples=60, stateful_step_count=50, deadline=None
 )
+
+
+class SmallRouteMemoMachine(RouteMemoMachine):
+    """The same interleavings against a 4-entry memo: the default bound
+    (4096) is never reached above, so here eviction runs beside
+    SUB/UNSUB maintenance, merge sweeps and restore — and the probes
+    the invariant makes evict too."""
+
+    memo_maxsize = 4
+
+
+TestSmallRouteMemoMachine = SmallRouteMemoMachine.TestCase
+TestSmallRouteMemoMachine.settings = TestRouteMemoMachine.settings
+
+
+def test_a_hit_leaves_the_eviction_order_alone():
+    """A hit is a pure read: the memo evicts in insertion order, so the
+    oldest path goes first even right after it served a hit."""
+    memo = RouteMemo(maxsize=3)
+    route = (frozenset({"s"}), ("n1",))
+    paths = [("feed", "e%d" % i) for i in range(4)]
+    for path in paths[:3]:
+        memo.put(path, None, *route)
+    assert memo.get(paths[0], None) == route  # hit the oldest
+    memo.put(paths[3], None, *route)
+    assert memo.evictions == 1
+    assert memo.get(paths[0], None) is None
+    assert all(memo.get(path, None) == route for path in paths[1:])
+    assert (memo.hits, memo.misses) == (4, 1)  # five lookups, each counted
 
 
 def test_subscribe_probes_each_cached_path_at_most_once():

@@ -128,6 +128,21 @@ class TestSimulator:
         finally:
             obs.set_registry(previous)
 
+    def test_an_overlay_counts_its_events_in_its_own_registry(self):
+        """``network.sim.*`` lands beside the overlay's other network
+        counters, in the registry the overlay was given — not in the
+        process registry."""
+        registry = MetricsRegistry(enabled=True)
+        overlay = Overlay.binary_tree(2, metrics=registry)
+        subscriber = overlay.attach_subscriber("s", "b2")
+        subscriber.subscribe("/a")
+        processed = overlay.run()
+        assert processed > 0
+        assert registry.counter("network.frames").value > 0
+        assert registry.counter("network.messages").value > 0
+        assert registry.counter("network.sim.events").value == processed
+        assert registry.gauge("network.sim.pending").value == 0
+
     @pytest.mark.parametrize("faults", [None, "drop=0.1,dup=0.05,seed=3"])
     def test_no_closure_in_the_heap_while_a_document_is_in_flight(
         self, faults
