@@ -79,7 +79,8 @@ class _DFAState:
 
     __slots__ = ("nfa_states", "accepting", "transitions", "stamp", "dead")
 
-    def __init__(self, nfa_states: Tuple[_State, ...]):
+    def __init__(self, nfa_states: FrozenSet[_State]):
+        #: The subset itself — also this state's cache key.
         self.nfa_states = nfa_states
         self.refresh_accepting()
         self.transitions: Dict[str, "_DFAState"] = {}
@@ -100,14 +101,14 @@ class _DFAState:
 
 
 #: The unique sink state: empty subset, no way back.
-_SINK = _DFAState(())
+_SINK = _DFAState(frozenset())
 
 #: A transition value, never a cached state: this ``(state, symbol)``
 #: pair missed once and was walked on the NFA (see the admission rule
 #: in the module docstring).  Dead, so the walk's one ``dead`` test
 #: sends the second sighting down the path that builds the target, and
 #: whatever forgets a transition forgets its sighting with it.
-_SIGHTED = _DFAState(())
+_SIGHTED = _DFAState(frozenset())
 _SIGHTED.dead = True
 
 
@@ -136,7 +137,7 @@ class SharedAutomatonMatcher:
         #: Walks that left the DFA at a first-sighted transition and
         #: finished on the NFA.
         self.cold_walks = 0
-        self._dfa_cache: Dict[FrozenSet[int], _DFAState] = {}
+        self._dfa_cache: Dict[FrozenSet[_State], _DFAState] = {}
         self._dfa_start: Optional[_DFAState] = None
         #: Walk counter; every structural match stamps the states it
         #: visits so overflow eviction can rank hotness.
@@ -188,8 +189,7 @@ class SharedAutomatonMatcher:
         touched NFA state.  A scan of the cache keys — O(cached states)
         per edit, nothing on the read path.
 
-        States holding a pruned NFA state are dropped, here, while
-        *pruned* still pins the ids their keys are made of.  States
+        States holding a pruned NFA state are dropped.  States
         holding the anchor are dropped too when a // link appeared or
         went under it (they are no longer ε-closed); otherwise they
         forget the transition on the created or cut edge's label —
@@ -198,16 +198,15 @@ class SharedAutomatonMatcher:
         """
         if not self._dfa_cache:
             return  # cold (bulk load, rebuild): nothing to repair
-        anchor_id = id(anchor)
-        gone = {id(state) for state in pruned}
+        gone = set(pruned)
         if label is None:
-            gone.add(anchor_id)
+            gone.add(anchor)
         dropped = []
         for key, state in self._dfa_cache.items():
             if not gone.isdisjoint(key):
                 state.dead = True
                 dropped.append(key)
-            elif anchor_id in key:
+            elif anchor in key:
                 if label is ACCEPT_ONLY:
                     state.refresh_accepting()
                 elif label == WILDCARD:
@@ -217,15 +216,13 @@ class SharedAutomatonMatcher:
         for key in dropped:
             del self._dfa_cache[key]
 
-    def _dfa_state_for(self, nfa_states: Dict[int, _State]) -> _DFAState:
+    def _dfa_state_for(self, nfa_states: Set[_State]) -> _DFAState:
         key = frozenset(nfa_states)
         state = self._dfa_cache.get(key)
         if state is None:
             if len(self._dfa_cache) >= self.dfa_state_limit:
                 self._evict_cold()
-            state = self._dfa_cache[key] = _DFAState(
-                tuple(nfa_states.values())
-            )
+            state = self._dfa_cache[key] = _DFAState(key)
             state.stamp = self._clock
         return state
 
@@ -258,7 +255,7 @@ class SharedAutomatonMatcher:
         return start
 
     def _transition(self, state: _DFAState, symbol: str) -> _DFAState:
-        nxt = subset_step(state.nfa_states, symbol)
+        nxt = subset_step(state.nfa_states, symbol, set())
         target_state = self._dfa_state_for(nxt) if nxt else _SINK
         state.transitions[symbol] = target_state
         return target_state

@@ -35,10 +35,27 @@ untenable at routing-table scale).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import RoutingError
 from repro.xpath.ast import WILDCARD, Axis, XPathExpr
+
+
+#: The accepting set of every state no XPE ends at: one shared empty
+#: ``frozenset``, so the many interior states allocate no set of their
+#: own (``add`` gives a state a real set when an XPE ends there,
+#: ``remove`` puts this one back when the last one leaves).
+_NO_XPES: FrozenSet[XPathExpr] = frozenset()
 
 
 class _State:
@@ -46,9 +63,13 @@ class _State:
 
     ``edges`` maps an element name (or ``*``) to the next state;
     ``descendant`` points to the //-state child (which self-loops);
-    ``accepting`` holds the XPEs that end here; ``refs`` counts the
-    expression trails that traverse this state (pruning drops a state
-    when it reaches zero).
+    ``accepting`` holds the XPEs that end here (:data:`_NO_XPES` when
+    none does); ``refs`` counts the expression trails that traverse
+    this state (pruning drops a state when it reaches zero).
+
+    Two shape facts hold by construction and the subset step relies on
+    them (``check_refcounts`` audits both): a //-state never has a
+    //-child, and it never accepts — every XPE ends on an edge.
     """
 
     __slots__ = ("edges", "descendant", "accepting", "self_loop", "refs")
@@ -56,7 +77,7 @@ class _State:
     def __init__(self, self_loop: bool = False):
         self.edges: Dict[str, "_State"] = {}
         self.descendant: Optional["_State"] = None
-        self.accepting: Set[XPathExpr] = set()
+        self.accepting: AbstractSet[XPathExpr] = _NO_XPES
         self.self_loop = self_loop
         self.refs = 0
 
@@ -108,7 +129,10 @@ class SharedPathNFA:
             ):
                 state = self._descendant_of(state, trail)
             state = self._edge_of(state, step.test, trail)
-        state.accepting.add(expr)
+        if state.accepting:
+            state.accepting.add(expr)
+        else:
+            state.accepting = {expr}
         # Every pre-existing state is on a live trail (refs >= 1), so
         # the first unreferenced one is the first this call created.
         touched = None
@@ -131,7 +155,10 @@ class SharedPathNFA:
         trail = self._trails.pop(expr, None)
         if trail is None:
             return None
-        trail[-1][2].accepting.discard(expr)
+        final = trail[-1][2]
+        final.accepting.discard(expr)
+        if not final.accepting:
+            final.accepting = _NO_XPES
         for _, _, reached in trail:
             reached.refs -= 1
         for index, (parent, label, reached) in enumerate(trail):
@@ -141,7 +168,7 @@ class SharedPathNFA:
                 else:
                     del parent.edges[label]
                 return parent, label, tuple(e[2] for e in trail[index:])
-        return trail[-1][2], ACCEPT_ONLY, ()
+        return final, ACCEPT_ONLY, ()
 
     def _descendant_of(self, state: _State, trail: List[_TrailEntry]) -> _State:
         child = state.descendant
@@ -161,74 +188,105 @@ class SharedPathNFA:
 
     # -- simulation ------------------------------------------------------
 
-    def initial_states(self) -> Dict[int, _State]:
-        """The ε-closed start set (root plus its //-descendants)."""
-        active = {id(self._root): self._root}
-        _absorb_descendants(active)
-        return active
+    def initial_states(self) -> Set[_State]:
+        """The ε-closed start set (the root plus its //-state)."""
+        root = self._root
+        if root.descendant is None:
+            return {root}
+        return {root, root.descendant}
 
     @staticmethod
-    def step_states(
-        active: Dict[int, _State], symbol: str
-    ) -> Dict[int, _State]:
+    def step_states(active: Iterable[_State], symbol: str) -> Set[_State]:
         """One symbol of the active-state-set simulation (ε-closed)."""
-        return subset_step(active.values(), symbol)
+        return subset_step(active, symbol, set())
 
     def match_set(self, path: Sequence[str]) -> Set[XPathExpr]:
         """All stored XPEs whose structural skeleton matches *path*."""
         matched: Set[XPathExpr] = set()
-        simulate(self.initial_states().values(), path, matched)
+        simulate(self.initial_states(), path, matched)
         return matched
 
-    def state_count(self) -> int:
-        """Size of the shared automaton (ablation/pruning metric)."""
-        seen = set()
+    def _states(self) -> Set[_State]:
+        """Every reachable state, the root included."""
+        seen: Set[_State] = set()
         stack = [self._root]
         while stack:
             state = stack.pop()
-            if id(state) in seen:
+            if state in seen:
                 continue
-            seen.add(id(state))
+            seen.add(state)
             stack.extend(state.edges.values())
             if state.descendant is not None:
                 stack.append(state.descendant)
-        return len(seen)
+        return seen
+
+    def state_count(self) -> int:
+        """Size of the shared automaton (ablation/pruning metric)."""
+        return len(self._states())
 
     def check_refcounts(self):
-        """Audit helper: every reachable non-root state must be
-        referenced by at least one live trail (raises on a leak)."""
-        reachable = -1 + self.state_count()
+        """Audit helper (raises on a violation): every reachable
+        non-root state is referenced by at least one live trail, and the
+        shape the subset step relies on holds — no //-state has a
+        //-child or accepts, and no state holds an empty set of its own
+        instead of the shared :data:`_NO_XPES`."""
+        states = self._states()
+        for state in states:
+            if state.self_loop and state.descendant is not None:
+                raise RoutingError("shared NFA: a //-state has a //-child")
+            if state.self_loop and state.accepting:
+                raise RoutingError("shared NFA: a //-state accepts")
+            if not state.accepting and state.accepting is not _NO_XPES:
+                raise RoutingError(
+                    "shared NFA: a state holds an empty accepting set"
+                )
         referenced = set()
         for trail in self._trails.values():
             for _, _, reached in trail:
-                referenced.add(id(reached))
-        if len(referenced) != reachable:
+                referenced.add(reached)
+        if len(referenced) != len(states) - 1:
             raise RoutingError(
                 "shared NFA leak: %d states reachable, %d referenced"
-                % (reachable, len(referenced))
+                % (len(states) - 1, len(referenced))
             )
 
 
 def subset_step(
-    states: Iterable[_State], symbol: str
-) -> Dict[int, _State]:
+    states: Iterable[_State], symbol: str, matched: Set[XPathExpr]
+) -> Set[_State]:
     """The one subset step: the ε-closed set *states* reaches on
-    *symbol*, by ``id``.  The NFA simulation below, the lazy DFA's
-    transition and its cold finish (:mod:`repro.matching.
-    shared_automaton`) all take their steps here."""
-    nxt: Dict[int, _State] = {}
+    *symbol*, ε-closed, with every XPE it accepts added to *matched*.
+    The NFA simulation below, the lazy DFA's transition and its cold
+    finish (:mod:`repro.matching.shared_automaton`) all take their
+    steps here.
+
+    The closure and acceptance fold into the one loop because of the
+    shape ``add`` builds: a //-state never has a //-child and never
+    accepts, so a //-state steps to itself alone, and an edge target's
+    closure is the target plus its //-state.  (The two edge lookups
+    are spelled out: looping over them costs a fifth more a step.)
+    """
+    nxt: Set[_State] = set()
+    add = nxt.add
     for state in states:
+        if state.self_loop:
+            add(state)
         edges = state.edges
         if edges:
             target = edges.get(symbol)
             if target is not None:
-                nxt[id(target)] = target
-            star = edges.get(WILDCARD)
-            if star is not None:
-                nxt[id(star)] = star
-        if state.self_loop:
-            nxt[id(state)] = state
-    _absorb_descendants(nxt)
+                add(target)
+                if target.descendant is not None:
+                    add(target.descendant)
+                if target.accepting:
+                    matched |= target.accepting
+            target = edges.get(WILDCARD)
+            if target is not None:
+                add(target)
+                if target.descendant is not None:
+                    add(target.descendant)
+                if target.accepting:
+                    matched |= target.accepting
     return nxt
 
 
@@ -239,20 +297,6 @@ def simulate(
     ε-closed set *states*, adding every XPE accepted on the way to
     *matched* (acceptance may fire at any position)."""
     for symbol in path:
-        states = subset_step(states, symbol).values()
+        states = subset_step(states, symbol, matched)
         if not states:
             return
-        for state in states:
-            if state.accepting:
-                matched |= state.accepting
-
-
-def _absorb_descendants(active: Dict[int, "_State"]):
-    """ε-closure: every active state's //-child becomes active too."""
-    stack = list(active.values())
-    while stack:
-        state = stack.pop()
-        child = state.descendant
-        if child is not None and id(child) not in active:
-            active[id(child)] = child
-            stack.append(child)

@@ -221,39 +221,39 @@ def _cached_walk(m, path):
     return walk
 
 
-def _live_nfa_ids(nfa):
-    seen = {}
+def _live_nfa_states(nfa):
+    seen = set()
     stack = [nfa._root]
     while stack:
         state = stack.pop()
-        if id(state) not in seen:
-            seen[id(state)] = state
+        if state not in seen:
+            seen.add(state)
             stack.extend(state.edges.values())
             if state.descendant is not None:
                 stack.append(state.descendant)
-    return set(seen)
+    return seen
 
 
 def _check_dfa(m):
     """Cache coherence: every cached DFA state is exactly what the
     subset construction over the *live* NFA would build today."""
-    live = _live_nfa_ids(m._nfa)
+    live = _live_nfa_states(m._nfa)
     for key, state in m._dfa_cache.items():
         assert not state.dead
-        assert key == frozenset(map(id, state.nfa_states))
+        assert key == state.nfa_states
         assert key <= live, "cached subset holds a pruned NFA state"
         accepting = set()
         for nfa_state in state.nfa_states:
             accepting |= nfa_state.accepting
             gap = nfa_state.descendant
-            assert gap is None or id(gap) in key, "subset not ε-closed"
+            assert gap is None or gap in key, "subset not ε-closed"
         assert state.accepting == accepting
-        active = {id(s): s for s in state.nfa_states}
+        active = state.nfa_states
         for symbol, target in state.transitions.items():
             if target.dead:
                 continue
             want = frozenset(SharedPathNFA.step_states(active, symbol))
-            assert want == frozenset(map(id, target.nfa_states)), symbol
+            assert want == target.nfa_states, symbol
             assert target is (m._dfa_cache.get(want) if want else _SINK)
     start = m._dfa_start
     if start is not None and not start.dead:
@@ -325,7 +325,7 @@ class TestSelectiveInvalidation:
         _warm(m, ("a", "b", "c", "d"))
         _warm(m, ("q",))
         walk = _cached_walk(m, ("a", "b", "c", "d"))
-        pruned = {id(entry[2]) for entry in m._nfa._trails[x("/a/b/c/d")]}
+        pruned = {entry[2] for entry in m._nfa._trails[x("/a/b/c/d")]}
         m.remove(x("/a/b/c/d"), "/a/b/c/d")
         assert [state.dead for state in walk] == [False] + [True] * 4
         for key in m._dfa_cache:
@@ -401,7 +401,7 @@ class TestAdmission:
         matched = set()
         for symbol, state in zip(path, cached[1:]):
             active = SharedPathNFA.step_states(active, symbol)
-            assert frozenset(active) == frozenset(map(id, state.nfa_states))
+            assert frozenset(active) == state.nfa_states
             matched |= state.accepting
         assert {str(expr) for expr in matched} == linear.match(path)
         _check_dfa(m)

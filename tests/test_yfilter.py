@@ -2,11 +2,13 @@
 on it: structural matching, pruning and edit reports, checked through
 :class:`SharedAutomatonMatcher` and on :class:`SharedPathNFA` itself."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.covering.pathmatch import matches_path
+from repro.errors import RoutingError
 from repro.matching import LinearMatcher, SharedAutomatonMatcher
-from repro.matching.yfilter import ACCEPT_ONLY, SharedPathNFA
+from repro.matching.yfilter import ACCEPT_ONLY, SharedPathNFA, _State
 from repro.xpath import parse_xpath
 from repro.xpath.ast import Axis, Step, XPathExpr
 
@@ -166,6 +168,23 @@ class TestEditReports:
         nfa.check_refcounts()
 
 
+def test_a_state_no_xpe_ends_at_holds_no_set():
+    """Accepting sets are allocated only where an XPE ends: once the
+    last one leaves, the state shares the one empty frozenset again."""
+    nfa = SharedPathNFA()
+    nfa.add(x("/a/b/c"))
+    shared = nfa._root.accepting  # no XPE ends at the root
+    assert isinstance(shared, frozenset) and not shared
+    at_b = nfa._root.edges["a"].edges["b"]
+    assert at_b.accepting is shared
+    nfa.add(x("/a/b"))
+    assert at_b.accepting == {x("/a/b")}
+    nfa.remove(x("/a/b"))
+    assert at_b.accepting is shared
+    assert nfa.match_set(("a", "b", "c")) == {x("/a/b/c")}
+    nfa.check_refcounts()
+
+
 NAMES = st.sampled_from(["a", "b", "c", "*"])
 
 
@@ -207,3 +226,32 @@ class TestEquivalenceWithLinear:
         m.add(expr, "k")
         expected = {"k"} if matches_path(expr, tuple(path)) else set()
         assert m.match(tuple(path)) == expected
+
+
+class TestShapeAudit:
+    """``check_refcounts`` also audits the shape the fused subset step
+    relies on; each case breaks one fact by hand."""
+
+    def _nfa(self):
+        nfa = SharedPathNFA()
+        nfa.add(x("//a"))
+        nfa.check_refcounts()
+        return nfa, nfa._root.descendant
+
+    def test_a_descendant_state_under_a_descendant_state(self):
+        nfa, gap = self._nfa()
+        gap.descendant = _State(self_loop=True)
+        with pytest.raises(RoutingError, match="has a //-child"):
+            nfa.check_refcounts()
+
+    def test_an_accepting_descendant_state(self):
+        nfa, gap = self._nfa()
+        gap.accepting = {x("//a")}
+        with pytest.raises(RoutingError, match="accepts"):
+            nfa.check_refcounts()
+
+    def test_an_empty_set_of_its_own(self):
+        nfa, gap = self._nfa()
+        gap.edges["a"].accepting = set()
+        with pytest.raises(RoutingError, match="empty accepting set"):
+            nfa.check_refcounts()
