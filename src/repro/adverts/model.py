@@ -163,9 +163,14 @@ class Advertisement:
 
     @property
     def has_wildcard(self):
-        from repro.xpath.ast import WILDCARD as _W
-
-        return _W in self.symbols()
+        """Does any node test match every element (memoised: every
+        intersection check reads it before its symbol prescreen)?"""
+        try:
+            return self._wildcard_cache
+        except AttributeError:
+            value = WILDCARD in self.symbols()
+            object.__setattr__(self, "_wildcard_cache", value)
+            return value
 
     def prefixes(self, length: int) -> FrozenSet[Tuple[str, ...]]:
         """All length-*length* prefixes of words of ``P(a)``.

@@ -54,6 +54,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.obs.tracing import current_scope
+from repro.adverts.recursive import expr_and_advertisement
 from repro.cache import RouteMemo
 from repro.broker.messages import (
     AdvertiseMsg,
@@ -268,7 +269,7 @@ class Broker:
         for expr in self._forwardable_exprs():
             if self.forwarded.was_sent(expr, from_hop):
                 continue
-            if not expr_intersects(msg, expr):
+            if not expr_and_advertisement(msg.advert, expr):
                 continue
             if self._covered_at(expr, from_hop):
                 continue
@@ -402,13 +403,10 @@ class Broker:
         """Where a subscription wants to go: toward intersecting
         advertisements, or everywhere (flooding) without them."""
         if self.config.advertisements:
-            targets = {
-                hop
-                for hop in self.srt.matching_last_hops(expr)
-                if hop in self.neighbors
-            }
-        else:
-            targets = set(self.neighbors)
+            return self.srt.matching_last_hops(
+                expr, self.neighbors - {from_hop}
+            )
+        targets = set(self.neighbors)
         targets.discard(from_hop)
         return targets
 
@@ -914,13 +912,6 @@ class Broker:
 
     def __repr__(self):
         return "Broker(%r, %s)" % (self.broker_id, self.config.name)
-
-
-def expr_intersects(msg: AdvertiseMsg, expr: XPathExpr) -> bool:
-    """Advertisement/XPE intersection (delegates to the §3 algorithms)."""
-    from repro.adverts.recursive import expr_and_advertisement
-
-    return expr_and_advertisement(msg.advert, expr)
 
 
 def canonical_effects(frames: List[Frame]) -> List[tuple]:

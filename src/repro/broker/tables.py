@@ -23,7 +23,7 @@ semantics do not depend on the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set
+from typing import Collection, Dict, Iterable, List, Set
 
 from repro.adverts.model import Advertisement
 from repro.adverts.recursive import expr_and_advertisement
@@ -77,23 +77,23 @@ class SubscriptionRoutingTable:
     def entries(self) -> List[SRTEntry]:
         return list(self._entries.values())
 
-    def matching_entries(self, expr: XPathExpr) -> List[SRTEntry]:
-        """Entries whose advertisement intersects *expr*."""
-        return [
-            entry
-            for entry in self._entries.values()
-            if expr_and_advertisement(entry.advert, expr)
-        ]
+    def matching_last_hops(
+        self, expr: XPathExpr, among: Collection
+    ) -> Set[object]:
+        """The subscription forwarding targets for *expr*: the hops in
+        *among* with an intersecting advertisement.
 
-    def matching_last_hops(self, expr: XPathExpr) -> Set[object]:
-        """The subscription forwarding targets for *expr*."""
-        return {entry.last_hop for entry in self.matching_entries(expr)}
-
-    def intersects_any(self, expr: XPathExpr) -> bool:
-        return any(
-            expr_and_advertisement(entry.advert, expr)
-            for entry in self._entries.values()
-        )
+        One pass in arrival order; a hop that is already a target, or
+        not a candidate, costs no intersection check, so each candidate
+        stops at its first intersecting advertisement."""
+        found: Set[object] = set()
+        for entry in self._entries.values():
+            hop = entry.last_hop
+            if hop in found or hop not in among:
+                continue
+            if expr_and_advertisement(entry.advert, expr):
+                found.add(hop)
+        return found
 
 
 class ForwardedState:

@@ -26,6 +26,7 @@ from collections import OrderedDict
 from typing import Dict
 
 from repro import obs
+from repro.xpath import compiled as _compiled
 
 #: metric prefix -> weak set of live caches publishing under it.
 _GROUPS: Dict[str, "weakref.WeakSet"] = {}
@@ -121,13 +122,14 @@ class LRUCache:
 
 
 #: What recomputing one memoised decision costs, in maintenance probes.
-#: A probe is one ``matches_path`` call, ~0.5 µs.  The cheapest
-#: recomputation is a walk of a small covering tree and nothing else
-#: (the edge recheck only runs for clients a merger absorbs): 2.5 µs
-#: for a one-node tree, 6 µs for ten nodes, 5–12 probes — so 16 sits
-#: at the generous end for tiny tables.  It was set on ``churn7_sim``
-#: (the workload that pays maintenance), which reads the same with and
-#: without the recheck: 1,979 vs 2,004 docs/s over six alternated pairs.
+#: A probe is one structural match of an XPE against a cached path,
+#: ~0.5 µs.  The cheapest recomputation is a walk of a small covering
+#: tree and nothing else (the edge recheck only runs for clients a
+#: merger absorbs): 2.5 µs for a one-node tree, 6 µs for ten nodes,
+#: 5–12 probes — so 16 sits at the generous end for tiny tables.  It
+#: was set on ``churn7_sim`` (the workload that pays maintenance), which
+#: reads the same with and without the recheck: 1,979 vs 2,004 docs/s
+#: over six alternated pairs.
 _REBUILD_PROBES = 16
 
 
@@ -169,7 +171,7 @@ class RouteMemo:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: Maintenance probes (``matches_path`` calls) spent so far.
+        #: Maintenance probes (structural matches) spent so far.
         self.probes = 0
         #: Insertion order is eviction order.  An OrderedDict, not a
         #: dict: ``popitem(last=False)`` is O(1), while a dict's
@@ -265,8 +267,20 @@ class RouteMemo:
                     if matches_path(expr, path, maps):
                         found.append((path, inner, attrs))
         else:
+            # One compiled pattern for the whole scan; ``matches_path``
+            # only where the XPE has no regex form or a path no string
+            # form (an element containing the separator).
+            regex = None
+            if _compiled.ENABLED:
+                regex = _compiled.compile_xpe(expr).regex
+            path_string = _compiled.path_string
             for path, inner in self._paths.items():
-                if matches_path(expr, path):
+                text = path_string(path) if regex is not None else None
+                if text is None:
+                    matched = matches_path(expr, path)
+                else:
+                    matched = regex(text) is not None
+                if matched:
                     found.extend((path, inner, attrs) for attrs in inner)
         return found
 

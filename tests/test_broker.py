@@ -304,9 +304,15 @@ class TestSRT:
         srt = SubscriptionRoutingTable()
         srt.add("a1", Advertisement.from_tests(("a", "b")), "n1")
         srt.add("a2", Advertisement.from_tests(("z",)), "n2")
-        assert srt.matching_last_hops(x("/a")) == {"n1"}
-        assert srt.matching_last_hops(x("/a/b")) == {"n1"}
-        assert srt.matching_last_hops(x("/q")) == set()
+        hops = {"n1", "n2"}
+        assert srt.matching_last_hops(x("/a"), hops) == {"n1"}
+        assert srt.matching_last_hops(x("/a/b"), hops) == {"n1"}
+        assert srt.matching_last_hops(x("/q"), hops) == set()
+        # Only candidate hops are answered (and checked).
+        srt.add("a3", Advertisement.from_tests(("a",)), "n3")
+        assert srt.matching_last_hops(x("/a"), {"n2", "n3"}) == {"n3"}
+        assert srt.matching_last_hops(x("/a"), {"n1", "n3"}) == {"n1", "n3"}
+        assert srt.matching_last_hops(x("/a"), set()) == set()
 
     def test_duplicate_add_rejected(self):
         srt = SubscriptionRoutingTable()

@@ -52,11 +52,12 @@ from repro.runtime.workload import PUBLISHER, WorkloadSpec, build_plan
 from repro.workloads.document_generator import generate_documents
 from repro.workloads.xpath_generator import XPathWorkloadParams, generate_queries
 from repro.xmldoc import Publication
-from repro.xpath import parse_xpath
+from repro.xpath import XPathExpr, parse_xpath
 
 
 def x(text):
-    return parse_xpath(text)
+    """Parse *text*; an expression built by hand passes through."""
+    return text if isinstance(text, XPathExpr) else parse_xpath(text)
 
 
 def sub(text, subscriber="s"):
@@ -256,6 +257,10 @@ _MERGEABLE = (
 )
 #: Further root elements: routes no merge sweep or predicate touches.
 _OTHER_ROOTS = ("/somewhere/else", "/somewhere/*", "/elsewhere/else")
+#: An element name containing the path separator: no string form, so
+#: paths holding it and XPEs naming it take ``matches_path``'s closure
+#: form instead of the compiled regex.
+_UNRENDERABLE = "x/y"
 _MEMO_XPES = _MERGEABLE + _OTHER_ROOTS + (
     "/ProteinDatabase",
     "/ProteinDatabase//name",
@@ -263,6 +268,7 @@ _MEMO_XPES = _MERGEABLE + _OTHER_ROOTS + (
     "/ProteinDatabase/ProteinEntry[@id='1']",
     "/ProteinDatabase/ProteinEntry[@id!='1']/protein",
     "//protein[@kind='x']/name",
+    XPathExpr.from_tests(("ProteinEntry", _UNRENDERABLE), rooted=False),
 )
 _MEMO_HOPS = ("n1", "n2", "n3", "c1", "c2")
 #: (path, attribute fingerprint) probes: every path bare, plus variants
@@ -275,6 +281,7 @@ _MEMO_PROBES = tuple(
         _ENTRY + ("protein", "name"),
         _ENTRY + ("reference",),
         _ENTRY + ("organism",),
+        _ENTRY + (_UNRENDERABLE,),
         ("somewhere", "else"),
         ("elsewhere", "else"),
     )
