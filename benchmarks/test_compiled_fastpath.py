@@ -43,7 +43,7 @@ def reference_mode():
 def _match_all(exprs, paths):
     total = 0
     for path in paths:
-        wants = path_matcher(path, None)
+        wants = path_matcher(path)
         for expr in exprs:
             if wants(expr):
                 total += 1

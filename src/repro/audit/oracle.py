@@ -142,7 +142,6 @@ class PubRecord:
     doc_id: str
     path_id: int
     path: Tuple[str, ...]
-    attributes: object
     expected: frozenset
     #: the publication's causal trace ("" when tracing is off)
     trace_id: str = ""
@@ -217,14 +216,10 @@ class AuditOracle:
             # The publisher never advertised this path; the protocol
             # makes no delivery promise for it.
             return
-        attribute_maps = publication.attribute_maps()
         expected = frozenset(
             client
             for client, exprs in self.live_subs.items()
-            if any(
-                matches_path(expr, publication.path, attribute_maps)
-                for expr in exprs
-            )
+            if any(matches_path(expr, publication.path) for expr in exprs)
         )
         context = getattr(message, "trace", None)
         self.publications[key] = PubRecord(
@@ -232,7 +227,6 @@ class AuditOracle:
             doc_id=publication.doc_id,
             path_id=publication.path_id,
             path=publication.path,
-            attributes=publication.attributes,
             expected=expected,
             trace_id=context.trace_id if context is not None else "",
         )

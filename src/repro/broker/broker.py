@@ -144,22 +144,16 @@ class Broker:
         self.client_subs: Dict[object, Set[XPathExpr]] = defaultdict(set)
         self.stats: Dict[str, int] = defaultdict(int)
 
-        #: The route memo: path → attribute fingerprint → routing
-        #: decision (matched keys + sorted destinations).  Exact by
-        #: maintenance, not by versioning: a SUB inserts its hop into
-        #: the decisions its expression matches, an UNSUB drops those
-        #: (counted in ``match_cache_stale``), and everything that is
+        #: The route memo: path → routing decision (matched keys +
+        #: sorted destinations).  Exact by maintenance, not by
+        #: versioning: a SUB inserts its hop into the decisions its
+        #: expression matches, an UNSUB drops those (counted in
+        #: ``match_cache_stale``), and everything that is
         #: not a single-key table edit — merge sweeps, wiring changes,
         #: ``client_subs`` edits with no table edit — clears it.
         #: Deliberately *not* persisted: a restored broker starts cold.
         self.match_cache = RouteMemo(maxsize=4096)
         self.match_cache_stale = 0
-        #: Does any XPE held here (table or exact client subscriptions)
-        #: carry a predicate?  While none does, routing reads the path
-        #: alone and the memo keeps one decision per path, whatever the
-        #: attributes.  None = not scanned yet (restore() fills the
-        #: table directly); set for good by the first predicated SUB.
-        self._predicated: Optional[bool] = None
 
     # -- wiring --------------------------------------------------------------
 
@@ -310,11 +304,6 @@ class Broker:
     ) -> List[Frame]:
         expr = msg.expr
         merge_registry = self._merge_registry
-        if expr.has_predicates:
-            # From here on the memo is keyed on real fingerprints.  Its
-            # path-only entries stay valid for attribute-less
-            # publications, the only ones that can still reach them.
-            self._predicated = True
         if from_hop in self._keys_of(expr):
             # At-least-once redelivery of a subscription this broker
             # already holds for this hop: re-applying it must not touch
@@ -647,15 +636,8 @@ class Broker:
         the ``match`` sub-span.  The memo's own ``hits`` / ``misses``
         are the only per-path counts; the caller publishes them."""
         path = publication.path
-        attrs = publication.attributes
-        if attrs is not None:
-            predicated = self._predicated
-            if predicated is None:
-                predicated = self._scan_predicates()
-            if not predicated:  # nothing here reads attributes
-                attrs = None
         wall0 = perf_counter() if scope is not None else 0.0
-        route = self.match_cache.get(path, attrs)
+        route = self.match_cache.get(path)
         if route is not None:
             if scope is not None:
                 scope.sub_span(
@@ -663,38 +645,23 @@ class Broker:
                     cache="hit", keys=len(route[0]),
                 )
             return route
-        attributes = publication.attribute_maps()
         if self.shared is not None:
-            keys = frozenset(self._shared_engine().match(path, attributes))
+            keys = frozenset(self._shared_engine().match(path))
             engine = "shared"
         elif self.config.covering:
-            keys = frozenset(self.tree.match_keys(path, attributes))
+            keys = frozenset(self.tree.match_keys(path))
             engine = "tree"
         else:
-            keys = frozenset(self.flat.match(path, attributes))
+            keys = frozenset(self.flat.match(path))
             engine = "flat"
         if scope is not None:
             scope.sub_span(
                 "match", wall0, perf_counter(),
                 cache="miss", engine=engine, keys=len(keys),
             )
-        return self.match_cache.put(
-            path, attrs, keys, self._resolve(publication, keys)
-        )
+        return self.match_cache.put(path, keys, self._resolve(path, keys))
 
-    def _scan_predicates(self) -> bool:
-        """Fill ``_predicated``: does any XPE held here read
-        attributes?"""
-        self._predicated = any(
-            expr.has_predicates
-            for exprs in (
-                self._forwardable_exprs(), *self.client_subs.values()
-            )
-            for expr in exprs
-        )
-        return self._predicated
-
-    def _resolve(self, publication, keys) -> tuple:
+    def _resolve(self, path, keys) -> tuple:
         """Matched keys → destinations in emission order: neighbours,
         and the local clients an exact subscription of theirs matched —
         which a matched key proves, except for a client some live
@@ -704,16 +671,11 @@ class Broker:
         registry = self._merge_registry
         hops = []
         rechecked = 0
-        attribute_maps = None
         for key in sorted(keys, key=str):
             if key in local_clients:
                 if registry is not None and registry.absorbs(key):
-                    if not rechecked:
-                        attribute_maps = publication.attribute_maps()
                     rechecked += 1
-                    if not self._client_wants(
-                        key, publication.path, attribute_maps
-                    ):
+                    if not self._client_wants(key, path):
                         continue
                 hops.append(key)
             elif key in neighbors:
@@ -781,12 +743,12 @@ class Broker:
                 for key in self.flat.keys_of(expr):
                     shared_add(expr, key)
 
-    def _client_wants(self, client_id: object, path, attributes=None) -> bool:
+    def _client_wants(self, client_id: object, path) -> bool:
         """Exact-subscription recheck at the edge, for a client a
         merger absorbs: merging-induced false positives stop here and
         never reach clients."""
         return any(
-            matches_path(expr, path, attributes)
+            matches_path(expr, path)
             for expr in self.client_subs[client_id]
         )
 

@@ -7,7 +7,7 @@ counts are plain integer attributes — the hot path never touches the
 metrics registry; counters surface at snapshot time instead.
 
 :class:`RouteMemo` is each broker's publication memo: routing decisions
-indexed by path, then attribute fingerprint, and *maintained* under
+indexed by path and *maintained* under
 subscription churn instead of versioned out (see its docstring).  A hit
 is a pure read; the memo evicts in insertion order.
 
@@ -134,36 +134,36 @@ _REBUILD_PROBES = 16
 
 
 class RouteMemo:
-    """A broker's routing decisions, ``path -> attribute fingerprint ->
-    (keys, hops)``, kept exact by incremental maintenance.
+    """A broker's routing decisions, ``path -> (keys, hops)``, kept
+    exact by incremental maintenance.
 
     A decision is the frozen set of matched subscriber ``keys`` and the
     tuple of ``hops`` they resolve to — neighbours plus the local
-    clients whose exact subscriptions match, in emission order.
+    clients whose exact subscriptions match, in emission order.  A
+    publication's attributes never enter it: the routing language has
+    no predicates, so one decision serves every publication of a path.
 
     A subscription edit of ``(expr, key)`` can only change the decisions
-    of publications *expr* matches, so :meth:`subscribe` inserts the key
-    into exactly those entries and :meth:`retire` drops exactly those —
-    one structural probe per cached path for a predicate-free
-    expression, one evaluation per entry for a predicated one.  Anything
-    that is not a single-key edit calls :meth:`clear`.  So does
-    maintenance itself once it stops paying: when the probes spent since
-    the memo last served a hit exceed what recomputing its entries would
-    cost (a subscription burst with no traffic in between, or a memo of
-    paths that never recur), it is dropped instead of scanned again.
+    of paths *expr* matches, so :meth:`subscribe` inserts the key into
+    exactly those entries and :meth:`retire` drops exactly those — one
+    structural probe per cached path.  Anything that is not a
+    single-key edit calls :meth:`clear`.  So does maintenance itself
+    once it stops paying: when the probes spent since the memo last
+    served a hit exceed what recomputing its entries would cost (a
+    subscription burst with no traffic in between, or a memo of paths
+    that never recur), it is dropped instead of scanned again.
 
-    Bounded at *maxsize* entries; the oldest-inserted path goes first,
-    with all its attribute variants.  A hit does not reorder the memo:
-    on a cache-hot overlay reordering cost as much as the read it
-    followed, and the one benchmark workload that reaches the bound
-    does so with fresh paths, where recency buys nothing
-    (docs/performance.md §2).  Equal decisions share one interned tuple (most attribute
-    variants of a path, and most paths of a document, route alike).
+    Bounded at *maxsize* paths; the oldest-inserted path goes first.
+    A hit does not reorder the memo: on a cache-hot overlay reordering
+    cost as much as the read it followed, and the one benchmark
+    workload that reaches the bound does so with fresh paths, where
+    recency buys nothing (docs/performance.md §2).  Equal decisions
+    share one interned tuple (most paths of a document route alike).
     """
 
     __slots__ = (
         "maxsize", "hits", "misses", "evictions", "probes",
-        "_paths", "_size", "_routes", "_hits_seen", "_unpaid",
+        "_paths", "_routes", "_hits_seen", "_unpaid",
     )
 
     def __init__(self, maxsize: int):
@@ -177,37 +177,28 @@ class RouteMemo:
         #: dict: ``popitem(last=False)`` is O(1), while a dict's
         #: ``next(iter(d))`` rescans the slots earlier evictions left.
         self._paths: OrderedDict = OrderedDict()
-        self._size = 0
         self._routes: Dict[tuple, tuple] = {}
         #: ``hits`` at the last maintenance, and probes spent since a hit.
         self._hits_seen = 0
         self._unpaid = 0
 
-    def get(self, path, attrs):
+    def get(self, path):
         """The memoised ``(keys, hops)``, or None (a miss to recompute)."""
-        inner = self._paths.get(path)
-        if inner is not None:
-            route = inner.get(attrs)
-            if route is not None:
-                self.hits += 1
-                return route
+        route = self._paths.get(path)
+        if route is not None:
+            self.hits += 1
+            return route
         self.misses += 1
         return None
 
-    def put(self, path, attrs, keys: frozenset, hops: tuple) -> tuple:
+    def put(self, path, keys: frozenset, hops: tuple) -> tuple:
         """Memoise a freshly computed decision; returns ``(keys, hops)``."""
         route = self._intern(keys, hops)
         paths = self._paths
-        inner = paths.get(path)
-        if inner is None:
-            inner = paths[path] = {}
-        if attrs not in inner:
-            self._size += 1
-        inner[attrs] = route
-        while self._size > self.maxsize:
-            _, evicted = paths.popitem(last=False)
-            self._size -= len(evicted)
-            self.evictions += len(evicted)
+        paths[path] = route
+        while len(paths) > self.maxsize:
+            paths.popitem(last=False)
+            self.evictions += 1
         return route
 
     def subscribe(self, expr, key, deliverable: bool):
@@ -215,73 +206,63 @@ class RouteMemo:
         decision *expr* matches (to ``hops`` too when *deliverable* —
         the key is a neighbour, or a local client whose exact
         subscriptions now include *expr*)."""
-        for _, inner, attrs in self._matching(expr):
-            keys, hops = inner[attrs]
+        paths = self._paths
+        for path in self._matching(expr):
+            keys, hops = paths[path]
             if deliverable and key not in hops:
                 hops = tuple(sorted(hops + (key,), key=str))
             elif key in keys:
                 continue
-            inner[attrs] = self._intern(keys | {key}, hops)
+            paths[path] = self._intern(keys | {key}, hops)
 
     def retire(self, expr) -> int:
         """*expr* lost a key: drop every decision it matches (another
         expression may still contribute the key, so they are recomputed
         on next use).  Returns the number of entries dropped."""
         matching = self._matching(expr)
-        for path, inner, attrs in matching:
-            del inner[attrs]
-            if not inner:
-                del self._paths[path]
-        self._size -= len(matching)
+        for path in matching:
+            del self._paths[path]
         return len(matching)
 
     def clear(self):
         """Drop every decision (lifetime counters are kept)."""
         self._paths.clear()
         self._routes.clear()
-        self._size = 0
         self._unpaid = 0
 
     def _matching(self, expr) -> list:
-        """``(path, inner, attrs)`` of every entry *expr* matches."""
-        if not self._paths:
+        """Every cached path *expr* matches."""
+        paths = self._paths
+        if not paths:
             return []
         # covering.algorithms imports this module: import at use.
         from repro.covering.pathmatch import matches_path
 
-        predicated = expr.has_predicates
-        cost = self._size if predicated else len(self._paths)
+        cost = len(paths)
         if self.hits != self._hits_seen:  # it served since the last edit
             self._hits_seen = self.hits
             self._unpaid = 0
         self._unpaid += cost
-        if self._unpaid > _REBUILD_PROBES * self._size:
+        if self._unpaid > _REBUILD_PROBES * cost:
             self.clear()
             return []
         self.probes += cost
+        # One compiled pattern for the whole scan; ``matches_path`` only
+        # where the XPE has no regex form or a path no string form (an
+        # element containing the separator).
+        regex = None
+        if _compiled.ENABLED:
+            regex = _compiled.compile_xpe(expr).regex
+        path_string = _compiled.path_string
         found = []
-        if predicated:
-            for path, inner in self._paths.items():
-                for attrs in inner:
-                    maps = attrs and tuple(map(dict, attrs))
-                    if matches_path(expr, path, maps):
-                        found.append((path, inner, attrs))
-        else:
-            # One compiled pattern for the whole scan; ``matches_path``
-            # only where the XPE has no regex form or a path no string
-            # form (an element containing the separator).
-            regex = None
-            if _compiled.ENABLED:
-                regex = _compiled.compile_xpe(expr).regex
-            path_string = _compiled.path_string
-            for path, inner in self._paths.items():
-                text = path_string(path) if regex is not None else None
-                if text is None:
-                    matched = matches_path(expr, path)
-                else:
-                    matched = regex(text) is not None
-                if matched:
-                    found.extend((path, inner, attrs) for attrs in inner)
+        for path in paths:
+            text = path_string(path) if regex is not None else None
+            if text is None:
+                matched = matches_path(expr, path)
+            else:
+                matched = regex(text) is not None
+            if matched:
+                found.append(path)
         return found
 
     def _intern(self, keys: frozenset, hops: tuple) -> tuple:
@@ -294,14 +275,13 @@ class RouteMemo:
         return routes.setdefault(route, route)
 
     def __len__(self):
-        return self._size
+        return len(self._paths)
 
     def stats(self) -> Dict[str, int]:
         """Lifetime counters plus current size (for describe()/tests)."""
         return {
-            "size": self._size,
+            "size": len(self._paths),
             "maxsize": self.maxsize,
-            "paths": len(self._paths),
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,

@@ -34,11 +34,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from repro.cache import LRUCache
-from repro.covering.rules import (
-    covers_block,
-    covers_step_block,
-    covers_test,
-)
+from repro.covering.rules import covers_block, covers_test
 from repro.xpath import compiled as _compiled
 from repro.xpath.ast import WILDCARD, XPathExpr
 
@@ -216,9 +212,8 @@ def covers(s1: XPathExpr, s2: XPathExpr) -> bool:
     common cheap rejections (and self-comparisons) never pay cache
     traffic: identity/equality, and the universal length bound — a
     coverer is never longer than the covered expression, because the
-    adversarial publication instantiates exactly ``len(s2)`` elements
-    (predicates never change path length), leaving a longer ``s1``
-    nothing to match.
+    adversarial publication instantiates exactly ``len(s2)`` elements,
+    leaving a longer ``s1`` nothing to match.
     """
     if s1 is s2:
         return True
@@ -244,10 +239,6 @@ def covers_uncached(s1: XPathExpr, s2: XPathExpr) -> bool:
     """
     if s1 == s2:
         return True
-    if s1.has_predicates:
-        return _covers_with_predicates(s1, s2)
-    # Predicates on s2 alone only shrink P(s2): the structural check on
-    # node tests stays sound unchanged.
     if s1.is_simple and s1.is_absolute and s2.is_relative:
         # The paper's rule "an absolute XPE cannot cover a relative one"
         # has one exception: an all-wildcard absolute prefix /*/.../*
@@ -263,28 +254,6 @@ def covers_uncached(s1: XPathExpr, s2: XPathExpr) -> bool:
     return des_cov(s1, s2)
 
 
-def _covers_with_predicates(s1: XPathExpr, s2: XPathExpr) -> bool:
-    """Covering when the coverer itself carries attribute predicates.
-
-    Sound step-aligned checks are available for the simple shapes (the
-    alignment of s1's steps to s2's steps is determined); for ``//``
-    shapes no single alignment exists, so the answer is a conservative
-    False — costing at most routing-table size, never correctness.
-    """
-    if not (s1.is_simple and s2.is_simple):
-        return False
-    if s1.is_absolute:
-        if not s2.is_absolute:
-            return False
-        return covers_step_block(s1.steps, s2.steps)
-    if len(s1) > len(s2):
-        return False
-    return any(
-        covers_step_block(s1.steps, s2.steps, offset)
-        for offset in range(len(s2) - len(s1) + 1)
-    )
-
-
 class SiblingCoverageProbe:
     """Batched covering over one sibling group (merge-sweep hot path).
 
@@ -295,8 +264,8 @@ class SiblingCoverageProbe:
     hoists everything per-expression: each sibling's node-test string is
     rendered once and its compiled regex bound once, so a pair check on
     the fast path is a single regex call.  Pairs outside the compiled
-    fast path's shape preconditions (predicated or ``//`` coverers,
-    the absolute-covers-relative wildcard-prefix corner, separator
+    fast path's shape preconditions (``//`` coverers, the
+    absolute-covers-relative wildcard-prefix corner, separator
     collisions, the fast path switched off) fall back to :func:`covers`
     verbatim — the probe is an exact reformulation, pinned by a
     differential test against the per-pair result.
@@ -314,7 +283,7 @@ class SiblingCoverageProbe:
             text = _compiled.path_string(expr.tests) if enabled else None
             texts.append(text)
             regex = None
-            if enabled and expr.is_simple and not expr.has_predicates:
+            if enabled and expr.is_simple:
                 regex = _compiled.compile_xpe(expr).regex
             regexes.append(regex)
             # As coverer: shapes where the regex verdict IS covers().

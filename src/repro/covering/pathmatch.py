@@ -1,20 +1,18 @@
 """Publication-path vs. XPE matching.
 
 A publication is a root-to-leaf path of concrete element names (paper
-§3.1), optionally annotated with per-element attribute mappings (the
-value-comparison extension).  An XPE matches a publication when it
-selects a node on the path:
+§3.1).  An XPE matches a publication when it selects a node on the
+path:
 
 * an absolute XPE must cover a *prefix* of the path,
 * a relative XPE must cover some contiguous *infix*,
 * ``//`` splits the XPE into segments that must cover disjoint infixes
-  in order (the first anchored at position 0 for absolute XPEs),
-* a step's attribute predicates must hold at its matched position.
+  in order (the first anchored at position 0 for absolute XPEs).
 
-Greedy earliest placement is exact for predicate-free expressions (path
-elements are concrete, so segment feasibility is monotone in the start
-position) and remains exact with predicates — they only further
-constrain individual positions.
+Greedy earliest placement is exact (path elements are concrete, so
+segment feasibility is monotone in the start position).  A
+publication's attribute annotation never enters a match: the routing
+language has no predicates.
 
 :func:`matches_path` dispatches through the compiled fast path
 (:mod:`repro.xpath.compiled`) by default; the interpreter below is kept
@@ -30,27 +28,8 @@ from typing import Optional, Sequence
 from repro.xpath import compiled as _compiled
 from repro.xpath.ast import WILDCARD, XPathExpr
 
-_EMPTY = {}
-
-
-def _segment_at(segment, path, attributes, offset):
-    """Match one predicate-aware segment of Step objects at *offset*."""
-    if offset + len(segment) > len(path):
-        return False
-    for i, step in enumerate(segment):
-        if step.test != WILDCARD and step.test != path[offset + i]:
-            return False
-        if step.predicates:
-            attrs = (
-                attributes[offset + i] if attributes is not None else _EMPTY
-            )
-            if not all(p.evaluate(attrs) for p in step.predicates):
-                return False
-    return True
-
-
 def _tests_at(segment, path, offset):
-    """Fast path: predicate-free segment of bare tests at *offset*."""
+    """Does the segment of bare tests match *path* at *offset*?"""
     if offset + len(segment) > len(path):
         return False
     for i, test in enumerate(segment):
@@ -59,11 +38,7 @@ def _tests_at(segment, path, offset):
     return True
 
 
-def matches_path(
-    expr: XPathExpr,
-    path: Sequence[str],
-    attributes: Optional[Sequence] = None,
-) -> bool:
+def matches_path(expr: XPathExpr, path: Sequence[str]) -> bool:
     """True when *expr* matches the publication *path*.
 
     Dispatches through the compiled form of *expr* unless the compiled
@@ -73,16 +48,13 @@ def matches_path(
     Args:
         expr: the XPE.
         path: root-to-leaf element names.
-        attributes: optional per-element attribute mappings, aligned
-            with *path*; when omitted, every element has no attributes
-            (so predicates other than nothing fail).
     """
     if _compiled.ENABLED:
-        return _compiled.compile_xpe(expr).matches(path, attributes)
-    return matches_path_reference(expr, path, attributes)
+        return _compiled.compile_xpe(expr).matches(path)
+    return matches_path_reference(expr, path)
 
 
-def path_matcher(path: Sequence[str], attributes: Optional[Sequence] = None):
+def path_matcher(path: Sequence[str]):
     """A ``expr -> bool`` callable specialised to one publication path.
 
     Bulk matchers (linear scan, subscription tree, edge-delivery
@@ -106,12 +78,12 @@ def path_matcher(path: Sequence[str], attributes: Optional[Sequence] = None):
             regex = compiled.regex
             if regex is not None and text is not None:
                 return regex(text) is not None
-            return compiled.matches_text(text, path, attributes)
+            return compiled.matches_text(text, path)
 
         return check
 
     def check_reference(expr: XPathExpr) -> bool:
-        return matches_path_reference(expr, path, attributes)
+        return matches_path_reference(expr, path)
 
     return check_reference
 
@@ -122,30 +94,24 @@ def matches_path_reference(
     attributes: Optional[Sequence] = None,
 ) -> bool:
     """The interpreted matcher (differential oracle for the compiled
-    fast path; semantics documented on :func:`matches_path`)."""
+    fast path; semantics documented on :func:`matches_path`).
+
+    *attributes* is accepted and never read: the routing language has
+    no predicates, but the end-to-end benchmark's oracle still passes a
+    publication's attribute maps here.
+    """
     if len(expr) > len(path):
         return False
-    if expr.has_predicates:
-        segments = expr.step_segments
-
-        def test(segment, offset):
-            return _segment_at(segment, path, attributes, offset)
-    else:
-        segments = expr.segments
-
-        def test(segment, offset):
-            return _tests_at(segment, path, offset)
-
     position = 0
-    for index, segment in enumerate(segments):
+    for index, segment in enumerate(expr.segments):
         if index == 0 and expr.anchored:
-            if not test(segment, 0):
+            if not _tests_at(segment, path, 0):
                 return False
             position = len(segment)
             continue
         placed = False
         for offset in range(position, len(path) - len(segment) + 1):
-            if test(segment, offset):
+            if _tests_at(segment, path, offset):
                 position = offset + len(segment)
                 placed = True
                 break

@@ -27,26 +27,3 @@ def covers_block(sup: Sequence[str], sub: Sequence[str], offset: int = 0) -> boo
     return all(
         covers_test(sup[i], sub[offset + i]) for i in range(len(sup))
     )
-
-
-def covers_step(sup, sub) -> bool:
-    """Step-level covering, predicates included.
-
-    The less constrained step covers: its node test must cover the
-    other's, and each of its attribute predicates must be *implied by*
-    the other step's predicates (a publication element satisfying the
-    covered step then necessarily satisfies the coverer).
-    """
-    if not covers_test(sup.test, sub.test):
-        return False
-    return all(p.implied_by(sub.predicates) for p in sup.predicates)
-
-
-def covers_step_block(sup_steps, sub_steps, offset: int = 0) -> bool:
-    """Positional :func:`covers_step` over aligned step slices."""
-    if offset + len(sup_steps) > len(sub_steps):
-        return False
-    return all(
-        covers_step(sup_steps[i], sub_steps[offset + i])
-        for i in range(len(sup_steps))
-    )

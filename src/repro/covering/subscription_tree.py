@@ -297,7 +297,7 @@ class SubscriptionTree:
 
     # -- matching ----------------------------------------------------------
 
-    def match(self, path: Sequence[str], attributes=None) -> List[SubNode]:
+    def match(self, path: Sequence[str]) -> List[SubNode]:
         """All nodes whose XPE matches the publication *path*.
 
         Failing a node prunes its whole subtree: the node covers its
@@ -305,19 +305,19 @@ class SubscriptionTree:
         """
         registry = obs.get_registry()
         if not registry.enabled:
-            return self._match(path, attributes)
+            return self._match(path)
         with registry.timer("covering.tree.match"):
-            matched, visited = self._match(path, attributes, count=True)
+            matched, visited = self._match(path, count=True)
         registry.counter("covering.tree.nodes_visited").inc(visited)
         registry.counter("covering.tree.nodes_pruned").inc(
             len(self._by_expr) - visited
         )
         return matched
 
-    def _match(self, path, attributes=None, count=False):
+    def _match(self, path, count=False):
         # One path probed against many XPEs: render the compiled path
         # string once and reuse it down the whole descent.
-        wants = path_matcher(path, attributes)
+        wants = path_matcher(path)
         matched: List[SubNode] = []
         visited = 0
         stack = list(self._root.children)
@@ -331,17 +331,17 @@ class SubscriptionTree:
             return matched, visited
         return matched
 
-    def match_keys(self, path: Sequence[str], attributes=None) -> Set[object]:
+    def match_keys(self, path: Sequence[str]) -> Set[object]:
         """Union of the subscriber keys of all matching nodes."""
         keys: Set[object] = set()
-        for node in self.match(path, attributes):
+        for node in self.match(path):
             keys |= node.keys
         return keys
 
-    def matches_any(self, path: Sequence[str], attributes=None) -> bool:
+    def matches_any(self, path: Sequence[str]) -> bool:
         """True when some stored XPE matches *path* (top-level check
         only — by covering, a match anywhere implies one at top level)."""
-        wants = path_matcher(path, attributes)
+        wants = path_matcher(path)
         return any(wants(child.expr) for child in self._root.children)
 
     # -- introspection -----------------------------------------------------

@@ -36,17 +36,17 @@ class LinearMatcher:
         if not keys:
             del self._subs[expr]
 
-    def match(self, path: Sequence[str], attributes=None) -> Set[object]:
+    def match(self, path: Sequence[str]) -> Set[object]:
         registry = obs.get_registry()
         if not registry.enabled:
-            return self._match(path, attributes)
+            return self._match(path)
         with registry.timer("matching.linear.match"):
-            matched = self._match(path, attributes)
+            matched = self._match(path)
         registry.counter("matching.linear.exprs_scanned").inc(len(self._subs))
         return matched
 
-    def _match(self, path: Sequence[str], attributes=None) -> Set[object]:
-        wants = path_matcher(path, attributes)
+    def _match(self, path: Sequence[str]) -> Set[object]:
+        wants = path_matcher(path)
         matched: Set[object] = set()
         for expr, keys in self._subs.items():
             if wants(expr):

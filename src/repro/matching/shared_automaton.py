@@ -9,7 +9,7 @@ every XPE's structure into one :class:`~repro.matching.yfilter.
 SharedPathNFA` and matches a publication with a single document pass —
 cost bounded by automaton size, not subscription count.
 
-Three layers on top of the plain NFA simulation:
+Two layers on top of the plain NFA simulation:
 
 * **Lazy DFA.**  The active-state-set of the NFA simulation is
   deterministic given the input path, so each distinct set becomes one
@@ -33,15 +33,6 @@ Three layers on top of the plain NFA simulation:
   Correctness never depends on the cache; ``dfa_flushes`` counts
   wholesale discards (``clear()`` only), ``dfa_evictions`` the bounded
   overflow evictions.
-* **Predicate verification.**  Attribute predicates are invisible to
-  the structural automaton, so a predicated XPE enters the NFA by its
-  skeleton like any other, and each predicated XPE the walk accepts is
-  re-checked with :func:`~repro.covering.pathmatch.matches_path`
-  against the publication's attributes (match structure in one shared
-  automaton, then check value predicates on its output — the design of
-  the FPGA filtering line, arXiv 0909.1781).  The check runs only while
-  a predicated XPE is resident: a table without one pays a single
-  integer test per match.
 * **Selective invalidation.**  Prefix sharing means an added or
   removed XPE touches only its own suffix of the NFA, and
   :class:`SharedPathNFA` reports exactly what: the edit repairs the
@@ -60,7 +51,6 @@ from itertools import chain
 from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.covering.pathmatch import matches_path
 from repro.matching.yfilter import (
     ACCEPT_ONLY,
     SharedPathNFA,
@@ -117,7 +107,7 @@ class SharedAutomatonMatcher:
 
     Engine contract (same as :class:`~repro.matching.engine.
     LinearMatcher`): ``add(expr, key)``, ``remove(expr, key)``,
-    ``match(path, attributes) -> set of keys``, plus the
+    ``match(path) -> set of keys``, plus the
     expression-level views.  Duplicate XPEs under distinct keys share
     one automaton trail and one key set.
     """
@@ -125,9 +115,6 @@ class SharedAutomatonMatcher:
     def __init__(self, dfa_state_limit: int = DEFAULT_DFA_STATE_LIMIT):
         self._nfa = SharedPathNFA()
         self._keys: Dict[XPathExpr, Set[object]] = {}
-        #: Resident XPEs with attribute predicates; ``match_exprs``
-        #: verifies accepted XPEs only while this is nonzero.
-        self._predicated = 0
         self.dfa_state_limit = dfa_state_limit
         #: Wholesale discards — ``clear()`` only: an edit repairs the
         #: states it touches, overflow evicts the cold half.
@@ -151,8 +138,6 @@ class SharedAutomatonMatcher:
             return
         if not keys:
             self._repair_dfa(*self._nfa.add(expr))
-            if expr.has_predicates:
-                self._predicated += 1
         keys.add(key)
 
     def remove(self, expr: XPathExpr, key: object = None):
@@ -163,14 +148,11 @@ class SharedAutomatonMatcher:
         if not keys:
             del self._keys[expr]
             self._repair_dfa(*self._nfa.remove(expr))
-            if expr.has_predicates:
-                self._predicated -= 1
 
     def clear(self):
         """Drop every expression (used by full rebuilds)."""
         self._nfa = SharedPathNFA()
         self._keys = {}
-        self._predicated = 0
         self._invalidate_dfa()
 
     # -- the lazy DFA ----------------------------------------------------
@@ -260,7 +242,12 @@ class SharedAutomatonMatcher:
         state.transitions[symbol] = target_state
         return target_state
 
-    def _match_structural(self, path: Sequence[str]) -> Set[XPathExpr]:
+    # -- matching --------------------------------------------------------
+
+    @obs.timed("matching.shared.match")
+    def match_exprs(self, path: Sequence[str]) -> Set[XPathExpr]:
+        """All stored XPEs matching the publication *path*: one
+        automaton pass."""
         matched: Set[XPathExpr] = set()
         self._clock += 1
         clock = self._clock
@@ -291,30 +278,11 @@ class SharedAutomatonMatcher:
                 matched |= state.accepting
         return matched
 
-    # -- matching --------------------------------------------------------
-
-    @obs.timed("matching.shared.match")
-    def match_exprs(
-        self, path: Sequence[str], attributes=None
-    ) -> Set[XPathExpr]:
-        """All stored XPEs matching the publication *path*: one
-        automaton pass, then the predicate check on the predicated XPEs
-        it accepted."""
-        matched = self._match_structural(path)
-        if self._predicated:
-            matched = {
-                expr
-                for expr in matched
-                if not expr.has_predicates
-                or matches_path(expr, path, attributes)
-            }
-        return matched
-
-    def match(self, path: Sequence[str], attributes=None) -> Set[object]:
+    def match(self, path: Sequence[str]) -> Set[object]:
         """Union of subscriber keys of the matching XPEs (engine API)."""
         keys: Set[object] = set()
         expr_keys = self._keys
-        for expr in self.match_exprs(path, attributes):
+        for expr in self.match_exprs(path):
             keys |= expr_keys[expr]
         return keys
 
@@ -342,8 +310,6 @@ class SharedAutomatonMatcher:
         """Engine internals for ``Broker.describe()``/ablations."""
         return {
             "exprs": len(self._keys),
-            "structural_exprs": len(self._keys) - self._predicated,
-            "predicated_exprs": self._predicated,
             "nfa_states": self.automaton_size(),
             "dfa_states": self.dfa_size(),
             "dfa_flushes": self.dfa_flushes,

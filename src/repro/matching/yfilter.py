@@ -8,8 +8,8 @@ combined automaton.  :class:`SharedPathNFA` implements that automaton
 for the path-publication model used here, and
 :meth:`SharedPathNFA.match_set` is the YFilter baseline itself (the
 matching-engine ablation times it).  The production engine — a lazy
-DFA cached over this same NFA, with the predicate check on its output —
-lives in :mod:`repro.matching.shared_automaton`.
+DFA cached over this same NFA — lives in
+:mod:`repro.matching.shared_automaton`.
 
 Construction: one trie-like NFA over location steps.  A ``/t`` step is
 an edge labelled ``t``; ``/*`` an edge labelled ``*`` (matches any
@@ -100,13 +100,7 @@ Touched = Tuple[_State, object, Tuple[_State, ...]]
 
 
 class SharedPathNFA:
-    """A shared-prefix NFA over a set of structural XPE skeletons.
-
-    Predicates are invisible to the automaton — callers that admit
-    predicated expressions must verify predicates on the structural
-    matches (YFilter's value-based predicates are likewise evaluated
-    outside the structural NFA).
-    """
+    """A shared-prefix NFA over a set of XPEs."""
 
     def __init__(self):
         self._root = _State()
@@ -201,7 +195,7 @@ class SharedPathNFA:
         return subset_step(active, symbol, set())
 
     def match_set(self, path: Sequence[str]) -> Set[XPathExpr]:
-        """All stored XPEs whose structural skeleton matches *path*."""
+        """All stored XPEs matching *path*."""
         matched: Set[XPathExpr] = set()
         simulate(self.initial_states(), path, matched)
         return matched

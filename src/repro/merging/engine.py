@@ -238,14 +238,10 @@ class MergingEngine:
 
     def _find_rule1_merge(self, parent: SubNode):
         """Bucket siblings by shape-with-one-masked-position; any bucket
-        holding two or more distinct element names is a rule-1 group.
-        Predicated siblings are left out: the rules refuse them, and in
-        a bucket they would sink their structural siblings' merge."""
+        holding two or more distinct element names is a rule-1 group."""
         buckets: Dict[tuple, List[SubNode]] = {}
         for node in parent.children:
             expr = node.expr
-            if expr.has_predicates:
-                continue
             axes = tuple(step.axis for step in expr.steps)
             tests = expr.tests
             for i, test in enumerate(tests):

@@ -16,11 +16,6 @@ Every rule returns a merger that *covers* each input (checked by an
 assertion in debug builds, and by the property-based test suite); the
 merger may be perfect (``P(s) = ∪ P(si)``) or imperfect, which
 :mod:`repro.merging.engine` quantifies against a DTD path universe.
-
-The rules merge structural XPEs, as §4.3 does: each returns None when
-any input carries an attribute predicate.  A merger built from one
-constituent's steps would carry that constituent's predicates and fail
-to cover the others; predicated XPEs stay in the tree unmerged.
 """
 
 from __future__ import annotations
@@ -53,8 +48,6 @@ def merge_one_difference(exprs: Sequence[XPathExpr]) -> Optional[XPathExpr]:
     """
     if len(exprs) < 2 or not _same_shape(exprs):
         return None
-    if any(e.has_predicates for e in exprs):
-        return None
     first = exprs[0]
     diff_position = None
     for i in range(len(first.steps)):
@@ -84,8 +77,6 @@ def merge_two_differences(s1: XPathExpr, s2: XPathExpr) -> Optional[XPathExpr]:
     apply — covering handles it.
     """
     if s1.rooted != s2.rooted or len(s1.steps) != len(s2.steps):
-        return None
-    if s1.has_predicates or s2.has_predicates:
         return None
     element_diffs: List[int] = []
     operator_diffs: List[int] = []
@@ -120,7 +111,7 @@ def merge_general(s1: XPathExpr, s2: XPathExpr) -> Optional[XPathExpr]:
     equal, otherwise more false positives will be introduced"; callers
     additionally gate on the imperfection degree.
     """
-    if s1.rooted != s2.rooted or s1.has_predicates or s2.has_predicates:
+    if s1.rooted != s2.rooted:
         return None
     steps1, steps2 = s1.steps, s2.steps
     if steps1 == steps2:

@@ -55,10 +55,7 @@ class MassWorkloadParams:
     wildcard_prob: float = 0.10
     descendant_prob: float = 0.15
     relative_prob: float = 0.15
-    predicate_prob: float = 0.0
     duplicate_prob: float = 0.05
-    attributes: Tuple[str, ...] = ("lang", "urgent", "priority")
-    attribute_values: Tuple[str, ...] = ("en", "de", "fr", "high")
 
     def __post_init__(self):
         if not self.vocabulary:
@@ -80,12 +77,9 @@ def _expr_text(rng: random.Random, params: MassWorkloadParams,
             text += "*"
         else:
             text += rng.choices(params.vocabulary, weights=weights)[0]
-    if rng.random() < params.predicate_prob:
-        attr = rng.choice(params.attributes)
-        if rng.random() < 0.5:
-            text += "[@%s]" % attr
-        else:
-            text += "[@%s='%s']" % (attr, rng.choice(params.attribute_values))
+    # A discarded draw: seeded workloads (``mass7_sim`` among them) are
+    # defined by the stream with it, so removing it would change them.
+    rng.random()
     return text
 
 

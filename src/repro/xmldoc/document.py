@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import XMLSyntaxError
-from repro.xpath.ast import TEXT_KEY
+
+#: Reserved pseudo-attribute carrying an element's text content.
+TEXT_KEY = "#text"
 
 
 @dataclass(frozen=True)
@@ -25,8 +27,11 @@ class Publication:
 
     ``attributes`` optionally carries one attribute mapping per path
     element (as tuples of ``(name, value)`` pairs, keeping the
-    publication hashable) — the value-comparison extension; ``None``
-    means the document carried no attributes on this path.
+    publication hashable); ``None`` means the document carried no
+    attributes on this path.  It is document payload only: the routing
+    language has no predicates, so no matcher reads it.  It stays
+    because the wire carries it and the end-to-end benchmark's oracle
+    reads it (with :meth:`attribute_maps`).
     """
 
     doc_id: str
@@ -159,8 +164,7 @@ class XMLDocument:
 
 
 def _annotations_of(element: ET.Element) -> dict:
-    """Attributes plus the TEXT_KEY pseudo attribute for text content
-    (enables ``[text()='v']`` predicates without a separate channel)."""
+    """Attributes plus the TEXT_KEY pseudo attribute for text content."""
     annotations = dict(element.attrib)
     text = (element.text or "").strip()
     if text:

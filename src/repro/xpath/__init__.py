@@ -6,10 +6,7 @@ Exports the AST (:class:`XPathExpr`, :class:`Step`, :class:`Axis`,
 
 from repro.xpath.ast import (
     Axis,
-    Predicate,
-    PredicateOp,
     Step,
-    TEXT_KEY,
     WILDCARD,
     XPathExpr,
     steps_from_tests,
@@ -18,10 +15,7 @@ from repro.xpath.parser import parse_xpath, try_parse_xpath
 
 __all__ = [
     "Axis",
-    "Predicate",
-    "PredicateOp",
     "Step",
-    "TEXT_KEY",
     "WILDCARD",
     "XPathExpr",
     "steps_from_tests",

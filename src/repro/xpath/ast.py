@@ -27,9 +27,6 @@ from typing import Iterable, Tuple
 
 WILDCARD = "*"
 
-#: Reserved pseudo-attribute carrying an element's text content.
-TEXT_KEY = "#text"
-
 
 class Axis(enum.Enum):
     """The axis connecting a step to its predecessor."""
@@ -41,79 +38,15 @@ class Axis(enum.Enum):
         return self.value
 
 
-class PredicateOp(enum.Enum):
-    """Attribute-predicate operators of the extension (paper §3.1/§3.2:
-    "our approach could be easily extended to element attributes ...
-    through value comparison")."""
-
-    EXISTS = "exists"  # [@name]
-    EQ = "="  # [@name='value']
-    NE = "!="  # [@name!='value']
-
-    def __str__(self):
-        return self.value
-
-
-@dataclass(frozen=True)
-class Predicate:
-    """One attribute predicate attached to a location step."""
-
-    name: str
-    op: PredicateOp = PredicateOp.EXISTS
-    value: str = ""
-
-    def evaluate(self, attributes) -> bool:
-        """Evaluate against an attribute mapping (name -> value)."""
-        if self.op is PredicateOp.EXISTS:
-            return self.name in attributes
-        if self.name not in attributes:
-            return False
-        if self.op is PredicateOp.EQ:
-            return attributes[self.name] == self.value
-        return attributes[self.name] != self.value
-
-    def implied_by(self, others: "Tuple[Predicate, ...]") -> bool:
-        """True when any predicate in *others* logically implies this
-        one — the covering direction (a less constrained step covers a
-        more constrained one)."""
-        for other in others:
-            if other.name != self.name:
-                continue
-            if self == other:
-                return True
-            if self.op is PredicateOp.EXISTS and other.op in (
-                PredicateOp.EXISTS,
-                PredicateOp.EQ,
-            ):
-                return True
-            if (
-                self.op is PredicateOp.NE
-                and other.op is PredicateOp.EQ
-                and other.value != self.value
-            ):
-                return True
-        return False
-
-    def __str__(self):
-        if self.name == TEXT_KEY:
-            return "[text()%s'%s']" % (self.op, self.value)
-        if self.op is PredicateOp.EXISTS:
-            return "[@%s]" % self.name
-        return "[@%s%s'%s']" % (self.name, self.op, self.value)
-
-
 @dataclass(frozen=True)
 class Step:
-    """One location step: an axis, a node test, optional predicates.
+    """One location step: an axis and a node test.
 
-    ``test`` is either an XML element name or :data:`WILDCARD`;
-    ``predicates`` are attribute constraints (the value-comparison
-    extension the paper defers to its companion matcher [16]).
+    ``test`` is either an XML element name or :data:`WILDCARD`.
     """
 
     axis: Axis
     test: str
-    predicates: Tuple[Predicate, ...] = ()
 
     @property
     def is_wildcard(self):
@@ -121,11 +54,7 @@ class Step:
         return self.test == WILDCARD
 
     def __str__(self):
-        return "%s%s%s" % (
-            self.axis,
-            self.test,
-            "".join(str(p) for p in self.predicates),
-        )
+        return "%s%s" % (self.axis, self.test)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +92,7 @@ class XPathExpr:
             value = (
                 self.rooted,
                 tuple(
-                    (step.axis is Axis.DESCENDANT, step.test, step.predicates)
+                    (step.axis is Axis.DESCENDANT, step.test)
                     for step in self.steps
                 ),
             )
@@ -216,11 +145,6 @@ class XPathExpr:
         """True when any node test is ``*``."""
         return any(step.is_wildcard for step in self.steps)
 
-    @property
-    def has_predicates(self):
-        """True when any step carries attribute predicates."""
-        return any(step.predicates for step in self.steps)
-
     # -- views ----------------------------------------------------------
     #
     # tests/segments are on every matching and covering hot path, so
@@ -267,26 +191,6 @@ class XPathExpr:
         return value
 
     @property
-    def step_segments(self):
-        """Like :attr:`segments` but yielding the :class:`Step` objects
-        (predicates included) instead of bare node tests."""
-        try:
-            return self._step_segments_cache
-        except AttributeError:
-            pass
-        result = []
-        current = []
-        for step in self.steps:
-            if step.axis is Axis.DESCENDANT and current:
-                result.append(tuple(current))
-                current = []
-            current.append(step)
-        result.append(tuple(current))
-        value = tuple(result)
-        object.__setattr__(self, "_step_segments_cache", value)
-        return value
-
-    @property
     def anchored(self):
         """True when the first segment must match at path position 0."""
         return self.rooted and self.steps[0].axis is Axis.CHILD
@@ -324,14 +228,14 @@ class XPathExpr:
             raise ValueError("suffix start out of range")
         steps = self.steps[start:]
         steps = (
-            Step(Axis.CHILD, steps[0].test, steps[0].predicates),
+            Step(Axis.CHILD, steps[0].test),
         ) + steps[1:]
         return XPathExpr(steps=steps, rooted=False)
 
     def concat(self, other):
         """Concatenate two expressions with a ``/`` between them."""
         other_steps = (
-            Step(Axis.CHILD, other.steps[0].test, other.steps[0].predicates),
+            Step(Axis.CHILD, other.steps[0].test),
         ) + other.steps[1:]
         return XPathExpr(steps=self.steps + other_steps, rooted=self.rooted)
 
@@ -340,13 +244,12 @@ class XPathExpr:
     def __str__(self):
         parts = []
         first = self.steps[0]
-        first_preds = "".join(str(p) for p in first.predicates)
         if first.axis is Axis.DESCENDANT:
-            parts.append("//%s%s" % (first.test, first_preds))
+            parts.append("//%s" % first.test)
         elif self.rooted:
-            parts.append("/%s%s" % (first.test, first_preds))
+            parts.append("/%s" % first.test)
         else:
-            parts.append("%s%s" % (first.test, first_preds))
+            parts.append(first.test)
         for step in self.steps[1:]:
             parts.append(str(step))
         return "".join(parts)

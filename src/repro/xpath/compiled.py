@@ -6,21 +6,18 @@ filter indexes (YFilter [Diao et al., TODS 2003], XTrie) were designed
 to eliminate.  This module compiles each expression **once** into a
 :class:`CompiledXPE`:
 
-* **Predicate-free expressions** become one anchored regular expression
-  over a sentinel-joined path string.  A publication path
-  ``(a, b, c)`` is rendered as ``"/a/b/c/"``; each ``//``-free segment
-  compiles to its element names joined by ``/`` (wildcards become
-  ``[^/]+``), segments are connected by ``(?:[^/]+/)*`` (zero or more
-  whole skipped elements — exactly the descendant gap), and absolute
-  expressions anchor with ``re.match`` while relative ones ``re.search``
-  from any element boundary.  Matching then runs entirely inside CPython's
-  regex engine.
-
-* **Predicated expressions** become a closure over precomputed
-  ``(test, predicates)`` segment tuples — the same greedy
-  earliest-placement algorithm as the reference interpreter (exact,
-  see :mod:`repro.covering.pathmatch`), minus all per-call attribute
-  and property traffic.
+Each expression becomes one anchored regular expression over a
+sentinel-joined path string.  A publication path ``(a, b, c)`` is
+rendered as ``"/a/b/c/"``; each ``//``-free segment compiles to its
+element names joined by ``/`` (wildcards become ``[^/]+``), segments
+are connected by ``(?:[^/]+/)*`` (zero or more whole skipped elements —
+exactly the descendant gap), and absolute expressions anchor with
+``re.match`` while relative ones ``re.search`` from any element
+boundary.  Matching then runs entirely inside CPython's regex engine.
+The one input a regex cannot represent — an element name containing
+the separator, possible only through hand-built expressions or paths —
+goes to the reference interpreter
+(:func:`repro.covering.pathmatch.matches_path_reference`).
 
 Compilation results are interned on the expression instance (safe:
 expressions are immutable, and the :mod:`~repro.xpath.ast` hash/eq
@@ -49,14 +46,12 @@ from repro.xpath.ast import WILDCARD, XPathExpr
 
 #: Path-element separator in the compiled string representation.  XML
 #: element names can never contain ``/``; inputs that do (possible only
-#: through hand-built expressions) fall back to the closure matcher.
+#: through hand-built expressions) fall back to the reference interpreter.
 SEP = "/"
 
 #: Module-level switch read by every dispatch site.  Mutate through
 #: :func:`set_compiled_enabled` only.
 ENABLED = True
-
-_EMPTY_ATTRS: dict = {}
 
 #: Regex fragment for one wildcard element.
 _ANY_ELEMENT = "[^/]+"
@@ -109,12 +104,9 @@ def _segment_pattern(tests: Sequence[str]) -> Optional[str]:
 
 
 def _build_regex(expr: XPathExpr):
-    """The compiled pattern for a predicate-free expression, or None
-    when regex compilation does not apply (predicates, separator
-    collision).  Returns the bound ``match``/``search`` callable so the
+    """The compiled pattern for *expr*, or None on a separator
+    collision.  Returns the bound ``match``/``search`` callable so the
     hot path holds a single C function."""
-    if expr.has_predicates:
-        return None
     parts = [SEP]
     for index, segment in enumerate(expr.segments):
         if index:
@@ -130,32 +122,13 @@ def _build_regex(expr: XPathExpr):
     return pattern.match if expr.anchored else pattern.search
 
 
-def _compile_segments(expr: XPathExpr):
-    """Precompute ``(test-or-None, predicates)`` tuples per segment for
-    the closure matcher; None marks a wildcard test."""
-    return tuple(
-        tuple(
-            (None if step.test == WILDCARD else step.test, step.predicates)
-            for step in segment
-        )
-        for segment in expr.step_segments
-    )
+def _reference(expr: XPathExpr, path) -> bool:
+    """The separator-collision fallback: the reference interpreter
+    (imported here because :mod:`repro.covering.pathmatch` imports
+    this module)."""
+    from repro.covering.pathmatch import matches_path_reference
 
-
-def _segment_at(segment, path, attributes, offset) -> bool:
-    """One precompiled segment against *path* at *offset* (bounds are
-    the caller's responsibility)."""
-    index = offset
-    for test, predicates in segment:
-        if test is not None and test != path[index]:
-            return False
-        if predicates:
-            attrs = attributes[index] if attributes is not None else _EMPTY_ATTRS
-            for predicate in predicates:
-                if not predicate.evaluate(attrs):
-                    return False
-        index += 1
-    return True
+    return matches_path_reference(expr, path)
 
 
 class CompiledXPE:
@@ -165,18 +138,16 @@ class CompiledXPE:
     factory interns instances on the expression.
     """
 
-    __slots__ = ("expr", "min_length", "anchored", "regex", "segments")
+    __slots__ = ("expr", "min_length", "regex")
 
     def __init__(self, expr: XPathExpr):
         self.expr = expr
         self.min_length = len(expr.steps)
-        self.anchored = expr.anchored
         #: Bound ``match``/``search`` of the compiled pattern, or None
-        #: when only the closure form applies.
+        #: on a separator collision.
         self.regex = _build_regex(expr)
-        self.segments = _compile_segments(expr)
 
-    def matches(self, path: Sequence[str], attributes=None) -> bool:
+    def matches(self, path: Sequence[str]) -> bool:
         """Equivalent of :func:`repro.covering.pathmatch.matches_path`."""
         if self.min_length > len(path):
             return False
@@ -184,45 +155,19 @@ class CompiledXPE:
             text = path_string(path if type(path) is tuple else tuple(path))
             if text is not None:
                 return self.regex(text) is not None
-        return self._closure_match(path, attributes)
+        return _reference(self.expr, path)
 
-    def matches_text(self, text: Optional[str], path, attributes=None) -> bool:
+    def matches_text(self, text: Optional[str], path) -> bool:
         """Like :meth:`matches` with the path string precomputed — bulk
         matchers render the path once and probe many expressions."""
         if self.min_length > len(path):
             return False
         if self.regex is not None and text is not None:
             return self.regex(text) is not None
-        return self._closure_match(path, attributes)
-
-    def _closure_match(self, path, attributes) -> bool:
-        """Greedy earliest placement over the precompiled segments
-        (mirrors the reference interpreter; exact for this language)."""
-        position = 0
-        path_length = len(path)
-        for index, segment in enumerate(self.segments):
-            segment_length = len(segment)
-            if index == 0 and self.anchored:
-                if (
-                    segment_length > path_length
-                    or not _segment_at(segment, path, attributes, 0)
-                ):
-                    return False
-                position = segment_length
-                continue
-            placed = False
-            for offset in range(position, path_length - segment_length + 1):
-                if _segment_at(segment, path, attributes, offset):
-                    position = offset + segment_length
-                    placed = True
-                    break
-            if not placed:
-                return False
-        return True
+        return _reference(self.expr, path)
 
     def __repr__(self):
-        form = "regex" if self.regex is not None else "closure"
-        return "CompiledXPE(%r, %s)" % (str(self.expr), form)
+        return "CompiledXPE(%r)" % str(self.expr)
 
 
 #: Lifetime compilation tallies, published as ``matching.compiled.*``
@@ -230,7 +175,7 @@ class CompiledXPE:
 #: already a once-per-expression cold path, and snapshot-time export
 #: also captures compilations that happened before metrics were
 #: enabled).
-_STATS = {"compilations": 0, "regex": 0, "closure": 0}
+_STATS = {"compilations": 0, "regex": 0}
 
 
 @obs.register_collector
@@ -240,8 +185,7 @@ def _collect_compile_stats(registry):
 
 
 def compile_stats() -> dict:
-    """Lifetime compilation counts (``compilations``/``regex``/
-    ``closure``)."""
+    """Lifetime compilation counts (``compilations``/``regex``)."""
     return dict(_STATS)
 
 
@@ -254,7 +198,8 @@ def compile_xpe(expr: XPathExpr) -> CompiledXPE:
     compiled = CompiledXPE(expr)
     object.__setattr__(expr, "_compiled_cache", compiled)
     _STATS["compilations"] += 1
-    _STATS["regex" if compiled.regex is not None else "closure"] += 1
+    if compiled.regex is not None:
+        _STATS["regex"] += 1
     return compiled
 
 
@@ -266,7 +211,7 @@ def covers_simple(s1: XPathExpr, tests2: tuple) -> Optional[bool]:
     string — node tests of the covered side are treated as concrete
     symbols, so a wildcard there is absorbed only by a wildcard in
     ``s1``, which is exactly ``covers_test``.  Returns None when the
-    compiled form does not apply (predicates, separator collision) and
+    compiled form does not apply (separator collision) and
     the caller must use the interpreted algorithm.
     """
     compiled = compile_xpe(s1)

@@ -5,16 +5,14 @@ Grammar::
     expr      := rooted | relative
     rooted    := '/' step ('/' step | '//' step)*
     relative  := ('//')? step ('/' step | '//' step)*
-    step      := (NAME | '*') predicate*
-    predicate := '[@' NAME (('=' | '!=') STRING)? ']'
-               | '[text()' ('=' | '!=') STRING ']'
+    step      := NAME | '*'
     NAME      := [A-Za-z_][A-Za-z0-9_.:-]*
-    STRING    := "'" chars "'" | '"' chars '"'
 
-Element steps with ``/``, ``//`` and ``*`` are the paper's §3.2 routing
-language; attribute predicates are the extension the paper defers to
-its companion matcher [16] ("easily extended ... through value
-comparison").  The parser is a simple hand-written scanner; XPEs are
+This is exactly the paper's §3.2 routing language: element steps with
+``/``, ``//`` and ``*``.  Attribute and text predicates (``[@a='v']``,
+``[text()='v']``) are the extension the paper defers to its companion
+matcher [16]; they are not part of the language, and the parser rejects
+them by name.  The parser is a simple hand-written scanner; XPEs are
 short (the paper caps them at 10 steps) so there is no need for
 anything heavier.
 """
@@ -24,14 +22,7 @@ from __future__ import annotations
 import re
 
 from repro.errors import XPathSyntaxError
-from repro.xpath.ast import (
-    Axis,
-    Predicate,
-    PredicateOp,
-    Step,
-    TEXT_KEY,
-    XPathExpr,
-)
+from repro.xpath.ast import Axis, Step, XPathExpr
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.:\-]*")
 
@@ -63,13 +54,16 @@ def parse_xpath(text):
     axis = first_axis
     while True:
         test, pos = _scan_test(source, pos)
-        predicates = []
-        while pos < len(source) and source[pos] == "[":
-            predicate, pos = _scan_predicate(source, pos)
-            predicates.append(predicate)
-        steps.append(Step(axis, test, tuple(predicates)))
+        steps.append(Step(axis, test))
         if pos == len(source):
             break
+        if source[pos] == "[":
+            raise XPathSyntaxError(
+                text,
+                pos,
+                "predicates are not in the routing language "
+                "(only '/', '//' and '*' steps)",
+            )
         if source.startswith("//", pos):
             axis = Axis.DESCENDANT
             pos += 2
@@ -98,59 +92,6 @@ def _scan_test(source, pos):
             source, pos, "expected an element name or '*'"
         )
     return match.group(0), match.end()
-
-
-def _scan_predicate(source, pos):
-    """Scan one ``[@name]`` / ``[@name='v']`` / ``[@name!='v']`` /
-    ``[text()='v']`` group starting at the ``[``."""
-    start = pos
-    pos += 1  # consume '['
-    if source.startswith("text()", pos):
-        # Text content is carried as the reserved TEXT_KEY pseudo
-        # attribute of the element (see repro.xmldoc).
-        name = TEXT_KEY
-        pos += len("text()")
-    elif pos < len(source) and source[pos] == "@":
-        pos += 1
-        match = _NAME_RE.match(source, pos)
-        if match is None:
-            raise XPathSyntaxError(source, pos, "expected attribute name")
-        name = match.group(0)
-        pos = match.end()
-    else:
-        raise XPathSyntaxError(
-            source, pos, "expected '@name' or 'text()' in predicate"
-        )
-    if name == TEXT_KEY and source.startswith("]", pos):
-        raise XPathSyntaxError(
-            source, pos, "text() predicates need a comparison"
-        )
-    if source.startswith("]", pos):
-        return Predicate(name=name, op=PredicateOp.EXISTS), pos + 1
-    if source.startswith("!=", pos):
-        op = PredicateOp.NE
-        pos += 2
-    elif source.startswith("=", pos):
-        op = PredicateOp.EQ
-        pos += 1
-    else:
-        raise XPathSyntaxError(
-            source, pos, "expected ']', '=' or '!=' in predicate"
-        )
-    if pos >= len(source) or source[pos] not in "'\"":
-        raise XPathSyntaxError(
-            source, pos, "expected a quoted attribute value"
-        )
-    quote = source[pos]
-    pos += 1
-    end = source.find(quote, pos)
-    if end < 0:
-        raise XPathSyntaxError(source, start, "unterminated attribute value")
-    value = source[pos:end]
-    pos = end + 1
-    if not source.startswith("]", pos):
-        raise XPathSyntaxError(source, pos, "expected ']' to close predicate")
-    return Predicate(name=name, op=op, value=value), pos + 1
 
 
 def try_parse_xpath(text):

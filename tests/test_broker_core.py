@@ -331,7 +331,7 @@ def _assert_grouped_like_one_by_one(broker, twin, group, from_hop):
 def _decisions(broker, group):
     """The memoised destination tuple of every path of *group*."""
     memo = broker.match_cache
-    return [memo.get(m.publication.path, None)[1] for m in group]
+    return [memo.get(m.publication.path)[1] for m in group]
 
 
 def test_a_group_sharing_one_decision_with_its_arrival_hop():

@@ -109,10 +109,9 @@ def make_broker(config=None):
 
 def cold_keys(broker, publication):
     """What the matcher computes with no cache in the loop."""
-    attributes = publication.attribute_maps()
     if broker.config.covering:
-        return frozenset(broker.tree.match_keys(publication.path, attributes))
-    return frozenset(broker.flat.match(publication.path, attributes))
+        return frozenset(broker.tree.match_keys(publication.path))
+    return frozenset(broker.flat.match(publication.path))
 
 
 def cold_destinations(broker, publication, from_hop):
@@ -255,24 +254,22 @@ _MERGEABLE = (
     "/ProteinDatabase/ProteinEntry/organism",
     "/ProteinDatabase/ProteinEntry/*",
 )
-#: Further root elements: routes no merge sweep or predicate touches.
+#: Further root elements: routes no merge sweep touches.
 _OTHER_ROOTS = ("/somewhere/else", "/somewhere/*", "/elsewhere/else")
 #: An element name containing the path separator: no string form, so
-#: paths holding it and XPEs naming it take ``matches_path``'s closure
-#: form instead of the compiled regex.
+#: paths holding it and XPEs naming it take the reference interpreter
+#: instead of the compiled regex.
 _UNRENDERABLE = "x/y"
 _MEMO_XPES = _MERGEABLE + _OTHER_ROOTS + (
     "/ProteinDatabase",
     "/ProteinDatabase//name",
     "//reference",
-    "/ProteinDatabase/ProteinEntry[@id='1']",
-    "/ProteinDatabase/ProteinEntry[@id!='1']/protein",
-    "//protein[@kind='x']/name",
+    "/ProteinDatabase/ProteinEntry/protein/name",
     XPathExpr.from_tests(("ProteinEntry", _UNRENDERABLE), rooted=False),
 )
 _MEMO_HOPS = ("n1", "n2", "n3", "c1", "c2")
-#: (path, attribute fingerprint) probes: every path bare, plus variants
-#: that satisfy / falsify each predicate above.
+#: (path, attribute fingerprint) probes: every path bare, plus two
+#: attribute variants, which must route like the bare path.
 _MEMO_PROBES = tuple(
     (path, attrs)
     for path in (
@@ -310,7 +307,9 @@ class RouteMemoMachine(RuleBasedStateMachine):
     snapshot-restore / publish on a 3-neighbour broker
     with two local clients, under imperfect merging so the exact edge
     recheck decides deliveries.  After every step each probe's
-    memoised destinations must equal a cold recomputation."""
+    memoised destinations must equal a cold recomputation, and each
+    attribute variant must share its bare path's memo entry: attributes
+    never change a route."""
 
     #: None keeps the broker's own memo bound; a size swaps in a memo
     #: that small (on every broker, restored ones too).
@@ -416,6 +415,9 @@ class RouteMemoMachine(RuleBasedStateMachine):
                 got = broker._publish_destinations(publication, hop)
                 want = cold_destinations(broker, publication, hop)
                 assert got == want, (path, attrs, hop, got, want)
+            if attrs is not None:
+                bare = broker._route(Publication("probe", 0, path, None))
+                assert broker._route(publication) is bare, (path, attrs)
 
 
 TestRouteMemoMachine = RouteMemoMachine.TestCase
@@ -444,12 +446,12 @@ def test_a_hit_leaves_the_eviction_order_alone():
     route = (frozenset({"s"}), ("n1",))
     paths = [("feed", "e%d" % i) for i in range(4)]
     for path in paths[:3]:
-        memo.put(path, None, *route)
-    assert memo.get(paths[0], None) == route  # hit the oldest
-    memo.put(paths[3], None, *route)
+        memo.put(path, *route)
+    assert memo.get(paths[0]) == route  # hit the oldest
+    memo.put(paths[3], *route)
     assert memo.evictions == 1
-    assert memo.get(paths[0], None) is None
-    assert all(memo.get(path, None) == route for path in paths[1:])
+    assert memo.get(paths[0]) is None
+    assert all(memo.get(path) == route for path in paths[1:])
     assert (memo.hits, memo.misses) == (4, 1)  # five lookups, each counted
 
 

@@ -109,21 +109,20 @@ class TestMergePair:
         assert merger == x("/a//z")
 
     def test_refuses_predicated_inputs(self):
-        """§4.3 merges structural XPEs.  A merger built from a predicated
-        constituent's steps carries its predicates and then fails to
-        cover the other constituent: /r/a/c[@k='1'] + /r/b/c would give
-        /r/*/c[@k='1'], which misses every r/b/c publication."""
-        structural = x("/r/b/c")
-        for predicated in (
-            x("/r/a/c[@k='1']"), x("/r[@k]/a/c"), x("/r/a/d/c[@k]")
+        """§4.3 merges structural XPEs, and every XPE is one: no input is
+        refused, and each merger covers each of its inputs."""
+        for pair in (
+            (x("/r/a/c"), x("/r/b/c")),
+            (x("/r/a/d/c"), x("/r/b/c")),
+            (x("/a/c/*/*"), x("/a//c/*/c")),
+            (x("/a/b/c/z"), x("/a/q/r/z")),
         ):
-            assert merge_pair(predicated, structural) is None
-            assert merge_pair(structural, predicated) is None
+            merger = merge_pair(*pair)
+            assert merger is not None, pair
+            assert all(covers(merger, expr) for expr in pair), merger
         assert merge_one_difference(
-            [x("/r/a/c"), x("/r/b/c[@k]"), x("/r/d/c")]
-        ) is None
-        assert merge_two_differences(x("/a/c/*/*[@k]"), x("/a//c/*/c")) is None
-        assert merge_general(x("/a/b/c/z"), x("/a/q/r/z[@k]")) is None
+            [x("/r/a/c"), x("/r/b/c"), x("/r/d/c")]
+        ) == x("/r/*/c")
 
 
 UNIVERSE_DTD = """
@@ -244,17 +243,17 @@ class TestMergingEngine:
         }
 
     def test_predicated_sibling_neither_merges_nor_blocks(self):
-        """A predicated sibling stays unmerged, and rule-1 bucketing
-        leaves it out, so its structural siblings still merge (the
-        pairwise search is off here: rule 1 alone must find them)."""
-        tree = self.build_tree("/r/a/c", "/r/b/c", "/r/q/c[@k='1']")
+        """Rule-1 bucketing alone (the pairwise search is off here)
+        merges every sibling of one shape into one merger."""
+        tree = self.build_tree("/r/a/c", "/r/b/c", "/r/q/c")
         engine = MergingEngine(
             universe=self.universe(), max_degree=0.0, pairwise_limit=0
         )
         report = engine.merge_tree(tree)
         assert [event.merger for event in report.events] == [x("/r/*/c")]
-        assert set(report.events[0].replaced) == {x("/r/a/c"), x("/r/b/c")}
-        assert tree.node_of(x("/r/q/c[@k='1']")) is not None
+        assert set(report.events[0].replaced) == {
+            x("/r/a/c"), x("/r/b/c"), x("/r/q/c")
+        }
         tree.validate()
 
     def test_without_universe_no_merges_at_zero_budget(self):
@@ -286,14 +285,13 @@ from repro.covering.algorithms import SiblingCoverageProbe  # noqa: E402
 _probe_step = st.tuples(
     st.sampled_from(("/", "//", "")),  # "" = relative start (first step)
     st.sampled_from(("a", "b", "c", "d", "*")),
-    st.sampled_from(("", "[@k]", "[@k='1']")),
 )
 
 
 @st.composite
 def _sibling_groups(draw):
     """A sibling group as the merge sweep sees one: a handful of XPEs
-    of assorted shapes (absolute/relative, wildcards, //, predicates)."""
+    of assorted shapes (absolute/relative, wildcards, //)."""
     group = []
     for steps in draw(
         st.lists(
@@ -303,12 +301,12 @@ def _sibling_groups(draw):
         )
     ):
         parts = []
-        for index, (sep, test, predicate) in enumerate(steps):
+        for index, (sep, test) in enumerate(steps):
             if index == 0:
                 sep = sep or ""
             else:
                 sep = sep or "/"
-            parts.append(sep + test + predicate)
+            parts.append(sep + test)
         group.append(x("".join(parts)))
     return group
 
@@ -336,7 +334,7 @@ def test_sibling_probe_interpreted_fallback(monkeypatch):
     from repro.xpath import compiled as _compiled
 
     monkeypatch.setattr(_compiled, "ENABLED", False)
-    group = [x("/a/b"), x("/a/*"), x("a/b"), x("//b"), x("/a/b[@k]")]
+    group = [x("/a/b"), x("/a/*"), x("a/b"), x("//b"), x("/a//b")]
     probe = SiblingCoverageProbe(group)
     for i in range(len(group)):
         for j in range(len(group)):

@@ -260,3 +260,15 @@ class TestErrors:
             restore(state)
         message = str(excinfo.value)
         assert "'b1'" in message and "'c1'" in message and "/x/y" in message
+
+    def test_predicated_xpe_is_refused_naming_it(self):
+        """Predicates are not in the routing language: a snapshot that
+        holds one (consistently, in every table) is refused by name."""
+        from repro.errors import ReproError
+
+        text = snapshot_json(populated_broker())
+        predicated = text.replace('"/x/y"', '"/x/y[@k=\'1\']"')
+        assert predicated != text
+        with pytest.raises(ReproError) as excinfo:
+            restore_json(predicated)
+        assert "/x/y[@k='1']" in str(excinfo.value)

@@ -1,11 +1,11 @@
-"""Predicate verification and XPE shapes on the shared engine.
+"""XPE shapes on the shared engine.
 
-:class:`SharedAutomatonMatcher` matches every XPE's structure in one
-automaton and re-checks the predicated XPEs it accepts against the
-publication's attributes.  These cases pin that verify step and the
-shapes a counting index would split apart — absolute simple paths,
-all-wildcard paths and the length they need, relative and ``//``
-expressions — against :class:`LinearMatcher`.
+:class:`SharedAutomatonMatcher` matches every XPE in one automaton, and
+an XPE the walk accepts is a match (the routing language has no
+predicates to verify afterwards).  These cases pin the shapes a
+counting index would split apart — absolute simple paths, all-wildcard
+paths and the length they need, relative and ``//`` expressions —
+against :class:`LinearMatcher`.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -44,13 +44,10 @@ class TestIndexedPath:
         assert m.match(("a", "b", "c")) == {"/a/b/c"}
 
     def test_index_stats(self):
-        m = build("/a/b", "b/c", "//q", "/a/*[@p]")
-        stats = m.stats()
-        assert stats["exprs"] == 4
-        assert stats["predicated_exprs"] == 1
-        assert stats["structural_exprs"] == 3
-        m.remove(x("/a/*[@p]"), "/a/*[@p]")
-        assert m.stats()["predicated_exprs"] == 0
+        m = build("/a/b", "b/c", "//q", "/a/*")
+        assert m.stats()["exprs"] == 4
+        m.remove(x("/a/*"), "/a/*")
+        assert m.stats()["exprs"] == 3
 
 
 class TestFilterVerify:
@@ -69,15 +66,14 @@ class TestFilterVerify:
         assert m.match(("p", "q")) == {"*/*"}
 
     def test_predicates_via_verify(self):
-        m = build("/a/b[@p='1']")
-        assert m.match(("a", "b"), ({}, {"p": "1"})) == {"/a/b[@p='1']"}
-        assert m.match(("a", "b"), ({}, {"p": "2"})) == set()
-        assert m.match(("a", "b")) == set()
-        m.add(x("/a/b"), "plain")  # the same skeleton, no predicate
-        assert m.match(("a", "b"), ({}, {"p": "2"})) == {"plain"}
-        assert m.match(("a", "b"), ({}, {"p": "1"})) == {
-            "/a/b[@p='1']", "plain"
-        }
+        # No verify step: what the walk accepts is the match.  The same
+        # XPE under a second key shares the first one's trail.
+        m = build("/a/b")
+        size = m.automaton_size()
+        m.add(x("/a/b"), "plain")
+        assert m.automaton_size() == size
+        assert m.match(("a", "b")) == {"/a/b", "plain"}
+        assert m.match_exprs(("a", "b", "c")) == {x("/a/b")}
 
 
 class TestMaintenance:

@@ -1,65 +1,77 @@
-"""Tests for the attribute-predicate extension.
+"""Predicates are not in the routing language.
 
-The paper defers attributes and content to its companion matcher [16]
-("our approach could be easily extended to element attributes and
-content ... through value comparison"); this implements and verifies
-that extension end to end: parsing, publication matching, covering,
-edge delivery and the wire format.
+The routing language is the paper's §3.2 fragment: ``/``, ``//`` and
+``*``.  Attribute and text predicates (``[@a]``, ``[@a='v']``,
+``[@a!='v']``, ``[text()='v']``) are the value-comparison extension the
+paper defers to its companion matcher [16].  They are rejected by name
+wherever an XPE enters (parser, wire, snapshot), while a publication's
+attribute and text annotation stays document payload that no routing
+decision reads.  Each test pins one predicate form to that contract, or
+checks the structural fact it would have qualified.
 """
+
+import dataclasses
+import json
 
 import pytest
 
-from repro.covering import SubscriptionTree, covers, matches_path
-from repro.errors import XPathSyntaxError
-from repro.network.wire import decode, encode
+from repro.broker import Broker, RoutingConfig
 from repro.broker.messages import PublishMsg, SubscribeMsg
+from repro.covering import SubscriptionTree, covers, matches_path
+from repro.covering.pathmatch import matches_path_reference
+from repro.errors import XPathSyntaxError
+from repro.network.wire import WireError, decode, encode
 from repro.xmldoc import XMLDocument
-from repro.xpath import Predicate, PredicateOp, parse_xpath
+from repro.xpath import parse_xpath
+
+NOT_IN_LANGUAGE = "predicates are not in the routing language"
 
 
 def x(text):
     return parse_xpath(text)
 
 
+def rejected(text):
+    """*text* fails to parse, and the error names predicates."""
+    with pytest.raises(XPathSyntaxError, match=NOT_IN_LANGUAGE) as info:
+        x(text)
+    return info.value
+
+
+def sub_frame_rejected(text):
+    """A wire SUB carrying *text* decodes to a WireError."""
+    frame = json.loads(encode(SubscribeMsg(expr=x("/claims/claim"))))
+    frame["expr"] = text
+    with pytest.raises(WireError):
+        decode(json.dumps(frame).encode())
+
+
 class TestParsing:
     def test_exists_predicate(self):
-        expr = x("/claims/claim[@urgent]")
-        step = expr.steps[1]
-        assert step.predicates == (
-            Predicate(name="urgent", op=PredicateOp.EXISTS),
-        )
+        rejected("/claims/claim[@urgent]")
 
     def test_equality_predicate(self):
-        expr = x("/claim[@lang='de']")
-        assert expr.steps[0].predicates[0] == Predicate(
-            name="lang", op=PredicateOp.EQ, value="de"
-        )
+        # The error points at the '['.
+        assert rejected("/claim[@lang='de']").position == 6
 
     def test_inequality_predicate(self):
-        expr = x("/claim[@lang!='en']")
-        assert expr.steps[0].predicates[0].op is PredicateOp.NE
+        rejected("/claim[@lang!='en']")
 
     def test_double_quotes(self):
-        expr = x('/claim[@lang="de"]')
-        assert expr.steps[0].predicates[0].value == "de"
+        rejected('/claim[@lang="de"]')
 
     def test_multiple_predicates_one_step(self):
-        expr = x("/claim[@lang='de'][@urgent]")
-        assert len(expr.steps[0].predicates) == 2
+        assert rejected("/claim[@lang='de'][@urgent]").position == 6
 
     def test_round_trip(self):
-        for text in (
-            "/claims/claim[@urgent]",
-            "/claim[@lang='de']/amount",
-            "//bid[@region='NA'][@line]",
-            "claim[@a!='b']",
-        ):
+        for text in ("/claims/claim", "/claim/amount", "//bid", "claim//*"):
             assert str(x(text)) == text
             assert x(str(x(text))) == x(text)
 
     def test_predicates_affect_equality(self):
-        assert x("/a[@p]") != x("/a")
-        assert x("/a[@p='1']") != x("/a[@p='2']")
+        # A step is an axis and a node test, nothing else.
+        step = x("/a").steps[0]
+        assert [f.name for f in dataclasses.fields(step)] == ["axis", "test"]
 
     @pytest.mark.parametrize(
         "bad",
@@ -75,83 +87,81 @@ class TestParsing:
         ],
     )
     def test_malformed_predicates_rejected(self, bad):
-        with pytest.raises(XPathSyntaxError):
-            x(bad)
+        rejected(bad)
 
 
 class TestPathMatching:
+    """A publication's attributes never change a match."""
+
     PATH = ("claims", "claim", "amount")
     ATTRS = ({}, {"lang": "de", "urgent": "1"}, {})
 
+    def blind(self, text):
+        expr = x(text)
+        verdict = matches_path(expr, self.PATH)
+        assert matches_path_reference(expr, self.PATH, self.ATTRS) == verdict
+        assert matches_path_reference(expr, self.PATH) == verdict
+        return verdict
+
     def test_exists(self):
-        assert matches_path(x("/claims/claim[@urgent]"), self.PATH, self.ATTRS)
-        assert not matches_path(x("/claims/claim[@zzz]"), self.PATH, self.ATTRS)
+        rejected("/claims/claim[@urgent]")
+        assert self.blind("/claims/claim")
 
     def test_equality(self):
-        assert matches_path(x("/claims/claim[@lang='de']"), self.PATH, self.ATTRS)
-        assert not matches_path(
-            x("/claims/claim[@lang='en']"), self.PATH, self.ATTRS
-        )
+        assert self.blind("/claims/claim/amount")
+        assert not self.blind("/claims/amount")
 
     def test_inequality(self):
-        assert matches_path(x("/claims/claim[@lang!='en']"), self.PATH, self.ATTRS)
-        assert not matches_path(
-            x("/claims/claim[@lang!='de']"), self.PATH, self.ATTRS
-        )
-        # Inequality requires the attribute to be present.
-        assert not matches_path(x("/claims[@lang!='de']"), self.PATH, self.ATTRS)
+        assert not self.blind("/claim")
 
     def test_missing_attribute_annotation_fails_predicates(self):
-        assert not matches_path(x("/claims/claim[@urgent]"), self.PATH, None)
-        assert matches_path(x("/claims/claim"), self.PATH, None)
+        assert self.blind("/claims/claim")
 
     def test_relative_with_predicates(self):
-        assert matches_path(x("claim[@urgent]/amount"), self.PATH, self.ATTRS)
+        assert self.blind("claim/amount")
 
     def test_wildcard_with_predicate(self):
-        assert matches_path(x("/claims/*[@urgent]"), self.PATH, self.ATTRS)
+        assert self.blind("/claims/*")
+        assert self.blind("//*/amount")
 
 
 class TestCovering:
+    """Covering is decided on structure alone."""
+
     def test_unconstrained_covers_predicated(self):
-        assert covers(x("/a/b"), x("/a/b[@p]"))
-        assert covers(x("/a/b"), x("/a/b[@p='1']"))
+        assert covers(x("/a/*"), x("/a/b"))
 
     def test_predicated_does_not_cover_unconstrained(self):
-        assert not covers(x("/a/b[@p]"), x("/a/b"))
+        assert not covers(x("/a/b"), x("/a/*"))
 
     def test_exists_covers_equality(self):
-        assert covers(x("/a/b[@p]"), x("/a/b[@p='1']"))
-        assert not covers(x("/a/b[@p='1']"), x("/a/b[@p]"))
+        assert covers(x("//b"), x("/a/b"))
+        assert not covers(x("/a/b"), x("//b"))
 
     def test_equal_predicates_cover(self):
-        assert covers(x("/a/b[@p='1']"), x("/a/b[@p='1']"))
+        assert covers(x("/a/b"), x("/a/b"))
 
     def test_different_values_do_not_cover(self):
-        assert not covers(x("/a/b[@p='1']"), x("/a/b[@p='2']"))
+        assert not covers(x("/a/b"), x("/a/c"))
 
     def test_ne_covered_by_different_eq(self):
-        # Every element with p=2 satisfies p!=1.
-        assert covers(x("/a/b[@p!='1']"), x("/a/b[@p='2']"))
-        assert not covers(x("/a/b[@p!='1']"), x("/a/b[@p='1']"))
+        assert covers(x("/a/*"), x("/a/*"))
+        assert not covers(x("/a/b"), x("/a/*"))
 
     def test_prefix_covering_with_predicates(self):
-        assert covers(x("/a[@p]"), x("/a[@p]/b/c"))
+        assert covers(x("/a"), x("/a/b/c"))
 
     def test_relative_predicated_covering(self):
-        assert covers(x("b[@p]"), x("/a/b[@p='1']/c"))
+        assert covers(x("b"), x("/a/b/c"))
 
     def test_conservative_for_descendant_shapes(self):
-        # Sound fallback: a predicated coverer with // only covers
-        # itself.
-        assert covers(x("/a[@p]//b"), x("/a[@p]//b"))
-        assert not covers(x("/a[@p]//b"), x("/a[@p]/x/b"))
+        assert covers(x("/a//b"), x("/a/x/b"))
+        assert not covers(x("/a/x/b"), x("/a//b"))
 
     def test_tree_insertion_with_predicates(self):
         tree = SubscriptionTree()
         tree.insert(x("/a/b"), 1)
-        outcome = tree.insert(x("/a/b[@p='1']"), 2)
-        assert outcome.covered
+        assert tree.insert(x("/a/b/c"), 2).covered
         tree.validate()
 
 
@@ -170,40 +180,20 @@ class TestEndToEnd:
         assert pubs[1].attribute_maps()[1] == {"lang": "en"}
 
     def test_broker_routes_on_predicates(self):
-        from repro.broker import Broker, RoutingConfig
-
+        # One path under two attribute variants: both reach the
+        # subscriber, through one memo entry.
         broker = Broker("b1", config=RoutingConfig.no_adv_no_cov())
-        broker.attach_client("german")
         broker.attach_client("all")
         broker.handle(
-            SubscribeMsg(
-                expr=x("/claims/claim[@lang='de']"), subscriber_id="german"
-            ),
-            "german",
-        )
-        broker.handle(
-            SubscribeMsg(expr=x("/claims/claim"), subscriber_id="all"),
-            "all",
+            SubscribeMsg(expr=x("/claims/claim"), subscriber_id="all"), "all"
         )
         doc = XMLDocument.parse(self.DOC, doc_id="d")
-        deliveries = set()
         for pub in doc.publications():
             out = broker.handle(
                 PublishMsg(publication=pub, publisher_id="p"), "upstream"
             )
-            deliveries |= {dest for dest, _ in out}
-        assert deliveries == {"german", "all"}
-
-        # The English-only claim must not reach the German desk.
-        doc_en = XMLDocument.parse(
-            "<claims><claim lang='en'><amount>5</amount></claim></claims>",
-            doc_id="d2",
-        )
-        for pub in doc_en.publications():
-            out = broker.handle(
-                PublishMsg(publication=pub, publisher_id="p"), "upstream"
-            )
-            assert {dest for dest, _ in out} == {"all"}
+            assert [dest for dest, _ in out] == ["all"]
+        assert len(broker.match_cache) == 1
 
     def test_wire_round_trip_with_attributes(self):
         doc = XMLDocument.parse(self.DOC, doc_id="d")
@@ -213,12 +203,11 @@ class TestEndToEnd:
         assert decoded.publication == pub
 
     def test_wire_round_trip_predicated_subscription(self):
-        msg = SubscribeMsg(expr=x("/claims/claim[@lang='de']"))
-        assert decode(encode(msg)).expr == msg.expr
+        sub_frame_rejected("/claims/claim[@lang='de']")
 
 
 class TestTextPredicates:
-    """The text() half of the value-comparison extension."""
+    """The text() half of the extension."""
 
     DOC = """
     <claims>
@@ -233,34 +222,26 @@ class TestTextPredicates:
             "//amount[text()!='0']",
             "/a/b[@p='1'][text()='v']",
         ):
-            assert str(x(text)) == text
+            rejected(text)
 
     def test_text_exists_rejected(self):
-        with pytest.raises(XPathSyntaxError):
-            x("/a[text()]")
+        rejected("/a[text()]")
 
     def test_match_on_text_content(self):
-        doc = XMLDocument.parse(self.DOC, doc_id="d")
-        pubs = doc.publications()
-        big = x("//amount[text()='2400000']")
-        assert matches_path(big, pubs[0].path, pubs[0].attribute_maps())
-        assert not matches_path(big, pubs[1].path, pubs[1].attribute_maps())
+        pubs = XMLDocument.parse(self.DOC, doc_id="d").publications()
+        assert pubs[0].attribute_maps()[2]["#text"] == "2400000"
+        assert all(matches_path(x("//amount"), pub.path) for pub in pubs)
 
     def test_text_and_attribute_combined(self):
-        doc = XMLDocument.parse(self.DOC, doc_id="d")
-        pubs = doc.publications()
-        expr = x("//amount[@currency='USD'][text()='1200']")
-        assert not matches_path(expr, pubs[0].path, pubs[0].attribute_maps())
-        assert matches_path(expr, pubs[1].path, pubs[1].attribute_maps())
+        pubs = XMLDocument.parse(self.DOC, doc_id="d").publications()
+        assert pubs[0].path == pubs[1].path
+        assert pubs[0].attributes != pubs[1].attributes
 
     def test_text_covering(self):
-        assert covers(x("/a/b"), x("/a/b[text()='v']"))
-        assert not covers(x("/a/b[text()='v']"), x("/a/b"))
-        assert covers(x("/a/b[text()!='w']"), x("/a/b[text()='v']"))
+        assert covers(x("//amount"), x("/claims/claim/amount"))
 
     def test_wire_round_trip(self):
-        msg = SubscribeMsg(expr=x("//amount[text()='5']"))
-        assert decode(encode(msg)).expr == msg.expr
+        sub_frame_rejected("//amount[text()='5']")
 
     def test_whitespace_stripped_from_text(self):
         doc = XMLDocument.parse("<a><b>  padded  </b></a>", doc_id="d")

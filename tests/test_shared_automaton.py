@@ -6,8 +6,8 @@ Four layers of assurance, mirroring how the engine is deployed:
   lazy-DFA caching and second-sighting admission, selective
   invalidation, eviction);
 * Hypothesis differentials against :class:`LinearMatcher` and the
-  reference interpreter, attribute predicates included, plus a stateful
-  machine that edits a *warm* DFA and audits every cached state;
+  reference interpreter, plus two stateful machines that edit a *warm*
+  DFA and audit every cached state;
 * broker-level equivalence: a ``matching_engine="shared"`` broker makes
   the same routing decisions as the default one, across merge sweeps
   and snapshot/restore (a second stateful machine interleaves them);
@@ -72,14 +72,10 @@ class TestEngineContract:
         assert m.match(("q", "c", "d")) == {"//c/d"}
 
     def test_predicates_verified_on_automaton_output(self):
-        m = SharedAutomatonMatcher()
-        m.add(x("/a/b[@lang='de']"), "pred")
-        m.add(x("/a/b"), "plain")
-        attrs_de = [{}, {"lang": "de"}]
-        attrs_en = [{}, {"lang": "en"}]
-        assert m.match(("a", "b"), attrs_de) == {"pred", "plain"}
-        assert m.match(("a", "b"), attrs_en) == {"plain"}
-        assert m.match(("a", "b")) == {"plain"}
+        # No verify step: the XPEs the walk accepts are the answer.
+        m = build("/a/b", "/a/*", "//c")
+        assert m.match_exprs(("a", "b")) == {x("/a/b"), x("/a/*")}
+        assert m.match_exprs(("a", "c")) == {x("/a/*"), x("//c")}
 
     def test_duplicate_exprs_under_distinct_keys(self):
         m = SharedAutomatonMatcher()
@@ -107,10 +103,10 @@ class TestEngineContract:
         m = SharedAutomatonMatcher()
         m.add(x("/a"), "k1")
         m.add(x("/a"), "k2")
-        m.add(x("/b[@u]"), "k3")
+        m.add(x("/b"), "k3")
         assert m.keys_of(x("/a")) == {"k1", "k2"}
         assert m.keys_of(x("/zzz")) == set()
-        assert {str(e) for e in m.exprs()} == {"/a", "/b[@u]"}
+        assert {str(e) for e in m.exprs()} == {"/a", "/b"}
 
 
 class TestPruningAndDFA:
@@ -149,14 +145,15 @@ class TestPruningAndDFA:
         assert m.dfa_size() == 0 and m.dfa_flushes == 1
 
     def test_predicated_add_keeps_dfa(self):
-        m = build("/a/b")
-        m.match(("a", "b"))
+        m = build("/a/b/c")
+        _warm(m, ("a", "b", "c"))
         cached = m.dfa_size()
         assert cached > 0
-        # A predicated twin of a resident skeleton: the trail exists, so
-        # only the accepting sets are refreshed.
-        m.add(x("/a/b[@u]"), "pred")
+        # A prefix of a resident XPE: the trail exists, so only the
+        # accepting sets are refreshed.
+        m.add(x("/a/b"), "prefix")
         assert m.dfa_size() == cached
+        assert m.match(("a", "b")) == {"prefix"}
         _check_dfa(m)
 
     def test_dfa_eviction_at_limit_preserves_results(self):
@@ -428,7 +425,6 @@ class TestAdmission:
 _step = st.tuples(
     st.sampled_from(("/", "//", "")),  # "" = relative start (first step only)
     st.sampled_from(("a", "b", "c", "d", "*")),
-    st.sampled_from(("", "[@k]", "[@k='1']", "[@k!='1']", "[@j='2']")),
 )
 
 
@@ -436,47 +432,29 @@ _step = st.tuples(
 def xpe_texts(draw):
     steps = draw(st.lists(_step, min_size=1, max_size=5))
     parts = []
-    for index, (sep, test, predicate) in enumerate(steps):
+    for index, (sep, test) in enumerate(steps):
         if index == 0:
             sep = sep or ""  # "a/..." is a relative expression
         else:
             sep = sep or "/"
-        parts.append(sep + test + predicate)
+        parts.append(sep + test)
     return "".join(parts)
 
 
-@st.composite
-def probes(draw):
-    elements = draw(
-        st.lists(
-            st.sampled_from(("a", "b", "c", "d", "e")),
-            min_size=0,
-            max_size=7,
-        )
-    )
-    attributes = draw(
-        st.one_of(
-            st.none(),
-            st.lists(
-                st.sampled_from(({}, {"k": "1"}, {"k": "2"}, {"j": "2"})),
-                min_size=len(elements),
-                max_size=len(elements),
-            ).map(tuple),
-        )
-    )
-    return tuple(elements), attributes
+probes = st.lists(
+    st.sampled_from(("a", "b", "c", "d", "e")), min_size=0, max_size=7
+).map(tuple)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     texts=st.lists(xpe_texts(), min_size=1, max_size=10),
     removals=st.lists(st.integers(0, 9), max_size=6),
-    probe=probes(),
+    path=probes,
 )
-def test_differential_vs_linear_under_churn(texts, removals, probe):
+def test_differential_vs_linear_under_churn(texts, removals, path):
     """Interleaved adds and removes (duplicate expressions included)
     leave the shared engine agreeing with the linear scan."""
-    path, attributes = probe
     shared = SharedAutomatonMatcher()
     linear = LinearMatcher()
     pool = [(parse_xpath(text), "k%d" % i) for i, text in enumerate(texts)]
@@ -488,21 +466,18 @@ def test_differential_vs_linear_under_churn(texts, removals, probe):
             expr, key = pool[index]
             shared.remove(expr, key)
             linear.remove(expr, key)
-    assert shared.match(path, attributes) == linear.match(path, attributes)
+    assert shared.match(path) == linear.match(path)
     shared._nfa.check_refcounts()
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=xpe_texts(), probe=probes())
-def test_differential_vs_reference_interpreter(text, probe):
-    path, attributes = probe
+@given(text=xpe_texts(), path=probes)
+def test_differential_vs_reference_interpreter(text, path):
     expr = parse_xpath(text)
     m = SharedAutomatonMatcher()
     m.add(expr, "k")
-    expected = (
-        {"k"} if matches_path_reference(expr, path, attributes) else set()
-    )
-    assert m.match(path, attributes) == expected
+    expected = {"k"} if matches_path_reference(expr, path) else set()
+    assert m.match(path) == expected
 
 
 # -- edits on a warm DFA -----------------------------------------------------
@@ -582,26 +557,16 @@ TestWarmDFAEditMachine.settings = settings(
 )
 
 
-# -- predicated and structural XPEs on one skeleton ------------------------
+# -- twins on one trail -------------------------------------------------------
 #
-# Predicated XPEs enter the automaton by their skeleton, so a predicated
-# XPE and its structural twin share a trail and accepting state.  This
-# machine edits such twins on a warm DFA: the verify step must keep
-# each predicate's verdict its own, and the cache must stay coherent.
+# An XPE and its prefixes, and one XPE under two keys, share a trail
+# and accepting states.  This machine edits such twins on a warm DFA
+# from a fixed pool (WarmDFAEditMachine draws arbitrary short XPEs):
+# each XPE's keys must stay its own, and the cache coherent.
 
-SKELETON_TEXTS = (
-    "/a/b", "/a/b[@k]", "//b[@k='1']", "/a/b[@k='2']", "//b", "/a/*[@k]",
-)
+SKELETON_TEXTS = ("/a/b", "/a/b/c", "//b", "/a/*", "//b/c", "/a")
 
-#: Probe paths with each attribute variant on the ``b`` element.
-_SKELETON_PROBES = [
-    (path, attributes)
-    for path in (("a", "b"), ("a", "b", "c"), ("c", "b"), ("a",))
-    for attributes in [None] + [
-        tuple(attrs if element == "b" else {} for element in path)
-        for attrs in ({}, {"k": "1"}, {"k": "2"})
-    ]
-]
+_SKELETON_PROBES = [("a", "b"), ("a", "b", "c"), ("c", "b"), ("a",)]
 
 
 class SharedSkeletonMachine(RuleBasedStateMachine):
@@ -622,23 +587,17 @@ class SharedSkeletonMachine(RuleBasedStateMachine):
         self.shared.remove(x(text), key)
         self.linear.remove(x(text), key)
 
-    @rule(probe=st.sampled_from(_SKELETON_PROBES))
-    def match(self, probe):
-        path, attributes = probe
+    @rule(path=st.sampled_from(_SKELETON_PROBES))
+    def match(self, path):
         # Walk twice: the second walk builds the DFA transitions the
         # first one sighted, so both the cold and the warm walk answer.
         for _ in range(2):
-            got = self.shared.match(path, attributes)
-            assert got == self.linear.match(path, attributes), probe
+            assert self.shared.match(path) == self.linear.match(path), path
 
     @invariant()
     def cache_is_coherent(self):
         _check_dfa(self.shared)
-        stats = self.shared.stats()
-        resident = self.linear.exprs()
-        predicated = sum(1 for expr in resident if expr.has_predicates)
-        assert stats["predicated_exprs"] == predicated
-        assert stats["structural_exprs"] == len(resident) - predicated
+        assert self.shared.stats()["exprs"] == len(self.linear)
         self.shared._nfa.check_refcounts()
 
 

@@ -102,6 +102,12 @@ class TestErrors:
         with pytest.raises(WireError):
             decode(b'{"kind":"publish","doc_id":"d"}')
 
+    def test_predicated_subscription_is_refused(self):
+        frame = json.loads(encode(SubscribeMsg(expr=parse_xpath("/a"))))
+        frame["expr"] = "/a[@k='1']"
+        with pytest.raises(WireError, match="predicates"):
+            decode(json.dumps(frame).encode())
+
     def test_malformed_advert_node(self):
         with pytest.raises(WireError):
             advert_from_obj([{"zzz": []}])

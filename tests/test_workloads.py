@@ -191,3 +191,41 @@ class TestDatasets:
     def test_bad_target_rate(self):
         with pytest.raises(WorkloadError):
             covering_workload(psd_dtd(), 10, target_rate=1.0)
+
+
+class TestMassStream:
+    """The mass generator's seeded stream is pinned: `mass7_sim` builds
+    its subscriptions through it, so a change to the draws it makes
+    changes the benchmark's workload."""
+
+    @staticmethod
+    def digest(params):
+        import hashlib
+
+        from repro.workloads.mass import generate_mass_subscriptions
+
+        pairs = generate_mass_subscriptions(200, params, seed=7)
+        text = "\n".join("%s %s" % (expr, key) for expr, key in pairs)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_mass7_sim_parameters(self):
+        from repro.workloads.mass import MassWorkloadParams
+
+        params = MassWorkloadParams(
+            vocabulary=tuple("e%03d" % index for index in range(60)),
+            skew=0.3,
+            max_depth=5,
+            wildcard_prob=0.0,
+            relative_prob=0.0,
+            descendant_prob=0.5,
+        )
+        assert self.digest(params) == (
+            "05f4b0f06b868190a12b1ad0dd4f006fdf01e88b30b820f8853e0941d3741f93"
+        )
+
+    def test_default_parameters(self):
+        from repro.workloads.mass import MassWorkloadParams
+
+        assert self.digest(MassWorkloadParams()) == (
+            "3f84ae30da2f6ca9167186279184566b7e98f855568c0155d71db901fbfc6c27"
+        )

@@ -88,11 +88,18 @@ class TestRoundTrip:
 class TestErrors:
     @pytest.mark.parametrize(
         "text",
-        ["", "/", "//", "/a/", "a//", "/a//", "///a", "/a b", "/a/&", "/9a"],
+        ["", "/", "//", "/a/", "a//", "/a//", "///a", "/a b", "/a/&", "/9a"]
+        # Predicates, well-formed or not, are not in the language.
+        + ["/a[@k='1']", "/a[@k]", "//b[text()='v']", "/a[", "/a[]",
+           "/a[@n=v]", "/a[n]", "/a[@n='v'"],
     )
     def test_rejects(self, text):
-        with pytest.raises(XPathSyntaxError):
+        with pytest.raises(XPathSyntaxError) as info:
             parse_xpath(text)
+        if "[" in text:
+            assert "predicates are not in the routing language" in str(
+                info.value
+            )
 
     def test_try_parse_returns_none(self):
         assert try_parse_xpath("///") is None
