@@ -235,9 +235,6 @@ class RouteMemo:
         paths = self._paths
         if not paths:
             return []
-        # covering.algorithms imports this module: import at use.
-        from repro.covering.pathmatch import matches_path
-
         cost = len(paths)
         if self.hits != self._hits_seen:  # it served since the last edit
             self._hits_seen = self.hits
@@ -247,23 +244,9 @@ class RouteMemo:
             self.clear()
             return []
         self.probes += cost
-        # One compiled pattern for the whole scan; ``matches_path`` only
-        # where the XPE has no regex form or a path no string form (an
-        # element containing the separator).
-        regex = None
-        if _compiled.ENABLED:
-            regex = _compiled.compile_xpe(expr).regex
+        regex = _compiled.compile_xpe(expr).regex
         path_string = _compiled.path_string
-        found = []
-        for path in paths:
-            text = path_string(path) if regex is not None else None
-            if text is None:
-                matched = matches_path(expr, path)
-            else:
-                matched = regex(text) is not None
-            if matched:
-                found.append(path)
-        return found
+        return [path for path in paths if regex(path_string(path)) is not None]
 
     def _intern(self, keys: frozenset, hops: tuple) -> tuple:
         routes = self._routes

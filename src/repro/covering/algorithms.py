@@ -16,17 +16,11 @@ Algorithms, named as in the paper:
   (the string-matching formulation, KMP-optimised when wildcard-free),
 * :func:`des_cov`     — the general case with ``//`` operators.
 
-:func:`covers` dispatches by shape.  Two accelerations sit in front of
-the algorithms (both sound because they are exact reformulations, and
-both switched off by ``set_compiled_enabled(False)``):
-
-* the **compiled fast path** — for simple shapes, covering is string
-  matching, so it runs on the covered side's node-test string with the
-  coverer's compiled regex (see
-  :func:`repro.xpath.compiled.covers_simple`);
-* an **LRU memo** over ``(s1, s2)`` pairs — subscription-tree descents,
-  merge-candidate scans and forwarding decisions re-ask the same pairs
-  constantly (expressions are immutable, so the answer never changes).
+:func:`covers` dispatches by shape, behind an **LRU memo** over
+``(s1, s2)`` pairs — subscription-tree descents, merge-candidate scans
+and forwarding decisions re-ask the same pairs constantly (expressions
+are immutable, so the answer never changes).  The algorithms above are
+the only covering implementation: what the memo misses, they decide.
 """
 
 from __future__ import annotations
@@ -35,7 +29,6 @@ from typing import Optional, Sequence, Tuple
 
 from repro.cache import LRUCache
 from repro.covering.rules import covers_block, covers_test
-from repro.xpath import compiled as _compiled
 from repro.xpath.ast import WILDCARD, XPathExpr
 
 
@@ -49,10 +42,6 @@ def abs_sim_cov(s1: XPathExpr, s2: XPathExpr) -> bool:
     t1, t2 = s1.tests, s2.tests
     if len(t1) > len(t2):
         return False
-    if _compiled.ENABLED:
-        verdict = _compiled.covers_simple(s1, t2)
-        if verdict is not None:
-            return verdict
     return covers_block(t1, t2)
 
 
@@ -64,18 +53,12 @@ def rel_sim_cov(s1: XPathExpr, s2: XPathExpr) -> bool:
     ``s2``'s tests: the adversarial publication instantiates every
     wildcard and every surrounding position of ``s2`` with fresh element
     names, so ``s1`` can only rely on positions constrained by ``s2``.
-    The paper notes this is again a string-matching problem; the
-    compiled regex of ``s1`` searches ``s2``'s test string directly,
-    with KMP (both sides wildcard-free) and the naive O(k·n) scan as
-    the interpreted fallbacks.
+    The paper notes this is again a string-matching problem: KMP when
+    both sides are wildcard-free, the naive O(k·n) scan otherwise.
     """
     t1, t2 = s1.tests, s2.tests
     if len(t1) > len(t2):
         return False
-    if _compiled.ENABLED and s1.is_relative:
-        verdict = _compiled.covers_simple(s1, t2)
-        if verdict is not None:
-            return verdict
     if WILDCARD not in t1 and WILDCARD not in t2:
         return _kmp_contains(t2, t1)
     return any(
@@ -252,67 +235,3 @@ def covers_uncached(s1: XPathExpr, s2: XPathExpr) -> bool:
             return abs_sim_cov(s1, s2)
         return rel_sim_cov(s1, s2)
     return des_cov(s1, s2)
-
-
-class SiblingCoverageProbe:
-    """Batched covering over one sibling group (merge-sweep hot path).
-
-    A pairwise merge sweep asks ``covers`` for O(k²) ordered pairs of
-    the *same* k siblings; going through :func:`covers` pays the
-    dispatch, the memo probe, and — on the compiled fast path — a fresh
-    ``path_string`` render of the covered side *per pair*.  The probe
-    hoists everything per-expression: each sibling's node-test string is
-    rendered once and its compiled regex bound once, so a pair check on
-    the fast path is a single regex call.  Pairs outside the compiled
-    fast path's shape preconditions (``//`` coverers, the
-    absolute-covers-relative wildcard-prefix corner, separator
-    collisions, the fast path switched off) fall back to :func:`covers`
-    verbatim — the probe is an exact reformulation, pinned by a
-    differential test against the per-pair result.
-    """
-
-    __slots__ = ("exprs", "_texts", "_regexes", "_fallback")
-
-    def __init__(self, exprs: Sequence[XPathExpr]):
-        self.exprs = list(exprs)
-        texts = []
-        regexes = []
-        fallback = []
-        enabled = _compiled.ENABLED
-        for expr in self.exprs:
-            text = _compiled.path_string(expr.tests) if enabled else None
-            texts.append(text)
-            regex = None
-            if enabled and expr.is_simple:
-                regex = _compiled.compile_xpe(expr).regex
-            regexes.append(regex)
-            # As coverer: shapes where the regex verdict IS covers().
-            fallback.append(regex is None)
-        self._texts = texts
-        self._regexes = regexes
-        self._fallback = fallback
-
-    def covers(self, i: int, j: int) -> bool:
-        """``exprs[i] ⊒ exprs[j]``, identical to ``covers(...)``."""
-        s1 = self.exprs[i]
-        s2 = self.exprs[j]
-        if s1 is s2 or s1 == s2:
-            return True
-        if len(s1) > len(s2):
-            return False
-        text = self._texts[j]
-        if (
-            not self._fallback[i]
-            and text is not None
-            and s2.is_simple
-            and not (s1.is_absolute and s2.is_relative)
-        ):
-            # abs_sim_cov / rel_sim_cov compiled branches, with the
-            # covered side's string rendered once for the whole group.
-            return self._regexes[i](text) is not None
-        return covers(s1, s2)
-
-    def either_covers(self, i: int, j: int) -> bool:
-        """True when either sibling covers the other (the pairwise
-        merge sweep's skip condition)."""
-        return self.covers(i, j) or self.covers(j, i)

@@ -14,19 +14,19 @@ segment feasibility is monotone in the start position).  A
 publication's attribute annotation never enters a match: the routing
 language has no predicates.
 
-:func:`matches_path` dispatches through the compiled fast path
-(:mod:`repro.xpath.compiled`) by default; the interpreter below is kept
-verbatim as :func:`matches_path_reference`, the differential oracle the
-compiled forms are tested against (and the runtime fallback while
-``set_compiled_enabled(False)`` is in force).
+:func:`matches_path` runs the compiled form of the expression
+(:mod:`repro.xpath.compiled`); the interpreter below is kept verbatim
+as :func:`matches_path_reference`, the differential oracle the compiled
+form is tested against.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.xpath import compiled as _compiled
 from repro.xpath.ast import WILDCARD, XPathExpr
+from repro.xpath.compiled import compile_xpe, path_string
+
 
 def _tests_at(segment, path, offset):
     """Does the segment of bare tests match *path* at *offset*?"""
@@ -39,19 +39,14 @@ def _tests_at(segment, path, offset):
 
 
 def matches_path(expr: XPathExpr, path: Sequence[str]) -> bool:
-    """True when *expr* matches the publication *path*.
-
-    Dispatches through the compiled form of *expr* unless the compiled
-    fast path is disabled (``set_compiled_enabled(False)``), in which
-    case the reference interpreter runs.
+    """True when *expr* matches the publication *path* (through the
+    compiled form of *expr*).
 
     Args:
         expr: the XPE.
         path: root-to-leaf element names.
     """
-    if _compiled.ENABLED:
-        return _compiled.compile_xpe(expr).matches(path)
-    return matches_path_reference(expr, path)
+    return compile_xpe(expr).matches(path)
 
 
 def path_matcher(path: Sequence[str]):
@@ -59,33 +54,19 @@ def path_matcher(path: Sequence[str]):
 
     Bulk matchers (linear scan, subscription tree, edge-delivery
     recheck) probe many expressions against the same path; this renders
-    the compiled path string **once** and hands every probe the
-    precomputed text, instead of re-deriving it per expression.
+    the path string **once**, and each probe is one regex call.  (A
+    pattern needing more elements than the path holds simply fails to
+    match, so no length precheck is needed.)
     """
-    if _compiled.ENABLED:
-        text = _compiled.path_string(
-            path if type(path) is tuple else tuple(path)
-        )
-        compile_xpe = _compiled.compile_xpe
+    text = path_string(path if type(path) is tuple else tuple(path))
 
-        def check(expr: XPathExpr) -> bool:
-            compiled = getattr(expr, "_compiled_cache", None)
-            if compiled is None:
-                compiled = compile_xpe(expr)
-            # Inline the regex common case: a pattern needing more
-            # elements than the path holds simply fails to match, so
-            # the min-length precheck is redundant here.
-            regex = compiled.regex
-            if regex is not None and text is not None:
-                return regex(text) is not None
-            return compiled.matches_text(text, path)
+    def check(expr: XPathExpr) -> bool:
+        compiled = getattr(expr, "_compiled_cache", None)
+        if compiled is None:
+            compiled = compile_xpe(expr)
+        return compiled.regex(text) is not None
 
-        return check
-
-    def check_reference(expr: XPathExpr) -> bool:
-        return matches_path_reference(expr, path)
-
-    return check_reference
+    return check
 
 
 def matches_path_reference(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.covering.algorithms import SiblingCoverageProbe, covers
+from repro.covering.algorithms import covers
 from repro.covering.pathmatch import matches_path
 from repro.covering.subscription_tree import SubNode, SubscriptionTree
 from repro.dtd.model import DTD
@@ -264,21 +264,14 @@ class MergingEngine:
         return None
 
     def _find_pairwise_merge(self, parent: SubNode):
-        """Quadratic rule-2/rule-3 search over a bounded sibling group.
-
-        The covering skip-check runs through a
-        :class:`~repro.covering.algorithms.SiblingCoverageProbe` built
-        once per group: each sibling's node-test string is rendered and
-        its regex bound exactly once for the whole O(k²) scan, instead
-        of per pair (differentially pinned against per-pair ``covers``
-        in the merging tests)."""
+        """Quadratic rule-2/rule-3 search over a bounded sibling group;
+        a pair where either sibling covers the other is skipped."""
         children = parent.children
-        probe = SiblingCoverageProbe([node.expr for node in children])
         for i in range(len(children)):
             for j in range(i + 1, len(children)):
-                if probe.either_covers(i, j):
-                    continue
                 s1, s2 = children[i].expr, children[j].expr
+                if covers(s1, s2) or covers(s2, s1):
+                    continue
                 merger = merge_pair(s1, s2)
                 if merger is None or merger in (s1, s2):
                     continue

@@ -204,6 +204,16 @@ def _strings(value, what: str) -> tuple:
     return tuple(value)
 
 
+def _path(obj: dict) -> tuple:
+    """A publication path: element names, none empty or holding ``/`` —
+    no XML document carries such a name, and no matcher could route it."""
+    path = _strings(_field(obj, "path", list), "path")
+    for element in path:
+        if not element or "/" in element:
+            raise WireError("malformed path element %r" % (element,))
+    return path
+
+
 def _expr(obj: dict):
     text = _field(obj, "expr", str)
     try:
@@ -256,7 +266,7 @@ def _decode_message(obj: dict) -> Message:
             publication=Publication(
                 doc_id=_field(obj, "doc_id", str),
                 path_id=_field(obj, "path_id", int),
-                path=_strings(_field(obj, "path", list), "path"),
+                path=_path(obj),
                 attributes=_attributes(obj),
             ),
             publisher_id=_field(obj, "publisher_id", str, ""),

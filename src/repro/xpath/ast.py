@@ -83,6 +83,11 @@ class XPathExpr:
             raise ValueError(
                 "a rooted expression cannot start with a descendant axis"
             )
+        for step in self.steps:
+            # No element name is empty or holds the path separator, and
+            # the compiled matcher could not render one that did.
+            if not step.test or "/" in step.test:
+                raise ValueError("invalid node test %r" % (step.test,))
 
     @property
     def _key(self):

@@ -1,57 +1,47 @@
-"""Compiled XPE matching (the interpretation-free fast path).
+"""Compiled XPE matching: the one production path matcher.
 
-Every publication match used to walk :class:`~repro.xpath.ast.XPathExpr`
+This module compiles each expression **once** into a
+:class:`CompiledXPE`, so a publication match runs inside CPython's
+regex engine instead of walking :class:`~repro.xpath.ast.XPathExpr`
 segments in Python — the per-step interpretation overhead that compiled
 filter indexes (YFilter [Diao et al., TODS 2003], XTrie) were designed
-to eliminate.  This module compiles each expression **once** into a
-:class:`CompiledXPE`:
+to eliminate.
 
-Each expression becomes one anchored regular expression over a
-sentinel-joined path string.  A publication path ``(a, b, c)`` is
-rendered as ``"/a/b/c/"``; each ``//``-free segment compiles to its
-element names joined by ``/`` (wildcards become ``[^/]+``), segments
-are connected by ``(?:[^/]+/)*`` (zero or more whole skipped elements —
-exactly the descendant gap), and absolute expressions anchor with
-``re.match`` while relative ones ``re.search`` from any element
-boundary.  Matching then runs entirely inside CPython's regex engine.
-The one input a regex cannot represent — an element name containing
-the separator, possible only through hand-built expressions or paths —
-goes to the reference interpreter
-(:func:`repro.covering.pathmatch.matches_path_reference`).
+Each expression becomes one regular expression over a sentinel-joined
+path string.  A publication path ``(a, b, c)`` is rendered as
+``"/a/b/c/"``; each ``//``-free segment compiles to its element names
+joined by ``/`` (wildcards become ``[^/]+``), segments are connected by
+``(?:[^/]+/)*`` (zero or more whole skipped elements — exactly the
+descendant gap), and absolute expressions anchor with ``re.match``
+while relative ones ``re.search`` from any element boundary.
+
+The rendering is exact only for element names that are non-empty and
+free of the separator.  No XML document carries any other name, and the
+two places such a name could enter refuse it: the wire decoder
+(:func:`repro.network.wire.decode`) and :class:`XPathExpr` itself.
+:func:`path_string` and :func:`compile_xpe` raise ``ValueError`` on one
+rather than route around it.  The interpreter
+:func:`repro.covering.pathmatch.matches_path_reference` is the test
+oracle the compiled form is checked against.
 
 Compilation results are interned on the expression instance (safe:
 expressions are immutable, and the :mod:`~repro.xpath.ast` hash/eq
 memos already use the same idiom), so each distinct XPE pays the regex
 build exactly once per process.
-
-The same compiled regexes double as **covering** accelerators: for two
-simple (``//``-free) expressions, ``s1 ⊒ s2`` is the regex of ``s1``
-run over the sentinel-joined *node tests* of ``s2`` — a wildcard test
-in ``s2`` is just another symbol, which only ``s1``'s wildcard pattern
-can absorb, reproducing ``covers_test`` exactly.
-
-The fast path is always on; :func:`set_compiled_enabled` switches it
-off so the differential tests can reach the reference interpreter and
-assert both modes agree on every engine and workload.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro import obs
 from repro.xpath.ast import WILDCARD, XPathExpr
 
 #: Path-element separator in the compiled string representation.  XML
-#: element names can never contain ``/``; inputs that do (possible only
-#: through hand-built expressions) fall back to the reference interpreter.
+#: element names can never contain ``/``.
 SEP = "/"
-
-#: Module-level switch read by every dispatch site.  Mutate through
-#: :func:`set_compiled_enabled` only.
-ENABLED = True
 
 #: Regex fragment for one wildcard element.
 _ANY_ELEMENT = "[^/]+"
@@ -59,44 +49,28 @@ _ANY_ELEMENT = "[^/]+"
 _GAP = "(?:[^/]+/)*"
 
 
-def compiled_enabled() -> bool:
-    """Is the compiled fast path currently active?"""
-    return ENABLED
-
-
-def set_compiled_enabled(flag: bool) -> bool:
-    """Toggle the compiled fast path at runtime (returns the new value).
-
-    The reference interpreter in :mod:`repro.covering.pathmatch` and the
-    interpreted covering algorithms take over while disabled; compiled
-    objects already interned on expressions are kept (they are inert).
-    """
-    global ENABLED
-    ENABLED = bool(flag)
-    return ENABLED
-
-
 @lru_cache(maxsize=8192)
-def path_string(path: tuple) -> Optional[str]:
+def path_string(path: tuple) -> str:
     """The sentinel-joined string form of a path tuple, LRU-cached.
 
-    Returns None when an element contains the separator (cannot be
-    represented; callers fall back to the interpreted matcher).
+    Raises ``ValueError`` on an element that is empty or contains the
+    separator: the string form could not tell it apart from a longer or
+    shorter path.
     """
     for element in path:
-        if SEP in element:
-            return None
+        if not element or SEP in element:
+            raise ValueError("unrenderable path element %r" % (element,))
     return SEP + SEP.join(path) + SEP
 
 
-def _segment_pattern(tests: Sequence[str]) -> Optional[str]:
+def _segment_pattern(tests: Sequence[str]) -> str:
     """Regex for one ``//``-free run of node tests (with trailing SEP)."""
     parts = []
     for test in tests:
         if test == WILDCARD:
             parts.append(_ANY_ELEMENT)
         elif SEP in test:
-            return None
+            raise ValueError("unrenderable node test %r" % (test,))
         else:
             parts.append(re.escape(test))
         parts.append(SEP)
@@ -104,31 +78,18 @@ def _segment_pattern(tests: Sequence[str]) -> Optional[str]:
 
 
 def _build_regex(expr: XPathExpr):
-    """The compiled pattern for *expr*, or None on a separator
-    collision.  Returns the bound ``match``/``search`` callable so the
-    hot path holds a single C function."""
+    """The bound ``match``/``search`` callable of *expr*'s compiled
+    pattern, so the hot path holds a single C function."""
     parts = [SEP]
     for index, segment in enumerate(expr.segments):
         if index:
             parts.append(_GAP)
-        segment_pattern = _segment_pattern(segment)
-        if segment_pattern is None:
-            return None
-        parts.append(segment_pattern)
+        parts.append(_segment_pattern(segment))
     pattern = re.compile("".join(parts))
     # An anchored (absolute) expression must place its first segment at
     # path position 0 — regex ``match``; a relative one may start at any
     # element boundary, and every boundary is a SEP — regex ``search``.
     return pattern.match if expr.anchored else pattern.search
-
-
-def _reference(expr: XPathExpr, path) -> bool:
-    """The separator-collision fallback: the reference interpreter
-    (imported here because :mod:`repro.covering.pathmatch` imports
-    this module)."""
-    from repro.covering.pathmatch import matches_path_reference
-
-    return matches_path_reference(expr, path)
 
 
 class CompiledXPE:
@@ -143,39 +104,26 @@ class CompiledXPE:
     def __init__(self, expr: XPathExpr):
         self.expr = expr
         self.min_length = len(expr.steps)
-        #: Bound ``match``/``search`` of the compiled pattern, or None
-        #: on a separator collision.
+        #: Bound ``match``/``search`` of the compiled pattern.
         self.regex = _build_regex(expr)
 
     def matches(self, path: Sequence[str]) -> bool:
-        """Equivalent of :func:`repro.covering.pathmatch.matches_path`."""
+        """Does the expression match the publication *path*?"""
         if self.min_length > len(path):
             return False
-        if self.regex is not None:
-            text = path_string(path if type(path) is tuple else tuple(path))
-            if text is not None:
-                return self.regex(text) is not None
-        return _reference(self.expr, path)
-
-    def matches_text(self, text: Optional[str], path) -> bool:
-        """Like :meth:`matches` with the path string precomputed — bulk
-        matchers render the path once and probe many expressions."""
-        if self.min_length > len(path):
-            return False
-        if self.regex is not None and text is not None:
-            return self.regex(text) is not None
-        return _reference(self.expr, path)
+        text = path_string(path if type(path) is tuple else tuple(path))
+        return self.regex(text) is not None
 
     def __repr__(self):
         return "CompiledXPE(%r)" % str(self.expr)
 
 
-#: Lifetime compilation tallies, published as ``matching.compiled.*``
-#: gauges at every registry snapshot (plain ints here: compilation is
-#: already a once-per-expression cold path, and snapshot-time export
-#: also captures compilations that happened before metrics were
-#: enabled).
-_STATS = {"compilations": 0, "regex": 0}
+#: Lifetime compilation tally, published as the
+#: ``matching.compiled.compilations`` gauge at every registry snapshot
+#: (a plain int here: compilation is already a once-per-expression cold
+#: path, and snapshot-time export also captures compilations that
+#: happened before metrics were enabled).
+_STATS = {"compilations": 0}
 
 
 @obs.register_collector
@@ -185,7 +133,7 @@ def _collect_compile_stats(registry):
 
 
 def compile_stats() -> dict:
-    """Lifetime compilation counts (``compilations``/``regex``)."""
+    """Lifetime compilation count (``compilations``)."""
     return dict(_STATS)
 
 
@@ -198,26 +146,4 @@ def compile_xpe(expr: XPathExpr) -> CompiledXPE:
     compiled = CompiledXPE(expr)
     object.__setattr__(expr, "_compiled_cache", compiled)
     _STATS["compilations"] += 1
-    if compiled.regex is not None:
-        _STATS["regex"] += 1
     return compiled
-
-
-def covers_simple(s1: XPathExpr, tests2: tuple) -> Optional[bool]:
-    """Compiled covering check for simple shapes: does simple *s1*
-    cover the expression whose node tests are *tests2*?
-
-    Runs ``s1``'s compiled regex over the sentinel-joined *tests2*
-    string — node tests of the covered side are treated as concrete
-    symbols, so a wildcard there is absorbed only by a wildcard in
-    ``s1``, which is exactly ``covers_test``.  Returns None when the
-    compiled form does not apply (separator collision) and
-    the caller must use the interpreted algorithm.
-    """
-    compiled = compile_xpe(s1)
-    if compiled.regex is None:
-        return None
-    text = path_string(tests2)
-    if text is None:
-        return None
-    return compiled.regex(text) is not None

@@ -52,12 +52,11 @@ from repro.runtime.workload import PUBLISHER, WorkloadSpec, build_plan
 from repro.workloads.document_generator import generate_documents
 from repro.workloads.xpath_generator import XPathWorkloadParams, generate_queries
 from repro.xmldoc import Publication
-from repro.xpath import XPathExpr, parse_xpath
+from repro.xpath import parse_xpath
 
 
 def x(text):
-    """Parse *text*; an expression built by hand passes through."""
-    return text if isinstance(text, XPathExpr) else parse_xpath(text)
+    return parse_xpath(text)
 
 
 def sub(text, subscriber="s"):
@@ -256,16 +255,11 @@ _MERGEABLE = (
 )
 #: Further root elements: routes no merge sweep touches.
 _OTHER_ROOTS = ("/somewhere/else", "/somewhere/*", "/elsewhere/else")
-#: An element name containing the path separator: no string form, so
-#: paths holding it and XPEs naming it take the reference interpreter
-#: instead of the compiled regex.
-_UNRENDERABLE = "x/y"
 _MEMO_XPES = _MERGEABLE + _OTHER_ROOTS + (
     "/ProteinDatabase",
     "/ProteinDatabase//name",
     "//reference",
     "/ProteinDatabase/ProteinEntry/protein/name",
-    XPathExpr.from_tests(("ProteinEntry", _UNRENDERABLE), rooted=False),
 )
 _MEMO_HOPS = ("n1", "n2", "n3", "c1", "c2")
 #: (path, attribute fingerprint) probes: every path bare, plus two
@@ -278,7 +272,6 @@ _MEMO_PROBES = tuple(
         _ENTRY + ("protein", "name"),
         _ENTRY + ("reference",),
         _ENTRY + ("organism",),
-        _ENTRY + (_UNRENDERABLE,),
         ("somewhere", "else"),
         ("elsewhere", "else"),
     )

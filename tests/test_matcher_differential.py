@@ -2,15 +2,17 @@
 
 A broker matches publications on one of three structures with one
 contract — add an XPE under a key, remove it, and match a publication
-path to a set of keys: the flat
-:class:`LinearMatcher` (the reference), the covering
+path to a set of keys: the flat :class:`LinearMatcher`, the covering
 :class:`SubscriptionTree` (``insert`` / ``remove`` / ``match_keys``)
 and the lazy-DFA :class:`SharedAutomatonMatcher`.  Hypothesis drives
 DTD-derived XPE workloads with interleaved add and remove operations
-through all three side by side; any disagreement on any publication
-path is a bug in at least one engine.
+through all three side by side, against a brute-force oracle: the keys
+of every active XPE that the reference interpreter
+(:func:`matches_path_reference`) accepts.  Any disagreement on any
+publication path is a bug in at least one engine.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.covering.pathmatch import (
@@ -23,8 +25,28 @@ from repro.dtd.paths import enumerate_paths
 from repro.dtd.samples import nitf_dtd, psd_dtd
 from repro.matching import LinearMatcher, SharedAutomatonMatcher
 from repro.workloads.xpath_generator import XPathWorkloadParams, generate_queries
-from repro.xpath import parse_xpath
-from repro.xpath.compiled import compile_xpe, set_compiled_enabled
+from repro.xpath import XPathExpr, parse_xpath
+from repro.xpath.compiled import compile_xpe, path_string
+
+
+def _brute_force():
+    """Brute force: every active ``(expr, key)`` the reference
+    interpreter accepts contributes its key."""
+    active = {}
+
+    def add(expr, key):
+        active[expr, key] = None
+
+    def remove(expr, key):
+        active.pop((expr, key), None)
+
+    def match(path):
+        return {
+            key for expr, key in active
+            if matches_path_reference(expr, path)
+        }
+
+    return add, remove, match
 
 
 def _linear():
@@ -43,8 +65,9 @@ def _shared():
 
 
 #: ``name -> factory`` of ``(add, remove, match)``; the first is the
-#: reference.
+#: oracle every other engine is checked against.
 ENGINES = {
+    "reference": _brute_force,
     "LinearMatcher": _linear,
     "SubscriptionTree": _tree,
     "SharedAutomatonMatcher": _shared,
@@ -205,19 +228,19 @@ def test_second_dtd_smoke():
 
 
 def test_engines_agree_under_reference_interpreter():
-    """The engine differential holds with the compiled fast path
-    disabled (``set_compiled_enabled(False)``) — every engine falls back to
-    the reference interpreter and still agrees."""
-    set_compiled_enabled(False)
-    try:
-        test_second_dtd_smoke()
-    finally:
-        set_compiled_enabled(True)
+    """The oracle every run checks against is the reference interpreter
+    itself, not one of the engines: on the second DTD each engine's
+    match set equals the brute-force reference match set."""
+    assert next(iter(ENGINES)) == "reference"
+    test_second_dtd_smoke()
 
 
 # -- compiled XPE vs. reference interpreter --------------------------------
 
 _ELEMENT_NAMES = ("a", "b", "c", "d")
+#: Path element names holding regex metacharacters: a path string must
+#: carry them as plain text.
+_METACHAR_NAMES = ("a.b", "a+", "(c)", "$")
 
 _step = st.tuples(
     st.sampled_from(("/", "//", "")),  # "" = relative start (first step only)
@@ -239,9 +262,12 @@ def xpe_texts(draw):
 
 
 #: Path elements include a literal "*" — a legal (if perverse) element
-#: name that only a wildcard test may match.
+#: name that only a wildcard test may match — and names with regex
+#: metacharacters.
 publication_paths = st.lists(
-    st.sampled_from(_ELEMENT_NAMES + ("*", "e")), min_size=0, max_size=7
+    st.sampled_from(_ELEMENT_NAMES + _METACHAR_NAMES + ("*", "e")),
+    min_size=0,
+    max_size=7,
 ).map(tuple)
 
 
@@ -255,13 +281,19 @@ def test_compiled_matches_equals_reference(text, path):
     assert compile_xpe(expr).matches(path) == expected
     # The bulk-matcher variant (precomputed path string) agrees too.
     assert path_matcher(path)(expr) == expected
-    # And the public dispatch agrees in both flag modes.
+    # And so does the public dispatch.
     assert matches_path(expr, path) == expected
-    set_compiled_enabled(False)
-    try:
-        assert matches_path(expr, path) == expected
-    finally:
-        set_compiled_enabled(True)
+
+
+def test_unrenderable_names_are_refused():
+    """An empty element name, or one holding the separator, has no
+    string form: the expression and the path string refuse it."""
+    for tests in (("a", "x/y"), ("a", "")):
+        with pytest.raises(ValueError):
+            XPathExpr.from_tests(tests)
+    for path in (("a", ""), ("a", "x/y")):
+        with pytest.raises(ValueError):
+            path_string(path)
 
 
 #: Deterministic `//`/`*` edge cases: wildcard-only segments, a

@@ -274,68 +274,3 @@ class TestMergingEngine:
         for path in paths:
             assert before[path] <= tree.match_keys(path)
 
-
-# -- the batched sibling covering probe ------------------------------------
-
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from repro.covering.algorithms import SiblingCoverageProbe  # noqa: E402
-
-_probe_step = st.tuples(
-    st.sampled_from(("/", "//", "")),  # "" = relative start (first step)
-    st.sampled_from(("a", "b", "c", "d", "*")),
-)
-
-
-@st.composite
-def _sibling_groups(draw):
-    """A sibling group as the merge sweep sees one: a handful of XPEs
-    of assorted shapes (absolute/relative, wildcards, //)."""
-    group = []
-    for steps in draw(
-        st.lists(
-            st.lists(_probe_step, min_size=1, max_size=4),
-            min_size=2,
-            max_size=6,
-        )
-    ):
-        parts = []
-        for index, (sep, test) in enumerate(steps):
-            if index == 0:
-                sep = sep or ""
-            else:
-                sep = sep or "/"
-            parts.append(sep + test)
-        group.append(x("".join(parts)))
-    return group
-
-
-@settings(max_examples=250, deadline=None)
-@given(_sibling_groups())
-def test_sibling_probe_differential_against_per_pair_covers(group):
-    """The batched probe is an exact reformulation of per-pair covers:
-    every ordered pair over the group must agree (this is the pin for
-    the `_find_pairwise_merge` fast path)."""
-    probe = SiblingCoverageProbe(group)
-    for i in range(len(group)):
-        for j in range(len(group)):
-            expected = covers(group[i], group[j])
-            assert probe.covers(i, j) == expected, (group[i], group[j])
-            if i < j:
-                assert probe.either_covers(i, j) == (
-                    covers(group[i], group[j]) or covers(group[j], group[i])
-                )
-
-
-def test_sibling_probe_interpreted_fallback(monkeypatch):
-    """With the compiled layer disabled the probe must still agree —
-    everything routes through the interpreted covers()."""
-    from repro.xpath import compiled as _compiled
-
-    monkeypatch.setattr(_compiled, "ENABLED", False)
-    group = [x("/a/b"), x("/a/*"), x("a/b"), x("//b"), x("/a//b")]
-    probe = SiblingCoverageProbe(group)
-    for i in range(len(group)):
-        for j in range(len(group)):
-            assert probe.covers(i, j) == covers(group[i], group[j])

@@ -108,6 +108,17 @@ class TestErrors:
         with pytest.raises(WireError, match="predicates"):
             decode(json.dumps(frame).encode())
 
+    @pytest.mark.parametrize("element", ["", "a/b"])
+    def test_unrenderable_path_element_is_refused(self, element):
+        """No XML document carries an empty element name or one holding
+        ``/``, and no matcher could route it: the decoder refuses it."""
+        frame = json.loads(encode(PublishMsg(
+            publication=Publication(doc_id="d", path_id=0, path=("a", "b")),
+        )))
+        frame["path"] = ["a", element, "b"]
+        with pytest.raises(WireError, match="path element"):
+            decode(json.dumps(frame).encode())
+
     def test_malformed_advert_node(self):
         with pytest.raises(WireError):
             advert_from_obj([{"zzz": []}])
@@ -263,7 +274,8 @@ FIELDS = {
     "subscriber_id": st.sampled_from(["s", ""]),
     "doc_id": st.sampled_from(["d1", "d2"]),
     "path_id": st.integers(0, 9),
-    "path": st.lists(NAMES, min_size=1, max_size=3),
+    "path": st.lists(NAMES | st.sampled_from(["", "a/b"]),
+                     min_size=1, max_size=3),
     "attributes": st.lists(
         st.lists(st.lists(st.text(max_size=3), min_size=2, max_size=2),
                  max_size=2),

@@ -5,8 +5,7 @@ import random
 import pytest
 
 from repro.covering.pathmatch import matches_path
-from repro.covering.algorithms import covers
-from repro.dtd import nitf_dtd, psd_dtd, parse_dtd
+from repro.dtd import nitf_dtd, parse_dtd, psd_dtd
 from repro.errors import WorkloadError
 from repro.workloads import (
     XPathWorkloadParams,
