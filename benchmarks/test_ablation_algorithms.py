@@ -111,7 +111,7 @@ def test_super_pointer_cost(benchmark, paper_sets):
     def build(eager):
         tree = SubscriptionTree(eager_super_pointers=eager)
         for index, expr in enumerate(exprs):
-            tree.insert(expr, index)
+            tree.add(expr, index)
         return tree
 
     eager_tree = benchmark.pedantic(
@@ -134,7 +134,7 @@ def test_merge_interval_sweep(benchmark, paper_sets, nitf_universe, interval):
         tree = SubscriptionTree()
         engine = MergingEngine(universe=nitf_universe, max_degree=0.1)
         for index, expr in enumerate(exprs):
-            tree.insert(expr, index)
+            tree.add(expr, index)
             if (index + 1) % interval == 0:
                 engine.merge_tree(tree)
         engine.merge_tree(tree)

@@ -41,8 +41,8 @@ def _linear(exprs):
 def _tree(exprs):
     tree = SubscriptionTree()
     for expr in exprs:
-        tree.insert(expr, expr)
-    return tree.match_keys
+        tree.add(expr, expr)
+    return tree.match
 
 
 def _nfa(exprs):

@@ -43,7 +43,7 @@ def test_fig6_insert_throughput(benchmark, paper_sets):
     def insert_all():
         tree = SubscriptionTree()
         for index, expr in enumerate(exprs):
-            tree.insert(expr, index)
+            tree.add(expr, index)
         return tree
 
     tree = benchmark(insert_all)

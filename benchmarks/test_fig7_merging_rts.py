@@ -36,7 +36,7 @@ def test_fig7_merge_sweep_cost(benchmark, paper_sets, nitf_universe):
     _, dataset_b = paper_sets
     tree = SubscriptionTree()
     for index, expr in enumerate(dataset_b.exprs[:800]):
-        tree.insert(expr, index)
+        tree.add(expr, index)
     engine = MergingEngine(universe=nitf_universe, max_degree=0.1)
 
     benchmark.pedantic(

@@ -39,7 +39,7 @@ def main():
     workload = set_b(600, seed=7)
     tree = SubscriptionTree()
     for index, expr in enumerate(workload.exprs):
-        tree.insert(expr, "client-%d" % index)
+        tree.add(expr, "client-%d" % index)
     print("subscriptions inserted:   %d" % len(workload))
     print("stored XPEs (all):        %d" % len(tree))
     print(
@@ -64,7 +64,7 @@ def main():
     for document in documents:
         matched_clients = set()
         for publication in document.publications():
-            matched_clients |= tree.match_keys(publication.path)
+            matched_clients |= tree.match(publication.path)
         print(
             "document %-7s (%2d paths, depth %2d) -> %3d interested clients"
             % (

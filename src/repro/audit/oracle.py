@@ -407,10 +407,8 @@ class AuditOracle:
         }
 
     def _stored(self, broker) -> Dict[XPathExpr, Set[object]]:
-        return {
-            expr: broker._keys_of(expr)
-            for expr in broker._forwardable_exprs()
-        }
+        table = broker.table
+        return {expr: table.keys_of(expr) for expr in table.exprs()}
 
     def _live_pairs(self) -> List[Tuple[str, XPathExpr]]:
         return [

@@ -102,25 +102,31 @@ class Broker:
 
         self.srt = SubscriptionRoutingTable()
         self.forwarded = ForwardedState()
+        # The one publication routing table (paper §4.1), reached only
+        # through the table contract (broker/tables.py): the
+        # subscription tree with covering, otherwise a flat table whose
+        # covering steps are empty.  Under ``matching_engine="shared"``
+        # a flat table is the shared automaton itself, and a tree gets
+        # one beside it as ``mirror``, edited with it (``add_entry``,
+        # ``_retire_key``, ``_merge_sweep``) and matched instead of it.
+        shared = self.config.matching_engine == "shared"
+        self.mirror: Optional[SharedAutomatonMatcher] = None
         if self.config.covering:
-            self.tree: Optional[SubscriptionTree] = SubscriptionTree()
-            self.flat: Optional[LinearMatcher] = None
+            self.table = SubscriptionTree()
+            if shared:
+                self.mirror = SharedAutomatonMatcher()
         else:
-            self.tree = None
-            self.flat = LinearMatcher()
-
-        #: The shared-automaton publication matcher (``matching_engine:
-        #: "shared"``): a mirror index over the authoritative table
-        #: above, maintained incrementally on SUB/UNSUB and rebuilt
-        #: lazily after bulk rewrites (merge sweeps, snapshot restore).
-        #: The tree/flat table keeps driving *forwarding* decisions —
-        #: the mirror only answers "which keys match this publication".
-        self.shared: Optional[SharedAutomatonMatcher] = (
-            SharedAutomatonMatcher()
-            if self.config.matching_engine == "shared"
-            else None
+            self.table = SharedAutomatonMatcher() if shared else LinearMatcher()
+        #: What :meth:`_route` matches publications on, and the engine
+        #: its ``match`` span names.
+        self._matcher = self.table if self.mirror is None else self.mirror
+        self._engine = (
+            "shared" if shared else "tree" if self.config.covering else "flat"
         )
-        self._shared_dirty = False
+        #: The shared automaton, table or mirror (None under ``auto``).
+        self.automaton: Optional[SharedAutomatonMatcher] = (
+            self._matcher if shared else None
+        )
 
         self._merger: Optional[MergingEngine] = None
         self._merge_registry: Optional[MergerRegistry] = None
@@ -260,15 +266,14 @@ class Broker:
         # Decided coverers-first (tree order: a mark made here covers
         # the descendants visited after it); sibling order is an
         # accident of insertion history, so emission is sorted.
-        for expr in self._forwardable_exprs():
+        for expr in self.table.exprs():
             if self.forwarded.was_sent(expr, from_hop):
                 continue
             if not expr_and_advertisement(msg.advert, expr):
                 continue
             if self._covered_at(expr, from_hop):
                 continue
-            keys = self._keys_of(expr)
-            if keys == {from_hop}:
+            if self.table.keys_of(expr) == {from_hop}:
                 continue  # its only consumer lies behind that hop
             replayed.append(expr)
             self.forwarded.mark(expr, from_hop)
@@ -304,7 +309,7 @@ class Broker:
     ) -> List[Frame]:
         expr = msg.expr
         merge_registry = self._merge_registry
-        if from_hop in self._keys_of(expr):
+        if from_hop in self.table.keys_of(expr):
             # At-least-once redelivery of a subscription this broker
             # already holds for this hop: re-applying it must not touch
             # the covering tree, last-hop tables or the merge cadence —
@@ -342,49 +347,41 @@ class Broker:
         self.match_cache.subscribe(
             expr, from_hop, local or from_hop in self.neighbors
         )
-        self._shared_add(expr, from_hop)
 
+        scope = current_scope()
+        wall0 = perf_counter() if scope is not None else 0.0
+        self.add_entry(expr, from_hop)
         out: List[Frame] = []
-        if self.config.covering:
-            scope = current_scope()
-            wall0 = perf_counter() if scope is not None else 0.0
-            outcome = self.tree.insert(expr, from_hop)
-            targets = self._subscription_targets(expr, from_hop)
-            for n in sorted(targets, key=str):
-                if self.forwarded.was_sent(expr, n):
-                    continue
-                if self._covered_at(expr, n, exclude=expr):
-                    continue
-                out.append((n, (SubscribeMsg(expr=expr),)))
-                self.forwarded.mark(expr, n)
-            # Unsubscribe now-covered subscriptions from the hops that
-            # just received (or already had) the covering expression.
-            covered_now = self.forwarded.neighbors_for(expr)
-            for descendant in sorted(
-                self._descendant_exprs(outcome.node), key=str
-            ):
-                for n in sorted(
-                    self.forwarded.neighbors_for(descendant), key=str
-                ):
-                    if n in covered_now:
-                        out.append((n, (UnsubscribeMsg(expr=descendant),)))
-                        self.forwarded.unmark(descendant, n)
-            if scope is not None:
-                scope.sub_span(
-                    "covering.check", wall0, perf_counter(),
-                    forwards=len(out),
-                )
-        else:
-            self.flat.add(expr, from_hop)
-            targets = self._subscription_targets(expr, from_hop)
-            for n in sorted(targets, key=str):
-                if self.forwarded.was_sent(expr, n):
-                    continue
-                out.append((n, (SubscribeMsg(expr=expr),)))
-                self.forwarded.mark(expr, n)
-
+        targets = self._subscription_targets(expr, from_hop)
+        for n in sorted(targets, key=str):
+            if self.forwarded.was_sent(expr, n):
+                continue
+            if self._covered_at(expr, n):
+                continue
+            out.append((n, (SubscribeMsg(expr=expr),)))
+            self.forwarded.mark(expr, n)
+        # Unsubscribe now-covered subscriptions from the hops that
+        # just received (or already had) the covering expression.
+        covered_now = self.forwarded.neighbors_for(expr)
+        for descendant in sorted(self.table.descendants(expr), key=str):
+            for n in sorted(self.forwarded.neighbors_for(descendant), key=str):
+                if n in covered_now:
+                    out.append((n, (UnsubscribeMsg(expr=descendant),)))
+                    self.forwarded.unmark(descendant, n)
+        if scope is not None:
+            scope.sub_span(
+                "covering.check", wall0, perf_counter(), forwards=len(out)
+            )
         out.extend(self._maybe_merge())
         return out
+
+    def add_entry(self, expr: XPathExpr, key: object):
+        """Store one ``(expr, key)`` entry in the table and its mirror,
+        with no forwarding: a SUB's table step, and how a snapshot
+        restore refills a broker."""
+        self.table.add(expr, key)
+        if self.mirror is not None:
+            self.mirror.add(expr, key)
 
     def _subscription_targets(
         self, expr: XPathExpr, from_hop: object
@@ -399,49 +396,14 @@ class Broker:
         targets.discard(from_hop)
         return targets
 
-    def _covered_at(
-        self,
-        expr: XPathExpr,
-        neighbor: object,
-        exclude: Optional[XPathExpr] = None,
-    ) -> bool:
+    def _covered_at(self, expr: XPathExpr, neighbor: object) -> bool:
         """Is some stored subscription covering *expr* already forwarded
-        to *neighbor*?  Tree ancestors are exactly the stored coverers
-        (the insert procedure descends into any covering node)."""
-        if not self.config.covering:
-            return False
-        node = self.tree.node_of(expr)
-        if node is None:
-            return False
-        current = node
-        while current is not None and current.expr is not None:
-            if current.expr != exclude and self.forwarded.was_sent(
-                current.expr, neighbor
-            ):
-                return True
-            current = current.parent
-        return False
-
-    def _descendant_exprs(self, node) -> List[XPathExpr]:
-        result = []
-        stack = list(node.children)
-        while stack:
-            current = stack.pop()
-            result.append(current.expr)
-            stack.extend(current.children)
-        return result
-
-    def _forwardable_exprs(self) -> List[XPathExpr]:
-        """XPEs this broker is responsible for propagating."""
-        if self.config.covering:
-            return [node.expr for node in self.tree.iter_nodes()]
-        return self.flat.exprs()
-
-    def _keys_of(self, expr: XPathExpr) -> Set[object]:
-        if self.config.covering:
-            node = self.tree.node_of(expr)
-            return set(node.keys) if node is not None else set()
-        return self.flat.keys_of(expr)
+        to *neighbor*?"""
+        was_sent = self.forwarded.was_sent
+        return any(
+            was_sent(coverer, neighbor)
+            for coverer in self.table.coverers(expr)
+        )
 
     # -- unsubscriptions --------------------------------------------------------
 
@@ -456,7 +418,7 @@ class Broker:
         if edited:
             self.client_subs[from_hop].discard(expr)
         merge_registry = self._merge_registry
-        if from_hop not in self._keys_of(expr):
+        if from_hop not in self.table.keys_of(expr):
             if edited:
                 self._client_subs_edited()
             if merge_registry is not None:
@@ -499,36 +461,30 @@ class Broker:
         if dropped:
             self.match_cache_stale += dropped
             obs.inc("broker.match_cache.stale", dropped)
-        self._shared_remove(expr, from_hop)
-        out: List[Frame] = []
-        if self.config.covering:
-            outcome = self.tree.remove(expr, from_hop)
-            if not outcome.removed:
-                return out
-            out.extend(self._emit_retractions(expr))
-            # Children the removed node was covering may now need their
-            # own propagation.
-            for promoted in outcome.promoted:
-                targets = self._subscription_targets(promoted, None)
-                for n in sorted(targets, key=str):
-                    if self.forwarded.was_sent(promoted, n):
-                        continue
-                    if self._covered_at(promoted, n):
-                        continue
-                    keys = self._keys_of(promoted)
-                    if keys == {n}:
-                        continue
-                    out.append((n, (SubscribeMsg(expr=promoted),)))
-                    self.forwarded.mark(promoted, n)
-        else:
-            before = len(self.flat)
-            self.flat.remove(expr, from_hop)
-            if len(self.flat) < before:
-                out.extend(self._emit_retractions(expr))
+        if self.mirror is not None:
+            self.mirror.remove(expr, from_hop)
+        outcome = self.table.remove(expr, from_hop)
+        if not outcome.removed:
+            return []
+        out = self._emit_retractions(expr)
+        # Subscriptions the removed one was covering may now need their
+        # own propagation.
+        for promoted in outcome.promoted:
+            keys = self.table.keys_of(promoted)
+            targets = self._subscription_targets(promoted, None)
+            for n in sorted(targets, key=str):
+                if self.forwarded.was_sent(promoted, n):
+                    continue
+                if self._covered_at(promoted, n):
+                    continue
+                if keys == {n}:
+                    continue
+                out.append((n, (SubscribeMsg(expr=promoted),)))
+                self.forwarded.mark(promoted, n)
         if (
             self._merge_registry is not None
             and self._merge_registry.is_merger(expr)
-            and not self._keys_of(expr)
+            and not self.table.keys_of(expr)
         ):
             self._merge_registry.forget(expr)
         return out
@@ -645,19 +601,11 @@ class Broker:
                     cache="hit", keys=len(route[0]),
                 )
             return route
-        if self.shared is not None:
-            keys = frozenset(self._shared_engine().match(path))
-            engine = "shared"
-        elif self.config.covering:
-            keys = frozenset(self.tree.match_keys(path))
-            engine = "tree"
-        else:
-            keys = frozenset(self.flat.match(path))
-            engine = "flat"
+        keys = frozenset(self._matcher.match(path))
         if scope is not None:
             scope.sub_span(
                 "match", wall0, perf_counter(),
-                cache="miss", engine=engine, keys=len(keys),
+                cache="miss", engine=self._engine, keys=len(keys),
             )
         return self.match_cache.put(path, keys, self._resolve(path, keys))
 
@@ -698,51 +646,6 @@ class Broker:
             subs.add(expr)
             self._client_subs_edited()
 
-    # -- the shared-automaton mirror ------------------------------------------
-
-    def _shared_add(self, expr: XPathExpr, key: object):
-        """Mirror one subscription into the shared automaton (no-op
-        while dirty — the pending rebuild captures the whole table)."""
-        if self.shared is not None and not self._shared_dirty:
-            self.shared.add(expr, key)
-
-    def _shared_remove(self, expr: XPathExpr, key: object):
-        if self.shared is not None and not self._shared_dirty:
-            self.shared.remove(expr, key)
-
-    def _mark_shared_dirty(self):
-        """The routing table was rewritten behind the mirror's back
-        (merge sweep, snapshot restore): rebuild lazily on next match."""
-        if self.shared is not None:
-            self._shared_dirty = True
-
-    def _shared_engine(self) -> SharedAutomatonMatcher:
-        """The live mirror, rebuilt from the authoritative table first
-        if a bulk rewrite invalidated it."""
-        if self._shared_dirty:
-            registry = obs.get_registry()
-            if registry.enabled:
-                with registry.timer("matching.shared.rebuild"):
-                    self._rebuild_shared()
-                registry.counter("matching.shared.rebuilds").inc()
-            else:
-                self._rebuild_shared()
-            self._shared_dirty = False
-        return self.shared
-
-    def _rebuild_shared(self):
-        self.shared.clear()
-        shared_add = self.shared.add
-        if self.config.covering:
-            for node in self.tree.iter_nodes():
-                expr = node.expr
-                for key in node.keys:
-                    shared_add(expr, key)
-        else:
-            for expr in self.flat.exprs():
-                for key in self.flat.keys_of(expr):
-                    shared_add(expr, key)
-
     def _client_wants(self, client_id: object, path) -> bool:
         """Exact-subscription recheck at the edge, for a client a
         merger absorbs: merging-induced false positives stop here and
@@ -762,8 +665,8 @@ class Broker:
         registry = self._merge_registry
         return [
             (key, expr)
-            for expr in self._forwardable_exprs()
-            for key in self._keys_of(expr)
+            for expr in self.table.exprs()
+            for key in self.table.keys_of(expr)
             if key in self.local_clients
             and expr not in self.client_subs.get(key, ())
             and not (registry is not None and registry.hop_needs(expr, key))
@@ -799,23 +702,30 @@ class Broker:
             return []
         scope = current_scope()
         wall0 = perf_counter() if scope is not None else 0.0
-        report = self._merger.merge_tree(self.tree)
+        report = self._merger.merge_tree(self.table)
         if scope is not None:
             scope.sub_span(
                 "merge.absorb", wall0, perf_counter(),
                 events=len(report.events),
             )
         # Sweeps rewrite the tree through the engine's internals:
-        # routes memoised before the sweep are dropped — and the
-        # shared-automaton mirror is rebuilt lazily from the rewritten
-        # table.
+        # routes memoised before the sweep are dropped.
         self.match_cache.clear()
-        if report.events:
-            self._mark_shared_dirty()
+        mirror = self.mirror
         out: List[Frame] = []
         for event in report.events:
             self._merge_registry.record(event)
             self.merge_log.append(event)
+            if mirror is not None:
+                # The mirror follows the tree: each replaced entry's
+                # keys move to the merger.
+                merger = event.merger
+                for old, keys in zip(event.replaced, event.replaced_keys):
+                    if old == merger:
+                        continue  # the merger node itself was grouped
+                    for key in keys:
+                        mirror.remove(old, key)
+                        mirror.add(merger, key)
             replaced_hops: Set[object] = set()
             for old in event.replaced:
                 replaced_hops |= self.forwarded.neighbors_for(old)
@@ -824,7 +734,7 @@ class Broker:
                 for n in sorted(targets, key=str):
                     if self.forwarded.was_sent(event.merger, n):
                         continue
-                    if self._covered_at(event.merger, n, exclude=event.merger):
+                    if self._covered_at(event.merger, n):
                         continue
                     out.append((n, (SubscribeMsg(expr=event.merger),)))
                     self.forwarded.mark(event.merger, n)
@@ -837,13 +747,7 @@ class Broker:
     def routing_table_size(self) -> int:
         """Number of XPEs in the publication routing table (Fig. 6/7
         metric)."""
-        if self.config.covering:
-            return len(self.tree)
-        return len(self.flat)
-
-    def forwarded_table_size(self) -> int:
-        """Number of XPEs this broker has propagated downstream."""
-        return len(self.forwarded)
+        return len(self.table)
 
     def describe(self) -> Dict[str, object]:
         """Human-oriented state summary (CLI / debugging)."""
@@ -853,20 +757,17 @@ class Broker:
             "neighbors": sorted(map(str, self.neighbors)),
             "local_clients": sorted(map(str, self.local_clients)),
             "advertisements": len(self.srt),
-            "subscriptions": self.routing_table_size(),
+            "subscriptions": len(self.table),
+            "top_level_subscriptions": self.table.top_level_size(),
             "forwarded": len(self.forwarded),
             "messages_handled": dict(self.stats),
             "match_cache": dict(
                 self.match_cache.stats(), stale=self.match_cache_stale
             ),
         }
-        if self.config.covering:
-            summary["top_level_subscriptions"] = self.tree.top_level_size()
-        if self.shared is not None:
+        if self.automaton is not None:
             summary["matching_engine"] = self.config.matching_engine
-            summary["shared_automaton"] = dict(
-                self.shared.stats(), dirty=self._shared_dirty
-            )
+            summary["shared_automaton"] = self.automaton.stats()
         if self._merge_registry is not None:
             summary["live_mergers"] = len(self._merge_registry)
             summary["merge_events"] = len(self.merge_log)

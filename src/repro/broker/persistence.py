@@ -63,8 +63,11 @@ def snapshot(broker: Broker) -> Dict:
             for entry in broker.srt.entries()
         ],
         "subscriptions": [
-            {"expr": str(expr), "keys": sorted(map(str, keys))}
-            for expr, keys in _subscription_items(broker)
+            {
+                "expr": str(expr),
+                "keys": sorted(map(str, broker.table.keys_of(expr))),
+            }
+            for expr in sorted(broker.table.exprs(), key=str)
         ],
         "forwarded": [
             {
@@ -108,15 +111,6 @@ def snapshot(broker: Broker) -> Dict:
     return state
 
 
-def _subscription_items(broker: Broker):
-    if broker.config.covering:
-        for node in sorted(broker.tree.iter_nodes(), key=lambda n: str(n.expr)):
-            yield node.expr, node.keys
-    else:
-        for expr in sorted(broker.flat.exprs(), key=str):
-            yield expr, broker.flat.keys_of(expr)
-
-
 def snapshot_json(broker: Broker) -> str:
     """JSON text form of :func:`snapshot`."""
     return json.dumps(snapshot(broker), indent=2, sort_keys=True)
@@ -148,9 +142,10 @@ def restore(
 
     ``matching_engine`` overrides the snapshot's value, so a snapshot
     taken under one engine can be restored under another (an operator
-    migration path).  The restored broker's shared-automaton mirror is
-    rebuilt lazily from the restored table, and its route memo starts
-    empty, so nothing decided under the old engine survives a switch.
+    migration path).  Automaton state is derived, so a snapshot never
+    carries it: the restored broker refills its table (and its mirror,
+    if it keeps one) entry by entry, and its route memo starts empty,
+    so nothing decided under the old engine survives a switch.
 
     A snapshot of any other format version than :data:`SNAPSHOT_VERSION`
     (or of none) is refused with a :class:`PersistenceError`."""
@@ -190,17 +185,7 @@ def restore(
         for item in state["subscriptions"]:
             expr = parse_xpath(item["expr"])
             for key in item["keys"]:
-                if broker.config.covering:
-                    broker.tree.insert(expr, key)
-                else:
-                    broker.flat.add(expr, key)
-        # Subscriptions above went straight into the table, behind the
-        # shared-automaton mirror's back: rebuild it lazily on the
-        # first publication the restored broker matches.  (Automaton
-        # state is derived, so snapshots never carry it — a restored
-        # broker re-derives it from the restored table, same as the
-        # route memo starting empty, whichever engine filled it before.)
-        broker._mark_shared_dirty()
+                broker.add_entry(expr, key)
         for item in state["forwarded"]:
             expr = parse_xpath(item["expr"])
             for neighbor in item["neighbors"]:

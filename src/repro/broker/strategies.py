@@ -24,12 +24,13 @@ class MergingMode(enum.Enum):
 #: Publication-matching backends selectable per broker.  ``auto`` keeps
 #: the paper's arrangement (the covering tree doubles as the matcher
 #: when covering is on, the flat linear scan otherwise); ``shared``
-#: layers a :class:`~repro.matching.shared_automaton.
-#: SharedAutomatonMatcher` mirror over the routing table so one
-#: document pass matches every resident subscription at once (the
-#: mass-subscription path — see docs/matching.md).  A SUB or UNSUB
-#: repairs only the lazy-DFA states it touches, so the mirror needs no
-#: partitioning to stay warm under churn.
+#: matches on a :class:`~repro.matching.shared_automaton.
+#: SharedAutomatonMatcher`, so one document pass matches every resident
+#: subscription at once (the mass-subscription path — see
+#: docs/matching.md): without covering it *is* the flat table, with
+#: covering it is a mirror kept beside the tree.  A table edit repairs
+#: only the lazy-DFA states it touches, so the automaton stays warm
+#: under churn.
 MATCHING_ENGINES = ("auto", "shared")
 
 
@@ -56,8 +57,8 @@ class RoutingConfig:
     max_imperfect_degree: float = 0.1
     merge_interval: int = 100
     #: Publication-matching backend (see :data:`MATCHING_ENGINES`).
-    #: Orthogonal to the routing strategy: the SRT/covering tree keep
-    #: driving *forwarding*, this only selects how a publication is
+    #: Orthogonal to the routing strategy: forwarding decisions are the
+    #: same under either; this only selects how a publication is
     #: matched against the resident XPEs.
     matching_engine: str = "auto"
 

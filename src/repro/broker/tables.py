@@ -6,18 +6,30 @@ have intersecting advertisements?" — the advertisement-based
 subscription forwarding decision of paper §3.
 
 The *publication routing table* (PRT) stores ``<subscription,
-last-hop>`` state; in this implementation it is embodied by either a
-:class:`~repro.matching.engine.LinearMatcher` (non-covering strategies)
-or a :class:`~repro.covering.subscription_tree.SubscriptionTree`
-(covering strategies) inside :class:`~repro.broker.broker.Broker`, plus
-the per-neighbour ``forwarded`` bookkeeping defined here.
+last-hop>`` entries (paper §4.1).  A broker holds exactly one,
+``Broker.table``, chosen at construction: a
+:class:`~repro.covering.subscription_tree.SubscriptionTree` with
+covering, otherwise a flat table — the
+:class:`~repro.matching.shared_automaton.SharedAutomatonMatcher` under
+``matching_engine="shared"``, else the
+:class:`~repro.matching.engine.LinearMatcher`.  Every broker handler,
+:mod:`repro.broker.persistence` and the audit oracle reach it through
+one contract:
 
-Under ``matching_engine="shared"`` the PRT additionally has a
-*matching* view: a :class:`~repro.matching.shared_automaton.
-SharedAutomatonMatcher` mirrors the authoritative tree/flat table as
-one shared-prefix automaton (see docs/matching.md).  The authoritative
-table here is untouched by it — forwarding, covering, and merging
-semantics do not depend on the engine.
+* ``add(expr, key)`` / ``remove(expr, key)`` — the latter returns a
+  :class:`~repro.covering.subscription_tree.RemoveOutcome`: did *expr*
+  leave the table, and which stored XPEs lost their last coverer with
+  it (``promoted``);
+* ``keys_of(expr)``, ``exprs()`` (coverers first — the order a broker
+  forwards in), ``match(path)`` → keys, ``len`` and
+  ``top_level_size()``;
+* the covering steps ``coverers(expr)`` and ``descendants(expr)``.
+
+A flat table's covering steps are empty: nothing covers an entry,
+nothing is displaced, nothing is promoted.  A covering broker under
+``matching_engine="shared"`` keeps a shared automaton beside its tree
+(``Broker.mirror``), edited with it and matched instead of it; the
+per-neighbour ``forwarded`` bookkeeping is defined here.
 """
 
 from __future__ import annotations

@@ -35,9 +35,9 @@ def _add_engine_option(parser):
         choices=MATCHING_ENGINES,
         default="auto",
         help="publication-matching backend on every broker: 'auto' "
-        "matches through the routing table itself, 'shared' layers the "
-        "shared-automaton mass-subscription engine over it "
-        "(see docs/matching.md)",
+        "matches through the routing table itself, 'shared' through the "
+        "shared-automaton mass-subscription engine: the table without "
+        "covering, a mirror beside the tree with it (see docs/matching.md)",
     )
 
 

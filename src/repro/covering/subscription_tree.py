@@ -135,14 +135,45 @@ class SubscriptionTree:
         return expr in self._by_expr
 
     def exprs(self):
-        return list(self._by_expr)
+        """Every stored XPE, coverers first (each node before its
+        subtree): the order a broker forwards them in."""
+        return [node.expr for node in self.iter_nodes()]
 
     def node_of(self, expr):
         return self._by_expr.get(expr)
 
+    def keys_of(self, expr: XPathExpr) -> Set[object]:
+        node = self._by_expr.get(expr)
+        return set(node.keys) if node is not None else set()
+
+    def coverers(self, expr: XPathExpr) -> Iterable[XPathExpr]:
+        """The stored XPEs above *expr*'s node, nearest first: the
+        coverers the tree shape records (a node covered by several
+        subscriptions sits under one of them)."""
+        node = self._by_expr.get(expr)
+        if node is None:
+            return
+        node = node.parent
+        while node.expr is not None:
+            yield node.expr
+            node = node.parent
+
+    def descendants(self, expr: XPathExpr) -> List[XPathExpr]:
+        """The stored XPEs in *expr*'s subtree: the ones it covers."""
+        node = self._by_expr.get(expr)
+        if node is None:
+            return []
+        result = []
+        stack = list(node.children)
+        while stack:
+            current = stack.pop()
+            result.append(current.expr)
+            stack.extend(current.children)
+        return result
+
     # -- insertion ---------------------------------------------------------
 
-    def insert(self, expr: XPathExpr, key: object = None) -> InsertOutcome:
+    def add(self, expr: XPathExpr, key: object = None) -> InsertOutcome:
         """Insert *expr* for subscriber/last-hop *key* (paper's three
         cases; breadth-first descent from the root)."""
         registry = obs.get_registry()
@@ -297,7 +328,7 @@ class SubscriptionTree:
 
     # -- matching ----------------------------------------------------------
 
-    def match(self, path: Sequence[str]) -> List[SubNode]:
+    def match_nodes(self, path: Sequence[str]) -> List[SubNode]:
         """All nodes whose XPE matches the publication *path*.
 
         Failing a node prunes its whole subtree: the node covers its
@@ -331,10 +362,10 @@ class SubscriptionTree:
             return matched, visited
         return matched
 
-    def match_keys(self, path: Sequence[str]) -> Set[object]:
+    def match(self, path: Sequence[str]) -> Set[object]:
         """Union of the subscriber keys of all matching nodes."""
         keys: Set[object] = set()
-        for node in self.match(path):
+        for node in self.match_nodes(path):
             keys |= node.keys
         return keys
 

@@ -73,7 +73,7 @@ def _progressive_sizes(exprs: Sequence, marks) -> list:
     mark_iter = iter(marks)
     next_mark = next(mark_iter)
     for index, expr in enumerate(exprs, start=1):
-        tree.insert(expr, index)
+        tree.add(expr, index)
         if index == next_mark:
             sizes.append(tree.top_level_size())
             try:

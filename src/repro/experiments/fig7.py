@@ -78,7 +78,7 @@ def _run(dataset, marks, merger, merge_every):
     mark_iter = iter(marks)
     next_mark = next(mark_iter)
     for index, expr in enumerate(dataset.exprs, start=1):
-        tree.insert(expr, index)
+        tree.add(expr, index)
         if merger is not None and index % merge_every == 0:
             merger.merge_tree(tree)
         if index == next_mark:

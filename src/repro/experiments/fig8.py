@@ -110,7 +110,7 @@ def _with_covering(
     elapsed = []
     for index, expr in enumerate(queries):
         start = time.perf_counter()
-        outcome = tree.insert(expr, index)
+        outcome = tree.add(expr, index)
         if not outcome.covered:
             for advert in adverts:
                 expr_and_advertisement(advert, expr)

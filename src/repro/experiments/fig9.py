@@ -73,7 +73,7 @@ def run_fig9(
     for degree in degrees:
         tree = SubscriptionTree()
         for index, expr in enumerate(exprs):
-            tree.insert(expr, index)
+            tree.add(expr, index)
         merger = MergingEngine(universe=universe, max_degree=degree)
         merger.merge_tree(tree)
 

@@ -117,9 +117,9 @@ def _covering(
 ) -> float:
     tree = SubscriptionTree()
     for index, expr in enumerate(exprs):
-        tree.insert(expr, index)
+        tree.add(expr, index)
         if merger is not None and (index + 1) % merge_every == 0:
             merger.merge_tree(tree)
     if merger is not None:
         merger.merge_tree(tree)
-    return _route_all(tree.match_keys, paths)
+    return _route_all(tree.match, paths)

@@ -1,13 +1,16 @@
-"""The flat publication matcher.
+"""The flat publication routing tables.
 
 Table 1 of the paper compares publication routing time under four
 configurations: no covering (a flat routing table, every XPE checked),
 covering (the subscription tree prunes covered subtrees), and
-covering+merging (a smaller tree still).  :class:`LinearMatcher` is the
-flat table: a broker without covering matches on it, and it is the
-reference every matcher differential checks the covering tree
-(:class:`~repro.covering.subscription_tree.SubscriptionTree`) and the
-shared automaton (:mod:`repro.matching.shared_automaton`) against.
+covering+merging (a smaller tree still).  A broker without covering
+keeps its subscriptions in one flat table: :class:`LinearMatcher`,
+which scans every XPE per publication, or the shared automaton
+(:mod:`repro.matching.shared_automaton`), which matches them all in
+one document pass.  Both are flat tables (:class:`FlatTable`): the
+covering steps of the table contract (:mod:`repro.broker.tables`) are
+empty for them.  Matcher differentials check every table against
+:func:`~repro.covering.pathmatch.matches_path_reference`.
 """
 
 from __future__ import annotations
@@ -16,10 +19,30 @@ from typing import Dict, Sequence, Set
 
 from repro import obs
 from repro.covering.pathmatch import path_matcher
+from repro.covering.subscription_tree import RemoveOutcome
 from repro.xpath.ast import XPathExpr
 
+#: What :meth:`FlatTable.remove` reports: an XPE that left a flat table
+#: was top level (every entry is), and nothing is ever promoted.
+REMOVED = RemoveOutcome(removed=True, was_top_level=True, promoted=())
+KEPT = RemoveOutcome(removed=False, was_top_level=False, promoted=())
 
-class LinearMatcher:
+
+class FlatTable:
+    """A table without covering: no stored XPE covers another, so no
+    entry has coverers or descendants and every entry is top level."""
+
+    def coverers(self, expr: XPathExpr):
+        return ()
+
+    def descendants(self, expr: XPathExpr):
+        return ()
+
+    def top_level_size(self) -> int:
+        return len(self)
+
+
+class LinearMatcher(FlatTable):
     """The non-covering baseline: a flat list scanned per publication."""
 
     def __init__(self):
@@ -28,13 +51,15 @@ class LinearMatcher:
     def add(self, expr: XPathExpr, key: object = None):
         self._subs.setdefault(expr, set()).add(key)
 
-    def remove(self, expr: XPathExpr, key: object = None):
+    def remove(self, expr: XPathExpr, key: object = None) -> RemoveOutcome:
         keys = self._subs.get(expr)
-        if keys is None:
-            return
+        if keys is None or key not in keys:
+            return KEPT
         keys.discard(key)
-        if not keys:
-            del self._subs[expr]
+        if keys:
+            return KEPT
+        del self._subs[expr]
+        return REMOVED
 
     def match(self, path: Sequence[str]) -> Set[object]:
         registry = obs.get_registry()

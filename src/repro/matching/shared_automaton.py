@@ -51,6 +51,8 @@ from itertools import chain
 from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 from repro import obs
+from repro.covering.subscription_tree import RemoveOutcome
+from repro.matching.engine import KEPT, REMOVED, FlatTable
 from repro.matching.yfilter import (
     ACCEPT_ONLY,
     SharedPathNFA,
@@ -102,14 +104,14 @@ _SIGHTED = _DFAState(frozenset())
 _SIGHTED.dead = True
 
 
-class SharedAutomatonMatcher:
+class SharedAutomatonMatcher(FlatTable):
     """Shared-automaton bulk matcher with lazy-DFA state caching.
 
-    Engine contract (same as :class:`~repro.matching.engine.
-    LinearMatcher`): ``add(expr, key)``, ``remove(expr, key)``,
-    ``match(path) -> set of keys``, plus the
-    expression-level views.  Duplicate XPEs under distinct keys share
-    one automaton trail and one key set.
+    A flat table (same contract as :class:`~repro.matching.engine.
+    LinearMatcher`): a broker without covering keeps its subscriptions
+    here, and a covering broker keeps one beside its subscription tree
+    as the publication matcher.  Duplicate XPEs under distinct keys
+    share one automaton trail and one key set.
     """
 
     def __init__(self, dfa_state_limit: int = DEFAULT_DFA_STATE_LIMIT):
@@ -140,17 +142,19 @@ class SharedAutomatonMatcher:
             self._repair_dfa(*self._nfa.add(expr))
         keys.add(key)
 
-    def remove(self, expr: XPathExpr, key: object = None):
+    def remove(self, expr: XPathExpr, key: object = None) -> RemoveOutcome:
         keys = self._keys.get(expr)
         if keys is None or key not in keys:
-            return
+            return KEPT
         keys.discard(key)
-        if not keys:
-            del self._keys[expr]
-            self._repair_dfa(*self._nfa.remove(expr))
+        if keys:
+            return KEPT
+        del self._keys[expr]
+        self._repair_dfa(*self._nfa.remove(expr))
+        return REMOVED
 
     def clear(self):
-        """Drop every expression (used by full rebuilds)."""
+        """Drop every expression, and the whole DFA with them."""
         self._nfa = SharedPathNFA()
         self._keys = {}
         self._invalidate_dfa()
@@ -179,7 +183,7 @@ class SharedAutomatonMatcher:
         their accepting set.
         """
         if not self._dfa_cache:
-            return  # cold (bulk load, rebuild): nothing to repair
+            return  # cold (bulk load, restore): nothing to repair
         gone = set(pruned)
         if label is None:
             gone.add(anchor)

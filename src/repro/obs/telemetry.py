@@ -533,16 +533,16 @@ class TelemetryPlane:
 def broker_gauges(broker) -> Dict[str, float]:
     """Duck-typed gauge bundle from a :class:`~repro.broker.Broker`.
 
-    Works on any backend's broker object: routing-table size and DFA
-    size (shared engine)."""
+    Works on any backend's broker object: routing-table size and, under
+    the shared engine, the DFA size of the broker's automaton (its
+    table, or the mirror beside its tree)."""
     gauges: Dict[str, float] = {}
     size = getattr(broker, "routing_table_size", None)
     if callable(size):
         gauges["routing_table"] = float(size())
-    engine = getattr(broker, "shared", None)
-    stats = engine.stats() if engine is not None else {}
-    if "dfa_states" in stats:
-        gauges["dfa_states"] = float(stats["dfa_states"])
+    automaton = getattr(broker, "automaton", None)
+    if automaton is not None:
+        gauges["dfa_states"] = float(automaton.dfa_size())
     return gauges
 
 

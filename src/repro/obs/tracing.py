@@ -17,7 +17,7 @@ span name             meaning
                       to go idle (queueing mode only)
 ``match``             child of ``hop``: publication matching, with the
                       engine used and the match-cache outcome
-``covering.check``    child of ``hop``: covering analysis of a SUB
+``covering.check``    child of ``hop``: a SUB's table step and forwarding
 ``merge.absorb``      child of ``hop``: a merge sweep absorbing XPEs
 ``forward``           per-destination fan-out (sender → link; a point
                       event when the reliable transport owns the link)

@@ -56,7 +56,7 @@ def covering_rate(exprs: List[XPathExpr]) -> float:
         return 0.0
     tree = SubscriptionTree()
     for i, expr in enumerate(exprs):
-        tree.insert(expr, i)
+        tree.add(expr, i)
     return 1.0 - tree.top_level_size() / len(exprs)
 
 
@@ -167,7 +167,7 @@ def covering_workload(
         expr = _steps_from(path, 0, length, mask)
         if expr in seen:
             continue
-        outcome = base_tree.insert(expr, len(bases))
+        outcome = base_tree.add(expr, len(bases))
         if not outcome.is_new or outcome.covered or outcome.displaced:
             base_tree.remove(expr, len(bases))
             continue

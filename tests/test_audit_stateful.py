@@ -80,7 +80,7 @@ def merged_broker():
 def test_unsubscribe_of_last_constituent_retires_merger():
     broker, sweep_out = merged_broker()
     merger = x(MERGER)
-    assert broker._keys_of(merger) == {"down"}
+    assert broker.table.keys_of(merger) == {"down"}
     assert broker._merge_registry.is_merger(merger)
     # The sweep forwarded the merger and retracted the constituents.
     assert any(
@@ -97,7 +97,7 @@ def test_unsubscribe_of_last_constituent_retires_merger():
     # Unsubscribing all but the last constituent keeps the merger alive.
     for text in CONSTITUENTS[:-1]:
         assert broker.handle(UnsubscribeMsg(expr=x(text)), "down") == []
-        assert broker._keys_of(merger) == {"down"}
+        assert broker.table.keys_of(merger) == {"down"}
     # The last constituent retires the merger key and propagates the
     # retraction upstream (pre-fix: "unknown expression" no-op, leak).
     out = broker.handle(UnsubscribeMsg(expr=x(CONSTITUENTS[-1])), "down")
@@ -119,7 +119,7 @@ def test_direct_merger_subscription_outlives_constituents():
     for text in CONSTITUENTS:
         assert broker.handle(UnsubscribeMsg(expr=x(text)), "down") == []
     # All constituents gone, but the direct subscription holds the key.
-    assert broker._keys_of(merger) == {"down"}
+    assert broker.table.keys_of(merger) == {"down"}
     out = broker.handle(UnsubscribeMsg(expr=merger), "down")
     assert any(
         isinstance(m, UnsubscribeMsg) and m.expr == merger for _, (m,) in out
@@ -133,8 +133,8 @@ def test_constituent_resubscribe_is_absorbed_by_the_merger():
     # Re-subscribing a merged-away constituent must not duplicate state:
     # the merger already carries this hop's interest.
     assert broker.handle(SubscribeMsg(expr=x(CONSTITUENTS[0])), "down") == []
-    assert broker._keys_of(x(CONSTITUENTS[0])) == set()
-    assert broker._keys_of(merger) == {"down"}
+    assert broker.table.keys_of(x(CONSTITUENTS[0])) == set()
+    assert broker.table.keys_of(merger) == {"down"}
 
 
 def test_chained_merges_flatten_in_the_registry():
@@ -294,7 +294,7 @@ def test_inexact_client_entry_makes_the_audit_fail():
     # A merger absorbing the client's subscriptions explains its entry.
     edge.client_subs["sub"].add(x("/r/a/c"))
     overlay.trigger_merge_sweep("b3")
-    assert edge._keys_of(x("/r/a/*")) == {"sub"}
+    assert edge.table.keys_of(x("/r/a/*")) == {"sub"}
     assert oracle.check().ok
 
 

@@ -232,7 +232,7 @@ class TestPublishing:
         """A client key reached via a merged/covering node must still
         pass the client's exact subscriptions."""
         broker = _imperfectly_merged_broker()
-        assert broker._keys_of(x("/r/a/*")) == {"c1", "c2"}
+        assert broker.table.keys_of(x("/r/a/*")) == {"c1", "c2"}
         out = broker.handle(pub(("r", "a", "e")), "upstream")
         assert out == []  # matched the merger but not c1's real sub
 

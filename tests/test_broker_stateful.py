@@ -126,7 +126,7 @@ class BrokerMachine(RuleBasedStateMachine):
 
     @invariant()
     def tree_invariant(self):
-        self.broker.tree.validate()
+        self.broker.table.validate()
 
     @invariant()
     def forwarded_only_to_neighbors(self):

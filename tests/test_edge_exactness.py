@@ -348,7 +348,7 @@ def test_new_hop_on_a_live_merger_survives_a_chained_sweep():
     _subscribe(broker, "c2", "/r/a/*")  # the merger itself, from a new hop
     _subscribe(broker, "c1", "/r/b/c", "/r/b/d")
     broker.run_merge_sweep()  # /r/b/*, then /r/a/* + /r/b/* -> /r/*/*
-    assert broker._keys_of(x("/r/*/*")) == {"c1", "c2"}
+    assert broker.table.keys_of(x("/r/*/*")) == {"c1", "c2"}
     assert broker.inexact_client_entries() == []
     assert _delivered(broker, "r", "a", "c") == {"c1", "c2"}
     assert _delivered(broker, "r", "b", "c") == {"c1"}

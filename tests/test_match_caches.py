@@ -108,9 +108,7 @@ def make_broker(config=None):
 
 def cold_keys(broker, publication):
     """What the matcher computes with no cache in the loop."""
-    if broker.config.covering:
-        return frozenset(broker.tree.match_keys(publication.path))
-    return frozenset(broker.flat.match(publication.path))
+    return frozenset(broker.table.match(publication.path))
 
 
 def cold_destinations(broker, publication, from_hop):
@@ -192,14 +190,11 @@ def test_repeat_publication_never_reaches_the_engine(engine, monkeypatch):
     memo hit and costs no engine probe, whichever engine is configured."""
     broker = make_broker(RoutingConfig(matching_engine=engine))
     churn(broker)
-    if engine == "auto":
-        target, name = broker.tree, "match_keys"
-    else:
-        target, name = broker.shared, "match"
-    real = getattr(target, name)
+    target = broker.automaton if engine == "shared" else broker.table
+    real = target.match
     probes = []
     monkeypatch.setattr(
-        target, name, lambda *args: probes.append(args) or real(*args)
+        target, "match", lambda *args: probes.append(args) or real(*args)
     )
     msg = pub(PROBE_PATHS[1])
     first = broker.handle(msg, "n2")

@@ -3,10 +3,10 @@
 A broker matches publications on one of three structures with one
 contract — add an XPE under a key, remove it, and match a publication
 path to a set of keys: the flat :class:`LinearMatcher`, the covering
-:class:`SubscriptionTree` (``insert`` / ``remove`` / ``match_keys``)
-and the lazy-DFA :class:`SharedAutomatonMatcher`.  Hypothesis drives
-DTD-derived XPE workloads with interleaved add and remove operations
-through all three side by side, against a brute-force oracle: the keys
+:class:`SubscriptionTree` and the lazy-DFA
+:class:`SharedAutomatonMatcher`.  Hypothesis drives DTD-derived XPE
+workloads with interleaved add and remove operations through all three
+side by side, against a brute-force oracle: the keys
 of every active XPE that the reference interpreter
 (:func:`matches_path_reference`) accepts.  Any disagreement on any
 publication path is a bug in at least one engine.
@@ -56,7 +56,7 @@ def _linear():
 
 def _tree():
     tree = SubscriptionTree()
-    return tree.insert, tree.remove, tree.match_keys
+    return tree.add, tree.remove, tree.match
 
 
 def _shared():

@@ -176,7 +176,7 @@ class TestMergingEngine:
     def build_tree(self, *texts):
         tree = SubscriptionTree()
         for t in texts:
-            tree.insert(x(t), t)
+            tree.add(x(t), t)
         return tree
 
     def test_perfect_merge_applies(self):
@@ -214,7 +214,7 @@ class TestMergingEngine:
             "/r/a/c", "/r/a/d", "/r/a/e"
         )
         # Give one of them a covered child first.
-        tree.insert(x("/r/a/c"), "dup")
+        tree.add(x("/r/a/c"), "dup")
         engine = MergingEngine(universe=self.universe(), max_degree=0.0)
         engine.merge_tree(tree)
         tree.validate()
@@ -238,7 +238,7 @@ class TestMergingEngine:
         report = engine.merge_tree(tree)
         assert [event.merger for event in report.events] == [x("/r/a/*")]
         tree.validate()
-        assert tree.match_keys(("r", "a", "c")) == {
+        assert tree.match(("r", "a", "c")) == {
             "/r/a/*", "/r/b/*", "/r/a/c", "/r/a/d", "/r/a/e"
         }
 
@@ -269,8 +269,8 @@ class TestMergingEngine:
         """Merging must never lose a match (it may add false ones)."""
         tree = self.build_tree("/r/a/c", "/r/a/d", "/r/a/e")
         paths = [("r", "a", "c"), ("r", "a", "d"), ("r", "a", "e")]
-        before = {path: tree.match_keys(path) for path in paths}
+        before = {path: tree.match(path) for path in paths}
         MergingEngine(universe=self.universe(), max_degree=0.0).merge_tree(tree)
         for path in paths:
-            assert before[path] <= tree.match_keys(path)
+            assert before[path] <= tree.match(path)
 

@@ -197,9 +197,11 @@ class TestEngineSwitch:
         assert len(original.match_cache) > 0
         rebuilt = restore(snapshot(original), matching_engine="shared")
         # Nothing decided under the old engine survives the switch: the
-        # mirror rebuild is pending (dirty) and the route memo is empty.
-        assert rebuilt._shared_dirty
+        # route memo is empty, and the new mirror matches what the
+        # restored tree matches.
         assert len(rebuilt.match_cache) == 0
+        for path in self.PROBES:
+            assert rebuilt.automaton.match(path) == rebuilt.table.match(path)
         assert publish(rebuilt, ("x", "y")) == publish(original, ("x", "y"))
 
 

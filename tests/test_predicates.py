@@ -160,8 +160,8 @@ class TestCovering:
 
     def test_tree_insertion_with_predicates(self):
         tree = SubscriptionTree()
-        tree.insert(x("/a/b"), 1)
-        assert tree.insert(x("/a/b/c"), 2).covered
+        tree.add(x("/a/b"), 1)
+        assert tree.add(x("/a/b/c"), 2).covered
         tree.validate()
 
 

@@ -23,6 +23,7 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
+    precondition,
     rule,
 )
 
@@ -713,23 +714,22 @@ class TestBrokerIntegration:
             broker.attach_client("c1")
             broker.handle(advert, "n1")
             # The full sibling set under /r/a: the interval-3 sweep
-            # rewrites it to the perfect merger /r/a/*, marking the
-            # shared mirror dirty; the next publication must rebuild
-            # the automaton from the rewritten table and still agree.
+            # rewrites it to the perfect merger /r/a/*, and the mirror
+            # must follow the rewritten table event by event.
             for text in ("/r/a/c", "/r/a/d", "/r/a/e"):
                 broker.handle(
                     SubscribeMsg(expr=x(text), subscriber_id="c1"), "c1"
                 )
         assert shared.merge_log, "sweep never ran — interval misconfigured"
-        assert shared._shared_dirty
-        for index, path in enumerate(
-            (("r", "a", "c"), ("r", "a", "d"), ("r", "b", "c"), ("r", "a"))
-        ):
+        probes = (("r", "a", "c"), ("r", "a", "d"), ("r", "b", "c"), ("r", "a"))
+        for path in probes:
+            assert shared.mirror.match(path) == shared.table.match(path), path
+        assert set(shared.mirror.exprs()) == set(shared.table.exprs())
+        for index, path in enumerate(probes):
             doc_id = "m%d" % index
             assert _decisions(auto, path, doc_id) == _decisions(
                 shared, path, doc_id
             ), path
-        assert not shared._shared_dirty  # the publishes above resynced it
 
     def test_snapshot_restore_round_trip(self):
         _, shared = _broker_pair()
@@ -746,12 +746,12 @@ class TestBrokerIntegration:
         )
         restored = restore_json(snapshot_json(shared))
         assert restored.config.matching_engine == "shared"
-        assert restored.shared is not None
-        assert restored._shared_dirty  # rebuilt lazily on first publish
+        assert restored.mirror is not None
+        for path in PUBLISH_PATHS:
+            assert restored.mirror.match(path) == restored.table.match(path)
         _assert_same_decisions(shared, restored, "r")
-        assert not restored._shared_dirty
         assert restored.describe()["shared_automaton"]["exprs"] == len(
-            shared.shared.exprs()
+            shared.mirror.exprs()
         )
 
 
@@ -792,13 +792,16 @@ _CHURN_HOPS = ("n1", "n2", "c1")
 
 class SharedChurnMachine(RuleBasedStateMachine):
     """SUB/UNSUB/ADV/merge-sweep/snapshot-restore on a shared-engine
-    broker and an ``auto`` broker fed the identical message stream:
-    after every step both resolve every probe publication to the same
-    keys — through the route memo, and asking the mirror directly (a
-    memo hit never reaches it) — and the mirror's DFA is coherent."""
+    broker and an ``auto`` broker fed the identical message stream,
+    with covering (the automaton is a mirror beside the tree) or
+    without (the automaton is the table): after every step both
+    resolve every probe publication to the same keys — through the
+    route memo, and asking the automaton directly (a memo hit never
+    reaches it) — and the automaton's DFA is coherent."""
 
-    @initialize()
-    def setup(self):
+    @initialize(covering=st.booleans())
+    def setup(self, covering):
+        self.covering = covering
         self.universe = PathUniverse.from_dtd(psd_dtd(), max_depth=6)
         self.shared, self.auto = (
             self._broker(engine) for engine in ("shared", "auto")
@@ -808,8 +811,10 @@ class SharedChurnMachine(RuleBasedStateMachine):
     def _broker(self, engine):
         config = RoutingConfig(
             advertisements=False,
-            covering=True,
-            merging=MergingMode.IMPERFECT,
+            covering=self.covering,
+            merging=(
+                MergingMode.IMPERFECT if self.covering else MergingMode.OFF
+            ),
             max_imperfect_degree=0.5,
             merge_interval=1_000_000,  # sweeps fire only explicitly
             matching_engine=engine,
@@ -854,21 +859,35 @@ class SharedChurnMachine(RuleBasedStateMachine):
             hop,
         )
 
+    @precondition(lambda self: self.covering)
     @rule()
     def merge_sweep(self):
         self.shared.run_merge_sweep()
         self.auto.run_merge_sweep()
 
-    @rule()
-    def snapshot_restore(self):
-        self.shared = restore(snapshot(self.shared), universe=self.universe)
-        self.auto = restore(snapshot(self.auto), universe=self.universe)
+    @rule(switch=st.booleans())
+    def snapshot_restore(self, switch):
+        """Both brokers hold the same table, so with *switch* each is
+        restored from the other's snapshot under its own engine."""
+        shared, auto = (
+            (self.auto, self.shared) if switch else (self.shared, self.auto)
+        )
+        self.shared = restore(
+            snapshot(shared), universe=self.universe, matching_engine="shared"
+        )
+        self.auto = restore(
+            snapshot(auto), universe=self.universe, matching_engine="auto"
+        )
 
     @invariant()
     def match_sets_equal(self):
         if not hasattr(self, "shared"):
             return
-        mirror = self.shared._shared_engine()
+        automaton, table = self.shared.automaton, self.shared.table
+        assert (automaton is table) != self.covering
+        assert {e: automaton.keys_of(e) for e in automaton.exprs()} == {
+            e: table.keys_of(e) for e in table.exprs()
+        }
         for path in CHURN_PROBES:
             self.pub_seq += 1
             publication = Publication(
@@ -876,8 +895,9 @@ class SharedChurnMachine(RuleBasedStateMachine):
             )
             want = self.auto._route(publication)[0]
             assert self.shared._route(publication)[0] == want, path
-            assert mirror.match(path) == want, path
-        _check_dfa(mirror)
+            assert automaton.match(path) == want, path
+            assert table.match(path) == want, path
+        _check_dfa(automaton)
 
 
 TestSharedChurnMachine = SharedChurnMachine.TestCase

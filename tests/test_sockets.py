@@ -619,8 +619,8 @@ class TestMergingOnSockets:
             edge = brokers["b3"]
             assert [event.merger for event in edge.merge_log] == [merger]
             neighbour = brokers["b2"]
-            assert merger in neighbour.tree
-            assert "b3" in neighbour.tree.node_of(merger).keys
+            assert merger in neighbour.table
+            assert "b3" in neighbour.table.keys_of(merger)
             deployment.submit("pub", _publication("m-1", ("r", "a", "d")))
             deployment.run()
             assert subscriber.delivered_documents() == {"m-1"}

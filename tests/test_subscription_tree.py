@@ -11,7 +11,7 @@ def x(text):
 
 def build(*texts):
     tree = SubscriptionTree()
-    outcomes = [tree.insert(x(t), t) for t in texts]
+    outcomes = [tree.add(x(t), t) for t in texts]
     return tree, outcomes
 
 
@@ -50,8 +50,8 @@ class TestInsertCases:
 
     def test_duplicate_insert_merges_keys(self):
         tree = SubscriptionTree()
-        tree.insert(x("/a"), "k1")
-        outcome = tree.insert(x("/a"), "k2")
+        tree.add(x("/a"), "k1")
+        outcome = tree.add(x("/a"), "k2")
         assert not outcome.is_new
         assert outcome.covered
         assert tree.node_of(x("/a")).keys == {"k1", "k2"}
@@ -78,7 +78,7 @@ class TestInsertCases:
         for perm in itertools.permutations(texts, 4):
             tree = SubscriptionTree()
             for t in perm:
-                tree.insert(x(t), t)
+                tree.add(x(t), t)
             tree.validate()
 
 
@@ -100,8 +100,8 @@ class TestRemoval:
 
     def test_remove_with_remaining_keys_keeps_node(self):
         tree = SubscriptionTree()
-        tree.insert(x("/a"), "k1")
-        tree.insert(x("/a"), "k2")
+        tree.add(x("/a"), "k1")
+        tree.add(x("/a"), "k2")
         outcome = tree.remove(x("/a"), "k1")
         assert not outcome.removed
         assert x("/a") in tree
@@ -115,15 +115,15 @@ class TestRemoval:
 class TestMatching:
     def test_match_collects_all_matching_nodes(self):
         tree, _ = build("/a", "/a/b", "/a/c")
-        matched = {node.expr for node in tree.match(("a", "b"))}
+        matched = {node.expr for node in tree.match_nodes(("a", "b"))}
         assert matched == {x("/a"), x("/a/b")}
 
     def test_match_keys_unions(self):
         tree = SubscriptionTree()
-        tree.insert(x("/a"), "k1")
-        tree.insert(x("/a/b"), "k2")
-        assert tree.match_keys(("a", "b")) == {"k1", "k2"}
-        assert tree.match_keys(("a", "z")) == {"k1"}
+        tree.add(x("/a"), "k1")
+        tree.add(x("/a/b"), "k2")
+        assert tree.match(("a", "b")) == {"k1", "k2"}
+        assert tree.match(("a", "z")) == {"k1"}
 
     def test_pruning_never_loses_matches(self):
         """Tree matching equals flat matching on random-ish data."""
@@ -133,7 +133,7 @@ class TestMatching:
         ]
         tree = SubscriptionTree()
         for t in texts:
-            tree.insert(x(t), t)
+            tree.add(x(t), t)
         from repro.covering.pathmatch import matches_path
 
         paths = [
@@ -142,7 +142,7 @@ class TestMatching:
         ]
         for path in paths:
             expected = {t for t in texts if matches_path(x(t), path)}
-            actual = {str(node.expr) for node in tree.match(path)}
+            actual = {str(node.expr) for node in tree.match_nodes(path)}
             assert actual == {str(x(t)) for t in expected}, path
 
     def test_matches_any(self):
@@ -154,18 +154,18 @@ class TestMatching:
 class TestSuperPointers:
     def test_eager_super_pointers_record_cross_branch_covering(self):
         tree = SubscriptionTree(eager_super_pointers=True)
-        tree.insert(x("/a"), 1)
-        tree.insert(x("/a/b"), 2)  # child of /a
-        tree.insert(x("/*/b"), 3)  # sibling of /a, covers /a/b
+        tree.add(x("/a"), 1)
+        tree.add(x("/a/b"), 2)  # child of /a
+        tree.add(x("/*/b"), 3)  # sibling of /a, covers /a/b
         node = tree.node_of(x("/*/b"))
         covered = tree.node_of(x("/a/b"))
         assert id(covered) in node.super_pointers
 
     def test_super_pointer_cleanup_on_removal(self):
         tree = SubscriptionTree(eager_super_pointers=True)
-        tree.insert(x("/a"), 1)
-        tree.insert(x("/a/b"), 2)
-        tree.insert(x("/*/b"), 3)
+        tree.add(x("/a"), 1)
+        tree.add(x("/a/b"), 2)
+        tree.add(x("/*/b"), 3)
         covered = tree.node_of(x("/a/b"))
         tree.remove(x("/a/b"), 2)
         node = tree.node_of(x("/*/b"))
@@ -204,7 +204,7 @@ class TestDotExport:
 
     def test_dot_renders_super_pointers(self):
         tree = SubscriptionTree(eager_super_pointers=True)
-        tree.insert(x("/a"), 1)
-        tree.insert(x("/a/b"), 2)
-        tree.insert(x("/*/b"), 3)
+        tree.add(x("/a"), 1)
+        tree.add(x("/a/b"), 2)
+        tree.add(x("/*/b"), 3)
         assert "style=dashed" in tree.to_dot()

@@ -60,7 +60,7 @@ class SubscriptionTreeMachine(RuleBasedStateMachine):
 
     @rule(expr=exprs(), key=st.integers(0, 3))
     def insert(self, expr, key):
-        outcome = self.tree.insert(expr, key)
+        outcome = self.tree.add(expr, key)
         was_present = expr in self.model
         self.model.setdefault(expr, set()).add(key)
         assert outcome.is_new != was_present
@@ -93,7 +93,7 @@ class SubscriptionTreeMachine(RuleBasedStateMachine):
             for expr, keys in self.model.items():
                 if matches_path(expr, path):
                     expected |= keys
-            assert self.tree.match_keys(path) == expected, path
+            assert self.tree.match(path) == expected, path
 
     @invariant()
     def top_level_is_maximal_antichain(self):

@@ -179,7 +179,7 @@ class TestDatasets:
 
         tree = SubscriptionTree()
         for i, expr in enumerate(exprs):
-            tree.insert(expr, i)
+            tree.add(expr, i)
         # Measured covered fraction equals the target by construction.
         assert tree.top_level_size() == round(len(exprs) * 0.5)
 

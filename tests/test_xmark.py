@@ -65,7 +65,7 @@ class TestXmarkWorkloads:
         queries = generate_queries(xmark_dtd(), 150, seed=4)
         tree = SubscriptionTree()
         for i, query in enumerate(queries):
-            tree.insert(query, i)
+            tree.add(query, i)
         tree.validate()
         assert 0.0 <= covering_rate(queries) <= 1.0
 
