@@ -100,12 +100,12 @@ def test_shared_automaton(benchmark, workload):
     )
     print(
         "\nshared automaton: %d exprs -> %d NFA states, %d cached DFA "
-        "states, %d flushes"
+        "states, %d evictions"
         % (
             len(exprs),
             engine.automaton_size(),
             engine.dfa_size(),
-            engine.dfa_flushes,
+            engine.dfa_evictions,
         )
     )
 

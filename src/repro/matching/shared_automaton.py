@@ -30,9 +30,8 @@ Two layers on top of the plain NFA simulation:
   are stamped with a per-walk clock, so recently-walked states survive)
   instead of the classic wholesale flush, which used to discard the
   entire hot fragment because one publication wandered somewhere new.
-  Correctness never depends on the cache; ``dfa_flushes`` counts
-  wholesale discards (``clear()`` only), ``dfa_evictions`` the bounded
-  overflow evictions.
+  Correctness never depends on the cache; ``dfa_evictions`` counts
+  the bounded overflow evictions.
 * **Selective invalidation.**  Prefix sharing means an added or
   removed XPE touches only its own suffix of the NFA, and
   :class:`SharedPathNFA` reports exactly what: the edit repairs the
@@ -118,9 +117,6 @@ class SharedAutomatonMatcher(FlatTable):
         self._nfa = SharedPathNFA()
         self._keys: Dict[XPathExpr, Set[object]] = {}
         self.dfa_state_limit = dfa_state_limit
-        #: Wholesale discards — ``clear()`` only: an edit repairs the
-        #: states it touches, overflow evicts the cold half.
-        self.dfa_flushes = 0
         #: Bounded cold-half evictions on cache overflow.
         self.dfa_evictions = 0
         #: Walks that left the DFA at a first-sighted transition and
@@ -153,21 +149,7 @@ class SharedAutomatonMatcher(FlatTable):
         self._repair_dfa(*self._nfa.remove(expr))
         return REMOVED
 
-    def clear(self):
-        """Drop every expression, and the whole DFA with them."""
-        self._nfa = SharedPathNFA()
-        self._keys = {}
-        self._invalidate_dfa()
-
     # -- the lazy DFA ----------------------------------------------------
-
-    def _invalidate_dfa(self):
-        """The NFA itself was replaced: discard the whole DFA."""
-        if self._dfa_cache or self._dfa_start is not None:
-            self._dfa_cache = {}
-            self._dfa_start = None
-            self.dfa_flushes += 1
-            obs.inc("matching.shared.dfa_flushes")
 
     def _repair_dfa(self, anchor: _State, label, pruned: Tuple[_State, ...]):
         """One NFA edit (a :data:`~repro.matching.yfilter.Touched`
@@ -316,7 +298,6 @@ class SharedAutomatonMatcher(FlatTable):
             "exprs": len(self._keys),
             "nfa_states": self.automaton_size(),
             "dfa_states": self.dfa_size(),
-            "dfa_flushes": self.dfa_flushes,
             "dfa_evictions": self.dfa_evictions,
             "cold_walks": self.cold_walks,
         }

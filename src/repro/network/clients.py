@@ -9,7 +9,7 @@ subscribers").
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Union
 
 from repro import obs
 
@@ -43,10 +43,12 @@ class SubscriberClient:
         self.broker_id = broker_id
         self.subscriptions: Set[XPathExpr] = set()
         self.received: List[PublishMsg] = []
-        #: (doc_id, path_id) pairs already delivered — the explicit
-        #: duplicate filter: a redelivered publication (retransmission,
-        #: crash-recovery replay) is counted once and only once.
-        self._seen_publications: Set[Tuple[str, int]] = set()
+        #: doc_id -> bitmask whose bit *n* is set once path *n* was
+        #: delivered — the explicit duplicate filter: a redelivered
+        #: publication (retransmission, crash-recovery replay) is
+        #: counted once and only once.  One entry per delivered
+        #: document; path ids stay below ``wire.PATH_ID_LIMIT``.
+        self._seen_paths: Dict[str, int] = {}
         #: Redeliveries suppressed so far (also mirrored into the
         #: ``network.clients.duplicates`` metric).
         self.duplicates = 0
@@ -70,12 +72,14 @@ class SubscriberClient:
         Returns True for a first delivery; a redelivered publication
         (same doc id and path id) is suppressed and returns False.
         """
-        key = (msg.publication.doc_id, msg.publication.path_id)
-        if key in self._seen_publications:
+        publication = msg.publication
+        seen = self._seen_paths.get(publication.doc_id, 0)
+        bit = 1 << publication.path_id
+        if seen & bit:
             self.duplicates += 1
             obs.inc("network.clients.duplicates")
             return False
-        self._seen_publications.add(key)
+        self._seen_paths[publication.doc_id] = seen | bit
         self.received.append(msg)
         return True
 

@@ -8,7 +8,8 @@ frame over TCP and to inspect on the wire):
 * XPEs serialise to their string form (the parser is the decoder),
 * advertisements serialise to a small AST (``lit``/``rep`` nodes) so
   recursive patterns round-trip exactly,
-* publications carry doc id, path id and the element path.
+* publications carry doc id, path id and the element path (a path id
+  outside ``[0, PATH_ID_LIMIT)`` is refused).
 
 ``encode``/``decode`` are total inverses for every message kind; the
 property-based tests round-trip randomly generated messages.
@@ -50,6 +51,15 @@ from repro.xpath.parser import parse_xpath
 
 class WireError(ReproError):
     """Raised for malformed wire data."""
+
+
+#: A publication's ``path_id`` must lie in ``[0, PATH_ID_LIMIT)``.  A
+#: subscriber client keeps one bit per delivered path id of a document
+#: (:class:`~repro.network.clients.SubscriberClient`), so an id costs
+#: memory in proportion to its value.  The generators number a
+#: document's paths from 0 and stop at 500 (``generate_document``'s
+#: ``max_paths``), far below the limit.
+PATH_ID_LIMIT = 1 << 16
 
 
 def _advert_node_to_obj(node: AdvNode):
@@ -214,6 +224,15 @@ def _path(obj: dict) -> tuple:
     return path
 
 
+def _path_id(obj: dict) -> int:
+    path_id = _field(obj, "path_id", int)
+    if not 0 <= path_id < PATH_ID_LIMIT:
+        raise WireError(
+            "path id %d outside [0, %d)" % (path_id, PATH_ID_LIMIT)
+        )
+    return path_id
+
+
 def _expr(obj: dict):
     text = _field(obj, "expr", str)
     try:
@@ -265,7 +284,7 @@ def _decode_message(obj: dict) -> Message:
         return PublishMsg(
             publication=Publication(
                 doc_id=_field(obj, "doc_id", str),
-                path_id=_field(obj, "path_id", int),
+                path_id=_path_id(obj),
                 path=_path(obj),
                 attributes=_attributes(obj),
             ),

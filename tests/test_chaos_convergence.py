@@ -12,6 +12,7 @@ that anything went wrong.
 
 import pytest
 
+from repro import obs
 from repro.broker.strategies import RoutingConfig
 from repro.dtd.samples import psd_dtd
 from repro.merging.engine import PathUniverse
@@ -114,6 +115,27 @@ def test_converges_to_fault_free_ground_truth(name, ground_truth):
         assert stats["reordered"] > 0
     if plan.crashes:
         assert stats["crashes"] == 1 and stats["recoveries"] == 1
+
+
+@pytest.mark.parametrize("name", ["fault-free"] + sorted(SCENARIOS))
+def test_no_client_sees_a_duplicate(name):
+    """Reliable links suppress every redelivery before it reaches a
+    client: ``network.clients.duplicates`` stays 0 on every scenario.
+    One hand-made redelivery afterwards shows the counter is live."""
+    previous = obs.get_registry()
+    registry = obs.set_registry(MetricsRegistry(enabled=True))
+    try:
+        overlay = run_workload(SCENARIOS.get(name), metrics=registry)
+        counter = registry.counter("network.clients.duplicates")
+        assert counter.value == 0
+        assert all(
+            sub.duplicates == 0 for sub in overlay.subscribers.values()
+        )
+        subscriber = overlay.subscribers["sub0"]
+        overlay.receive("sub0", subscriber.received[:1], 2, overlay.now)
+        assert counter.value == subscriber.duplicates == 1
+    finally:
+        obs.set_registry(previous)
 
 
 @pytest.mark.parametrize("name", ["fault-free"] + sorted(SCENARIOS))

@@ -1,9 +1,16 @@
 """Unit tests for publisher/subscriber clients."""
 
+from hypothesis import given, settings, strategies as st
+
+from repro.broker.messages import PublishMsg
 from repro.broker.strategies import RoutingConfig
 from repro.dtd.samples import psd_dtd
 from repro.network import ConstantLatency, Overlay
-from repro.xmldoc import XMLDocument
+from repro.network.clients import SubscriberClient
+from repro.network.wire import PATH_ID_LIMIT
+from repro.workloads.datasets import psd_queries
+from repro.workloads.document_generator import generate_documents
+from repro.xmldoc import Publication, XMLDocument
 
 DOC = """
 <ProteinDatabase>
@@ -100,9 +107,6 @@ class TestDuplicateSuppression:
     must be counted once and only once at the subscriber."""
 
     def make_msg(self, doc_id="d1", path_id=0):
-        from repro.broker.messages import PublishMsg
-        from repro.xmldoc import Publication
-
         return PublishMsg(
             publication=Publication(
                 doc_id=doc_id,
@@ -149,6 +153,76 @@ class TestDuplicateSuppression:
             overlay.receive("sub", (msg,), 2, overlay.now)
         assert len(overlay.stats.deliveries) == delivered_before
         assert subscriber.duplicates == delivered_before
+
+
+#: Delivery sequences for the dedup differential: a few documents, a
+#: few small path ids (so repeats are common), the boundary ids and any
+#: id below the wire's limit.
+DELIVERIES = st.lists(
+    st.tuples(
+        st.sampled_from(["d0", "d1", "d2"]),
+        st.integers(0, 5)
+        | st.sampled_from([63, 64, PATH_ID_LIMIT - 1])
+        | st.integers(0, PATH_ID_LIMIT - 1),
+    ),
+    max_size=40,
+)
+
+
+class TestDedupDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(deliveries=DELIVERIES)
+    def test_verdicts_match_a_set_of_doc_and_path_ids(self, deliveries):
+        """The client's per-document path bitmask answers exactly as a
+        set of ``(doc_id, path_id)`` pairs would."""
+        client = SubscriberClient("sub", None, "b1")
+        reference = set()
+        duplicates = 0
+        for doc_id, path_id in deliveries:
+            msg = PublishMsg(publication=Publication(
+                doc_id=doc_id, path_id=path_id, path=("a",)
+            ))
+            fresh = (doc_id, path_id) not in reference
+            reference.add((doc_id, path_id))
+            duplicates += not fresh
+            assert client.receive(msg, hops=1) is fresh
+        assert client.duplicates == duplicates
+        assert [
+            (m.publication.doc_id, m.publication.path_id)
+            for m in client.received
+        ] == list(dict.fromkeys(deliveries))
+
+
+def test_dedup_keeps_one_entry_per_delivered_document():
+    """On the 7-broker tree, each client's duplicate filter holds one
+    entry per document it was delivered, whose bits are exactly the
+    delivered path ids — not one entry per delivered path."""
+    dtd = psd_dtd()
+    overlay = Overlay.binary_tree(
+        3,
+        config=RoutingConfig.with_adv_with_cov(),
+        latency_model=ConstantLatency(0.001),
+    )
+    publisher = overlay.attach_publisher("pub", "b1")
+    publisher.advertise_dtd(dtd)
+    overlay.run()
+    for index, leaf in enumerate(overlay.leaf_brokers()):
+        subscriber = overlay.attach_subscriber("sub%d" % index, leaf)
+        for expr in psd_queries(12, seed=100 + index).exprs:
+            subscriber.subscribe(expr)
+    overlay.run()
+    for document in generate_documents(dtd, 8, seed=3, target_bytes=800):
+        publisher.publish_document(document)
+    overlay.run()
+    for subscriber in overlay.subscribers.values():
+        masks = {}
+        for msg in subscriber.received:
+            publication = msg.publication
+            masks[publication.doc_id] = (
+                masks.get(publication.doc_id, 0) | 1 << publication.path_id
+            )
+        assert len(subscriber.received) > len(masks) > 0
+        assert subscriber._seen_paths == masks
 
 
 class TestAdvertisementIds:

@@ -15,6 +15,7 @@ from repro.broker.messages import (
     UnsubscribeMsg,
 )
 from repro.network.wire import (
+    PATH_ID_LIMIT,
     Frame,
     WireError,
     advert_from_obj,
@@ -118,6 +119,25 @@ class TestErrors:
         frame["path"] = ["a", element, "b"]
         with pytest.raises(WireError, match="path element"):
             decode(json.dumps(frame).encode())
+
+    @pytest.mark.parametrize("path_id", [-1, PATH_ID_LIMIT, 2 ** 70])
+    def test_out_of_range_path_id_is_refused(self, path_id):
+        """A client keeps one bit per delivered path id of a document,
+        so the decoder refuses a negative id and one at or above
+        ``PATH_ID_LIMIT``."""
+        frame = json.loads(encode(PublishMsg(
+            publication=Publication(doc_id="d", path_id=0, path=("a",)),
+        )))
+        frame["path_id"] = path_id
+        with pytest.raises(WireError, match="path id"):
+            decode(json.dumps(frame).encode())
+
+    def test_largest_path_id_is_accepted(self):
+        publication = Publication(
+            doc_id="d", path_id=PATH_ID_LIMIT - 1, path=("a",)
+        )
+        message = decode(encode(PublishMsg(publication=publication)))
+        assert message.publication == publication
 
     def test_malformed_advert_node(self):
         with pytest.raises(WireError):
@@ -273,7 +293,8 @@ FIELDS = {
     | st.text(max_size=8),
     "subscriber_id": st.sampled_from(["s", ""]),
     "doc_id": st.sampled_from(["d1", "d2"]),
-    "path_id": st.integers(0, 9),
+    "path_id": st.integers(0, 9)
+    | st.sampled_from([-1, PATH_ID_LIMIT, 2 ** 70]),
     "path": st.lists(NAMES | st.sampled_from(["", "a/b"]),
                      min_size=1, max_size=3),
     "attributes": st.lists(
@@ -337,6 +358,8 @@ class TestFuzzedFrames:
         assert frame.kind in ("data", "ack")
         assert type(frame.seq) is int and frame.seq >= 0
         assert (frame.message is None) == (frame.kind == "ack")
+        if isinstance(frame.message, PublishMsg):
+            assert 0 <= frame.message.publication.path_id < PATH_ID_LIMIT
 
     @pytest.mark.parametrize("line", [
         b'{"kind":"data","seq":true,"msg":{"kind":"unadvertise","adv_id":"x"}}',
