@@ -728,7 +728,7 @@ class Broker:
                         mirror.add(merger, key)
             replaced_hops: Set[object] = set()
             for old in event.replaced:
-                replaced_hops |= self.forwarded.neighbors_for(old)
+                replaced_hops.update(self.forwarded.neighbors_for(old))
             if replaced_hops:
                 targets = self._subscription_targets(event.merger, None)
                 for n in sorted(targets, key=str):

@@ -35,7 +35,7 @@ per-neighbour ``forwarded`` bookkeeping is defined here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Dict, Iterable, List, Set
+from typing import Collection, Dict, Iterable, List, Set, Tuple
 
 from repro.adverts.model import Advertisement
 from repro.adverts.recursive import expr_and_advertisement
@@ -115,27 +115,35 @@ class ForwardedState:
     subscription covered by ``s'`` may skip exactly the neighbours that
     already received ``s'`` (see broker docstring for the failure mode
     of hop-agnostic suppression).
+
+    Each XPE keeps the tuple of its neighbours in marking order, each
+    once: a broker has few neighbours, and most XPEs go to one, so
+    no XPE allocates a set of its own.
     """
 
     def __init__(self):
-        self._sent: Dict[XPathExpr, Set[object]] = {}
+        self._sent: Dict[XPathExpr, Tuple[object, ...]] = {}
 
     def neighbors_for(self, expr: XPathExpr) -> Set[object]:
-        return self._sent.get(expr, set())
+        return set(self._sent.get(expr, ()))
 
     def mark(self, expr: XPathExpr, neighbor: object):
-        self._sent.setdefault(expr, set()).add(neighbor)
+        sent = self._sent.get(expr, ())
+        if neighbor not in sent:
+            self._sent[expr] = sent + (neighbor,)
 
     def unmark(self, expr: XPathExpr, neighbor: object):
         sent = self._sent.get(expr)
-        if sent is not None:
-            sent.discard(neighbor)
-            if not sent:
+        if sent is not None and neighbor in sent:
+            rest = tuple(other for other in sent if other != neighbor)
+            if rest:
+                self._sent[expr] = rest
+            else:
                 del self._sent[expr]
 
     def drop(self, expr: XPathExpr) -> Set[object]:
         """Forget an XPE entirely, returning where it had been sent."""
-        return self._sent.pop(expr, set())
+        return set(self._sent.pop(expr, ()))
 
     def was_sent(self, expr: XPathExpr, neighbor: object) -> bool:
         return neighbor in self._sent.get(expr, ())

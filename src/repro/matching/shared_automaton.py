@@ -87,7 +87,7 @@ class _DFAState:
         accepting: Set[XPathExpr] = set()
         for state in self.nfa_states:
             if state.accepting:
-                accepting |= state.accepting
+                accepting.update(state.accepting)
         self.accepting: FrozenSet[XPathExpr] = frozenset(accepting)
 
 
@@ -110,12 +110,15 @@ class SharedAutomatonMatcher(FlatTable):
     LinearMatcher`): a broker without covering keeps its subscriptions
     here, and a covering broker keeps one beside its subscription tree
     as the publication matcher.  Duplicate XPEs under distinct keys
-    share one automaton trail and one key set.
+    share one automaton trail and one key tuple (``_keys[expr]``, in
+    arrival order, each key once: a table's keys are its neighbours
+    and local clients, so the tuple stays short and a one-key entry
+    allocates no set).
     """
 
     def __init__(self, dfa_state_limit: int = DEFAULT_DFA_STATE_LIMIT):
         self._nfa = SharedPathNFA()
-        self._keys: Dict[XPathExpr, Set[object]] = {}
+        self._keys: Dict[XPathExpr, Tuple[object, ...]] = {}
         self.dfa_state_limit = dfa_state_limit
         #: Bounded cold-half evictions on cache overflow.
         self.dfa_evictions = 0
@@ -131,19 +134,19 @@ class SharedAutomatonMatcher(FlatTable):
     # -- maintenance -----------------------------------------------------
 
     def add(self, expr: XPathExpr, key: object = None):
-        keys = self._keys.setdefault(expr, set())
-        if key in keys:
-            return
-        if not keys:
+        keys = self._keys.get(expr)
+        if keys is None:
             self._repair_dfa(*self._nfa.add(expr))
-        keys.add(key)
+            self._keys[expr] = (key,)
+        elif key not in keys:
+            self._keys[expr] = keys + (key,)
 
     def remove(self, expr: XPathExpr, key: object = None) -> RemoveOutcome:
         keys = self._keys.get(expr)
         if keys is None or key not in keys:
             return KEPT
-        keys.discard(key)
-        if keys:
+        if len(keys) > 1:
+            self._keys[expr] = tuple(other for other in keys if other != key)
             return KEPT
         del self._keys[expr]
         self._repair_dfa(*self._nfa.remove(expr))
@@ -269,7 +272,7 @@ class SharedAutomatonMatcher(FlatTable):
         keys: Set[object] = set()
         expr_keys = self._keys
         for expr in self.match_exprs(path):
-            keys |= expr_keys[expr]
+            keys.update(expr_keys[expr])
         return keys
 
     # -- views -----------------------------------------------------------

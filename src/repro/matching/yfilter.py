@@ -23,39 +23,36 @@ path; its cost is bounded by the automaton size, not the number of
 XPEs — prefix sharing is exactly what makes YFilter fast on large
 overlapping workloads.
 
-Removal really prunes: every state carries a reference count of the
-expression trails traversing it, and when an expression's last key is
-gone the shallowest dead state on its trail is unlinked, releasing the
-whole dead subtree.  ``state_count()`` therefore returns to its old
-value after any add/remove churn cycle — dead automaton branches would
-otherwise accumulate without bound under subscriber churn (the classic
-YFilter "prune lazily" stance, which this module used to take, is
+A stored XPE is its states and nothing else: the one ``accepting``
+tuple entry at its final state, and one reference counted on each
+state of its *trail* (the root-to-final chain of links it walks).  The
+trail itself is not stored — ``remove`` re-walks it from the root by
+the rules ``add`` builds it with, which also tells whether the XPE is
+stored at all.
+
+Removal really prunes: when an expression's last key is gone the
+shallowest state on its re-walked trail whose count reached zero is
+unlinked, releasing the whole dead subtree.  ``state_count()``
+therefore returns to its old value after any add/remove churn cycle —
+dead automaton branches would otherwise accumulate without bound under
+subscriber churn (the classic YFilter "prune lazily" stance is
 untenable at routing-table scale).
 """
 
 from __future__ import annotations
 
-from typing import (
-    AbstractSet,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import RoutingError
 from repro.xpath.ast import WILDCARD, Axis, XPathExpr
 
 
-#: The accepting set of every state no XPE ends at: one shared empty
-#: ``frozenset``, so the many interior states allocate no set of their
-#: own (``add`` gives a state a real set when an XPE ends there,
-#: ``remove`` puts this one back when the last one leaves).
-_NO_XPES: FrozenSet[XPathExpr] = frozenset()
+#: The accepting tuple of every state no XPE ends at: the one shared
+#: empty tuple (``add`` extends a state's tuple when an XPE ends there,
+#: ``remove`` puts this one back when the last one leaves).  A tuple,
+#: not a set: at most a relative XPE and its ``//`` twin (``a`` and
+#: ``//a``) end at one state, so the tuple is exact and small.
+_NO_XPES: Tuple[XPathExpr, ...] = ()
 
 
 class _State:
@@ -63,9 +60,9 @@ class _State:
 
     ``edges`` maps an element name (or ``*``) to the next state;
     ``descendant`` points to the //-state child (which self-loops);
-    ``accepting`` holds the XPEs that end here (:data:`_NO_XPES` when
-    none does); ``refs`` counts the expression trails that traverse
-    this state (pruning drops a state when it reaches zero).
+    ``accepting`` is the tuple of XPEs that end here (:data:`_NO_XPES`
+    when none does); ``refs`` counts the stored XPEs whose trail
+    traverses this state (pruning drops a state when it reaches zero).
 
     Two shape facts hold by construction and the subset step relies on
     them (``check_refcounts`` audits both): a //-state never has a
@@ -77,23 +74,23 @@ class _State:
     def __init__(self, self_loop: bool = False):
         self.edges: Dict[str, "_State"] = {}
         self.descendant: Optional["_State"] = None
-        self.accepting: AbstractSet[XPathExpr] = _NO_XPES
+        self.accepting: Tuple[XPathExpr, ...] = _NO_XPES
         self.self_loop = self_loop
         self.refs = 0
 
 
-#: One trail entry: (parent state, edge label or None for the
+#: One link of a trail: (parent state, edge label or None for the
 #: descendant link, reached state).
 _TrailEntry = Tuple[_State, Optional[str], _State]
 
-#: Edit-report label: no edge changed, only *anchor*'s accepting set.
+#: Edit-report label: no edge changed, only *anchor*'s accepting tuple.
 ACCEPT_ONLY = object()
 
 #: What one ``add``/``remove`` touched, for caches keyed on NFA states
 #: (the lazy DFA): ``(anchor, label, pruned)``.  *anchor* is the deepest
 #: state on the trail that existed before the edit and survives it,
 #: *label* the first edge created — or the one cut — under it (a
-#: trail-entry label: an element name, ``*``, or None for the //
+#: trail link's label: an element name, ``*``, or None for the //
 #: link; :data:`ACCEPT_ONLY` when the trail's shape did not change),
 #: *pruned* the chain of states a cut released.
 Touched = Tuple[_State, object, Tuple[_State, ...]]
@@ -104,29 +101,17 @@ class SharedPathNFA:
 
     def __init__(self):
         self._root = _State()
-        self._trails: Dict[XPathExpr, List[_TrailEntry]] = {}
 
     # -- maintenance -----------------------------------------------------
 
     def add(self, expr: XPathExpr) -> Optional[Touched]:
         """Insert *expr*'s structural trail (idempotent: None when
         already present) and report what the insertion touched."""
-        if expr in self._trails:
-            return None
-        trail: List[_TrailEntry] = []
-        state = self._root
-        if expr.is_relative:
-            state = self._descendant_of(state, trail)
-        for index, step in enumerate(expr.steps):
-            if step.axis is Axis.DESCENDANT and not (
-                index == 0 and expr.is_relative
-            ):
-                state = self._descendant_of(state, trail)
-            state = self._edge_of(state, step.test, trail)
-        if state.accepting:
-            state.accepting.add(expr)
-        else:
-            state.accepting = {expr}
+        trail = self._walk(expr, create=True)
+        final = trail[-1][2]
+        if expr in final.accepting:
+            return None  # present, so the walk created nothing
+        final.accepting += (expr,)
         # Every pre-existing state is on a live trail (refs >= 1), so
         # the first unreferenced one is the first this call created.
         touched = None
@@ -134,8 +119,7 @@ class SharedPathNFA:
             if touched is None and not reached.refs:
                 touched = (parent, label, ())
             reached.refs += 1
-        self._trails[expr] = trail
-        return touched or (state, ACCEPT_ONLY, ())
+        return touched or (final, ACCEPT_ONLY, ())
 
     def remove(self, expr: XPathExpr) -> Optional[Touched]:
         """Remove *expr*, prune every state its departure orphans and
@@ -146,13 +130,16 @@ class SharedPathNFA:
         *shallowest* state that reached zero releases the entire dead
         subtree — the rest of this trail — in one cut.
         """
-        trail = self._trails.pop(expr, None)
+        trail = self._walk(expr, create=False)
         if trail is None:
             return None
         final = trail[-1][2]
-        final.accepting.discard(expr)
-        if not final.accepting:
-            final.accepting = _NO_XPES
+        if expr not in final.accepting:
+            return None
+        final.accepting = (
+            tuple(other for other in final.accepting if other != expr)
+            or _NO_XPES
+        )
         for _, _, reached in trail:
             reached.refs -= 1
         for index, (parent, label, reached) in enumerate(trail):
@@ -164,21 +151,34 @@ class SharedPathNFA:
                 return parent, label, tuple(e[2] for e in trail[index:])
         return final, ACCEPT_ONLY, ()
 
-    def _descendant_of(self, state: _State, trail: List[_TrailEntry]) -> _State:
-        child = state.descendant
-        if child is None:
-            child = state.descendant = _State(self_loop=True)
-        trail.append((state, None, child))
-        return child
-
-    def _edge_of(
-        self, state: _State, test: str, trail: List[_TrailEntry]
-    ) -> _State:
-        nxt = state.edges.get(test)
-        if nxt is None:
-            nxt = state.edges[test] = _State()
-        trail.append((state, test, nxt))
-        return nxt
+    def _walk(
+        self, expr: XPathExpr, create: bool
+    ) -> Optional[List[_TrailEntry]]:
+        """*expr*'s trail from the root: a ``//`` link before a relative
+        XPE's first step and before every later descendant step, then
+        the step's edge.  With *create* a missing state is made;
+        without, a missing one ends the walk with None."""
+        trail: List[_TrailEntry] = []
+        state = self._root
+        relative = expr.is_relative
+        for index, step in enumerate(expr.steps):
+            if step.axis is Axis.DESCENDANT or (index == 0 and relative):
+                nxt = state.descendant
+                if nxt is None:
+                    if not create:
+                        return None
+                    nxt = state.descendant = _State(self_loop=True)
+                trail.append((state, None, nxt))
+                state = nxt
+            test = step.test
+            nxt = state.edges.get(test)
+            if nxt is None:
+                if not create:
+                    return None
+                nxt = state.edges[test] = _State()
+            trail.append((state, test, nxt))
+            state = nxt
+        return trail
 
     # -- simulation ------------------------------------------------------
 
@@ -219,12 +219,15 @@ class SharedPathNFA:
         return len(self._states())
 
     def check_refcounts(self):
-        """Audit helper (raises on a violation): every reachable
-        non-root state is referenced by at least one live trail, and the
-        shape the subset step relies on holds — no //-state has a
-        //-child or accepts, and no state holds an empty set of its own
-        instead of the shared :data:`_NO_XPES`."""
+        """Audit helper (raises on a violation): re-walking every
+        accepted XPE ends at the state that accepts it and counts, on
+        each reachable non-root state, exactly its ``refs`` and at
+        least one (an unreferenced state is a leak), and the shape the
+        subset step relies on holds — no //-state has a //-child or
+        accepts, and no state holds an empty tuple of its own instead
+        of the shared :data:`_NO_XPES`."""
         states = self._states()
+        counted = dict.fromkeys(states, 0)
         for state in states:
             if state.self_loop and state.descendant is not None:
                 raise RoutingError("shared NFA: a //-state has a //-child")
@@ -234,15 +237,21 @@ class SharedPathNFA:
                 raise RoutingError(
                     "shared NFA: a state holds an empty accepting set"
                 )
-        referenced = set()
-        for trail in self._trails.values():
-            for _, _, reached in trail:
-                referenced.add(reached)
-        if len(referenced) != len(states) - 1:
-            raise RoutingError(
-                "shared NFA leak: %d states reachable, %d referenced"
-                % (len(states) - 1, len(referenced))
-            )
+            for expr in state.accepting:
+                trail = self._walk(expr, create=False)
+                if trail is None or trail[-1][2] is not state:
+                    raise RoutingError(
+                        "shared NFA: %s is accepted off its trail" % expr
+                    )
+                for _, _, reached in trail:
+                    counted[reached] += 1
+        del counted[self._root]
+        for state, count in counted.items():
+            if state.refs != count or not count:
+                raise RoutingError(
+                    "shared NFA: a state counts %d references, its trails %d"
+                    % (state.refs, count)
+                )
 
 
 def subset_step(
@@ -273,14 +282,14 @@ def subset_step(
                 if target.descendant is not None:
                     add(target.descendant)
                 if target.accepting:
-                    matched |= target.accepting
+                    matched.update(target.accepting)
             target = edges.get(WILDCARD)
             if target is not None:
                 add(target)
                 if target.descendant is not None:
                     add(target.descendant)
                 if target.accepting:
-                    matched |= target.accepting
+                    matched.update(target.accepting)
     return nxt
 
 

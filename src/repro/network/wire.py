@@ -9,7 +9,8 @@ frame over TCP and to inspect on the wire):
 * advertisements serialise to a small AST (``lit``/``rep`` nodes) so
   recursive patterns round-trip exactly,
 * publications carry doc id, path id and the element path (a path id
-  outside ``[0, PATH_ID_LIMIT)`` is refused).
+  outside ``[0, PATH_ID_LIMIT)`` is refused by ``encode`` and
+  ``decode`` alike).
 
 ``encode``/``decode`` are total inverses for every message kind; the
 property-based tests round-trip randomly generated messages.
@@ -123,7 +124,7 @@ def message_to_obj(message: Message) -> dict:
         obj = {
             "kind": "publish",
             "doc_id": message.publication.doc_id,
-            "path_id": message.publication.path_id,
+            "path_id": _checked_path_id(message.publication.path_id),
             "path": list(message.publication.path),
             "publisher_id": message.publisher_id,
             "doc_size_bytes": message.doc_size_bytes,
@@ -224,8 +225,10 @@ def _path(obj: dict) -> tuple:
     return path
 
 
-def _path_id(obj: dict) -> int:
-    path_id = _field(obj, "path_id", int)
+def _checked_path_id(path_id: int) -> int:
+    """*path_id*, or ``WireError`` when it lies outside ``[0,
+    PATH_ID_LIMIT)``: the encoder checks too, so such a publication
+    fails at the sender instead of in a frame no peer acks."""
     if not 0 <= path_id < PATH_ID_LIMIT:
         raise WireError(
             "path id %d outside [0, %d)" % (path_id, PATH_ID_LIMIT)
@@ -284,7 +287,7 @@ def _decode_message(obj: dict) -> Message:
         return PublishMsg(
             publication=Publication(
                 doc_id=_field(obj, "doc_id", str),
-                path_id=_path_id(obj),
+                path_id=_checked_path_id(_field(obj, "path_id", int)),
                 path=_path(obj),
                 attributes=_attributes(obj),
             ),

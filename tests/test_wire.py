@@ -24,6 +24,7 @@ from repro.network.wire import (
     encode,
     encode_ack_frame,
     encode_data_frame,
+    message_to_obj,
 )
 from repro.xmldoc import Publication
 from repro.xpath import parse_xpath
@@ -131,6 +132,20 @@ class TestErrors:
         frame["path_id"] = path_id
         with pytest.raises(WireError, match="path id"):
             decode(json.dumps(frame).encode())
+
+    @pytest.mark.parametrize("path_id", [-1, PATH_ID_LIMIT, 2 ** 70])
+    def test_out_of_range_path_id_fails_at_the_sender(self, path_id):
+        """The decoder refuses such an id, so a peer would never ack the
+        frame: the encoder refuses it first, at the sender."""
+        message = PublishMsg(
+            publication=Publication(doc_id="d", path_id=path_id, path=("a",)),
+        )
+        with pytest.raises(WireError, match="path id"):
+            message_to_obj(message)
+        with pytest.raises(WireError, match="path id"):
+            encode(message)
+        with pytest.raises(WireError, match="path id"):
+            encode_data_frame(0, message)
 
     def test_largest_path_id_is_accepted(self):
         publication = Publication(

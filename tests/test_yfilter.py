@@ -169,16 +169,16 @@ class TestEditReports:
 
 
 def test_a_state_no_xpe_ends_at_holds_no_set():
-    """Accepting sets are allocated only where an XPE ends: once the
-    last one leaves, the state shares the one empty frozenset again."""
+    """Accepting tuples are allocated only where an XPE ends: once the
+    last one leaves, the state shares the one empty tuple again."""
     nfa = SharedPathNFA()
     nfa.add(x("/a/b/c"))
     shared = nfa._root.accepting  # no XPE ends at the root
-    assert isinstance(shared, frozenset) and not shared
+    assert isinstance(shared, tuple) and not shared
     at_b = nfa._root.edges["a"].edges["b"]
     assert at_b.accepting is shared
     nfa.add(x("/a/b"))
-    assert at_b.accepting == {x("/a/b")}
+    assert at_b.accepting == (x("/a/b"),)
     nfa.remove(x("/a/b"))
     assert at_b.accepting is shared
     assert nfa.match_set(("a", "b", "c")) == {x("/a/b/c")}
@@ -246,7 +246,7 @@ class TestShapeAudit:
 
     def test_an_accepting_descendant_state(self):
         nfa, gap = self._nfa()
-        gap.accepting = {x("//a")}
+        gap.accepting = (x("//a"),)
         with pytest.raises(RoutingError, match="accepts"):
             nfa.check_refcounts()
 
@@ -255,3 +255,144 @@ class TestShapeAudit:
         gap.edges["a"].accepting = set()
         with pytest.raises(RoutingError, match="empty accepting set"):
             nfa.check_refcounts()
+
+    def test_a_miscounted_or_unreferenced_state(self):
+        nfa, gap = self._nfa()
+        gap.refs += 1
+        with pytest.raises(RoutingError, match="counts 2 references"):
+            nfa.check_refcounts()
+        gap.refs -= 1
+        gap.edges["z"] = _State()  # reachable, on no XPE's trail
+        with pytest.raises(RoutingError, match="its trails 0"):
+            nfa.check_refcounts()
+
+    def test_an_xpe_accepted_off_its_trail(self):
+        nfa, gap = self._nfa()
+        nfa._root.edges["a"] = stray = _State()
+        stray.refs, stray.accepting = 1, (x("//a"),)
+        with pytest.raises(RoutingError, match="off its trail"):
+            nfa.check_refcounts()
+
+
+class _TrailNFA:
+    """Reference: the NFA that stores each XPE's trail at ``add`` and
+    replays it at ``remove``; what it stores is ``trails``."""
+
+    def __init__(self):
+        self.root = _State()
+        self.trails = {}
+
+    def add(self, expr):
+        if expr in self.trails:
+            return None
+        trail, state = [], self.root
+        for index, step in enumerate(expr.steps):
+            if (expr.is_relative and index == 0) or step.axis is Axis.DESCENDANT:
+                if state.descendant is None:
+                    state.descendant = _State(self_loop=True)
+                trail.append((state, None, state.descendant))
+                state = state.descendant
+            nxt = state.edges.setdefault(step.test, _State())
+            trail.append((state, step.test, nxt))
+            state = nxt
+        created = [(p, label) for p, label, r in trail if not r.refs]
+        for _, _, reached in trail:
+            reached.refs += 1
+        state.accepting += (expr,)
+        self.trails[expr] = trail
+        return (*created[0], ()) if created else (state, ACCEPT_ONLY, ())
+
+    def remove(self, expr):
+        trail = self.trails.pop(expr, None)
+        if trail is None:
+            return None
+        final = trail[-1][2]
+        final.accepting = tuple(e for e in final.accepting if e != expr)
+        for _, _, reached in trail:
+            reached.refs -= 1
+        for index, (parent, label, reached) in enumerate(trail):
+            if not reached.refs:
+                if label is None:
+                    parent.descendant = None
+                else:
+                    del parent.edges[label]
+                return parent, label, tuple(r for _, _, r in trail[index:])
+        return final, ACCEPT_ONLY, ()
+
+
+def _addresses(root):
+    """Every reachable state → its labels from the root (None for a //
+    link): the one name a state has in both automata."""
+    found, stack = {}, [(root, ())]
+    while stack:
+        state, address = stack.pop()
+        found[state] = address
+        stack.extend((s, address + (t,)) for t, s in state.edges.items())
+        if state.descendant is not None:
+            stack.append((state.descendant, address + (None,)))
+    return found
+
+
+def _shape(root):
+    """Address → (refs, accepting) of every reachable state."""
+    return {
+        address: (state.refs, state.accepting)
+        for state, address in _addresses(root).items()
+    }
+
+
+#: Twins (``a`` / ``//a`` and ``a/b`` / ``//a/b`` share a final state),
+#: wildcards, descendant steps and prefixes of one another, so random
+#: removals hit XPEs that were never added but whose trail exists.
+_POOL = [x(text) for text in (
+    "a", "//a", "/a", "/a/b", "a/b", "//a/b", "/a/b/c", "/a//b",
+    "*", "//*", "/*", "/a/*", "/a//*", "*//b", "//b//c", "/a/*/b",
+)]
+_PATHS = [("a",), ("a", "b"), ("a", "b", "c"), ("b", "a", "b"), ("c", "b", "c")]
+
+
+class TestRewalkDifferential:
+    """``SharedPathNFA`` re-walks a trail where the reference stores it:
+    both must report the same edits and keep the same automaton."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.tuples(st.booleans(), st.integers(0, len(_POOL) - 1)),
+        max_size=40,
+    ))
+    def test_same_reports_and_automaton_as_stored_trails(self, ops):
+        nfa, ref = SharedPathNFA(), _TrailNFA()
+        for is_add, index in ops:
+            expr = _POOL[index]
+            before, ref_before = _addresses(nfa._root), _addresses(ref.root)
+            shape = _shape(nfa._root)
+            got = nfa.add(expr) if is_add else nfa.remove(expr)
+            want = ref.add(expr) if is_add else ref.remove(expr)
+            if want is None:
+                assert got is None
+                assert _shape(nfa._root) == shape  # unchanged
+            else:
+                anchor, label, pruned = got
+                assert before[anchor] == ref_before[want[0]]
+                assert label == want[1]
+                assert [before[s] for s in pruned] == [
+                    ref_before[s] for s in want[2]
+                ]
+            assert _shape(nfa._root) == _shape(ref.root)
+            assert nfa.state_count() == len(_addresses(ref.root))
+            for path in _PATHS:
+                assert nfa.match_set(path) == {
+                    e for e in ref.trails if matches_path(e, path)
+                }
+            nfa.check_refcounts()
+
+    def test_removing_a_twin_never_added_changes_nothing(self):
+        nfa = SharedPathNFA()
+        nfa.add(x("a/b"))
+        nfa.add(x("/a/b/c"))
+        shape = _shape(nfa._root)
+        for absent in ("//a/b", "/a/b", "/a/b/c/d", "/a//b"):
+            assert nfa.remove(x(absent)) is None
+        assert _shape(nfa._root) == shape
+        assert nfa.add(x("a/b")) is None  # present: idempotent
+        assert _shape(nfa._root) == shape
