@@ -52,17 +52,16 @@ from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 from repro import obs
 from repro.covering.subscription_tree import RemoveOutcome
 from repro.matching.engine import KEPT, REMOVED, FlatTable
-from repro.matching.yfilter import (
-    ACCEPT_ONLY,
-    SharedPathNFA,
-    _State,
-    simulate,
-    subset_step,
-)
+from repro.matching.yfilter import ACCEPT_ONLY, SharedPathNFA, _State
 from repro.xpath.ast import WILDCARD, XPathExpr
 
 #: Default bound on cached DFA states before the cold half is evicted.
 DEFAULT_DFA_STATE_LIMIT = 50_000
+
+#: The accepting set of every DFA state whose subset accepts nothing:
+#: one shared empty frozenset (CPython keeps no empty singleton), as
+#: the NFA's states share :data:`~repro.matching.yfilter._NO_XPES`.
+_NO_MATCHES: FrozenSet[XPathExpr] = frozenset()
 
 
 class _DFAState:
@@ -88,7 +87,9 @@ class _DFAState:
         for state in self.nfa_states:
             if state.accepting:
                 accepting.update(state.accepting)
-        self.accepting: FrozenSet[XPathExpr] = frozenset(accepting)
+        self.accepting: FrozenSet[XPathExpr] = (
+            frozenset(accepting) if accepting else _NO_MATCHES
+        )
 
 
 #: The unique sink state: empty subset, no way back.
@@ -226,7 +227,7 @@ class SharedAutomatonMatcher(FlatTable):
         return start
 
     def _transition(self, state: _DFAState, symbol: str) -> _DFAState:
-        nxt = subset_step(state.nfa_states, symbol, set())
+        nxt = self._nfa.step(state.nfa_states, symbol, set())
         target_state = self._dfa_state_for(nxt) if nxt else _SINK
         state.transitions[symbol] = target_state
         return target_state
@@ -249,9 +250,12 @@ class SharedAutomatonMatcher(FlatTable):
                 if nxt is None:
                     # First sighting: note it, finish on the NFA.
                     state.transitions[symbol] = _SIGHTED
-                    simulate(
-                        state.nfa_states, chain((symbol,), symbols), matched
-                    )
+                    step = self._nfa.step
+                    active = state.nfa_states
+                    for rest in chain((symbol,), symbols):
+                        active = step(active, rest, matched)
+                        if not active:
+                            break
                     self.cold_walks += 1
                     registry = obs.get_registry()
                     if registry.enabled:

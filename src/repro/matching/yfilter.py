@@ -30,13 +30,20 @@ trail itself is not stored — ``remove`` re-walks it from the root by
 the rules ``add`` builds it with, which also tells whether the XPE is
 stored at all.
 
+The edges are not stored on the states either: the automaton keeps one
+table per label, ``parent state -> child state``, that exists only
+while some edge carries the label.  A state no edge leaves costs no
+mapping at all, and a subset step reads the symbol's table and the
+``*`` table once, then probes each active state by its identity hash.
+
 Removal really prunes: when an expression's last key is gone the
 shallowest state on its re-walked trail whose count reached zero is
-unlinked, releasing the whole dead subtree.  ``state_count()``
-therefore returns to its old value after any add/remove churn cycle —
-dead automaton branches would otherwise accumulate without bound under
-subscriber churn (the classic YFilter "prune lazily" stance is
-untenable at routing-table scale).
+unlinked and every edge below it on the trail is deleted, releasing
+the whole dead subtree.  ``state_count()`` therefore returns to its
+old value after any add/remove churn cycle — dead automaton branches
+would otherwise accumulate without bound under subscriber churn (the
+classic YFilter "prune lazily" stance is untenable at routing-table
+scale).
 """
 
 from __future__ import annotations
@@ -58,21 +65,21 @@ _NO_XPES: Tuple[XPathExpr, ...] = ()
 class _State:
     """One NFA state.
 
-    ``edges`` maps an element name (or ``*``) to the next state;
     ``descendant`` points to the //-state child (which self-loops);
     ``accepting`` is the tuple of XPEs that end here (:data:`_NO_XPES`
     when none does); ``refs`` counts the stored XPEs whose trail
     traverses this state (pruning drops a state when it reaches zero).
+    The labelled edges leaving a state live in the automaton's per-label
+    tables (:attr:`SharedPathNFA._edges`), keyed by the state itself.
 
     Two shape facts hold by construction and the subset step relies on
     them (``check_refcounts`` audits both): a //-state never has a
     //-child, and it never accepts — every XPE ends on an edge.
     """
 
-    __slots__ = ("edges", "descendant", "accepting", "self_loop", "refs")
+    __slots__ = ("descendant", "accepting", "self_loop", "refs")
 
     def __init__(self, self_loop: bool = False):
-        self.edges: Dict[str, "_State"] = {}
         self.descendant: Optional["_State"] = None
         self.accepting: Tuple[XPathExpr, ...] = _NO_XPES
         self.self_loop = self_loop
@@ -101,6 +108,9 @@ class SharedPathNFA:
 
     def __init__(self):
         self._root = _State()
+        #: Every labelled edge: label -> {parent state: child state}.
+        #: A label's table exists only while some edge carries it.
+        self._edges: Dict[str, Dict[_State, _State]] = {}
 
     # -- maintenance -----------------------------------------------------
 
@@ -126,9 +136,11 @@ class SharedPathNFA:
         report what was touched (None when *expr* is not stored).
 
         The trail's states form a root-to-leaf chain; a state's
-        reference count bounds its children's, so unlinking the
-        *shallowest* state that reached zero releases the entire dead
-        subtree — the rest of this trail — in one cut.
+        reference count bounds its children's, so the states that
+        reached zero are the rest of this trail below the *shallowest*
+        of them.  Cutting its link and deleting every edge below it
+        releases the entire dead subtree; a label table left empty
+        goes with its last edge.
         """
         trail = self._walk(expr, create=False)
         if trail is None:
@@ -144,10 +156,15 @@ class SharedPathNFA:
             reached.refs -= 1
         for index, (parent, label, reached) in enumerate(trail):
             if reached.refs == 0:
-                if label is None:
-                    parent.descendant = None
-                else:
-                    del parent.edges[label]
+                edges = self._edges
+                for dead_parent, dead_label, _ in trail[index:]:
+                    if dead_label is None:
+                        dead_parent.descendant = None
+                    else:
+                        table = edges[dead_label]
+                        del table[dead_parent]
+                        if not table:
+                            del edges[dead_label]
                 return parent, label, tuple(e[2] for e in trail[index:])
         return final, ACCEPT_ONLY, ()
 
@@ -159,6 +176,7 @@ class SharedPathNFA:
         the step's edge.  With *create* a missing state is made;
         without, a missing one ends the walk with None."""
         trail: List[_TrailEntry] = []
+        edges = self._edges
         state = self._root
         relative = expr.is_relative
         for index, step in enumerate(expr.steps):
@@ -171,14 +189,22 @@ class SharedPathNFA:
                 trail.append((state, None, nxt))
                 state = nxt
             test = step.test
-            nxt = state.edges.get(test)
+            table = edges.get(test)
+            nxt = None if table is None else table.get(state)
             if nxt is None:
                 if not create:
                     return None
-                nxt = state.edges[test] = _State()
+                if table is None:
+                    table = edges[test] = {}
+                nxt = table[state] = _State()
             trail.append((state, test, nxt))
             state = nxt
         return trail
+
+    def child(self, state: _State, label: str) -> Optional[_State]:
+        """The state *state*'s edge labelled *label* leads to, if any."""
+        table = self._edges.get(label)
+        return None if table is None else table.get(state)
 
     # -- simulation ------------------------------------------------------
 
@@ -189,19 +215,72 @@ class SharedPathNFA:
             return {root}
         return {root, root.descendant}
 
-    @staticmethod
-    def step_states(active: Iterable[_State], symbol: str) -> Set[_State]:
+    def step(
+        self, states: Iterable[_State], symbol: str, matched: Set[XPathExpr]
+    ) -> Set[_State]:
+        """The one subset step: the ε-closed set *states* reaches on
+        *symbol*, ε-closed, with every XPE it accepts added to
+        *matched*.  The NFA simulation (:meth:`match_set`), the lazy
+        DFA's transition and its cold finish
+        (:mod:`repro.matching.shared_automaton`) all take their steps
+        here.
+
+        The symbol's table and the ``*`` table are read once; each
+        active state is then probed by identity hash (no probe at all
+        for a label no edge carries).  The closure and acceptance fold
+        into the one loop because of the shape ``add`` builds: a
+        //-state never has a //-child and never accepts, so a //-state
+        steps to itself alone, and an edge target's closure is the
+        target plus its //-state.  (The two probes are spelled out:
+        looping over them costs a fifth more a step.)
+        """
+        named = self._edges.get(symbol)
+        wild = self._edges.get(WILDCARD)
+        nxt: Set[_State] = set()
+        add = nxt.add
+        for state in states:
+            if state.self_loop:
+                add(state)
+            if named is not None:
+                target = named.get(state)
+                if target is not None:
+                    add(target)
+                    if target.descendant is not None:
+                        add(target.descendant)
+                    if target.accepting:
+                        matched.update(target.accepting)
+            if wild is not None:
+                target = wild.get(state)
+                if target is not None:
+                    add(target)
+                    if target.descendant is not None:
+                        add(target.descendant)
+                    if target.accepting:
+                        matched.update(target.accepting)
+        return nxt
+
+    def step_states(self, active: Iterable[_State], symbol: str) -> Set[_State]:
         """One symbol of the active-state-set simulation (ε-closed)."""
-        return subset_step(active, symbol, set())
+        return self.step(active, symbol, set())
 
     def match_set(self, path: Sequence[str]) -> Set[XPathExpr]:
-        """All stored XPEs matching *path*."""
+        """All stored XPEs matching *path* (acceptance may fire at any
+        position)."""
         matched: Set[XPathExpr] = set()
-        simulate(self.initial_states(), path, matched)
+        step = self.step
+        states = self.initial_states()
+        for symbol in path:
+            states = step(states, symbol, matched)
+            if not states:
+                break
         return matched
 
     def _states(self) -> Set[_State]:
         """Every reachable state, the root included."""
+        children: Dict[_State, List[_State]] = {}
+        for table in self._edges.values():
+            for parent, child in table.items():
+                children.setdefault(parent, []).append(child)
         seen: Set[_State] = set()
         stack = [self._root]
         while stack:
@@ -209,7 +288,7 @@ class SharedPathNFA:
             if state in seen:
                 continue
             seen.add(state)
-            stack.extend(state.edges.values())
+            stack.extend(children.get(state, ()))
             if state.descendant is not None:
                 stack.append(state.descendant)
         return seen
@@ -225,8 +304,21 @@ class SharedPathNFA:
         least one (an unreferenced state is a leak), and the shape the
         subset step relies on holds — no //-state has a //-child or
         accepts, and no state holds an empty tuple of its own instead
-        of the shared :data:`_NO_XPES`."""
+        of the shared :data:`_NO_XPES`.  The edge tables hold no empty
+        table and no edge leaving an unreachable state (such an edge is
+        a leak the reachability walk cannot see)."""
         states = self._states()
+        for label, table in self._edges.items():
+            if not table:
+                raise RoutingError(
+                    "shared NFA: the edge table for %r is empty" % label
+                )
+            for parent in table:
+                if parent not in states:
+                    raise RoutingError(
+                        "shared NFA: an edge labelled %r leaves an unreachable state"
+                        % label
+                    )
         counted = dict.fromkeys(states, 0)
         for state in states:
             if state.self_loop and state.descendant is not None:
@@ -252,54 +344,3 @@ class SharedPathNFA:
                     "shared NFA: a state counts %d references, its trails %d"
                     % (state.refs, count)
                 )
-
-
-def subset_step(
-    states: Iterable[_State], symbol: str, matched: Set[XPathExpr]
-) -> Set[_State]:
-    """The one subset step: the ε-closed set *states* reaches on
-    *symbol*, ε-closed, with every XPE it accepts added to *matched*.
-    The NFA simulation below, the lazy DFA's transition and its cold
-    finish (:mod:`repro.matching.shared_automaton`) all take their
-    steps here.
-
-    The closure and acceptance fold into the one loop because of the
-    shape ``add`` builds: a //-state never has a //-child and never
-    accepts, so a //-state steps to itself alone, and an edge target's
-    closure is the target plus its //-state.  (The two edge lookups
-    are spelled out: looping over them costs a fifth more a step.)
-    """
-    nxt: Set[_State] = set()
-    add = nxt.add
-    for state in states:
-        if state.self_loop:
-            add(state)
-        edges = state.edges
-        if edges:
-            target = edges.get(symbol)
-            if target is not None:
-                add(target)
-                if target.descendant is not None:
-                    add(target.descendant)
-                if target.accepting:
-                    matched.update(target.accepting)
-            target = edges.get(WILDCARD)
-            if target is not None:
-                add(target)
-                if target.descendant is not None:
-                    add(target.descendant)
-                if target.accepting:
-                    matched.update(target.accepting)
-    return nxt
-
-
-def simulate(
-    states: Iterable[_State], path: Iterable[str], matched: Set[XPathExpr]
-):
-    """Run the active-state-set simulation over *path* from the
-    ε-closed set *states*, adding every XPE accepted on the way to
-    *matched* (acceptance may fire at any position)."""
-    for symbol in path:
-        states = subset_step(states, symbol, matched)
-        if not states:
-            return

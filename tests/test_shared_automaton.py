@@ -49,8 +49,11 @@ from repro.broker.tables import ForwardedState
 from repro.covering.pathmatch import matches_path_reference
 from repro.dtd.samples import psd_dtd
 from repro.matching import LinearMatcher, SharedAutomatonMatcher
-from repro.matching.shared_automaton import DEFAULT_DFA_STATE_LIMIT, _SINK
-from repro.matching.yfilter import SharedPathNFA
+from repro.matching.shared_automaton import (
+    DEFAULT_DFA_STATE_LIMIT,
+    _NO_MATCHES,
+    _SINK,
+)
 from repro.merging.engine import PathUniverse
 from repro.workloads.mass import generate_mass_subscriptions
 from repro.xmldoc import Publication
@@ -134,12 +137,13 @@ class TestFootprint:
     stored trail, no one-element set per XPE."""
 
     def test_a_mass_load_creates_two_objects_per_state_at_most(self):
-        """Each NFA state is at most two tracked objects (itself and a
-        non-empty ``edges`` dict) and each XPE adds one accepting tuple;
-        a key tuple of strings is untracked by the collection.  At seed
-        0 the 2,000 pairs (1,845 XPEs, 7,311 states) created 14,093
-        objects against this bound's 16,483 (17 % slack); a table that
-        stored each XPE's trail and one-element sets created 28,458."""
+        """Each XPE adds one accepting tuple and no set; a key tuple of
+        strings is untracked by the collection.  This bound dates from
+        when each state also owned an ``edges`` dict: at seed 0 the
+        2,000 pairs (1,845 XPEs, 7,311 states) created 14,093 objects
+        against its 16,483, and a table that stored each XPE's trail
+        and one-element sets created 28,458.  The next case holds the
+        tighter bound of one object per state."""
         pairs = generate_mass_subscriptions(2000, seed=0)
         for expr, _ in pairs:
             hash(expr)  # the XPE's own key cache is not the table's
@@ -155,6 +159,33 @@ class TestFootprint:
             2 * table.automaton_size() + len(table) + 16
         )
         assert not created["set"]
+
+    def test_a_mass_load_keeps_no_mapping_per_state(self):
+        """The edges live in one table per label, not in a dict per
+        state: a state is one tracked object, each XPE adds at most one
+        accepting tuple, and the dicts are the label tables plus at most
+        8 of the automaton's and the matcher's own (16 objects of slack
+        in all).  At seed 0 the 2,000 pairs (1,845 XPEs, 7,311 states,
+        41 labels) created 9,150–9,174 objects, 43 of them dicts,
+        against bounds of 9,213 and 49 (the census is a net count, so
+        objects freed meanwhile lower it); one ``edges`` dict per state
+        created 14,073–14,092 objects, 4,966 of them dicts."""
+        pairs = generate_mass_subscriptions(2000, seed=0)
+        for expr, _ in pairs:
+            hash(expr)
+
+        def load():
+            table = SharedAutomatonMatcher()
+            for expr, key in pairs:
+                table.add(expr, key)
+            return table
+
+        created, table = _created(load)
+        labels = len({step.test for expr in table.exprs() for step in expr.steps})
+        assert sum(created.values()) <= (
+            table.automaton_size() + len(table) + labels + 16
+        )
+        assert created["dict"] <= labels + 8
 
     def test_forwarded_marks_hold_no_set(self):
         forwarded = ForwardedState()
@@ -287,13 +318,17 @@ def _cached_walk(m, path):
 
 
 def _live_nfa_states(nfa):
+    children = {}
+    for table in nfa._edges.values():
+        for parent, child in table.items():
+            children.setdefault(parent, []).append(child)
     seen = set()
     stack = [nfa._root]
     while stack:
         state = stack.pop()
         if state not in seen:
             seen.add(state)
-            stack.extend(state.edges.values())
+            stack.extend(children.get(state, ()))
             if state.descendant is not None:
                 stack.append(state.descendant)
     return seen
@@ -317,13 +352,29 @@ def _check_dfa(m):
         for symbol, target in state.transitions.items():
             if target.dead:
                 continue
-            want = frozenset(SharedPathNFA.step_states(active, symbol))
+            want = frozenset(m._nfa.step_states(active, symbol))
             assert want == target.nfa_states, symbol
             assert target is (m._dfa_cache.get(want) if want else _SINK)
     start = m._dfa_start
     if start is not None and not start.dead:
         initial = frozenset(m._nfa.initial_states())
         assert m._dfa_cache.get(initial) is start
+
+
+def test_states_accepting_nothing_share_one_empty_set():
+    """A cached DFA state whose subset accepts nothing holds the one
+    shared empty frozenset, also after an edit re-reads its accepting
+    set in place."""
+    m = build("/a/b/c", "//q", "/a//d")
+    m.add(x("/a/b"), "mid")
+    for path in (("a", "b", "c"), ("a", "x", "d"), ("z", "q"), ("a", "b")):
+        _warm(m, path)
+    m.remove(x("/a/b"), "mid")  # accept-only: refreshed in place
+    assert m.match(("a", "b")) == set()
+    empty = [state for state in m._dfa_cache.values() if not state.accepting]
+    assert len(empty) >= 3
+    assert all(state.accepting is _NO_MATCHES for state in empty)
+    _check_dfa(m)
 
 
 class TestSelectiveInvalidation:
@@ -392,7 +443,7 @@ class TestSelectiveInvalidation:
         walk = _cached_walk(m, ("a", "b", "c", "d"))
         pruned, at = set(), m._nfa._root
         for label in "abcd":  # the trail of /a/b/c/d
-            at = at.edges[label]
+            at = m._nfa.child(at, label)
             pruned.add(at)
         m.remove(x("/a/b/c/d"), "/a/b/c/d")
         assert [state.dead for state in walk] == [False] + [True] * 4
@@ -467,7 +518,7 @@ class TestAdmission:
         active = m._nfa.initial_states()
         matched = set()
         for symbol, state in zip(path, cached[1:]):
-            active = SharedPathNFA.step_states(active, symbol)
+            active = m._nfa.step_states(active, symbol)
             assert frozenset(active) == state.nfa_states
             matched |= state.accepting
         assert {str(expr) for expr in matched} == linear.match(path)

@@ -140,7 +140,7 @@ class TestEditReports:
     def test_new_suffix_reports_anchor_and_first_created_label(self):
         nfa = SharedPathNFA()
         assert nfa.add(x("/a/b")) == (nfa._root, "a", ())
-        at_a = nfa._root.edges["a"]
+        at_a = nfa.child(nfa._root, "a")
         assert nfa.add(x("/a/c/d")) == (at_a, "c", ())
         assert nfa.add(x("/a/*")) == (at_a, "*", ())
         assert nfa.add(x("/a//z")) == (at_a, None, ())  # the // link
@@ -149,7 +149,7 @@ class TestEditReports:
     def test_existing_trail_reports_the_accepting_state_only(self):
         nfa = SharedPathNFA()
         nfa.add(x("/a/b/c"))
-        at_b = nfa._root.edges["a"].edges["b"]
+        at_b = nfa.child(nfa.child(nfa._root, "a"), "b")
         assert nfa.add(x("/a/b")) == (at_b, ACCEPT_ONLY, ())
         assert nfa.remove(x("/a/b")) == (at_b, ACCEPT_ONLY, ())
         assert nfa.remove(x("/a/b")) is None
@@ -158,12 +158,13 @@ class TestEditReports:
         nfa = SharedPathNFA()
         nfa.add(x("/a/b"))
         nfa.add(x("/a//c/d"))
-        at_a = nfa._root.edges["a"]
+        at_a = nfa.child(nfa._root, "a")
         gap = at_a.descendant
-        chain = (gap, gap.edges["c"], gap.edges["c"].edges["d"])
+        at_c = nfa.child(gap, "c")
+        chain = (gap, at_c, nfa.child(at_c, "d"))
         assert nfa.remove(x("/a//c/d")) == (at_a, None, chain)
         assert at_a.descendant is None
-        at_b = at_a.edges["b"]
+        at_b = nfa.child(at_a, "b")
         assert nfa.remove(x("/a/b")) == (nfa._root, "a", (at_a, at_b))
         nfa.check_refcounts()
 
@@ -175,7 +176,7 @@ def test_a_state_no_xpe_ends_at_holds_no_set():
     nfa.add(x("/a/b/c"))
     shared = nfa._root.accepting  # no XPE ends at the root
     assert isinstance(shared, tuple) and not shared
-    at_b = nfa._root.edges["a"].edges["b"]
+    at_b = nfa.child(nfa.child(nfa._root, "a"), "b")
     assert at_b.accepting is shared
     nfa.add(x("/a/b"))
     assert at_b.accepting == (x("/a/b"),)
@@ -252,7 +253,7 @@ class TestShapeAudit:
 
     def test_an_empty_set_of_its_own(self):
         nfa, gap = self._nfa()
-        gap.edges["a"].accepting = set()
+        nfa.child(gap, "a").accepting = set()
         with pytest.raises(RoutingError, match="empty accepting set"):
             nfa.check_refcounts()
 
@@ -262,13 +263,34 @@ class TestShapeAudit:
         with pytest.raises(RoutingError, match="counts 2 references"):
             nfa.check_refcounts()
         gap.refs -= 1
-        gap.edges["z"] = _State()  # reachable, on no XPE's trail
+        nfa._edges["z"] = {gap: _State()}  # reachable, on no XPE's trail
         with pytest.raises(RoutingError, match="its trails 0"):
+            nfa.check_refcounts()
+
+    def test_an_empty_edge_table(self):
+        nfa, _ = self._nfa()
+        nfa.add(x("/b/*"))
+        assert set(nfa._edges) == {"a", "b", "*"}
+        nfa.remove(x("/b/*"))  # a table goes with its last edge
+        assert set(nfa._edges) == {"a"}
+        nfa.check_refcounts()
+        nfa._edges["q"] = {}
+        with pytest.raises(RoutingError, match="table for 'q' is empty"):
+            nfa.check_refcounts()
+
+    def test_an_edge_leaving_an_unreachable_state(self):
+        nfa, gap = self._nfa()
+        nfa.add(x("/a/b/c"))
+        nfa.remove(x("/a/b/c"))  # the cut deletes every edge below it
+        assert nfa._edges == {"a": {gap: nfa.child(gap, "a")}}
+        nfa.check_refcounts()
+        nfa._edges["a"][_State()] = _State()  # invisible from the root
+        with pytest.raises(RoutingError, match="labelled 'a' leaves an unreach"):
             nfa.check_refcounts()
 
     def test_an_xpe_accepted_off_its_trail(self):
         nfa, gap = self._nfa()
-        nfa._root.edges["a"] = stray = _State()
+        nfa._edges["a"][nfa._root] = stray = _State()
         stray.refs, stray.accepting = 1, (x("//a"),)
         with pytest.raises(RoutingError, match="off its trail"):
             nfa.check_refcounts()
@@ -276,10 +298,12 @@ class TestShapeAudit:
 
 class _TrailNFA:
     """Reference: the NFA that stores each XPE's trail at ``add`` and
-    replays it at ``remove``; what it stores is ``trails``."""
+    replays it at ``remove``; what it stores is ``trails``.  Its edges
+    are one ``(parent, label) -> child`` dict of its own."""
 
     def __init__(self):
         self.root = _State()
+        self.edges = {}
         self.trails = {}
 
     def add(self, expr):
@@ -292,7 +316,7 @@ class _TrailNFA:
                     state.descendant = _State(self_loop=True)
                 trail.append((state, None, state.descendant))
                 state = state.descendant
-            nxt = state.edges.setdefault(step.test, _State())
+            nxt = self.edges.setdefault((state, step.test), _State())
             trail.append((state, step.test, nxt))
             state = nxt
         created = [(p, label) for p, label, r in trail if not r.refs]
@@ -315,29 +339,44 @@ class _TrailNFA:
                 if label is None:
                     parent.descendant = None
                 else:
-                    del parent.edges[label]
+                    del self.edges[parent, label]
                 return parent, label, tuple(r for _, _, r in trail[index:])
         return final, ACCEPT_ONLY, ()
 
 
-def _addresses(root):
+def _graph(automaton):
+    """``(root, {(parent, label): child})`` of either automaton."""
+    if isinstance(automaton, _TrailNFA):
+        return automaton.root, automaton.edges
+    return automaton._root, {
+        (parent, label): child
+        for label, table in automaton._edges.items()
+        for parent, child in table.items()
+    }
+
+
+def _addresses(automaton):
     """Every reachable state → its labels from the root (None for a //
     link): the one name a state has in both automata."""
+    root, edges = _graph(automaton)
+    children = {}
+    for (parent, label), child in edges.items():
+        children.setdefault(parent, []).append((label, child))
     found, stack = {}, [(root, ())]
     while stack:
         state, address = stack.pop()
         found[state] = address
-        stack.extend((s, address + (t,)) for t, s in state.edges.items())
+        stack.extend((s, address + (t,)) for t, s in children.get(state, ()))
         if state.descendant is not None:
             stack.append((state.descendant, address + (None,)))
     return found
 
 
-def _shape(root):
+def _shape(automaton):
     """Address → (refs, accepting) of every reachable state."""
     return {
         address: (state.refs, state.accepting)
-        for state, address in _addresses(root).items()
+        for state, address in _addresses(automaton).items()
     }
 
 
@@ -364,13 +403,13 @@ class TestRewalkDifferential:
         nfa, ref = SharedPathNFA(), _TrailNFA()
         for is_add, index in ops:
             expr = _POOL[index]
-            before, ref_before = _addresses(nfa._root), _addresses(ref.root)
-            shape = _shape(nfa._root)
+            before, ref_before = _addresses(nfa), _addresses(ref)
+            shape = _shape(nfa)
             got = nfa.add(expr) if is_add else nfa.remove(expr)
             want = ref.add(expr) if is_add else ref.remove(expr)
             if want is None:
                 assert got is None
-                assert _shape(nfa._root) == shape  # unchanged
+                assert _shape(nfa) == shape  # unchanged
             else:
                 anchor, label, pruned = got
                 assert before[anchor] == ref_before[want[0]]
@@ -378,8 +417,8 @@ class TestRewalkDifferential:
                 assert [before[s] for s in pruned] == [
                     ref_before[s] for s in want[2]
                 ]
-            assert _shape(nfa._root) == _shape(ref.root)
-            assert nfa.state_count() == len(_addresses(ref.root))
+            assert _shape(nfa) == _shape(ref)
+            assert nfa.state_count() == len(_addresses(ref))
             for path in _PATHS:
                 assert nfa.match_set(path) == {
                     e for e in ref.trails if matches_path(e, path)
@@ -390,9 +429,9 @@ class TestRewalkDifferential:
         nfa = SharedPathNFA()
         nfa.add(x("a/b"))
         nfa.add(x("/a/b/c"))
-        shape = _shape(nfa._root)
+        shape = _shape(nfa)
         for absent in ("//a/b", "/a/b", "/a/b/c/d", "/a//b"):
             assert nfa.remove(x(absent)) is None
-        assert _shape(nfa._root) == shape
+        assert _shape(nfa) == shape
         assert nfa.add(x("a/b")) is None  # present: idempotent
-        assert _shape(nfa._root) == shape
+        assert _shape(nfa) == shape
