@@ -28,7 +28,9 @@ The 1M-subscription variants are marked ``soak`` and excluded from the
 PR lane (``-m "not soak"``); the scheduled soak job runs them.
 """
 
+import resource
 import statistics
+import sys
 import time
 
 import pytest
@@ -108,8 +110,18 @@ def _timed_probes(engine, paths, metric):
     return results, elapsed
 
 
+def _maxrss_mb():
+    """The process's peak RSS so far (``ru_maxrss`` is KiB on Linux,
+    bytes on macOS)."""
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def _run_pair(count):
     linear, shared, paths = _build_engines(count)
+    # A record, not a gate: benchmarks/record_mass_rss.py copies it into
+    # BENCH_mass.json and the CI job summary.
+    obs.get_registry().set_gauge("matching.mass.load_maxrss_mb", _maxrss_mb())
     # Duplicate subscriptions collapse to one resident expression (under
     # many keys) in both engines.
     assert len(shared) == len(linear)

@@ -524,8 +524,8 @@ class Broker:
         per-hop bookkeeping around them is paid once — the registry and
         hop-scope lookups, the ``broker.match_cache.*`` counters
         (incremented by count), and, when every path resolved to one
-        decision (the memo's ``_intern`` makes equal decisions one
-        object), the fan-out: then every destination's frame carries
+        decision (the memo shares one object per equal decision), the
+        fan-out: then every destination's frame carries
         the one tuple of the whole group.
         """
         self.stats[messages[0].kind] += len(messages)
@@ -544,9 +544,9 @@ class Broker:
                 scope.focus(msg)
             decisions.append(self._route(msg.publication, scope)[1])
         first = decisions[0]
-        # ``count`` tries identity before equality, so one interned
+        # ``count`` tries identity before equality, so one shared
         # decision is recognised without comparing a tuple; an equal
-        # copy (after ``_intern`` forgot its table) fans out the same.
+        # copy (after the memo's table was cleared) fans out the same.
         if decisions.count(first) == len(decisions):
             group = tuple(messages)  # the identity for a forwarded frame
             frames = [(hop, group) for hop in first if hop != from_hop]

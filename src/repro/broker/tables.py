@@ -39,7 +39,13 @@ from typing import Collection, Dict, Iterable, List, Set, Tuple
 
 from repro.adverts.model import Advertisement
 from repro.adverts.recursive import expr_and_advertisement
+from repro.sharing import SharedValues
 from repro.xpath.ast import XPathExpr
+
+#: Neighbour tuples, one per distinct value, shared by every
+#: :class:`ForwardedState` (a broker has few neighbours, so its
+#: thousands of forwarded XPEs hold a handful of distinct tuples).
+NEIGHBOR_TUPLES = SharedValues(1024)
 
 
 @dataclass(frozen=True)
@@ -118,7 +124,8 @@ class ForwardedState:
 
     Each XPE keeps the tuple of its neighbours in marking order, each
     once: a broker has few neighbours, and most XPEs go to one, so
-    no XPE allocates a set of its own.
+    no XPE allocates a set of its own, and equal tuples are one object
+    (:data:`NEIGHBOR_TUPLES`).
     """
 
     def __init__(self):
@@ -130,14 +137,14 @@ class ForwardedState:
     def mark(self, expr: XPathExpr, neighbor: object):
         sent = self._sent.get(expr, ())
         if neighbor not in sent:
-            self._sent[expr] = sent + (neighbor,)
+            self._sent[expr] = NEIGHBOR_TUPLES[sent + (neighbor,)]
 
     def unmark(self, expr: XPathExpr, neighbor: object):
         sent = self._sent.get(expr)
         if sent is not None and neighbor in sent:
             rest = tuple(other for other in sent if other != neighbor)
             if rest:
-                self._sent[expr] = rest
+                self._sent[expr] = NEIGHBOR_TUPLES[rest]
             else:
                 del self._sent[expr]
 

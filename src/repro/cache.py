@@ -26,6 +26,7 @@ from collections import OrderedDict
 from typing import Dict
 
 from repro import obs
+from repro.sharing import SharedValues
 from repro.xpath import compiled as _compiled
 
 #: metric prefix -> weak set of live caches publishing under it.
@@ -158,7 +159,8 @@ class RouteMemo:
     cost as much as the read it followed, and the one benchmark
     workload that reaches the bound does so with fresh paths, where
     recency buys nothing (docs/performance.md §2).  Equal decisions
-    share one interned tuple (most paths of a document route alike).
+    share one tuple (most paths of a document route alike), from a
+    :class:`~repro.sharing.SharedValues` table bounded like the memo.
     """
 
     __slots__ = (
@@ -177,7 +179,7 @@ class RouteMemo:
         #: dict: ``popitem(last=False)`` is O(1), while a dict's
         #: ``next(iter(d))`` rescans the slots earlier evictions left.
         self._paths: OrderedDict = OrderedDict()
-        self._routes: Dict[tuple, tuple] = {}
+        self._routes = SharedValues(maxsize)
         #: ``hits`` at the last maintenance, and probes spent since a hit.
         self._hits_seen = 0
         self._unpaid = 0
@@ -193,7 +195,7 @@ class RouteMemo:
 
     def put(self, path, keys: frozenset, hops: tuple) -> tuple:
         """Memoise a freshly computed decision; returns ``(keys, hops)``."""
-        route = self._intern(keys, hops)
+        route = self._routes[keys, hops]
         paths = self._paths
         paths[path] = route
         while len(paths) > self.maxsize:
@@ -213,7 +215,7 @@ class RouteMemo:
                 hops = tuple(sorted(hops + (key,), key=str))
             elif key in keys:
                 continue
-            paths[path] = self._intern(keys | {key}, hops)
+            paths[path] = self._routes[keys | {key}, hops]
 
     def retire(self, expr) -> int:
         """*expr* lost a key: drop every decision it matches (another
@@ -247,15 +249,6 @@ class RouteMemo:
         regex = _compiled.compile_xpe(expr).regex
         path_string = _compiled.path_string
         return [path for path in paths if regex(path_string(path)) is not None]
-
-    def _intern(self, keys: frozenset, hops: tuple) -> tuple:
-        routes = self._routes
-        if len(routes) >= self.maxsize:
-            # Forget rather than track liveness: entries keep the tuple
-            # they hold, later equal ones share a new one.
-            routes.clear()
-        route = (keys, hops)
-        return routes.setdefault(route, route)
 
     def __len__(self):
         return len(self._paths)

@@ -53,6 +53,7 @@ from repro import obs
 from repro.covering.subscription_tree import RemoveOutcome
 from repro.matching.engine import KEPT, REMOVED, FlatTable
 from repro.matching.yfilter import ACCEPT_ONLY, SharedPathNFA, _State
+from repro.sharing import SharedValues
 from repro.xpath.ast import WILDCARD, XPathExpr
 
 #: Default bound on cached DFA states before the cold half is evicted.
@@ -62,6 +63,11 @@ DEFAULT_DFA_STATE_LIMIT = 50_000
 #: one shared empty frozenset (CPython keeps no empty singleton), as
 #: the NFA's states share :data:`~repro.matching.yfilter._NO_XPES`.
 _NO_MATCHES: FrozenSet[XPathExpr] = frozenset()
+
+#: Key tuples, one per distinct value, shared by every matcher's
+#: ``_keys`` (a table's keys are its neighbours and local clients, so
+#: thousands of XPEs hold a few hundred distinct tuples).
+KEY_TUPLES = SharedValues(4096)
 
 
 class _DFAState:
@@ -114,7 +120,8 @@ class SharedAutomatonMatcher(FlatTable):
     share one automaton trail and one key tuple (``_keys[expr]``, in
     arrival order, each key once: a table's keys are its neighbours
     and local clients, so the tuple stays short and a one-key entry
-    allocates no set).
+    allocates no set); equal key tuples are one object
+    (:data:`KEY_TUPLES`).
     """
 
     def __init__(self, dfa_state_limit: int = DEFAULT_DFA_STATE_LIMIT):
@@ -138,16 +145,18 @@ class SharedAutomatonMatcher(FlatTable):
         keys = self._keys.get(expr)
         if keys is None:
             self._repair_dfa(*self._nfa.add(expr))
-            self._keys[expr] = (key,)
+            self._keys[expr] = KEY_TUPLES[key,]
         elif key not in keys:
-            self._keys[expr] = keys + (key,)
+            self._keys[expr] = KEY_TUPLES[keys + (key,)]
 
     def remove(self, expr: XPathExpr, key: object = None) -> RemoveOutcome:
         keys = self._keys.get(expr)
         if keys is None or key not in keys:
             return KEPT
         if len(keys) > 1:
-            self._keys[expr] = tuple(other for other in keys if other != key)
+            self._keys[expr] = KEY_TUPLES[
+                tuple(other for other in keys if other != key)
+            ]
             return KEPT
         del self._keys[expr]
         self._repair_dfa(*self._nfa.remove(expr))

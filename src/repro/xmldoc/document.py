@@ -6,7 +6,10 @@ document into its root-to-leaf element paths and routes those paths as
 decomposition is transparent to clients — subscribers receive whole
 documents.
 
-Parsing uses the standard library's :mod:`xml.etree.ElementTree`.
+Parsing uses the standard library's :mod:`xml.etree.ElementTree`.  The
+element names of a decomposed path come from
+:data:`repro.xpath.ast.NAMES`, the table XPE node tests come from, so a
+name that recurs across documents is one string.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import XMLSyntaxError
+from repro.xpath.ast import NAMES
 
 #: Reserved pseudo-attribute carrying an element's text content.
 TEXT_KEY = "#text"
@@ -57,7 +61,7 @@ class XMLDocument:
         self.doc_id = doc_id
         self._source = source
         self._paths: Optional[List[Tuple[str, ...]]] = None
-        self._annotated = None
+        self._decomposed = None
 
     # -- construction -------------------------------------------------------
 
@@ -123,14 +127,13 @@ class XMLDocument:
     def paths(self) -> List[Tuple[str, ...]]:
         """The root-to-leaf element-name paths, in document order."""
         if self._paths is None:
-            self._paths = [path for path, _attrs in self.annotated_paths()]
+            self._paths = [path for path, _ in self._decomposition()]
         return self._paths
 
-    def annotated_paths(self):
-        """Root-to-leaf paths with per-element attribute dicts."""
-        if getattr(self, "_annotated", None) is None:
-            self._annotated = list(_walk_annotated_paths(self._root))
-        return self._annotated
+    def _decomposition(self):
+        if self._decomposed is None:
+            self._decomposed = _decompose(self._root)
+        return self._decomposed
 
     def publications(self) -> List[Publication]:
         """Decompose into annotated publications (paper §3.1).
@@ -138,22 +141,11 @@ class XMLDocument:
         Attribute annotations are attached only when the path actually
         carries attributes, so attribute-free documents stay light.
         """
-        result = []
-        for i, (path, attrs) in enumerate(self.annotated_paths()):
-            attributes = None
-            if any(attrs):
-                attributes = tuple(
-                    tuple(sorted(mapping.items())) for mapping in attrs
-                )
-            result.append(
-                Publication(
-                    doc_id=self.doc_id,
-                    path_id=i,
-                    path=path,
-                    attributes=attributes,
-                )
-            )
-        return result
+        doc_id = self.doc_id
+        return [
+            Publication(doc_id, path_id, path, attributes)
+            for path_id, (path, attributes) in enumerate(self._decomposition())
+        ]
 
     def __repr__(self):
         return "XMLDocument(%r, %d paths, %d bytes)" % (
@@ -163,29 +155,40 @@ class XMLDocument:
         )
 
 
-def _annotations_of(element: ET.Element) -> dict:
-    """Attributes plus the TEXT_KEY pseudo attribute for text content."""
-    annotations = dict(element.attrib)
-    text = (element.text or "").strip()
-    if text:
-        annotations[TEXT_KEY] = text
-    return annotations
+def _decompose(root: ET.Element):
+    """Root-to-leaf ``(path, attributes)`` pairs in document order.
 
-
-def _walk_annotated_paths(element: ET.Element):
-    """Depth-first root-to-leaf (tag path, attribute dicts) pairs."""
-    stack = [(element, (element.tag,), (_annotations_of(element),))]
+    One depth-first pass: each element's name probe and its sorted
+    ``(name, value)`` annotation pairs (its attributes, plus its
+    stripped text under :data:`TEXT_KEY`) are made once, however many
+    paths run through it.  ``attributes`` is None on a path no element
+    of which carries an annotation."""
+    names = NAMES
+    result = []
+    stack = [(root, (), (), False)]
+    push = stack.append
     while stack:
-        node, trail, attrs = stack.pop()
-        children = list(node)
-        if not children:
-            yield trail, attrs
-            continue
-        for child in reversed(children):
-            stack.append(
-                (
-                    child,
-                    trail + (child.tag,),
-                    attrs + (_annotations_of(child),),
-                )
-            )
+        node, path, annotations, annotated = stack.pop()
+        path = path + (names[node.tag],)
+        text = node.text
+        if text:
+            text = text.strip()
+        pairs = node.items()
+        if pairs:
+            if text:
+                pairs.append((TEXT_KEY, text))
+            pairs.sort()
+            own = tuple(pairs)
+            annotated = True
+        elif text:
+            own = ((TEXT_KEY, text),)
+            annotated = True
+        else:
+            own = ()
+        annotations = annotations + (own,)
+        if len(node):
+            for child in reversed(node):
+                push((child, path, annotations, annotated))
+        else:
+            result.append((path, annotations if annotated else None))
+    return result

@@ -16,7 +16,12 @@ segment is anchored at the document root.  Expressions beginning with
 along a publication path.
 
 Expressions are immutable and hashable so they can serve as routing-table
-keys.
+keys.  Their steps and names are shared: every expression holds, for
+each distinct ``(axis, test)``, the one :class:`Step` of
+:data:`STEPS`, whose test is the one string of :data:`NAMES` — the
+table that also names the elements of a decomposed document
+(:mod:`repro.xmldoc`), so path symbols and automaton labels are the
+same objects.
 """
 
 from __future__ import annotations
@@ -25,7 +30,14 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
+from repro.sharing import SharedValues
+
 WILDCARD = "*"
+
+#: Element names, one string per distinct name: XPE node tests and the
+#: path elements of parsed documents (``NAMES[name]``).  Bounded, since
+#: documents may bring any vocabulary.
+NAMES = SharedValues(4096)
 
 
 class Axis(enum.Enum):
@@ -36,6 +48,12 @@ class Axis(enum.Enum):
 
     def __str__(self):
         return self.value
+
+
+# Module aliases: reading a member off the enum class costs more than
+# the table probe it feeds.
+_CHILD = Axis.CHILD
+_DESCENDANT = Axis.DESCENDANT
 
 
 @dataclass(frozen=True)
@@ -57,6 +75,22 @@ class Step:
         return "%s%s" % (self.axis, self.test)
 
 
+def _shared_step(key):
+    """The one :class:`Step` for ``(is_descendant, test)``, built on a
+    :data:`STEPS` miss; its test is the :data:`NAMES` string."""
+    descendant, test = key
+    # No element name is empty or holds the path separator, and the
+    # compiled matcher could not render one that did.
+    if not test or "/" in test:
+        raise ValueError("invalid node test %r" % (test,))
+    return Step(_DESCENDANT if descendant else _CHILD, NAMES[test])
+
+
+#: Location steps, one per distinct ``(axis is DESCENDANT, test)``:
+#: every :class:`XPathExpr` holds these (``STEPS[descendant, test]``).
+STEPS = SharedValues(8192, _shared_step)
+
+
 @dataclass(frozen=True, eq=False)
 class XPathExpr:
     """A parsed single-path XPath expression (an *XPE*).
@@ -67,55 +101,55 @@ class XPathExpr:
             ``/`` (an *absolute* XPE).  ``//``-prefixed and bare
             expressions are relative.
 
-    Equality and hashing are value-based (rooted + step sequence) but
-    implemented over a memoised key — expressions are compared millions
-    of times inside routing tables, where the generated dataclass
-    equality was a measured hot spot.
+    Construction replaces each step by the shared one of :data:`STEPS`,
+    whatever built the expression (parser, :meth:`from_tests`,
+    :meth:`suffix`, merging rules, wire decode, restore).  Equality is
+    value-based: ``rooted`` and the step sequence, whose element
+    comparisons are identity checks while the steps are shared.  The
+    hash is ``hash((rooted, ((axis is DESCENDANT, test), ...)))``,
+    computed once per expression; nothing else is stored for it.
     """
 
     steps: Tuple[Step, ...]
     rooted: bool = True
 
     def __post_init__(self):
-        if not self.steps:
+        steps = self.steps
+        if not steps:
             raise ValueError("an XPath expression needs at least one step")
-        if self.rooted and self.steps[0].axis is not Axis.CHILD:
+        if self.rooted and steps[0].axis is not _CHILD:
             raise ValueError(
                 "a rooted expression cannot start with a descendant axis"
             )
-        for step in self.steps:
-            # No element name is empty or holds the path separator, and
-            # the compiled matcher could not render one that did.
-            if not step.test or "/" in step.test:
-                raise ValueError("invalid node test %r" % (step.test,))
-
-    @property
-    def _key(self):
-        try:
-            return self._key_cache
-        except AttributeError:
-            value = (
-                self.rooted,
-                tuple(
-                    (step.axis is Axis.DESCENDANT, step.test)
-                    for step in self.steps
-                ),
-            )
-            object.__setattr__(self, "_key_cache", value)
-            return value
+        shared = STEPS
+        object.__setattr__(
+            self,
+            "steps",
+            tuple([shared[step.axis is _DESCENDANT, step.test] for step in steps]),
+        )
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, XPathExpr):
             return NotImplemented
-        return self._key == other._key
+        return self.rooted == other.rooted and self.steps == other.steps
 
     def __hash__(self):
         try:
             return self._hash_cache
         except AttributeError:
-            value = hash(self._key)
+            value = hash(
+                (
+                    self.rooted,
+                    tuple(
+                        [
+                            (step.axis is _DESCENDANT, step.test)
+                            for step in self.steps
+                        ]
+                    ),
+                )
+            )
             object.__setattr__(self, "_hash_cache", value)
             return value
 
@@ -208,8 +242,8 @@ class XPathExpr:
     @classmethod
     def from_tests(cls, tests, rooted=True):
         """Build a ``//``-free expression from a sequence of node tests."""
-        steps = tuple(Step(Axis.CHILD, t) for t in tests)
-        return cls(steps=steps, rooted=rooted)
+        shared = STEPS
+        return cls(steps=tuple([shared[False, t] for t in tests]), rooted=rooted)
 
     def with_rooted(self, rooted):
         """Return a copy of this expression with a different anchoring."""
@@ -232,16 +266,12 @@ class XPathExpr:
         if not 0 <= start < len(self.steps):
             raise ValueError("suffix start out of range")
         steps = self.steps[start:]
-        steps = (
-            Step(Axis.CHILD, steps[0].test),
-        ) + steps[1:]
+        steps = (STEPS[False, steps[0].test],) + steps[1:]
         return XPathExpr(steps=steps, rooted=False)
 
     def concat(self, other):
         """Concatenate two expressions with a ``/`` between them."""
-        other_steps = (
-            Step(Axis.CHILD, other.steps[0].test),
-        ) + other.steps[1:]
+        other_steps = (STEPS[False, other.steps[0].test],) + other.steps[1:]
         return XPathExpr(steps=self.steps + other_steps, rooted=self.rooted)
 
     # -- rendering -------------------------------------------------------

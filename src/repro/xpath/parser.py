@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 
 from repro.errors import XPathSyntaxError
-from repro.xpath.ast import Axis, Step, XPathExpr
+from repro.xpath.ast import STEPS, XPathExpr
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.:\-]*")
 
@@ -42,19 +42,18 @@ def parse_xpath(text):
 
     pos = 0
     rooted = False
-    first_axis = Axis.CHILD
+    descendant = False
     if source.startswith("//"):
-        first_axis = Axis.DESCENDANT
+        descendant = True
         pos = 2
     elif source.startswith("/"):
         rooted = True
         pos = 1
 
     steps = []
-    axis = first_axis
     while True:
         test, pos = _scan_test(source, pos)
-        steps.append(Step(axis, test))
+        steps.append(STEPS[descendant, test])
         if pos == len(source):
             break
         if source[pos] == "[":
@@ -65,10 +64,10 @@ def parse_xpath(text):
                 "(only '/', '//' and '*' steps)",
             )
         if source.startswith("//", pos):
-            axis = Axis.DESCENDANT
+            descendant = True
             pos += 2
         elif source.startswith("/", pos):
-            axis = Axis.CHILD
+            descendant = False
             pos += 1
         else:
             raise XPathSyntaxError(

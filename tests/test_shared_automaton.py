@@ -45,19 +45,21 @@ from repro.broker.persistence import (
     snapshot_json,
 )
 from repro.broker.strategies import MergingMode
-from repro.broker.tables import ForwardedState
+from repro.broker.tables import NEIGHBOR_TUPLES, ForwardedState
 from repro.covering.pathmatch import matches_path_reference
 from repro.dtd.samples import psd_dtd
 from repro.matching import LinearMatcher, SharedAutomatonMatcher
 from repro.matching.shared_automaton import (
     DEFAULT_DFA_STATE_LIMIT,
+    KEY_TUPLES,
     _NO_MATCHES,
     _SINK,
 )
 from repro.merging.engine import PathUniverse
 from repro.workloads.mass import generate_mass_subscriptions
-from repro.xmldoc import Publication
+from repro.xmldoc import Publication, XMLDocument
 from repro.xpath import parse_xpath
+from repro.xpath.ast import NAMES, STEPS
 
 
 def x(text):
@@ -146,7 +148,7 @@ class TestFootprint:
         tighter bound of one object per state."""
         pairs = generate_mass_subscriptions(2000, seed=0)
         for expr, _ in pairs:
-            hash(expr)  # the XPE's own key cache is not the table's
+            hash(expr)  # the XPE's own hash cache is not the table's
 
         def load():
             table = SharedAutomatonMatcher()
@@ -211,6 +213,73 @@ class TestFootprint:
         forwarded.unmark(exprs[0], "n0")
         assert exprs[0] not in forwarded.exprs()
         assert len(forwarded) == 198
+
+
+class TestSharedValues:
+    """Repeated small values in the routing state are one object each.
+    Every case empties the process-wide table it reads first, so no
+    clear at the table's cap falls inside it (a clear loses sharing,
+    not correctness: tests/test_sharing.py)."""
+
+    def test_parsing_creates_one_step_per_distinct_step(self):
+        """2,000 mass XPEs hold 7,000-odd steps; one tracked ``Step``
+        object exists per distinct ``(axis, test)``."""
+        STEPS.clear()
+        created, pairs = _created(
+            lambda: generate_mass_subscriptions(2000, seed=0)
+        )
+        distinct = {
+            (step.axis, step.test) for expr, _ in pairs for step in expr.steps
+        }
+        held = {id(step) for expr, _ in pairs for step in expr.steps}
+        assert sum(len(expr.steps) for expr, _ in pairs) > 5 * len(distinct)
+        assert created["Step"] <= len(distinct)
+        assert len(held) == len(distinct)
+
+    def test_a_mass_load_keeps_one_tuple_per_distinct_key_tuple(self):
+        KEY_TUPLES.clear()
+        pairs = generate_mass_subscriptions(2000, seed=0)
+        table = SharedAutomatonMatcher()
+        for index, (expr, _) in enumerate(pairs):
+            table.add(expr, "c%d" % (index % 40))
+        for index, (expr, _) in enumerate(pairs[:300]):
+            table.remove(expr, "c%d" % (index % 40))
+        values = list(table._keys.values())
+        assert len(values) > 10 * len(set(values))
+        assert len({id(keys) for keys in values}) <= len(set(values))
+
+    def test_forwarded_marks_keep_one_tuple_per_distinct_tuple(self):
+        NEIGHBOR_TUPLES.clear()
+        forwarded = ForwardedState()
+        exprs = [x("/a/b%d" % i) for i in range(200)]
+        for i, expr in enumerate(exprs):
+            forwarded.mark(expr, "n%d" % (i % 3))
+            forwarded.mark(expr, "n%d" % ((i + 1) % 3))
+        for expr in exprs[:50]:
+            forwarded.unmark(expr, "n1")
+        values = list(forwarded._sent.values())
+        assert len({id(sent) for sent in values}) <= len(set(values)) <= 6
+
+    def test_documents_share_their_element_names(self):
+        """Two parses of the same names give the same string objects,
+        and they are the ones an XPE's steps hold: a path symbol and an
+        automaton label compare by identity."""
+        NAMES.clear()
+        STEPS.clear()
+        expr = x("/catalog/item//price")
+        text = (
+            "<catalog><item><price>1</price><label>a</label></item>"
+            "<item><price>2</price></item></catalog>"
+        )
+        first = XMLDocument.parse(text, "d1").paths()
+        second = XMLDocument.parse(text, "d2").paths()
+        assert first == second
+        for one, other in zip(first, second):
+            for symbol, again in zip(one, other):
+                assert symbol is again
+        assert [step.test for step in expr.steps] == list(first[0])
+        for step, symbol in zip(expr.steps, first[0]):
+            assert step.test is symbol
 
 
 class TestPruningAndDFA:
