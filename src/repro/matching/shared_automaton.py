@@ -21,9 +21,11 @@ Two layers on top of the plain NFA simulation:
   no subset key, no state, no accepting set allocated — so a path that
   never recurs costs one NFA pass and leaves nothing behind, while a
   recurring trail of depth *d* is fully cached after *d* + 1 walks
-  (each cached state justified by its own evidence; what reaches the
-  engine twice behind the broker's route memo is shared prefixes, and
-  those are what get cached).  Publication workloads touch a tiny, hot
+  (each cached state justified by its own evidence).  The broker's
+  route memo follows the same rule: it keeps a path only once a walk of
+  it stayed on the DFA (``cold_walks`` did not move), so a recurring
+  path reaches the engine *d* + 1 times and is a memo hit after.
+  Publication workloads touch a tiny, hot
   fragment of the full (exponential) subset space — the cache is
   bounded by
   ``dfa_state_limit``; on overflow the *cold half* is evicted (states
@@ -131,7 +133,9 @@ class SharedAutomatonMatcher(FlatTable):
         #: Bounded cold-half evictions on cache overflow.
         self.dfa_evictions = 0
         #: Walks that left the DFA at a first-sighted transition and
-        #: finished on the NFA.
+        #: finished on the NFA.  A caller that reads it around one
+        #: ``match`` learns whether that walk stayed on the DFA (the
+        #: broker's route memo admits the path only then).
         self.cold_walks = 0
         self._dfa_cache: Dict[FrozenSet[_State], _DFAState] = {}
         self._dfa_start: Optional[_DFAState] = None

@@ -53,6 +53,7 @@ from repro.workloads.document_generator import generate_documents
 from repro.workloads.xpath_generator import XPathWorkloadParams, generate_queries
 from repro.xmldoc import Publication
 from repro.xpath import parse_xpath
+from tests.test_shared_automaton import _warm
 
 
 def x(text):
@@ -187,10 +188,14 @@ def test_repeat_publication_hits_cache_with_identical_output():
 @pytest.mark.parametrize("engine", ("auto", "shared"))
 def test_repeat_publication_never_reaches_the_engine(engine, monkeypatch):
     """The route memo fronts every engine: a repeat publication is a
-    memo hit and costs no engine probe, whichever engine is configured."""
+    memo hit and costs no engine probe, whichever engine is configured.
+    The automaton's memo admits only a path whose walk stays on the lazy
+    DFA, so under ``shared`` the path's trail is warmed first."""
     broker = make_broker(RoutingConfig(matching_engine=engine))
     churn(broker)
     target = broker.automaton if engine == "shared" else broker.table
+    if engine == "shared":
+        _warm(target, PROBE_PATHS[1])
     real = target.match
     probes = []
     monkeypatch.setattr(
@@ -425,6 +430,142 @@ class SmallRouteMemoMachine(RouteMemoMachine):
 
 TestSmallRouteMemoMachine = SmallRouteMemoMachine.TestCase
 TestSmallRouteMemoMachine.settings = TestRouteMemoMachine.settings
+
+
+# -- route memo admission behind the shared automaton ----------------------
+
+
+def shared_broker(covering):
+    """A broker matching through the shared automaton: its table without
+    covering, the mirror beside the tree with it."""
+    config = RoutingConfig(
+        advertisements=False,
+        covering=covering,
+        merging=MergingMode.IMPERFECT if covering else MergingMode.OFF,
+        max_imperfect_degree=1.0,
+        merge_interval=1_000_000,  # sweeps fire only explicitly
+        matching_engine="shared",
+    )
+    universe = PathUniverse.from_dtd(psd_dtd(), max_depth=6)
+    broker = Broker("b1", config=config, universe=universe)
+    for hop in _MEMO_HOPS:
+        if hop.startswith("n"):
+            broker.connect(hop)
+        else:
+            broker.attach_client(hop)
+    return broker
+
+
+def counted_walks(broker, monkeypatch) -> list:
+    """The paths the automaton is asked to match, one per walk."""
+    automaton = broker.automaton
+    real = automaton.match
+    walks = []
+    monkeypatch.setattr(
+        automaton, "match", lambda path: walks.append(path) or real(path)
+    )
+    return walks
+
+
+def test_paths_that_never_recur_are_not_memoised(monkeypatch):
+    """A path whose walk left the lazy DFA at a first-sighted transition
+    is routed and not kept: fresh paths leave the memo no larger than
+    the number of walks that stayed on the DFA (here none), and are
+    counted as declined."""
+    broker = shared_broker(covering=False)
+    broker.handle(sub("/feed//item"), "n1")
+    broker.handle(sub("//e7"), "c1")
+    walks = counted_walks(broker, monkeypatch)
+    fresh = 300
+    for i in range(fresh):
+        frames = broker.handle(pub(("feed", "e%d" % i, "item")), "n2")
+        assert [hop for hop, _ in frames] == (
+            ["c1", "n1"] if i == 7 else ["n1"]
+        )
+    memo = broker.match_cache
+    assert len(walks) == memo.misses == fresh
+    warm_walks = len(walks) - broker.automaton.cold_walks
+    assert len(memo) <= warm_walks
+    assert memo.stats()["declined"] == fresh - len(memo)
+    assert broker.describe()["match_cache"]["declined"] == fresh - len(memo)
+
+
+@pytest.mark.parametrize("covering", (False, True))
+def test_a_recurring_path_is_memoised_once_its_trail_is_warm(
+    covering, monkeypatch
+):
+    """A path of depth d reaches the automaton on each of its first
+    d + 1 publications (d cold walks build its trail, the (d + 1)-th
+    walk stays on the DFA and is memoised) and is a memo hit, with no
+    automaton probe, from its (d + 2)-th on."""
+    broker = shared_broker(covering)
+    path = ("ProteinDatabase", "ProteinEntry", "protein", "name")
+    broker.handle(sub("/ProteinDatabase/ProteinEntry/protein/name"), "n1")
+    broker.handle(sub("//protein"), "c1")
+    walks = counted_walks(broker, monkeypatch)
+    memo = broker.match_cache
+    depth = len(path)
+    for publication in range(1, depth + 5):
+        hits = memo.hits
+        frames = broker.handle(pub(path), "n2")
+        assert [hop for hop, _ in frames] == ["c1", "n1"]
+        if publication <= depth + 1:
+            assert memo.hits == hits, publication
+            assert len(walks) == publication
+        else:
+            assert memo.hits == hits + 1, publication
+            assert len(walks) == depth + 1
+    assert broker.automaton.cold_walks == depth
+    assert len(memo) == 1
+
+
+_ADMISSION_PATHS = tuple(path for path, attrs in _MEMO_PROBES if attrs is None)
+_ADMISSION_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(("sub", "unsub")),
+            st.sampled_from(_MEMO_XPES),
+            st.sampled_from(_MEMO_HOPS),
+        ),
+        st.tuples(st.just("sweep"), st.none(), st.none()),
+        st.tuples(
+            st.just("pub"),
+            st.sampled_from(_ADMISSION_PATHS),
+            st.sampled_from(_MEMO_HOPS),
+        ),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(covering=st.booleans(), ops=_ADMISSION_OPS)
+def test_shared_routing_equals_a_memo_free_match(covering, ops):
+    """Under ``shared``, any SUB / UNSUB / merge-sweep / publish sequence
+    routes exactly like ``_matcher.match`` + ``_resolve`` with no memo,
+    and a decision the memo computed is kept exactly when its walk
+    stayed on the lazy DFA."""
+    broker = shared_broker(covering)
+    automaton, memo = broker.automaton, broker.match_cache
+    for op, arg, hop in ops:
+        if op == "sub":
+            broker.handle(sub(arg), hop)
+        elif op == "unsub":
+            broker.handle(unsub(arg), hop)
+        elif op == "sweep":
+            broker.run_merge_sweep()
+        else:
+            msg = pub(arg)
+            misses, cold = memo.misses, automaton.cold_walks
+            frames = broker.handle(msg, hop)
+            if memo.misses != misses:  # computed, so admitted or declined
+                assert (arg in memo._paths) == (automaton.cold_walks == cold)
+            keys = frozenset(broker._matcher.match(arg))
+            hops = broker._resolve(arg, keys)
+            assert [dest for dest, _ in frames] == [
+                dest for dest in hops if dest != hop
+            ]
+            assert broker._route(msg.publication) == (keys, hops)
 
 
 def test_a_hit_leaves_the_eviction_order_alone():
