@@ -41,10 +41,9 @@ from repro.workloads.xpath_generator import XPathWorkloadParams
 GOLDEN = Path(__file__).with_suffix(".json")
 ENGINES = ("auto", "shared")
 DEPTH = 7
-#: Registry counters that count work (absent ones read 0).
 WORK_COUNTERS = ("adverts.intersect.hit", "adverts.intersect.miss", "covering.tree.cover_checks",
-                 "covering.tree.nodes_visited", "broker.match_cache.stale",
-                 "broker.edge.recheck", "merging.events")
+                 "covering.tree.nodes_visited", "broker.match_cache.stale", "broker.edge.recheck",
+                 "merging.events")
 #: Queries of three or more steps, concrete in the first two, so that no
 #: subscriber's 60 queries match every path of every document.
 QUERIES = XPathWorkloadParams(wildcard_prob=0.2, descendant_prob=0.15, relative_prob=0.2,
