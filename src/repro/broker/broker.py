@@ -156,10 +156,7 @@ class Broker:
         #: expression matches, an UNSUB drops those (counted in
         #: ``match_cache_stale``), and everything that is
         #: not a single-key table edit — merge sweeps, wiring changes,
-        #: ``client_subs`` edits with no table edit — clears it.  Behind
-        #: the shared automaton it admits what the lazy DFA admits: a
-        #: path whose walk left the DFA is routed and not kept
-        #: (:meth:`_route`).
+        #: ``client_subs`` edits with no table edit — clears it.
         #: Deliberately *not* persisted: a restored broker starts cold.
         self.match_cache = RouteMemo(maxsize=4096)
         self.match_cache_stale = 0
@@ -604,20 +601,13 @@ class Broker:
                     cache="hit", keys=len(route[0]),
                 )
             return route
-        automaton = self.automaton
-        cold = automaton.cold_walks if automaton is not None else 0
         keys = frozenset(self._matcher.match(path))
         if scope is not None:
             scope.sub_span(
                 "match", wall0, perf_counter(),
                 cache="miss", engine=self._engine, keys=len(keys),
             )
-        hops = self._resolve(path, keys)
-        if automaton is not None and automaton.cold_walks != cold:
-            # The walk left the lazy DFA at a first-sighted transition:
-            # the automaton has no evidence yet that this path recurs.
-            return self.match_cache.decline(keys, hops)
-        return self.match_cache.put(path, keys, hops)
+        return self.match_cache.put(path, keys, self._resolve(path, keys))
 
     def _resolve(self, path, keys) -> tuple:
         """Matched keys → destinations in emission order: neighbours,

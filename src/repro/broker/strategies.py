@@ -28,9 +28,7 @@ class MergingMode(enum.Enum):
 #: SharedAutomatonMatcher`, so one document pass matches every resident
 #: subscription at once (the mass-subscription path — see
 #: docs/matching.md): without covering it *is* the flat table, with
-#: covering it is a mirror kept beside the tree.  A table edit repairs
-#: only the lazy-DFA states it touches, so the automaton stays warm
-#: under churn.
+#: covering it is a mirror kept beside the tree.
 MATCHING_ENGINES = ("auto", "shared")
 
 

@@ -154,10 +154,6 @@ class RouteMemo:
     subscription burst with no traffic in between, or a memo of paths
     that never recur), it is dropped instead of scanned again.
 
-    A decision the broker does not keep (behind the shared automaton, a
-    path whose walk left the lazy DFA) goes through :meth:`decline`
-    instead of :meth:`put`: counted in ``declined``, never stored.
-
     Bounded at *maxsize* paths; the oldest-inserted path goes first.
     A hit does not reorder the memo: on a cache-hot overlay reordering
     cost as much as the read it followed, and the one benchmark
@@ -168,7 +164,7 @@ class RouteMemo:
     """
 
     __slots__ = (
-        "maxsize", "hits", "misses", "evictions", "probes", "declined",
+        "maxsize", "hits", "misses", "evictions", "probes",
         "_paths", "_routes", "_hits_seen", "_unpaid",
     )
 
@@ -179,8 +175,6 @@ class RouteMemo:
         self.evictions = 0
         #: Maintenance probes (structural matches) spent so far.
         self.probes = 0
-        #: Decisions computed and not admitted (:meth:`decline`).
-        self.declined = 0
         #: Insertion order is eviction order.  An OrderedDict, not a
         #: dict: ``popitem(last=False)`` is O(1), while a dict's
         #: ``next(iter(d))`` rescans the slots earlier evictions left.
@@ -208,12 +202,6 @@ class RouteMemo:
             paths.popitem(last=False)
             self.evictions += 1
         return route
-
-    def decline(self, keys: frozenset, hops: tuple) -> tuple:
-        """A freshly computed decision whose path is not kept (nothing
-        says it recurs); returns ``(keys, hops)``, shared like a kept one."""
-        self.declined += 1
-        return self._routes[keys, hops]
 
     def subscribe(self, expr, key, deliverable: bool):
         """*expr* gained *key* in the routing table: add it to every
@@ -274,5 +262,4 @@ class RouteMemo:
             "misses": self.misses,
             "evictions": self.evictions,
             "probes": self.probes,
-            "declined": self.declined,
         }

@@ -6,10 +6,9 @@ al., TODS 2003]: YFilter compiles all XPEs into one NFA whose common
 prefixes are shared, then matches each incoming document against the
 combined automaton.  :class:`SharedPathNFA` implements that automaton
 for the path-publication model used here, and
-:meth:`SharedPathNFA.match_set` is the YFilter baseline itself (the
-matching-engine ablation times it).  The production engine — a lazy
-DFA cached over this same NFA — lives in
-:mod:`repro.matching.shared_automaton`.
+:meth:`SharedPathNFA.match_set` is the YFilter walk itself.  The
+production engine, :mod:`repro.matching.shared_automaton`, keeps its
+subscribers' keys beside this automaton and matches with that walk.
 
 Construction: one trie-like NFA over location steps.  A ``/t`` step is
 an edge labelled ``t``; ``/*`` an edge labelled ``*`` (matches any
@@ -90,18 +89,6 @@ class _State:
 #: descendant link, reached state).
 _TrailEntry = Tuple[_State, Optional[str], _State]
 
-#: Edit-report label: no edge changed, only *anchor*'s accepting tuple.
-ACCEPT_ONLY = object()
-
-#: What one ``add``/``remove`` touched, for caches keyed on NFA states
-#: (the lazy DFA): ``(anchor, label, pruned)``.  *anchor* is the deepest
-#: state on the trail that existed before the edit and survives it,
-#: *label* the first edge created — or the one cut — under it (a
-#: trail link's label: an element name, ``*``, or None for the //
-#: link; :data:`ACCEPT_ONLY` when the trail's shape did not change),
-#: *pruned* the chain of states a cut released.
-Touched = Tuple[_State, object, Tuple[_State, ...]]
-
 
 class SharedPathNFA:
     """A shared-prefix NFA over a set of XPEs."""
@@ -114,26 +101,21 @@ class SharedPathNFA:
 
     # -- maintenance -----------------------------------------------------
 
-    def add(self, expr: XPathExpr) -> Optional[Touched]:
-        """Insert *expr*'s structural trail (idempotent: None when
-        already present) and report what the insertion touched."""
+    def add(self, expr: XPathExpr) -> bool:
+        """Insert *expr*'s structural trail; False (and nothing
+        changed) when it is already stored."""
         trail = self._walk(expr, create=True)
         final = trail[-1][2]
         if expr in final.accepting:
-            return None  # present, so the walk created nothing
+            return False  # present, so the walk created nothing
         final.accepting += (expr,)
-        # Every pre-existing state is on a live trail (refs >= 1), so
-        # the first unreferenced one is the first this call created.
-        touched = None
-        for parent, label, reached in trail:
-            if touched is None and not reached.refs:
-                touched = (parent, label, ())
+        for _, _, reached in trail:
             reached.refs += 1
-        return touched or (final, ACCEPT_ONLY, ())
+        return True
 
-    def remove(self, expr: XPathExpr) -> Optional[Touched]:
-        """Remove *expr*, prune every state its departure orphans and
-        report what was touched (None when *expr* is not stored).
+    def remove(self, expr: XPathExpr) -> bool:
+        """Remove *expr* and prune every state its departure orphans;
+        False (and nothing changed) when *expr* is not stored.
 
         The trail's states form a root-to-leaf chain; a state's
         reference count bounds its children's, so the states that
@@ -144,17 +126,17 @@ class SharedPathNFA:
         """
         trail = self._walk(expr, create=False)
         if trail is None:
-            return None
+            return False
         final = trail[-1][2]
         if expr not in final.accepting:
-            return None
+            return False
         final.accepting = (
             tuple(other for other in final.accepting if other != expr)
             or _NO_XPES
         )
         for _, _, reached in trail:
             reached.refs -= 1
-        for index, (parent, label, reached) in enumerate(trail):
+        for index, (_, _, reached) in enumerate(trail):
             if reached.refs == 0:
                 edges = self._edges
                 for dead_parent, dead_label, _ in trail[index:]:
@@ -165,8 +147,8 @@ class SharedPathNFA:
                         del table[dead_parent]
                         if not table:
                             del edges[dead_label]
-                return parent, label, tuple(e[2] for e in trail[index:])
-        return final, ACCEPT_ONLY, ()
+                break
+        return True
 
     def _walk(
         self, expr: XPathExpr, create: bool
@@ -220,10 +202,8 @@ class SharedPathNFA:
     ) -> Set[_State]:
         """The one subset step: the ε-closed set *states* reaches on
         *symbol*, ε-closed, with every XPE it accepts added to
-        *matched*.  The NFA simulation (:meth:`match_set`), the lazy
-        DFA's transition and its cold finish
-        (:mod:`repro.matching.shared_automaton`) all take their steps
-        here.
+        *matched*.  The NFA simulation (:meth:`match_set`) takes its
+        steps here.
 
         The symbol's table and the ``*`` table are read once; each
         active state is then probed by identity hash (no probe at all
@@ -258,10 +238,6 @@ class SharedPathNFA:
                     if target.accepting:
                         matched.update(target.accepting)
         return nxt
-
-    def step_states(self, active: Iterable[_State], symbol: str) -> Set[_State]:
-        """One symbol of the active-state-set simulation (ε-closed)."""
-        return self.step(active, symbol, set())
 
     def match_set(self, path: Sequence[str]) -> Set[XPathExpr]:
         """All stored XPEs matching *path* (acceptance may fire at any

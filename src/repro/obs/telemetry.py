@@ -533,16 +533,11 @@ class TelemetryPlane:
 def broker_gauges(broker) -> Dict[str, float]:
     """Duck-typed gauge bundle from a :class:`~repro.broker.Broker`.
 
-    Works on any backend's broker object: routing-table size and, under
-    the shared engine, the DFA size of the broker's automaton (its
-    table, or the mirror beside its tree)."""
+    Works on any backend's broker object: the routing-table size."""
     gauges: Dict[str, float] = {}
     size = getattr(broker, "routing_table_size", None)
     if callable(size):
         gauges["routing_table"] = float(size())
-    automaton = getattr(broker, "automaton", None)
-    if automaton is not None:
-        gauges["dfa_states"] = float(automaton.dfa_size())
     return gauges
 
 

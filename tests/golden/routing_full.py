@@ -120,8 +120,7 @@ def _broker(broker) -> dict:
             str, e.replaced))), e.degree) for e in broker.merge_log),
     }
     if broker.automaton is not None:
-        automaton = broker.automaton.stats()
-        state.update((key, automaton[key]) for key in ("nfa_states", "dfa_states", "cold_walks"))
+        state["nfa_states"] = broker.automaton.stats()["nfa_states"]
     return state
 
 

@@ -53,7 +53,6 @@ from repro.workloads.document_generator import generate_documents
 from repro.workloads.xpath_generator import XPathWorkloadParams, generate_queries
 from repro.xmldoc import Publication
 from repro.xpath import parse_xpath
-from tests.test_shared_automaton import _warm
 
 
 def x(text):
@@ -188,14 +187,10 @@ def test_repeat_publication_hits_cache_with_identical_output():
 @pytest.mark.parametrize("engine", ("auto", "shared"))
 def test_repeat_publication_never_reaches_the_engine(engine, monkeypatch):
     """The route memo fronts every engine: a repeat publication is a
-    memo hit and costs no engine probe, whichever engine is configured.
-    The automaton's memo admits only a path whose walk stays on the lazy
-    DFA, so under ``shared`` the path's trail is warmed first."""
+    memo hit and costs no engine probe, whichever engine is configured."""
     broker = make_broker(RoutingConfig(matching_engine=engine))
     churn(broker)
     target = broker.automaton if engine == "shared" else broker.table
-    if engine == "shared":
-        _warm(target, PROBE_PATHS[1])
     real = target.match
     probes = []
     monkeypatch.setattr(
@@ -432,7 +427,7 @@ TestSmallRouteMemoMachine = SmallRouteMemoMachine.TestCase
 TestSmallRouteMemoMachine.settings = TestRouteMemoMachine.settings
 
 
-# -- route memo admission behind the shared automaton ----------------------
+# -- the route memo behind the shared automaton ----------------------------
 
 
 def shared_broker(covering):
@@ -467,11 +462,10 @@ def counted_walks(broker, monkeypatch) -> list:
     return walks
 
 
-def test_paths_that_never_recur_are_not_memoised(monkeypatch):
-    """A path whose walk left the lazy DFA at a first-sighted transition
-    is routed and not kept: fresh paths leave the memo no larger than
-    the number of walks that stayed on the DFA (here none), and are
-    counted as declined."""
+def test_fresh_paths_are_memoised_like_any_other(monkeypatch):
+    """Behind the automaton the memo keeps every decision it computes,
+    under the bound it has in front of the tree and the linear scan:
+    300 paths, each published once, are one walk and one entry each."""
     broker = shared_broker(covering=False)
     broker.handle(sub("/feed//item"), "n1")
     broker.handle(sub("//e7"), "c1")
@@ -483,39 +477,29 @@ def test_paths_that_never_recur_are_not_memoised(monkeypatch):
             ["c1", "n1"] if i == 7 else ["n1"]
         )
     memo = broker.match_cache
-    assert len(walks) == memo.misses == fresh
-    warm_walks = len(walks) - broker.automaton.cold_walks
-    assert len(memo) <= warm_walks
-    assert memo.stats()["declined"] == fresh - len(memo)
-    assert broker.describe()["match_cache"]["declined"] == fresh - len(memo)
+    assert len(walks) == memo.misses == len(memo) == fresh
+    assert "declined" not in broker.describe()["match_cache"]
 
 
 @pytest.mark.parametrize("covering", (False, True))
-def test_a_recurring_path_is_memoised_once_its_trail_is_warm(
+def test_a_recurring_path_is_memoised_at_its_first_publication(
     covering, monkeypatch
 ):
-    """A path of depth d reaches the automaton on each of its first
-    d + 1 publications (d cold walks build its trail, the (d + 1)-th
-    walk stays on the DFA and is memoised) and is a memo hit, with no
-    automaton probe, from its (d + 2)-th on."""
+    """A path reaches the automaton once, on its first publication, and
+    is a memo hit with no automaton probe from its second on, whatever
+    its depth."""
     broker = shared_broker(covering)
     path = ("ProteinDatabase", "ProteinEntry", "protein", "name")
     broker.handle(sub("/ProteinDatabase/ProteinEntry/protein/name"), "n1")
     broker.handle(sub("//protein"), "c1")
     walks = counted_walks(broker, monkeypatch)
     memo = broker.match_cache
-    depth = len(path)
-    for publication in range(1, depth + 5):
+    for publication in range(1, 6):
         hits = memo.hits
         frames = broker.handle(pub(path), "n2")
         assert [hop for hop, _ in frames] == ["c1", "n1"]
-        if publication <= depth + 1:
-            assert memo.hits == hits, publication
-            assert len(walks) == publication
-        else:
-            assert memo.hits == hits + 1, publication
-            assert len(walks) == depth + 1
-    assert broker.automaton.cold_walks == depth
+        assert memo.hits == hits + (publication > 1), publication
+        assert len(walks) == 1
     assert len(memo) == 1
 
 
@@ -543,10 +527,9 @@ _ADMISSION_OPS = st.lists(
 def test_shared_routing_equals_a_memo_free_match(covering, ops):
     """Under ``shared``, any SUB / UNSUB / merge-sweep / publish sequence
     routes exactly like ``_matcher.match`` + ``_resolve`` with no memo,
-    and a decision the memo computed is kept exactly when its walk
-    stayed on the lazy DFA."""
+    and a decision the memo computed is kept."""
     broker = shared_broker(covering)
-    automaton, memo = broker.automaton, broker.match_cache
+    memo = broker.match_cache
     for op, arg, hop in ops:
         if op == "sub":
             broker.handle(sub(arg), hop)
@@ -556,10 +539,10 @@ def test_shared_routing_equals_a_memo_free_match(covering, ops):
             broker.run_merge_sweep()
         else:
             msg = pub(arg)
-            misses, cold = memo.misses, automaton.cold_walks
+            misses = memo.misses
             frames = broker.handle(msg, hop)
-            if memo.misses != misses:  # computed, so admitted or declined
-                assert (arg in memo._paths) == (automaton.cold_walks == cold)
+            if memo.misses != misses:  # computed, so kept
+                assert arg in memo._paths
             keys = frozenset(broker._matcher.match(arg))
             hops = broker._resolve(arg, keys)
             assert [dest for dest, _ in frames] == [

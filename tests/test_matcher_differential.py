@@ -3,7 +3,7 @@
 A broker matches publications on one of three structures with one
 contract — add an XPE under a key, remove it, and match a publication
 path to a set of keys: the flat :class:`LinearMatcher`, the covering
-:class:`SubscriptionTree` and the lazy-DFA
+:class:`SubscriptionTree` and the shared-NFA
 :class:`SharedAutomatonMatcher`.  Hypothesis drives DTD-derived XPE
 workloads with interleaved add and remove operations through all three
 side by side, against a brute-force oracle: the keys

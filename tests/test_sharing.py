@@ -191,9 +191,8 @@ class TestBoundedTables:
         for i, expr in enumerate(before):
             matcher.add(expr, "k%d" % (i % 3))
             forwarded.mark(expr, "n%d" % (i % 2))
-        for path in paths:  # warm the DFA on pre-clear symbols
-            for _ in range(len(path) + 1):
-                matcher.match(path)
+        for path in paths:  # walk the automaton on pre-clear symbols
+            matcher.match(path)
         for table in (NAMES, STEPS, KEY_TUPLES, NEIGHBOR_TUPLES):
             table.clear()
 

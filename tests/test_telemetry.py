@@ -265,11 +265,15 @@ class TestTelemetryPlane:
 
 
 class TestBrokerGauges:
-    """``dfa_states`` reads the broker's one automaton: the mirror
-    beside its tree under covering, the table itself without."""
+    """A broker's gauges are its routing-table size, on either engine."""
+
+    def test_auto_engine_has_no_dfa_gauge(self):
+        broker = Broker("b1", config=RoutingConfig(covering=False))
+        assert broker.automaton is None
+        assert broker_gauges(broker) == {"routing_table": 0.0}
 
     @pytest.mark.parametrize("covering", (True, False))
-    def test_dfa_states_come_from_the_brokers_automaton(self, covering):
+    def test_shared_engine_has_no_dfa_gauge(self, covering):
         broker = Broker(
             "b1",
             config=RoutingConfig(covering=covering, matching_engine="shared"),
@@ -277,24 +281,8 @@ class TestBrokerGauges:
         broker.attach_client("c1")
         for text in ("/claims/claim/amount", "/claims//amount"):
             broker.handle(SubscribeMsg(expr=parse_xpath(text)), "c1")
-        automaton = broker.automaton
-        assert automaton is (broker.mirror if covering else broker.table)
-        assert broker_gauges(broker) == {
-            "routing_table": 2.0, "dfa_states": 0.0,
-        }
-        # A DFA transition is built at its second sighting.
-        path = ("claims", "claim", "amount")
-        for _ in range(len(path) + 1):
-            automaton.match(path)
-        states = automaton.dfa_size()
-        assert states > 1
-        assert broker_gauges(broker)["dfa_states"] == float(states)
-        assert broker.describe()["shared_automaton"]["dfa_states"] == states
-
-    def test_auto_engine_has_no_dfa_gauge(self):
-        broker = Broker("b1", config=RoutingConfig(covering=False))
-        assert broker.automaton is None
-        assert broker_gauges(broker) == {"routing_table": 0.0}
+        broker.automaton.match(("claims", "claim", "amount"))
+        assert broker_gauges(broker) == {"routing_table": 2.0}
 
 
 # -- registry thread safety -------------------------------------------------

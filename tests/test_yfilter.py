@@ -1,5 +1,5 @@
 """The shared-prefix NFA (the YFilter automaton) and the engine built
-on it: structural matching, pruning and edit reports, checked through
+on it: structural matching and pruning, checked through
 :class:`SharedAutomatonMatcher` and on :class:`SharedPathNFA` itself."""
 
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.covering.pathmatch import matches_path
 from repro.errors import RoutingError
 from repro.matching import LinearMatcher, SharedAutomatonMatcher
-from repro.matching.yfilter import ACCEPT_ONLY, SharedPathNFA, _State
+from repro.matching.yfilter import SharedPathNFA, _State
 from repro.xpath import parse_xpath
 from repro.xpath.ast import Axis, Step, XPathExpr
 
@@ -131,42 +131,6 @@ class TestPruning:
         m.remove(x("/a/b"), "k2")
         assert m.automaton_size() == 1  # root only
         m._nfa.check_refcounts()
-
-
-class TestEditReports:
-    """``add``/``remove`` report what they touched — the contract the
-    lazy DFA's selective invalidation (docs/matching.md) repairs from."""
-
-    def test_new_suffix_reports_anchor_and_first_created_label(self):
-        nfa = SharedPathNFA()
-        assert nfa.add(x("/a/b")) == (nfa._root, "a", ())
-        at_a = nfa.child(nfa._root, "a")
-        assert nfa.add(x("/a/c/d")) == (at_a, "c", ())
-        assert nfa.add(x("/a/*")) == (at_a, "*", ())
-        assert nfa.add(x("/a//z")) == (at_a, None, ())  # the // link
-        assert nfa.add(x("/a/b")) is None  # idempotent
-
-    def test_existing_trail_reports_the_accepting_state_only(self):
-        nfa = SharedPathNFA()
-        nfa.add(x("/a/b/c"))
-        at_b = nfa.child(nfa.child(nfa._root, "a"), "b")
-        assert nfa.add(x("/a/b")) == (at_b, ACCEPT_ONLY, ())
-        assert nfa.remove(x("/a/b")) == (at_b, ACCEPT_ONLY, ())
-        assert nfa.remove(x("/a/b")) is None
-
-    def test_prune_reports_the_cut_and_the_dead_chain(self):
-        nfa = SharedPathNFA()
-        nfa.add(x("/a/b"))
-        nfa.add(x("/a//c/d"))
-        at_a = nfa.child(nfa._root, "a")
-        gap = at_a.descendant
-        at_c = nfa.child(gap, "c")
-        chain = (gap, at_c, nfa.child(at_c, "d"))
-        assert nfa.remove(x("/a//c/d")) == (at_a, None, chain)
-        assert at_a.descendant is None
-        at_b = nfa.child(at_a, "b")
-        assert nfa.remove(x("/a/b")) == (nfa._root, "a", (at_a, at_b))
-        nfa.check_refcounts()
 
 
 def test_a_state_no_xpe_ends_at_holds_no_set():
@@ -308,7 +272,7 @@ class _TrailNFA:
 
     def add(self, expr):
         if expr in self.trails:
-            return None
+            return False
         trail, state = [], self.root
         for index, step in enumerate(expr.steps):
             if (expr.is_relative and index == 0) or step.axis is Axis.DESCENDANT:
@@ -319,29 +283,28 @@ class _TrailNFA:
             nxt = self.edges.setdefault((state, step.test), _State())
             trail.append((state, step.test, nxt))
             state = nxt
-        created = [(p, label) for p, label, r in trail if not r.refs]
         for _, _, reached in trail:
             reached.refs += 1
         state.accepting += (expr,)
         self.trails[expr] = trail
-        return (*created[0], ()) if created else (state, ACCEPT_ONLY, ())
+        return True
 
     def remove(self, expr):
         trail = self.trails.pop(expr, None)
         if trail is None:
-            return None
+            return False
         final = trail[-1][2]
         final.accepting = tuple(e for e in final.accepting if e != expr)
         for _, _, reached in trail:
             reached.refs -= 1
-        for index, (parent, label, reached) in enumerate(trail):
+        for parent, label, reached in trail:
             if not reached.refs:
                 if label is None:
                     parent.descendant = None
                 else:
                     del self.edges[parent, label]
-                return parent, label, tuple(r for _, _, r in trail[index:])
-        return final, ACCEPT_ONLY, ()
+                break
+        return True
 
 
 def _graph(automaton):
@@ -392,7 +355,8 @@ _PATHS = [("a",), ("a", "b"), ("a", "b", "c"), ("b", "a", "b"), ("c", "b", "c")]
 
 class TestRewalkDifferential:
     """``SharedPathNFA`` re-walks a trail where the reference stores it:
-    both must report the same edits and keep the same automaton."""
+    both must report the same edits (whether the XPE was stored or
+    removed) and keep the same automaton."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(
@@ -403,20 +367,12 @@ class TestRewalkDifferential:
         nfa, ref = SharedPathNFA(), _TrailNFA()
         for is_add, index in ops:
             expr = _POOL[index]
-            before, ref_before = _addresses(nfa), _addresses(ref)
             shape = _shape(nfa)
             got = nfa.add(expr) if is_add else nfa.remove(expr)
             want = ref.add(expr) if is_add else ref.remove(expr)
-            if want is None:
-                assert got is None
+            assert got is want
+            if not want:
                 assert _shape(nfa) == shape  # unchanged
-            else:
-                anchor, label, pruned = got
-                assert before[anchor] == ref_before[want[0]]
-                assert label == want[1]
-                assert [before[s] for s in pruned] == [
-                    ref_before[s] for s in want[2]
-                ]
             assert _shape(nfa) == _shape(ref)
             assert nfa.state_count() == len(_addresses(ref))
             for path in _PATHS:
@@ -431,7 +387,7 @@ class TestRewalkDifferential:
         nfa.add(x("/a/b/c"))
         shape = _shape(nfa)
         for absent in ("//a/b", "/a/b", "/a/b/c/d", "/a//b"):
-            assert nfa.remove(x(absent)) is None
+            assert nfa.remove(x(absent)) is False
         assert _shape(nfa) == shape
-        assert nfa.add(x("a/b")) is None  # present: idempotent
+        assert nfa.add(x("a/b")) is False  # present: idempotent
         assert _shape(nfa) == shape
