@@ -11,18 +11,13 @@ from repro.adverts.generator import generate_advertisements
 from repro.adverts.matching import (
     abs_expr_and_adv,
     des_expr_and_adv,
-    expr_and_adv,
     rel_expr_and_adv,
     rel_expr_and_adv_naive,
     node_tests_overlap,
 )
 from repro.adverts.recursive import (
-    abs_expr_and_emb_rec_adv,
-    abs_expr_and_ser_rec_adv,
     abs_expr_and_sim_rec_adv,
     expr_and_advertisement,
-    expr_and_rec_adv,
-    expr_and_rec_adv_expansion,
 )
 from repro.adverts.nfa import AdvertNFA, expr_and_advert_nfa
 
@@ -35,16 +30,11 @@ __all__ = [
     "generate_advertisements",
     "abs_expr_and_adv",
     "des_expr_and_adv",
-    "expr_and_adv",
     "rel_expr_and_adv",
     "rel_expr_and_adv_naive",
     "node_tests_overlap",
-    "abs_expr_and_emb_rec_adv",
-    "abs_expr_and_ser_rec_adv",
     "abs_expr_and_sim_rec_adv",
     "expr_and_advertisement",
-    "expr_and_rec_adv",
-    "expr_and_rec_adv_expansion",
     "AdvertNFA",
     "expr_and_advert_nfa",
 ]

@@ -16,14 +16,14 @@ Three algorithms, named as in the paper:
   both sides are wildcard-free),
 * :func:`des_expr_and_adv`  — XPEs with descendant operators.
 
-:func:`expr_and_adv` dispatches on the XPE's shape.
+:func:`repro.adverts.recursive.expr_and_advertisement` dispatches on
+the XPE's shape.
 """
 
 from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from repro import obs
 from repro.xpath.ast import WILDCARD, XPathExpr
 
 
@@ -153,13 +153,3 @@ def des_expr_and_adv(advert_tests: Sequence[str], sub: XPathExpr) -> bool:
         if not placed:
             return False
     return True
-
-
-@obs.timed("adverts.expr_and_adv")
-def expr_and_adv(advert_tests: Sequence[str], sub: XPathExpr) -> bool:
-    """Dispatch to the right matching algorithm for *sub*'s shape."""
-    if sub.is_simple:
-        if sub.is_absolute:
-            return abs_expr_and_adv(advert_tests, sub)
-        return rel_expr_and_adv(advert_tests, sub)
-    return des_expr_and_adv(advert_tests, sub)

@@ -12,9 +12,11 @@ Here an advertisement is a sequence of nodes; a node is either a
 :class:`Lit` (a run of node tests) or a :class:`Rep` (a ``(...)+`` group
 whose body is again a sequence of nodes).  ``P(a)`` — the set of
 publication paths an advertisement stands for — is the language obtained
-by expanding every group one-or-more times; :meth:`Advertisement.prefixes`
-and :meth:`Advertisement.words_up_to` enumerate bounded fragments of that
-language for the matching algorithms.
+by expanding every group one-or-more times.  Intersection with an XPE
+never enumerates it (:mod:`repro.adverts.recursive` names the function
+each case goes to); :meth:`Advertisement.words_up_to` lists its words
+up to a length for the audit oracle, which asks whether one publication
+path is a word of ``P(a)``.
 """
 
 from __future__ import annotations
@@ -172,41 +174,6 @@ class Advertisement:
             object.__setattr__(self, "_wildcard_cache", value)
             return value
 
-    def prefixes(self, length: int) -> FrozenSet[Tuple[str, ...]]:
-        """All length-*length* prefixes of words of ``P(a)``.
-
-        A word shorter than *length* contributes nothing — an absolute
-        XPE of *length* steps cannot match a shorter publication.  The
-        result is exact: every returned prefix extends to at least one
-        full word, and every word of length >= *length* is represented.
-        """
-        if length <= 0:
-            raise ValueError("prefix length must be positive")
-        cache = self._expansion_cache
-        cached = cache.get(("prefix", length))
-        if cached is not None:
-            return cached
-        results = set()
-
-        def walk(nodes, prefix):
-            if len(prefix) >= length:
-                results.add(tuple(prefix[:length]))
-                return
-            if not nodes:
-                return
-            head, rest = nodes[0], nodes[1:]
-            if isinstance(head, Lit):
-                walk(rest, prefix + list(head.tests))
-            else:
-                # Unroll the group once, then either leave it or repeat.
-                walk((*head.body, head) + rest, prefix)
-                walk((*head.body,) + rest, prefix)
-
-        walk(self.nodes, [])
-        value = frozenset(results)
-        cache[("prefix", length)] = value
-        return value
-
     @property
     def _expansion_cache(self):
         try:
@@ -244,22 +211,6 @@ class Advertisement:
         cache[("words", max_length)] = value
         return value
 
-    def expansion_bound(self, xpe_length: int) -> int:
-        """A word-length bound sufficient for matching an XPE of
-        *xpe_length* steps against this advertisement.
-
-        Any infix or prefix match of an XPE with ``k`` steps touches at
-        most ``k`` consecutive path positions; pumping each ``(...)+``
-        group beyond ``k + 1`` repetitions cannot create new matches, so
-        words of length ``min_length + groups * (k + 1) * max_unit`` are
-        enough to witness every possible match.
-        """
-        groups = sum(1 for _ in _all_reps(self.nodes))
-        if groups == 0:
-            return self.min_length()
-        max_unit = max(_min_length(rep.body) for rep in _all_reps(self.nodes))
-        return self.min_length() + groups * (xpe_length + 1) * max_unit
-
     # -- rendering ---------------------------------------------------------
 
     def __str__(self):
@@ -275,12 +226,6 @@ def _all_nodes(nodes: Iterable[AdvNode]):
         yield node
         if isinstance(node, Rep):
             yield from _all_nodes(node.body)
-
-
-def _all_reps(nodes: Iterable[AdvNode]):
-    for node in _all_nodes(nodes):
-        if isinstance(node, Rep):
-            yield node
 
 
 def _min_length(nodes: Sequence[AdvNode]) -> int:

@@ -1,17 +1,17 @@
-"""Matching against recursive advertisements (paper §3.3).
+"""The intersection decision for any advertisement (paper §3.2–3.3).
 
-Two implementations are provided and cross-checked by the test suite:
+:func:`expr_and_advertisement` is the one entry brokers call.  Each
+(advertisement kind × XPE shape) cell goes to exactly one function:
 
-* :func:`abs_expr_and_sim_rec_adv` — the paper's Figure 3 algorithm for
-  an absolute simple XPE against ``a = a1(a2)+a3``, with two errata
-  fixed (documented on the function).
-* :func:`expr_and_rec_adv` — a general matcher for *any* supported XPE
-  shape against *any* recursive advertisement (simple, series or
-  embedded).  It enumerates bounded fragments of the advertisement's
-  path language: length-``|s|`` prefixes for absolute simple XPEs, and
-  complete words up to a pumping bound for relative XPEs and XPEs with
-  descendant operators.  The bounds are exact for the decision problem
-  (see :meth:`Advertisement.expansion_bound`).
+* non-recursive — the paper's ``AbsExprAndAdv`` / ``RelExprAndAdv`` /
+  ``DesExprAndAdv`` (:mod:`repro.adverts.matching`) by XPE shape;
+* simple-recursive × absolute simple XPE —
+  :func:`abs_expr_and_sim_rec_adv`, the paper's Figure 3 algorithm
+  for ``a = a1(a2)+a3`` with two errata fixed (documented on the
+  function);
+* every other recursive cell (simple-recursive × relative or ``//``
+  XPE, series- and embedded-recursive × any XPE) — the exact NFA
+  product of :mod:`repro.adverts.nfa`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from repro.adverts.matching import (
     node_tests_overlap,
     rel_expr_and_adv,
 )
-from repro.adverts.model import Advertisement
+from repro.adverts.model import Advertisement, Lit, Rep
+from repro.adverts.nfa import expr_and_advert_nfa
 from repro.xpath.ast import XPathExpr
 
 
@@ -46,7 +47,7 @@ def abs_expr_and_sim_rec_adv(a1, a2, a3, sub: XPathExpr) -> bool:
     empty, ``a2`` must not be.
 
     Two errata relative to the printed pseudo-code are fixed (the test
-    suite cross-checks against the expansion-based reference matcher):
+    suite cross-checks against the exact NFA matcher):
 
     * Line 5's ``q = Int((|s|-|a1a2a3|)/|a2|) + 1`` overshoots by one
       when the difference divides evenly (the intended value is a
@@ -90,46 +91,6 @@ def abs_expr_and_sim_rec_adv(a1, a2, a3, sub: XPathExpr) -> bool:
     raise AssertionError("unreachable: the c == p branch always returns")
 
 
-def expr_and_rec_adv(advert: Advertisement, sub: XPathExpr) -> bool:
-    """General XPE vs. recursive-advertisement intersection.
-
-    Delegates to the exact NFA product construction
-    (:mod:`repro.adverts.nfa`) — the advertisement language is regular,
-    so no expansion bound is needed.
-    """
-    from repro.adverts.nfa import expr_and_advert_nfa
-
-    return expr_and_advert_nfa(advert, sub)
-
-
-def expr_and_rec_adv_expansion(advert: Advertisement, sub: XPathExpr) -> bool:
-    """Bounded-expansion reference matcher (test oracle).
-
-    Enumerates the finitely many relevant expansions of the
-    advertisement:
-
-    * absolute simple XPE — the advertisement's length-``|s|`` word
-      prefixes (a shorter word cannot match an absolute XPE; a longer
-      word matches iff its prefix overlaps the XPE),
-    * relative / descendant XPE — every complete word up to the pumping
-      bound of :meth:`Advertisement.expansion_bound`.
-
-    Exponential in the worst case; kept as the independent oracle the
-    property-based tests compare the NFA matcher against.
-    """
-    if sub.is_simple and sub.is_absolute:
-        candidates = advert.prefixes(len(sub))
-        return any(
-            _block_overlaps(prefix, sub.tests) for prefix in candidates
-        )
-
-    bound = advert.expansion_bound(len(sub))
-    words = advert.words_up_to(bound)
-    if sub.is_simple:
-        return any(rel_expr_and_adv(word, sub) for word in words)
-    return any(des_expr_and_adv(word, sub) for word in words)
-
-
 def expr_and_advertisement(advert: Advertisement, sub: XPathExpr) -> bool:
     """Top-level intersection test used by brokers: any supported XPE
     shape against any advertisement (recursive or not).
@@ -170,13 +131,11 @@ def _expr_and_advertisement(advert: Advertisement, sub: XPathExpr) -> bool:
     ):
         a1, a2, a3 = _decompose_simple(advert)
         return abs_expr_and_sim_rec_adv(a1, a2, a3, sub)
-    return expr_and_rec_adv(advert, sub)
+    return expr_and_advert_nfa(advert, sub)
 
 
 def _decompose_simple(advert: Advertisement):
     """Split a simple-recursive advertisement into ``(a1, a2, a3)``."""
-    from repro.adverts.model import Lit, Rep
-
     a1, a2, a3 = (), (), ()
     seen_rep = False
     for node in advert.nodes:
@@ -193,87 +152,3 @@ def _decompose_simple(advert: Advertisement):
         else:
             a3 = a3 + node.tests
     return a1, a2, a3
-
-
-def _flatten_literals(nodes) -> tuple:
-    """Concatenate the tests of an all-:class:`Lit` node sequence."""
-    from repro.adverts.model import Lit
-
-    tests = ()
-    for node in nodes:
-        if not isinstance(node, Lit):
-            raise ValueError("sequence still contains recursion groups")
-        tests = tests + node.tests
-    return tests
-
-
-def _min_nodes_length(nodes) -> int:
-    from repro.adverts.model import _min_length
-
-    return _min_length(tuple(nodes))
-
-
-def _unroll_match(nodes, sub: XPathExpr) -> bool:
-    """Paper §3.3 strategy: repeatedly expand the first recursion group
-    ("try all possible advertisement formats") until the structure is
-    simple enough for the earlier algorithms.
-
-    * no groups left — ``AbsExprAndAdv``;
-    * exactly one trailing group with a literal body — Figure 3;
-    * otherwise unroll the first group ``1..c_max`` times and recurse,
-      where ``c_max`` stops once the repeated region has pushed every
-      later symbol beyond the subscription's length (an absolute XPE
-      constrains only its first ``|s|`` positions).
-    """
-    from repro.adverts.model import Advertisement, Lit, Rep
-
-    rep_positions = [
-        index for index, node in enumerate(nodes) if isinstance(node, Rep)
-    ]
-    if not rep_positions:
-        return abs_expr_and_adv(_flatten_literals(nodes), sub)
-    if len(rep_positions) == 1:
-        node = nodes[rep_positions[0]]
-        if all(isinstance(inner, Lit) for inner in node.body):
-            advert = Advertisement(tuple(nodes))
-            a1, a2, a3 = _decompose_simple(advert)
-            return abs_expr_and_sim_rec_adv(a1, a2, a3, sub)
-
-    first = rep_positions[0]
-    prefix_tests = _flatten_literals(nodes[:first])
-    if len(prefix_tests) >= len(sub):
-        # The literal prefix alone already constrains every position of
-        # the (absolute) XPE; deeper structure cannot change the first
-        # |s| symbols.
-        return abs_expr_and_adv(prefix_tests, sub)
-    body = nodes[first].body
-    unit_min = _min_nodes_length(body)
-    count = 1
-    while len(prefix_tests) + (count - 1) * unit_min <= len(sub):
-        candidate = (
-            tuple(nodes[:first]) + body * count + tuple(nodes[first + 1:])
-        )
-        if _unroll_match(candidate, sub):
-            return True
-        count += 1
-    return False
-
-
-def abs_expr_and_ser_rec_adv(advert: Advertisement, sub: XPathExpr) -> bool:
-    """``AbsExprAndSerRecAdv`` (paper §3.3): absolute simple XPE vs. a
-    series-recursive advertisement ``a = a1(a2)+a3(a4)+a5``, by
-    repeatedly unrolling the first group and calling Figure 3 on the
-    remainder — the strategy the paper describes in prose."""
-    if not (sub.is_simple and sub.is_absolute):
-        raise ValueError("the paper's algorithm expects an absolute simple XPE")
-    return _unroll_match(tuple(advert.nodes), sub)
-
-
-def abs_expr_and_emb_rec_adv(advert: Advertisement, sub: XPathExpr) -> bool:
-    """``AbsExprAndEmbRecAdv`` (paper §3.3): absolute simple XPE vs. an
-    embedded-recursive advertisement — determine how many times the
-    outer group repeats and recurse into the (then series-shaped)
-    unrollings."""
-    if not (sub.is_simple and sub.is_absolute):
-        raise ValueError("the paper's algorithm expects an absolute simple XPE")
-    return _unroll_match(tuple(advert.nodes), sub)

@@ -7,14 +7,19 @@ from repro.adverts import (
     abs_expr_and_adv,
     abs_expr_and_sim_rec_adv,
     des_expr_and_adv,
+    expr_and_advert_nfa,
     expr_and_advertisement,
+    generate_advertisements,
     rel_expr_and_adv,
     rel_expr_and_adv_naive,
     simple_recursive,
     node_tests_overlap,
 )
 from repro.adverts.model import Lit, Rep
+from repro.dtd.samples import nitf_dtd
+from repro.workloads.datasets import nitf_queries
 from repro.xpath import parse_xpath
+from tests import oracles
 
 
 class TestOverlapRules:
@@ -179,7 +184,7 @@ class TestAdvertisementModel:
 
     def test_prefixes(self):
         adv = simple_recursive(("a",), ("b",), ("c",))
-        prefixes = adv.prefixes(3)
+        prefixes = oracles.prefixes(adv, 3)
         assert ("a", "b", "c") in prefixes
         assert ("a", "b", "b") in prefixes
         assert len(prefixes) == 2
@@ -199,6 +204,10 @@ class TestAdvertisementModel:
             Advertisement.from_xpath(parse_xpath("a/b"))
         with pytest.raises(ValueError):
             Advertisement.from_xpath(parse_xpath("/a//b"))
+
+
+#: XPEs per shape (absolute/relative × simple/``//``) in the NITF table.
+NITF_XPES_PER_SHAPE = 4
 
 
 class TestExprAndAdvertisement:
@@ -256,13 +265,42 @@ class TestExprAndAdvertisement:
         assert expr_and_advertisement(adv, parse_xpath("*"))
         assert not expr_and_advertisement(adv, parse_xpath("/*/*/*/*"))
 
+    def test_decision_table_equals_nfa_on_nitf(self):
+        """Every NITF advertisement (all four kinds) against a few generated
+        NITF XPEs of each shape: the production dispatch answers what the
+        exact NFA product answers, prescreen included."""
+        adverts = generate_advertisements(nitf_dtd())
+        assert {advert.kind for advert in adverts} == {
+            "non-recursive",
+            "simple-recursive",
+            "series-recursive",
+            "embedded-recursive",
+        }
+        by_shape = {}
+        for expr in nitf_queries(200).exprs:
+            by_shape.setdefault((expr.is_absolute, expr.is_simple), []).append(expr)
+        assert len(by_shape) == 4
+        # The longest XPEs of a shape: a short one ends inside an
+        # advertisement's literal head and never reaches a group or a3.
+        picked = [
+            expr
+            for exprs in by_shape.values()
+            for expr in sorted(exprs, key=len, reverse=True)[:NITF_XPES_PER_SHAPE]
+        ]
+        disagreements = [
+            (str(advert), str(expr))
+            for expr in picked
+            for advert in adverts
+            if expr_and_advertisement(advert, expr)
+            != expr_and_advert_nfa(advert, expr)
+        ]
+        assert not disagreements, disagreements[:5]
+
 
 class TestSeriesAndEmbeddedRecursive:
-    """The §3.3 prose algorithms, pinned to the exact NFA matcher."""
+    """Fixed answers of the production dispatch on recursive advertisements."""
 
     def setup_method(self):
-        from repro.adverts.model import Lit, Rep
-
         self.series = Advertisement(
             (
                 Lit(("r",)),
@@ -281,74 +319,20 @@ class TestSeriesAndEmbeddedRecursive:
         )
 
     def test_series_matches_expansions(self):
-        from repro.adverts import abs_expr_and_ser_rec_adv
-
-        assert abs_expr_and_ser_rec_adv(self.series, parse_xpath("/r/a/m/b/z"))
-        assert abs_expr_and_ser_rec_adv(
+        assert expr_and_advertisement(self.series, parse_xpath("/r/a/m/b/z"))
+        assert expr_and_advertisement(
             self.series, parse_xpath("/r/a/a/a/m/b/b")
         )
-        assert not abs_expr_and_ser_rec_adv(self.series, parse_xpath("/r/m"))
+        assert not expr_and_advertisement(self.series, parse_xpath("/r/m"))
 
     def test_embedded_matches_expansions(self):
-        from repro.adverts import abs_expr_and_emb_rec_adv
-
-        assert abs_expr_and_emb_rec_adv(self.embedded, parse_xpath("/r/a/b/z"))
-        assert abs_expr_and_emb_rec_adv(
+        assert expr_and_advertisement(self.embedded, parse_xpath("/r/a/b/z"))
+        assert expr_and_advertisement(
             self.embedded, parse_xpath("/r/a/b/b/a/b")
         )
-        assert not abs_expr_and_emb_rec_adv(self.embedded, parse_xpath("/r/b"))
+        assert not expr_and_advertisement(self.embedded, parse_xpath("/r/b"))
 
     def test_prefix_longer_than_sub(self):
-        from repro.adverts import abs_expr_and_ser_rec_adv
-        from repro.adverts.model import Lit, Rep
-
         advert = Advertisement((Lit(("c", "c")), Rep((Lit(("a",)),))))
-        assert abs_expr_and_ser_rec_adv(advert, parse_xpath("/*"))
-        assert not abs_expr_and_ser_rec_adv(advert, parse_xpath("/a"))
-
-    def test_rejects_relative_subscription(self):
-        from repro.adverts import abs_expr_and_ser_rec_adv
-
-        with pytest.raises(ValueError):
-            abs_expr_and_ser_rec_adv(self.series, parse_xpath("a/b"))
-
-    def test_agrees_with_nfa_on_random_inputs(self):
-        import random
-
-        from repro.adverts import abs_expr_and_emb_rec_adv, expr_and_advert_nfa
-        from repro.adverts.model import Lit, Rep
-        from repro.xpath.ast import Axis, Step, XPathExpr
-
-        rng = random.Random(5)
-        symbols = ["a", "b", "c"]
-
-        def rand_nodes(depth=0):
-            nodes = []
-            for _ in range(rng.randint(1, 3)):
-                if depth < 2 and rng.random() < 0.4:
-                    nodes.append(Rep(tuple(rand_nodes(depth + 1))))
-                else:
-                    nodes.append(
-                        Lit(
-                            tuple(
-                                rng.choice(symbols)
-                                for _ in range(rng.randint(1, 2))
-                            )
-                        )
-                    )
-            return nodes
-
-        for _ in range(300):
-            advert = Advertisement(tuple(rand_nodes()))
-            if not advert.is_recursive:
-                continue
-            sub = XPathExpr(
-                steps=tuple(
-                    Step(Axis.CHILD, rng.choice(symbols + ["*"]))
-                    for _ in range(rng.randint(1, 6))
-                ),
-                rooted=True,
-            )
-            assert abs_expr_and_emb_rec_adv(advert, sub) == expr_and_advert_nfa(
-                advert, sub
-            )
+        assert expr_and_advertisement(advert, parse_xpath("/*"))
+        assert not expr_and_advertisement(advert, parse_xpath("/a"))

@@ -9,7 +9,7 @@ names unknown to ``s1``).
 
 Also cross-checks the KMP-optimised matchers against their naive
 references and the paper-faithful recursive-advertisement algorithm
-against the NFA matcher (``expr_and_rec_adv``).
+against the NFA matcher (``expr_and_advert_nfa``).
 """
 
 import itertools
@@ -22,10 +22,8 @@ from repro.adverts.matching import (
     rel_expr_and_adv_naive,
 )
 from repro.adverts.model import simple_recursive
-from repro.adverts.recursive import (
-    abs_expr_and_sim_rec_adv,
-    expr_and_rec_adv,
-)
+from repro.adverts.nfa import expr_and_advert_nfa
+from repro.adverts.recursive import abs_expr_and_sim_rec_adv
 from repro.covering.algorithms import covers, rel_sim_cov
 from repro.covering.pathmatch import matches_path
 from repro.covering.subscription_tree import SubscriptionTree
@@ -203,7 +201,7 @@ class TestMatchersAgree:
             sub = XPathExpr(steps=steps, rooted=True)
         advert = simple_recursive(tuple(a1), tuple(a2), tuple(a3))
         fast = abs_expr_and_sim_rec_adv(tuple(a1), tuple(a2), tuple(a3), sub)
-        nfa = expr_and_rec_adv(advert, sub)
+        nfa = expr_and_advert_nfa(advert, sub)
         assert fast == nfa, (a1, a2, a3, str(sub))
 
 

@@ -11,13 +11,17 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.adverts.model import Advertisement, Lit, Rep
 from repro.adverts.nfa import expr_and_advert_nfa
-from repro.adverts.recursive import expr_and_rec_adv_expansion
 from repro.covering.algorithms import covers
 from repro.covering.pathmatch import matches_path
 from repro.merging.rules import merge_pair
 from repro.xmldoc import XMLDocument
 from repro.xpath import parse_xpath
 from repro.xpath.ast import Axis, Step, XPathExpr
+from tests.oracles import (
+    expansion_bound,
+    expr_and_rec_adv_expansion,
+    prefixes,
+)
 
 NAMES = st.sampled_from(["a", "b", "c", "*"])
 CONCRETE = st.sampled_from(["a", "b", "c"])
@@ -118,10 +122,9 @@ class TestNfaAgainstDirectMatching:
         if any(matches_path(expr, word) for word in words):
             return
         assert expr.is_absolute
-        prefixes = advert.prefixes(len(expr))
         assert any(
             matches_path(expr.with_rooted(True), prefix)
-            for prefix in prefixes
+            for prefix in prefixes(advert, len(expr))
         ), (advert, expr)
 
 
@@ -141,7 +144,7 @@ class TestNfaAgainstExpansionOracle:
         if not (expr.is_simple and expr.is_absolute):
             # the oracle enumerates words up to this bound; absolute
             # simple XPEs only need prefixes of their own length
-            assume(advert.expansion_bound(len(expr)) <= ORACLE_WORD_BOUND)
+            assume(expansion_bound(advert, len(expr)) <= ORACLE_WORD_BOUND)
         assert expr_and_advert_nfa(advert, expr) == (
             expr_and_rec_adv_expansion(advert, expr)
         ), (advert, expr)
