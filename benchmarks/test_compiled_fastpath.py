@@ -10,7 +10,7 @@ pair doubles as a coarse differential check;
 
 The covering benchmark times ``covers_uncached`` over every ordered
 pair of a query pool: the paper's ``AbsSimCov`` / ``RelSimCov`` /
-``DesCov`` with the LRU memo kept out of the loop.
+``DesCov`` with the prechecks of ``covers`` kept out of the loop.
 """
 
 import pytest

@@ -1,125 +1,18 @@
-"""Bounded caches for routing hot paths.
-
-:class:`LRUCache` backs the :func:`repro.covering.algorithms.covers`
-memo.  Deliberately minimal: hashable keys, ``get``/``put``/``clear``,
-bounded size with least-recently-used eviction.  Hit/miss/eviction
-counts are plain integer attributes — the hot path never touches the
-metrics registry; counters surface at snapshot time instead.
+"""The broker's route memo.
 
 :class:`RouteMemo` is each broker's publication memo: routing decisions
 indexed by path and *maintained* under
 subscription churn instead of versioned out (see its docstring).  A hit
 is a pure read; the memo evicts in insertion order.
-
-Pass ``metric_prefix`` to join a named **cache group**: a single
-registered collector sums every live member's counters into
-``<prefix>.hits`` / ``.misses`` / ``.evictions`` / ``.size`` gauges
-whenever any registry snapshot or export runs (groups hold weak
-references, so short-lived caches — e.g. those of restarted brokers —
-drop out rather than leak).
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 from typing import Dict
 
-from repro import obs
 from repro.sharing import SharedValues
 from repro.xpath import compiled as _compiled
-
-#: metric prefix -> weak set of live caches publishing under it.
-_GROUPS: Dict[str, "weakref.WeakSet"] = {}
-
-
-@obs.register_collector
-def _collect_cache_groups(registry):
-    for prefix, group in _GROUPS.items():
-        hits = misses = evictions = size = 0
-        for cache in group:
-            hits += cache.hits
-            misses += cache.misses
-            evictions += cache.evictions
-            size += len(cache)
-        registry.gauge(prefix + ".hits").set(hits)
-        registry.gauge(prefix + ".misses").set(misses)
-        registry.gauge(prefix + ".evictions").set(evictions)
-        registry.gauge(prefix + ".size").set(size)
-
-
-class LRUCache:
-    """Bounded mapping with least-recently-used eviction."""
-
-    __slots__ = (
-        "maxsize",
-        "hits",
-        "misses",
-        "evictions",
-        "_data",
-        "__weakref__",
-    )
-
-    def __init__(self, maxsize: int, metric_prefix: str = None):
-        if maxsize < 1:
-            raise ValueError("maxsize must be positive")
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._data: OrderedDict = OrderedDict()
-        if metric_prefix is not None:
-            _GROUPS.setdefault(metric_prefix, weakref.WeakSet()).add(self)
-
-    def get(self, key, default=None):
-        """The cached value (refreshing its recency), or *default*."""
-        data = self._data
-        try:
-            value = data[key]
-        except KeyError:
-            self.misses += 1
-            return default
-        data.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def put(self, key, value):
-        """Insert/replace *key*, evicting the oldest entry when full."""
-        data = self._data
-        if key in data:
-            data.move_to_end(key)
-        data[key] = value
-        if len(data) > self.maxsize:
-            data.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self):
-        """Drop every entry (lifetime counters are kept)."""
-        self._data.clear()
-
-    def __len__(self):
-        return len(self._data)
-
-    def __contains__(self, key):
-        return key in self._data
-
-    def stats(self) -> Dict[str, int]:
-        """Lifetime counters plus current size (for describe()/tests)."""
-        return {
-            "size": len(self._data),
-            "maxsize": self.maxsize,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-    def __repr__(self):
-        return "LRUCache(%d/%d, hits=%d, misses=%d)" % (
-            len(self._data),
-            self.maxsize,
-            self.hits,
-            self.misses,
-        )
 
 
 #: What recomputing one memoised decision costs, in maintenance probes.

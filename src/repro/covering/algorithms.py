@@ -16,18 +16,17 @@ Algorithms, named as in the paper:
   (the string-matching formulation, KMP-optimised when wildcard-free),
 * :func:`des_cov`     — the general case with ``//`` operators.
 
-:func:`covers` dispatches by shape, behind an **LRU memo** over
-``(s1, s2)`` pairs — subscription-tree descents, merge-candidate scans
-and forwarding decisions re-ask the same pairs constantly (expressions
-are immutable, so the answer never changes).  The algorithms above are
-the only covering implementation: what the memo misses, they decide.
+:func:`covers` dispatches by shape after cheap prechecks (identity,
+length, element names, equality), which decide most of the pairs that
+subscription-tree descents and merge scans ask.  Nothing is
+memoised: the algorithms above are the only covering implementation,
+and every pair that passes the prechecks runs one of them.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from repro.cache import LRUCache
 from repro.covering.rules import covers_block, covers_test
 from repro.xpath.ast import WILDCARD, XPathExpr
 
@@ -174,42 +173,31 @@ def _place_segment(
     return jj, oo
 
 
-#: Memo for :func:`covers` verdicts.  Keys are ``(s1, s2)`` expression
-#: pairs (value-based hash/eq, both memoised on the instances); safe to
-#: cache unboundedly long because expressions are immutable and
-#: ``covers`` is pure — the LRU bound only caps memory.
-_COVERS_CACHE = LRUCache(maxsize=1 << 16, metric_prefix="covering.covers_cache")
-_CACHE_MISS = object()
-
-
-def covers_cache_stats():
-    """Lifetime hit/miss/eviction counts of the covers memo."""
-    return _COVERS_CACHE.stats()
-
-
 def covers(s1: XPathExpr, s2: XPathExpr) -> bool:
-    """``s1 ⊒ s2``: memoised dispatch to the shape-appropriate
+    """``s1 ⊒ s2``: cheap prechecks, then the shape-appropriate
     algorithm (:func:`covers_uncached`).
 
-    Two O(1) prechecks run *before* the memo, so the overwhelmingly
-    common cheap rejections (and self-comparisons) never pay cache
-    traffic: identity/equality, and the universal length bound — a
-    coverer is never longer than the covered expression, because the
-    adversarial publication instantiates exactly ``len(s2)`` elements,
-    leaving a longer ``s1`` nothing to match.
+    The prechecks reject or accept without running an algorithm:
+
+    * identity;
+    * length — a coverer is never longer than the covered expression,
+      because the adversarial publication instantiates exactly
+      ``len(s2)`` elements, leaving a longer ``s1`` nothing to match;
+    * names — every concrete element name of ``s1`` occurs in ``s2``.
+      The witness: instantiate ``s2`` with a fresh name for each ``*``
+      and a zero gap for each ``//``.  That path matches ``s2``, and an
+      ``s1`` naming an element absent from it cannot match it;
+    * equality, last: a pair the names reject is never equal.
     """
     if s1 is s2:
         return True
-    if len(s1) > len(s2):
+    if len(s1.steps) > len(s2.steps):
+        return False
+    if not s1.names <= s2.names:
         return False
     if s1 == s2:
         return True
-    key = (s1, s2)
-    value = _COVERS_CACHE.get(key, _CACHE_MISS)
-    if value is _CACHE_MISS:
-        value = covers_uncached(s1, s2)
-        _COVERS_CACHE.put(key, value)
-    return value
+    return covers_uncached(s1, s2)
 
 
 def covers_uncached(s1: XPathExpr, s2: XPathExpr) -> bool:
@@ -227,9 +215,7 @@ def covers_uncached(s1: XPathExpr, s2: XPathExpr) -> bool:
         # has one exception: an all-wildcard absolute prefix /*/.../*
         # matches every path of sufficient length, hence covers any XPE
         # with at least as many steps.
-        return len(s1) <= len(s2) and all(
-            step.is_wildcard for step in s1.steps
-        )
+        return len(s1.steps) <= len(s2.steps) and not s1.names
     if s1.is_simple and s2.is_simple:
         if s1.is_absolute:
             return abs_sim_cov(s1, s2)

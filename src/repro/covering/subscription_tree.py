@@ -312,11 +312,7 @@ class SubscriptionTree:
                 child_expr = child.expr
                 if len(child_expr.steps) > expr_len:
                     continue
-                if (
-                    relative
-                    and child_expr.rooted
-                    and not all(s.is_wildcard for s in child_expr.steps)
-                ):
+                if relative and child_expr.rooted and child_expr.names:
                     continue
                 self.cover_checks += 1
                 if covers(child_expr, expr):

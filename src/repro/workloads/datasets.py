@@ -129,6 +129,9 @@ def covering_workload(
     bases: List[Tuple[XPathExpr, Tuple[str, ...], int, frozenset]] = []
     base_tree = SubscriptionTree()
     seen = set()
+    # A rejected candidate stays rejected (bases are only added, so what
+    # covered it or what it covered stays top level): it is not retried.
+    rejected = set()
     attempts = 0
     while len(bases) < base_count:
         attempts += 1
@@ -165,11 +168,12 @@ def covering_workload(
             i for i in range(1, length) if rng.random() < 0.15
         )
         expr = _steps_from(path, 0, length, mask)
-        if expr in seen:
+        if expr in seen or expr in rejected:
             continue
         outcome = base_tree.add(expr, len(bases))
         if not outcome.is_new or outcome.covered or outcome.displaced:
             base_tree.remove(expr, len(bases))
+            rejected.add(expr)
             continue
         seen.add(expr)
         bases.append((expr, path, length, mask))

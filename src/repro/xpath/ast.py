@@ -66,11 +66,6 @@ class Step:
     axis: Axis
     test: str
 
-    @property
-    def is_wildcard(self):
-        """True when the node test is ``*``."""
-        return self.test == WILDCARD
-
     def __str__(self):
         return "%s%s" % (self.axis, self.test)
 
@@ -182,12 +177,12 @@ class XPathExpr:
     @property
     def has_wildcard(self):
         """True when any node test is ``*``."""
-        return any(step.is_wildcard for step in self.steps)
+        return WILDCARD in self.tests
 
     # -- views ----------------------------------------------------------
     #
-    # tests/segments are on every matching and covering hot path, so
-    # they are memoised on the instance (safe: expressions are
+    # tests/names/segments are on every matching and covering hot path,
+    # so they are memoised on the instance (safe: expressions are
     # immutable, and dataclass eq/hash only consider the declared
     # fields).
 
@@ -199,6 +194,17 @@ class XPathExpr:
         except AttributeError:
             value = tuple(step.test for step in self.steps)
             object.__setattr__(self, "_tests_cache", value)
+            return value
+
+    @property
+    def names(self):
+        """The concrete element names of the node tests (``*`` left
+        out), as a frozenset."""
+        try:
+            return self._names_cache
+        except AttributeError:
+            value = frozenset([test for test in self.tests if test != WILDCARD])
+            object.__setattr__(self, "_names_cache", value)
             return value
 
     @property

@@ -50,10 +50,20 @@ QUERIES = XPathWorkloadParams(wildcard_prob=0.2, descendant_prob=0.15, relative_
                                min_length=3, wildcard_min_position=2)
 
 
+#: Runs of the covering algorithms, behind every precheck of ``covers``.
+_UNCACHED = [0]
+
+
+def _counted(algorithm):
+    def run(s1, s2):
+        _UNCACHED[0] += 1
+        return algorithm(s1, s2)
+    return run
+
+
 def run_plan(config: RoutingConfig, sources, universe) -> dict:
     registry = obs.set_registry(MetricsRegistry(enabled=True))
-    algorithms._COVERS_CACHE.clear()  # count this run's uncached covers
-    uncached0 = algorithms.covers_cache_stats()["misses"]
+    _UNCACHED[0] = 0
     overlay = Overlay.binary_tree(3, config=config, latency_model=ConstantLatency(0.001),
                                   universe=universe, processing_scale=0.0, metrics=registry)
     publishers = []
@@ -82,7 +92,7 @@ def run_plan(config: RoutingConfig, sources, universe) -> dict:
     _publish(overlay, publishers, "r2", seed=6)
     counters = registry.counter_values()
     work = {name: counters.get(name, 0) for name in WORK_COUNTERS}
-    work["covers.uncached"] = algorithms.covers_cache_stats()["misses"] - uncached0
+    work["covers.uncached"] = _UNCACHED[0]
     return {
         "traffic": dict(sorted(overlay.stats.messages_by_kind.items())),
         "frames": overlay.stats.frames,
@@ -128,7 +138,8 @@ def generate() -> dict:
     dtds = {"psd": psd_dtd(), "nitf": nitf_dtd()}
     sources = [(client, dtd, generate_advertisements(dtd, DEPTH)) for client, dtd in dtds.items()]
     universe = PathUniverse([path for dtd in dtds.values() for path in enumerate_paths(dtd, DEPTH)])
-    previous = obs.get_registry()
+    previous, uncached = obs.get_registry(), algorithms.covers_uncached
+    algorithms.covers_uncached = _counted(uncached)
     try:  # each run counts into a registry of its own
         return {
             "%s/%s" % (name, engine): run_plan(replace(
@@ -138,6 +149,7 @@ def generate() -> dict:
         }
     finally:
         obs.set_registry(previous)
+        algorithms.covers_uncached = uncached
 
 
 def render(document: dict) -> str:

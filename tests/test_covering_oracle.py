@@ -24,8 +24,8 @@ from repro.adverts.matching import (
 from repro.adverts.model import simple_recursive
 from repro.adverts.nfa import expr_and_advert_nfa
 from repro.adverts.recursive import abs_expr_and_sim_rec_adv
-from repro.covering.algorithms import covers, rel_sim_cov
-from repro.covering.pathmatch import matches_path
+from repro.covering.algorithms import covers, covers_uncached, rel_sim_cov
+from repro.covering.pathmatch import matches_path, matches_path_reference
 from repro.covering.subscription_tree import SubscriptionTree
 from repro.xpath import parse_xpath
 from repro.xpath.ast import Axis, Step, XPathExpr
@@ -97,6 +97,22 @@ class TestCoversSoundness:
                 "covers(%s, %s) claimed but path %r matches s2 only"
                 % (s1, s2, path)
             )
+
+    @settings(max_examples=400, deadline=None)
+    @given(s1=xpath_exprs(), s2=xpath_exprs())
+    def test_a_name_missing_from_s2_has_a_witness_path(self, s1, s2):
+        """The name precheck of ``covers`` is sound: when ``s1`` names
+        an element ``s2`` does not, the zero-gap instance of ``s2``
+        (fresh names for its wildcards) matches ``s2`` and not ``s1``.
+        On every pair, ``covers`` answers as the algorithms do."""
+        assert covers(s1, s2) == covers_uncached(s1, s2), (s1, s2)
+        if s1.names <= s2.names:
+            return
+        witness = paths_matching(s2)[0]  # pre, gaps and post all 0
+        assert len(witness) == len(s2.steps), (s2, witness)
+        assert matches_path_reference(s2, witness), (s2, witness)
+        assert not matches_path_reference(s1, witness), (s1, s2, witness)
+        assert not covers_uncached(s1, s2), (s1, s2)
 
     @settings(max_examples=300, deadline=None)
     @given(s=xpath_exprs())

@@ -74,7 +74,11 @@ def pub(path, doc_id="d1", path_id=0):
     )
 
 
-# -- covers() memo ---------------------------------------------------------
+# -- covers() prechecks ----------------------------------------------------
+#
+# ``covers`` answers most pairs from its prechecks (identity, length,
+# element names) and runs the algorithms (``covers_uncached``) on the
+# rest; both must agree on every pair, the second pass included.
 
 
 def test_covers_memo_agrees_with_uncached():
@@ -89,7 +93,7 @@ def test_covers_memo_agrees_with_uncached():
     for s1 in pool:
         for s2 in pool:
             assert covers(s1, s2) == covers_uncached(s1, s2), (s1, s2)
-    # ... and asking again (pure cache hits) still agrees.
+    # ... and asking again still agrees.
     for s1 in pool[:20]:
         for s2 in pool[:20]:
             assert covers(s1, s2) == covers_uncached(s1, s2)
